@@ -32,7 +32,7 @@ Checked per connection (parent-side view, one comm per worker):
   ``(tid, attempt)`` task sent on the same connection, at most once.
 * retry classification: a fail reply carrying an exception whose
   recorded ``retryable=True`` verdict contradicts
-  :func:`~repro.runtime.distributed.worker.retryable_exception` is
+  :func:`~repro.runtime.attempt.retryable` is
   flagged (the opposite direction is allowed: workers may ship a
   sanitized stand-in exception that classifies differently).
 """
@@ -42,10 +42,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Sequence, Set, Tuple, Union
 
+from ...runtime.attempt import retryable
 from ...runtime.distributed.comm import (_HEADER, CODEC_MSGPACK,
                                          CODEC_PICKLE, FLAG_CRC)
 from ...runtime.distributed.events import DistTraceRecorder, FrameRecord
-from ...runtime.distributed.worker import retryable_exception
 
 __all__ = ["ProtocolFinding", "check_connection", "check_frames"]
 
@@ -145,7 +145,7 @@ def check_connection(conn: str,
                              f"fail reply for tid {fr.tid} carries no "
                              f"boolean retryable verdict")
                     elif (fr.retryable and isinstance(fr.exc, BaseException)
-                          and not retryable_exception(fr.exc)):
+                          and not retryable(fr.exc)):
                         flag(i, "retryable-mismatch",
                              f"tid {fr.tid}: recorded retryable=True "
                              f"but {type(fr.exc).__name__} classifies "

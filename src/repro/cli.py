@@ -267,14 +267,11 @@ def _polar_tiled(args: argparse.Namespace, a: np.ndarray) -> int:
               f"{wall1 / wall if wall else float('inf'):.2f}x | "
               f"parallel efficiency {eff[workers]:.2f}")
 
-    trace_path = args.chrome_trace
-    if parallel and trace_path is None:
-        trace_path = "polar_measured_trace.json"
-    if trace_path and sink is not None and len(sink):
+    if args.chrome_trace and sink is not None and len(sink):
         from .obs.export import write_chrome_trace
 
-        write_chrome_trace(sink, trace_path)
-        print(f"measured chrome trace written to {trace_path}")
+        write_chrome_trace(sink, args.chrome_trace)
+        print(f"measured chrome trace written to {args.chrome_trace}")
 
     if args.metrics_json:
         from .obs import get_registry
@@ -921,8 +918,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="RNG seed for --generate (default 0)")
     p.add_argument("--chrome-trace", default=None, metavar="PATH",
                    help="write the measured chrome://tracing JSON here "
-                        "(threads/processes backends; default "
-                        "polar_measured_trace.json)")
+                        "(threads/processes backends; no trace is "
+                        "written without it)")
     p.add_argument("--no-baseline", action="store_true",
                    help="skip the workers=1 baseline run (the parallel "
                         "backends normally report speedup and parallel "

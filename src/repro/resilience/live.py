@@ -1,11 +1,12 @@
-"""Live fault injection and recovery policy for the threaded backend.
+"""Live fault injection and recovery policy for the real backends.
 
 :mod:`repro.resilience.faults` describes *what* goes wrong;
-:mod:`repro.runtime.parallel` decides *how the run survives it*.  This
-module is the glue between the two for real threaded execution:
+:mod:`repro.runtime.attempt` (one attempt body, one retry ledger,
+shared by the threads and processes executors) decides *how the run
+survives it*.  This module is the vocabulary between the two:
 
 * :class:`LiveFaultInjector` evaluates a :class:`FaultPlan` inside
-  actual ``ParallelExecutor`` worker threads — seeded transient payload
+  actual workers (threads or forked processes) — seeded transient payload
   exceptions (:class:`InjectedTransientError`), pre-payload worker
   stalls (interruptible sleeps), and post-payload NaN/Inf tile
   corruption.  All draws go through ``FaultPlan.task_rng`` so the same
@@ -74,11 +75,14 @@ class TileCorruptionDetected(RuntimeError):
 
 @dataclass(frozen=True)
 class RecoveryPolicy:
-    """Executor-level recovery knobs for :class:`ParallelExecutor`.
+    """Executor-level recovery knobs for both real backends.
 
-    A ``None`` policy (the default) disables every mechanism here and
-    keeps the executor on its original fail-fast path — the fault-free
-    hot path pays nothing.
+    A ``None`` policy (the default) is the zero-budget policy
+    (:data:`repro.runtime.attempt.NO_RECOVERY`) through the same
+    dispatch loop: no retries, no speculation, no timeouts, no
+    heartbeats, and the first failure is final.  A default
+    ``RecoveryPolicy()`` on a fault-free run costs its write-tile
+    snapshots (and, on the processes backend, the reliable link).
     """
 
     #: Re-execution budget per task *beyond* the first attempt.

@@ -22,14 +22,17 @@ dispatch-heavy, small-tile graphs.  The execution model:
   (scalar reduction boxes, gather buffers) run inline in the parent —
   the same split SLATE uses to keep latency-bound scalar work off the
   accelerator path.  Everything tile-to-tile goes to workers.
+* **One attempt body, one retry ledger.**  Workers and the driver
+  lane run :func:`repro.runtime.attempt.run_attempt`; retries, backoff
+  and pre-dispatch write-tile snapshots live in the same
+  :class:`~repro.runtime.attempt.RetryLedger` the threaded backend
+  drives (``recovery=None`` is its zero-budget policy).
 * **Crash recovery.**  A worker death (SIGKILL, injected
   ``RankCrash``, or a task-timeout kill) is detected as comm EOF; the
-  parent restores pre-dispatch snapshots of the victim's in-flight
-  write tiles and replays them onto survivors — the PR 5 lineage
-  recovery loop, driven by the same :class:`RecoveryPolicy` /
-  :class:`RecoveryStats` machinery as the threaded backend.  The
-  shared-memory registry lives only in the parent, so no worker death
-  can leak or tear down a segment.
+  victim's in-flight tasks are requeued onto survivors and the ledger
+  restores their write tiles before the re-run — the PR 5 lineage
+  recovery loop.  The shared-memory registry lives only in the
+  parent, so no worker death can leak or tear down a segment.
 
 The public surface mirrors :class:`ParallelExecutor` exactly
 (``run``/``close``/``abandon_window``/``stats``/``inflight_attempts``)
@@ -39,7 +42,6 @@ so ``Runtime.sync`` drives either backend unchanged.
 from __future__ import annotations
 
 import contextlib
-import heapq
 import multiprocessing
 import os
 import queue
@@ -47,12 +49,13 @@ import signal
 import threading
 import time
 from time import perf_counter
-from typing import (Any, Callable, Dict, Iterable, List, NamedTuple,
-                    Optional, Set, Tuple)
+from typing import (Any, Callable, Dict, List, NamedTuple, Optional, Set,
+                    Tuple)
 
+from ..attempt import NO_RECOVERY, Attempt, RetryLedger, run_attempt
 from ..graph import TaskGraph
 from ..parallel import (ExecutionStats, _peak_rss_bytes, default_workers)
-from ..task import Task, TaskKind, TileRef
+from ..task import Task, TileRef
 from .chaos import assign_peer, clear_net_plan, install_net_plan
 from .comm import (Comm, CommError, CommTimeoutError, Listener, listen)
 from .events import (EV_CLOSE, EV_COMPLETE, EV_DEATH, EV_DISPATCH,
@@ -60,7 +63,7 @@ from .events import (EV_CLOSE, EV_COMPLETE, EV_DEATH, EV_DISPATCH,
 from .reliable import ReliableComm
 from .scheduling import DynamicScheduler
 from .shm import SharedTileStore
-from .worker import (SideEntry, retryable_exception, worker_main, _run_one)
+from .worker import SideEntry, worker_main
 from ...comm.counters import CommCounters
 from ...resilience.net import PhiAccrualDetector
 
@@ -119,19 +122,12 @@ class ProcessExecutor:
         self.sink = sink
         self.validate = validate
         self.sanitizer = rt.sanitizer
-        if injector is not None and not injector.active:
-            injector = None
-        if recovery is None and injector is not None:
-            from ...resilience.live import RecoveryPolicy
-            recovery = RecoveryPolicy(
-                scrub_writes=bool(injector.plan.corruptions))
-        self.recovery_policy = recovery
+        #: ``NO_RECOVERY`` (``recovery=None``) is the zero-budget policy:
+        #: no retries, plain comm, and a worker death is fatal.
+        self.recovery_policy = pol = \
+            NO_RECOVERY if recovery is None else recovery
         self.injector = injector
         self.tiles = tiles
-        self._recover = recovery is not None
-        if self._recover and tiles is None:
-            from ...resilience.live import TileAccessor
-            self.tiles = tiles = TileAccessor(rt._matrices)
         self.stats = ExecutionStats(workers=self.workers)
         self.comm_counters = CommCounters()
         self.store = SharedTileStore()
@@ -150,34 +146,20 @@ class ProcessExecutor:
         plan = rt.fault_plan
         self._crashes = sorted(plan.crashes, key=lambda c: c.time) \
             if plan is not None else []
-        if self._crashes and not self._recover:
-            from ...resilience.live import RecoveryPolicy
-            self.recovery_policy = RecoveryPolicy()
-            self._recover = True
-            if self.tiles is None:
-                from ...resilience.live import TileAccessor
-                self.tiles = TileAccessor(rt._matrices)
         self._crash_idx = 0
         #: Live network faults (ChaosComm): active when the plan has a
         #: non-empty ``net`` component.  Network chaos REQUIRES the
         #: reliable layer with heartbeats — a dropped tail frame is only
-        #: recovered by heartbeat-driven retransmission sweeps — so a
-        #: net plan without a policy forces the default RecoveryPolicy.
+        #: recovered by heartbeat-driven retransmission sweeps — which
+        #: is why ``resolve_recovery`` gives such a plan (and a crash
+        #: plan) the default RecoveryPolicy.
         net = plan.net if plan is not None else None
         self._net_plan = net if net is not None and not net.empty else None
-        if self._net_plan is not None and not self._recover:
-            from ...resilience.live import RecoveryPolicy
-            self.recovery_policy = RecoveryPolicy()
-            self._recover = True
-            if self.tiles is None:
-                from ...resilience.live import TileAccessor
-                self.tiles = TileAccessor(rt._matrices)
-        pol = self.recovery_policy
         #: Reliable (seq/ack/CRC/heartbeat) comm wrapping: on whenever
         #: heartbeats are configured; off for plain runs so the
         #: fault-free wire stays byte-identical to previous releases.
-        self._reliable = self._net_plan is not None or (
-            pol is not None and pol.heartbeat_interval is not None)
+        self._reliable = (self._net_plan is not None
+                          or pol.heartbeat_interval is not None)
         self._chaos_installed = False
         #: (comm, hello, recorder-key, recv-time) of handshakes the
         #: acceptor thread has fielded but no spawn has claimed yet.
@@ -201,7 +183,6 @@ class ProcessExecutor:
         self._epoch: Optional[float] = None
         self._inflight = 0
         self._pipeline = pipeline_depth
-        self._counters: Dict[TaskKind, object] = {}
         self._listener: Optional[Listener] = None
         self._pool: Dict[int, _Worker] = {}
         self._next_wid = 0
@@ -305,13 +286,9 @@ class ProcessExecutor:
     # Worker pool
     # ------------------------------------------------------------------
 
-    def _net_seed(self) -> int:
+    def _plan_seed(self) -> int:
         plan = self.rt.fault_plan
         return int(plan.seed) if plan is not None else 0
-
-    def _net_deadline(self) -> float:
-        pol = self.recovery_policy
-        return float(pol.net_deadline) if pol is not None else 2.0
 
     def _ensure_listener(self) -> Listener:
         lst = self._listener
@@ -408,7 +385,8 @@ class ProcessExecutor:
             comm.observer = None
             rc = ReliableComm(
                 comm, role="driver", wid=wid,
-                deadline=self._net_deadline(), seed=self._net_seed(),
+                deadline=self.recovery_policy.net_deadline,
+                seed=self._plan_seed(),
                 counters=self.comm_counters, on_net=self._net_event)
             rc.observer = observer
             comm = rc
@@ -418,8 +396,7 @@ class ProcessExecutor:
                     t_recv - float(hello["clock"]), lane=lane)
         self._pool[wid] = w
         pol = self.recovery_policy
-        if self._reliable and pol is not None \
-                and pol.heartbeat_interval is not None:
+        if self._reliable and pol.heartbeat_interval is not None:
             det = PhiAccrualDetector(pol.heartbeat_interval)
             det.beat(t_recv)  # the hello counts as the first sign of life
             self._hb[wid] = det
@@ -430,27 +407,20 @@ class ProcessExecutor:
         w.reader.start()
         return w
 
-    def _fork_one(self, ctx: Any, wid: int, lane: int, address: str,
-                  start: int, end: int, scrub: bool,
+    def _fork_one(self, wid: int, lane: int, address: str,
                   close_fds: List[int]) -> multiprocessing.process.BaseProcess:
-        proc = ctx.Process(
-            target=_worker_entry,
-            args=(wid, lane, address, self.rt, start, end, self.injector,
-                  scrub, close_fds, self.recovery_policy,
-                  self._reliable, self._net_seed()),
+        proc = multiprocessing.get_context("fork").Process(
+            target=worker_main, args=(wid, lane, address, self, close_fds),
             daemon=True, name=f"repro-dist-w{wid}")
         proc.start()
         return proc
 
-    def _spawn_worker(self, start: int, end: int) -> _Worker:
+    def _spawn_worker(self) -> _Worker:
         lst = self._ensure_listener()
         wid = self._next_wid
         self._next_wid += 1
-        scrub = bool(self.recovery_policy is not None
-                     and self.recovery_policy.scrub_writes)
         # fds of live worker comms: a child forked now would inherit
-        # them and keep a dead sibling's socket half-open, masking its
-        # EOF — the worker closes them before connecting.
+        # them — the worker closes them before connecting.
         close_fds = [w.comm.fileno() for w in self._pool.values()
                      if not w.comm.closed]
         # Reuse the lowest free lane — stable slots are what chaos
@@ -460,9 +430,7 @@ class ProcessExecutor:
                 if w.proc.is_alive() and w.kill_reason is None}
         lane = next(i for i in range(len(self._pool) + 1)
                     if i not in used)
-        ctx = multiprocessing.get_context("fork")
-        proc = self._fork_one(ctx, wid, lane, lst.address, start, end,
-                              scrub, close_fds)
+        proc = self._fork_one(wid, lane, lst.address, close_fds)
         comm, hello, key, t_recv = self._next_hello(
             time.monotonic() + 15.0)
         if hello.get("wid") != wid:
@@ -470,21 +438,17 @@ class ProcessExecutor:
             raise CommError(f"bad hello from worker {wid}: {hello!r}")
         return self._adopt(proc, comm, hello, key, t_recv, lane)
 
-    def _spawn_pool(self, n: int, start: int, end: int) -> None:
+    def _spawn_pool(self, n: int) -> None:
         lst = self._ensure_listener()
         # Fork all children before adopting any connection: an adopted
         # comm fd must never leak into a later fork (an inheriting
         # sibling would mask the owner's death-EOF).
         wids: List[int] = []
-        scrub = bool(self.recovery_policy is not None
-                     and self.recovery_policy.scrub_writes)
-        ctx = multiprocessing.get_context("fork")
         by_wid: Dict[int, multiprocessing.process.BaseProcess] = {}
         for lane in range(n):
             wid = self._next_wid
             self._next_wid += 1
-            by_wid[wid] = self._fork_one(ctx, wid, lane, lst.address,
-                                         start, end, scrub, [])
+            by_wid[wid] = self._fork_one(wid, lane, lst.address, [])
             wids.append(wid)
         deadline = time.monotonic() + 15.0
         for _ in range(n):
@@ -526,25 +490,19 @@ class ProcessExecutor:
     def _chaos_fault(self, kind: str, wid: int, detail: str) -> None:
         """Driver-side ChaosComm injection hook → stats + trace lane."""
         from ...obs.timeline import (FAULT_NET_CORRUPT, FAULT_NET_DROP,
-                                     FAULT_NET_PARTITION, FaultEvent)
+                                     FAULT_NET_PARTITION)
         rec = self.stats.recovery
-        fkind = None
         if kind == "drop":
             rec.net_drops += 1
-            fkind = FAULT_NET_DROP
+            self._fault_event(FAULT_NET_DROP, -1, detail, rank=wid)
         elif kind == "corrupt":
             rec.net_corrupt_frames += 1
-            fkind = FAULT_NET_CORRUPT
+            self._fault_event(FAULT_NET_CORRUPT, -1, detail, rank=wid)
         elif kind == "partition":
-            fkind = FAULT_NET_PARTITION
-        if fkind is None or self.sink is None or self._epoch is None:
-            return
-        self.sink.on_fault(FaultEvent(
-            kind=fkind, time=perf_counter() - self._epoch, rank=wid,
-            tid=-1, detail=detail))
+            self._fault_event(FAULT_NET_PARTITION, -1, detail, rank=wid)
 
-    def _check_heartbeats(self, sched: DynamicScheduler, now: float,
-                          fault_event: Callable[..., None]) -> None:
+    def _check_heartbeats(self, sched: DynamicScheduler,
+                          now: float) -> None:
         """Phi-accrual failure detection over worker heartbeats.
 
         Above ``phi_suspect`` the scheduler stops placing new work on
@@ -553,7 +511,7 @@ class ProcessExecutor:
         onto survivors well before ``task_timeout`` would fire."""
         from ...obs.timeline import FAULT_HEARTBEAT_SUSPECT
         pol = self.recovery_policy
-        assert pol is not None
+        fault_event = self._fault_event
         rec = self.stats.recovery
         for wid, w in list(self._pool.items()):
             if w.kill_reason is not None:
@@ -666,13 +624,13 @@ class ProcessExecutor:
         sched = DynamicScheduler(tasks, start, end, worker_ok,
                                  pipeline_depth=self._pipeline)
         if need_pool:
-            self._spawn_pool(n_workers, start, end)
+            self._spawn_pool(n_workers)
             for wid in self._pool:
                 sched.add_worker(wid)
 
         failure: Optional[BaseException] = None
         try:
-            failure = self._drive(sched, start, end)
+            failure = self._drive(sched, end - start)
         finally:
             self._shutdown_pool(force=failure is not None)
             self._window_tids = set() if failure is None \
@@ -693,35 +651,29 @@ class ProcessExecutor:
 
     # -- dispatch loop -------------------------------------------------
 
-    def _drive(self, sched: DynamicScheduler, start: int,
-               end: int) -> Optional[BaseException]:
+    def _fault_event(self, kind: str, tid: int, detail: str,
+                     rank: int = 0) -> None:
+        if self.sink is None or self._epoch is None:
+            return
+        from ...obs.timeline import FaultEvent
+        self.sink.on_fault(FaultEvent(
+            kind=kind, time=perf_counter() - self._epoch, rank=rank,
+            tid=tid, detail=detail))
+
+    def _drive(self, sched: DynamicScheduler,
+               n_window: int) -> Optional[BaseException]:
         tasks = self.graph.tasks
         pol = self.recovery_policy
         rec = self.stats.recovery
-        poll = pol.poll_interval if pol is not None else 0.05
-        snapshots: Dict[int, object] = {}
-        retries: Dict[int, int] = {}
-        attempts: Dict[int, int] = {}
-        dispatch_t: Dict[int, float] = {}
-        #: (due, tid) retry backoff heap.
-        retry_at: List[Tuple[float, int]] = []
+        fault_event = self._fault_event
+        ledger = RetryLedger(pol, self.tiles, self._plan_seed(), rec,
+                             fault_event)
+        #: tid -> (attempt, send time) of the dispatch awaiting a reply.
+        dispatched: Dict[int, Tuple[int, float]] = {}
         failure: Optional[BaseException] = None
         crash_budget = 2 * self.workers + 2
-
-        def fault_event(kind: str, tid: int, detail: str,
-                        rank: int = 0) -> None:
-            if self.sink is None:
-                return
-            from ...obs.timeline import FaultEvent
-            self.sink.on_fault(FaultEvent(
-                kind=kind, time=perf_counter() - self._epoch, rank=rank,
-                tid=tid, detail=detail))
-
-        def snapshot_for(tid: int) -> None:
-            if (self._recover and self.tiles is not None
-                    and pol.max_retries > 0 and tid not in snapshots):
-                snapshots[tid] = self.tiles.snapshot(
-                    tasks[tid].writes)
+        epoch = self._epoch
+        assert epoch is not None
 
         def ship_side(w: _Worker, t: Task) -> List[SideEntry]:
             out: List[SideEntry] = []
@@ -740,9 +692,8 @@ class ProcessExecutor:
             if w is None or w.comm.closed:
                 return False
             t = tasks[tid]
-            snapshot_for(tid)
-            a = attempts.get(tid, 0)
-            attempts[tid] = a + 1
+            ledger.arm(t)
+            a = ledger.next_attempt(tid)
             try:
                 w.comm.send({"op": "task", "tid": tid, "attempt": a,
                              "side": ship_side(w, t)})
@@ -751,24 +702,40 @@ class ProcessExecutor:
                 # tid in the dead worker's inflight set until then.
                 return False
             self._inflight += 1
-            dispatch_t[tid] = perf_counter()
+            dispatched[tid] = (a, perf_counter())
             if self.recorder is not None:
                 self.recorder.record(EV_DISPATCH, tid=tid, wid=wid,
                                      attempt=a)
             return True
 
-        completed = [0]
+        completed = 0
 
-        def complete(tid: int, wid: Optional[int], t0: float, t1: float,
-                     cpu: float, slot: str, counted: bool,
-                     side: List[SideEntry]) -> None:
+        def report(tid: int, wid: Optional[int], attempt: int,
+                   res: Attempt, slot: str,
+                   side: List[SideEntry]) -> None:
+            """Account one reported attempt — a worker's reply or the
+            driver lane's own (``wid=None``); times are epoch-relative."""
+            nonlocal completed, failure
             t = tasks[tid]
+            ledger.note(t, res.events)
+            if self.recorder is not None:
+                ok = EV_DRIVER if wid is None else EV_COMPLETE
+                self.recorder.record(
+                    EV_FAIL if res.exc is not None else ok, tid=tid,
+                    wid=-1 if wid is None else wid, attempt=attempt)
+            if res.exc is not None:
+                if wid is not None:
+                    sched.workers[wid].inflight.discard(tid)
+                if not ledger.failed(t, res.exc,
+                                     res.retryable and failure is None,
+                                     res.t1 - res.t0):
+                    failure = failure or res.exc
+                return
             self._done[tid] = True
-            completed[0] += 1
+            completed += 1
             sched.on_done(tid, wid)
-            snapshots.pop(tid, None)
-            self.fns.pop(tid, None)
-            for mat_id, key, value in side or ():
+            ledger.settle(tid)
+            for mat_id, key, value in side:
                 store = self.rt._side_stores.get(mat_id)
                 if store is not None and key not in store.mapping:
                     store.mapping[key] = value
@@ -779,65 +746,9 @@ class ProcessExecutor:
                     key = store.key_of(ref)
                     if key in store.mapping:
                         self._entries[ref] = store.mapping[key]
-            dur = t1 - t0
-            self.stats.tasks_run += 1
-            self.stats.busy_seconds += dur
-            kind = t.kind.value
-            self.stats.per_kind_seconds[kind] = (
-                self.stats.per_kind_seconds.get(kind, 0.0) + dur)
-            if cpu > 0.0:
-                self.stats.cpu_seconds += cpu
-                self.stats.per_kind_cpu_seconds[kind] = (
-                    self.stats.per_kind_cpu_seconds.get(kind, 0.0) + cpu)
-            if counted:
-                self._count(t.kind)
-            if self.sink is not None:
-                from ...obs.timeline import TaskEvent
-                self.sink.on_task(TaskEvent(
-                    tid=t.tid, kind=kind, rank=t.rank, slot=slot,
-                    phase=t.phase, flops=t.flops, start=t0, end=t1,
-                    duration=dur, label=t.label, measured=True,
-                    cpu=cpu))
-
-        def apply_events(tid: int,
-                         events: Optional[Iterable[Tuple[str, str]]],
-                         rank: int) -> None:
-            from ...obs.timeline import FAULT_CORRUPTION, FAULT_STALL
-            for kind, detail in events or ():
-                if kind == "stall":
-                    rec.injected_stalls += 1
-                    fault_event(FAULT_STALL, tid, detail, rank)
-                elif kind == "corruption":
-                    rec.corrupted_tiles += 1
-                    fault_event(FAULT_CORRUPTION, tid, detail, rank)
-
-        def fail(tid: int, exc: BaseException, retryable: bool,
-                 lost_s: float) -> Optional[BaseException]:
-            """Common failure path; returns the fatal exception, or
-            None when the task was scheduled for retry."""
-            from ...obs.timeline import FAULT_RETRY, FAULT_TRANSIENT
-            from ...resilience.live import InjectedTransientError
-            rec.reexecution_seconds += max(0.0, lost_s)
-            if isinstance(exc, InjectedTransientError):
-                rec.transient_failures += 1
-                fault_event(FAULT_TRANSIENT, tid, str(exc),
-                            tasks[tid].rank)
-            if (self._recover and retryable
-                    and retries.get(tid, 0) < pol.max_retries):
-                retries[tid] = retries.get(tid, 0) + 1
-                rec.retried_tasks += 1
-                snap = snapshots.get(tid)
-                if snap is not None:
-                    self.tiles.restore(snap)
-                due = perf_counter() + pol.backoff_seconds(
-                    self._plan_seed(), tid, retries[tid])
-                heapq.heappush(retry_at, (due, tid))
-                fault_event(FAULT_RETRY, tid,
-                            f"retry {retries[tid]}/{pol.max_retries} "
-                            f"after {type(exc).__name__}",
-                            tasks[tid].rank)
-                return None
-            return exc
+            self.stats.record_task(
+                t, res.t0, res.t1, res.cpu, slot, self.sink,
+                self.fns.pop(tid, None) is not None)
 
         def on_worker_death(wid: int) -> Optional[BaseException]:
             from ...obs.timeline import FAULT_CRASH, FAULT_REPLAY
@@ -847,7 +758,7 @@ class ProcessExecutor:
             # revoked (a dispatch that failed at send never raised
             # the in-flight counter).
             for tid in inflight:
-                if dispatch_t.pop(tid, None) is not None:
+                if dispatched.pop(tid, None) is not None:
                     self._inflight -= 1
             reason = w.kill_reason if w is not None else None
             if self.recorder is not None:
@@ -872,7 +783,7 @@ class ProcessExecutor:
                         f"({reason or 'unexpectedly'}); "
                         f"{len(inflight)} in-flight, "
                         f"{len(queued)} queued", rank=wid)
-            if not self._recover:
+            if pol is NO_RECOVERY:
                 return WorkerCrashError(
                     f"worker process {wid} died "
                     f"({reason or 'unexpectedly'}) with "
@@ -882,10 +793,9 @@ class ProcessExecutor:
                 return WorkerCrashError(
                     f"giving up after {rec.crashes} worker crashes "
                     f"(budget {crash_budget})")
+            # The ledger restores each victim's write tiles when the
+            # replay is dispatched.
             for tid in inflight:
-                snap = snapshots.get(tid)
-                if snap is not None:
-                    self.tiles.restore(snap)
                 rec.replayed_tasks += 1
                 fault_event(FAULT_REPLAY, tid,
                             f"replaying task {tid} lost to worker "
@@ -895,14 +805,14 @@ class ProcessExecutor:
                     self.recorder.record(EV_REPLAY, tid=tid, wid=wid)
             sched.requeue(queued + inflight)
             if not sched.alive_workers() and sched.pending > 0:
-                nw = self._spawn_worker(start, end)
+                nw = self._spawn_worker()
                 sched.add_worker(nw.wid)
             return None
 
         def fire_crashes_and_timeouts() -> None:
             now = perf_counter()
             while (self._crash_idx < len(self._crashes)
-                   and now - self._epoch
+                   and now - epoch
                    >= self._crashes[self._crash_idx].time):
                 c = self._crashes[self._crash_idx]
                 self._crash_idx += 1
@@ -921,10 +831,9 @@ class ProcessExecutor:
             for w in self._pool.values():
                 if w.kill_reason is None and not w.proc.is_alive():
                     self._mark_dead(w)
-            if pol is not None and pol.heartbeat_interval is not None \
-                    and self._hb:
-                self._check_heartbeats(sched, now, fault_event)
-            if pol is not None and pol.task_timeout is not None:
+            if pol.heartbeat_interval is not None and self._hb:
+                self._check_heartbeats(sched, now)
+            if pol.task_timeout is not None:
                 for wid, w in list(self._pool.items()):
                     if w.kill_reason is not None:
                         continue
@@ -932,9 +841,9 @@ class ProcessExecutor:
                     if ws is None or not ws.alive:
                         continue
                     for tid in list(ws.inflight):
-                        t0 = dispatch_t.get(tid)
-                        if t0 is not None \
-                                and now - t0 > pol.task_timeout:
+                        sent = dispatched.get(tid)
+                        if sent is not None \
+                                and now - sent[1] > pol.task_timeout:
                             from ...obs.timeline import FAULT_TIMEOUT
                             rec.timeouts += 1
                             w.kill_reason = (
@@ -946,20 +855,17 @@ class ProcessExecutor:
                             self._mark_dead(w)
                             break
 
-        n_window = end - start
         stall_guard = 0
 
         while True:
-            if failure is None and completed[0] >= n_window:
+            if failure is None and completed >= n_window:
                 break
             if failure is not None and self._inflight == 0:
                 break
 
             progressed = False
             if failure is None:
-                now = perf_counter()
-                while retry_at and retry_at[0][0] <= now:
-                    _, tid = heapq.heappop(retry_at)
+                for tid in ledger.pop_due(perf_counter()):
                     sched.requeue([tid])
                     progressed = True
                 fire_crashes_and_timeouts()
@@ -972,32 +878,20 @@ class ProcessExecutor:
                             progressed = True
                 dtid = sched.next_driver()
                 if dtid is not None:
+                    # The driver lane: tasks touching driver-local
+                    # state run the same attempt body inline.
+                    t = tasks[dtid]
+                    ledger.arm(t)
+                    a = ledger.next_attempt(dtid)
                     self._inflight += 1
-                    scrub = bool(pol is not None and pol.scrub_writes)
-                    a = attempts.get(dtid, 0)
-                    attempts[dtid] = a + 1
-                    snapshot_for(dtid)
-                    t_epoch = self._epoch
-                    w0 = perf_counter()
-                    reply = _run_one(
-                        self.rt, self.graph, self.fns, self.injector,
-                        self.tiles, self.sanitizer, scrub, dtid, a, [])
+                    res = run_attempt(
+                        t, self.fns.get(dtid), a, injector=self.injector,
+                        tiles=self.tiles, sanitizer=self.sanitizer,
+                        scrub=pol.scrub_writes)
                     self._inflight -= 1
-                    apply_events(dtid, reply.get("events"),
-                                 tasks[dtid].rank)
-                    if self.recorder is not None:
-                        self.recorder.record(
-                            EV_DRIVER if reply["op"] == "done" else EV_FAIL,
-                            tid=dtid, attempt=a)
-                    if reply["op"] == "done":
-                        complete(dtid, None, reply["t0"] - t_epoch,
-                                 reply["t1"] - t_epoch, reply["cpu"],
-                                 "drv", reply["counted"],
-                                 reply.get("side") or [])
-                    else:
-                        failure = fail(dtid, reply["exc"],
-                                       reply["retryable"],
-                                       perf_counter() - w0)
+                    report(dtid, None, a,
+                           res._replace(t0=res.t0 - epoch,
+                                        t1=res.t1 - epoch), "drv", [])
                     progressed = True
 
             drained = False
@@ -1006,10 +900,10 @@ class ProcessExecutor:
                     kind_, wid, payload = self._events.get(
                         block=not (progressed or drained),
                         timeout=None if progressed or drained
-                        else self._wait_budget(retry_at, poll))
+                        else self._wait_budget(ledger, pol.poll_interval))
                 except queue.Empty:
                     if (failure is None and not progressed
-                            and self._inflight == 0 and not retry_at):
+                            and self._inflight == 0 and not ledger.due):
                         # Nothing out, nothing due, nothing dispatched
                         # this pass: the bookkeeping wedged — fail
                         # loudly instead of spinning forever.
@@ -1017,7 +911,7 @@ class ProcessExecutor:
                         if stall_guard > 200:
                             return RuntimeError(
                                 "process executor stalled with "
-                                f"{n_window - completed[0]} task(s) "
+                                f"{n_window - completed} task(s) "
                                 "unfinished and none ready — "
                                 "dependency bookkeeping bug")
                     else:
@@ -1035,72 +929,30 @@ class ProcessExecutor:
                 tid = msg.get("tid")
                 if op not in ("done", "fail") or tid is None:
                     continue
-                if self._done.get(tid) or tid not in dispatch_t:
+                if self._done.get(tid) or tid not in dispatched:
                     continue  # stale reply (revoked or duplicated)
                 w = self._pool.get(wid)
                 if w is None:
                     continue
                 self._inflight -= 1
-                del dispatch_t[tid]
-                apply_events(tid, msg.get("events"), tasks[tid].rank)
-                if self.recorder is not None:
-                    self.recorder.record(
-                        EV_COMPLETE if op == "done" else EV_FAIL,
-                        tid=tid, wid=wid,
-                        attempt=int(msg.get("attempt", 0)))
-                if op == "done":
-                    off = w.clock_offset - self._epoch
-                    complete(tid, wid, msg["t0"] + off,
-                             msg["t1"] + off, msg["cpu"], f"w{w.lane}",
-                             msg.get("counted", True),
-                             msg.get("side") or [])
-                else:
-                    sched.workers[wid].inflight.discard(tid)
-                    err = fail(tid, msg["exc"],
-                               bool(msg.get("retryable")),
-                               msg["t1"] - msg["t0"])
-                    if err is not None and failure is None:
-                        failure = err
+                del dispatched[tid]
+                off = w.clock_offset - epoch
+                report(tid, wid, int(msg.get("attempt", 0)),
+                       Attempt(msg["t0"] + off, msg["t1"] + off,
+                               msg["cpu"], msg.get("events") or [],
+                               msg["exc"] if op == "fail" else None,
+                               bool(msg.get("retryable"))),
+                       f"w{w.lane}", msg.get("side") or [])
                 if not self._events.qsize():
                     break
         return failure
 
     # -- helpers -------------------------------------------------------
 
-    def _wait_budget(self, retry_at: List[Tuple[float, int]],
-                     poll: float) -> float:
-        budget = poll
-        now = perf_counter()
-        if retry_at:
-            budget = min(budget, max(0.001, retry_at[0][0] - now))
+    def _wait_budget(self, ledger: RetryLedger, poll: float) -> float:
+        budget = ledger.wait(poll)
+        assert budget is not None
         if self._crash_idx < len(self._crashes) and self._epoch:
-            due = self._crashes[self._crash_idx].time \
-                - (now - self._epoch)
-            budget = min(budget, max(0.001, due))
+            budget = min(budget, self._crashes[self._crash_idx].time
+                         - (perf_counter() - self._epoch))
         return max(0.001, budget)
-
-    def _plan_seed(self) -> int:
-        return self.injector.plan.seed if self.injector is not None else 0
-
-    def _count(self, kind: TaskKind) -> None:
-        counter = self._counters.get(kind)
-        if counter is None:
-            from ...obs.metrics import get_registry
-            counter = get_registry().counter(
-                f"kernel.invocations.{kind.value}")
-            self._counters[kind] = counter
-        counter.inc()
-
-
-def _worker_entry(wid: int, lane: int, address: str, rt: Any, start: int,
-                  end: int, injector: Any, scrub: bool,
-                  close_fds: List[int], policy: Any, reliable: bool,
-                  net_seed: int) -> None:
-    """Child-process bootstrap: drop inherited sibling fds, then run
-    the worker loop (never returns)."""
-    for fd in close_fds:
-        with contextlib.suppress(OSError):
-            os.close(fd)
-    worker_main(wid, address, rt, start, end, injector=injector,
-                scrub_writes=scrub, policy=policy, reliable=reliable,
-                net_seed=net_seed, lane=lane)

@@ -208,11 +208,15 @@ class ReliableComm(Comm):
         deadline = None if timeout is None \
             else time.monotonic() + timeout
         while True:
-            if self._closed:
-                raise CommClosedError(f"recv on closed comm to "
-                                      f"{self.peer_address}")
             reconnect = False
             with self._lock:
+                # Under the lock: a close() landing between an
+                # unlocked check and the wait below would have its
+                # notify_all() lost, and the wait would sleep out the
+                # whole reconnect deadline.
+                if self._closed:
+                    raise CommClosedError(f"recv on closed comm to "
+                                          f"{self.peer_address}")
                 if self._dead:
                     raise CommClosedError(
                         f"peer {self.peer_address} is dead")

@@ -10,12 +10,14 @@ copy-on-write, and the parent then streams tiny ``task`` messages
 are shared memory, so payload writes land directly in the parent's
 (and every sibling's) view — zero-copy by construction.
 
-What executes here mirrors the threaded executor's recovering worker
-(`ParallelExecutor._execute_r`) minus cross-thread claims, which do
-not exist across processes: injected stalls sleep, injected transients
-raise, payloads run inside a sanitizer frame when the task asks for
-one, injected corruption and non-finite scrubbing act on the local
-(shared) tiles.  Snapshots are *not* taken here — the parent snapshots
+What executes here is :func:`repro.runtime.attempt.run_attempt`, the
+same attempt body the threaded executor's workers and the driver lane
+run: injected stalls sleep, injected transients raise, payloads run
+inside a sanitizer frame when the task asks for one, injected
+corruption and non-finite scrubbing act on the local (shared) tiles.
+This module only adds what a process boundary needs — side entries in
+and out, and a reply that pickles.  Snapshots are *not* taken here —
+the parent's :class:`~repro.runtime.attempt.RetryLedger` snapshots
 write tiles before dispatching so a SIGKILL at any instant leaves it
 able to restore and replay (lineage recovery, PR 5).
 
@@ -31,40 +33,18 @@ import contextlib
 import os
 import pickle
 import threading
-import time
 from time import perf_counter
 from typing import Any, Dict, List, Optional, Tuple
 
-import numpy as np
-
+from ..attempt import run_attempt
 from .chaos import active_net_plan, set_local_wid
 from .comm import Comm, CommClosedError, CommError, connect
 from .reliable import ReliableComm
 
-__all__ = ["worker_main", "retryable_exception", "SideEntry"]
+__all__ = ["worker_main", "SideEntry"]
 
 #: ``(mat_id, key, value)`` — one side-store entry in flight.
 SideEntry = Tuple[int, object, object]
-
-
-def retryable_exception(exc: BaseException) -> bool:
-    """Same classification as ``ParallelExecutor._retryable`` —
-    evaluated worker-side so the verdict survives exceptions that do
-    not pickle faithfully."""
-    from ..parallel import OrderingViolationError
-    from ...resilience.live import (InjectedTransientError,
-                                    TileCorruptionDetected)
-    if isinstance(exc, (InjectedTransientError, TileCorruptionDetected)):
-        return True
-    if not isinstance(exc, Exception):
-        return False
-    if isinstance(exc, (OrderingViolationError, np.linalg.LinAlgError)):
-        return False
-    if isinstance(exc, CommError):
-        return exc.retryable
-    if type(exc).__module__.startswith("repro.analysis"):
-        return False
-    return True
 
 
 def _portable_exc(exc: BaseException) -> BaseException:
@@ -96,70 +76,26 @@ def _collect_side_writes(rt: Any, task: Any) -> List[SideEntry]:
     return out
 
 
-def _run_one(rt: Any, graph: Any, fns: Dict[int, Any], injector: Any,
-             tiles: Any, sanitizer: Any, scrub_writes: bool,
-             tid: int, attempt: int,
+def _run_one(ex: Any, tid: int, attempt: int,
              side: List[SideEntry]) -> Dict[str, Any]:
-    """Execute one task; returns the reply message (``done``/``fail``)."""
-    t = graph.tasks[tid]
-    events: List[Tuple[str, str]] = []
-    t0 = t1 = cpu = 0.0
-    try:
-        _install_side_entries(rt, side)
-        if injector is not None:
-            stall = injector.stall_seconds(tid, t.kind.value, attempt)
-            if stall > 0.0:
-                events.append(("stall",
-                               f"injected stall {stall * 1e3:.0f}ms "
-                               f"(attempt {attempt})"))
-                time.sleep(stall)
-        if (injector is not None
-                and injector.transient_fires(tid, attempt)):
-            from ...resilience.live import InjectedTransientError
-            raise InjectedTransientError(
-                f"injected transient on task {tid} attempt {attempt}")
-        fn = fns.get(tid)
-        t0 = perf_counter()
-        if fn is not None:
-            c0 = time.thread_time()
-            if sanitizer is not None and t.sanitize:
-                with sanitizer.task_scope(t):
-                    fn()
-            else:
-                fn()
-            cpu = time.thread_time() - c0
-            injected_corruption = False
-            if injector is not None and tiles is not None:
-                corr = injector.corruption_for(
-                    tid, t.kind.value, attempt, len(t.writes))
-                if corr is not None:
-                    ref = t.writes[corr[0]]
-                    if tiles.corrupt(ref, corr[1]):
-                        injected_corruption = True
-                        events.append((
-                            "corruption",
-                            f"injected {corr[1]} into tile {ref}"))
-            if scrub_writes and tiles is not None:
-                bad = tiles.nonfinite(t.writes)
-                if bad:
-                    if not injected_corruption:
-                        events.append((
-                            "corruption",
-                            f"non-finite output tiles {bad}"))
-                    from ...resilience.live import TileCorruptionDetected
-                    raise TileCorruptionDetected(
-                        f"task {tid} produced non-finite tiles {bad}")
-        t1 = perf_counter()
-    except BaseException as exc:
-        return {"op": "fail", "tid": tid, "attempt": attempt,
-                "t0": t0 or perf_counter(), "t1": perf_counter(),
-                "cpu": cpu, "events": events,
-                "retryable": retryable_exception(exc),
-                "exc": _portable_exc(exc)}
-    return {"op": "done", "tid": tid, "attempt": attempt,
-            "t0": t0, "t1": t1, "cpu": cpu, "events": events,
-            "counted": fns.get(tid) is not None,
-            "side": _collect_side_writes(rt, t)}
+    """Execute one task; returns the reply message (``done``/``fail``).
+    The retryable verdict is evaluated here so it survives exceptions
+    that do not pickle faithfully."""
+    rt = ex.rt
+    t = rt.graph.tasks[tid]
+    _install_side_entries(rt, side)
+    res = run_attempt(t, ex.fns.get(tid), attempt, injector=ex.injector,
+                      tiles=ex.tiles, sanitizer=ex.sanitizer,
+                      scrub=ex.recovery_policy.scrub_writes)
+    reply: Dict[str, Any] = {"op": "done", "tid": tid, "attempt": attempt,
+                             "t0": res.t0, "t1": res.t1, "cpu": res.cpu,
+                             "events": res.events}
+    if res.exc is None:
+        reply["side"] = _collect_side_writes(rt, t)
+    else:
+        reply.update(op="fail", retryable=res.retryable,
+                     exc=_portable_exc(res.exc))
+    return reply
 
 
 def _heartbeat_loop(rc: ReliableComm, interval: float,
@@ -174,50 +110,47 @@ def _heartbeat_loop(rc: ReliableComm, interval: float,
             return
 
 
-def worker_main(wid: int, address: str, rt: Any, start: int, end: int,
-                injector: Any = None, scrub_writes: bool = False,
-                policy: Any = None, reliable: bool = False,
-                net_seed: int = 0, lane: int = -1) -> None:
-    """Entry point of a forked worker.  Never returns — exits the
-    process via ``os._exit``."""
+def worker_main(wid: int, lane: int, address: str, ex: Any,
+                close_fds: List[int]) -> None:
+    """Entry point of a forked worker: everything it needs — runtime,
+    payload table, injector, policy, tile accessor — is the inherited
+    :class:`ProcessExecutor` ``ex``.  Never returns — exits the process
+    via ``os._exit``."""
     code = 0
     comm: Optional[Comm] = None
     hb_stop = threading.Event()
     try:
+        # Inherited fds of live sibling comms would keep a dead
+        # sibling's socket half-open and mask its EOF.
+        for fd in close_fds:
+            with contextlib.suppress(OSError):
+                os.close(fd)
         # Inherited driver state must not re-enter the deferred
         # machinery: accessing a tile or scalar box inside a payload
         # would otherwise try to sync the runtime recursively.
-        rt._in_execution = True
-        rt._worker_mode = True
-        graph = rt.graph
-        fns = rt._pending_fns
-        sanitizer = rt.sanitizer
-        tiles = None
-        if injector is not None or scrub_writes:
-            from ...resilience.live import TileAccessor
-            tiles = TileAccessor(rt._matrices)
+        ex.rt._in_execution = True
+        ex.rt._worker_mode = True
+        policy = ex.recovery_policy
         if active_net_plan() is not None:
             # Inherited over fork from the driver's install_net_plan;
             # tag this process so our ChaosComms salt frame decisions
             # with (worker side, wid) and match lane-targeted faults.
             set_local_wid(wid, lane)
         comm = connect(address, timeout=10.0)
-        if reliable:
+        if ex._reliable:
             comm.crc_frames = True
         # The hello travels on the raw transport: the driver's acceptor
         # routes on it before any reliable wrapping exists.
         comm.send({"op": "hello", "wid": wid, "pid": os.getpid(),
                    "clock": perf_counter()})
-        if reliable:
+        if ex._reliable:
             comm = ReliableComm(
                 comm, role="worker", wid=wid, address=address,
-                deadline=(policy.net_deadline if policy is not None
-                          else 2.0),
-                seed=net_seed)
-            interval = getattr(policy, "heartbeat_interval", None)
-            if interval is not None:
+                deadline=policy.net_deadline, seed=ex._plan_seed())
+            if policy.heartbeat_interval is not None:
                 threading.Thread(
-                    target=_heartbeat_loop, args=(comm, interval, hb_stop),
+                    target=_heartbeat_loop,
+                    args=(comm, policy.heartbeat_interval, hb_stop),
                     daemon=True, name=f"repro-dist-hb{wid}").start()
         while True:
             msg = comm.recv(timeout=None)
@@ -226,10 +159,8 @@ def worker_main(wid: int, address: str, rt: Any, start: int, end: int,
                 break
             if op != "task":
                 continue
-            reply = _run_one(rt, graph, fns, injector, tiles, sanitizer,
-                             scrub_writes, msg["tid"], msg["attempt"],
-                             msg.get("side") or [])
-            comm.send(reply)
+            comm.send(_run_one(ex, msg["tid"], msg["attempt"],
+                               msg.get("side") or []))
     except (CommClosedError, KeyboardInterrupt):
         code = 0  # parent went away / interrupted: silent exit
     except BaseException:
@@ -242,10 +173,8 @@ def worker_main(wid: int, address: str, rt: Any, start: int, end: int,
         # Release this fork's inherited shared-memory mappings (views
         # and mmaps only — segments, refcounts and unlinking stay with
         # the parent) so a worker exit never pins a dead mapping.
-        store = getattr(getattr(rt, "_executor", None), "store", None)
-        if store is not None:
-            with contextlib.suppress(Exception):
-                store.release_inherited()
+        with contextlib.suppress(Exception):
+            ex.store.release_inherited()
         # Skip interpreter teardown entirely: the fork inherited
         # atexit hooks, shm objects and executor state that belong to
         # the parent.

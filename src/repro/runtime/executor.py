@@ -30,6 +30,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from ..dist.grid import ProcessGrid
 from ..dist.layout import BlockCyclic
+from .attempt import count_kernel, resolve_recovery
 from .graph import TaskGraph
 from .task import Task, TaskKind, TileRef
 
@@ -77,13 +78,6 @@ class Runtime:
         #: pseudo-matrix id for scalar results (reductions).
         self.scalar_mat = self.new_matrix_id()
         self._scalar_ids = itertools.count()
-        #: Cached metric counters for eager kernel invocations
-        #: (kind -> Counter in the process-wide registry).  Kernel
-        #: invocation metrics are published from exactly one execution
-        #: path: here when a payload runs eagerly, or by the
-        #: ParallelExecutor when it runs a recorded payload — never
-        #: both, and never for payload-less (symbolic) tasks.
-        self._kernel_counters: dict = {}
         #: Deferred-execution state (threaded or processes backend).
         self.deferred = bool(deferred)
         if backend not in ("threads", "processes"):
@@ -97,13 +91,13 @@ class Runtime:
         self._exec_cursor = 0
         self._executor = None
         self._in_execution = False
-        #: Live fault tolerance for the threaded backend: an optional
+        #: Live fault tolerance for the real backends: an optional
         #: :class:`repro.resilience.faults.FaultPlan` (its live faults
         #: — transients, worker stalls, tile corruption — fire inside
         #: real workers) and an optional
         #: :class:`repro.resilience.live.RecoveryPolicy` (retries,
-        #: timeouts, straggler speculation).  Either alone activates
-        #: the executor's recovering dispatch loop.
+        #: timeouts, straggler speculation).  A plan alone gets the
+        #: default policy (:func:`~repro.runtime.attempt.resolve_recovery`).
         self.fault_plan = faults
         self.recovery_policy = recovery
         #: mat_id -> DistMatrix, weakly held, for the executor's tile
@@ -233,7 +227,7 @@ class Runtime:
                         fn()
                 else:
                     fn()
-                self._count_kernel(kind)
+                count_kernel(kind)
         return task
 
     def _resolve_rank(self, kind: TaskKind, writes: Sequence[TileRef],
@@ -252,16 +246,6 @@ class Runtime:
             f"owner on this {self.grid.p}x{self.grid.q} grid; pass "
             f"rank= explicitly (owner-computes on the primary output "
             f"tile)")
-
-    def _count_kernel(self, kind: TaskKind) -> None:
-        """Publish one eager kernel invocation to the metrics registry."""
-        counter = self._kernel_counters.get(kind)
-        if counter is None:
-            from ..obs.metrics import get_registry
-            counter = get_registry().counter(
-                f"kernel.invocations.{kind.value}")
-            self._kernel_counters[kind] = counter
-        counter.inc()
 
     # ------------------------------------------------------------------
     # Deferred (threaded) execution
@@ -354,26 +338,20 @@ class Runtime:
         :class:`~repro.runtime.distributed.ProcessExecutor` for
         processes)."""
         if self._executor is None:
-            injector = tiles = None
-            if self.fault_plan is not None or self.recovery_policy is not None:
-                from ..resilience.live import LiveFaultInjector, TileAccessor
-                if self.fault_plan is not None:
-                    injector = LiveFaultInjector(self.fault_plan)
-                tiles = TileAccessor(self._matrices)
+            recovery, injector, tiles = resolve_recovery(
+                self.fault_plan, self.recovery_policy, self._matrices)
             if self.backend == "processes":
                 from .distributed.executor import ProcessExecutor
                 self._executor = ProcessExecutor(
                     self, workers=self._workers, sink=self._exec_sink,
-                    recovery=self.recovery_policy, injector=injector,
-                    tiles=tiles)
+                    recovery=recovery, injector=injector, tiles=tiles)
             else:
                 from .parallel import ParallelExecutor
                 self._executor = ParallelExecutor(
                     self.graph, self._pending_fns, workers=self._workers,
                     lookahead=self._exec_lookahead, sink=self._exec_sink,
                     sanitizer=self._sanitizer,
-                    recovery=self.recovery_policy, injector=injector,
-                    tiles=tiles)
+                    recovery=recovery, injector=injector, tiles=tiles)
         return self._executor
 
     @property

@@ -42,41 +42,47 @@ executes with real concurrency.
 Live fault tolerance
 --------------------
 
-With a :class:`~repro.resilience.live.RecoveryPolicy` (and optionally
-a :class:`~repro.resilience.live.LiveFaultInjector` +
-:class:`~repro.resilience.live.TileAccessor`), the executor switches
-to a recovering dispatch loop that survives payload failures instead
-of failing fast:
+There is one dispatch loop and one worker body.  Every task attempt —
+on this backend's threads, in the processes backend's forked workers
+and on its driver lane — runs through
+:func:`repro.runtime.attempt.run_attempt`, and every failure is
+budgeted by one :class:`~repro.runtime.attempt.RetryLedger` under a
+:class:`~repro.resilience.live.RecoveryPolicy`.  ``recovery=None`` is
+the zero-budget policy through the same loop: the first failure is
+final.  What a run does not use it does not pay for — per-task attempt
+state, cancel events, pool headroom and polling exist only on a
+*watched* executor (one with a fault injector or a ``task_timeout``),
+the only kind whose attempts can stall, time out or be duplicated.
 
-* **Retries** — a retryable payload exception (injected transients,
+* **Retries** — a retryable payload exception
+  (:func:`~repro.runtime.attempt.retryable`: injected transients,
   detected tile corruption, generic transient-looking errors) gets the
   task re-executed up to ``max_retries`` times with seeded exponential
-  backoff + jitter.  Because payloads mutate tiles in place, the first
-  execution attempt snapshots the task's write tiles and each retry
-  restores them first.  Deterministic failures —
+  backoff + jitter.  Because payloads mutate tiles in place, the
+  attempt that first claims a payload snapshots the task's write tiles
+  and every later one restores them first.  Deterministic failures —
   ``numpy.linalg.LinAlgError`` (numeric breakdown the *algorithm* must
   handle, e.g. Cholesky on a non-SPD iterate), sanitizer findings, and
   :class:`OrderingViolationError` — are never retried.
-* **Timeouts & stragglers** — the dispatch loop polls running
-  attempts; one exceeding the wall-clock ``task_timeout``, or running
-  ``straggler_factor`` x the rolling mean duration of its kind, is
-  flagged (FaultEvent + RecoveryStats) and, if its payload has not
-  started yet (it is still inside an injected stall), a speculative
-  backup attempt launches.
-* **Speculation, first-claimer-wins** — threads share tile memory, so
-  two attempts of one task must never run the payload concurrently.
-  Each attempt *claims* the payload under the executor lock before
-  touching any tile; the loser wakes from its (interruptible) stall,
-  sees the claim, and reports itself lost without making any writes —
-  the "losing attempt's writes" are discarded by never being made, and
-  tile epochs only ever advance through the winner's check-out.
-* **Drain guarantee** — the recovering loop exits only once every
-  launched attempt (winners, losers, failures) has reported back, so
-  :attr:`inflight_attempts` is zero after every window — the leak
-  invariant the fault-injection CI job gates on.
-
-The fault-free path is untouched: with no policy and no injector the
-original fail-fast dispatch loop runs, with zero per-task overhead.
+* **Timeouts & stragglers** (watched) — the dispatch loop polls
+  running attempts; one exceeding the wall-clock ``task_timeout``, or
+  running ``straggler_factor`` x the rolling mean duration of its
+  kind, is flagged (FaultEvent + RecoveryStats) and, if its payload
+  has not started yet (it is still inside an injected stall), a
+  speculative backup attempt launches.
+* **Speculation, first-claimer-wins** (watched) — threads share tile
+  memory, so two attempts of one task must never run the payload
+  concurrently.  Each attempt *claims* the payload under the executor
+  lock before touching any tile; the loser wakes from its
+  (interruptible) stall, sees the claim, and reports itself lost
+  without making any writes — the "losing attempt's writes" are
+  discarded by never being made, and tile epochs only ever advance
+  through the winner's check-out.
+* **Drain guarantee** — the loop exits only once every launched
+  attempt (winners, losers, failures) has reported back and released
+  its in-flight tile marks, so :attr:`inflight_attempts` is zero after
+  every window — the leak invariant the fault-injection CI job gates
+  on.
 """
 
 from __future__ import annotations
@@ -91,10 +97,10 @@ from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
-import numpy as np
-
+from .attempt import (NO_RECOVERY, Attempt, RetryLedger, count_kernel,
+                      run_attempt)
 from .graph import TaskGraph
-from .task import Task, TaskKind, TileRef
+from .task import Task, TileRef
 
 __all__ = ["ParallelExecutor", "ExecutionStats", "OrderingViolationError",
            "default_workers"]
@@ -175,32 +181,46 @@ class ExecutionStats:
         denom = self.wall_seconds * max(self.workers, 1)
         return self.busy_seconds / denom if denom > 0.0 else 0.0
 
+    def record_task(self, t: Task, t0: float, t1: float, cpu: float,
+                    slot: str, sink, counted: bool) -> None:
+        """Account one winning successful attempt (dispatch thread):
+        busy and CPU seconds, the kernel-invocation metric when a
+        payload ran, and the measured :class:`TaskEvent`."""
+        dur = t1 - t0
+        kind = t.kind.value
+        self.tasks_run += 1
+        self.busy_seconds += dur
+        self.per_kind_seconds[kind] = (
+            self.per_kind_seconds.get(kind, 0.0) + dur)
+        if cpu > 0.0:
+            self.cpu_seconds += cpu
+            self.per_kind_cpu_seconds[kind] = (
+                self.per_kind_cpu_seconds.get(kind, 0.0) + cpu)
+        if counted:
+            count_kernel(t.kind)
+        if sink is not None:
+            from ..obs.timeline import TaskEvent
+            sink.on_task(TaskEvent(
+                tid=t.tid, kind=kind, rank=t.rank, slot=slot,
+                phase=t.phase, flops=t.flops, start=t0, end=t1,
+                duration=dur, label=t.label, measured=True, cpu=cpu))
+
 
 class _TaskState:
-    """Per-task attempt bookkeeping for the recovering dispatch loop."""
+    """Attempt bookkeeping of one task on a *watched* executor — the
+    only kind where a task can have more than one live attempt."""
 
-    __slots__ = ("tid", "attempts", "live", "retries_used", "claimed",
-                 "finished", "payload_ran", "snapshot", "snapshot_taken",
-                 "origin", "cancel", "started", "done_attempts",
-                 "straggler_flagged", "timeout_flagged", "backup_out")
+    __slots__ = ("claimed", "finished", "backup", "cancel", "started",
+                 "flagged")
 
-    def __init__(self, tid: int) -> None:
-        self.tid = tid
-        self.attempts = 0          # launched so far
-        self.live = 0              # launched minus reported-back
-        self.retries_used = 0
+    def __init__(self) -> None:
         self.claimed: Optional[int] = None
         self.finished = False
-        self.payload_ran = False
-        self.snapshot: Optional[Dict[TileRef, object]] = None
-        self.snapshot_taken = False
-        self.origin: Dict[int, str] = {}
+        self.backup: Optional[int] = None   # attempt number of the backup
         self.cancel: Dict[int, threading.Event] = {}
+        #: attempt -> entry time, while the attempt is running.
         self.started: Dict[int, float] = {}
-        self.done_attempts: Set[int] = set()
-        self.straggler_flagged: Set[int] = set()
-        self.timeout_flagged: Set[int] = set()
-        self.backup_out = False
+        self.flagged: Set[Tuple[str, int]] = set()
 
 
 class ParallelExecutor:
@@ -238,13 +258,13 @@ class ParallelExecutor:
         exactly as in eager mode.
     recovery:
         Optional :class:`repro.resilience.live.RecoveryPolicy`
-        enabling the recovering dispatch loop (retries, timeouts,
-        straggler speculation).  ``None`` keeps the fail-fast path.
+        (retries, timeouts, straggler speculation).  ``None`` is the
+        zero-budget policy: the first payload failure is final.
     injector:
         Optional :class:`repro.resilience.live.LiveFaultInjector`
         evaluating a :class:`FaultPlan`'s live faults inside workers.
-        An active injector without an explicit ``recovery`` implies a
-        default :class:`RecoveryPolicy`.
+        (``Runtime`` pairs a plan with a default policy through
+        :func:`repro.runtime.attempt.resolve_recovery`.)
     tiles:
         Optional :class:`repro.resilience.live.TileAccessor` used for
         write-tile snapshots (restore-on-retry), corruption injection,
@@ -269,27 +289,21 @@ class ParallelExecutor:
         self.sink = sink
         self.validate = validate
         self.sanitizer = sanitizer
-        if injector is not None and not injector.active:
-            injector = None
-        if recovery is None and injector is not None:
-            from ..resilience.live import RecoveryPolicy
-            # A plan injecting corruption needs write scrubbing on, or
-            # the injected NaN could never be detected and retried.
-            recovery = RecoveryPolicy(
-                scrub_writes=bool(injector.plan.corruptions))
-        self.recovery_policy = recovery
+        self.recovery_policy = NO_RECOVERY if recovery is None else recovery
         self.injector = injector
         self.tiles = tiles
-        self._recover = recovery is not None
+        #: Watched: attempts may stall, time out or be speculatively
+        #: duplicated, so the loop tracks per-attempt state and polls.
+        self._watch = (injector is not None
+                       or self.recovery_policy.task_timeout is not None)
         self.stats = ExecutionStats(workers=self.workers)
         if validate:
             graph.validate()
         self._pool: Optional[ThreadPoolExecutor] = None
         self._lock = threading.Lock()
-        #: Messages: ``(disposition, tid, attempt, t0, t1, slot, cpu,
-        #: exc)`` with disposition "done" | "fail" | "lost"; ``cpu`` is
-        #: the attempt's thread CPU seconds.
-        self._resq: "queue.Queue[Tuple[str, int, int, float, float, int, float, Optional[BaseException]]]" = queue.Queue()
+        #: Worker reports: ``(tid, attempt, slot label, outcome)``.
+        self._resq: "queue.Queue[Tuple[int, int, str, Attempt]]" = \
+            queue.Queue()
         #: Tasks whose effects are visible (executed here or accounted
         #: as an eager/pre-window execution).
         self._done: Dict[int, bool] = {}
@@ -306,13 +320,15 @@ class ParallelExecutor:
         #: First tid not yet accounted for (executed or external).
         self._floor = 0
         self._epoch: Optional[float] = None
-        self._slot_of_thread: Dict[int, int] = {}
-        self._counters: Dict[TaskKind, object] = {}
-        #: Recovery bookkeeping.
-        self._states: Dict[int, _TaskState] = {}
+        self._slot_of_thread: Dict[int, str] = {}
         self._inflight = 0
+        #: Watched executors only: per-task attempt state of the
+        #: current window, and completed-sample counts per kind (the
+        #: straggler mean is ``stats.per_kind_seconds / count``).
+        self._states: Dict[int, _TaskState] = {}
         self._kind_n: Dict[str, int] = {}
-        self._kind_t: Dict[str, float] = {}
+        #: The running window's retry ledger (set by ``_drive``).
+        self._ledger: Optional[RetryLedger] = None
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -339,7 +355,7 @@ class ParallelExecutor:
     def _ensure_pool(self) -> ThreadPoolExecutor:
         if self._pool is None:
             size = self.workers
-            if self._recover:
+            if self._watch:
                 # Headroom so speculative backups and retries are not
                 # queued behind stall-sleeping originals: primaries are
                 # still gated at `workers` by the dispatch loop, the
@@ -407,11 +423,10 @@ class ParallelExecutor:
                     self._completed_writer[ref] = tid
                 self.fns.pop(tid, None)
             self._expected.clear()
-            # Nothing is in flight; clear any marks a failed attempt
-            # may have leaked (defensive — workers release on failure).
-            self._writer_active.clear()
-            self._readers_active.clear()
-            self._states.clear()
+            # Every attempt of the drained window checked out or
+            # released on its way out.
+            assert not self._writer_active and not self._readers_active, \
+                "a drained window left in-flight tile marks behind"
 
     # ------------------------------------------------------------------
     # Execution
@@ -499,11 +514,7 @@ class ParallelExecutor:
             self._epoch = t_wall0
         n_window = end - start
 
-        if self._recover:
-            failure = self._drive_recover(tasks, n_window, ready,
-                                          on_complete)
-        else:
-            failure = self._drive(tasks, n_window, ready, on_complete)
+        failure = self._drive(tasks, n_window, ready, on_complete)
 
         wall = perf_counter() - t_wall0
         self.stats.wall_seconds += wall
@@ -514,97 +525,107 @@ class ParallelExecutor:
             raise failure
         return wall
 
-    # -- fail-fast dispatch (no recovery configured) -------------------
+    # -- dispatch loop -------------------------------------------------
 
     def _drive(self, tasks, n_window: int, ready: List[int],
                on_complete) -> Optional[BaseException]:
-        pool = self._pool
+        """Launch ready tasks and due retries up to ``workers`` in
+        flight, block for the next report, account it.  Returns the
+        first final failure once every launched attempt has reported
+        back.  Blocks indefinitely unless a retry is pending or the
+        executor is watched (then it polls and runs the monitor)."""
+        pol = self.recovery_policy
+        rec = self.stats.recovery
+        ledger = self._ledger = RetryLedger(
+            pol, self.tiles,
+            self.injector.plan.seed if self.injector is not None else 0,
+            rec, self._fault_event)
+        poll = pol.poll_interval if self._watch else None
+        states = self._states
+        states.clear()
+        epoch = self._epoch
         completed = 0
         failure: Optional[BaseException] = None
 
-        while completed < n_window:
-            while ready and self._inflight < self.workers and failure is None:
-                tid = heapq.heappop(ready)
-                pool.submit(self._execute, tid)
-                self._inflight += 1
+        while True:
+            if failure is None:
+                if ledger.due:
+                    for tid in ledger.pop_due(perf_counter()):
+                        self._launch(tid)
+                while ready and self._inflight < self.workers:
+                    self._launch(heapq.heappop(ready))
             if self._inflight == 0:
-                if failure is not None:
+                if completed >= n_window or failure is not None:
                     break
-                raise RuntimeError(
-                    f"executor stalled with {n_window - completed} task(s) "
-                    "unfinished and none ready — dependency bookkeeping "
-                    "bug or a graph the validator should have rejected")
-            _disp, tid, _attempt, t0, t1, slot, cpu, exc = self._resq.get()
+                if not ledger.due:
+                    raise RuntimeError(
+                        f"executor stalled with {n_window - completed} "
+                        "task(s) unfinished and none ready — dependency "
+                        "bookkeeping bug or a graph the validator should "
+                        "have rejected")
+            try:
+                tid, attempt, slot, res = self._resq.get(
+                    True, ledger.wait(poll) if failure is None else poll)
+            except queue.Empty:
+                if self._watch and failure is None:
+                    self._monitor(pol, rec)
+                continue
             self._inflight -= 1
-            completed += 1
-            if exc is not None:
-                failure = failure or exc
-                continue
-            self._account_done(tasks[tid], t0, t1, slot, cpu)
-            if failure is not None:
-                continue
-            on_complete(tid)
+            t = tasks[tid]
+            if res.events:
+                ledger.note(t, res.events)
+            st = states.get(tid)
+            if st is not None:
+                st.started.pop(attempt, None)
+            if res.lost:
+                # A losing speculative attempt: it never claimed the
+                # payload and made no writes; its slept time is pure
+                # recovery overhead.
+                rec.reexecution_seconds += max(0.0, res.t1 - res.t0)
+            elif res.exc is not None:
+                if not ledger.failed(t, res.exc,
+                                     res.retryable and failure is None,
+                                     res.t1 - res.t0):
+                    failure = failure or res.exc
+            else:
+                completed += 1
+                ledger.settle(tid)
+                if st is not None:
+                    if st.backup == attempt:
+                        rec.speculation_wins += 1
+                    kind = t.kind.value
+                    self._kind_n[kind] = self._kind_n.get(kind, 0) + 1
+                self.stats.record_task(
+                    t, res.t0 - epoch, res.t1 - epoch, res.cpu, slot,
+                    self.sink, self.fns.pop(tid, None) is not None)
+                if failure is None:
+                    on_complete(tid)
         return failure
 
-    def _account_done(self, t: Task, t0: float, t1: float,
-                      slot: int, cpu: float = 0.0) -> None:
-        dur = t1 - t0
-        self.stats.tasks_run += 1
-        self.stats.busy_seconds += dur
-        kind = t.kind.value
-        self.stats.per_kind_seconds[kind] = (
-            self.stats.per_kind_seconds.get(kind, 0.0) + dur)
-        if cpu > 0.0:
-            self.stats.cpu_seconds += cpu
-            self.stats.per_kind_cpu_seconds[kind] = (
-                self.stats.per_kind_cpu_seconds.get(kind, 0.0) + cpu)
-        self._kind_n[kind] = self._kind_n.get(kind, 0) + 1
-        self._kind_t[kind] = self._kind_t.get(kind, 0.0) + dur
-        if self.sink is not None:
-            from ..obs.timeline import TaskEvent
-            self.sink.on_task(TaskEvent(
-                tid=t.tid, kind=kind, rank=t.rank, slot=f"thr{slot}",
-                phase=t.phase, flops=t.flops, start=t0, end=t1,
-                duration=dur, label=t.label, measured=True, cpu=cpu))
-
-    # -- recovering dispatch (retries / timeouts / speculation) --------
+    def _launch(self, tid: int, backup: bool = False) -> None:
+        a = self._ledger.next_attempt(tid)
+        st = None
+        if self._watch:
+            st = self._states.get(tid)
+            if st is None:
+                st = self._states[tid] = _TaskState()
+            with self._lock:  # st.cancel is iterated by finishing winners
+                st.cancel[a] = threading.Event()
+                if backup:
+                    st.backup = a
+        self._inflight += 1
+        self._pool.submit(self._work, tid, a, st)
 
     def _fault_event(self, kind: str, tid: int, detail: str,
                      rank: int = 0) -> None:
-        if self.sink is None:
+        if self.sink is None or self._epoch is None:
             return
         from ..obs.timeline import FaultEvent
-        now = perf_counter() - (self._epoch if self._epoch is not None
-                                else perf_counter())
-        self.sink.on_fault(FaultEvent(kind=kind, time=now, rank=rank,
-                                      tid=tid, detail=detail))
+        self.sink.on_fault(FaultEvent(
+            kind=kind, time=perf_counter() - self._epoch, rank=rank,
+            tid=tid, detail=detail))
 
-    def _launch(self, tid: int, origin: str) -> None:
-        st = self._states.get(tid)
-        if st is None:
-            st = _TaskState(tid)
-            self._states[tid] = st
-        with self._lock:  # st.cancel is iterated by finishing winners
-            a = st.attempts
-            st.attempts += 1
-            st.live += 1
-            st.origin[a] = origin
-            st.cancel[a] = threading.Event()
-        self._inflight += 1
-        self._pool.submit(self._execute_r, tid, a)
-
-    def _retryable(self, exc: BaseException) -> bool:
-        from ..resilience.live import (InjectedTransientError,
-                                       TileCorruptionDetected)
-        if isinstance(exc, (InjectedTransientError, TileCorruptionDetected)):
-            return True
-        if not isinstance(exc, Exception):
-            return False
-        if isinstance(exc, (OrderingViolationError, np.linalg.LinAlgError)):
-            return False  # deterministic: algorithm-level concern
-        if type(exc).__module__.startswith("repro.analysis"):
-            return False  # sanitizer findings reproduce identically
-        return True
+    # -- watched executors: timeouts, stragglers, speculation ----------
 
     def _monitor(self, pol, rec) -> None:
         """Timeout + straggler scan over running attempts; launches
@@ -612,7 +633,7 @@ class ParallelExecutor:
         from ..obs.timeline import FAULT_SPECULATE, FAULT_TIMEOUT
         now = perf_counter()
         for tid, st in list(self._states.items()):
-            if st.finished or st.live == 0:
+            if st.finished or not st.started:
                 continue
             t = self.graph.tasks[tid]
             kind = t.kind.value
@@ -620,142 +641,55 @@ class ParallelExecutor:
             n = self._kind_n.get(kind, 0)
             if pol.speculation and n >= pol.min_samples:
                 threshold = max(
-                    pol.straggler_factor * self._kind_t[kind] / n,
+                    pol.straggler_factor
+                    * self.stats.per_kind_seconds[kind] / n,
                     pol.min_straggler_seconds)
-            for a in range(st.attempts):
-                if a in st.done_attempts:
-                    continue
-                started = st.started.get(a)
-                if started is None:
-                    continue
+            for a, started in list(st.started.items()):
                 age = now - started
                 if (pol.task_timeout is not None
                         and age > pol.task_timeout
-                        and a not in st.timeout_flagged):
-                    st.timeout_flagged.add(a)
+                        and ("timeout", a) not in st.flagged):
+                    st.flagged.add(("timeout", a))
                     rec.timeouts += 1
                     self._fault_event(
                         FAULT_TIMEOUT, tid,
                         f"attempt {a} over {pol.task_timeout:.3f}s "
                         f"(age {age:.3f}s)", rank=t.rank)
-                    self._maybe_backup(st, rec, t, FAULT_SPECULATE,
+                    self._maybe_backup(st, rec, t,
                                        f"timeout backup for attempt {a}")
                 if (threshold is not None and age > threshold
-                        and a not in st.straggler_flagged):
-                    st.straggler_flagged.add(a)
+                        and ("straggler", a) not in st.flagged):
+                    st.flagged.add(("straggler", a))
                     self._fault_event(
                         FAULT_SPECULATE, tid,
                         f"straggler: attempt {a} at {age:.3f}s vs "
                         f"{threshold:.3f}s threshold", rank=t.rank)
-                    self._maybe_backup(st, rec, t, FAULT_SPECULATE,
+                    self._maybe_backup(st, rec, t,
                                        f"straggler backup for attempt {a}")
 
     def _maybe_backup(self, st: _TaskState, rec, t: Task,
-                      ev_kind: str, detail: str) -> None:
+                      detail: str) -> None:
         # Only one backup per task, and only while no attempt has
         # claimed the payload: a claimed payload is already mutating
         # tiles and cannot be duplicated safely.  The racy read of
         # ``claimed`` is benign — a backup that loses the claim just
         # reports itself lost.
-        if st.backup_out or st.claimed is not None or st.finished:
+        if st.backup is not None or st.claimed is not None or st.finished:
             return
-        st.backup_out = True
+        from ..obs.timeline import FAULT_SPECULATE
         rec.speculative_duplicates += 1
-        self._fault_event(ev_kind, t.tid, detail, rank=t.rank)
-        self._launch(st.tid, "backup")
-
-    def _drive_recover(self, tasks, n_window: int, ready: List[int],
-                       on_complete) -> Optional[BaseException]:
-        from ..obs.timeline import FAULT_RETRY, FAULT_TRANSIENT
-        pol = self.recovery_policy
-        rec = self.stats.recovery
-        plan_seed = self.injector.plan.seed if self.injector is not None else 0
-        completed = 0
-        failure: Optional[BaseException] = None
-        retry_heap: List[Tuple[float, int]] = []  # (due wall time, tid)
-
-        while True:
-            now = perf_counter()
-            if failure is None:
-                while retry_heap and retry_heap[0][0] <= now:
-                    _, tid = heapq.heappop(retry_heap)
-                    self._launch(tid, "retry")
-                while ready and self._inflight < self.workers:
-                    self._launch(heapq.heappop(ready), "primary")
-            if completed >= n_window and self._inflight == 0:
-                break
-            if failure is not None and self._inflight == 0:
-                break
-            if self._inflight == 0 and not ready:
-                if failure is None and retry_heap:
-                    time.sleep(max(0.0, min(retry_heap[0][0] - now,
-                                            pol.poll_interval)))
-                    continue
-                raise RuntimeError(
-                    f"executor stalled with {n_window - completed} task(s) "
-                    "unfinished and none ready — dependency bookkeeping "
-                    "bug or a graph the validator should have rejected")
-            try:
-                msg = self._resq.get(timeout=pol.poll_interval)
-            except queue.Empty:
-                if failure is None:
-                    self._monitor(pol, rec)
-                continue
-            disp, tid, attempt, t0, t1, slot, cpu, exc = msg
-            self._inflight -= 1
-            st = self._states[tid]
-            st.live -= 1
-            st.done_attempts.add(attempt)
-
-            if disp == "lost":
-                # A losing speculative attempt: it never claimed the
-                # payload and made no writes; its slept time is pure
-                # recovery overhead.
-                rec.reexecution_seconds += max(0.0, t1 - t0)
-                continue
-
-            if disp == "done":
-                completed += 1
-                st.finished = True
-                self.fns.pop(tid, None)
-                if st.origin.get(attempt) == "backup":
-                    rec.speculation_wins += 1
-                self._account_done(tasks[tid], t0, t1, slot, cpu)
-                if failure is None:
-                    on_complete(tid)
-                continue
-
-            # disp == "fail"
-            rec.reexecution_seconds += max(0.0, t1 - t0)
-            from ..resilience.live import InjectedTransientError
-            if isinstance(exc, InjectedTransientError):
-                rec.transient_failures += 1
-                self._fault_event(FAULT_TRANSIENT, tid, str(exc),
-                                  rank=tasks[tid].rank)
-            if (failure is None and self._retryable(exc)
-                    and st.retries_used < pol.max_retries):
-                st.retries_used += 1
-                rec.retried_tasks += 1
-                delay = pol.backoff_seconds(plan_seed, tid, st.retries_used)
-                self._fault_event(
-                    FAULT_RETRY, tid,
-                    f"retry {st.retries_used}/{pol.max_retries} in "
-                    f"{delay * 1e3:.2f}ms after {type(exc).__name__}: {exc}",
-                    rank=tasks[tid].rank)
-                heapq.heappush(retry_heap, (perf_counter() + delay, tid))
-            else:
-                failure = failure or exc
-        return failure
+        self._fault_event(FAULT_SPECULATE, t.tid, detail, rank=t.rank)
+        self._launch(t.tid, backup=True)
 
     # ------------------------------------------------------------------
     # Worker side
     # ------------------------------------------------------------------
 
-    def _slot(self) -> int:
+    def _slot(self) -> str:
         ident = threading.get_ident()
         slot = self._slot_of_thread.get(ident)
         if slot is None:
-            slot = len(self._slot_of_thread)
+            slot = f"thr{len(self._slot_of_thread)}"
             self._slot_of_thread[ident] = slot
         return slot
 
@@ -796,8 +730,10 @@ class ParallelExecutor:
         for ref in writes:
             self._writer_active[ref] = t.tid
 
-    def _check_out(self, t: Task) -> None:
-        """Release in-flight marks and advance tile epochs."""
+    def _release(self, t: Task, completed: bool = False) -> None:
+        """Drop an attempt's in-flight marks; a ``completed`` attempt
+        also advances the tile epochs, a failed one does not (its
+        retry re-acquires the marks).  Caller holds the lock."""
         writes = set(t.writes)
         for ref in t.reads:
             if ref not in writes:
@@ -808,184 +744,59 @@ class ParallelExecutor:
                     self._readers_active.pop(ref, None)
         for ref in writes:
             self._writer_active.pop(ref, None)
-            self._completed_writer[ref] = t.tid
-        self._done[t.tid] = True
+            if completed:
+                self._completed_writer[ref] = t.tid
+        if completed:
+            self._done[t.tid] = True
 
-    def _release(self, t: Task) -> None:
-        """Drop a failed attempt's in-flight marks without advancing
-        any epoch (the retry re-acquires them).  Caller holds the
-        lock."""
-        writes = set(t.writes)
-        for ref in t.reads:
-            if ref not in writes:
-                left = self._readers_active.get(ref, 1) - 1
-                if left:
-                    self._readers_active[ref] = left
-                else:
-                    self._readers_active.pop(ref, None)
-        for ref in writes:
-            if self._writer_active.get(ref) == t.tid:
-                self._writer_active.pop(ref)
-
-    def _count(self, kind: TaskKind) -> None:
-        counter = self._counters.get(kind)
-        if counter is None:
-            from ..obs.metrics import get_registry
-            counter = get_registry().counter(
-                f"kernel.invocations.{kind.value}")
-            self._counters[kind] = counter
-        counter.inc()
-
-    def _execute(self, tid: int) -> None:
-        """Fail-fast worker (no recovery configured)."""
+    def _work(self, tid: int, attempt: int,
+              st: Optional[_TaskState]) -> None:
+        """The worker body: one attempt of one task, then one report
+        to the dispatch loop — done, failed or lost, the attempt's
+        in-flight marks are gone before it reports."""
         t = self.graph.tasks[tid]
-        slot = t0 = t1 = 0
-        cpu = 0.0
-        try:
-            with self._lock:
-                slot = self._slot()
-                self._check_in(t)
-            fn = self.fns.pop(tid, None)
-            t0 = perf_counter() - self._epoch
-            if fn is not None:
-                c0 = time.thread_time()
-                san = self.sanitizer
-                if san is not None and t.sanitize:
-                    with san.task_scope(t):
-                        fn()
-                else:
-                    fn()
-                cpu = time.thread_time() - c0
-                self._count(t.kind)
-            t1 = perf_counter() - self._epoch
-            with self._lock:
-                self._check_out(t)
-        except BaseException as exc:  # propagated by the dispatch loop
-            self._resq.put(("fail", tid, 0, float(t0), float(t1), slot,
-                            cpu, exc))
-            return
-        self._resq.put(("done", tid, 0, t0, t1, slot, cpu, None))
-
-    def _run_payload(self, t: Task, fn) -> None:
-        san = self.sanitizer
-        if san is not None and t.sanitize:
-            with san.task_scope(t):
-                fn()
-        else:
-            fn()
-
-    def _execute_r(self, tid: int, attempt: int) -> None:
-        """Recovering worker: stall injection, payload claim,
-        snapshot/restore, transient/corruption injection, scrubbing."""
-        from ..obs.timeline import FAULT_CORRUPTION, FAULT_STALL
-        from ..resilience.live import (InjectedTransientError,
-                                       TileCorruptionDetected)
-        t = self.graph.tasks[tid]
-        st = self._states[tid]
-        pol = self.recovery_policy
-        slot = 0
-        t0 = t1 = cpu = 0.0
+        fn = self.fns.get(tid)
         marked = False
-        t_entry = perf_counter()
-        try:
+
+        def begin() -> bool:
+            # After any injected stall: claim the payload (first
+            # claimer wins), assert ordering, then snapshot the write
+            # tiles — or restore them if an earlier attempt ran.
+            nonlocal marked
             with self._lock:
-                slot = self._slot()
-                st.started[attempt] = t_entry
-            # Injected stall: interruptible pre-claim sleep.  If the
-            # payload gets claimed meanwhile, the winner wakes us and
-            # we report lost without touching any tile.
-            if self.injector is not None:
-                stall = self.injector.stall_seconds(tid, t.kind.value,
-                                                    attempt)
-                if stall > 0.0:
-                    with self._lock:
-                        self.stats.recovery.injected_stalls += 1
-                    self._fault_event(
-                        FAULT_STALL, tid,
-                        f"injected stall {stall * 1e3:.0f}ms "
-                        f"(attempt {attempt})", rank=t.rank)
-                    st.cancel[attempt].wait(timeout=stall)
-            # Claim the payload (first claimer wins).
-            with self._lock:
-                if st.finished or st.claimed is not None:
-                    lost = True
-                else:
+                if st is not None:
+                    if st.finished or st.claimed is not None:
+                        return False
                     st.claimed = attempt
-                    lost = False
-            if lost:
-                self._resq.put(("lost", tid, attempt, t_entry,
-                                perf_counter(), slot, 0.0, None))
-                return
-            with self._lock:
                 self._check_in(t)
             marked = True
-            fn = self.fns.get(tid)
-            # Write-tile snapshot before the first payload execution;
-            # restore before a re-execution (payloads mutate in place).
-            if fn is not None and self.tiles is not None \
-                    and pol.max_retries > 0:
-                if not st.snapshot_taken:
-                    st.snapshot_taken = True
-                    st.snapshot = self.tiles.snapshot(t.writes)
-                elif st.payload_ran and st.snapshot is not None:
-                    self.tiles.restore(st.snapshot)
-            if (self.injector is not None
-                    and fn is not None
-                    and self.injector.transient_fires(tid, attempt)):
-                raise InjectedTransientError(
-                    f"injected transient on task {tid} attempt {attempt}")
-            t0 = perf_counter() - self._epoch
             if fn is not None:
-                st.payload_ran = True
-                c0 = time.thread_time()
-                self._run_payload(t, fn)
-                cpu = time.thread_time() - c0
-                injected_corruption = False
-                if self.injector is not None and self.tiles is not None:
-                    corr = self.injector.corruption_for(
-                        tid, t.kind.value, attempt, len(t.writes))
-                    if corr is not None:
-                        ref = t.writes[corr[0]]
-                        if self.tiles.corrupt(ref, corr[1]):
-                            injected_corruption = True
-                            with self._lock:
-                                self.stats.recovery.corrupted_tiles += 1
-                            self._fault_event(
-                                FAULT_CORRUPTION, tid,
-                                f"injected {corr[1]} into tile {ref}",
-                                rank=t.rank)
-                if pol.scrub_writes and self.tiles is not None:
-                    bad = self.tiles.nonfinite(t.writes)
-                    if bad:
-                        if not injected_corruption:
-                            with self._lock:
-                                self.stats.recovery.corrupted_tiles += 1
-                            self._fault_event(
-                                FAULT_CORRUPTION, tid,
-                                f"non-finite output tiles {bad}",
-                                rank=t.rank)
-                        raise TileCorruptionDetected(
-                            f"task {tid} produced non-finite tiles {bad}")
-                self._count(t.kind)
-            t1 = perf_counter() - self._epoch
-            with self._lock:
-                self._check_out(t)
-                st.finished = True
-        except BaseException as exc:
-            with self._lock:
-                if marked:
-                    self._release(t)
-                if st.claimed == attempt:
+                self._ledger.arm(t)
+            return True
+
+        sleep = time.sleep
+        if st is not None:
+            st.started[attempt] = perf_counter()
+            # Interruptible stall: a winner wakes the sleepers.
+            sleep = st.cancel[attempt].wait
+        res = run_attempt(t, fn, attempt, injector=self.injector,
+                          tiles=self.tiles, sanitizer=self.sanitizer,
+                          scrub=self.recovery_policy.scrub_writes,
+                          sleep=sleep, begin=begin)
+        wake = ()
+        with self._lock:
+            slot = self._slot()
+            done = res.exc is None and not res.lost
+            if marked:
+                self._release(t, completed=done)
+            if st is not None:
+                if done:
+                    st.finished = True
+                    wake = tuple(st.cancel.values())
+                elif st.claimed == attempt:
                     st.claimed = None
-            end = perf_counter() - self._epoch
-            start = t0 if t0 > 0.0 else t_entry - self._epoch
-            self._resq.put(("fail", tid, attempt, float(start),
-                            float(end), slot, cpu, exc))
-            return
         # Wake any attempt still sleeping in an injected stall so the
         # window drains promptly (they lose the claim and report lost).
-        with self._lock:
-            evs = list(st.cancel.values())
-        for ev in evs:
+        for ev in wake:
             ev.set()
-        self._resq.put(("done", tid, attempt, t0, t1, slot, cpu, None))
+        self._resq.put((tid, attempt, slot, res))

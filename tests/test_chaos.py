@@ -249,6 +249,42 @@ class TestReliableComm:
             drv.close()
             lst.close()
 
+    def test_close_racing_recv_on_broken_link_is_not_lost(self):
+        # Regression: recv() tested ``_closed`` outside the lock, then
+        # (driver side, link down) slept in ``_cond.wait`` for the
+        # reconnect budget.  A close() landing in between had its
+        # notify_all() lost and the reader thread slept out the whole
+        # deadline while the pool shutdown blocked joining it.  The
+        # hook lock makes close() land exactly in that window.
+        server, client, lst = _pair()
+        drv = ReliableComm(server, role="driver", wid=0, deadline=5.0)
+        try:
+            with drv._lock:
+                drv._on_break_locked(drv.inner)     # link breaks
+            real = drv._lock
+
+            class CloseOnFirstAcquire:
+                fired = False
+
+                def __enter__(self):
+                    if not self.fired:
+                        self.fired = True
+                        drv.close()
+                    return real.__enter__()
+
+                def __exit__(self, *exc):
+                    return real.__exit__(*exc)
+
+            drv._lock = CloseOnFirstAcquire()
+            t0 = time.monotonic()
+            with pytest.raises(CommClosedError):
+                drv.recv(timeout=None)
+            assert time.monotonic() - t0 < 0.5      # << deadline
+        finally:
+            drv.close()
+            client.close()
+            lst.close()
+
     def test_worker_reconnect_resync_handshake(self):
         server, client, lst = _pair()
         wrk = ReliableComm(client, role="worker", wid=3,

@@ -243,7 +243,11 @@ class TestPolarLiveFaults:
 
 
 class TestPolarObservability:
-    def test_threads_prints_executor_stats(self, matrix_file, capsys):
+    def test_threads_prints_executor_stats(self, matrix_file, tmp_path,
+                                           monkeypatch, capsys):
+        cwd = tmp_path / "cwd"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
         assert main(["polar", matrix_file, "--backend", "threads",
                      "--nb", "16", "--workers", "2",
                      "--no-baseline"]) == 0
@@ -251,6 +255,9 @@ class TestPolarObservability:
         assert "executor:" in out
         assert "cpu" in out
         assert "in-flight after close 0" in out
+        # No --chrome-trace, no trace: a plain run leaves the CWD alone.
+        assert "chrome trace" not in out
+        assert list(cwd.iterdir()) == []
 
     def test_critical_path_flag(self, matrix_file, tmp_path, capsys):
         trace = str(tmp_path / "t.json")

@@ -13,6 +13,7 @@ Three layers, tested at three granularities:
   real SIGKILL crash recovery, and the zero-leak invariants.
 """
 
+import dataclasses
 import os
 import signal
 import time
@@ -234,13 +235,26 @@ class TestProcessesBackend:
     N, NB = 96, 32
 
     def test_single_worker_bit_identical_to_eager(self):
+        # Same loop with and without a policy: same bits, same tasks,
+        # same windows, and an empty policy costs no recovery events.
+        from repro.resilience import RecoveryPolicy, RecoveryStats
+
         a = generate_matrix(self.N, cond=1e8, seed=3)
         u0, h0, res0 = _run_eager(a, self.NB)
-        u1, h1, res1, _, leaked, shm = _run_processes(a, self.NB, 1)
-        assert res1.iterations == res0.iterations
-        assert np.array_equal(u1, u0)
-        assert np.array_equal(h1, h0)
-        assert leaked == 0 and shm == []
+        shapes = []
+        for recovery in (None, RecoveryPolicy()):
+            u1, h1, res1, stats, leaked, shm = _run_processes(
+                a, self.NB, 1, recovery=recovery)
+            assert res1.iterations == res0.iterations
+            assert np.array_equal(u1, u0)
+            assert np.array_equal(h1, h0)
+            assert leaked == 0 and shm == []
+            # (The reliable link's rate-limited sweep may re-send a
+            # frame whose ack is merely late: wire cost, not recovery.)
+            assert dataclasses.replace(
+                stats.recovery, net_retransmits=0) == RecoveryStats()
+            shapes.append((stats.tasks_run, stats.windows))
+        assert shapes[0] == shapes[1]
 
     def test_multi_worker_matches_eager(self):
         a = generate_matrix(self.N, cond=1e8, seed=3)

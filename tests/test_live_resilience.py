@@ -138,6 +138,59 @@ class TestInjectorDeterminism:
         assert sum(f is not None for f in fired) == 2
 
 
+class TestRetryableClassifier:
+    """One classifier, one attempt body: what a payload failure means
+    cannot drift between the backends."""
+
+    def test_table(self):
+        from repro.analysis.sanitizer import (UNDECLARED_WRITE,
+                                              SanitizerError,
+                                              SanitizerFinding)
+        from repro.resilience.live import TileCorruptionDetected
+        from repro.runtime import OrderingViolationError
+        from repro.runtime.attempt import retryable
+        from repro.runtime.distributed.comm import (CommClosedError,
+                                                    CommError)
+
+        assert CommClosedError.retryable and not CommError.retryable
+        table = [
+            (InjectedTransientError("t"), True),
+            (TileCorruptionDetected("c"), True),
+            (OSError("generic, transient-looking"), True),
+            (CommClosedError("peer went away"), True),
+            (CommError("protocol violation"), False),
+            (np.linalg.LinAlgError("not SPD"), False),
+            (OrderingViolationError("epoch"), False),
+            (SanitizerError(SanitizerFinding(UNDECLARED_WRITE, 0, "gemm", "",
+                                             (0, 0, 0))), False),
+            (KeyboardInterrupt(), False),
+        ]
+        for exc, want in table:
+            assert retryable(exc) is want, exc
+
+    def test_single_definition(self):
+        import repro.analysis.dist.protocol as protocol
+        import repro.runtime.attempt as attempt
+        import repro.runtime.distributed.executor as pexec
+        import repro.runtime.distributed.worker as worker
+        import repro.runtime.parallel as parallel
+
+        assert protocol.retryable is attempt.retryable
+        for mod in (parallel, pexec, worker):
+            assert mod.run_attempt is attempt.run_attempt
+        # ... whose verdict is the classifier's.
+        from repro.runtime.task import Task, TaskKind
+
+        def boom():
+            raise np.linalg.LinAlgError("breakdown")
+
+        t = Task(tid=0, kind=TaskKind.POTRF, reads=(), writes=(), rank=0,
+                 phase=0)
+        res = attempt.run_attempt(t, boom, 0)
+        assert isinstance(res.exc, np.linalg.LinAlgError)
+        assert res.retryable is False and not res.lost
+
+
 def _gemm_workload(rt, n=64, nb=16, seed=0):
     """c = a @ b on the runtime; returns (c, expected ndarray)."""
     rng = np.random.default_rng(seed)
@@ -151,17 +204,30 @@ def _gemm_workload(rt, n=64, nb=16, seed=0):
 
 class TestExecutorRecovery:
     def test_transient_retry_recovers(self):
+        # workers=8 on a shortened switch interval is the stress case:
+        # more threads than cores snapshot/restore through one ledger
+        # while the dispatch thread settles it; a lost update would
+        # show up as a wrong product or a leaked attempt.
+        import sys
+
         plan = FaultPlan(seed=2, transient=TransientFaults(
             probability=0.5, max_attempts=4))
-        rt = _rt(plan, RecoveryPolicy(max_retries=3, backoff=1e-4))
-        rt.enable_deferred(workers=2)
-        c, want = _gemm_workload(rt)
-        assert np.allclose(c.to_array(), want)
-        rec = rt.exec_stats.recovery
-        assert rec.transient_failures > 0
-        assert rec.retried_tasks > 0
-        assert rt.executor.inflight_attempts == 0
-        rt.close()
+        interval = sys.getswitchinterval()
+        for workers in (2, 8):
+            rt = _rt(plan, RecoveryPolicy(max_retries=3, backoff=1e-4))
+            rt.enable_deferred(workers=workers)
+            try:
+                if workers > 2:
+                    sys.setswitchinterval(1e-5)
+                c, want = _gemm_workload(rt)
+                assert np.allclose(c.to_array(), want)
+            finally:
+                sys.setswitchinterval(interval)
+            rec = rt.exec_stats.recovery
+            assert rec.transient_failures > 0
+            assert rec.retried_tasks > 0
+            assert rt.executor.inflight_attempts == 0
+            rt.close()
 
     def test_retry_exhaustion_raises(self):
         # max_attempts=10 keeps the transient firing past the policy's

@@ -196,14 +196,22 @@ class TestParallelExecutor:
             ex.run()
 
     def test_payload_exception_propagates(self):
-        g = _graph([((), (0,))])
+        # Under recovery=None the first payload failure is final, and
+        # the failed attempt itself drops its in-flight reader/writer
+        # marks: abandon_window() asserts that instead of sweeping up.
+        for exc_type in (ZeroDivisionError, np.linalg.LinAlgError):
+            g = _graph([((), (0,)), ((0,), (1,))])
 
-        def boom():
-            raise ZeroDivisionError("payload failure")
+            def boom():
+                raise exc_type("payload failure")
 
-        with ParallelExecutor(g, {0: boom}) as ex, \
-                pytest.raises(ZeroDivisionError):
-            ex.run()
+            with ParallelExecutor(g, {0: lambda: None, 1: boom}) as ex:
+                with pytest.raises(exc_type):
+                    ex.run()
+                assert ex.inflight_attempts == 0
+                assert not ex._writer_active and not ex._readers_active
+                ex.abandon_window()
+                assert ex.stats.tasks_run == 1
 
     def test_measured_sink_events(self):
         from repro.obs.export import chrome_trace
@@ -262,11 +270,27 @@ def _run_qdwh(a, nb=16, backend="eager", workers=None):
 
 class TestDeterminism:
     def test_workers1_bit_identical_to_eager(self):
+        # One dispatch loop: no policy and an empty policy run the
+        # same tasks in the same windows to the same bits, and an
+        # empty policy leaves no trace in the recovery accounting.
+        from repro.resilience import RecoveryPolicy, RecoveryStats
+
         a = generate_matrix(64, 48, cond=1e8, seed=11)
         ue, he = _run_qdwh(a)
-        u1, h1 = _run_qdwh(a, backend="threads", workers=1)
-        assert np.array_equal(ue, u1)
-        assert np.array_equal(he, h1)
+        shapes = []
+        for recovery in (None, RecoveryPolicy()):
+            rt = make_runtime(1, 1)
+            rt.enable_deferred(workers=1, recovery=recovery)
+            da = DistMatrix.from_array(rt, a.copy(), 16)
+            res = tiled_qdwh(rt, da, backend="threads", workers=1)
+            assert np.array_equal(ue, res.u.to_array())
+            assert np.array_equal(he, res.h.to_array())
+            stats = rt.exec_stats
+            assert stats.recovery == RecoveryStats()
+            assert rt.executor.inflight_attempts == 0
+            shapes.append((stats.tasks_run, stats.windows))
+            rt.close()
+        assert shapes[0] == shapes[1]
 
     def test_workers4_run_to_run_reproducible(self):
         # Multi-worker runs may permute floating-point reduction order
