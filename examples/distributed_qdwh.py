@@ -16,7 +16,7 @@ from repro.machines import summit
 from repro.matrices import ill_conditioned, polar_report
 from repro.runtime import simulate
 from repro.runtime.scheduler import forkjoin_config, taskbased_config
-from repro.runtime.trace import kernel_breakdown, rank_utilization
+from repro.obs import kernel_breakdown, rank_utilization
 
 
 def main() -> None:

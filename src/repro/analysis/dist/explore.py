@@ -1,7 +1,8 @@
-"""Schedule-space model checking for the distributed scheduler.
+"""Schedule-space model checking for the window scheduler.
 
-The processes backend multiplexes completions, steals, crash recovery
-and driver-lane work over one event loop; whether it is correct
+Both real backends multiplex completions, steals, crash recovery,
+the lookahead gate and driver-lane work over one event loop
+(:class:`~repro.runtime.window.WindowExecutor`); whether it is correct
 depends on *interleavings* the test suite only samples.  This module
 checks them systematically, CHESS-style:
 
@@ -23,8 +24,10 @@ checks them systematically, CHESS-style:
 * **Invariants** are asserted after every step: each task dispatched
   at most once per attempt and never after completion, no ready task
   starved while an eligible worker idles, driver-lane tasks never on
-  workers (and vice versa), pipeline depth respected, ``pending`` in
-  sync, crash revocation exactly-once, modeled refcounts balanced.
+  workers (and vice versa), pipeline depth respected, nothing handed
+  out beyond the lookahead gate and nothing parked behind a gate that
+  admits it, ``pending`` in sync, crash revocation exactly-once,
+  modeled refcounts balanced.
 
 The checker itself is validated by :mod:`.mutants`: seeded scheduler
 bugs (lost wakeup, double dispatch, steal-from-dead, ...) that the
@@ -54,7 +57,8 @@ class Scenario:
     ``tasks`` is a plain task list (tids ``0..n-1``, in-window deps);
     ``worker_ok`` marks worker-eligible tids, the rest are driver-lane.
     ``max_crashes``/``max_spawns`` bound the fault model: a crash kills
-    an alive worker mid-run, a spawn adds a replacement.
+    an alive worker mid-run, a spawn adds a replacement.  ``lookahead``
+    is the scheduler's phase gate (``None`` = off).
     """
 
     name: str
@@ -64,6 +68,7 @@ class Scenario:
     pipeline_depth: int = 2
     max_crashes: int = 0
     max_spawns: int = 0
+    lookahead: Optional[int] = None
 
     @property
     def ntasks(self) -> int:
@@ -71,11 +76,11 @@ class Scenario:
 
 
 def _task(tid: int, deps: Sequence[int] = (), reads: Sequence[TileRef] = (),
-          writes: Sequence[TileRef] = ()) -> Task:
+          writes: Sequence[TileRef] = (), phase: int = 0) -> Task:
     if not writes:
         writes = ((90, tid, 0),)
     return Task(tid=tid, kind=TaskKind.GEMM, reads=tuple(reads),
-                writes=tuple(writes), rank=0, phase=0,
+                writes=tuple(writes), rank=0, phase=phase,
                 deps=tuple(deps))
 
 
@@ -89,8 +94,9 @@ def builtin_scenarios() -> List[Scenario]:
     Shapes are chosen to reach every scheduler code path: serial
     chains (wakeup propagation), diamonds (fan-out/fan-in), wide
     independent sets (queue balancing), locality-skewed chains (steal
-    path), mixed driver/worker lanes, and crashy variants (revocation
-    and replay).
+    path), mixed driver/worker lanes, crashy variants (revocation
+    and replay), the threads backend's shape (one lane as deep as its
+    pool), and a phased graph behind the lookahead gate.
     """
     out: List[Scenario] = []
 
@@ -138,6 +144,22 @@ def builtin_scenarios() -> List[Scenario]:
         _task(8, deps=list(range(8))),)
     out.append(Scenario("crashy", crashy, _all_ok(crashy),
                         max_crashes=2, max_spawns=2))
+
+    # The threads transport: a single lane, pipeline depth = pool size.
+    out.append(Scenario("one-lane-deep", dia, _all_ok(dia),
+                        workers=1, pipeline_depth=4))
+
+    # Three panel steps with almost no dataflow between them: under
+    # lookahead=0 only the gate keeps a later phase off the workers,
+    # and it must reopen every time the completed prefix advances.
+    phased = (
+        _task(0), _task(1),
+        _task(2, deps=[0], phase=1), _task(3, phase=1),
+        _task(4, phase=2), _task(5, phase=2),        # 5: driver lane
+    )
+    ok = _all_ok(phased)
+    ok[5] = False
+    out.append(Scenario("phased-lookahead", phased, ok, lookahead=0))
 
     return out
 
@@ -247,7 +269,7 @@ class _World:
         self.sc = scenario
         self.sched = scheduler(list(scenario.tasks), 0, scenario.ntasks,
                                dict(scenario.worker_ok),
-                               scenario.pipeline_depth)
+                               scenario.pipeline_depth, scenario.lookahead)
         self.store = store()
         self.refs_of: Dict[int, Tuple[TileRef, ...]] = {}
         for t in scenario.tasks:
@@ -340,6 +362,7 @@ class _World:
         if not self.sc.worker_ok.get(tid, False):
             raise _Violation("driver-task-on-worker",
                              f"driver-lane tid {tid} on worker {wid}")
+        self._check_gate(tid)
         ws = sched.workers[wid]
         if len(ws.inflight) > sched.pipeline:
             raise _Violation(
@@ -377,6 +400,7 @@ class _World:
             raise _Violation("double-dispatch",
                              f"driver tid {tid} already resolved")
         self._check_deps(tid)
+        self._check_gate(tid)
         self.sched.on_done(tid, None)
         self.completed.add(tid)
 
@@ -414,6 +438,24 @@ class _World:
                 "dependency-violated",
                 f"tid {tid} ran before deps {missing} completed")
 
+    def _gate_limit(self) -> Optional[int]:
+        """Latest phase the model's gate admits: ``lookahead`` past the
+        oldest phase with an incomplete task (``None`` = no gate)."""
+        if self.sc.lookahead is None:
+            return None
+        open_phases = [t.phase for t in self.sc.tasks
+                       if t.tid not in self.completed]
+        return min(open_phases) + self.sc.lookahead if open_phases else None
+
+    def _check_gate(self, tid: int) -> None:
+        limit = self._gate_limit()
+        phase = self.sc.tasks[tid].phase
+        if limit is not None and phase > limit:
+            raise _Violation(
+                "lookahead-exceeded",
+                f"tid {tid} (phase {phase}) handed out while the gate "
+                f"admits phases <= {limit}")
+
     # -- global invariants ----------------------------------------------
 
     def check_step(self) -> None:
@@ -427,6 +469,16 @@ class _World:
             seen(tid)
         for tid in sched._driver_ready:
             seen(tid)
+        limit = self._gate_limit()
+        if limit is not None:
+            for phase, parked in sched._parked.items():
+                if parked and phase <= limit:
+                    raise _Violation(
+                        "gate-stuck",
+                        f"tids {parked} (phase {phase}) parked while "
+                        f"the gate admits phases <= {limit}")
+                for tid in parked:
+                    seen(tid)
         for w in sched.workers.values():
             if not w.alive and (w.queue or w.inflight):
                 raise _Violation(

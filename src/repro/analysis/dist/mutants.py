@@ -127,6 +127,18 @@ class RequeueDuplicateScheduler(DynamicScheduler):
         super().requeue(tids)
 
 
+class ParkedForeverScheduler(DynamicScheduler):
+    """BUG: the completed prefix advances but nothing re-examines the
+    tasks parked behind the lookahead gate — later phases never run."""
+
+    def _advance(self, tid: int) -> None:
+        p = self._phase[tid]
+        self._phase_left[p] -= 1
+        while (self._prefix < len(self._phases)
+               and not self._phase_left[self._phases[self._prefix]]):
+            self._prefix += 1
+
+
 # ---------------------------------------------------------------------------
 # Store mutants
 
@@ -177,6 +189,8 @@ MUTANTS: Tuple[Mutant, ...] = (
            ("pending-skew",)),
     Mutant("requeue-duplicate", RequeueDuplicateScheduler, ModelShmStore,
            ("task-duplicated",)),
+    Mutant("parked-forever", ParkedForeverScheduler, ModelShmStore,
+           ("gate-stuck", "tasks-lost-at-end")),
     Mutant("leaky-release", DynamicScheduler, LeakyReleaseStore,
            ("refcount-imbalance",)),
     Mutant("double-free", DynamicScheduler, DoubleFreeStore,

@@ -345,19 +345,22 @@ def cmd_polar(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    from .obs import TimelineSink, kernel_breakdown, write_chrome_trace
     from .perf import simulate_qdwh
-    from .runtime.trace import kernel_breakdown
 
     machine = _machine(args.machine)
-    p = simulate_qdwh(machine, args.nodes, args.n, args.impl,
-                      cond=args.cond, nb=args.nb,
-                      max_tiles=args.max_tiles)
+    point = dict(cond=args.cond, nb=args.nb, max_tiles=args.max_tiles)
+    sink = TimelineSink() if args.trace else None
+    p = simulate_qdwh(machine, args.nodes, args.n, args.impl, sink=sink,
+                      **point)
     ranks = p.schedule.config.total_ranks
     plan = _fault_plan_from_args(args, ranks, p.makespan)
     if plan is not None:
+        # The fault-free run sized the plan's horizon; the faulted one
+        # is the point reported (and traced).
+        sink = TimelineSink() if args.trace else None
         p = simulate_qdwh(machine, args.nodes, args.n, args.impl,
-                          cond=args.cond, nb=args.nb,
-                          max_tiles=args.max_tiles, faults=plan)
+                          faults=plan, sink=sink, **point)
     print(f"{args.machine} x{args.nodes} nodes, n={args.n}, "
           f"{args.impl} (nb={p.nb}, sim nb={p.nb_sim})")
     print(f"  iterations: {p.it_qr} QR + {p.it_chol} Cholesky")
@@ -367,13 +370,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     _print_recovery(p.schedule)
     for kind, _busy, share in kernel_breakdown(p.schedule)[:5]:
         print(f"    {kind:>8}: {share * 100:5.1f}% of busy time")
-    if args.trace:
-        from .runtime.trace import export_chrome_trace
-
-        q = simulate_qdwh(machine, args.nodes, args.n, args.impl,
-                          cond=args.cond, nb=args.nb,
-                          max_tiles=args.max_tiles, keep_trace=True)
-        path = export_chrome_trace(q.schedule, args.trace)
+    if sink is not None:
+        path = write_chrome_trace(sink, args.trace)
         print(f"  chrome trace written to {path} "
               "(open in chrome://tracing or Perfetto)")
     if args.metrics_json:

@@ -36,6 +36,7 @@ from .critical_path import (
     LaneStats,
     PathSegment,
     critical_path,
+    critical_path_kinds,
     occupancy,
     slack,
 )
@@ -91,6 +92,7 @@ __all__ = [
     "LaneStats",
     "PathSegment",
     "critical_path",
+    "critical_path_kinds",
     "occupancy",
     "slack",
     "ascii_gantt",

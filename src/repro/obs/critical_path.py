@@ -20,6 +20,8 @@ emitted, it answers the profiler questions:
 * :func:`occupancy` — per-worker-lane busy/idle attribution for real
   threaded runs (the measured analogue of the simulator's stall
   attribution).
+* :func:`critical_path_kinds` — the one view over modeled durations:
+  which kernel kinds make up the DAG's longest path.
 
 Everything here is pure post-processing: no runtime hooks, no
 overhead on the execution path.
@@ -28,13 +30,14 @@ overhead on the execution path.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..runtime.graph import TaskGraph
+from ..runtime.task import Task
 from .timeline import TaskEvent
 
 __all__ = ["PathSegment", "CriticalPathReport", "LaneStats",
-           "critical_path", "slack", "occupancy"]
+           "critical_path", "critical_path_kinds", "slack", "occupancy"]
 
 #: How a chain segment was released: by a dataflow dependency, by the
 #: previous task occupying the same worker lane, or by run start.
@@ -269,3 +272,33 @@ def occupancy(events: Iterable[TaskEvent]) -> List[LaneStats]:
             idle_seconds=max(0.0, span - busy),
             utilization=busy / span if span > 0.0 else 0.0))
     return out
+
+
+def critical_path_kinds(graph: TaskGraph,
+                        duration: Callable[[Task], float]
+                        ) -> List[Tuple[str, float]]:
+    """Time per kind along one critical path of the DAG.
+
+    Walks the longest path under ``duration(task) -> seconds`` and
+    attributes its length to kernel kinds — shows *what* serializes the
+    algorithm (panels, in QDWH's case).
+    """
+    tasks = graph.tasks
+    if not tasks:
+        return []
+    finish = [0.0] * len(tasks)
+    best_pred = [-1] * len(tasks)
+    for t in tasks:
+        s, p = 0.0, -1
+        for d in t.deps:
+            if finish[d] > s:
+                s, p = finish[d], d
+        finish[t.tid] = s + duration(t)
+        best_pred[t.tid] = p
+    tid = max(range(len(tasks)), key=lambda i: finish[i])
+    acc: Dict[str, float] = {}
+    while tid != -1:
+        t = tasks[tid]
+        acc[t.kind.value] = acc.get(t.kind.value, 0.0) + duration(t)
+        tid = best_pred[tid]
+    return sorted(acc.items(), key=lambda r: -r[1])

@@ -13,8 +13,8 @@ Two renderings of a :class:`~repro.obs.timeline.TimelineSink`:
   the shell.
 
 This module is also the single source of truth for the post-mortem
-aggregates (:func:`kernel_breakdown`, :func:`rank_utilization`):
-:mod:`repro.runtime.trace` and :mod:`repro.perf.report` delegate here.
+aggregates (:func:`kernel_breakdown`, :func:`rank_utilization`); the
+CLI and :mod:`repro.perf.report` read them from here.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ GPU_TID_BASE = 1000
 
 
 # ---------------------------------------------------------------------------
-# Aggregates (shared by runtime.trace and perf.report)
+# Aggregates
 # ---------------------------------------------------------------------------
 
 def _kind_busy(source) -> Dict[str, float]:

@@ -19,7 +19,12 @@ The pieces map onto what SLATE gets from OpenMP + MPI:
 * :mod:`.distributed` — multi-process replay: a central dynamic
   scheduler dispatching to forked workers over a pluggable comm layer,
   with tiles in shared memory (zero-copy) and crash recovery.
-* :mod:`.trace` — per-kernel/per-rank breakdowns of a simulated run.
+* :mod:`.window` — the driver both real backends are transports of:
+  one ``run``, one dispatch loop, one accounting of reported attempts.
+
+Post-mortem views of a schedule (kernel breakdown, rank utilization,
+critical-path composition, Gantt, Chrome trace) live in
+:mod:`repro.obs`.
 """
 
 from .task import Task, TaskKind, DEVICE_ELIGIBLE
@@ -29,7 +34,6 @@ from .parallel import ExecutionStats, OrderingViolationError, ParallelExecutor
 from .distributed import (ProcessExecutor, SharedTileStore,
                           WorkerCrashError)
 from .scheduler import ScheduleResult, simulate
-from .trace import kernel_breakdown, rank_utilization, critical_path_kinds
 
 __all__ = [
     "Task",
@@ -46,7 +50,4 @@ __all__ = [
     "OrderingViolationError",
     "ScheduleResult",
     "simulate",
-    "kernel_breakdown",
-    "rank_utilization",
-    "critical_path_kinds",
 ]

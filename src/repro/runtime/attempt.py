@@ -1,4 +1,4 @@
-"""One task attempt and one retry ledger, shared by both real backends.
+"""One task attempt and one retry ledger, shared by every transport.
 
 What it means to *run one attempt of a task* and to *decide what its
 failure means* does not depend on where the attempt runs.  The thread
@@ -6,13 +6,14 @@ workers of :class:`~repro.runtime.parallel.ParallelExecutor`, the forked
 workers of :mod:`repro.runtime.distributed.worker` and the driver lane
 of :class:`~repro.runtime.distributed.ProcessExecutor` all call
 :func:`run_attempt`, and every failure is classified by
-:func:`retryable`.  Both dispatch loops keep their retry budgets,
-backoff heap, write-tile snapshots and recovery accounting in a
-per-window :class:`RetryLedger`; :func:`resolve_recovery` is the one
+:func:`retryable`.  The dispatch loop
+(:class:`~repro.runtime.window.WindowExecutor`) keeps its retry
+budgets, backoff heap, write-tile snapshots and recovery accounting in
+a per-window :class:`RetryLedger`; :func:`resolve_recovery` is the one
 place a fault plan without a policy gets the default
 :class:`RecoveryPolicy`; :func:`count_kernel` is the one
-``kernel.invocations.*`` publisher.  What stays with the backends is
-what only they have: payload claims and speculative backups between
+``kernel.invocations.*`` publisher.  What stays with the transports
+is what only they have: payload claims and speculative backups between
 threads sharing tile memory; worker death, replay and heartbeats
 between processes.
 """

@@ -11,8 +11,9 @@ Three layers, each usable on its own:
   ``DistMatrix`` tiles for zero-copy worker access.
 * :mod:`~repro.runtime.distributed.scheduling` /
   :mod:`~repro.runtime.distributed.executor` — the dask-style central
-  scheduler and the :class:`ProcessExecutor` that drives forked
-  workers through it (``tiled_qdwh(backend="processes")``).
+  scheduler (of both real backends) and :class:`ProcessExecutor`, the
+  forked-worker transport of the shared window driver
+  (``tiled_qdwh(backend="processes")``).
 
 See ``docs/distributed_runtime.md`` for the architecture.
 """

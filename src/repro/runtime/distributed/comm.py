@@ -609,8 +609,8 @@ class TCPListener(Listener):
         if self._closed:
             raise CommClosedError(f"accept on closed listener "
                                   f"{self.address}")
-        self._sock.settimeout(timeout)
         try:
+            self._sock.settimeout(timeout)
             conn, _ = self._sock.accept()
         except socket.timeout:
             raise CommTimeoutError(

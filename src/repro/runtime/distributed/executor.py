@@ -1,42 +1,45 @@
-"""Multi-process executor: central scheduler + forked worker pool.
+"""The forked-process transport: central scheduler + worker pool.
 
 ``ProcessExecutor`` replays recorded task windows on real OS
 processes, sidestepping the GIL that bounds the threaded backend on
-dispatch-heavy, small-tile graphs.  The execution model:
+dispatch-heavy, small-tile graphs.  It is the
+:class:`~repro.runtime.window.WindowExecutor` driver over a pool of
+forked workers: the driver owns ``run``, the one dispatch loop, retry
+budgets, accounting, death revocation and replay, and the stall rule;
+the window's :class:`~.scheduling.DynamicScheduler` owns readiness,
+the lookahead gate, locality-aware placement and steal-on-idle; this
+module is the transport between them and the workers:
 
-* **Fork per window.**  Payload closures capture driver objects and
-  cannot be pickled, so nothing is shipped: workers are forked at the
-  start of each execution window and inherit the graph, the payload
-  table and every shared-memory tile mapping copy-on-write.  Dispatch
-  messages carry a tid, an attempt number and (rarely) a few side-store
-  entries — a few hundred bytes per task.
+* **Fork per window** (``_open``/``_shut``).  Payload closures capture
+  driver objects and cannot be pickled, so nothing is shipped: workers
+  are forked at the start of each execution window and inherit the
+  graph, the payload table and every shared-memory tile mapping
+  copy-on-write.  One scheduler lane per worker, each at most
+  :data:`PIPELINE_DEPTH` dispatches deep.
 * **Shared-memory tiles.**  Before forking, the parent pins every tile
   in the window's declared footprints into a :class:`SharedTileStore`
   segment; worker writes land directly in the parent's mapping
   (zero-copy), so there is no gather step and no result payload.
-* **Central dynamic scheduling.**  A :class:`DynamicScheduler` tracks
-  dependency counts and hands ready tasks to workers event-driven,
-  with locality-aware placement and steal-on-idle
-  (see :mod:`.scheduling`).
-* **Driver tasks.**  Tasks whose footprint touches driver-local state
-  (scalar reduction boxes, gather buffers) run inline in the parent —
-  the same split SLATE uses to keep latency-bound scalar work off the
+* **Dispatch** (``_send``).  A message carries a tid, an attempt
+  number and (rarely) a few side-store entries — a few hundred bytes
+  per task.  The retry ledger snapshots the task's write tiles first,
+  so a SIGKILL at any instant leaves the driver able to restore and
+  replay.
+* **Driver lane.**  Tasks whose footprint touches driver-local state
+  (scalar reduction boxes, gather buffers) run inline in the parent
+  through the same :func:`~repro.runtime.attempt.run_attempt` — the
+  split SLATE uses to keep latency-bound scalar work off the
   accelerator path.  Everything tile-to-tile goes to workers.
-* **One attempt body, one retry ledger.**  Workers and the driver
-  lane run :func:`repro.runtime.attempt.run_attempt`; retries, backoff
-  and pre-dispatch write-tile snapshots live in the same
-  :class:`~repro.runtime.attempt.RetryLedger` the threaded backend
-  drives (``recovery=None`` is its zero-budget policy).
-* **Crash recovery.**  A worker death (SIGKILL, injected
-  ``RankCrash``, or a task-timeout kill) is detected as comm EOF; the
-  victim's in-flight tasks are requeued onto survivors and the ledger
-  restores their write tiles before the re-run — the PR 5 lineage
-  recovery loop.  The shared-memory registry lives only in the
-  parent, so no worker death can leak or tear down a segment.
-
-The public surface mirrors :class:`ParallelExecutor` exactly
-(``run``/``close``/``abandon_window``/``stats``/``inflight_attempts``)
-so ``Runtime.sync`` drives either backend unchanged.
+* **Replies and deaths** (``_recv``).  Per-worker reader threads
+  stream replies into one event queue; the driver polls it at
+  ``poll_interval``.  A worker death (SIGKILL, injected ``RankCrash``,
+  a task-timeout or heartbeat kill) is detected as comm EOF and
+  reported to the driver, which requeues the victim's tasks onto
+  survivors.  The shared-memory registry lives only in the parent, so
+  no worker death can leak or tear down a segment.
+* **Periodic work** (``_tick``).  Injected crashes, the liveness poll,
+  phi-accrual heartbeat suspicion, task-timeout kills, and the respawn
+  of a worker when every lane is dead.
 """
 
 from __future__ import annotations
@@ -50,12 +53,11 @@ import threading
 import time
 from time import perf_counter
 from typing import (Any, Callable, Dict, List, NamedTuple, Optional, Set,
-                    Tuple)
+                    Tuple, Union)
 
-from ..attempt import NO_RECOVERY, Attempt, RetryLedger, run_attempt
-from ..graph import TaskGraph
-from ..parallel import (ExecutionStats, _peak_rss_bytes, default_workers)
+from ..attempt import Attempt, run_attempt
 from ..task import Task, TileRef
+from ..window import Death, Report, WindowExecutor, WorkerCrashError
 from .chaos import assign_peer, clear_net_plan, install_net_plan
 from .comm import (Comm, CommError, CommTimeoutError, Listener, listen)
 from .events import (EV_CLOSE, EV_COMPLETE, EV_DEATH, EV_DISPATCH,
@@ -69,6 +71,10 @@ from ...resilience.net import PhiAccrualDetector
 
 __all__ = ["ProcessExecutor", "SideStore", "WorkerCrashError"]
 
+#: Dispatches one worker may hold unanswered: the task it runs plus one
+#: queued behind it, so a reply's round trip overlaps the next payload.
+PIPELINE_DEPTH = 2
+
 
 class SideStore(NamedTuple):
     """Driver-held dict state addressed through pseudo-tile refs."""
@@ -77,15 +83,11 @@ class SideStore(NamedTuple):
     key_of: Callable[[TileRef], object]
 
 
-class WorkerCrashError(RuntimeError):
-    """A worker process died and recovery was off (or exhausted)."""
-
-
 class _Worker:
     """Parent-side handle of one forked worker process."""
 
     __slots__ = ("wid", "lane", "proc", "comm", "pid", "clock_offset",
-                 "reader", "shipped", "kill_reason")
+                 "reader", "shipped", "sent", "kill_reason")
 
     def __init__(self, wid: int, proc: multiprocessing.process.BaseProcess,
                  comm: Comm, pid: int,
@@ -102,33 +104,25 @@ class _Worker:
         self.reader: Optional[threading.Thread] = None
         #: Side-entry refs already shipped to this worker (dedup).
         self.shipped: Set[TileRef] = set()
+        #: tid -> (attempt, send time) of dispatches awaiting a reply.
+        self.sent: Dict[int, Tuple[int, float]] = {}
         #: Set when the parent killed it on purpose (timeout/injected).
         self.kill_reason: Optional[str] = None
 
 
-class ProcessExecutor:
+class ProcessExecutor(WindowExecutor):
     """Replay a recorded task graph on forked worker processes."""
 
     def __init__(self, rt: Any, *, workers: Optional[int] = None,
                  sink: Any = None, validate: bool = True,
                  recovery: Any = None, injector: Any = None,
-                 tiles: Any = None,
-                 pipeline_depth: int = 2) -> None:
+                 tiles: Any = None) -> None:
+        super().__init__(rt.graph, rt._pending_fns, workers=workers,
+                         lookahead=rt._exec_lookahead, sink=sink,
+                         validate=validate, sanitizer=rt.sanitizer,
+                         recovery=recovery, injector=injector, tiles=tiles)
         self.rt = rt
-        self.graph: TaskGraph = rt.graph
-        self.fns: Dict[int, Callable[[], None]] = rt._pending_fns
-        self.workers = max(1, int(workers) if workers
-                           else default_workers())
-        self.sink = sink
-        self.validate = validate
-        self.sanitizer = rt.sanitizer
-        #: ``NO_RECOVERY`` (``recovery=None``) is the zero-budget policy:
-        #: no retries, plain comm, and a worker death is fatal.
-        self.recovery_policy = pol = \
-            NO_RECOVERY if recovery is None else recovery
-        self.injector = injector
-        self.tiles = tiles
-        self.stats = ExecutionStats(workers=self.workers)
+        pol = self.recovery_policy
         self.comm_counters = CommCounters()
         self.store = SharedTileStore()
         #: DistSan event recorder, attached by the owner as
@@ -137,13 +131,13 @@ class ProcessExecutor:
         self.recorder = getattr(rt, "dist_recorder", None)
         if self.recorder is not None:
             self.store.observer = self.recorder.store_observer()
-        if validate:
-            self.graph.validate()
         #: Injected crashes (live): fired once each, by time since the
         #: executor epoch, against ``rank % nworkers``.  Read from the
         #: runtime's plan directly — a crash-only plan has no live
         #: in-payload faults, so its injector reports inactive.
         plan = rt.fault_plan
+        if plan is not None:
+            self._seed = int(plan.seed)
         self._crashes = sorted(plan.crashes, key=lambda c: c.time) \
             if plan is not None else []
         self._crash_idx = 0
@@ -176,28 +170,18 @@ class ProcessExecutor:
         #: the parent, so it survives any worker death (replay re-ships
         #: whatever a successor needs).
         self._entries: Dict[TileRef, object] = {}
-        self._done: Dict[int, bool] = {}
-        self._floor = 0
-        self._prep_cursor = 0
-        self._window_tids: Set[int] = set()
-        self._epoch: Optional[float] = None
-        self._inflight = 0
-        self._pipeline = pipeline_depth
         self._listener: Optional[Listener] = None
         self._pool: Dict[int, _Worker] = {}
         self._next_wid = 0
-        self._events: "queue.Queue[Tuple[str, int, object]]" = queue.Queue()
+        #: ``("msg", wid, reply)`` and ``("eof", wid, None)`` from the
+        #: reader threads, ``("drv", -1, (tid, attempt, outcome))`` from
+        #: the driver lane.
+        self._events: "queue.Queue[Tuple[str, int, Any]]" = queue.Queue()
         self._closed = False
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
-
-    @property
-    def inflight_attempts(self) -> int:
-        """Dispatched-but-unreported attempts; zero after every
-        completed :meth:`run` — the no-leak invariant."""
-        return self._inflight
 
     def close(self) -> None:
         """Tear everything down: workers, comms, listener, and every
@@ -221,12 +205,6 @@ class ProcessExecutor:
             self.recorder.record(EV_CLOSE)
         from ...obs.metrics import get_registry
         self.comm_counters.publish(get_registry(), prefix="dist.comm")
-
-    def __enter__(self) -> "ProcessExecutor":
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.close()
 
     # ------------------------------------------------------------------
     # Window preparation
@@ -263,32 +241,9 @@ class ProcessExecutor:
                     mat, i, j, (mat.tile_rows(i), mat.tile_cols(j)),
                     mat.dtype)
 
-    def _account_external(self, upto: int) -> None:
-        for tid in range(self._floor, upto):
-            self._done[tid] = True
-        self._floor = max(self._floor, upto)
-
-    def abandon_window(self) -> None:
-        """Fold the failed window's unexecuted tasks into the done
-        table (payloads discarded) so algorithm-level recovery can
-        resubmit fresh work — mirrors
-        :meth:`ParallelExecutor.abandon_window`."""
-        if self._inflight:
-            raise RuntimeError(
-                f"abandon_window with {self._inflight} attempt(s) still "
-                "in flight; the failed run() must drain first")
-        for tid in self._window_tids:
-            self._done[tid] = True
-            self.fns.pop(tid, None)
-        self._window_tids = set()
-
     # ------------------------------------------------------------------
     # Worker pool
     # ------------------------------------------------------------------
-
-    def _plan_seed(self) -> int:
-        plan = self.rt.fault_plan
-        return int(plan.seed) if plan is not None else 0
 
     def _ensure_listener(self) -> Listener:
         lst = self._listener
@@ -386,7 +341,7 @@ class ProcessExecutor:
             rc = ReliableComm(
                 comm, role="driver", wid=wid,
                 deadline=self.recovery_policy.net_deadline,
-                seed=self._plan_seed(),
+                seed=self._seed,
                 counters=self.comm_counters, on_net=self._net_event)
             rc.observer = observer
             comm = rc
@@ -525,12 +480,10 @@ class ProcessExecutor:
                 if wid not in self._suspected:
                     self._suspected.add(wid)
                     rec.heartbeat_suspects += 1
-                w.kill_reason = (f"heartbeat silence: phi {phi:.1f} >= "
-                                 f"{pol.phi_dead:g}")
-                fault_event(FAULT_HEARTBEAT_SUSPECT, -1, w.kill_reason,
-                            rank=wid)
-                os.kill(w.pid, signal.SIGKILL)
-                self._mark_dead(w)
+                reason = (f"heartbeat silence: phi {phi:.1f} >= "
+                          f"{pol.phi_dead:g}")
+                self._kill(w, reason)
+                fault_event(FAULT_HEARTBEAT_SUSPECT, -1, reason, rank=wid)
             elif phi >= pol.phi_suspect:
                 if wid not in self._suspected:
                     self._suspected.add(wid)
@@ -583,35 +536,13 @@ class ProcessExecutor:
                 break
 
     # ------------------------------------------------------------------
-    # Execution
+    # Transport hooks
     # ------------------------------------------------------------------
 
-    def run(self, start: int = 0, end: Optional[int] = None) -> float:
-        """Execute tasks ``[start, end)``; returns the window's wall
-        seconds.  Dependencies before ``start`` are satisfied."""
+    def _open(self, start: int, end: int) -> DynamicScheduler:
         tasks = self.graph.tasks
-        if end is None:
-            end = len(tasks)
-        if self.validate:
-            self.graph.validate(end)
-        if start > self._floor:
-            self._account_external(start)
-        if end <= start:
-            return 0.0
-        self._floor = end
-        self._window_tids = set(range(start, end))
-
-        worker_ok = {t.tid: self._worker_ok(t)
-                     for t in tasks[start:end]}
+        worker_ok = {t.tid: self._worker_ok(t) for t in tasks[start:end]}
         self._materialize(start, end)
-
-        n_workers = min(self.workers,
-                        max(1, sum(1 for v in worker_ok.values() if v)))
-        need_pool = any(worker_ok.values())
-
-        t_wall0 = perf_counter()
-        if self._epoch is None:
-            self._epoch = t_wall0
         if self._net_plan is not None and not self._chaos_installed:
             # Arm before forking: workers inherit the plan (and the
             # epoch anchoring its stall/partition windows) through
@@ -620,339 +551,194 @@ class ProcessExecutor:
             install_net_plan(self._net_plan, epoch=self._epoch,
                              on_fault=self._chaos_fault)
             self._chaos_installed = True
-
         sched = DynamicScheduler(tasks, start, end, worker_ok,
-                                 pipeline_depth=self._pipeline)
-        if need_pool:
-            self._spawn_pool(n_workers)
+                                 pipeline_depth=PIPELINE_DEPTH,
+                                 lookahead=self.lookahead)
+        eligible = sum(worker_ok.values())
+        if eligible:
+            self._spawn_pool(min(self.workers, eligible))
             for wid in self._pool:
                 sched.add_worker(wid)
+        return sched
 
-        failure: Optional[BaseException] = None
+    def _send(self, lane: Optional[int], tid: int, attempt: int) -> bool:
+        t = self.graph.tasks[tid]
+        assert self._ledger is not None
+        if lane is None:
+            # The driver lane: tasks touching driver-local state run
+            # the same attempt body inline.
+            self._ledger.arm(t)
+            res = run_attempt(
+                t, self.fns.get(tid), attempt, injector=self.injector,
+                tiles=self.tiles, sanitizer=self.sanitizer,
+                scrub=self.recovery_policy.scrub_writes)
+            self._events.put(("drv", -1, (tid, attempt, res)))
+            return True
+        w = self._pool.get(lane)
+        if w is None or w.comm.closed:
+            return False
+        self._ledger.arm(t)
         try:
-            failure = self._drive(sched, end - start)
-        finally:
-            self._shutdown_pool(force=failure is not None)
-            self._window_tids = set() if failure is None \
-                else self._window_tids
-            for tid in list(self._done):
-                self._window_tids.discard(tid)
+            w.comm.send({"op": "task", "tid": tid, "attempt": attempt,
+                         "side": self._ship_side(w, t)})
+        except CommError:
+            # Death will surface as EOF; the scheduler keeps the tid
+            # in the dead worker's inflight set until then.
+            return False
+        w.sent[tid] = (attempt, perf_counter())
+        if self.recorder is not None:
+            self.recorder.record(EV_DISPATCH, tid=tid, wid=lane,
+                                 attempt=attempt)
+        return True
 
-        wall = perf_counter() - t_wall0
-        self.stats.wall_seconds += wall
-        self.stats.windows += 1
-        self.stats.peak_rss_bytes = max(self.stats.peak_rss_bytes,
-                                        _peak_rss_bytes())
-        self.stats.comm_messages = self.comm_counters.total_messages
-        self.stats.comm_bytes = self.comm_counters.total_bytes
-        if failure is not None:
-            raise failure
-        return wall
+    def _ship_side(self, w: _Worker, t: Task) -> List[SideEntry]:
+        out: List[SideEntry] = []
+        for ref in tuple(t.reads) + tuple(t.writes):
+            store = self.rt._side_stores.get(ref[0])
+            if store is None or ref in w.shipped:
+                continue
+            if ref in self._entries:
+                out.append((ref[0], store.key_of(ref), self._entries[ref]))
+                w.shipped.add(ref)
+        return out
 
-    # -- dispatch loop -------------------------------------------------
-
-    def _fault_event(self, kind: str, tid: int, detail: str,
-                     rank: int = 0) -> None:
-        if self.sink is None or self._epoch is None:
-            return
-        from ...obs.timeline import FaultEvent
-        self.sink.on_fault(FaultEvent(
-            kind=kind, time=perf_counter() - self._epoch, rank=rank,
-            tid=tid, detail=detail))
-
-    def _drive(self, sched: DynamicScheduler,
-               n_window: int) -> Optional[BaseException]:
-        tasks = self.graph.tasks
-        pol = self.recovery_policy
-        rec = self.stats.recovery
-        fault_event = self._fault_event
-        ledger = RetryLedger(pol, self.tiles, self._plan_seed(), rec,
-                             fault_event)
-        #: tid -> (attempt, send time) of the dispatch awaiting a reply.
-        dispatched: Dict[int, Tuple[int, float]] = {}
-        failure: Optional[BaseException] = None
-        crash_budget = 2 * self.workers + 2
-        epoch = self._epoch
-        assert epoch is not None
-
-        def ship_side(w: _Worker, t: Task) -> List[SideEntry]:
-            out: List[SideEntry] = []
-            for ref in tuple(t.reads) + tuple(t.writes):
-                store = self.rt._side_stores.get(ref[0])
-                if store is None or ref in w.shipped:
-                    continue
-                if ref in self._entries:
-                    out.append((ref[0], store.key_of(ref),
-                                self._entries[ref]))
-                    w.shipped.add(ref)
+    def _recv(self, timeout: Optional[float]
+              ) -> List[Union[Report, Death]]:
+        out: List[Union[Report, Death]] = []
+        try:
+            event = self._events.get(True, timeout)
+            while True:
+                item = self._accept(*event)
+                if item is not None:
+                    out.append(item)
+                event = self._events.get_nowait()
+        except queue.Empty:
             return out
 
-        def dispatch(wid: int, tid: int) -> bool:
-            w = self._pool.get(wid)
-            if w is None or w.comm.closed:
-                return False
-            t = tasks[tid]
-            ledger.arm(t)
-            a = ledger.next_attempt(tid)
-            try:
-                w.comm.send({"op": "task", "tid": tid, "attempt": a,
-                             "side": ship_side(w, t)})
-            except CommError:
-                # Death will surface as EOF; the scheduler keeps the
-                # tid in the dead worker's inflight set until then.
-                return False
-            self._inflight += 1
-            dispatched[tid] = (a, perf_counter())
-            if self.recorder is not None:
-                self.recorder.record(EV_DISPATCH, tid=tid, wid=wid,
-                                     attempt=a)
-            return True
+    def _accept(self, kind: str, wid: int,
+                payload: Any) -> Union[Report, Death, None]:
+        """Turn one queued event into what the driver accounts."""
+        assert self._epoch is not None
+        if kind == "drv":
+            tid, attempt, res = payload
+            return self._accepted(tid, None, attempt, res, "drv",
+                                  -self._epoch, [])
+        w = self._pool.get(wid)
+        if kind == "eof":
+            return self._buried(wid, w)
+        op = payload.get("op")
+        tid = payload.get("tid")
+        if op not in ("done", "fail") or tid is None:
+            return None
+        if w is None or w.sent.pop(tid, None) is None:
+            return None  # stale reply (revoked or duplicated)
+        return self._accepted(
+            tid, wid, int(payload.get("attempt", 0)),
+            Attempt(payload["t0"], payload["t1"],
+                    payload["cpu"], payload.get("events") or [],
+                    payload["exc"] if op == "fail" else None,
+                    bool(payload.get("retryable"))),
+            f"w{w.lane}", w.clock_offset - self._epoch,
+            payload.get("side") or [])
 
-        completed = 0
-
-        def report(tid: int, wid: Optional[int], attempt: int,
-                   res: Attempt, slot: str,
-                   side: List[SideEntry]) -> None:
-            """Account one reported attempt — a worker's reply or the
-            driver lane's own (``wid=None``); times are epoch-relative."""
-            nonlocal completed, failure
-            t = tasks[tid]
-            ledger.note(t, res.events)
-            if self.recorder is not None:
-                ok = EV_DRIVER if wid is None else EV_COMPLETE
-                self.recorder.record(
-                    EV_FAIL if res.exc is not None else ok, tid=tid,
-                    wid=-1 if wid is None else wid, attempt=attempt)
-            if res.exc is not None:
-                if wid is not None:
-                    sched.workers[wid].inflight.discard(tid)
-                if not ledger.failed(t, res.exc,
-                                     res.retryable and failure is None,
-                                     res.t1 - res.t0):
-                    failure = failure or res.exc
-                return
-            self._done[tid] = True
-            completed += 1
-            sched.on_done(tid, wid)
-            ledger.settle(tid)
+    def _accepted(self, tid: int, wid: Optional[int], attempt: int,
+                  res: Attempt, slot: str, shift: float,
+                  side: List[SideEntry]) -> Report:
+        """A worker's reply or the driver lane's own (``wid=None``):
+        record it and, on success, publish its side-store writes."""
+        if self.recorder is not None:
+            ok = EV_DRIVER if wid is None else EV_COMPLETE
+            self.recorder.record(
+                EV_FAIL if res.exc is not None else ok, tid=tid,
+                wid=-1 if wid is None else wid, attempt=attempt)
+        if res.exc is None:
+            stores = self.rt._side_stores
             for mat_id, key, value in side:
-                store = self.rt._side_stores.get(mat_id)
+                store = stores.get(mat_id)
                 if store is not None and key not in store.mapping:
                     store.mapping[key] = value
-            for ref in t.writes:
-                if ref[0] in self.rt._side_stores \
-                        and ref not in self._entries:
-                    store = self.rt._side_stores[ref[0]]
+            for ref in self.graph.tasks[tid].writes:
+                if ref[0] in stores and ref not in self._entries:
+                    store = stores[ref[0]]
                     key = store.key_of(ref)
                     if key in store.mapping:
                         self._entries[ref] = store.mapping[key]
-            self.stats.record_task(
-                t, res.t0, res.t1, res.cpu, slot, self.sink,
-                self.fns.pop(tid, None) is not None)
+        return Report(tid, wid, res, slot, shift)
 
-        def on_worker_death(wid: int) -> Optional[BaseException]:
-            from ...obs.timeline import FAULT_CRASH, FAULT_REPLAY
-            w = self._pool.get(wid)
-            queued, inflight = sched.remove_worker(wid)
-            # Only attempts that actually went over the wire count as
-            # revoked (a dispatch that failed at send never raised
-            # the in-flight counter).
-            for tid in inflight:
-                if dispatched.pop(tid, None) is not None:
-                    self._inflight -= 1
-            reason = w.kill_reason if w is not None else None
-            if self.recorder is not None:
-                self.recorder.record(EV_DEATH, wid=wid,
-                                     detail=reason or "eof")
-            if w is not None:
-                w.comm.close()
-                w.proc.join(timeout=5.0)
-            self._hb.pop(wid, None)
-            self._hb_since.pop(wid, None)
-            if wid in self._suspected:
-                self._suspected.discard(wid)
-                sched.mark_suspect(wid, False)
-            if not queued and not inflight and reason is None \
-                    and sched.pending == 0:
-                return None  # clean exit race at window end
-            rec.crashes += 1
-            rec.dead_ranks = tuple(rec.dead_ranks) + (wid,)
-            rec.revoked_inflight += len(inflight)
-            fault_event(FAULT_CRASH, -1,
-                        f"worker {wid} died "
-                        f"({reason or 'unexpectedly'}); "
-                        f"{len(inflight)} in-flight, "
-                        f"{len(queued)} queued", rank=wid)
-            if pol is NO_RECOVERY:
-                return WorkerCrashError(
-                    f"worker process {wid} died "
-                    f"({reason or 'unexpectedly'}) with "
-                    f"{len(inflight)} task(s) in flight and no "
-                    "recovery policy configured")
-            if rec.crashes > crash_budget:
-                return WorkerCrashError(
-                    f"giving up after {rec.crashes} worker crashes "
-                    f"(budget {crash_budget})")
-            # The ledger restores each victim's write tiles when the
-            # replay is dispatched.
-            for tid in inflight:
-                rec.replayed_tasks += 1
-                fault_event(FAULT_REPLAY, tid,
-                            f"replaying task {tid} lost to worker "
-                            f"{wid}", rank=wid)
-            if self.recorder is not None:
-                for tid in queued + inflight:
+    def _buried(self, wid: int, w: Optional[_Worker]) -> Death:
+        """EOF from ``wid``: release its process and link, forget its
+        failure detector, and tell the driver what never reports."""
+        reason: Optional[str] = None
+        sent = 0
+        if w is not None:
+            reason, sent = w.kill_reason, len(w.sent)
+            w.sent.clear()
+            w.comm.close()
+            w.proc.join(timeout=5.0)
+        self._hb.pop(wid, None)
+        self._hb_since.pop(wid, None)
+        self._suspected.discard(wid)
+        if self.recorder is not None:
+            self.recorder.record(EV_DEATH, wid=wid, detail=reason or "eof")
+            assert self._sched is not None
+            ws = self._sched.workers.get(wid)
+            if ws is not None:
+                for tid in list(ws.queue) + sorted(ws.inflight):
                     self.recorder.record(EV_REPLAY, tid=tid, wid=wid)
-            sched.requeue(queued + inflight)
-            if not sched.alive_workers() and sched.pending > 0:
-                nw = self._spawn_worker()
-                sched.add_worker(nw.wid)
-            return None
+        return Death(wid, reason, sent)
 
-        def fire_crashes_and_timeouts() -> None:
-            now = perf_counter()
-            while (self._crash_idx < len(self._crashes)
-                   and now - epoch
-                   >= self._crashes[self._crash_idx].time):
-                c = self._crashes[self._crash_idx]
-                self._crash_idx += 1
-                alive = [w for w in self._pool.values()
-                         if w.proc.is_alive()
-                         and w.kill_reason is None]
-                if not alive:
+    def _tick(self, now: float) -> float:
+        """Injected crashes, liveness, heartbeats, task timeouts and
+        respawn; the loop polls at ``poll_interval``, sooner when an
+        injected crash is due."""
+        sched, pol = self._sched, self.recovery_policy
+        assert sched is not None and self._epoch is not None
+        elapsed = now - self._epoch
+        while (self._crash_idx < len(self._crashes)
+               and elapsed >= self._crashes[self._crash_idx].time):
+            c = self._crashes[self._crash_idx]
+            self._crash_idx += 1
+            alive = [w for w in self._pool.values()
+                     if w.proc.is_alive() and w.kill_reason is None]
+            if alive:
+                self._kill(alive[c.rank % len(alive)],
+                           f"injected crash (rank {c.rank})")
+        # Liveness poll: a worker that exited without the driver
+        # killing it must not leave its reliable link waiting out
+        # the reconnect deadline — no process, no reconnect.
+        for w in self._pool.values():
+            if w.kill_reason is None and not w.proc.is_alive():
+                self._mark_dead(w)
+        if pol.heartbeat_interval is not None and self._hb:
+            self._check_heartbeats(sched, now)
+        if pol.task_timeout is not None:
+            from ...obs.timeline import FAULT_TIMEOUT
+            for wid, w in self._pool.items():
+                if w.kill_reason is not None:
                     continue
-                victim = alive[c.rank % len(alive)]
-                victim.kill_reason = f"injected crash (rank {c.rank})"
-                os.kill(victim.pid, signal.SIGKILL)
-                self._mark_dead(victim)
-            # Liveness poll: a worker that exited without the driver
-            # killing it must not leave its reliable link waiting out
-            # the reconnect deadline — no process, no reconnect.
-            for w in self._pool.values():
-                if w.kill_reason is None and not w.proc.is_alive():
-                    self._mark_dead(w)
-            if pol.heartbeat_interval is not None and self._hb:
-                self._check_heartbeats(sched, now)
-            if pol.task_timeout is not None:
-                for wid, w in list(self._pool.items()):
-                    if w.kill_reason is not None:
-                        continue
-                    ws = sched.workers.get(wid)
-                    if ws is None or not ws.alive:
-                        continue
-                    for tid in list(ws.inflight):
-                        sent = dispatched.get(tid)
-                        if sent is not None \
-                                and now - sent[1] > pol.task_timeout:
-                            from ...obs.timeline import FAULT_TIMEOUT
-                            rec.timeouts += 1
-                            w.kill_reason = (
-                                f"task {tid} exceeded "
-                                f"{pol.task_timeout}s timeout")
-                            fault_event(FAULT_TIMEOUT, tid,
-                                        w.kill_reason, rank=wid)
-                            os.kill(w.pid, signal.SIGKILL)
-                            self._mark_dead(w)
-                            break
-
-        stall_guard = 0
-
-        while True:
-            if failure is None and completed >= n_window:
-                break
-            if failure is not None and self._inflight == 0:
-                break
-
-            progressed = False
-            if failure is None:
-                for tid in ledger.pop_due(perf_counter()):
-                    sched.requeue([tid])
-                    progressed = True
-                fire_crashes_and_timeouts()
-                for wid in list(self._pool):
-                    while True:
-                        tid = sched.next_for(wid)
-                        if tid is None:
-                            break
-                        if dispatch(wid, tid):
-                            progressed = True
-                dtid = sched.next_driver()
-                if dtid is not None:
-                    # The driver lane: tasks touching driver-local
-                    # state run the same attempt body inline.
-                    t = tasks[dtid]
-                    ledger.arm(t)
-                    a = ledger.next_attempt(dtid)
-                    self._inflight += 1
-                    res = run_attempt(
-                        t, self.fns.get(dtid), a, injector=self.injector,
-                        tiles=self.tiles, sanitizer=self.sanitizer,
-                        scrub=pol.scrub_writes)
-                    self._inflight -= 1
-                    report(dtid, None, a,
-                           res._replace(t0=res.t0 - epoch,
-                                        t1=res.t1 - epoch), "drv", [])
-                    progressed = True
-
-            drained = False
-            while True:
-                try:
-                    kind_, wid, payload = self._events.get(
-                        block=not (progressed or drained),
-                        timeout=None if progressed or drained
-                        else self._wait_budget(ledger, pol.poll_interval))
-                except queue.Empty:
-                    if (failure is None and not progressed
-                            and self._inflight == 0 and not ledger.due):
-                        # Nothing out, nothing due, nothing dispatched
-                        # this pass: the bookkeeping wedged — fail
-                        # loudly instead of spinning forever.
-                        stall_guard += 1
-                        if stall_guard > 200:
-                            return RuntimeError(
-                                "process executor stalled with "
-                                f"{n_window - completed} task(s) "
-                                "unfinished and none ready — "
-                                "dependency bookkeeping bug")
-                    else:
-                        stall_guard = 0
-                    break
-                drained = True
-                stall_guard = 0
-                if kind_ == "eof":
-                    err = on_worker_death(wid)
-                    if err is not None and failure is None:
-                        failure = err
-                    continue
-                msg = payload
-                op = msg.get("op")
-                tid = msg.get("tid")
-                if op not in ("done", "fail") or tid is None:
-                    continue
-                if self._done.get(tid) or tid not in dispatched:
-                    continue  # stale reply (revoked or duplicated)
-                w = self._pool.get(wid)
-                if w is None:
-                    continue
-                self._inflight -= 1
-                del dispatched[tid]
-                off = w.clock_offset - epoch
-                report(tid, wid, int(msg.get("attempt", 0)),
-                       Attempt(msg["t0"] + off, msg["t1"] + off,
-                               msg["cpu"], msg.get("events") or [],
-                               msg["exc"] if op == "fail" else None,
-                               bool(msg.get("retryable"))),
-                       f"w{w.lane}", msg.get("side") or [])
-                if not self._events.qsize():
-                    break
-        return failure
-
-    # -- helpers -------------------------------------------------------
-
-    def _wait_budget(self, ledger: RetryLedger, poll: float) -> float:
-        budget = ledger.wait(poll)
-        assert budget is not None
-        if self._crash_idx < len(self._crashes) and self._epoch:
-            budget = min(budget, self._crashes[self._crash_idx].time
-                         - (perf_counter() - self._epoch))
+                for tid, (_, sent) in w.sent.items():
+                    if now - sent > pol.task_timeout:
+                        reason = (f"task {tid} exceeded "
+                                  f"{pol.task_timeout}s timeout")
+                        self.stats.recovery.timeouts += 1
+                        self._kill(w, reason)
+                        self._fault_event(FAULT_TIMEOUT, tid, reason,
+                                          rank=wid)
+                        break
+        if self._pool and sched.pending and not sched.alive_workers():
+            sched.add_worker(self._spawn_worker().wid)
+        budget = pol.poll_interval
+        if self._crash_idx < len(self._crashes):
+            budget = min(budget,
+                         self._crashes[self._crash_idx].time - elapsed)
         return max(0.001, budget)
+
+    def _kill(self, w: _Worker, reason: str) -> None:
+        w.kill_reason = reason
+        os.kill(w.pid, signal.SIGKILL)
+        self._mark_dead(w)
+
+    def _shut(self, failure: Optional[BaseException]) -> None:
+        self._shutdown_pool(force=failure is not None)
+        self.stats.comm_messages = self.comm_counters.total_messages
+        self.stats.comm_bytes = self.comm_counters.total_bytes

@@ -1,13 +1,22 @@
-"""Dynamic, event-driven task scheduling for the processes backend.
+"""Dynamic, event-driven task scheduling for both real backends.
 
-The model is dask-style central scheduling: the parent holds the
-recorded :class:`~repro.runtime.graph.TaskGraph` for one execution
-window and hands *ready* tasks (dependency count reached zero) to
-workers as completions stream back.  Three policies live here:
+The model is dask-style central scheduling: the driver
+(:class:`~repro.runtime.window.WindowExecutor`) holds the recorded
+:class:`~repro.runtime.graph.TaskGraph` for one execution window and
+hands *ready* tasks (dependency count reached zero) to lanes as
+completions stream back.  The processes backend registers one lane per
+forked worker; the threads backend registers a single lane whose
+``pipeline_depth`` is its pool size (shared memory needs no placement
+or stealing).  Four policies live here:
 
 * **Dependency counting** — each task carries the number of
   unfinished in-window predecessors; a completion decrements its
   successors and readiness is O(out-degree), never a graph rescan.
+* **Lookahead gate** — with ``lookahead=k`` a dependency-free task
+  enters the ready set only while its program phase (panel step) is at
+  most ``k`` past the oldest phase with unfinished tasks (SLATE's
+  bounded lookahead panels); later phases park and are released as the
+  completed prefix advances.  ``None`` keeps no phase state at all.
 * **Locality-aware placement** — each worker tracks the set of tile
   refs it has touched this window ("resident": warm in its cache).
   A newly-ready task goes to the alive worker whose resident set
@@ -70,15 +79,18 @@ class DynamicScheduler:
     ``worker_ok`` marks tasks eligible for worker processes; the rest
     ("driver tasks": scalar reductions and other tasks touching
     driver-local state) surface through :meth:`next_driver` and run
-    inline in the parent.
+    inline in the parent.  ``lookahead`` bounds how many phases past
+    the completed prefix may be ready (``None`` = dataflow order).
     """
 
     def __init__(self, tasks: Sequence[Task], start: int, end: int,
                  worker_ok: Dict[int, bool],
-                 pipeline_depth: int = 2):
+                 pipeline_depth: int = 2,
+                 lookahead: Optional[int] = None):
         self.start = start
         self.end = end
         self.pipeline = max(1, pipeline_depth)
+        self.lookahead = lookahead
         self.workers: Dict[int, WorkerState] = {}
         self._worker_ok = worker_ok
         #: tid -> number of unfinished in-window dependencies.
@@ -89,6 +101,17 @@ class DynamicScheduler:
         self._driver_ready: List[int] = []
         self._pool: List[int] = []          # ready, unassigned (heap)
         self._reads: Dict[int, Tuple[TileRef, ...]] = {}
+        if lookahead is not None:
+            #: Phase gate: tid -> phase, unfinished tasks per phase, the
+            #: window's phases in order, the index of the oldest open
+            #: one, and dependency-free tasks parked beyond the gate.
+            self._phase = {t.tid: t.phase for t in tasks[start:end]}
+            self._phase_left: Dict[int, int] = {}
+            for p in self._phase.values():
+                self._phase_left[p] = self._phase_left.get(p, 0) + 1
+            self._phases = sorted(self._phase_left)
+            self._prefix = 0
+            self._parked: Dict[int, List[int]] = {}
         for t in tasks[start:end]:
             deps = [d for d in t.deps if start <= d < end]
             self.indeg[t.tid] = len(deps)
@@ -132,10 +155,37 @@ class DynamicScheduler:
     # -- readiness -------------------------------------------------------
 
     def _make_ready(self, tid: int) -> None:
+        if self.lookahead is not None:
+            p = self._phase[tid]
+            if p > self._gate(p):
+                self._parked.setdefault(p, []).append(tid)
+                return
         if self._worker_ok.get(tid, False):
             heapq.heappush(self._pool, tid)
         else:
             heapq.heappush(self._driver_ready, tid)
+
+    def _gate(self, p: int) -> int:
+        """Latest phase currently admitted (``p`` itself once every
+        phase of the window has drained)."""
+        if self._prefix < len(self._phases):
+            return self._phases[self._prefix] + self.lookahead
+        return p
+
+    def _advance(self, tid: int) -> None:
+        """``tid`` finished: when that drains its phase, move the
+        completed prefix forward and release what the gate now admits."""
+        p = self._phase[tid]
+        self._phase_left[p] -= 1
+        if self._phase_left[p]:
+            return
+        while (self._prefix < len(self._phases)
+               and not self._phase_left[self._phases[self._prefix]]):
+            self._prefix += 1
+        limit = self._gate(p)
+        for q in [q for q in self._parked if q <= limit]:
+            for parked in self._parked.pop(q):
+                self._make_ready(parked)
 
     def requeue(self, tids: Iterable[int]) -> None:
         """Put previously-assigned (e.g. revoked) tasks back in the
@@ -149,20 +199,24 @@ class DynamicScheduler:
         return None
 
     def on_done(self, tid: int, wid: Optional[int] = None) -> List[int]:
-        """Record completion; returns the tids that just became ready."""
+        """Record completion; returns the tids whose last dependency
+        this was (ready now, or parked behind the lookahead gate)."""
         self.done.add(tid)
         if wid is not None:
             ws = self.workers.get(wid)
             if ws is not None:
                 ws.inflight.discard(tid)
                 ws.tasks_done += 1
-                ws.resident.update(self._reads.get(tid, ()))
+                if len(self.workers) > 1:  # locality only ranks lanes
+                    ws.resident.update(self._reads.get(tid, ()))
         newly = []
         for s in self.succ.get(tid, ()):
             self.indeg[s] -= 1
             if self.indeg[s] == 0:
                 self._make_ready(s)
                 newly.append(s)
+        if self.lookahead is not None:
+            self._advance(tid)
         return newly
 
     @property
@@ -181,8 +235,15 @@ class DynamicScheduler:
     def assign_ready(self) -> None:
         """Drain the ready pool into per-worker queues (locality-aware,
         lowest tid first)."""
+        if not self._pool:
+            return
         alive = self.alive_workers()
         if not alive:
+            return
+        if len(alive) == 1:  # nothing to choose between
+            queue = alive[0].queue
+            while self._pool:
+                queue.append(heapq.heappop(self._pool))
             return
         while self._pool:
             tid = heapq.heappop(self._pool)

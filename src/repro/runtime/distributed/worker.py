@@ -146,7 +146,7 @@ def worker_main(wid: int, lane: int, address: str, ex: Any,
         if ex._reliable:
             comm = ReliableComm(
                 comm, role="worker", wid=wid, address=address,
-                deadline=policy.net_deadline, seed=ex._plan_seed())
+                deadline=policy.net_deadline, seed=ex._seed)
             if policy.heartbeat_interval is not None:
                 threading.Thread(
                     target=_heartbeat_loop,

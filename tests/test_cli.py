@@ -52,9 +52,9 @@ class TestSimulateCommand:
         main(["simulate", "--n", "5000", "--max-tiles", "6",
               "--trace", trace])
         data = json.load(open(trace))
-        assert len(data["traceEvents"]) > 100
-        ev = data["traceEvents"][0]
-        assert {"name", "ph", "ts", "dur", "pid"} <= set(ev)
+        tasks = [e for e in data["traceEvents"] if e["ph"] == "X"]
+        assert len(tasks) > 100
+        assert {"name", "ph", "ts", "dur", "pid"} <= set(tasks[0])
 
     def test_unknown_machine(self):
         with pytest.raises(SystemExit):

@@ -155,27 +155,42 @@ class TestParallelExecutor:
             ex.run()
         assert order == list(range(8))
 
-    def test_lookahead_gates_phases(self):
-        # Two dataflow-independent tasks in consecutive phases: with
-        # lookahead=0 the phase-1 task must wait out phase 0.
-        g = _graph([((), (0,), 0), ((), (1,), 1)])
-        fns = {0: lambda: time.sleep(0.05), 1: lambda: None}
+    @staticmethod
+    def _phased_events(backend, lookahead):
+        """Four dataflow-independent 30 ms tasks in consecutive phases,
+        run by ``Runtime`` on ``backend`` with two workers (enough for
+        a second lane to be fed on the processes backend, whose lanes
+        are two dispatches deep); returns their TaskEvents by tid."""
+        from repro.dist import ProcessGrid
+        from repro.runtime import Runtime
+
         sink = TimelineSink()
-        with ParallelExecutor(g, fns, workers=2, lookahead=0,
-                              sink=sink) as ex:
-            ex.run()
-        ev = {e.tid: e for e in sink.tasks}
-        assert ev[1].start >= ev[0].end
+        with Runtime(ProcessGrid(1, 1), deferred=True, backend=backend,
+                     workers=2, lookahead=lookahead, sink=sink,
+                     sanitize=None) as rt:
+            a = DistMatrix(rt, 64, 16, 16, np.float64)
+            for i in range(4):
+                rt.submit(TaskKind.GEMM, writes=(a.ref(i, 0),), rank=0,
+                          fn=lambda: time.sleep(0.03))
+                rt.advance_phase()
+            rt.sync()
+        return {e.tid: e for e in sink.tasks}
+
+    def test_lookahead_gates_phases(self):
+        # With lookahead=0 every phase must wait out the one before —
+        # on every backend (worker clocks are aligned to ~a round trip).
+        for backend in ("threads", "processes"):
+            ev = self._phased_events(backend, 0)
+            for tid in range(1, 4):
+                assert ev[tid].start >= ev[tid - 1].end - 5e-3, backend
 
     def test_no_lookahead_overlaps_phases(self):
-        g = _graph([((), (0,), 0), ((), (1,), 1)])
-        fns = {0: lambda: time.sleep(0.05), 1: lambda: time.sleep(0.05)}
-        sink = TimelineSink()
-        with ParallelExecutor(g, fns, workers=2, sink=sink) as ex:
-            ex.run()
-        ev = {e.tid: e for e in sink.tasks}
-        # Both start before either finishes (true concurrency).
-        assert ev[1].start < max(ev[0].end, ev[1].end)
+        for backend in ("threads", "processes"):
+            ev = self._phased_events(backend, None)
+            # A later phase starts before phase 0 finishes (true
+            # concurrency across phases).
+            assert min(ev[t].start for t in range(1, 4)) < ev[0].end, \
+                backend
 
     def test_detects_missing_raw_edge_at_runtime(self):
         # Reader whose RAW edge was stripped races its writer; the

@@ -1,26 +1,26 @@
-"""Tests for the schedule post-mortem analysis (runtime.trace)."""
+"""Tests for the schedule post-mortem analysis (repro.obs views)."""
 
 import pytest
 
 from repro.dist import DistMatrix, ProcessGrid
 from repro.machines import summit
-from repro.runtime import Runtime, simulate
-from repro.runtime.scheduler import taskbased_config
-from repro.runtime.trace import (
+from repro.obs import (
+    TimelineSink,
     critical_path_kinds,
-    gantt_rows,
     kernel_breakdown,
     rank_utilization,
 )
+from repro.runtime import Runtime, simulate
+from repro.runtime.scheduler import taskbased_config
 from repro.tiled import geqrf
 
 
-def qr_schedule(keep_trace=False):
+def qr_schedule(sink=None):
     rt = Runtime(ProcessGrid(2, 2), numeric=False)
     a = DistMatrix(rt, 1024, 512, 128)
     geqrf(rt, a)
     cfg = taskbased_config(summit(), 2, 2, use_gpu=False)
-    return rt.graph, simulate(rt.graph, cfg, keep_trace=keep_trace)
+    return rt.graph, simulate(rt.graph, cfg, sink=sink)
 
 
 class TestKernelBreakdown:
@@ -77,16 +77,15 @@ class TestCriticalPath:
 
 class TestGantt:
     def test_rows_sorted_and_consistent(self):
-        _, r = qr_schedule(keep_trace=True)
-        rows = gantt_rows(r, limit=100)
+        # The sink's task events are the Gantt rows: one per task,
+        # matching the schedule's own accounting.
+        sink = TimelineSink()
+        _, r = qr_schedule(sink=sink)
+        assert len(sink.tasks) == r.task_count
+        rows = sorted(sink.tasks, key=lambda e: e.start)[:100]
         assert len(rows) == 100
-        starts = [s for _, _, s, _ in rows]
-        assert starts == sorted(starts)
-        for _rank, kind, s, f in rows:
-            assert f >= s
-            assert isinstance(kind, str)
-
-    def test_requires_trace(self):
-        _, r = qr_schedule(keep_trace=False)
-        with pytest.raises(ValueError):
-            gantt_rows(r)
+        for e in rows:
+            assert e.end >= e.start
+            assert isinstance(e.kind, str)
+            assert 0 <= e.rank < len(r.per_rank_busy)
+        assert max(e.end for e in sink.tasks) == pytest.approx(r.makespan)
