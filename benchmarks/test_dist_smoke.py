@@ -7,7 +7,7 @@ host speed: convergence, paper-level accuracy, bit-identity with the
 eager backend, zero in-flight attempts after the final sync, and zero
 shared-memory segments left in ``/dev/shm``.  No timing assertion —
 on a 1-core runner fork + IPC overhead legitimately dominates, and
-the perf trajectory is tracked by ``repro bench`` instead.
+the perf trajectory is tracked by ``python -m perfbench`` instead.
 """
 
 from __future__ import annotations

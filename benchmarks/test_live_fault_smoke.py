@@ -12,11 +12,10 @@ attempts after the final sync.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from repro.bench import write_result
+from repro.config import backward_error_bound
 from repro.core.tiled_qdwh import tiled_qdwh
 from repro.dist import DistMatrix, ProcessGrid
 from repro.matrices import generate_matrix, polar_report
@@ -70,8 +69,7 @@ def test_live_faults_threads4_converges(once):
     assert res.converged and not res.degraded
     assert res.iterations == res0.iterations
 
-    eps = np.finfo(np.float64).eps
-    tol = max(100.0 * eps * math.sqrt(COND), 10.0 * rep0.backward)
+    tol = max(backward_error_bound(np.float64, COND), 10.0 * rep0.backward)
     assert rep.backward <= tol
     assert rep.orthogonality < 5e-13
 

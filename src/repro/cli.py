@@ -12,9 +12,8 @@ Subcommands, mirroring how a downstream user would drive the library:
   ``--live`` runs the plan inside a real threaded QDWH instead of the
   simulator and gates on convergence + zero leaked attempts.
 * ``repro memory``              — feasibility limits from the footprint model.
-* ``repro bench``               — run the fixed perf-trajectory suite, write
-  versioned ``BENCH_*.json``, or compare two of them (``--compare``) with
-  improvement/noise/regression classification.
+* ``repro lint``                — static rules, TileSan and DistSan checked runs.
+* ``repro explore``             — model-check the scheduler's schedule space.
 * ``repro validate``            — run the acceptance matrix (paper claims).
 
 Run ``python -m repro.cli --help`` (or the ``repro`` console script).
@@ -93,6 +92,16 @@ def _print_recovery(schedule) -> None:
           f"{rec.recovery_bytes / 2**20:.1f} MiB recovery traffic")
 
 
+def _polar_metrics(run: str, res, rep) -> None:
+    from .obs import get_registry
+
+    reg = get_registry()
+    reg.counter(f"polar.runs.{run}").inc()
+    reg.counter("polar.iterations").inc(res.iterations)
+    reg.gauge("polar.orthogonality").set(rep.orthogonality)
+    reg.gauge("polar.backward_error").set(rep.backward)
+
+
 def _polar_input(args: argparse.Namespace) -> np.ndarray:
     """The input matrix: a .npy file or a generated test problem."""
     if args.generate is not None and args.matrix:
@@ -111,35 +120,63 @@ def _polar_input(args: argparse.Namespace) -> np.ndarray:
 
 
 def _live_recovery_from_args(args: argparse.Namespace, fault_plan):
-    """RecoveryPolicy from the polar/faults live-execution flags."""
-    if (getattr(args, "retries", None) is None
-            and getattr(args, "task_timeout", None) is None
+    """RecoveryPolicy from ``polar``'s live-execution flags."""
+    if (args.retries is None and args.task_timeout is None
             and fault_plan is None):
         return None
     from .resilience.live import RecoveryPolicy
 
     kw = {}
-    if getattr(args, "retries", None) is not None:
+    if args.retries is not None:
         kw["max_retries"] = args.retries
-    if getattr(args, "task_timeout", None) is not None:
+    if args.task_timeout is not None:
         kw["task_timeout"] = args.task_timeout
     if fault_plan is not None:
         kw["scrub_writes"] = bool(fault_plan.corruptions)
     return RecoveryPolicy(**kw)
 
 
-def _polar_tiled(args: argparse.Namespace, a: np.ndarray) -> int:
-    """``repro polar --backend eager|threads|processes``: tiled QDWH."""
+def _tiled_run(a: np.ndarray, nb: int, backend: str = "eager", workers=None,
+               *, grid=(1, 1), faults=None, recovery=None, sink=None,
+               recorder=None, sanitize=None, **qdwh_kw):
+    """The one tiled-run recipe behind ``polar``, ``faults --live`` and
+    ``lint``: fresh ``Runtime`` -> ``DistMatrix`` -> ``tiled_qdwh`` ->
+    leak census -> ``close`` -> ``polar_report``.
+
+    Returns ``(rt, res, rep, wall, leaked, leaked_shm)``; the closed
+    runtime still serves ``graph``, ``exec_stats`` and ``sanitizer``.
+    ``sanitize=None`` keeps the ``REPRO_SANITIZE`` default.
+    """
     import time
 
     from . import polar_report
     from .core.tiled_qdwh import tiled_qdwh
-    from .dist.grid import ProcessGrid
-    from .dist.matrix import DistMatrix
+    from .dist import DistMatrix, ProcessGrid
+    from .runtime import Runtime
+    from .runtime.distributed import scan_segments
+
+    rt_kw = {} if sanitize is None else {"sanitize": sanitize}
+    rt = Runtime(ProcessGrid(*grid), faults=faults, recovery=recovery,
+                 sink=sink, **rt_kw)
+    rt.dist_recorder = recorder
+    d = DistMatrix.from_array(rt, a, nb, name="A")
+    t0 = time.perf_counter()
+    res = tiled_qdwh(rt, d, backend=backend, workers=workers, **qdwh_kw)
+    wall = time.perf_counter() - t0
+    ex = rt._executor
+    leaked = ex.inflight_attempts if ex is not None else 0
+    shm_prefix = ex.store.prefix if hasattr(ex, "store") else None
+    rt.close()
+    leaked_shm = (len(scan_segments(shm_prefix))
+                  if shm_prefix is not None else 0)
+    rep = polar_report(a, res.u.to_array(), res.h.to_array())
+    return rt, res, rep, wall, leaked, leaked_shm
+
+
+def _polar_tiled(args: argparse.Namespace, a: np.ndarray) -> int:
+    """``repro polar --backend eager|threads|processes``: tiled QDWH."""
     from .obs import IterationLog
     from .obs.timeline import TimelineSink
-
-    from .runtime.executor import Runtime
     from .runtime.parallel import default_workers
 
     backend = args.backend
@@ -167,42 +204,14 @@ def _polar_tiled(args: argparse.Namespace, a: np.ndarray) -> int:
         checkpoint = QdwhCheckpointer(
             args.checkpoint_dir,
             CheckpointPolicy(every=args.checkpoint_every))
-
-    def run_once(nworkers: int, sink=None, live=False):
-        rt = Runtime(ProcessGrid(1, 1), numeric=True,
-                     deferred=parallel, workers=nworkers, sink=sink,
-                     faults=fault_plan if live else None,
-                     recovery=recovery if live else None)
-        d = DistMatrix.from_array(rt, a, args.nb, name="A")
-        log = IterationLog() if args.iter_log else None
-        kw = {}
-        if args.max_iter is not None:
-            kw["max_iter"] = args.max_iter
-        t0 = time.perf_counter()
-        res = tiled_qdwh(rt, d, backend=backend, workers=nworkers,
-                         iter_log=log,
-                         checkpoint=checkpoint if live else None, **kw)
-        wall = time.perf_counter() - t0
-        stats = rt.exec_stats
-        ex = rt._executor
-        leaked = ex.inflight_attempts if ex is not None else 0
-        shm_prefix = (ex.store.prefix
-                      if ex is not None and hasattr(ex, "store") else None)
-        graph = rt.graph
-        rt.close()
-        leaked_shm = 0
-        if shm_prefix is not None:
-            from .runtime.distributed import scan_segments
-
-            leaked_shm = len(scan_segments(shm_prefix))
-        return res, wall, log, stats, leaked, leaked_shm, graph
+    kw = {} if args.max_iter is None else {"max_iter": args.max_iter}
 
     sink = TimelineSink() if parallel else None
-    res, wall, log, stats, leaked, leaked_shm, rt_graph = \
-        run_once(workers, sink, live=True)
-    u = res.u.to_array()
-    h = res.h.to_array()
-    rep = polar_report(a, u, h)
+    log = IterationLog() if args.iter_log else None
+    rt, res, rep, wall, leaked, leaked_shm = _tiled_run(
+        a, args.nb, backend, workers, faults=fault_plan, recovery=recovery,
+        sink=sink, iter_log=log, checkpoint=checkpoint, **kw)
+    stats = rt.exec_stats
 
     print(f"backend={backend} workers={workers if parallel else 1} "
           f"nb={args.nb} n={a.shape[1]} "
@@ -250,7 +259,7 @@ def _polar_tiled(args: argparse.Namespace, a: np.ndarray) -> int:
                              "task timeline)")
         from .obs.critical_path import critical_path, occupancy
 
-        cp = critical_path(rt_graph, sink.tasks)
+        cp = critical_path(rt.graph, sink.tasks)
         print(cp.format(), end="")
         for lane in occupancy(sink.tasks):
             print(f"  lane {lane.slot}: {lane.tasks} tasks | "
@@ -261,7 +270,7 @@ def _polar_tiled(args: argparse.Namespace, a: np.ndarray) -> int:
     if parallel and workers > 1 and not args.no_baseline:
         from .perf.report import parallel_efficiency
 
-        _, wall1, _, _, _, _, _ = run_once(1)
+        wall1 = _tiled_run(a, args.nb, backend, 1, **kw)[3]
         eff = parallel_efficiency({1: wall1, workers: wall})
         print(f"baseline workers=1: {wall1:.3f} s | speedup "
               f"{wall1 / wall if wall else float('inf'):.2f}x | "
@@ -276,16 +285,12 @@ def _polar_tiled(args: argparse.Namespace, a: np.ndarray) -> int:
     if args.metrics_json:
         from .obs import get_registry
 
-        reg = get_registry()
-        reg.counter(f"polar.runs.tiled_{backend}").inc()
-        reg.counter("polar.iterations").inc(res.iterations)
-        reg.gauge("polar.orthogonality").set(rep.orthogonality)
-        reg.gauge("polar.backward_error").set(rep.backward)
+        _polar_metrics(f"tiled_{backend}", res, rep)
         if parallel:
-            reg.gauge("polar.wall_seconds").set(wall)
+            get_registry().gauge("polar.wall_seconds").set(wall)
         _dump_metrics(args.metrics_json)
     if args.output:
-        np.savez(args.output, u=u, h=h)
+        np.savez(args.output, u=res.u.to_array(), h=res.h.to_array())
         print(f"factors saved to {args.output}")
     return 0
 
@@ -323,14 +328,6 @@ def cmd_polar(args: argparse.Namespace) -> int:
         kwargs["max_iter"] = args.max_iter
     res = polar(a, method=args.method, iter_log=log, **kwargs)
     rep = polar_report(a, res.u, res.h)
-    if args.metrics_json:
-        from .obs import get_registry
-
-        reg = get_registry()
-        reg.counter(f"polar.runs.{args.method}").inc()
-        reg.counter("polar.iterations").inc(res.iterations)
-        reg.gauge("polar.orthogonality").set(rep.orthogonality)
-        reg.gauge("polar.backward_error").set(rep.backward)
     print(f"method={args.method} iterations={res.iterations}")
     print(f"orthogonality={rep.orthogonality:.3e} "
           f"backward={rep.backward:.3e}")
@@ -340,6 +337,7 @@ def cmd_polar(args: argparse.Namespace) -> int:
         np.savez(args.output, u=res.u, h=res.h)
         print(f"factors saved to {args.output}")
     if args.metrics_json:
+        _polar_metrics(args.method, res, rep)
         _dump_metrics(args.metrics_json)
     return 0
 
@@ -428,17 +426,12 @@ def _faults_live(args: argparse.Namespace) -> int:
     rank crashes are real: the target worker is SIGKILLed and its
     in-flight work replayed onto the survivors.
     """
-    import math
-
-    from . import polar_report
-    from .core.tiled_qdwh import tiled_qdwh
-    from .dist import DistMatrix, ProcessGrid
+    from .config import backward_error_bound
     from .matrices import generate_matrix
     from .obs import TimelineSink
     from .perf.report import recovery_report
     from .resilience import plan_from_spec
     from .resilience.live import RecoveryPolicy
-    from .runtime import Runtime
 
     backend = args.backend
     processes = backend == "processes"
@@ -479,31 +472,13 @@ def _faults_live(args: argparse.Namespace) -> int:
     a = generate_matrix(args.live_n, cond=args.cond, seed=args.fault_seed)
 
     sink = TimelineSink()
-    rt = Runtime(ProcessGrid(1, 1), faults=plan, recovery=pol, sink=sink)
-    d = DistMatrix.from_array(rt, a, args.live_nb, name="A")
-    res = tiled_qdwh(rt, d, backend=backend, workers=args.workers)
-    rep = polar_report(a, d.to_array(), res.h.to_array())
+    rt, res, rep, _, leaked, leaked_shm = _tiled_run(
+        a, args.live_nb, backend, args.workers, faults=plan, recovery=pol,
+        sink=sink)
     stats = rt.exec_stats
-    ex = rt._executor
-    leaked = ex.inflight_attempts if ex is not None else 0
-    shm_prefix = (ex.store.prefix
-                  if ex is not None and hasattr(ex, "store") else None)
-    rt.close()
-    leaked_shm = 0
-    if shm_prefix is not None:
-        from .runtime.distributed import scan_segments
+    _, res0, rep0, *_ = _tiled_run(a, args.live_nb)
 
-        leaked_shm = len(scan_segments(shm_prefix))
-
-    rt0 = Runtime(ProcessGrid(1, 1))
-    d0 = DistMatrix.from_array(rt0, a, args.live_nb, name="A")
-    res0 = tiled_qdwh(rt0, d0)
-    rep0 = polar_report(a, d0.to_array(), res0.h.to_array())
-    rt0.close()
-
-    eps = float(np.finfo(a.dtype).eps)
-    tol = max(1e3 * eps, 100.0 * eps * math.sqrt(args.cond),
-              10.0 * rep0.backward)
+    tol = max(backward_error_bound(a.dtype, args.cond), 10.0 * rep0.backward)
     ok = (res.converged and leaked == 0 and leaked_shm == 0
           and rep.backward <= tol)
     print(f"live fault smoke: backend={backend} n={args.live_n} "
@@ -630,60 +605,6 @@ def cmd_memory(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    """``repro bench``: the perf-trajectory harness.
-
-    Without ``--compare``, runs the fixed measurement suite (default or
-    ``--smoke``) and writes schema-versioned ``BENCH_qdwh.json`` +
-    ``BENCH_scaling.json`` to ``--out-dir``.  With ``--compare OLD
-    NEW``, classifies every overlapping cell as improvement / noise /
-    regression using repeat-run variance and exits non-zero on any
-    regression (the CI gate).
-    """
-    from .obs.bench import (
-        compare_bench,
-        default_suite,
-        load_bench,
-        run_suite,
-        smoke_suite,
-        write_bench,
-    )
-
-    if args.compare:
-        old_path, new_path = args.compare
-        rep = compare_bench(load_bench(old_path), load_bench(new_path),
-                            threshold=args.threshold)
-        print(rep.format(), end="")
-        return 0 if rep.ok else 1
-
-    suite = (smoke_suite(repeats=args.repeats, seed=args.seed)
-             if args.smoke
-             else default_suite(repeats=args.repeats, seed=args.seed))
-    print(f"bench: {suite.name} suite, {len(suite.cells)} cell(s), "
-          f"{suite.warmup} warmup + {suite.repeats} timed repeat(s) each")
-    run = run_suite(suite, progress=print)
-    for path in write_bench(run, out_dir=args.out_dir):
-        print(f"wrote {path}")
-
-    key = run.flagship_key()
-    if key is not None:
-        cp = run.qdwh["cells"][key].get("critical_path")
-        if cp:
-            print(f"critical path [{key}]: {cp['chain_tasks']} tasks | "
-                  f"{cp['task_s']:.4f} s on task + {cp['wait_s']:.4f} s "
-                  f"waiting vs {cp['makespan_s']:.4f} s makespan "
-                  f"({cp['reconciliation'] * 100:.2f}% off)")
-        if args.chrome_trace:
-            from .obs.export import write_chrome_trace
-
-            write_chrome_trace(run.sinks[key], args.chrome_trace)
-            print(f"measured chrome trace [{key}] written to "
-                  f"{args.chrome_trace}")
-    if args.metrics_json:
-        _dump_metrics(args.metrics_json)
-    return 0
-
-
 def cmd_validate(args: argparse.Namespace) -> int:
     from .validation import validate_all
 
@@ -708,28 +629,18 @@ def _lint_static(args: argparse.Namespace) -> int:
 def _lint_sanitize(args: argparse.Namespace) -> int:
     import warnings
 
-    import numpy as np
-
     from .analysis.sanitizer import SanitizerWarning
-    from .core.tiled_qdwh import tiled_qdwh
-    from .dist import DistMatrix, ProcessGrid
     from .matrices import generate_matrix
-    from .runtime import Runtime
 
-    a = generate_matrix(args.n, cond=args.cond, dtype=np.float64,
-                        seed=args.seed)
+    a = generate_matrix(args.n, cond=args.cond, seed=args.seed)
     dirty = 0
     for backend in ("eager", "threads"):
-        rt = Runtime(ProcessGrid(2, 2), sanitize="warn")
-        da = DistMatrix.from_array(rt, a.copy(), args.nb)
         with warnings.catch_warnings():
             # Findings are collected on the sanitizer; the per-finding
             # warnings would only duplicate the report below.
             warnings.simplefilter("ignore", SanitizerWarning)
-            tiled_qdwh(rt, da, backend=backend,
-                       workers=args.workers if backend == "threads"
-                       else None)
-            rt.sync()
+            rt = _tiled_run(a, args.nb, backend, args.workers,
+                            grid=(2, 2), sanitize="warn")[0]
         san = rt.sanitizer
         races = rt.graph.check_races(footprints=san.footprints(),
                                      raise_on_error=False)
@@ -737,12 +648,10 @@ def _lint_sanitize(args: argparse.Namespace) -> int:
             print(f"  {backend}: {f.message()}")
         for r in races:
             print(f"  {backend}: {r.message()}")
-        summary = san.summary()
-        print(f"tilesan[{backend}]: {summary.pop('tasks_checked')} task(s) "
+        print(f"tilesan[{backend}]: {san.summary()['tasks_checked']} task(s) "
               f"checked, {len(san.findings)} finding(s), "
               f"{len(races)} race(s)")
         dirty += len(san.findings) + len(races)
-        rt.close()
     return 1 if dirty else 0
 
 
@@ -767,45 +676,29 @@ def _distsan_trace(findings, path: str) -> None:
 def _lint_dist(args: argparse.Namespace) -> int:
     """Record a processes-backend QDWH run, then check it with the
     DistSan happens-before, refcount and protocol checkers."""
-    import numpy as np
-
     from .analysis.dist import audit_refcounts, check_frames, check_hb
-    from .core.tiled_qdwh import tiled_qdwh
-    from .dist import DistMatrix, ProcessGrid
     from .matrices import generate_matrix
-    from .runtime import Runtime
     from .runtime.distributed.events import DistTraceRecorder
 
-    a = generate_matrix(args.n, cond=args.cond, dtype=np.float64,
-                        seed=args.seed)
+    a = generate_matrix(args.n, cond=args.cond, seed=args.seed)
+    faults = recovery = None
     if getattr(args, "chaos", False):
         from .resilience import FaultPlan
         from .resilience.live import RecoveryPolicy
         from .resilience.net import default_chaos_plan
 
-        rt = Runtime(ProcessGrid(2, 2),
-                     faults=FaultPlan(seed=args.seed,
-                                      net=default_chaos_plan(args.seed)),
-                     recovery=RecoveryPolicy())
-    else:
-        rt = Runtime(ProcessGrid(2, 2))
+        faults = FaultPlan(seed=args.seed, net=default_chaos_plan(args.seed))
+        recovery = RecoveryPolicy()
     recorder = DistTraceRecorder()
-    rt.dist_recorder = recorder
-    da = DistMatrix.from_array(rt, a.copy(), args.nb)
-    tiled_qdwh(rt, da, backend="processes", workers=args.workers)
-    rt.sync()
-    tasks = list(rt.graph.tasks)
-    rt.close()
-
-    hb = check_hb(recorder, tasks)
+    rt = _tiled_run(a, args.nb, "processes", args.workers, grid=(2, 2),
+                    faults=faults, recovery=recovery, recorder=recorder)[0]
+    hb = check_hb(recorder, list(rt.graph.tasks))
     refs = audit_refcounts(recorder)
     proto = check_frames(recorder)
-    for f in hb:
-        print(f"  hb: {f.message()}")
-    for f in refs:
-        print(f"  refcount: {f.message()}")
-    for f in proto:
-        print(f"  protocol: {f.message()}")
+    found = ([("hb", f) for f in hb] + [("refcount", f) for f in refs]
+             + [("protocol", f) for f in proto])
+    for checker, f in found:
+        print(f"  {checker}: {f.message()}")
     s = recorder.summary()
     print(f"distsan[processes]: {s.get('dispatch', 0)} dispatch(es), "
           f"{s.get('driver', 0)} driver task(s), {s.get('pin', 0)} shm "
@@ -813,11 +706,8 @@ def _lint_dist(args: argparse.Namespace) -> int:
           f"{len(hb)} hb + {len(refs)} refcount + {len(proto)} protocol "
           f"finding(s)")
     if getattr(args, "chrome_trace", None):
-        _distsan_trace([("hb", f) for f in hb]
-                       + [("refcount", f) for f in refs]
-                       + [("protocol", f) for f in proto],
-                       args.chrome_trace)
-    return 1 if hb or refs or proto else 0
+        _distsan_trace(found, args.chrome_trace)
+    return 1 if found else 0
 
 
 def cmd_lint(args: argparse.Namespace) -> int:
@@ -874,6 +764,18 @@ def cmd_explore(args: argparse.Namespace) -> int:
         _distsan_trace([("explore", f) for f in findings],
                        args.chrome_trace)
     return rc
+
+
+def _add_point_args(p: argparse.ArgumentParser, n: int) -> None:
+    """The simulated-point flags ``simulate``, ``trace`` and ``faults`` share."""
+    p.add_argument("--machine", default="summit")
+    p.add_argument("--nodes", type=int, default=1)
+    p.add_argument("--n", type=int, default=n)
+    p.add_argument("--impl", default="slate_gpu",
+                   choices=["slate_gpu", "slate_cpu", "scalapack"])
+    p.add_argument("--cond", type=float, default=1e16)
+    p.add_argument("--nb", type=int, default=None)
+    p.add_argument("--max-tiles", type=int, default=16)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -962,14 +864,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_polar)
 
     p = sub.add_parser("simulate", help="one simulated performance point")
-    p.add_argument("--machine", default="summit")
-    p.add_argument("--nodes", type=int, default=1)
-    p.add_argument("--n", type=int, default=40_000)
-    p.add_argument("--impl", default="slate_gpu",
-                   choices=["slate_gpu", "slate_cpu", "scalapack"])
-    p.add_argument("--cond", type=float, default=1e16)
-    p.add_argument("--nb", type=int, default=None)
-    p.add_argument("--max-tiles", type=int, default=16)
+    _add_point_args(p, n=40_000)
     p.add_argument("--trace", help="write a chrome://tracing JSON here")
     p.add_argument("--fault-plan",
                    help="inject faults from this JSON plan "
@@ -984,14 +879,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "trace", help="simulate a point with full timeline capture")
-    p.add_argument("--machine", default="summit")
-    p.add_argument("--nodes", type=int, default=1)
-    p.add_argument("--n", type=int, default=40_000)
-    p.add_argument("--impl", default="slate_gpu",
-                   choices=["slate_gpu", "slate_cpu", "scalapack"])
-    p.add_argument("--cond", type=float, default=1e16)
-    p.add_argument("--nb", type=int, default=None)
-    p.add_argument("--max-tiles", type=int, default=16)
+    _add_point_args(p, n=40_000)
     p.add_argument("--lookahead", type=int, default=None,
                    help="lookahead window (task-based impls)")
     p.add_argument("--chrome-trace",
@@ -1007,14 +895,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "faults",
         help="fault-injected run vs. baseline + checkpoint trade-off")
-    p.add_argument("--machine", default="summit")
-    p.add_argument("--nodes", type=int, default=1)
-    p.add_argument("--n", type=int, default=20_000)
-    p.add_argument("--impl", default="slate_gpu",
-                   choices=["slate_gpu", "slate_cpu", "scalapack"])
-    p.add_argument("--cond", type=float, default=1e16)
-    p.add_argument("--nb", type=int, default=None)
-    p.add_argument("--max-tiles", type=int, default=16)
+    _add_point_args(p, n=20_000)
     p.add_argument("--fault-plan", help="load the fault plan from this "
                                         "JSON file (overrides the spec "
                                         "flags below)")
@@ -1149,38 +1030,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write findings to a chrome trace as instant "
                         "events")
     p.set_defaults(fn=cmd_explore)
-
-    p = sub.add_parser(
-        "bench",
-        help="measure the fixed perf suite into BENCH_*.json, or "
-             "compare two of them with regression gating")
-    p.add_argument("--smoke", action="store_true",
-                   help="run the small CI suite (a strict subset of the "
-                        "default suite, so comparisons overlap)")
-    p.add_argument("--repeats", type=int, default=3,
-                   help="timed repeats per cell; the median is the "
-                        "recorded makespan and the spread feeds the "
-                        "compare noise model (default 3)")
-    p.add_argument("--seed", type=int, default=0,
-                   help="matrix-generator / fault-plan seed (default 0)")
-    p.add_argument("--out-dir", default=".",
-                   help="directory receiving BENCH_qdwh.json and "
-                        "BENCH_scaling.json (default: current dir)")
-    p.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"),
-                   default=None,
-                   help="compare two BENCH_qdwh.json files instead of "
-                        "measuring; exits 1 on any regression beyond "
-                        "the threshold/noise gate")
-    p.add_argument("--threshold", type=float, default=0.25,
-                   help="relative median slowdown that fails --compare "
-                        "(default 0.25; widened by repeat noise and 2x "
-                        "on environment mismatch)")
-    p.add_argument("--chrome-trace", default=None, metavar="PATH",
-                   help="also export the flagship threads cell's "
-                        "measured timeline as a Perfetto trace")
-    p.add_argument("--metrics-json",
-                   help="dump the metrics registry snapshot to this path")
-    p.set_defaults(fn=cmd_bench)
 
     p = sub.add_parser("validate",
                        help="run the paper-claim acceptance matrix")

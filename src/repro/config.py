@@ -88,3 +88,18 @@ def qdwh_inner_tolerance(dtype) -> float:
 def qdwh_weight_tolerance(dtype) -> float:
     """``5*eps`` — tolerance on |L_i - 1| (Alg. 1 line 22)."""
     return 5.0 * eps(dtype)
+
+
+def backward_error_bound(dtype, cond: float) -> float:
+    """``max(1e3*eps, 100*eps*sqrt(cond))`` — acceptance bound on the
+    backward error ``||A - U H||_F / ||A||_F`` of a polar factorization.
+
+    The tiled driver seeds its scaling interval from norm *estimates*
+    (norm2est / condest), so at extreme kappa the backward error picks
+    up an O(eps * sqrt(kappa)) term the exact-norm dense path avoids
+    (observed ~30 eps sqrt(kappa) at kappa = 1/eps on small rectangular
+    problems); 100x budgets that, and the ``1e3*eps`` floor covers
+    well-conditioned inputs.
+    """
+    e = eps(dtype)
+    return max(1e3 * e, 100.0 * e * float(np.sqrt(cond)))

@@ -49,6 +49,9 @@ def norm2est(a: np.ndarray, tol: float = NORM2EST_TOL,
     amax = float(np.max(np.abs(a)))
     if amax == 0.0:
         return 0.0
+    if not np.isfinite(amax):
+        # Rescaling by a NaN/Inf amax would recurse forever.
+        raise ValueError("input matrix contains non-finite entries")
     if not (2 ** -100 < amax < 2 ** 100):
         return amax * norm2est((a / a.dtype.type(amax)), tol, max_iter)
     # Line 6-8: start from the global column sums (1-norms per column).

@@ -22,6 +22,7 @@ if TYPE_CHECKING:
     from ..resilience.checkpoint import QdwhCheckpointer
 
 from ..config import (
+    QDWH_CHOLESKY_SWITCH,
     QDWH_HARD_ITERATION_CAP,
     check_dtype,
     qdwh_inner_tolerance,
@@ -185,6 +186,8 @@ def qdwh(a: np.ndarray, *,
     if n == 0:
         return QdwhResult(u=a.copy(), h=np.zeros((0, 0), dtype=dt),
                           iterations=0, it_qr=0, it_chol=0)
+    if not np.isfinite(a).all():
+        raise ValueError("input matrix contains non-finite entries")
 
     a_orig = a
 
@@ -257,7 +260,8 @@ def qdwh(a: np.ndarray, *,
         l_enter = li
         wa, wb, wc, li = dynamical_weights(li)
         prev = ak
-        if wc > 100.0:
+        use_qr = wc > QDWH_CHOLESKY_SWITCH
+        if use_qr:
             ak = _qr_iteration(ak, wa, wb, wc)
             it_qr += 1
         else:
@@ -268,7 +272,7 @@ def qdwh(a: np.ndarray, *,
         weight_history.append((wa, wb, wc))
         it += 1
         if iter_log is not None:
-            iter_log.record(variant="qr" if wc > 100.0 else "chol",
+            iter_log.record(variant="qr" if use_qr else "chol",
                             a=wa, b=wb, c=wc, L=l_enter, L_next=li,
                             conv=conv)
         if checkpoint is not None and checkpoint.due(it):

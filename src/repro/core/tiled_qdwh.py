@@ -32,6 +32,7 @@ if TYPE_CHECKING:
     from ..resilience.checkpoint import QdwhCheckpointer
 
 from ..config import (
+    QDWH_CHOLESKY_SWITCH,
     QDWH_HARD_ITERATION_CAP,
     qdwh_inner_tolerance,
     qdwh_weight_tolerance,
@@ -627,9 +628,9 @@ def _tiled_qdwh_impl(rt: Runtime, a: DistMatrix, *,
                 break
             l_enter = li
             wa, wb, wc, li = dynamical_weights(li)
-            variant = "qr" if wc > 100.0 else "chol"
+            variant = "qr" if wc > QDWH_CHOLESKY_SWITCH else "chol"
             copy(rt, a, prev)
-            if wc > 100.0:
+            if variant == "qr":
                 _qr_iteration(rt, a, wa, wb, wc)
                 it_qr += 1
             else:

@@ -14,23 +14,8 @@ The subsystem every performance claim in this repo reports through:
   convergence, condition estimate, flops).
 * :mod:`.critical_path` — profiler views over *measured* runs:
   executed critical chain, CPM slack, worker-lane occupancy.
-* :mod:`.bench` — the ``repro bench`` perf-trajectory harness:
-  fixed suite, versioned ``BENCH_*.json``, regression compare.
 """
 
-from .bench import (
-    BENCH_SCHEMA,
-    BenchCell,
-    BenchSuite,
-    compare_bench,
-    default_suite,
-    env_fingerprint,
-    load_bench,
-    machine_calibration,
-    run_suite,
-    smoke_suite,
-    write_bench,
-)
 from .critical_path import (
     CriticalPathReport,
     LaneStats,
@@ -77,17 +62,6 @@ from .timeline import (
 )
 
 __all__ = [
-    "BENCH_SCHEMA",
-    "BenchCell",
-    "BenchSuite",
-    "compare_bench",
-    "default_suite",
-    "env_fingerprint",
-    "load_bench",
-    "machine_calibration",
-    "run_suite",
-    "smoke_suite",
-    "write_bench",
     "CriticalPathReport",
     "LaneStats",
     "PathSegment",

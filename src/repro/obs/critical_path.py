@@ -101,8 +101,8 @@ class CriticalPathReport:
         return abs(self.total - self.makespan) / self.makespan
 
     def format(self, max_rows: int = 12) -> str:
-        """Human-readable report (the ``repro bench`` / ``repro polar
-        --critical-path`` rendering)."""
+        """Human-readable report (the ``repro polar --critical-path``
+        rendering)."""
         from ..bench.tables import format_table
         if not self.segments:
             return "critical path: empty timeline\n"

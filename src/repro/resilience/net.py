@@ -348,7 +348,7 @@ class NetFaultPlan:
 def default_chaos_plan(seed: int = 0,
                        partition_wids: Tuple[int, ...] = (2,),
                        cut_wid: int = 0) -> NetFaultPlan:
-    """The CI chaos-smoke net plan: background drops, duplicates and
+    """The CI chaos smoke net plan: background drops, duplicates and
     delays, one corrupt frame, one mid-run partition, one mid-stream
     connection cut.  The matching process fault (one SIGKILL) comes
     from the surrounding :class:`FaultPlan` — which by default kills

@@ -21,7 +21,7 @@ Lifecycle rules (all enforced here):
   shutdown never warns about leaked ``/dev/shm`` entries.
 
 Segment names are deliberately explicit and prefixed
-(``repro{pid}x{nonce}_{seq}``) so tests and the CI ``dist-smoke`` job
+(``repro{pid}x{nonce}_{seq}``) so tests and the CI ``smoke`` job
 can *scan* ``/dev/shm`` for leaks by prefix rather than trusting
 internal bookkeeping.
 """

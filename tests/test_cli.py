@@ -272,30 +272,3 @@ class TestPolarObservability:
         with pytest.raises(SystemExit):
             main(["polar", matrix_file, "--backend", "eager",
                   "--critical-path"])
-
-
-class TestBenchCommand:
-    def test_smoke_suite_writes_versioned_json(self, tmp_path, capsys):
-        out = str(tmp_path / "bench")
-        assert main(["bench", "--smoke", "--repeats", "1",
-                     "--out-dir", out]) == 0
-        text = capsys.readouterr().out
-        assert "critical path [" in text
-        qdwh = json.load(open(f"{out}/BENCH_qdwh.json"))
-        scaling = json.load(open(f"{out}/BENCH_scaling.json"))
-        assert qdwh["schema"].startswith("repro-bench/")
-        assert qdwh["topic"] == "qdwh"
-        assert scaling["topic"] == "scaling"
-        assert scaling["series"]
-        for rec in qdwh["cells"].values():
-            assert rec["makespan_s"] > 0.0
-            assert rec["converged"]
-        fault = [r for r in qdwh["cells"].values() if r["fault_cell"]]
-        # One fault cell per parallel backend.
-        assert sorted(r["backend"] for r in fault) == \
-            ["processes", "threads"]
-        for rec in fault:
-            assert "overhead_vs_clean" in rec
-        # Self-compare of a fresh run must pass the regression gate.
-        assert main(["bench", "--compare", f"{out}/BENCH_qdwh.json",
-                     f"{out}/BENCH_qdwh.json"]) == 0

@@ -55,3 +55,18 @@ class TestTolerances:
     def test_is_complex(self):
         assert config.is_complex(np.complex128)
         assert not config.is_complex(np.float64)
+
+
+class TestBackwardErrorBound:
+    @pytest.mark.parametrize("dtype,cond,expected", [
+        (np.float64, 1.0, 1e3 * 2 ** -52),
+        (np.float64, 1e8, 1e6 * 2 ** -52),
+        (np.float64, 1e16, 1e10 * 2 ** -52),
+        (np.float32, 1.0, 1e3 * 2 ** -23),
+        (np.float32, 1e8, 1e6 * 2 ** -23),
+        (np.float32, 1e16, 1e10 * 2 ** -23),
+    ])
+    def test_pinned_values(self, dtype, cond, expected):
+        """max(1e3 eps, 100 eps sqrt(cond)): the floor wins at cond=1."""
+        assert config.backward_error_bound(dtype, cond) == \
+            pytest.approx(expected)

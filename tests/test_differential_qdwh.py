@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import qdwh
+from repro.config import backward_error_bound
 from repro.core.tiled_qdwh import tiled_qdwh
 from repro.dist import DistMatrix
 from repro.matrices import generate_matrix, polar_report
@@ -37,14 +38,8 @@ BERR_TOL = {np.float32: 1e-3, np.complex64: 1e-3,
 
 
 def _berr_tol(dtype, cond):
-    # The tiled driver seeds its scaling interval from norm *estimates*
-    # (norm2est / condest), so at extreme kappa the backward error picks
-    # up an O(eps * sqrt(kappa)) term the exact-norm dense path avoids
-    # (observed ~30 eps sqrt(kappa) at kappa = 1/eps on small
-    # rectangular problems).  Budget 100x that; at moderate kappa the
-    # flat per-dtype floor dominates.
-    eps = float(np.finfo(np.dtype(dtype)).eps)
-    return max(BERR_TOL[dtype], 100.0 * eps * float(np.sqrt(cond)))
+    # At moderate kappa the flat per-dtype floor dominates.
+    return max(BERR_TOL[dtype], backward_error_bound(dtype, cond))
 
 
 def _svd_polar(a):

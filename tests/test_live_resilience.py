@@ -9,12 +9,12 @@ fault-free baseline — recovery must be invisible in the numerics.
 """
 
 import json
-import math
 import warnings
 
 import numpy as np
 import pytest
 
+from repro.config import backward_error_bound
 from repro.core.tiled_qdwh import tiled_qdwh
 from repro.dist import DistMatrix, ProcessGrid
 from repro.matrices import generate_matrix, polar_report
@@ -337,8 +337,7 @@ class TestQdwhUnderLiveFaults:
         assert res.converged and not res.degraded
         assert res.iterations == it0
         rep = polar_report(a, d.to_array(), res.h.to_array())
-        eps = np.finfo(np.float64).eps
-        assert rep.backward < 100.0 * eps * math.sqrt(self.COND)
+        assert rep.backward < backward_error_bound(np.float64, self.COND)
         rec = rt.exec_stats.recovery
         assert rec.transient_failures >= 3
         assert rec.injected_stalls >= 1
@@ -564,8 +563,8 @@ class TestAcceptanceScenario:
         rt.close()
 
         assert res.converged
-        eps = np.finfo(np.float64).eps
-        tol = max(100.0 * eps * math.sqrt(cond), 10.0 * rep0.backward)
+        tol = max(backward_error_bound(np.float64, cond),
+                  10.0 * rep0.backward)
         assert rep.backward <= tol
         assert rec.transient_failures >= 3
         assert rec.retried_tasks >= 3

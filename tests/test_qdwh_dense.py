@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro import qdwh
+from repro import norm2est, polar, qdwh
 from repro.config import eps
+from repro.core.tiled_qdwh import tiled_qdwh
+from repro.dist import DistMatrix
 from repro.matrices import (
     SingularValueMode,
     generate_matrix,
@@ -14,6 +16,8 @@ from repro.matrices import (
     polar_report,
     well_conditioned,
 )
+
+from .conftest import make_runtime
 
 ALL_DTYPES = [np.float32, np.float64, np.complex64, np.complex128]
 
@@ -131,6 +135,11 @@ class TestOptions:
             qdwh(np.eye(4), cond_est=0.1)
 
 
+def _eager_tiled(a):
+    with make_runtime(1, 1) as rt:
+        return tiled_qdwh(rt, DistMatrix.from_array(rt, a, 4))
+
+
 class TestEdgeCases:
     def test_rejects_wide(self):
         with pytest.raises(ValueError):
@@ -143,6 +152,16 @@ class TestEdgeCases:
     def test_rejects_integer_dtype(self):
         with pytest.raises(TypeError):
             qdwh(np.ones((4, 4), dtype=np.int64))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("driver", [qdwh, polar, norm2est, _eager_tiled])
+    def test_rejects_non_finite(self, driver, bad):
+        """One NaN/Inf entry is a clear error on every path, not a
+        RecursionError out of norm2est's rescaling guard."""
+        a = np.random.default_rng(3).standard_normal((12, 8))
+        a[5, 2] = bad
+        with pytest.raises(ValueError, match="non-finite entries"):
+            driver(a)
 
     def test_zero_matrix(self):
         r = qdwh(np.zeros((6, 4)))
