@@ -24,7 +24,8 @@ checks them systematically, CHESS-style:
 * **Invariants** are asserted after every step: each task dispatched
   at most once per attempt and never after completion, no ready task
   starved while an eligible worker idles, driver-lane tasks never on
-  workers (and vice versa), pipeline depth respected, nothing handed
+  workers (and vice versa, unless the driver is itself a lane),
+  pipeline depth respected, nothing handed
   out beyond the lookahead gate and nothing parked behind a gate that
   admits it, ``pending`` in sync, crash revocation exactly-once,
   modeled refcounts balanced.
@@ -58,7 +59,9 @@ class Scenario:
     ``worker_ok`` marks worker-eligible tids, the rest are driver-lane.
     ``max_crashes``/``max_spawns`` bound the fault model: a crash kills
     an alive worker mid-run, a spawn adds a replacement.  ``lookahead``
-    is the scheduler's phase gate (``None`` = off).
+    is the scheduler's phase gate (``None`` = off).  ``driver_helps``
+    makes the driver an execution lane (the unwatched threads
+    transport): it may take worker-eligible tasks too.
     """
 
     name: str
@@ -69,6 +72,7 @@ class Scenario:
     max_crashes: int = 0
     max_spawns: int = 0
     lookahead: Optional[int] = None
+    driver_helps: bool = False
 
     @property
     def ntasks(self) -> int:
@@ -95,8 +99,9 @@ def builtin_scenarios() -> List[Scenario]:
     chains (wakeup propagation), diamonds (fan-out/fan-in), wide
     independent sets (queue balancing), locality-skewed chains (steal
     path), mixed driver/worker lanes, crashy variants (revocation
-    and replay), the threads backend's shape (one lane as deep as its
-    pool), and a phased graph behind the lookahead gate.
+    and replay), the threads backend's shapes (one lane as deep as its
+    pool; the same with the driver as one more lane), and a phased
+    graph behind the lookahead gate.
     """
     out: List[Scenario] = []
 
@@ -160,6 +165,13 @@ def builtin_scenarios() -> List[Scenario]:
     ok = _all_ok(phased)
     ok[5] = False
     out.append(Scenario("phased-lookahead", phased, ok, lookahead=0))
+
+    # The unwatched threads transport: one pool lane and a driver that
+    # takes worker-eligible tasks itself — behind the lookahead gate,
+    # and with the lane dying mid-window (the driver must then finish
+    # the window alone).
+    out.append(Scenario("driver-lane", phased, _all_ok(phased), workers=1,
+                        max_crashes=1, lookahead=0, driver_helps=True))
 
     return out
 
@@ -269,7 +281,8 @@ class _World:
         self.sc = scenario
         self.sched = scheduler(list(scenario.tasks), 0, scenario.ntasks,
                                dict(scenario.worker_ok),
-                               scenario.pipeline_depth, scenario.lookahead)
+                               scenario.pipeline_depth, scenario.lookahead,
+                               scenario.driver_helps)
         self.store = store()
         self.refs_of: Dict[int, Tuple[TileRef, ...]] = {}
         for t in scenario.tasks:
@@ -300,8 +313,10 @@ class _World:
         """Enabled actions in a fixed, progress-first order.
 
         Index 0 is always a step the real executor would take
-        eagerly; crash/spawn faults sort last so the default schedule
-        (all-zero decisions) is the fault-free happy path.
+        eagerly, in the dispatch loop's order (feed the lanes, run the
+        driver's task, account completions); crash/spawn faults sort
+        last so the default schedule (all-zero decisions) is the
+        fault-free happy path.
         """
         acts: List[Action] = []
         sched = self.sched
@@ -310,11 +325,11 @@ class _World:
         for w in alive:
             if len(w.inflight) < sched.pipeline and work:
                 acts.append(("fetch", w.wid))
+        if sched._driver_ready or (self.sc.driver_helps and work):
+            acts.append(("driver",))
         for w in alive:
             for tid in sorted(w.inflight):
                 acts.append(("complete", w.wid, tid))
-        if sched._driver_ready:
-            acts.append(("driver",))
         if self.spawns_left > 0 and len(alive) < self.sc.workers:
             acts.append(("spawn",))
         if self.crashes_left > 0:
@@ -393,7 +408,7 @@ class _World:
         if tid is None:
             raise _Violation("driver-starvation",
                              "driver lane enabled but empty")
-        if self.sc.worker_ok.get(tid, False):
+        if self.sc.worker_ok.get(tid, False) and not self.sc.driver_helps:
             raise _Violation("worker-task-on-driver",
                              f"worker-eligible tid {tid} in driver lane")
         if tid in self.completed or tid in self.live:
@@ -520,9 +535,11 @@ class _World:
     def check_final(self) -> None:
         # A scenario that crashed every worker and exhausted its spawn
         # budget deadlocks by construction — that is the fault model's
-        # doing, not a scheduler bug.
+        # doing, not a scheduler bug.  (A driver that is itself a lane
+        # is never stranded.)
         stranded = (not self._alive() and self.spawns_left == 0
-                    and any(self.sc.worker_ok.values()))
+                    and any(self.sc.worker_ok.values())
+                    and not self.sc.driver_helps)
         if len(self.completed) != self.sc.ntasks and not stranded:
             missing = sorted(set(t.tid for t in self.sc.tasks)
                              - self.completed)

@@ -139,6 +139,19 @@ class ParkedForeverScheduler(DynamicScheduler):
             self._prefix += 1
 
 
+class DriverPeeksScheduler(DynamicScheduler):
+    """BUG: the helping driver reads its task off a lane's queue (or
+    the pool) without removing it — the driver runs a tid that the
+    lane is then handed as well."""
+
+    def next_driver(self) -> Optional[int]:
+        if self._driver_ready or not self.driver_helps:
+            return super().next_driver()
+        heads = [w.queue[0] for w in self.alive_workers() if w.queue]
+        heads += self._pool[:1]             # peek, never pop
+        return min(heads, default=None)
+
+
 # ---------------------------------------------------------------------------
 # Store mutants
 
@@ -191,6 +204,8 @@ MUTANTS: Tuple[Mutant, ...] = (
            ("task-duplicated",)),
     Mutant("parked-forever", ParkedForeverScheduler, ModelShmStore,
            ("gate-stuck", "tasks-lost-at-end")),
+    Mutant("driver-peeks", DriverPeeksScheduler, ModelShmStore,
+           ("done-task-scheduled", "double-dispatch")),
     Mutant("leaky-release", DynamicScheduler, LeakyReleaseStore,
            ("refcount-imbalance",)),
     Mutant("double-free", DynamicScheduler, DoubleFreeStore,

@@ -802,7 +802,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "tiles")
     p.add_argument("--workers", type=int, default=None,
                    help="worker count for --backend threads/processes "
-                        "(default: one per core)")
+                        "(default: one per core); on threads the driver "
+                        "is one of the lanes, so 1 starts no thread")
     p.add_argument("--nb", type=int, default=128,
                    help="tile size for the tiled backends (default 128)")
     p.add_argument("--generate", type=int, default=None, metavar="N",
@@ -823,7 +824,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-baseline", action="store_true",
                    help="skip the workers=1 baseline run (the parallel "
                         "backends normally report speedup and parallel "
-                        "efficiency against it)")
+                        "efficiency against it; on threads that baseline "
+                        "is the driver running every task inline)")
     p.add_argument("--critical-path", action="store_true",
                    help="threads/processes backends: print the executed "
                         "critical chain (per-kind contribution, wait "

@@ -80,7 +80,9 @@ def rank_utilization(result, normalize: bool = True) -> Dict[str, float]:
 
 def _slot_tid(slot: str) -> int:
     """Stable thread id for a slot label ("cpu3" -> 3, "gpu1" -> 1001,
-    "thr2" -> 2 for the threaded backend's worker lanes)."""
+    "thr2" -> 2 for the threaded backend's pool lanes; the real
+    backends' driver lane "drv" and process lanes "wN" hash like any
+    custom label)."""
     if slot.startswith("gpu"):
         return GPU_TID_BASE + int(slot[3:] or 0)
     if slot.startswith(("cpu", "thr")):

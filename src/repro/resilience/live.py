@@ -209,14 +209,21 @@ class TileAccessor:
         tiles (scalar reduction pseudo-tiles, collected matrices)."""
         return self._matrices.get(ref[0])
 
-    def snapshot(self, refs) -> Dict[TileRef, Optional[np.ndarray]]:
+    def snapshot(self, refs) -> Dict[TileRef, Optional[bytes]]:
         """Copy the current contents of ``refs`` (write tiles).
 
         Non-matrix refs (scalar reduction pseudo-tiles) are skipped:
         scalar payloads overwrite their result wholesale, so a retry
         needs no restore for them.
+
+        A tile is kept as its C-order bytes, not as an array copy: an
+        ndarray copy of more than 500 elements drops the GIL around a
+        sub-microsecond memcpy, and with several lanes every such drop
+        is a chance to lose the lock to another lane and wait to get
+        it back — measured at ~15 us per task on 32x32 tiles, ten times
+        the copy itself.  ``tobytes`` copies under the lock.
         """
-        snap: Dict[TileRef, Optional[np.ndarray]] = {}
+        snap: Dict[TileRef, Optional[bytes]] = {}
         for ref in refs:
             if ref in snap:
                 continue
@@ -224,21 +231,22 @@ class TileAccessor:
             if m is None:
                 continue
             t = m._tiles.get((ref[1], ref[2]))
-            snap[ref] = None if t is None else np.array(t, copy=True)
+            snap[ref] = None if t is None else t.tobytes()
         return snap
 
-    def restore(self, snap: Dict[TileRef, Optional[np.ndarray]]) -> None:
-        """Reinstall a snapshot (each restore installs fresh copies, so
-        the snapshot stays pristine for further retries)."""
-        for ref, t in snap.items():
+    def restore(self, snap: Dict[TileRef, Optional[bytes]]) -> None:
+        """Reinstall a snapshot (the snapshot itself is immutable, so it
+        stays pristine for further retries)."""
+        for ref, buf in snap.items():
             m = self._mat(ref)
             if m is None:
                 continue
             key = (ref[1], ref[2])
-            if t is None:
+            if buf is None:
                 m._tiles[key] = None
             else:
-                m._tiles[key][...] = t
+                t = m._tiles[key]
+                t[...] = np.frombuffer(buf, dtype=t.dtype).reshape(t.shape)
 
     def corrupt(self, ref: TileRef, value: str) -> bool:
         """Overwrite one entry of tile ``ref`` with NaN or Inf."""

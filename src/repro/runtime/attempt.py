@@ -201,22 +201,24 @@ class RetryLedger:
     execution window (dispatch thread only, except :meth:`arm`).
 
     ``rec`` is the executor's :class:`RecoveryStats`; ``emit(kind, tid,
-    detail, rank)`` publishes a :class:`FaultEvent`.  Snapshots are
-    taken only when a retry could use them (``max_retries > 0`` and a
-    :class:`TileAccessor`)."""
+    detail, rank)`` publishes a :class:`FaultEvent`; ``clock`` is the
+    driver's (backoff due times are read off it, never off the wall).
+    Snapshots are taken only when a retry could use them
+    (``max_retries > 0`` and a :class:`TileAccessor`)."""
 
     def __init__(self, policy: RecoveryPolicy, tiles: Any, seed: int,
-                 rec: Any, emit: Callable[[str, int, str, int], None]
-                 ) -> None:
+                 rec: Any, emit: Callable[[str, int, str, int], None],
+                 clock: Callable[[], float] = perf_counter) -> None:
         self.policy = policy
         self.tiles = tiles if policy.max_retries > 0 else None
         self.seed = seed
         self.rec = rec
         self.emit = emit
+        self.clock = clock
         self._launched: Dict[int, int] = {}
         self._retries: Dict[int, int] = {}
         self._snapshots: Dict[int, Any] = {}
-        #: ``(due perf_counter time, tid)`` backoff heap.
+        #: ``(due time on clock, tid)`` backoff heap.
         self.due: List[Tuple[float, int]] = []
 
     def next_attempt(self, tid: int) -> int:
@@ -277,7 +279,7 @@ class RetryLedger:
         self.emit(FAULT_RETRY, tid,
                   f"retry {used}/{pol.max_retries} in {delay * 1e3:.2f}ms "
                   f"after {type(exc).__name__}: {exc}", t.rank)
-        heapq.heappush(self.due, (perf_counter() + delay, tid))
+        heapq.heappush(self.due, (self.clock() + delay, tid))
         return True
 
     def pop_due(self, now: float) -> List[int]:
@@ -292,5 +294,5 @@ class RetryLedger:
         is due, at most ``cap`` (``None`` = indefinitely)."""
         if not self.due:
             return cap
-        until = max(0.0, self.due[0][0] - perf_counter())
+        until = max(0.0, self.due[0][0] - self.clock())
         return until if cap is None else min(until, cap)

@@ -5,9 +5,9 @@ The model is dask-style central scheduling: the driver
 :class:`~repro.runtime.graph.TaskGraph` for one execution window and
 hands *ready* tasks (dependency count reached zero) to lanes as
 completions stream back.  The processes backend registers one lane per
-forked worker; the threads backend registers a single lane whose
-``pipeline_depth`` is its pool size (shared memory needs no placement
-or stealing).  Four policies live here:
+forked worker; the threads backend registers a single lane over its
+whole pool (shared memory needs no placement or stealing) and makes the
+driver one more lane.  Five policies live here:
 
 * **Dependency counting** — each task carries the number of
   unfinished in-window predecessors; a completion decrements its
@@ -26,6 +26,14 @@ or stealing).  Four policies live here:
   worker that drains its own queue steals from the *back* of the
   longest queue (the victim's least-local work), so load imbalance
   from skewed tile costs self-corrects.
+* **The driver helps** — with ``driver_helps`` the thread that
+  dispatches is itself an execution lane (OpenMP ``taskwait``
+  semantics: the waiting thread works).  :meth:`next_driver` then also
+  hands out the lowest ready worker-eligible tid, taken from the pool
+  or from the head of a lane's queue, so a dependency chain never
+  leaves the driver thread.  The dispatch loop asks for the driver's
+  task first and runs it last: it is deaf to completions while inside
+  a payload, so every lane is fed before the payload starts.
 
 The scheduler is pure bookkeeping — it never touches comms, processes
 or tiles — which is what makes it unit-testable in isolation and
@@ -81,16 +89,20 @@ class DynamicScheduler:
     driver-local state) surface through :meth:`next_driver` and run
     inline in the parent.  ``lookahead`` bounds how many phases past
     the completed prefix may be ready (``None`` = dataflow order).
+    ``driver_helps`` makes the driver a lane: :meth:`next_driver` also
+    hands out worker-eligible tasks.
     """
 
     def __init__(self, tasks: Sequence[Task], start: int, end: int,
                  worker_ok: Dict[int, bool],
                  pipeline_depth: int = 2,
-                 lookahead: Optional[int] = None):
+                 lookahead: Optional[int] = None,
+                 driver_helps: bool = False):
         self.start = start
         self.end = end
         self.pipeline = max(1, pipeline_depth)
         self.lookahead = lookahead
+        self.driver_helps = driver_helps
         self.workers: Dict[int, WorkerState] = {}
         self._worker_ok = worker_ok
         #: tid -> number of unfinished in-window dependencies.
@@ -194,8 +206,19 @@ class DynamicScheduler:
             self._make_ready(tid)
 
     def next_driver(self) -> Optional[int]:
+        """Next tid for the driver to run inline: a driver-lane task,
+        else — when the driver helps — the lowest ready worker-eligible
+        tid, whether it still waits in the pool or at the head of a
+        lane's queue."""
         if self._driver_ready:
             return heapq.heappop(self._driver_ready)
+        if not self.driver_helps:
+            return None
+        heads = [w.queue for w in self.alive_workers() if w.queue]
+        if self._pool and all(self._pool[0] < q[0] for q in heads):
+            return heapq.heappop(self._pool)
+        if heads:
+            return min(heads, key=lambda q: q[0]).popleft()
         return None
 
     def on_done(self, tid: int, wid: Optional[int] = None) -> List[int]:

@@ -42,6 +42,11 @@ class TaskGraph:
         self.tile_bytes: Dict[TileRef, int] = {}
         #: owning rank of registered tiles (initial placement).
         self.tile_owner: Dict[TileRef, int] = {}
+        #: ``validate(end)`` resume state: tasks ``[0, _checked)`` passed,
+        #: and the per-tile replay tables as of that prefix.
+        self._checked = 0
+        self._checked_writer: Dict[TileRef, int] = {}
+        self._checked_readers: Dict[TileRef, Set[int]] = {}
 
     def __len__(self) -> int:
         return len(self.tasks)
@@ -101,8 +106,6 @@ class TaskGraph:
                  raise_on_error: bool = True) -> List[str]:
         """Check the structural invariants real DAG execution relies on.
 
-        Verified over tasks ``[0, end)`` (default: the whole graph):
-
         * task ids equal their position (the executor indexes by tid);
         * every dependency edge points backwards (``dep < tid``) to a
           valid task — program order is a topological order, which
@@ -116,18 +119,48 @@ class TaskGraph:
           concurrent writers per tile) and on every reader since that
           write (WAR).
 
+        ``validate()`` is the full stateless rescan of the whole graph
+        — what tests, ``repro lint`` and mutated-graph detection rely
+        on.  ``validate(end)`` is what an executor calls once per
+        window: it checks ``[0, end)`` by resuming from the prefix a
+        previous ``validate(end)`` already passed (carrying the
+        last-writer/reader replay tables), so a run checks every task
+        exactly once with the same rules.  A prefix with problems is
+        never remembered.
+
         Returns the list of problems (empty when valid); raises
         :class:`GraphValidationError` instead when ``raise_on_error``.
         """
-        limit = len(self.tasks) if end is None else end
+        if end is None:
+            problems = self._check(0, len(self.tasks), {}, {})
+        elif end <= self._checked:
+            return []
+        else:
+            problems = self._check(self._checked, end, self._checked_writer,
+                                   self._checked_readers)
+            if problems:
+                self._checked = 0
+                self._checked_writer.clear()
+                self._checked_readers.clear()
+            else:
+                self._checked = end
+        if problems and raise_on_error:
+            raise GraphValidationError(problems)
+        return problems
+
+    def _check(self, lo: int, hi: int, last_writer: Dict[TileRef, int],
+               readers: Dict[TileRef, Set[int]]) -> List[str]:
+        """Problems of tasks ``[lo, hi)`` given the per-tile tables as
+        of ``[0, lo)``; leaves the tables as of ``[0, hi)``."""
+        tasks = self.tasks
         problems: List[str] = []
         backwards = True
-        for idx in range(limit):
-            t = self.tasks[idx]
+        for idx in range(lo, hi):
+            t = tasks[idx]
             if t.tid != idx:
                 problems.append(f"task at position {idx} has tid {t.tid}")
             for d in t.deps:
-                if not (0 <= d < limit):
+                if not (0 <= d < hi):
                     problems.append(
                         f"task {t.tid} depends on out-of-range task {d}")
                     backwards = False
@@ -140,18 +173,18 @@ class TaskGraph:
                         f"(program order is not topological)")
                     backwards = False
 
-        # Kahn's algorithm over the (valid-range) edges.  Redundant
-        # when every edge already points backwards; decisive when a
-        # mutated graph needs a cycle called out explicitly.
+        # Kahn's algorithm over the (valid-range) edges of [0, hi).
+        # Redundant when every edge already points backwards; decisive
+        # when a mutated graph needs a cycle called out explicitly.
         if not backwards:
-            indeg = [0] * limit
+            indeg = [0] * hi
             succ: Dict[int, List[int]] = {}
-            for idx in range(limit):
-                for d in self.tasks[idx].deps:
-                    if 0 <= d < limit and d != idx:
+            for idx in range(hi):
+                for d in tasks[idx].deps:
+                    if 0 <= d < hi and d != idx:
                         succ.setdefault(d, []).append(idx)
                         indeg[idx] += 1
-            frontier = [i for i in range(limit) if indeg[i] == 0]
+            frontier = [i for i in range(hi) if indeg[i] == 0]
             seen = 0
             while frontier:
                 seen += 1
@@ -159,17 +192,15 @@ class TaskGraph:
                     indeg[s] -= 1
                     if indeg[s] == 0:
                         frontier.append(s)
-            if seen < limit:
+            if seen < hi:
                 problems.append(
-                    f"dependency cycle among {limit - seen} task(s)")
+                    f"dependency cycle among {hi - seen} task(s)")
 
         # Replay the per-tile writer/reader tables and require the
         # builder's direct edges (the semantics of OpenMP depend
         # clauses; guarantees no two writers of a tile can overlap).
-        last_writer: Dict[TileRef, int] = {}
-        readers: Dict[TileRef, Set[int]] = {}
-        for idx in range(limit):
-            t = self.tasks[idx]
+        for idx in range(lo, hi):
+            t = tasks[idx]
             deps = set(t.deps)
             for ref in t.reads:
                 w = last_writer.get(ref)
@@ -193,9 +224,6 @@ class TaskGraph:
             for ref in t.writes:
                 last_writer[ref] = t.tid
                 readers[ref] = set()
-
-        if problems and raise_on_error:
-            raise GraphValidationError(problems)
         return problems
 
     def check_races(self, footprints=None, *, raise_on_error: bool = True):

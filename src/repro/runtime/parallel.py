@@ -7,12 +7,16 @@ module actually runs it.  A :class:`ParallelExecutor` is the
 dispatch loop, retries, accounting and the drain guarantee; the
 window's :class:`~repro.runtime.distributed.scheduling.DynamicScheduler`
 owns readiness and the lookahead gate — exactly the dataflow execution
-SLATE gets from OpenMP ``task depend``.  This transport registers one
-lane as deep as the pool with every task worker-eligible (threads
-share tile memory, so there is nothing to place, steal or keep on a
-driver lane) and adds what only threads need.  NumPy/BLAS kernels
-release the GIL, so independent tiles genuinely overlap on multicore
-hosts.
+SLATE gets from OpenMP ``task depend``.  Every task is worker-eligible
+(threads share tile memory, so there is nothing to place, steal or keep
+on a driver lane) and, as in OpenMP, the thread that waits works: with
+``workers=W`` the pool holds ``W - 1`` threads behind one scheduler
+lane and the driver is the W-th lane — each turn of the dispatch loop
+it keeps the lowest ready tid for itself, feeds the pool, then runs its
+task inline (slot ``drv``) through the same worker body.  ``workers=1``
+therefore starts no thread at all, and a chain never leaves the driver.
+NumPy/BLAS kernels release the GIL, so independent tiles genuinely
+overlap on multicore hosts.
 
 * **Dependency order** — a task starts only after every recorded
   dependency finished, lowest tid first among tasks released together,
@@ -28,12 +32,14 @@ hosts.
   (:class:`repro.obs.timeline.TraceSink`) attached, every execution
   emits a :class:`~repro.obs.timeline.TaskEvent` carrying *real*
   ``perf_counter`` start/finish timestamps, flagged ``measured=True``,
-  on slots ``thr0..``.
-* **Unwatched pools block** — per-task attempt state, cancel events,
-  pool headroom and polling exist only on a *watched* executor (one
-  with a fault injector or a ``task_timeout``), the only kind whose
-  attempts can stall, time out or be duplicated; any other pool blocks
-  until a worker reports.
+  on slots ``drv`` and ``thr0..``.
+* **Watched drivers only dispatch** — per-task attempt state, cancel
+  events, pool headroom and polling exist only on a *watched* executor
+  (one with a fault injector or a ``task_timeout``), the only kind
+  whose attempts can stall, time out or be duplicated.  Its driver
+  must keep scanning, so it runs no payload: all ``W`` lanes are pool
+  threads.  Any other driver works, and blocks only when nothing is
+  ready for it.
 * **Timeouts & stragglers** (watched) — ``_tick`` scans running
   attempts every ``poll_interval``; one exceeding the wall-clock
   ``task_timeout``, or running ``straggler_factor`` x the rolling mean
@@ -73,6 +79,11 @@ from .window import ExecutionStats, Report, WindowExecutor, default_workers
 __all__ = ["ParallelExecutor", "ExecutionStats", "OrderingViolationError",
            "default_workers"]
 
+#: Attempts out per pool thread while the driver is a lane: one running
+#: and one queued behind it, so a thread that finishes while the driver
+#: is inside a payload already has its next task.
+LANE_DEPTH = 2
+
 
 class OrderingViolationError(RuntimeError):
     """A task touched a tile out of the recorded dependency order."""
@@ -111,7 +122,9 @@ class ParallelExecutor(WindowExecutor):
         kernel metrics — replaying an eagerly-executed or symbolic
         graph never double-counts kernel invocations.
     workers:
-        Thread-pool size (default: one per core).
+        Execution lanes (default: one per core): the driver plus
+        ``workers - 1`` pool threads, or ``workers`` pool threads behind
+        a dispatch-only driver when the executor is watched.
     lookahead:
         Optional phase-window bound on the ready set (``None`` =
         unbounded dataflow order, like SLATE's default).
@@ -197,11 +210,14 @@ class ParallelExecutor(WindowExecutor):
     # ------------------------------------------------------------------
 
     def _open(self, start: int, end: int) -> DynamicScheduler:
-        """One lane as deep as the pool, every task worker-eligible: a
-        shared-memory pool needs no placement, stealing or driver lane."""
+        """Every task worker-eligible, one lane over the whole pool (a
+        shared-memory pool needs no placement or stealing), and the
+        driver as one more lane unless it is watched."""
         self._prepare(start, end)
-        if self._pool is None:
-            size = self.workers
+        helps = not self._watch
+        threads = self.workers - 1 if helps else self.workers
+        if threads and self._pool is None:
+            size = threads
             if self._watch:
                 # Headroom so speculative backups and retries are not
                 # queued behind stall-sleeping originals: primaries are
@@ -214,11 +230,16 @@ class ParallelExecutor(WindowExecutor):
         sched = DynamicScheduler(
             self.graph.tasks, start, end,
             dict.fromkeys(range(start, end), True),
-            pipeline_depth=self.workers, lookahead=self.lookahead)
-        sched.add_worker(0)
+            pipeline_depth=threads * LANE_DEPTH if helps else threads,
+            lookahead=self.lookahead, driver_helps=helps)
+        if threads:
+            sched.add_worker(0)
         return sched
 
     def _send(self, lane: Optional[int], tid: int, attempt: int) -> bool:
+        if lane is None:  # the driver is a lane: same body, inline
+            self._work(tid, attempt, None, None)
+            return True
         st = None
         if self._watch:
             st = self._states.get(tid)
@@ -226,12 +247,13 @@ class ParallelExecutor(WindowExecutor):
                 st = self._states[tid] = _TaskState()
             with self._lock:  # st.cancel is iterated by finishing winners
                 st.cancel[attempt] = threading.Event()
-        self._pool.submit(self._work, tid, attempt, st)
+        self._pool.submit(self._work, tid, attempt, st, lane)
         return True
 
     def _recv(self, timeout: Optional[float]) -> List[Report]:
         """Unwatched, ``timeout`` is ``None`` unless a retry is pending:
-        the loop blocks until a worker reports."""
+        the loop blocks until a lane reports (at once when the driver
+        just ran an attempt itself)."""
         try:
             items = [self._resq.get(True, timeout)]
         except queue.Empty:
@@ -415,11 +437,12 @@ class ParallelExecutor(WindowExecutor):
         if completed:
             self._expected.pop(t.tid, None)
 
-    def _work(self, tid: int, attempt: int,
-              st: Optional[_TaskState]) -> None:
-        """The worker body: one attempt of one task, then one report
-        to the dispatch loop — done, failed or lost, the attempt's
-        in-flight marks are gone before it reports."""
+    def _work(self, tid: int, attempt: int, st: Optional[_TaskState],
+              lane: Optional[int]) -> None:
+        """The worker body (pool thread, or the driver when ``lane`` is
+        ``None``): one attempt of one task, then one report to the
+        dispatch loop — done, failed or lost, the attempt's in-flight
+        marks are gone before it reports."""
         t = self.graph.tasks[tid]
         fn = self.fns.get(tid)
         marked = False
@@ -451,7 +474,7 @@ class ParallelExecutor(WindowExecutor):
                           sleep=sleep, begin=begin)
         wake = ()
         with self._lock:
-            slot = self._slot()
+            slot = "drv" if lane is None else self._slot()
             done = res.exc is None and not res.lost
             if marked:
                 self._release(t, completed=done)
@@ -466,4 +489,4 @@ class ParallelExecutor(WindowExecutor):
         # window drains promptly (they lose the claim and report lost).
         for ev in wake:
             ev.set()
-        self._resq.put((Report(tid, 0, res, slot, -self._epoch), attempt))
+        self._resq.put((Report(tid, lane, res, slot, -self._epoch), attempt))

@@ -193,6 +193,10 @@ class WindowExecutor:
         self.injector = injector
         self.tiles = tiles
         self.stats = ExecutionStats(workers=self.workers)
+        #: What the dispatch loop and its retry ledger call "now"
+        #: (backoff due times, ``_tick``); a test transport substitutes
+        #: a scripted clock.
+        self.clock: Callable[[], float] = perf_counter
         #: Seed of every backoff draw (the fault plan's, when there is one).
         self._seed = int(injector.plan.seed) if injector is not None else 0
         self._epoch: Optional[float] = None
@@ -317,25 +321,29 @@ class WindowExecutor:
         rec = self.stats.recovery
         ledger = self._ledger = RetryLedger(
             self.recovery_policy, self.tiles, self._seed, rec,
-            self._fault_event)
+            self._fault_event, self.clock)
         lanes = sched.workers
         failure: Optional[BaseException] = None
         cap: Optional[float] = None
 
         while True:
             if failure is None:
-                now = perf_counter()
+                now = self.clock()
                 if ledger.due:
                     sched.requeue(tid for tid in ledger.pop_due(now)
                                   if tid not in sched.done)
                 cap = self._tick(now)
+                # The driver's task is picked first and run last:
+                # where the driver is a lane it gets the lowest ready
+                # tid (a chain never leaves this thread), and the loop
+                # is deaf inside a payload, so the lanes are fed first.
+                mine = sched.next_driver()
                 for wid in list(lanes):
                     while (nxt := sched.next_for(wid)) is not None:
                         if self._send(wid, nxt, ledger.next_attempt(nxt)):
                             self._inflight += 1
-                nxt = sched.next_driver()
-                if nxt is not None and self._send(
-                        None, nxt, ledger.next_attempt(nxt)):
+                if mine is not None and self._send(
+                        None, mine, ledger.next_attempt(mine)):
                     self._inflight += 1
             if self._inflight == 0:
                 if failure is not None or sched.pending == 0:

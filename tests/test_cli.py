@@ -266,7 +266,14 @@ class TestPolarObservability:
                      "--critical-path", "--chrome-trace", trace]) == 0
         out = capsys.readouterr().out
         assert "critical path:" in out
-        assert "lane thr" in out
+        # Two workers are two lanes: the driver and one pool thread.
+        lanes = [ln.split()[1].rstrip(":") for ln in out.splitlines()
+                 if ln.startswith("  lane ")]
+        assert sorted(lanes) == ["drv", "thr0"]
+        with open(trace) as fh:
+            named = {e["args"]["name"] for e in json.load(fh)["traceEvents"]
+                     if e.get("name") == "thread_name" and e["pid"] == 0}
+        assert named == {"drv", "thr0"}
 
     def test_critical_path_requires_threads(self, matrix_file):
         with pytest.raises(SystemExit):

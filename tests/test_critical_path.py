@@ -217,6 +217,9 @@ class TestMeasuredRun:
         _, sink = run
         lanes = occupancy(sink.tasks)
         assert 1 <= len(lanes) <= 4
+        # W lanes: the driver and the pool's three threads.
+        assert {l.slot for l in lanes} <= {"drv", "thr0", "thr1", "thr2"}
+        assert "drv" in {l.slot for l in lanes}
         assert sum(l.tasks for l in lanes) == len(sink.tasks)
         span = max(e.end for e in sink.tasks) - min(
             e.start for e in sink.tasks)

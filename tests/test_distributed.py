@@ -334,18 +334,34 @@ class TestProcessesBackend:
 
 
 class TestCrashRecovery:
-    def test_sigkilled_worker_is_replayed_to_convergence(self):
-        from repro.resilience import plan_from_spec
+    def test_sigkilled_worker_is_replayed_to_convergence(self, monkeypatch):
         from repro.resilience.live import RecoveryPolicy
+        from repro.runtime import ProcessExecutor
 
-        n, nb, workers = 128, 32, 3
+        # The SIGKILL lands once 300 tasks are accounted for, from the
+        # driver's own tick — mid-run on any host, at any load (a
+        # wall-clock crash time can fall before the first fork or
+        # after the last window).
+        n, nb, workers, after = 128, 32, 3, 300
         a = generate_matrix(n, cond=1e8, seed=5)
         u0, h0, _ = _run_eager(a, nb)
-        plan = plan_from_spec(seed=5, crash=("1@0.05",))
+        tick, fired = ProcessExecutor._tick, []
+
+        def crashing_tick(ex, now):
+            alive = [w for w in ex._pool.values()
+                     if w.proc.is_alive() and w.kill_reason is None]
+            if not fired and ex.stats.tasks_run >= after and alive:
+                fired.append(ex.stats.tasks_run)
+                ex._kill(alive[1 % len(alive)],
+                         f"injected crash after {after} tasks")
+            return tick(ex, now)
+
+        monkeypatch.setattr(ProcessExecutor, "_tick", crashing_tick)
         pol = RecoveryPolicy(max_retries=3)
         u, h, res, stats, leaked, shm = _run_processes(
-            a, nb, workers, faults=plan, recovery=pol)
+            a, nb, workers, recovery=pol)
         rec = stats.recovery
+        assert fired and stats.tasks_run > 2 * after
         assert rec.crashes == 1
         assert rec.dead_ranks
         assert rec.replayed_tasks >= 0

@@ -56,6 +56,39 @@ def _quiet_qdwh(rt, d, **kw):
         return tiled_qdwh(rt, d, **kw)
 
 
+class TestTileAccessor:
+    def test_snapshot_restore_round_trip(self):
+        # Snapshots are C-order bytes (copied under the GIL); a restore
+        # must reproduce any tile layout, dtype and ragged shape, and
+        # keep a lazily-zero tile lazily zero.
+        rt = _rt()
+        a = (np.arange(40 * 24).reshape(40, 24) * (1 - 2j)).astype(
+            np.complex128)
+        d = DistMatrix.from_array(rt, a, 16)
+        d._tiles[(0, 0)] = np.asfortranarray(d._tiles[(0, 0)])
+        d._tiles[(1, 1)] = None
+        refs = (d.ref(0, 0), d.ref(2, 1), d.ref(1, 1), d.ref(0, 0),
+                (rt.scalar_mat, 0, 0))
+        acc = TileAccessor(rt._matrices)
+        snap = acc.snapshot(refs)
+        assert set(snap) == {d.ref(0, 0), d.ref(2, 1), d.ref(1, 1)}
+        assert snap[d.ref(1, 1)] is None
+        before = {k: None if t is None else t.copy()
+                  for k, t in d._tiles.items()}
+        d._tiles[(0, 0)][...] = np.nan
+        d._tiles[(2, 1)][...] = 7.0
+        d._tiles[(1, 1)] = np.ones((16, 8), dtype=np.complex128)
+        for _ in range(2):      # the snapshot survives a restore
+            acc.restore(snap)
+            assert d._tiles[(1, 1)] is None
+            for key in ((0, 0), (2, 1)):
+                assert np.array_equal(d._tiles[key], before[key])
+            d._tiles[(2, 1)][...] = -1.0
+        assert d._tiles[(0, 0)].flags.f_contiguous
+        assert d._tiles[(2, 1)].shape == (8, 8)
+        rt.close()
+
+
 class TestLivePlanSerialization:
     def test_round_trip(self, tmp_path):
         plan = FaultPlan(

@@ -8,6 +8,7 @@ timeline events, stats), :meth:`repro.runtime.graph.TaskGraph.validate`
 and the single-publication rule for kernel-invocation metrics.
 """
 
+import sys
 import threading
 import time
 
@@ -118,6 +119,87 @@ class TestGraphValidate:
         g = _graph([((), (0,)), ((0,), (1,))])
         g.tasks[1].deps = ()
         assert g.validate(1) == []  # the bad task is outside the window
+
+    @staticmethod
+    def _counting(g, monkeypatch):
+        """Record the ``[lo, hi)`` ranges ``validate`` actually scans."""
+        scanned = []
+        check = g._check
+
+        def counted(lo, hi, *tables):
+            scanned.append((lo, hi))
+            return check(lo, hi, *tables)
+
+        monkeypatch.setattr(g, "_check", counted)
+        return scanned
+
+    def test_windowed_validate_visits_each_task_once(self, monkeypatch):
+        g = _graph([((), (0,)), ((0,), (1,)), ((0, 1), (2,)), ((), (0,)),
+                    ((2,), (1,)), ((0, 1), (2,))])
+        scanned = self._counting(g, monkeypatch)
+        for end in (2, 2, 3, 6, 4):
+            assert g.validate(end) == []
+        assert scanned == [(0, 2), (2, 3), (3, 6)]
+        # No ``end``: the full stateless rescan, cursor or not.
+        assert g.validate() == []
+        assert scanned[-1] == (0, 6)
+
+    @pytest.mark.parametrize("breakage, message", [
+        (lambda g: setattr(g.tasks[4], "deps", (2,)), "last writer 3"),
+        (lambda g: setattr(g.tasks[5], "deps", (4,)), "concurrent writers"),
+        (lambda g: setattr(g.tasks[3], "deps", ()), "reader 2"),
+        (lambda g: setattr(g.tasks[3], "deps", (1, 2, 5)), "forward"),
+    ], ids=["raw", "waw", "war", "forward"])
+    def test_windowed_validate_catches_later_window(self, breakage,
+                                                    message):
+        # 0: w0 | 1: r0 w1 | 2: r0,1 w2 | 3: w0 | 4: r0 w1 | 5: w0
+        g = _graph([((), (0,)), ((0,), (1,)), ((0, 1), (2,)), ((), (0,)),
+                    ((0,), (1,)), ((), (0,))])
+        assert g.validate(3) == []          # the prefix is remembered...
+        breakage(g)
+        with pytest.raises(GraphValidationError, match=message):
+            g.validate(6)                   # ...with its writer/reader tables
+        # A prefix with problems is not remembered: same verdict again.
+        assert g.validate(6, raise_on_error=False)
+        assert g.validate(3) == []
+
+    def test_full_validate_sees_mutation_inside_validated_prefix(self):
+        g = _graph([((), (0,)), ((0,), (1,)), ((1,), (2,))])
+        assert g.validate(3) == []
+        g.tasks[1].deps = ()
+        assert g.validate(3) == []          # resumed: nothing left to scan
+        probs = g.validate(raise_on_error=False)
+        assert any("without depending on its last writer" in p
+                   for p in probs)
+
+    def test_cursor_survives_abandon_pending(self, monkeypatch):
+        # A failed window is abandoned and replacement work submitted:
+        # the graph only grew, so validation resumes where it stopped.
+        from repro.dist import ProcessGrid
+        from repro.runtime import Runtime
+
+        with Runtime(ProcessGrid(1, 1), deferred=True, workers=1,
+                     sanitize=None) as rt:
+            a = DistMatrix(rt, 32, 16, 16, np.float64)
+            scanned = self._counting(rt.graph, monkeypatch)
+
+            def boom():
+                raise np.linalg.LinAlgError("breakdown")
+
+            for fn in (lambda: None, boom, lambda: None):
+                rt.submit(TaskKind.GEMM, reads=(a.ref(0, 0),),
+                          writes=(a.ref(1, 0),), rank=0, fn=fn)
+            with pytest.raises(np.linalg.LinAlgError):
+                rt.sync()
+            rt.abandon_pending()
+            for _ in range(2):
+                rt.submit(TaskKind.GEMM, reads=(a.ref(1, 0),),
+                          writes=(a.ref(0, 0),), rank=0, fn=lambda: None)
+            rt.sync()
+            assert rt.exec_stats.tasks_run == 3
+        # The executor's construction-time full scan, then one resumed
+        # scan per window.
+        assert scanned == [(0, 3), (0, 3), (3, 5)]
 
 
 class TestParallelExecutor:
@@ -238,7 +320,8 @@ class TestParallelExecutor:
         assert len(sink.tasks) == 3
         assert all(e.measured for e in sink.tasks)
         assert all(e.end >= e.start >= 0.0 for e in sink.tasks)
-        assert all(e.slot.startswith("thr") for e in sink.tasks)
+        # The driver is a lane too: a chain never leaves it.
+        assert {e.slot for e in sink.tasks} <= {"drv", "thr0"}
         xs = [e for e in chrome_trace(sink)["traceEvents"]
               if e.get("ph") == "X"]
         assert len(xs) == 3
@@ -270,6 +353,125 @@ class TestParallelExecutor:
         after = get_registry().counter("kernel.invocations.gemm").value
         assert after == before
         assert ex.stats.tasks_run == 2
+
+
+class TestDriverLane:
+    """The unwatched threads driver is an execution lane (slot ``drv``)
+    beside ``workers - 1`` pool threads; a watched one only dispatches."""
+
+    def test_workers1_starts_no_thread(self):
+        a = generate_matrix(48, cond=1e4, seed=21)
+        ue, he = _run_qdwh(a)
+        before = threading.active_count()
+        rt = make_runtime(1, 1)
+        da = DistMatrix.from_array(rt, a.copy(), 16)
+        res = tiled_qdwh(rt, da, backend="threads", workers=1)
+        assert np.array_equal(ue, res.u.to_array())
+        assert np.array_equal(he, res.h.to_array())
+        assert threading.active_count() == before
+        assert rt.executor._pool is None
+        assert rt.exec_stats.tasks_run == len(rt.graph)
+        rt.close()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64,
+                                       np.complex64, np.complex128])
+    @pytest.mark.parametrize("n, nb", [(40, 16), (24, 32)],
+                             ids=["ragged", "nb>n"])
+    def test_workers_1_and_2_match_eager(self, dtype, n, nb):
+        a = generate_matrix(n, cond=10.0, dtype=dtype, seed=22)
+        ue, he = _run_qdwh(a, nb=nb)
+        u1, h1 = _run_qdwh(a, nb=nb, backend="threads", workers=1)
+        assert np.array_equal(u1, ue) and np.array_equal(h1, he)
+        u2, h2 = _run_qdwh(a, nb=nb, backend="threads", workers=2)
+        tol = 100 * np.finfo(dtype).eps * np.linalg.norm(a)
+        assert np.max(np.abs(u2 - ue)) <= tol
+        assert np.max(np.abs(h2 - he)) <= tol
+
+    def test_two_workers_are_the_driver_and_one_thread(self):
+        # Three windows of a wide layer feeding chains: both lanes get
+        # work, every task runs exactly once, nothing stays in flight.
+        specs = [((), (i,)) for i in range(8)]
+        specs += [((i % 8,), (8 + i % 4,)) for i in range(16)]
+        g = _graph(specs)
+        ran = []
+        sink = TimelineSink()
+        fns = {t: (lambda t=t: ran.append(t)) for t in range(len(specs))}
+        with ParallelExecutor(g, fns, workers=2, sink=sink) as ex:
+            for start, end in ((0, 8), (8, 16), (16, 24)):
+                ex.run(start, end)
+                assert ex.inflight_attempts == 0
+                assert not ex._writer_active and not ex._readers_active
+            assert ex._pool._max_workers == 1
+            stats = ex.stats
+        assert sorted(ran) == list(range(24))
+        assert sorted(e.tid for e in sink.tasks) == list(range(24))
+        assert {e.slot for e in sink.tasks} == {"drv", "thr0"}
+        assert stats.workers == 2
+        assert stats.utilization == pytest.approx(
+            stats.busy_seconds / (stats.wall_seconds * 2))
+
+    def test_driver_takes_the_lowest_ready_tid(self):
+        # A chain has one ready task at a time: it never leaves the
+        # driver, whatever the worker count.
+        g = _graph([((), (0,))] + [((0,), (0,))] * 5)
+        sink = TimelineSink()
+        with ParallelExecutor(g, {t: (lambda: None) for t in range(6)},
+                              workers=3, sink=sink) as ex:
+            ex.run()
+        assert [e.slot for e in sink.tasks] == ["drv"] * 6
+
+    def test_driver_and_pool_share_the_epoch_tables_under_stress(self):
+        # More lanes than cores and a 10 us switch interval: the driver
+        # and three pool threads check tiles in and out concurrently.
+        # Each counter tile is bumped by a 40-task chain; a lost update
+        # or a missed epoch would break the counts or raise.
+        tiles, rounds = 16, 40
+        g = _graph([((t,), (t,)) for _ in range(rounds)
+                    for t in range(tiles)])
+        count = [0] * tiles
+
+        def bump(t):
+            def fn():
+                seen = count[t]
+                time.sleep(0)           # invite a switch mid-update
+                count[t] = seen + 1
+            return fn
+
+        fns = {tid: bump(tid % tiles) for tid in range(tiles * rounds)}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ParallelExecutor(g, fns, workers=4) as ex:
+                ex.run()
+                assert ex.inflight_attempts == 0
+                assert not ex._writer_active and not ex._readers_active
+        finally:
+            sys.setswitchinterval(interval)
+        assert count == [rounds] * tiles
+        assert ex.stats.tasks_run == tiles * rounds
+
+    @pytest.mark.parametrize("watch", ["task_timeout", "fault_plan"])
+    def test_watched_driver_runs_no_payload(self, watch):
+        from repro.dist import ProcessGrid
+        from repro.resilience import RecoveryPolicy, plan_from_spec
+        from repro.runtime import Runtime
+
+        kw = ({"recovery": RecoveryPolicy(task_timeout=30.0)}
+              if watch == "task_timeout" else
+              {"faults": plan_from_spec(seed=3, transient_p=0.2)})
+        idents = set()
+        sink = TimelineSink()
+        with Runtime(ProcessGrid(1, 1), deferred=True, workers=2,
+                     sink=sink, sanitize=None, **kw) as rt:
+            a = DistMatrix(rt, 64, 16, 16, np.float64)
+            for i in range(24):
+                rt.submit(TaskKind.GEMM, writes=(a.ref(i % 4, 0),), rank=0,
+                          fn=lambda: idents.add(threading.get_ident()))
+            rt.sync()
+            assert rt.exec_stats.tasks_run == 24
+            assert rt.executor.inflight_attempts == 0
+        assert idents and threading.get_ident() not in idents
+        assert "drv" not in {e.slot for e in sink.tasks}
 
 
 def _run_qdwh(a, nb=16, backend="eager", workers=None):

@@ -6,7 +6,8 @@ backends only move attempts to workers.  ``ScriptedTransport`` below
 is a third transport with no threads and no forks — attempts are
 resolved in send order by a script — so what used to be checked per
 backend is checked here once, deterministically: retry budget and
-seeded backoff order, drain before a failure propagates, death →
+seeded backoff order (on a scripted clock: the transport's time only
+moves when the loop waits), drain before a failure propagates, death →
 requeue of exactly the victim's attempts, ``abandon_window`` refusing
 while attempts are in flight, and ``inflight_attempts == 0`` after
 every window.  The stall rule is checked on the fake and on both real
@@ -33,7 +34,8 @@ class ScriptedTransport(WindowExecutor):
     """Attempts queue in send order; each ``_recv`` resolves the oldest
     through ``script(tid, attempt)`` -> None (success), an exception
     (the attempt fails with it) or ``"die"`` (its lane's worker dies,
-    taking everything sent to that lane with it)."""
+    taking everything sent to that lane with it).  Resolving takes no
+    time; waiting with nothing out advances ``now`` by the wait."""
 
     def __init__(self, graph, script, *, lanes=2, depth=2, recovery=None,
                  validate=True):
@@ -44,6 +46,8 @@ class ScriptedTransport(WindowExecutor):
         self.script, self.depth = script, depth
         self.outbox = deque()
         self.log = []           # every (lane, tid, attempt) ever sent
+        self.now = 0.0
+        self.clock = lambda: self.now
 
     def _open(self, start, end):
         sched = DynamicScheduler(self.graph.tasks, start, end,
@@ -60,7 +64,7 @@ class ScriptedTransport(WindowExecutor):
 
     def _recv(self, timeout):
         if not self.outbox:
-            time.sleep(timeout or 0.0)  # only a backoff can be pending
+            self.now += timeout         # only a backoff can be pending
             return []
         lane, tid, attempt = self.outbox.popleft()
         verdict = self.script(tid, attempt)
@@ -89,15 +93,15 @@ def _attempts(ex, tid):
 
 class TestRetries:
     def test_budget_and_seeded_backoff_order(self):
-        # Tasks 0-2 fail their first attempt at (nearly) the same
-        # instant; their retries come back in the order of the seeded
-        # backoff draws, not in tid order.  Task 3 fails for ever and
-        # gets exactly max_retries retries before its error is final.
+        # Tasks 0-2 fail their first attempt at the same instant of
+        # the scripted clock; their retries come back in the order of
+        # the seeded backoff draws, not in tid order.  Task 3 fails for
+        # ever and gets exactly max_retries retries before its error
+        # is final.
         pol = RecoveryPolicy(max_retries=2, backoff=0.05, jitter=0.5)
         delay = {tid: pol.backoff_seconds(0, tid, 1) for tid in range(3)}
         order = sorted(delay, key=delay.get)
-        gaps = np.diff([delay[t] for t in order])
-        assert gaps.min() > 2e-3    # the draws are well separated
+        assert order != [0, 1, 2] and len(set(delay.values())) == 3
 
         def script(tid, attempt):
             if tid < 3 and attempt == 0 or tid == 3:
@@ -114,6 +118,10 @@ class TestRetries:
         assert rec.retried_tasks == 5
         assert ex.stats.tasks_run == 3
         assert ex.inflight_attempts == 0 and not ex.outbox
+        # The loop slept on the scripted clock only: exactly up to
+        # task 3's second retry.
+        assert ex.now == pytest.approx(
+            pol.backoff_seconds(0, 3, 1) + pol.backoff_seconds(0, 3, 2))
 
     def test_deterministic_failure_is_not_retried(self):
         def script(tid, attempt):
