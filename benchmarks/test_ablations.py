@@ -35,8 +35,11 @@ def test_a1_lookahead_depth(once):
         [["inf" if d is None else d, p] for d, p in zip(depths, perf)])
     write_result("ablation_lookahead", text)
 
-    # Monotone non-decreasing and a real win from 0 -> unbounded.
-    assert all(a <= b * 1.001 for a, b in zip(perf, perf[1:]))
+    # Non-decreasing up to Graham's list-scheduling anomalies (a tighter
+    # eligible set can shorten a greedy schedule by a few percent; same
+    # margin as tests/test_scheduler_properties.py ANOMALY_MARGIN), and a
+    # real win from 0 -> unbounded.
+    assert all(a * 0.97 <= b for a, b in zip(perf, perf[1:]))
     assert perf[-1] > 1.15 * perf[0]
 
 

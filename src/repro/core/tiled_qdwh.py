@@ -220,7 +220,7 @@ def _qr_iteration(rt: Runtime, a: DistMatrix, wa: float, wb: float,
     rt.advance_phase()
     _copy_scaled(rt, sc, a, w, 0)
     _set_identity_block(rt, w, a.mt)
-    _fac, q = qr_explicit(rt, w)
+    _fac, q = qr_explicit(rt, w, identity_from=a.mt)
     q1, q2 = _split_rows(rt, q, a.mt, a)
     theta = (wa - wb / wc) / sc
     beta = wb / wc

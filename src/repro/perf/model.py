@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -136,6 +137,18 @@ def build_qdwh_graph(n: int, nb_sim: int, grid: ProcessGrid, *,
     return rt.graph, res.it_qr, res.it_chol
 
 
+@lru_cache(maxsize=4)
+def _recorded_graph(m: int, n: int, nb_sim: int, nb_rate: int,
+                    grid: ProcessGrid, cond: float,
+                    dtype: np.dtype) -> Tuple[TaskGraph, int, int]:
+    """:func:`build_qdwh_graph`, recorded once per distinct problem:
+    the implementations (at one tile size) and lookahead depths of a
+    sweep point replay the same graph, and ``simulate()`` only reads
+    it."""
+    return build_qdwh_graph(n, nb_sim, grid, cond=cond, nb_rate=nb_rate,
+                            m=m, dtype=dtype)
+
+
 def simulate_qdwh(machine: MachineModel, nodes: int, n: int, impl: str, *,
                   cond: float = 1e16,
                   nb: Optional[int] = None,
@@ -173,8 +186,8 @@ def simulate_qdwh(machine: MachineModel, nodes: int, n: int, impl: str, *,
     if math.ceil(mm / nb_real) > max_tiles or math.ceil(n / nb_real) > max_tiles:
         nb_sim = max(nb_real, math.ceil(max(mm, n) / max_tiles))
 
-    graph, it_qr, it_chol = build_qdwh_graph(
-        n, nb_sim, grid, cond=cond, nb_rate=nb_real, m=m, dtype=dtype)
+    graph, it_qr, it_chol = _recorded_graph(
+        mm, n, nb_sim, nb_real, grid, cond, np.dtype(dtype))
 
     use_gpu = impl == "slate_gpu"
     if impl == "scalapack":
@@ -208,8 +221,8 @@ def simulate_custom(machine: MachineModel, nodes: int, n: int, *,
     nb_sim = nb
     if math.ceil(n / nb) > max_tiles:
         nb_sim = max(nb, math.ceil(n / max_tiles))
-    graph, it_qr, it_chol = build_qdwh_graph(
-        n, nb_sim, grid, cond=cond, nb_rate=nb)
+    graph, it_qr, it_chol = _recorded_graph(
+        n, n, nb_sim, nb, grid, cond, np.dtype(np.float64))
     cfg = RunConfig(machine=machine, nodes=nodes,
                     ranks_per_node=ranks_per_node, use_gpu=use_gpu,
                     lookahead=lookahead,

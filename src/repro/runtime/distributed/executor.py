@@ -15,7 +15,10 @@ module is the transport between them and the workers:
   are forked at the start of each execution window and inherit the
   graph, the payload table and every shared-memory tile mapping
   copy-on-write.  One scheduler lane per worker, each at most
-  :data:`PIPELINE_DEPTH` dispatches deep.
+  :data:`PIPELINE_DEPTH` dispatches deep.  A window whose
+  worker-eligible tasks are all memory-bound sweeps
+  (:data:`~repro.runtime.task.ELEMENTWISE_KINDS`) forks nothing and
+  runs on the driver lane.
 * **Shared-memory tiles.**  Before forking, the parent pins every tile
   in the window's declared footprints into a :class:`SharedTileStore`
   segment; worker writes land directly in the parent's mapping
@@ -37,9 +40,10 @@ module is the transport between them and the workers:
   reported to the driver, which requeues the victim's tasks onto
   survivors.  The shared-memory registry lives only in the parent, so
   no worker death can leak or tear down a segment.
-* **Periodic work** (``_tick``).  Injected crashes, the liveness poll,
-  phi-accrual heartbeat suspicion, task-timeout kills, and the respawn
-  of a worker when every lane is dead.
+* **Periodic work** (``_tick``).  Injected crashes (pending until a
+  worker is alive to take them), the liveness poll, phi-accrual
+  heartbeat suspicion, task-timeout kills, and the respawn of a worker
+  when every lane is dead.
 """
 
 from __future__ import annotations
@@ -56,7 +60,7 @@ from typing import (Any, Callable, Dict, List, NamedTuple, Optional, Set,
                     Tuple, Union)
 
 from ..attempt import Attempt, run_attempt
-from ..task import Task, TileRef
+from ..task import ELEMENTWISE_KINDS, Task, TileRef
 from ..window import Death, Report, WindowExecutor, WorkerCrashError
 from .chaos import assign_peer, clear_net_plan, install_net_plan
 from .comm import (Comm, CommError, CommTimeoutError, Listener, listen)
@@ -542,6 +546,11 @@ class ProcessExecutor(WindowExecutor):
     def _open(self, start: int, end: int) -> DynamicScheduler:
         tasks = self.graph.tasks
         worker_ok = {t.tid: self._worker_ok(t) for t in tasks[start:end]}
+        if all(tasks[tid].kind in ELEMENTWISE_KINDS
+               for tid, ok in worker_ok.items() if ok):
+            # A memory-bound sweep (copy/add/norm...): a fork costs more
+            # than the whole window, so it runs on the driver lane.
+            worker_ok = dict.fromkeys(worker_ok, False)
         self._materialize(start, end)
         if self._net_plan is not None and not self._chaos_installed:
             # Arm before forking: workers inherit the plan (and the
@@ -696,13 +705,14 @@ class ProcessExecutor(WindowExecutor):
         elapsed = now - self._epoch
         while (self._crash_idx < len(self._crashes)
                and elapsed >= self._crashes[self._crash_idx].time):
-            c = self._crashes[self._crash_idx]
-            self._crash_idx += 1
             alive = [w for w in self._pool.values()
                      if w.proc.is_alive() and w.kill_reason is None]
-            if alive:
-                self._kill(alive[c.rank % len(alive)],
-                           f"injected crash (rank {c.rank})")
+            if not alive:
+                break  # stays pending until a window forks a worker
+            c = self._crashes[self._crash_idx]
+            self._crash_idx += 1
+            self._kill(alive[c.rank % len(alive)],
+                       f"injected crash (rank {c.rank})")
         # Liveness poll: a worker that exited without the driver
         # killing it must not leave its reliable link waiting out
         # the reconnect deadline — no process, no reconnect.
@@ -729,8 +739,9 @@ class ProcessExecutor(WindowExecutor):
             sched.add_worker(self._spawn_worker().wid)
         budget = pol.poll_interval
         if self._crash_idx < len(self._crashes):
-            budget = min(budget,
-                         self._crashes[self._crash_idx].time - elapsed)
+            due = self._crashes[self._crash_idx].time - elapsed
+            if due > 0.0:  # an overdue crash is waiting for a victim
+                budget = min(budget, due)
         return max(0.001, budget)
 
     def _kill(self, w: _Worker, reason: str) -> None:

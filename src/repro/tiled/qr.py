@@ -1,4 +1,4 @@
-"""Tiled Householder QR factorization and Q application.
+"""Tiled Householder QR factorization and Q formation.
 
 The PLASMA/SLATE tile-QR algorithm: at panel step k,
 
@@ -11,15 +11,24 @@ The factored matrix keeps R in its upper tiles and the panel
 reflectors below; T factors (and the generic V_top blocks of the
 couple kernels) live in a side buffer with their own dependency refs.
 
-``qr_explicit`` forms the economy Q = Q_full[:, :n] by applying the
-reflectors to an [I; 0] workspace in reverse order — exactly how
-Algorithm 1 materializes [Q1; Q2] (its ``unmqr`` call, line 32).
+No task is recorded for work on structural zeros.  A panel touches its
+*active rows* only (:meth:`QRFactors.active_rows`): for a general
+matrix every row from the diagonal down, for QDWH's stacked
+``[sqrt(c) A; I]`` (``identity_from``) the rows of A plus the k + 1
+identity rows that hold fill-in or the not yet touched diagonal I tile
+— the other identity rows are exactly zero in column k until their own
+panel.  ``qr_explicit`` forms the economy Q = Q_full[:, :n] the way
+LAPACK ``orgqr`` does (Algorithm 1's ``unmqr`` call, line 32):
+reflectors are applied to an [I; 0] workspace in reverse order, panel k
+only to columns j >= k, because columns j < k are still zero on every
+active row of panel k.  This is the ``geqrf + orgqr`` count of the
+paper's Section 4 (:func:`repro.flops.qdwh_qr_iteration`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -38,9 +47,16 @@ class QRFactors:
 
     * flat — ``aux[(k,k)]`` is the geqrt T; ``aux[(i,k)]`` (i > k) is
       the TS couple's ``(V_top, T)`` with V_bot stored in tile (i,k).
-    * tree — ``aux[(i,k)]`` is the geqrt T of *every* block row i;
-      ``aux[("tt", i2, k)]`` is the triangle-combine ``(V_top, V_bot,
-      T, rows_eff)`` whose bottom operand was row i2.
+    * tree — ``aux[(i,k)]`` is the geqrt T of every geqrt-factored
+      block row i; ``aux[("tt", i2, k)]`` is the triangle-combine
+      ``(V_top, V_bot, T, rows_eff)`` whose bottom operand was row i2.
+
+    ``identity_from`` is the caller's precondition that tile rows
+    ``>= identity_from`` held I_n on entry (``None``: no structure).
+    Rows outside :meth:`active_rows` carry no reflectors and no aux
+    entry for that panel, and neither does the pristine tile
+    ``(identity_from + k, k)`` of the tree reduction: it is I when
+    panel k first meets it, so it is its own R with V = 0.
     """
 
     a: DistMatrix                 # R upper + panel reflectors lower
@@ -49,12 +65,29 @@ class QRFactors:
     tt_mat: int = -1              # pseudo-matrix id for tree-combine refs
     panel: str = "tree"
     aux: Dict[object, object] = field(default_factory=dict)
+    identity_from: Optional[int] = None
 
     def t_ref(self, i: int, k: int) -> TileRef:
         return (self.aux_mat, i, k)
 
     def tt_ref(self, i2: int, k: int) -> TileRef:
         return (self.tt_mat, i2, k)
+
+    def active_rows(self, k: int) -> List[int]:
+        """Block rows that are not structurally zero in column k when
+        panel k starts, diagonal row first: ``k .. mt-1``, or with an
+        identity block ``k .. identity_from-1`` (A) followed by
+        ``identity_from .. identity_from+k`` (fill-in of panels < k,
+        then the pristine I tile)."""
+        p = self.identity_from
+        if p is None:
+            return list(range(k, self.a.mt))
+        return list(range(k, p)) + list(range(p, p + k + 1))
+
+    def pristine_row(self, k: int) -> Optional[int]:
+        """Row of the identity tile no panel before k has touched."""
+        p = self.identity_from
+        return None if p is None else p + k
 
 
 def _tree_rounds(heights, kb: int):
@@ -108,38 +141,54 @@ def _tree_rounds(heights, kb: int):
     return rounds
 
 
-def geqrf(rt: Runtime, a: DistMatrix, *, panel: str = "tree") -> QRFactors:
+def geqrf(rt: Runtime, a: DistMatrix, *, panel: str = "tree",
+          identity_from: Optional[int] = None) -> QRFactors:
     """Factor A = QR in place; returns the factors.
 
     ``panel`` selects the panel reduction:
 
-    * ``"tree"`` (default) — communication-avoiding TSQR: every block
-      row is geqrt-factored independently, then triangles combine in a
-      binary tree (depth log2 of the panel height).  This is SLATE's
-      CAQR-style internal geqrf.
+    * ``"tree"`` (default) — communication-avoiding TSQR: every active
+      block row is geqrt-factored independently, then triangles combine
+      in a binary tree (depth log2 of the panel height).  This is
+      SLATE's CAQR-style internal geqrf.
     * ``"flat"`` — PLASMA-style sequential TS chain (depth = panel
       height); kept as the ablation baseline.
+
+    ``identity_from`` is a precondition the caller vouches for: tile
+    rows ``>= identity_from`` hold I_n with row heights equal to the
+    column widths (QDWH's stacked ``[sqrt(c) A; I]``).  Panel k then
+    works on its active rows only, see :meth:`QRFactors.active_rows`.
     """
-    if panel == "tree":
-        return _geqrf_tree(rt, a)
-    if panel != "flat":
+    if panel not in ("tree", "flat"):
         raise ValueError(f"panel must be 'tree' or 'flat', got {panel!r}")
-    return _geqrf_flat(rt, a)
-
-
-def _geqrf_flat(rt: Runtime, a: DistMatrix) -> QRFactors:
     if a.m < a.n:
         raise ValueError(f"tiled geqrf requires m >= n, got {a.m}x{a.n}")
-    kt = min(a.mt, a.nt)
-    fac = QRFactors(a=a, kt=kt, aux_mat=rt.new_matrix_id())
-    fac.panel = "flat"
-    aux = fac.aux
+    p = identity_from
+    if p is not None and not (a.nt <= p
+                              and a.row_heights[p:] == a.col_widths):
+        raise ValueError(
+            f"identity_from={p} does not describe an aligned n x n block "
+            f"under at least {a.nt} tile row(s): row heights "
+            f"{a.row_heights[p:]} vs column widths {a.col_widths}")
+    rt.begin_op()
+    fac = QRFactors(a=a, kt=min(a.mt, a.nt), aux_mat=rt.new_matrix_id(),
+                    panel=panel, identity_from=p)
+    if panel == "tree":
+        fac.tt_mat = rt.new_matrix_id()
+        _geqrf_tree(rt, fac)
+    else:
+        _geqrf_flat(rt, fac)
+    return fac
+
+
+def _geqrf_flat(rt: Runtime, fac: QRFactors) -> None:
+    a, aux = fac.a, fac.aux
     # Processes backend: aux entries (T factors, V blocks) are driver
     # dict state written inside payloads; declaring the store lets the
     # scheduler ship them between workers by their pseudo-tile refs.
     rt.register_side_store(fac.aux_mat, aux, lambda ref: (ref[1], ref[2]))
     itemsize = a.dtype.itemsize
-    for k in range(kt):
+    for k in range(fac.kt):
         rt.advance_phase()
         kb = a.tile_cols(k)
         mb = a.tile_rows(k)
@@ -171,7 +220,7 @@ def _geqrf_flat(rt: Runtime, a: DistMatrix) -> QRFactors:
                       bytes_out=a.tile_nbytes(k, j),
                       label=f"unmqr({k},{j})")
 
-        for i in range(k + 1, a.mt):
+        for i in fac.active_rows(k)[1:]:
             tik = fac.t_ref(i, k)
             mbi = a.tile_rows(i)
             rt.register_tiles([tik], 2 * kb * kb * itemsize)
@@ -214,33 +263,29 @@ def _geqrf_flat(rt: Runtime, a: DistMatrix) -> QRFactors:
                           bytes_out=(a.tile_nbytes(k, j)
                                      + a.tile_nbytes(i, j)),
                           label=f"tpmqrt({i},{j},{k})")
-    return fac
 
 
-def _geqrf_tree(rt: Runtime, a: DistMatrix) -> QRFactors:
+def _geqrf_tree(rt: Runtime, fac: QRFactors) -> None:
     """Communication-avoiding TSQR panels (binary triangle combines)."""
-    rt.begin_op()
-    rt.begin_op()
-    if a.m < a.n:
-        raise ValueError(f"tiled geqrf requires m >= n, got {a.m}x{a.n}")
-    kt = min(a.mt, a.nt)
-    fac = QRFactors(a=a, kt=kt, aux_mat=rt.new_matrix_id(),
-                    tt_mat=rt.new_matrix_id(), panel="tree")
-    aux = fac.aux
+    a, aux = fac.a, fac.aux
     # Both pseudo-matrix ids resolve into the same aux dict; the tree
     # combine entries are keyed ("tt", i2, k) (see QRFactors docstring).
     rt.register_side_store(fac.aux_mat, aux, lambda ref: (ref[1], ref[2]))
     rt.register_side_store(fac.tt_mat, aux,
                            lambda ref: ("tt", ref[1], ref[2]))
     itemsize = a.dtype.itemsize
-    for k in range(kt):
+    for k in range(fac.kt):
         rt.advance_phase()
         kb = a.tile_cols(k)
-        length = a.mt - k
+        rows = fac.active_rows(k)
 
-        # 1. Independent geqrt of every block row of the panel, plus the
-        #    row-local trailing update (all rows run concurrently).
-        for i in range(k, a.mt):
+        # 1. Independent geqrt of every active block row of the panel,
+        #    plus the row-local trailing update (all rows run
+        #    concurrently).  The pristine identity tile is already its
+        #    own R, with V = 0.
+        for i in rows:
+            if i == fac.pristine_row(k):
+                continue
             mbi = a.tile_rows(i)
             tik = fac.t_ref(i, k)
             rt.register_tiles([tik], kb * kb * itemsize)
@@ -273,10 +318,10 @@ def _geqrf_tree(rt: Runtime, a: DistMatrix) -> QRFactors:
                           label=f"ts.unmqr({i},{j})")
 
         # 2. Binary combine rounds (log2 depth).
-        heights = [a.tile_rows(i) for i in range(k, a.mt)]
+        heights = [a.tile_rows(i) for i in rows]
         for round_pairs in _tree_rounds(heights, kb):
             for p1, p2, rows_eff in round_pairs:
-                i1, i2 = k + p1, k + p2
+                i1, i2 = rows[p1], rows[p2]
                 ttref = fac.tt_ref(i2, k)
                 rt.register_tiles([ttref],
                                   (kb * kb + rows_eff * kb) * itemsize)
@@ -321,7 +366,6 @@ def _geqrf_tree(rt: Runtime, a: DistMatrix) -> QRFactors:
                               bytes_out=(a.tile_nbytes(i1, j)
                                          + a.tile_nbytes(i2, j)),
                               label=f"ttmqrt({i1},{i2},{j})")
-    return fac
 
 
 def _set_econ_identity(rt: Runtime, q: DistMatrix) -> None:
@@ -348,7 +392,9 @@ def unmqr_identity(rt: Runtime, fac: QRFactors) -> DistMatrix:
     """Materialize the economy Q (m x n) of a factorization.
 
     Applies the panel reflectors to [I; 0], rightmost factor first
-    (reverse of the factorization order).
+    (reverse of the factorization order).  Panel k is applied to
+    columns ``j >= k`` only: columns ``j < k`` of [I; 0] are still zero
+    on every active row of panel k (LAPACK ``orgqr``'s rule).
     """
     rt.begin_op()
     a = fac.a
@@ -364,10 +410,10 @@ def unmqr_identity(rt: Runtime, fac: QRFactors) -> DistMatrix:
         kb = a.tile_cols(k)
         mb = a.tile_rows(k)
         tkk = fac.t_ref(k, k)
-        for i in reversed(range(k + 1, a.mt)):
+        for i in reversed(fac.active_rows(k)[1:]):
             tik = fac.t_ref(i, k)
             mbi = a.tile_rows(i)
-            for j in range(q.nt):
+            for j in range(k, q.nt):
 
                 def pair_apply(k=k, i=i, j=j, kb=kb):
                     v_top, t = fac.aux[(i, k)]
@@ -387,7 +433,7 @@ def unmqr_identity(rt: Runtime, fac: QRFactors) -> DistMatrix:
                           bytes_out=(q.tile_nbytes(k, j)
                                      + q.tile_nbytes(i, j)),
                           label=f"q.tpmqrt({i},{j},{k})")
-        for j in range(q.nt):
+        for j in range(k, q.nt):
 
             def head_apply(k=k, j=j):
                 c = kernels.apply_q_kernel(a.tile(k, k), fac.aux[(k, k)],
@@ -409,13 +455,14 @@ def _apply_q_tree(rt: Runtime, fac: QRFactors, q: DistMatrix) -> None:
     for k in reversed(range(fac.kt)):
         rt.advance_phase()
         kb = a.tile_cols(k)
-        heights = [a.tile_rows(i) for i in range(k, a.mt)]
+        rows = fac.active_rows(k)
+        heights = [a.tile_rows(i) for i in rows]
         rounds = _tree_rounds(heights, kb)
         for round_pairs in reversed(rounds):
             for p1, p2, _cap in round_pairs:
-                i1, i2 = k + p1, k + p2
+                i1, i2 = rows[p1], rows[p2]
                 ttref = fac.tt_ref(i2, k)
-                for j in range(q.nt):
+                for j in range(k, q.nt):
 
                     def pairupd(i1=i1, i2=i2, j=j, k=k, kb=kb):
                         v_top, v_bot, t, rows_eff = fac.aux[("tt", i2, k)]
@@ -435,10 +482,12 @@ def _apply_q_tree(rt: Runtime, fac: QRFactors, q: DistMatrix) -> None:
                               bytes_out=(q.tile_nbytes(i1, j)
                                          + q.tile_nbytes(i2, j)),
                               label=f"q.ttmqrt({i1},{i2},{j})")
-        for i in range(k, a.mt):
+        for i in rows:
+            if i == fac.pristine_row(k):
+                continue  # never geqrt-factored: its row Q is I
             tik = fac.t_ref(i, k)
             mbi = a.tile_rows(i)
-            for j in range(q.nt):
+            for j in range(k, q.nt):
 
                 def rowapply(i=i, j=j, k=k):
                     c = kernels.apply_q_kernel(
@@ -454,9 +503,13 @@ def _apply_q_tree(rt: Runtime, fac: QRFactors, q: DistMatrix) -> None:
                           label=f"q.ts.unmqr({i},{j})")
 
 
-def qr_explicit(rt: Runtime, a: DistMatrix, *,
-                panel: str = "tree") -> Tuple[QRFactors, DistMatrix]:
-    """Factor A (in place) and return (factors, explicit economy Q)."""
-    fac = geqrf(rt, a, panel=panel)
+def qr_explicit(rt: Runtime, a: DistMatrix, *, panel: str = "tree",
+                identity_from: Optional[int] = None
+                ) -> Tuple[QRFactors, DistMatrix]:
+    """Factor A (in place) and return (factors, explicit economy Q).
+
+    ``identity_from``: see :func:`geqrf`.
+    """
+    fac = geqrf(rt, a, panel=panel, identity_from=identity_from)
     q = unmqr_identity(rt, fac)
     return fac, q

@@ -458,3 +458,92 @@ class TestWorkerDeathByHand:
         assert rep.backward < 1e-10
         assert leaked == 0
         assert scan_segments(prefix) == []
+
+
+class TestDriverLaneWindows:
+    """A window whose worker-eligible tasks are all memory-bound
+    (``ELEMENTWISE_KINDS``) runs on the driver lane: no fork, no frame."""
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        from repro.runtime import ProcessExecutor
+        forked, fork_one = [], ProcessExecutor._fork_one
+
+        def counting(ex, wid, *args):
+            forked.append(wid)
+            return fork_one(ex, wid, *args)
+
+        monkeypatch.setattr(ProcessExecutor, "_fork_one", counting)
+        return forked
+
+    @staticmethod
+    def _runtime(**kw):
+        return Runtime(ProcessGrid(1, 1), deferred=True, workers=2,
+                       backend="processes", **kw)
+
+    def test_copy_norm_reduce_window_starts_no_process(self, forks):
+        from repro.tiled import add, copy, norm_fro
+        a = generate_matrix(64, cond=1e2, seed=2)
+        with self._runtime() as rt:
+            d = DistMatrix.from_array(rt, a, 16)
+            e = DistMatrix.from_array(rt, np.zeros_like(a), 16)
+            copy(rt, d, e)
+            add(rt, 2.0, d, -1.0, e)          # e = 2a - a
+            nrm = float(norm_fro(rt, e).value)   # syncs the window
+            stats = rt.exec_stats
+            assert stats.windows == 1 and stats.tasks_run > 3 * 16
+            assert forks == []
+            assert stats.comm_messages == 0 and stats.comm_bytes == 0
+            assert rt._executor.inflight_attempts == 0
+        assert nrm == pytest.approx(np.linalg.norm(a), rel=1e-13)
+
+    def test_gemm_potrf_window_still_forks(self, forks):
+        from repro.tiled import gemm, potrf
+        a = generate_matrix(64, cond=10.0, seed=4)
+        with self._runtime() as rt:
+            d = DistMatrix.from_array(rt, a, 16)
+            z = DistMatrix.from_array(rt, 64.0 * np.eye(64), 16)
+            gemm(rt, 1.0, d, d, 1.0, z, opa="C")   # z = 64 I + a^H a
+            potrf(rt, z)
+            low = np.tril(z.to_array())
+            stats = rt.exec_stats
+            assert stats.windows == 1
+            assert len(forks) == 2
+            assert stats.comm_messages > 0
+        ref = 64.0 * np.eye(64) + a.T @ a
+        assert np.allclose(low @ low.T, ref, rtol=1e-12, atol=1e-12)
+
+    def test_qdwh_forks_only_for_kernel_windows(self, forks):
+        a = generate_matrix(96, cond=1e8, seed=3)
+        u0, h0, _ = _run_eager(a, 32)
+        u, h, res, stats, leaked, shm = _run_processes(a, 32, 2)
+        assert np.array_equal(u, u0) and np.array_equal(h, h0)
+        assert leaked == 0 and shm == []
+        # Estimator sweeps, prev copies and conv norms are whole
+        # windows of elementwise work; only the windows holding a
+        # QR/Cholesky iteration (or H = U^H A) fork.
+        assert 0 < len(forks) // 2 <= res.iterations + 3 < stats.windows
+
+    def test_due_crash_waits_for_a_worker(self, forks):
+        # The crash is due before the first tick.  Window 1 is an
+        # elementwise sweep (no worker to kill): the crash must stay
+        # pending, not be consumed, and hit the first forked window.
+        from repro.resilience import plan_from_spec
+        from repro.tiled import copy, gemm
+        a = generate_matrix(64, cond=10.0, seed=6)
+        plan = plan_from_spec(seed=6, crash=("1@0.0",))
+        with self._runtime(faults=plan) as rt:
+            d = DistMatrix.from_array(rt, a, 16)
+            e = DistMatrix.from_array(rt, np.zeros_like(a), 16)
+            c = DistMatrix.from_array(rt, np.zeros_like(a), 16)
+            copy(rt, d, e)
+            rt.sync()
+            ex = rt._executor
+            assert forks == [] and ex._crash_idx == 0
+            assert rt.exec_stats.recovery.crashes == 0
+            gemm(rt, 1.0, d, e, 0.0, c)
+            got = c.to_array()
+            assert ex._crash_idx == 1
+            assert rt.exec_stats.recovery.crashes == 1
+            assert ex.inflight_attempts == 0
+        assert np.allclose(got, a @ a, rtol=1e-12, atol=1e-12)

@@ -1,5 +1,6 @@
 """Tests for the performance model (the simulated benchmark campaign)."""
 
+import numpy as np
 import pytest
 
 from repro.machines import frontier, summit
@@ -37,6 +38,42 @@ class TestSimulateQdwh:
         import repro.flops as F
         p = simulate_qdwh(summit(), 1, 30000, "slate_cpu", max_tiles=MT)
         assert p.model_flops == F.qdwh_total(30000, p.it_qr, p.it_chol)
+
+    def test_graph_recorded_once_and_only_read(self):
+        """Implementations run at one tile size share one recorded
+        graph; ``simulate()`` must not mutate it."""
+        from repro.perf import model
+        model._recorded_graph.cache_clear()
+        first = [simulate_qdwh(summit(), 1, 6000, impl, nb=320,
+                               max_tiles=MT)
+                 for impl in ("slate_gpu", "slate_cpu", "scalapack")]
+        info = model._recorded_graph.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+        again = [simulate_qdwh(summit(), 1, 6000, impl, nb=320,
+                               max_tiles=MT)
+                 for impl in ("slate_gpu", "slate_cpu", "scalapack")]
+        assert model._recorded_graph.cache_info().misses == 1
+        for p, q in zip(first, again):
+            assert q.makespan == p.makespan
+            assert q.executed_flops == p.executed_flops
+            assert q.task_count == p.task_count
+        # ... and equals a freshly recorded, never simulated graph.
+        nb = first[0].nb_sim
+        fresh, it_qr, it_chol = model.build_qdwh_graph(
+            6000, nb, model._grid_for(2), nb_rate=320)
+        cached, *_ = model._recorded_graph(
+            6000, 6000, nb, 320, model._grid_for(2), 1e16,
+            np.dtype(np.float64))
+        assert len(cached.tasks) == len(fresh.tasks) == first[0].task_count
+        assert cached.total_flops() == fresh.total_flops()
+        assert (it_qr, it_chol) == (first[0].it_qr, first[0].it_chol)
+        # A different problem is a different entry, not a stale hit.
+        other = simulate_qdwh(summit(), 1, 6000, "slate_gpu",
+                              max_tiles=MT, cond=10.0)
+        assert other.it_qr < first[0].it_qr
+        custom = simulate_custom(summit(), 1, 6000, ranks_per_node=2,
+                                 use_gpu=True, max_tiles=MT)
+        assert custom.makespan == first[0].makespan
 
     def test_settings_table_complete(self):
         for mach in ("summit", "frontier"):

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.dist import DistMatrix
-from repro.tiled import geqrf, qr_explicit
+from repro.dist import DistMatrix, ProcessGrid
+from repro.runtime import Runtime
+from repro.tiled import geqrf, qr_explicit, unmqr_identity
 
 from .conftest import make_runtime
 
@@ -121,3 +122,172 @@ class TestQRGraphShape:
         p0 = rt.phase
         geqrf(rt, d)
         assert rt.phase - p0 >= 2  # one per panel step
+
+
+# ---------------------------------------------------------------------------
+# Identity-aware stacked QR (``identity_from``) and orgqr-style Q formation
+# ---------------------------------------------------------------------------
+
+def _tiling(extent, nb):
+    return (nb,) * (extent // nb) + ((extent % nb,) if extent % nb else ())
+
+
+def _stacked(rt, A, nb, c=7.5):
+    """QDWH's workspace [sqrt(c) A; I] with the identity block aligned
+    to the column tiling; returns (DistMatrix, identity_from)."""
+    m, n = A.shape
+    rows, cols = _tiling(m, nb), _tiling(n, nb)
+    w = DistMatrix(rt, m + n, n, nb, A.dtype, row_heights=rows + cols,
+                   col_widths=cols)
+    if rt.numeric:
+        dense = np.vstack([np.sqrt(c) * A, np.eye(n, dtype=A.dtype)])
+        for i in range(w.mt):
+            for j in range(w.nt):
+                r0, c0 = w.row_offsets[i], w.col_offsets[j]
+                w.set_tile(i, j, dense[r0:r0 + w.tile_rows(i),
+                                       c0:c0 + w.tile_cols(j)])
+    return w, len(rows)
+
+
+def _random(m, n, dtype, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((m, n))
+    if np.issubdtype(dtype, np.complexfloating):
+        a = a + 1j * rng.standard_normal((m, n))
+    return a.astype(dtype)
+
+
+#: (m, n, nb): square, m >> n, ragged last tile (rows and columns), nb > n.
+STACKED_SHAPES = [(24, 24, 8), (64, 16, 8), (27, 21, 8), (13, 10, 16)]
+
+
+class TestIdentityAwareQR:
+    @pytest.mark.parametrize("shape", STACKED_SHAPES)
+    @pytest.mark.parametrize("panel", ["tree", "flat"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64,
+                                       np.complex64, np.complex128])
+    def test_structured_matches_unstructured(self, dtype, panel, shape):
+        m, n, nb = shape
+        A = _random(m, n, dtype, seed=m * 7 + n)
+        out = {}
+        for structured in (False, True):
+            rt = make_runtime(2, 2)
+            w, top_mt = _stacked(rt, A, nb)
+            _, dq = qr_explicit(
+                rt, w, panel=panel,
+                identity_from=top_mt if structured else None)
+            q = dq.to_array()
+            out[structured] = (q[:m] @ q[m:].conj().T,
+                               np.abs(np.triu(w.to_array()[:n])),
+                               np.abs(q.conj().T @ q - np.eye(n)).max())
+        tol = 50 * (m + n) * float(np.finfo(dtype).eps)
+        (qq0, r0, orth0), (qq1, r1, orth1) = out[False], out[True]
+        assert orth0 < tol and orth1 < tol
+        # Q1 Q2^H is invariant under the column-sign freedom of a QR;
+        # |R| is invariant under the matching row signs.
+        assert np.abs(qq1 - qq0).max() < tol
+        assert np.abs(r1 - r0).max() < tol * max(1.0, r0.max())
+
+    @staticmethod
+    def _record(panel, m=40, n=24, nb=8):
+        rt = make_runtime(1, 1, numeric=False)
+        w, p = _stacked(rt, np.empty((m, n)), nb)
+        fac, q = qr_explicit(rt, w, panel=panel, identity_from=p)
+        fact, form = {}, {}
+        for t in rt.graph.tasks:
+            refs = t.reads + t.writes
+            if t.label.startswith("qeye"):
+                continue
+            bucket = form if any(r[0] == q.mat_id for r in refs) else fact
+            bucket.setdefault(t.phase, []).append(refs)
+        # One phase per panel: ascending k while factoring, descending
+        # while forming Q.
+        panels = {"fact": [fact[ph] for ph in sorted(fact)],
+                  "form": [form[ph] for ph in sorted(form, reverse=True)]}
+        return fac, w, q, panels
+
+    @pytest.mark.parametrize("panel", ["tree", "flat"])
+    def test_recorded_graph_touches_active_rows_only(self, panel):
+        fac, w, q, panels = self._record(panel)
+        p = fac.identity_from
+        assert len(panels["fact"]) == len(panels["form"]) == fac.kt == w.nt
+        for stage, mats in (("fact", (w.mat_id,)),
+                            ("form", (w.mat_id, q.mat_id))):
+            for k, tasks in enumerate(panels[stage]):
+                rows = {r[1] for refs in tasks for r in refs
+                        if r[0] in mats}
+                active = set(range(k, p)) | set(range(p, p + k + 1))
+                assert rows == active, (stage, k)
+                assert rows == set(fac.active_rows(k))
+                assert len(rows) == (p - k) + (k + 1)
+                # Identity row p + r is first touched by panel r.
+                assert all(i - p <= k for i in rows if i >= p)
+        for k, tasks in enumerate(panels["form"]):
+            cols = {r[2] for refs in tasks for r in refs
+                    if r[0] == q.mat_id}
+            assert cols == set(range(k, q.nt)), k  # orgqr: no j < k
+
+    def test_pristine_tile_records_no_geqrt(self):
+        rt = make_runtime(1, 1, numeric=False)
+        w, p = _stacked(rt, np.empty((16, 16)), 8)
+        geqrf(rt, w, identity_from=p)
+        labels = [t.label for t in rt.graph.tasks]
+        # panel 0: rows 0, 1 geqrt, row 2 = I enters as a triangle;
+        # panel 1: rows 1, 2 (fill-in) geqrt, row 3 = I.
+        assert [lb for lb in labels if lb.startswith("ts.geqrt")] == [
+            "ts.geqrt(0,0)", "ts.geqrt(1,0)",
+            "ts.geqrt(1,1)", "ts.geqrt(2,1)"]
+        assert sum(lb.startswith("ttqrt") for lb in labels) == 2 + 2
+        assert "ts.unmqr(2,1)" not in labels  # panel 0, pristine row
+
+    def test_unstructured_q_formation_skips_leading_columns(self):
+        """The column rule needs no precondition."""
+        rt = make_runtime(1, 1, numeric=False)
+        d = DistMatrix(rt, 32, 24, 8)
+        fac = geqrf(rt, d)
+        n0 = len(rt.graph.tasks)
+        q = unmqr_identity(rt, fac)
+        # Phases after the qeye one: one per panel, k = kt-1 down to 0.
+        first = rt.graph.tasks[n0].phase + 1
+        applied = [t for t in rt.graph.tasks[n0:] if t.label.startswith("q.")]
+        assert applied
+        for t in applied:
+            k = fac.kt - 1 - (t.phase - first)
+            assert all(r[2] >= k for r in t.writes if r[0] == q.mat_id)
+
+    @pytest.mark.parametrize("bad", [0, 2, 4, 7, 9])
+    def test_identity_from_must_describe_aligned_block(self, bad):
+        rt = make_runtime(1, 1, numeric=False)
+        w, p = _stacked(rt, np.empty((40, 24)), 8)   # 5 + 3 tile rows
+        assert p == 5 and bad != p
+        with pytest.raises(ValueError, match="identity_from"):
+            geqrf(rt, w, identity_from=bad)
+
+    def test_identity_block_heights_must_match_column_widths(self):
+        rt = make_runtime(1, 1, numeric=False)
+        # Uniform row tiling 8,8,8,8,8,1 does not end in the column
+        # tiling 8,8,5: the bottom block's tiles are not I-or-zero.
+        w = DistMatrix(rt, 20 + 21, 21, 8)
+        with pytest.raises(ValueError, match="identity_from"):
+            geqrf(rt, w, identity_from=3)
+        rt2 = make_runtime(1, 1, numeric=False)
+        wide_top = DistMatrix(rt2, 8 + 24, 24, 8)   # A is 1 x 3 tiles
+        with pytest.raises(ValueError, match="identity_from"):
+            geqrf(rt2, wide_top, identity_from=1)
+
+    @pytest.mark.parametrize("panel", ["tree", "flat"])
+    @pytest.mark.parametrize("workers", [None, 4])
+    def test_tilesan_and_race_check_clean(self, panel, workers):
+        kw = {} if workers is None else {"deferred": True,
+                                         "workers": workers}
+        rt = Runtime(ProcessGrid(1, 1), sanitize="raise", **kw)
+        A = _random(27, 21, np.float64, seed=3)
+        w, p = _stacked(rt, A, 8)
+        _, dq = qr_explicit(rt, w, panel=panel, identity_from=p)
+        q = dq.to_array()   # syncs; SanitizerError on a bad footprint
+        san = rt.sanitizer
+        assert san.findings == []
+        assert san.tasks_checked == len(rt.graph.tasks)
+        assert rt.graph.check_races(footprints=san.footprints()) == []
+        assert np.abs(q.conj().T @ q - np.eye(21)).max() < 1e-13
+        rt.close()
