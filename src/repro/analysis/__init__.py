@@ -16,8 +16,7 @@ the task DAG is only as correct as the declared tile footprints.
   threaded backend could hit.  Exposed as ``TaskGraph.check_races()``.
 * :mod:`.lint` — **repro-lint**, a static AST pass with repo-specific
   rules over task-submitting code (footprints declared, payload tile
-  accesses covered, ``bytes_out`` set, no re-entrant syncs inside
-  payloads).
+  accesses covered, no re-entrant syncs inside payloads).
 
 The ``repro lint`` CLI verb drives all three; the tier-1 suite runs
 with ``REPRO_SANITIZE=raise`` in CI.

@@ -21,9 +21,6 @@ REP002   Payload closures must not call ``.tile(`` / ``.set_tile(`` on
          expressions) in enclosing scopes; footprints built from
          generator expressions or concatenation are treated as opaque
          and skipped.
-REP003   A ``submit`` with a non-empty ``writes=`` must set
-         ``bytes_out=`` (the scheduler's communication volume model
-         prices task outputs; a silent 0 under-reports traffic).
 REP004   No ``.to_array()`` call and no ``.value`` read of a known
          scalar result inside a payload — both are sync points, and a
          re-entrant sync inside a payload is suppressed on deferred
@@ -52,7 +49,7 @@ REP005–REP008 target the distributed runtime
 driving the processes backend is linted by the same pass.
 
 Suppression: put ``# repro-lint: ignore`` (all rules) or
-``# repro-lint: ignore[REP002]`` / ``ignore[REP002, REP003]`` on the
+``# repro-lint: ignore[REP002]`` / ``ignore[REP002, REP004]`` on the
 offending line or on the line of the enclosing ``submit`` call.
 """
 
@@ -67,16 +64,15 @@ from typing import (Dict, FrozenSet, Iterator, List, Optional, Sequence,
 
 FOOTPRINT_MISSING = "REP001"
 PAYLOAD_FOOTPRINT = "REP002"
-BYTES_OUT_MISSING = "REP003"
 SYNC_IN_PAYLOAD = "REP004"
 SHM_UNRELEASED = "REP005"
 RECV_UNDER_LOCK = "REP006"
 FORK_UNSAFE_ARG = "REP007"
 BACKEND_UNKNOWN = "REP008"
 
-ALL_RULES = (FOOTPRINT_MISSING, PAYLOAD_FOOTPRINT, BYTES_OUT_MISSING,
-             SYNC_IN_PAYLOAD, SHM_UNRELEASED, RECV_UNDER_LOCK,
-             FORK_UNSAFE_ARG, BACKEND_UNKNOWN)
+ALL_RULES = (FOOTPRINT_MISSING, PAYLOAD_FOOTPRINT, SYNC_IN_PAYLOAD,
+             SHM_UNRELEASED, RECV_UNDER_LOCK, FORK_UNSAFE_ARG,
+             BACKEND_UNKNOWN)
 
 #: Valid values for a ``backend=`` string literal (REP008).
 KNOWN_BACKENDS = frozenset({"dense", "eager", "threads", "processes"})
@@ -116,8 +112,9 @@ _PSEUDO_REF_ATTRS = frozenset({"new_scalar_ref", "t_ref", "tt_ref"})
 #: Functions returning ScalarResult: a ``.value`` read of their result
 #: inside a payload is REP004.
 _SCALAR_FUNCS = frozenset({
-    "norm_one", "norm_inf", "norm_fro", "norm_max", "column_abs_sums_max",
-    "norm2est_tiled", "trcondest_tiled", "gecondest_tiled", "_const_scalar",
+    "norm_one", "norm_inf", "norm_fro", "norm_max", "_tile_reduce",
+    "norm2est_tiled", "trcondest_tiled", "_r_norm1", "_const_scalar",
+    "gecondest_tiled", "_const",
 })
 
 _SUPPRESS_RE = re.compile(r"#\s*repro-lint:\s*ignore(?:\[([^\]]*)\])?")
@@ -292,16 +289,6 @@ def _kw(call: ast.Call, name: str) -> Optional[ast.AST]:
     return None
 
 
-def _nonempty_literal(expr: ast.AST) -> bool:
-    """True unless the expression is a literally empty tuple/list."""
-
-    if isinstance(expr, (ast.Tuple, ast.List)):
-        return bool(expr.elts)
-    if isinstance(expr, ast.Constant) and expr.value is None:
-        return False
-    return True
-
-
 class _Linter:
     def __init__(self, path: str, source: str):
         self.path = path
@@ -363,12 +350,6 @@ class _Linter:
             self._flag(FOOTPRINT_MISSING,
                        "submit(..., fn=...) without reads=/writes=: the "
                        "payload's tile footprint must be declared", call)
-
-        if writes is not None and _nonempty_literal(writes) \
-                and _kw(call, "bytes_out") is None:
-            self._flag(BYTES_OUT_MISSING,
-                       "submit with writes= must set bytes_out= (task "
-                       "output volume feeds the communication model)", call)
 
         if not has_fn:
             return

@@ -42,7 +42,16 @@ from ..obs.metrics import get_registry
 from ..obs.timeline import FAULT_HEALTH, FaultEvent
 from ..runtime.executor import Runtime
 from ..runtime.task import TaskKind
-from ..tiled.blas3 import add, copy, gemm, herk, scale, transpose_conj
+from ..tiled.blas3 import (
+    add,
+    copy,
+    gemm,
+    herk,
+    scale,
+    set_identity,
+    set_zero,
+    transpose_conj,
+)
 from ..tiled.cholesky import posv
 from ..tiled.estimators import norm2est_tiled, trcondest_tiled
 from ..tiled.norms import norm_fro, norm_one
@@ -117,30 +126,7 @@ def _copy_scaled(rt: Runtime, alpha: float, src: DistMatrix,
                       writes=(dst.ref(di, j),), rank=dst.owner(di, j),
                       flops=float(src.tile_rows(i) * src.tile_cols(j)),
                       tile_dim=dst.nb, fn=body,
-                      bytes_out=dst.tile_nbytes(di, j),
                       label=f"cpysc({i},{j})")
-
-
-def _set_identity_block(rt: Runtime, w: DistMatrix, row_offset: int) -> None:
-    """w[offset block] = I (the bottom block of [sqrt(c)A; I])."""
-    nt = w.nt
-    for i in range(nt):
-        di = i + row_offset
-        for j in range(nt):
-
-            def body(i=i, j=j, di=di):
-                t = w.tile(di, j)
-                t[...] = 0
-                if i == j:
-                    d = min(t.shape)
-                    t[np.arange(d), np.arange(d)] = 1
-
-            rt.submit(TaskKind.SET, reads=(), writes=(w.ref(di, j),),
-                      rank=w.owner(di, j),
-                      flops=float(w.tile_rows(di) * w.tile_cols(j)),
-                      tile_dim=w.nb, fn=body,
-                      bytes_out=w.tile_nbytes(di, j),
-                      label=f"wident({di},{j})")
 
 
 def _split_rows(rt: Runtime, q: DistMatrix, top_mt: int,
@@ -169,7 +155,6 @@ def _split_rows(rt: Runtime, q: DistMatrix, top_mt: int,
                       writes=(dst.ref(di, j),), rank=dst.owner(di, j),
                       flops=float(q.tile_rows(i) * q.tile_cols(j)),
                       tile_dim=q.nb, fn=body,
-                      bytes_out=dst.tile_nbytes(di, j),
                       label=f"split({i},{j})")
     return q1, q2
 
@@ -188,7 +173,6 @@ def _symmetrize(rt: Runtime, h: DistMatrix) -> None:
                           writes=(h.ref(i, i),), rank=h.owner(i, i),
                           flops=float(h.tile_rows(i) ** 2),
                           tile_dim=h.nb, fn=body,
-                          bytes_out=h.tile_nbytes(i, i),
                           label=f"symm({i},{i})")
             else:
 
@@ -205,7 +189,6 @@ def _symmetrize(rt: Runtime, h: DistMatrix) -> None:
                           rank=h.owner(i, j),
                           flops=2.0 * h.tile_rows(i) * h.tile_cols(j),
                           tile_dim=h.nb, fn=body,
-                          bytes_out=2 * h.tile_nbytes(i, j),
                           label=f"symm({i},{j})")
 
 
@@ -219,7 +202,7 @@ def _qr_iteration(rt: Runtime, a: DistMatrix, wa: float, wb: float,
                    col_widths=a.col_widths)
     rt.advance_phase()
     _copy_scaled(rt, sc, a, w, 0)
-    _set_identity_block(rt, w, a.mt)
+    set_identity(rt, w, row_offset=a.mt)
     _fac, q = qr_explicit(rt, w, identity_from=a.mt)
     q1, q2 = _split_rows(rt, q, a.mt, a)
     theta = (wa - wb / wc) / sc
@@ -234,7 +217,7 @@ def _chol_iteration(rt: Runtime, a: DistMatrix, wa: float, wb: float,
     rt.advance_phase()
     z = DistMatrix(rt, a.n, a.n, a.nb, a.dtype, layout=a.layout, name="Z",
                    row_heights=a.col_widths, col_widths=a.col_widths)
-    _set_identity_block(rt, z, 0)
+    set_identity(rt, z)
     herk(rt, wc, a, 1.0, z, opa="C")
     rhs = transpose_conj(rt, a)          # A^H, n x m
     posv(rt, z, rhs)                     # X overwrites rhs
@@ -494,21 +477,11 @@ def _tiled_qdwh_impl(rt: Runtime, a: DistMatrix, *,
                         "input matrix contains non-finite entries")
             if alpha == 0.0:
                 # Zero matrix: conventional polar factors U = [I; 0], H = 0.
-                _set_identity_block(rt, a, 0)  # writes top n x n block
+                set_identity(rt, a, zero_below=True)
                 h = DistMatrix(rt, n, n, a.nb, dt, layout=a.layout, name="H",
                                row_heights=a.col_widths,
                                col_widths=a.col_widths)
-                from ..tiled.blas3 import set_zero
                 set_zero(rt, h)
-                for i in range(a.nt, a.mt):
-                    for j in range(a.nt):
-                        def zbody(i=i, j=j):
-                            a.tile(i, j)[...] = 0
-                        rt.submit(TaskKind.SET, reads=(),
-                                  writes=(a.ref(i, j),),
-                                  rank=a.owner(i, j), fn=zbody,
-                                  bytes_out=a.tile_nbytes(i, j),
-                                  label="uzero")
                 rt.sync()  # materialize U = [I; 0], H = 0 before returning
                 return TiledQdwhResult(u=a, h=h, iterations=0, it_qr=0,
                                        it_chol=0, alpha=0.0, l0=0.0,

@@ -73,5 +73,4 @@ def redistribute(rt: Runtime, src: DistMatrix, dst: DistMatrix) -> None:
                       writes=(dst.ref(di, dj),), rank=dst.owner(di, dj),
                       flops=float(dst.tile_rows(di) * dst.tile_cols(dj)),
                       tile_dim=dst.nb, fn=body,
-                      bytes_out=dst.tile_nbytes(di, dj),
                       label=f"redist({di},{dj})")

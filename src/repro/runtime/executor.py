@@ -178,7 +178,6 @@ class Runtime:
                writes: Sequence[TileRef] = (),
                rank: Optional[int] = None,
                flops: float = 0.0,
-               bytes_out: int = 0,
                tile_dim: int = 0,
                label: str = "",
                fn: Optional[Callable[[], None]] = None,
@@ -207,7 +206,6 @@ class Runtime:
             rank=rank,
             phase=self._phase,
             flops=flops * self.flops_scale,
-            bytes_out=bytes_out,
             tile_dim=(self.tile_dim_hint if self.tile_dim_hint
                       else tile_dim),
             coarse=self.coarse_hint,

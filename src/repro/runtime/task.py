@@ -67,8 +67,10 @@ class Task:
 
     ``reads``/``writes`` are tile refs; ``rank`` is the executing MPI
     rank; ``phase`` is the program-order phase counter (panel steps);
-    ``flops`` drives the duration model; ``bytes_out`` is the size of
-    the written tiles (used for transfer costs to consumers).
+    ``flops`` drives the duration model.  Transfer costs are not a task
+    attribute: the scheduler prices every moved tile from
+    ``TaskGraph.tile_bytes`` (sizes registered with the tile's matrix or
+    through ``Runtime.register_tiles``).
     """
 
     tid: int
@@ -78,7 +80,6 @@ class Task:
     rank: int
     phase: int
     flops: float = 0.0
-    bytes_out: int = 0
     tile_dim: int = 0   # nominal tile edge (efficiency-curve lookup)
     #: Coarsening factor of the perf model (nb_sim / nb_real).  > 1
     #: means this task models a *group* of real-nb kernels; the machine

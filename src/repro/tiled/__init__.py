@@ -9,7 +9,7 @@ Contents:
 * :mod:`.kernels` — numeric single-tile kernels (geqrt, tpqrt, blocked
   reflector application, potrf, ...).
 * :mod:`.blas3` — tiled gemm / herk / trsm / add / scale / copy / set.
-* :mod:`.qr` — tiled Householder QR (flat or TS-tree panels), explicit
+* :mod:`.qr` — tiled Householder QR (TSQR tree panels), explicit
   Q formation, Q application.
 * :mod:`.cholesky` — tiled potrf and posv.
 * :mod:`.norms` — one/inf/fro/max norms and column sums.

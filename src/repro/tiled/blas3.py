@@ -83,7 +83,6 @@ def gemm(rt: Runtime, alpha: complex, a: DistMatrix, b: DistMatrix,
                 rt.submit(TaskKind.GEMM, reads=(aref, bref),
                           writes=(cref,), rank=rank, flops=fl,
                           tile_dim=c.nb, fn=body,
-                          bytes_out=c.tile_nbytes(i, j),
                           label=f"gemm({i},{j},{k})")
 
 
@@ -133,7 +132,6 @@ def herk(rt: Runtime, alpha: float, a: DistMatrix, beta: float,
                 rt.submit(TaskKind.HERK if i == j else TaskKind.GEMM,
                           reads=tuple(arefs), writes=(cref,), rank=rank,
                           flops=fl, tile_dim=c.nb, fn=body,
-                          bytes_out=c.tile_nbytes(i, j),
                           label=f"herk({i},{j},{k})")
 
 
@@ -157,7 +155,6 @@ def mirror_lower(rt: Runtime, c: DistMatrix) -> None:
                       rank=c.owner(j, i),
                       flops=float(c.tile_rows(i) * c.tile_cols(j)),
                       tile_dim=c.nb, fn=body,
-                      bytes_out=c.tile_nbytes(j, i),
                       label=f"mirror({i},{j})")
 
 
@@ -181,7 +178,6 @@ def add(rt: Runtime, alpha: complex, a: DistMatrix, beta: complex,
             rt.submit(TaskKind.ADD, reads=(a.ref(i, j),),
                       writes=(b.ref(i, j),), rank=b.owner(i, j),
                       flops=fl, tile_dim=b.nb, fn=body,
-                      bytes_out=b.tile_nbytes(i, j),
                       label=f"add({i},{j})")
 
 
@@ -197,8 +193,7 @@ def scale(rt: Runtime, alpha: complex, a: DistMatrix) -> None:
 
             rt.submit(TaskKind.SCALE, reads=(), writes=(a.ref(i, j),),
                       rank=a.owner(i, j), flops=fl, tile_dim=a.nb,
-                      fn=body, bytes_out=a.tile_nbytes(i, j),
-                      label=f"scale({i},{j})")
+                      fn=body, label=f"scale({i},{j})")
 
 
 def copy(rt: Runtime, src: DistMatrix, dst: DistMatrix, *,
@@ -230,7 +225,6 @@ def copy(rt: Runtime, src: DistMatrix, dst: DistMatrix, *,
                       writes=(dst.ref(di, j),), rank=dst.owner(di, j),
                       flops=float(src.tile_rows(i) * src.tile_cols(j)),
                       tile_dim=dst.nb, fn=body,
-                      bytes_out=dst.tile_nbytes(di, j),
                       label=f"copy({i},{j})")
 
 
@@ -247,37 +241,56 @@ def set_zero(rt: Runtime, a: DistMatrix) -> None:
                       rank=a.owner(i, j),
                       flops=float(a.tile_rows(i) * a.tile_cols(j)),
                       tile_dim=a.nb, fn=body,
-                      bytes_out=a.tile_nbytes(i, j),
                       label=f"zero({i},{j})")
 
 
 def set_identity(rt: Runtime, a: DistMatrix, *, row_offset: int = 0,
-                 alpha: complex = 1.0) -> None:
-    """Write alpha*I into A starting at tile-row ``row_offset``.
+                 alpha: complex = 1.0, zero_below: bool = False) -> None:
+    """Write alpha*I_n into the tile rows ``row_offset .. row_offset +
+    nt - 1`` of A (n = A's column count), zeroing the rest of those
+    tiles; with ``zero_below`` every tile row under the block is zeroed
+    too.
 
-    The rest of the touched tiles is zeroed; used for the [sqrt(c)A; I]
-    stack and the W2 = I workspace of Algorithm 1.
+    The one identity fill: Algorithm 1's ``[sqrt(c) A; I]`` stack, its
+    ``I + c A^H A`` and the zero-matrix ``U = [I; 0]``
+    (:mod:`repro.core.tiled_qdwh`), and the ``[I; 0]`` workspace of Q
+    formation (:func:`repro.tiled.qr.unmqr_identity`).  It records into
+    the caller's current op — a fill initialises the workspace of the
+    operation around it, so it calls no ``rt.begin_op()``.
+
+    The block must be tile-aligned: every tile ``(row_offset + k, k)``
+    starts on the block's diagonal and is at least as tall as it is
+    wide (only the last may be taller: an m x n Q workspace whose
+    ragged last column is narrower than its row).
     """
-    rt.begin_op()
-    if row_offset < 0 or row_offset + a.nt > a.mt:
+    nt = a.nt
+    if row_offset < 0 or row_offset + nt > a.mt:
         raise ValueError("identity block does not fit")
-    for j in range(a.nt):
-        for i in range(a.nt):
-            di = i + row_offset
+    top = a.row_offsets[row_offset]
+    for k in range(nt):
+        dk = row_offset + k
+        if (a.row_offsets[dk] - top != a.col_offsets[k]
+                or a.tile_rows(dk) < a.tile_cols(k)):
+            raise ValueError(
+                f"identity block at tile row {row_offset} is not "
+                f"tile-aligned: tile ({dk},{k}) does not hold its "
+                f"diagonal (row heights {a.row_heights[row_offset:]} vs "
+                f"column widths {a.col_widths})")
+    last = a.mt if zero_below else row_offset + nt
+    for di in range(row_offset, last):
+        for j in range(nt):
 
-            def body(i=i, j=j, di=di):
+            def body(di=di, j=j, diag=(di - row_offset == j)):
                 t = a.tile(di, j)
                 t[...] = 0
-                if i == j:
+                if diag:
                     d = min(t.shape)
                     t[np.arange(d), np.arange(d)] = a.dtype.type(alpha)
 
             rt.submit(TaskKind.SET, reads=(), writes=(a.ref(di, j),),
                       rank=a.owner(di, j),
                       flops=float(a.tile_rows(di) * a.tile_cols(j)),
-                      tile_dim=a.nb, fn=body,
-                      bytes_out=a.tile_nbytes(di, j),
-                      label=f"eye({di},{j})")
+                      tile_dim=a.nb, fn=body, label=f"eye({di},{j})")
 
 
 def set_diag_add(rt: Runtime, a: DistMatrix, alpha: complex = 1.0) -> None:
@@ -294,8 +307,7 @@ def set_diag_add(rt: Runtime, a: DistMatrix, alpha: complex = 1.0) -> None:
 
         rt.submit(TaskKind.SET, reads=(a.ref(k, k),),
                   writes=(a.ref(k, k),), rank=a.owner(k, k),
-                  tile_dim=a.nb, fn=body,
-                  bytes_out=a.tile_nbytes(k, k), label=f"diag+({k})")
+                  tile_dim=a.nb, fn=body, label=f"diag+({k})")
 
 
 def transpose_conj(rt: Runtime, a: DistMatrix,
@@ -321,6 +333,5 @@ def transpose_conj(rt: Runtime, a: DistMatrix,
                       writes=(out.ref(j, i),), rank=out.owner(j, i),
                       flops=float(a.tile_rows(i) * a.tile_cols(j)),
                       tile_dim=a.nb, fn=body,
-                      bytes_out=out.tile_nbytes(j, i),
                       label=f"trans({i},{j})")
     return out

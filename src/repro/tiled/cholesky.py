@@ -36,7 +36,7 @@ def potrf(rt: Runtime, a: DistMatrix) -> None:
         rt.submit(TaskKind.POTRF, reads=(a.ref(k, k),),
                   writes=(a.ref(k, k),), rank=a.owner(k, k),
                   flops=F.potrf(kb), tile_dim=a.nb, fn=diag,
-                  bytes_out=a.tile_nbytes(k, k), label=f"potrf({k})")
+                  label=f"potrf({k})")
 
         for i in range(k + 1, nt):
 
@@ -48,8 +48,7 @@ def potrf(rt: Runtime, a: DistMatrix) -> None:
             rt.submit(TaskKind.TRSM, reads=(a.ref(k, k), a.ref(i, k)),
                       writes=(a.ref(i, k),), rank=a.owner(i, k),
                       flops=F.trsm(kb, a.tile_rows(i)), tile_dim=a.nb,
-                      fn=col_solve, bytes_out=a.tile_nbytes(i, k),
-                      label=f"potrf.trsm({i},{k})")
+                      fn=col_solve, label=f"potrf.trsm({i},{k})")
 
         for i in range(k + 1, nt):
             for j in range(k + 1, i + 1):
@@ -67,7 +66,6 @@ def potrf(rt: Runtime, a: DistMatrix) -> None:
                           reads=(a.ref(i, k), a.ref(j, k)),
                           writes=(a.ref(i, j),), rank=a.owner(i, j),
                           flops=fl, tile_dim=a.nb, fn=update,
-                          bytes_out=a.tile_nbytes(i, j),
                           label=f"potrf.upd({i},{j},{k})")
 
 
@@ -99,8 +97,7 @@ def trsm_lower(rt: Runtime, l: DistMatrix, b: DistMatrix, *,
             rt.submit(TaskKind.TRSM, reads=(l.ref(k, k), b.ref(k, j)),
                       writes=(b.ref(k, j),), rank=b.owner(k, j),
                       flops=F.trsm(kb, b.tile_cols(j)), tile_dim=b.nb,
-                      fn=solve, bytes_out=b.tile_nbytes(k, j),
-                      label=f"trsm({k},{j})")
+                      fn=solve, label=f"trsm({k},{j})")
         others = (range(k + 1, nt) if not conj_trans else range(k))
         for i in others:
             for j in range(b.nt):
@@ -117,7 +114,6 @@ def trsm_lower(rt: Runtime, l: DistMatrix, b: DistMatrix, *,
                           writes=(b.ref(i, j),), rank=b.owner(i, j),
                           flops=F.gemm(b.tile_rows(i), b.tile_cols(j), kb),
                           tile_dim=b.nb, fn=update,
-                          bytes_out=b.tile_nbytes(i, j),
                           label=f"trsm.upd({i},{j},{k})")
 
 

@@ -52,8 +52,7 @@ def _vec_scale(rt: Runtime, alpha_box: List[float], x: DistMatrix) -> None:
 
         rt.submit(TaskKind.SCALE, reads=(x.ref(i, 0),),
                   writes=(x.ref(i, 0),), rank=x.owner(i, 0),
-                  flops=float(x.tile_rows(i)), fn=body,
-                  bytes_out=x.tile_nbytes(i, 0), label=f"vscale({i})")
+                  flops=float(x.tile_rows(i)), fn=body, label=f"vscale({i})")
 
 
 def norm2est_tiled(rt: Runtime, a: DistMatrix, *,
@@ -103,8 +102,7 @@ def norm2est_tiled(rt: Runtime, a: DistMatrix, *,
         out = rt.new_scalar_ref()
         final: List[Optional[float]] = [e]
         rt.submit(TaskKind.REDUCE, reads=(nx.ref,),
-                  writes=(out,), rank=0, bytes_out=8,
-                  label="norm2est.final")
+                  writes=(out,), rank=0, label="norm2est.final")
         return ScalarResult(ref=out, _box=final, _rt=rt)
 
     # Symbolic: emit the fixed-sweep graph.
@@ -167,7 +165,6 @@ def trsv_upper(rt: Runtime, fac: QRFactors, b: DistMatrix, *,
             rt.submit(TaskKind.GEMV, reads=(rref, b.ref(j, 0)),
                       writes=(b.ref(k, 0),), rank=b.owner(k, 0),
                       flops=F.gemm(kb, 1, wj), tile_dim=a.nb, fn=upd,
-                      bytes_out=b.tile_nbytes(k, 0),
                       label=f"trsv.upd({k},{j})")
 
         def solve(k=k, kb=kb):
@@ -181,7 +178,7 @@ def trsv_upper(rt: Runtime, fac: QRFactors, b: DistMatrix, *,
         rt.submit(TaskKind.SOLVE_VEC, reads=(a.ref(k, k), b.ref(k, 0)),
                   writes=(b.ref(k, 0),), rank=b.owner(k, 0),
                   flops=float(kb) * kb, tile_dim=a.nb, fn=solve,
-                  bytes_out=b.tile_nbytes(k, 0), label=f"trsv.diag({k})")
+                  label=f"trsv.diag({k})")
 
 
 def _scatter_vec(rt: Runtime, v: np.ndarray, x: DistMatrix) -> None:
@@ -196,8 +193,7 @@ def _scatter_vec(rt: Runtime, v: np.ndarray, x: DistMatrix) -> None:
             x.tile(i, 0)[...] = np.asarray(seg, dtype=x.dtype)[:, None]
 
         rt.submit(TaskKind.COPY, reads=(), writes=(x.ref(i, 0),),
-                  rank=x.owner(i, 0), fn=body,
-                  bytes_out=x.tile_nbytes(i, 0), label=f"scatter({i})")
+                  rank=x.owner(i, 0), fn=body, label=f"scatter({i})")
 
 
 def _gather_vec(rt: Runtime, x: DistMatrix) -> np.ndarray:
@@ -214,7 +210,6 @@ def _gather_vec(rt: Runtime, x: DistMatrix) -> np.ndarray:
 
         rt.submit(TaskKind.COPY, reads=(x.ref(i, 0),), writes=(ref,),
                   rank=0, fn=body,
-                  bytes_out=x.tile_rows(i) * x.dtype.itemsize,
                   label=f"gather({i})")
     if rt.numeric:
         rt.sync()  # deferred backend: the gather bodies fill `outs`
@@ -242,7 +237,6 @@ def _r_norm1(rt: Runtime, fac: QRFactors) -> ScalarResult:
                       rank=a.owner(k, j),
                       flops=2.0 * a.tile_cols(k) * a.tile_cols(j),
                       tile_dim=a.nb, fn=body,
-                      bytes_out=a.tile_cols(j) * 8,
                       label=f"rnorm1({k},{j})")
     box: List[Optional[float]] = [None]
     out = rt.new_scalar_ref()
@@ -254,7 +248,7 @@ def _r_norm1(rt: Runtime, fac: QRFactors) -> ScalarResult:
         box[0] = max((float(np.max(c)) for c in cols.values()), default=0.0)
 
     rt.submit(TaskKind.REDUCE, reads=tuple(refs), writes=(out,), rank=0,
-              fn=reduce_body, bytes_out=8, label="rnorm1.reduce")
+              fn=reduce_body, label="rnorm1.reduce")
     return ScalarResult(ref=out, _box=box, _rt=rt)
 
 
@@ -281,8 +275,7 @@ def trcondest_tiled(rt: Runtime, fac: QRFactors, *,
         trsv_upper(rt, fac, x, conj_trans=False)
         out = rt.new_scalar_ref()
         rt.submit(TaskKind.REDUCE, reads=(x.ref(0, 0), rnorm.ref),
-                  writes=(out,), rank=0, bytes_out=8,
-                  label="trcondest.final")
+                  writes=(out,), rank=0, label="trcondest.final")
         return ScalarResult(ref=out, _box=[None])
 
     if rnorm.value == 0.0:
@@ -313,5 +306,5 @@ def _const_scalar(rt: Runtime, value: float, label: str) -> ScalarResult:
     out = rt.new_scalar_ref()
     box = [value]
     rt.submit(TaskKind.REDUCE, reads=(), writes=(out,), rank=0,
-              bytes_out=8, label=label)
+              label=label)
     return ScalarResult(ref=out, _box=box)

@@ -68,8 +68,7 @@ def gemm_a(rt: Runtime, a: DistMatrix, x: DistMatrix, y: DistMatrix, *,
             rt.submit(TaskKind.GEMV, reads=(a.ref(i, j), x.ref(ki, 0)),
                       writes=(ref,), rank=a.owner(i, j),
                       flops=F.gemm(rows, 1, kb), tile_dim=a.nb,
-                      fn=body, bytes_out=rows * a.dtype.itemsize,
-                      label=f"gemmA({i},{j})")
+                      fn=body, label=f"gemmA({i},{j})")
 
         def reduce_body(oi=oi, n_in=in_t):
             acc = parts[(oi, 0)].copy()
@@ -80,7 +79,6 @@ def gemm_a(rt: Runtime, a: DistMatrix, x: DistMatrix, y: DistMatrix, *,
         rt.submit(TaskKind.REDUCE, reads=tuple(refs),
                   writes=(y.ref(oi, 0),), rank=y.owner(oi, 0),
                   flops=float(in_t * rows), fn=reduce_body,
-                  bytes_out=y.tile_nbytes(oi, 0),
                   label=f"gemmA.red({oi})")
 
 
@@ -115,5 +113,4 @@ def gemv_owner_c(rt: Runtime, a: DistMatrix, x: DistMatrix,
                       reads=(a.ref(i, j), x.ref(ki, 0)),
                       writes=(y.ref(oi, 0),), rank=rank,
                       flops=F.gemm(rows, 1, kb), tile_dim=a.nb,
-                      fn=body, bytes_out=y.tile_nbytes(oi, 0),
-                      label=f"gemvC({i},{j})")
+                      fn=body, label=f"gemvC({i},{j})")

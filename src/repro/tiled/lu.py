@@ -133,7 +133,6 @@ def getrf(rt: Runtime, a: DistMatrix) -> LUFactors:
                   reads=col_refs, writes=col_refs + (pref,),
                   rank=a.owner(k, k), flops=F.getrf(rows, kb),
                   tile_dim=a.nb, fn=panel,
-                  bytes_out=rows * kb * a.dtype.itemsize + kb * 4,
                   label=f"getrf.panel({k})")
 
         # Pivot swaps + U row + trailing update per tile column.
@@ -148,7 +147,6 @@ def getrf(rt: Runtime, a: DistMatrix) -> LUFactors:
             rt.submit(TaskKind.COPY, reads=cj_refs + (pref,),
                       writes=cj_refs, rank=a.owner(k, j),
                       flops=float(kb * a.tile_cols(j)),
-                      bytes_out=rows * a.tile_cols(j) * a.dtype.itemsize,
                       tile_dim=a.nb, fn=swaps, label=f"laswp({k},{j})")
 
         for j in range(k + 1, nt):
@@ -163,8 +161,7 @@ def getrf(rt: Runtime, a: DistMatrix) -> LUFactors:
             rt.submit(TaskKind.TRSM, reads=(a.ref(k, k), a.ref(k, j)),
                       writes=(a.ref(k, j),), rank=a.owner(k, j),
                       flops=F.trsm(kb, a.tile_cols(j)), tile_dim=a.nb,
-                      fn=urow, bytes_out=a.tile_nbytes(k, j),
-                      label=f"getrf.trsm({k},{j})")
+                      fn=urow, label=f"getrf.trsm({k},{j})")
 
         for i in range(k + 1, a.mt):
             for j in range(k + 1, nt):
@@ -177,7 +174,6 @@ def getrf(rt: Runtime, a: DistMatrix) -> LUFactors:
                           writes=(a.ref(i, j),), rank=a.owner(i, j),
                           flops=F.gemm(a.tile_rows(i), a.tile_cols(j), kb),
                           tile_dim=a.nb, fn=update,
-                          bytes_out=a.tile_nbytes(i, j),
                           label=f"getrf.upd({i},{j},{k})")
     return fac
 
@@ -229,7 +225,7 @@ def getrs_vec(rt: Runtime, fac: LUFactors, b: np.ndarray, *,
 
         rt.submit(TaskKind.COPY,
                   reads=tuple(fac.piv_ref(k) for k in range(nt)),
-                  writes=(xref,), rank=0, bytes_out=n * 8,
+                  writes=(xref,), rank=0,
                   fn=apply_pivots, label="getrs.pivots")
         for k in range(nt):
             for j in range(k):
@@ -241,8 +237,7 @@ def getrs_vec(rt: Runtime, fac: LUFactors, b: np.ndarray, *,
                           writes=(xref,),
                           rank=a.owner(k, j),
                           flops=F.gemm(a.tile_cols(k), 1, a.tile_cols(j)),
-                          fn=lupd, bytes_out=a.tile_cols(k) * 8,
-                          label=f"getrs.l({k},{j})")
+                          fn=lupd, label=f"getrs.l({k},{j})")
 
             def ldiag(k=k):
                 lkk = np.tril(a.tile(k, k), -1)
@@ -254,7 +249,6 @@ def getrs_vec(rt: Runtime, fac: LUFactors, b: np.ndarray, *,
             rt.submit(TaskKind.SOLVE_VEC, reads=(a.ref(k, k),),
                       writes=(xref,), rank=a.owner(k, k),
                       flops=float(a.tile_cols(k)) ** 2, fn=ldiag,
-                      bytes_out=a.tile_cols(k) * 8,
                       label=f"getrs.ldiag({k})")
         for k in range(nt - 1, -1, -1):
             for j in range(k + 1, nt):
@@ -264,7 +258,6 @@ def getrs_vec(rt: Runtime, fac: LUFactors, b: np.ndarray, *,
                           flops=F.gemm(a.tile_cols(k), 1, a.tile_cols(j)),
                           fn=(lambda k=k, j=j: x.__setitem__(
                               seg(k), x[seg(k)] - a.tile(k, j) @ x[seg(j)])),
-                          bytes_out=a.tile_cols(k) * 8,
                           label=f"getrs.u({k},{j})")
 
             def udiag(k=k):
@@ -275,7 +268,6 @@ def getrs_vec(rt: Runtime, fac: LUFactors, b: np.ndarray, *,
             rt.submit(TaskKind.SOLVE_VEC, reads=(a.ref(k, k),),
                       writes=(xref,), rank=a.owner(k, k),
                       flops=float(a.tile_cols(k)) ** 2, fn=udiag,
-                      bytes_out=a.tile_cols(k) * 8,
                       label=f"getrs.udiag({k})")
         rt.sync()  # deferred backend: the solve bodies fill `x`
         return x
@@ -289,7 +281,6 @@ def getrs_vec(rt: Runtime, fac: LUFactors, b: np.ndarray, *,
                       fn=(lambda k=k, j=j: x.__setitem__(
                           seg(k),
                           x[seg(k)] - a.tile(j, k).conj().T @ x[seg(j)])),
-                      bytes_out=a.tile_cols(k) * 8,
                       label=f"getrs.uh({k},{j})")
 
         def uhdiag(k=k):
@@ -300,7 +291,6 @@ def getrs_vec(rt: Runtime, fac: LUFactors, b: np.ndarray, *,
         rt.submit(TaskKind.SOLVE_VEC, reads=(a.ref(k, k),),
                   writes=(xref,), rank=a.owner(k, k),
                   flops=float(a.tile_cols(k)) ** 2, fn=uhdiag,
-                  bytes_out=a.tile_cols(k) * 8,
                   label=f"getrs.uhdiag({k})")
     for k in range(nt - 1, -1, -1):
         # L^H is upper triangular: backward substitution interleaves
@@ -314,8 +304,7 @@ def getrs_vec(rt: Runtime, fac: LUFactors, b: np.ndarray, *,
             rt.submit(TaskKind.GEMV, reads=(a.ref(j, k),),
                       writes=(xref,), rank=a.owner(j, k),
                       flops=F.gemm(a.tile_cols(k), 1, a.tile_cols(j)),
-                      fn=lhupd, bytes_out=a.tile_cols(k) * 8,
-                      label=f"getrs.lh({k},{j})")
+                      fn=lhupd, label=f"getrs.lh({k},{j})")
 
         def lhdiag(k=k):
             lkk = np.tril(a.tile(k, k), -1)
@@ -327,7 +316,6 @@ def getrs_vec(rt: Runtime, fac: LUFactors, b: np.ndarray, *,
         rt.submit(TaskKind.SOLVE_VEC, reads=(a.ref(k, k),),
                   writes=(xref,), rank=a.owner(k, k),
                   flops=float(a.tile_cols(k)) ** 2, fn=lhdiag,
-                  bytes_out=a.tile_cols(k) * 8,
                   label=f"getrs.lhdiag({k})")
 
     def undo_pivots():
@@ -342,7 +330,7 @@ def getrs_vec(rt: Runtime, fac: LUFactors, b: np.ndarray, *,
 
     rt.submit(TaskKind.COPY,
               reads=tuple(fac.piv_ref(k) for k in range(nt)),
-              writes=(xref,), rank=0, bytes_out=n * 8,
+              writes=(xref,), rank=0,
               flops=float(n), fn=undo_pivots, label="getrs.pivots.T")
     rt.sync()  # deferred backend: the solve bodies fill `x`
     return x
@@ -384,5 +372,5 @@ def gecondest_tiled(rt: Runtime, a: DistMatrix, *,
 def _const(rt: Runtime, value: float) -> ScalarResult:
     out = rt.new_scalar_ref()
     rt.submit(TaskKind.REDUCE, reads=(), writes=(out,), rank=0,
-              bytes_out=8, label="gecondest.final")
+              label="gecondest.final")
     return ScalarResult(ref=out, _box=[value])

@@ -82,7 +82,6 @@ def _tile_reduce(rt: Runtime, a: DistMatrix, partial_fn, combine_fn,
             rt.submit(TaskKind.NORM, reads=(a.ref(i, j),),
                       writes=(refs[(i, j)],), rank=a.owner(i, j),
                       flops=fl, tile_dim=a.nb, fn=body,
-                      bytes_out=partial_bytes(i, j),
                       label=f"{label}.part({i},{j})")
     box: List[Optional[float]] = [None]
     out = rt.new_scalar_ref()
@@ -92,7 +91,7 @@ def _tile_reduce(rt: Runtime, a: DistMatrix, partial_fn, combine_fn,
 
     rt.submit(TaskKind.REDUCE, reads=tuple(refs.values()),
               writes=(out,), rank=0, flops=float(len(refs)),
-              fn=reduce_body, bytes_out=8, label=f"{label}.reduce")
+              fn=reduce_body, label=f"{label}.reduce")
     return ScalarResult(ref=out, _box=box, _rt=rt)
 
 
@@ -179,7 +178,6 @@ def column_abs_sums(rt: Runtime, a: DistMatrix, x: DistMatrix) -> None:
                       rank=a.owner(i, j),
                       flops=2.0 * a.tile_rows(i) * a.tile_cols(j),
                       tile_dim=a.nb, fn=body,
-                      bytes_out=a.tile_cols(j) * 8,
                       label=f"colsum({i},{j})")
 
         def reduce_body(j=j):
@@ -191,5 +189,4 @@ def column_abs_sums(rt: Runtime, a: DistMatrix, x: DistMatrix) -> None:
         rt.submit(TaskKind.REDUCE, reads=tuple(refs),
                   writes=(x.ref(j, 0),), rank=x.owner(j, 0),
                   flops=float(a.mt * a.tile_cols(j)), fn=reduce_body,
-                  bytes_out=x.tile_nbytes(j, 0),
                   label=f"colsum.red({j})")

@@ -1,15 +1,22 @@
 """Tiled Householder QR factorization and Q formation.
 
-The PLASMA/SLATE tile-QR algorithm: at panel step k,
+One panel reduction — communication-avoiding TSQR, SLATE's CAQR-style
+internal geqrf.  At panel step k,
 
-* ``geqrt`` factors the diagonal tile,
-* ``unmqr`` applies its reflectors across tile-row k,
-* ``tpqrt`` couples each below-panel tile with the R block,
-* ``tpmqrt`` applies each coupling across the trailing tile rows.
+* ``geqrt`` factors every active block row of the panel independently
+  and ``unmqr`` applies each row's reflectors across that row
+  (:func:`_apply_rows`),
+* ``tpqrt`` combines the rows' R triangles pairwise in a binary tree
+  (:func:`_tree_rounds`; depth log2 of the panel height) and ``tpmqrt``
+  applies each combine across the two rows (:func:`_apply_pairs`).
 
-The factored matrix keeps R in its upper tiles and the panel
-reflectors below; T factors (and the generic V_top blocks of the
-couple kernels) live in a side buffer with their own dependency refs.
+The factored matrix keeps R in its upper tiles and the row reflectors
+below; T factors and the combines' V blocks live in a side buffer with
+their own dependency refs (see :class:`QRFactors`).  The two sweeps are
+the only reflector applications: the factorization runs them with
+``conj_trans=True`` over the trailing columns ``j > k`` of A, Q
+formation with ``conj_trans=False`` over columns ``j >= k`` of the
+workspace, panels and rounds in reverse.
 
 No task is recorded for work on structural zeros.  A panel touches its
 *active rows* only (:meth:`QRFactors.active_rows`): for a general
@@ -28,7 +35,7 @@ paper's Section 4 (:func:`repro.flops.qdwh_qr_iteration`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -37,33 +44,35 @@ from ..dist.matrix import DistMatrix
 from ..runtime.executor import Runtime
 from ..runtime.task import TaskKind, TileRef
 from . import kernels
+from .blas3 import set_identity
 
 
 @dataclass
 class QRFactors:
     """A tiled QR factorization in compact form.
 
-    ``panel`` records which reduction built it:
+    ``a`` holds R in its upper tiles and, below, the geqrt reflectors
+    of every factored block row.  ``aux`` is the side buffer, reached
+    by tasks through two pseudo-matrix ids:
 
-    * flat — ``aux[(k,k)]`` is the geqrt T; ``aux[(i,k)]`` (i > k) is
-      the TS couple's ``(V_top, T)`` with V_bot stored in tile (i,k).
-    * tree — ``aux[(i,k)]`` is the geqrt T of every geqrt-factored
-      block row i; ``aux[("tt", i2, k)]`` is the triangle-combine
-      ``(V_top, V_bot, T, rows_eff)`` whose bottom operand was row i2.
+    * ``aux[(i, k)]`` (ref ``t_ref(i, k)``) — the geqrt T of block row
+      i in panel k;
+    * ``aux[("tt", i2, k)]`` (ref ``tt_ref(i2, k)``) — the triangle
+      combine ``(V_top, V_bot, T, rows_eff)`` of panel k whose bottom
+      operand was row i2.
 
     ``identity_from`` is the caller's precondition that tile rows
     ``>= identity_from`` held I_n on entry (``None``: no structure).
     Rows outside :meth:`active_rows` carry no reflectors and no aux
     entry for that panel, and neither does the pristine tile
-    ``(identity_from + k, k)`` of the tree reduction: it is I when
-    panel k first meets it, so it is its own R with V = 0.
+    ``(identity_from + k, k)``: it is I when panel k first meets it, so
+    it is its own R with V = 0.
     """
 
-    a: DistMatrix                 # R upper + panel reflectors lower
+    a: DistMatrix                 # R upper + row reflectors lower
     kt: int                       # number of panel steps
     aux_mat: int                  # pseudo-matrix id for geqrt T refs
-    tt_mat: int = -1              # pseudo-matrix id for tree-combine refs
-    panel: str = "tree"
+    tt_mat: int                   # pseudo-matrix id for combine refs
     aux: Dict[object, object] = field(default_factory=dict)
     identity_from: Optional[int] = None
 
@@ -141,26 +150,72 @@ def _tree_rounds(heights, kb: int):
     return rounds
 
 
-def geqrf(rt: Runtime, a: DistMatrix, *, panel: str = "tree",
+def _panel_rounds(fac: QRFactors, k: int
+                  ) -> List[List[Tuple[int, int, int]]]:
+    """:func:`_tree_rounds` of panel k over its active rows, as block
+    rows: ``(top row, bottom row, R rows the bottom contributes)``."""
+    rows = fac.active_rows(k)
+    rounds = _tree_rounds([fac.a.tile_rows(i) for i in rows],
+                          fac.a.tile_cols(k))
+    return [[(rows[top], rows[bot], cap) for top, bot, cap in pairs]
+            for pairs in rounds]
+
+
+def _apply_rows(rt: Runtime, fac: QRFactors, k: int, i: int,
+                c: DistMatrix, cols: Iterable[int], conj_trans: bool
+                ) -> None:
+    """Row sweep: block row i's own panel-k reflectors (its geqrt)
+    applied to tiles ``(i, j)``, ``j in cols``, of ``c``."""
+    a = fac.a
+    tik = fac.t_ref(i, k)
+    pre = "" if conj_trans else "q."
+    for j in cols:
+
+        def body(j=j):
+            t = c.tile(i, j)
+            t[...] = kernels.apply_q_kernel(a.tile(i, k), fac.aux[(i, k)],
+                                            t, conj_trans=conj_trans)
+
+        rt.submit(TaskKind.UNMQR, reads=(a.ref(i, k), tik),
+                  writes=(c.ref(i, j),), rank=c.owner(i, j),
+                  flops=F.tile_unmqr(a.tile_rows(i), c.tile_cols(j),
+                                     a.tile_cols(k)),
+                  tile_dim=c.nb, fn=body, label=f"{pre}ts.unmqr({i},{j})")
+
+
+def _apply_pairs(rt: Runtime, fac: QRFactors, k: int, i1: int, i2: int,
+                 c: DistMatrix, cols: Iterable[int], conj_trans: bool
+                 ) -> None:
+    """Pair sweep: the panel-k combine of rows (i1, i2) applied to
+    tiles ``(i1, j)`` and ``(i2, j)``, ``j in cols``, of ``c``."""
+    kb = fac.a.tile_cols(k)
+    ttref = fac.tt_ref(i2, k)
+    pre = "" if conj_trans else "q."
+    for j in cols:
+
+        def body(j=j):
+            v_top, v_bot, t, rows_eff = fac.aux[("tt", i2, k)]
+            ct = c.tile(i1, j)
+            cb = c.tile(i2, j)
+            ct[:kb], cb[:rows_eff] = kernels.tpmqrt_kernel(
+                v_top, v_bot, t, ct[:kb], cb[:rows_eff],
+                conj_trans=conj_trans)
+
+        rt.submit(TaskKind.TPMQRT, reads=(ttref,),
+                  writes=(c.ref(i1, j), c.ref(i2, j)), rank=c.owner(i1, j),
+                  flops=F.tile_ttmqrt(kb, c.tile_cols(j)), tile_dim=c.nb,
+                  fn=body, label=f"{pre}ttmqrt({i1},{i2},{j})")
+
+
+def geqrf(rt: Runtime, a: DistMatrix, *,
           identity_from: Optional[int] = None) -> QRFactors:
     """Factor A = QR in place; returns the factors.
-
-    ``panel`` selects the panel reduction:
-
-    * ``"tree"`` (default) — communication-avoiding TSQR: every active
-      block row is geqrt-factored independently, then triangles combine
-      in a binary tree (depth log2 of the panel height).  This is
-      SLATE's CAQR-style internal geqrf.
-    * ``"flat"`` — PLASMA-style sequential TS chain (depth = panel
-      height); kept as the ablation baseline.
 
     ``identity_from`` is a precondition the caller vouches for: tile
     rows ``>= identity_from`` hold I_n with row heights equal to the
     column widths (QDWH's stacked ``[sqrt(c) A; I]``).  Panel k then
     works on its active rows only, see :meth:`QRFactors.active_rows`.
     """
-    if panel not in ("tree", "flat"):
-        raise ValueError(f"panel must be 'tree' or 'flat', got {panel!r}")
     if a.m < a.n:
         raise ValueError(f"tiled geqrf requires m >= n, got {a.m}x{a.n}")
     p = identity_from
@@ -172,104 +227,12 @@ def geqrf(rt: Runtime, a: DistMatrix, *, panel: str = "tree",
             f"{a.row_heights[p:]} vs column widths {a.col_widths}")
     rt.begin_op()
     fac = QRFactors(a=a, kt=min(a.mt, a.nt), aux_mat=rt.new_matrix_id(),
-                    panel=panel, identity_from=p)
-    if panel == "tree":
-        fac.tt_mat = rt.new_matrix_id()
-        _geqrf_tree(rt, fac)
-    else:
-        _geqrf_flat(rt, fac)
-    return fac
-
-
-def _geqrf_flat(rt: Runtime, fac: QRFactors) -> None:
-    a, aux = fac.a, fac.aux
+                    tt_mat=rt.new_matrix_id(), identity_from=p)
+    aux = fac.aux
     # Processes backend: aux entries (T factors, V blocks) are driver
     # dict state written inside payloads; declaring the store lets the
     # scheduler ship them between workers by their pseudo-tile refs.
-    rt.register_side_store(fac.aux_mat, aux, lambda ref: (ref[1], ref[2]))
-    itemsize = a.dtype.itemsize
-    for k in range(fac.kt):
-        rt.advance_phase()
-        kb = a.tile_cols(k)
-        mb = a.tile_rows(k)
-        tkk = fac.t_ref(k, k)
-        rt.register_tiles([tkk], kb * kb * itemsize)
-
-        def panel(k=k):
-            tile, t = kernels.geqrt_kernel(a.tile(k, k))
-            a.set_tile(k, k, tile)
-            aux[(k, k)] = t
-
-        rt.submit(TaskKind.GEQRT, reads=(a.ref(k, k),),
-                  writes=(a.ref(k, k), tkk), rank=a.owner(k, k),
-                  flops=F.tile_geqrt(mb, kb), tile_dim=a.nb, fn=panel,
-                  bytes_out=a.tile_nbytes(k, k) + kb * kb * itemsize,
-                  label=f"geqrt({k})")
-
-        for j in range(k + 1, a.nt):
-
-            def row_apply(k=k, j=j):
-                c = kernels.apply_q_kernel(a.tile(k, k), aux[(k, k)],
-                                           a.tile(k, j), conj_trans=True)
-                a.tile(k, j)[...] = c
-
-            rt.submit(TaskKind.UNMQR, reads=(a.ref(k, k), tkk),
-                      writes=(a.ref(k, j),), rank=a.owner(k, j),
-                      flops=F.tile_unmqr(mb, a.tile_cols(j), kb),
-                      tile_dim=a.nb, fn=row_apply,
-                      bytes_out=a.tile_nbytes(k, j),
-                      label=f"unmqr({k},{j})")
-
-        for i in fac.active_rows(k)[1:]:
-            tik = fac.t_ref(i, k)
-            mbi = a.tile_rows(i)
-            rt.register_tiles([tik], 2 * kb * kb * itemsize)
-
-            def couple(k=k, i=i, kb=kb):
-                r_new, v_top, v_bot, t = kernels.tpqrt_kernel(
-                    a.tile(k, k)[:kb, :kb], a.tile(i, k))
-                dkk = a.tile(k, k)
-                dkk[:kb, :kb] = np.tril(dkk[:kb, :kb], -1) + r_new
-                a.tile(i, k)[...] = v_bot
-                aux[(i, k)] = (v_top, t)
-
-            rt.submit(TaskKind.TPQRT,
-                      reads=(a.ref(k, k), a.ref(i, k)),
-                      writes=(a.ref(k, k), a.ref(i, k), tik),
-                      rank=a.owner(i, k),
-                      flops=F.tile_tpqrt(mbi, kb), tile_dim=a.nb,
-                      fn=couple,
-                      bytes_out=(a.tile_nbytes(k, k) + a.tile_nbytes(i, k)
-                                 + 2 * kb * kb * itemsize),
-                      label=f"tpqrt({i},{k})")
-
-            for j in range(k + 1, a.nt):
-
-                def pair_apply(k=k, i=i, j=j, kb=kb):
-                    v_top, t = aux[(i, k)]
-                    top = a.tile(k, j)
-                    new_top, new_bot = kernels.tpmqrt_kernel(
-                        v_top, a.tile(i, k), t, top[:kb], a.tile(i, j),
-                        conj_trans=True)
-                    top[:kb] = new_top
-                    a.tile(i, j)[...] = new_bot
-
-                rt.submit(TaskKind.TPMQRT,
-                          reads=(a.ref(i, k), tik),
-                          writes=(a.ref(k, j), a.ref(i, j)),
-                          rank=a.owner(i, j),
-                          flops=F.tile_tpmqrt(mbi, a.tile_cols(j), kb),
-                          tile_dim=a.nb, fn=pair_apply,
-                          bytes_out=(a.tile_nbytes(k, j)
-                                     + a.tile_nbytes(i, j)),
-                          label=f"tpmqrt({i},{j},{k})")
-
-
-def _geqrf_tree(rt: Runtime, fac: QRFactors) -> None:
-    """Communication-avoiding TSQR panels (binary triangle combines)."""
-    a, aux = fac.a, fac.aux
-    # Both pseudo-matrix ids resolve into the same aux dict; the tree
-    # combine entries are keyed ("tt", i2, k) (see QRFactors docstring).
+    # Both pseudo-matrix ids resolve into the same aux dict.
     rt.register_side_store(fac.aux_mat, aux, lambda ref: (ref[1], ref[2]))
     rt.register_side_store(fac.tt_mat, aux,
                            lambda ref: ("tt", ref[1], ref[2]))
@@ -277,16 +240,15 @@ def _geqrf_tree(rt: Runtime, fac: QRFactors) -> None:
     for k in range(fac.kt):
         rt.advance_phase()
         kb = a.tile_cols(k)
-        rows = fac.active_rows(k)
+        trailing = range(k + 1, a.nt)
 
-        # 1. Independent geqrt of every active block row of the panel,
-        #    plus the row-local trailing update (all rows run
+        # 1. Independent geqrt of every active block row of the
+        #    panel, plus the row-local trailing update (all rows run
         #    concurrently).  The pristine identity tile is already its
         #    own R, with V = 0.
-        for i in rows:
+        for i in fac.active_rows(k):
             if i == fac.pristine_row(k):
                 continue
-            mbi = a.tile_rows(i)
             tik = fac.t_ref(i, k)
             rt.register_tiles([tik], kb * kb * itemsize)
 
@@ -297,31 +259,14 @@ def _geqrf_tree(rt: Runtime, fac: QRFactors) -> None:
 
             rt.submit(TaskKind.GEQRT, reads=(a.ref(i, k),),
                       writes=(a.ref(i, k), tik), rank=a.owner(i, k),
-                      flops=F.tile_geqrt(mbi, kb), tile_dim=a.nb,
-                      fn=rowfac,
-                      bytes_out=a.tile_nbytes(i, k) + kb * kb * itemsize,
+                      flops=F.tile_geqrt(a.tile_rows(i), kb),
+                      tile_dim=a.nb, fn=rowfac,
                       label=f"ts.geqrt({i},{k})")
-
-            for j in range(k + 1, a.nt):
-
-                def rowupd(i=i, j=j, k=k):
-                    c = kernels.apply_q_kernel(
-                        a.tile(i, k), aux[(i, k)], a.tile(i, j),
-                        conj_trans=True)
-                    a.tile(i, j)[...] = c
-
-                rt.submit(TaskKind.UNMQR, reads=(a.ref(i, k), tik),
-                          writes=(a.ref(i, j),), rank=a.owner(i, j),
-                          flops=F.tile_unmqr(mbi, a.tile_cols(j), kb),
-                          tile_dim=a.nb, fn=rowupd,
-                          bytes_out=a.tile_nbytes(i, j),
-                          label=f"ts.unmqr({i},{j})")
+            _apply_rows(rt, fac, k, i, a, trailing, conj_trans=True)
 
         # 2. Binary combine rounds (log2 depth).
-        heights = [a.tile_rows(i) for i in rows]
-        for round_pairs in _tree_rounds(heights, kb):
-            for p1, p2, rows_eff in round_pairs:
-                i1, i2 = rows[p1], rows[p2]
+        for pairs in _panel_rounds(fac, k):
+            for i1, i2, rows_eff in pairs:
                 ttref = fac.tt_ref(i2, k)
                 rt.register_tiles([ttref],
                                   (kb * kb + rows_eff * kb) * itemsize)
@@ -339,53 +284,10 @@ def _geqrf_tree(rt: Runtime, fac: QRFactors) -> None:
                           writes=(a.ref(i1, k), ttref),
                           rank=a.owner(i1, k),
                           flops=F.tile_ttqrt(kb), tile_dim=a.nb,
-                          fn=combine,
-                          bytes_out=(a.tile_nbytes(i1, k)
-                                     + (kb * kb + rows_eff * kb)
-                                     * itemsize),
-                          label=f"ttqrt({i1},{i2},{k})")
-
-                for j in range(k + 1, a.nt):
-
-                    def pairupd(i1=i1, i2=i2, j=j, k=k, kb=kb):
-                        v_top, v_bot, t, rows_eff = aux[("tt", i2, k)]
-                        ct = a.tile(i1, j)
-                        cb = a.tile(i2, j)
-                        new_t, new_b = kernels.tpmqrt_kernel(
-                            v_top, v_bot, t, ct[:kb], cb[:rows_eff],
-                            conj_trans=True)
-                        ct[:kb] = new_t
-                        cb[:rows_eff] = new_b
-
-                    rt.submit(TaskKind.TPMQRT,
-                              reads=(ttref,),
-                              writes=(a.ref(i1, j), a.ref(i2, j)),
-                              rank=a.owner(i1, j),
-                              flops=F.tile_ttmqrt(kb, a.tile_cols(j)),
-                              tile_dim=a.nb, fn=pairupd,
-                              bytes_out=(a.tile_nbytes(i1, j)
-                                         + a.tile_nbytes(i2, j)),
-                              label=f"ttmqrt({i1},{i2},{j})")
-
-
-def _set_econ_identity(rt: Runtime, q: DistMatrix) -> None:
-    """Q workspace <- [I_n; 0] (tile-aligned: heights[k] == widths[k])."""
-    for i in range(q.mt):
-        for j in range(q.nt):
-
-            def body(i=i, j=j):
-                t = q.tile(i, j)
-                t[...] = 0
-                if i == j:
-                    d = min(t.shape)
-                    t[np.arange(d), np.arange(d)] = 1
-
-            rt.submit(TaskKind.SET, reads=(), writes=(q.ref(i, j),),
-                      rank=q.owner(i, j),
-                      flops=float(q.tile_rows(i) * q.tile_cols(j)),
-                      tile_dim=q.nb, fn=body,
-                      bytes_out=q.tile_nbytes(i, j),
-                      label=f"qeye({i},{j})")
+                          fn=combine, label=f"ttqrt({i1},{i2},{k})")
+                _apply_pairs(rt, fac, k, i1, i2, a, trailing,
+                             conj_trans=True)
+    return fac
 
 
 def unmqr_identity(rt: Runtime, fac: QRFactors) -> DistMatrix:
@@ -401,115 +303,27 @@ def unmqr_identity(rt: Runtime, fac: QRFactors) -> DistMatrix:
     q = DistMatrix(rt, a.m, a.n, a.nb, a.dtype, layout=a.layout,
                    name="Q", row_heights=a.row_heights,
                    col_widths=a.col_widths)
-    _set_econ_identity(rt, q)
-    if fac.panel == "tree":
-        _apply_q_tree(rt, fac, q)
-        return q
+    set_identity(rt, q, zero_below=True)
     for k in reversed(range(fac.kt)):
         rt.advance_phase()
-        kb = a.tile_cols(k)
-        mb = a.tile_rows(k)
-        tkk = fac.t_ref(k, k)
-        for i in reversed(fac.active_rows(k)[1:]):
-            tik = fac.t_ref(i, k)
-            mbi = a.tile_rows(i)
-            for j in range(k, q.nt):
-
-                def pair_apply(k=k, i=i, j=j, kb=kb):
-                    v_top, t = fac.aux[(i, k)]
-                    top = q.tile(k, j)
-                    new_top, new_bot = kernels.tpmqrt_kernel(
-                        v_top, a.tile(i, k), t, top[:kb], q.tile(i, j),
-                        conj_trans=False)
-                    top[:kb] = new_top
-                    q.tile(i, j)[...] = new_bot
-
-                rt.submit(TaskKind.TPMQRT,
-                          reads=(a.ref(i, k), tik),
-                          writes=(q.ref(k, j), q.ref(i, j)),
-                          rank=q.owner(i, j),
-                          flops=F.tile_tpmqrt(mbi, q.tile_cols(j), kb),
-                          tile_dim=q.nb, fn=pair_apply,
-                          bytes_out=(q.tile_nbytes(k, j)
-                                     + q.tile_nbytes(i, j)),
-                          label=f"q.tpmqrt({i},{j},{k})")
-        for j in range(k, q.nt):
-
-            def head_apply(k=k, j=j):
-                c = kernels.apply_q_kernel(a.tile(k, k), fac.aux[(k, k)],
-                                           q.tile(k, j), conj_trans=False)
-                q.tile(k, j)[...] = c
-
-            rt.submit(TaskKind.UNMQR, reads=(a.ref(k, k), tkk),
-                      writes=(q.ref(k, j),), rank=q.owner(k, j),
-                      flops=F.tile_unmqr(mb, q.tile_cols(j), kb),
-                      tile_dim=q.nb, fn=head_apply,
-                      bytes_out=q.tile_nbytes(k, j),
-                      label=f"q.unmqr({k},{j})")
+        cols = range(k, q.nt)
+        for pairs in reversed(_panel_rounds(fac, k)):
+            for i1, i2, _cap in pairs:
+                _apply_pairs(rt, fac, k, i1, i2, q, cols,
+                             conj_trans=False)
+        for i in fac.active_rows(k):
+            if i != fac.pristine_row(k):  # never factored: its row Q is I
+                _apply_rows(rt, fac, k, i, q, cols, conj_trans=False)
     return q
 
 
-def _apply_q_tree(rt: Runtime, fac: QRFactors, q: DistMatrix) -> None:
-    """Apply a tree-panel Q to the [I; 0] workspace (reverse order)."""
-    a = fac.a
-    for k in reversed(range(fac.kt)):
-        rt.advance_phase()
-        kb = a.tile_cols(k)
-        rows = fac.active_rows(k)
-        heights = [a.tile_rows(i) for i in rows]
-        rounds = _tree_rounds(heights, kb)
-        for round_pairs in reversed(rounds):
-            for p1, p2, _cap in round_pairs:
-                i1, i2 = rows[p1], rows[p2]
-                ttref = fac.tt_ref(i2, k)
-                for j in range(k, q.nt):
-
-                    def pairupd(i1=i1, i2=i2, j=j, k=k, kb=kb):
-                        v_top, v_bot, t, rows_eff = fac.aux[("tt", i2, k)]
-                        ct = q.tile(i1, j)
-                        cb = q.tile(i2, j)
-                        new_t, new_b = kernels.tpmqrt_kernel(
-                            v_top, v_bot, t, ct[:kb], cb[:rows_eff],
-                            conj_trans=False)
-                        ct[:kb] = new_t
-                        cb[:rows_eff] = new_b
-
-                    rt.submit(TaskKind.TPMQRT, reads=(ttref,),
-                              writes=(q.ref(i1, j), q.ref(i2, j)),
-                              rank=q.owner(i1, j),
-                              flops=F.tile_ttmqrt(kb, q.tile_cols(j)),
-                              tile_dim=q.nb, fn=pairupd,
-                              bytes_out=(q.tile_nbytes(i1, j)
-                                         + q.tile_nbytes(i2, j)),
-                              label=f"q.ttmqrt({i1},{i2},{j})")
-        for i in rows:
-            if i == fac.pristine_row(k):
-                continue  # never geqrt-factored: its row Q is I
-            tik = fac.t_ref(i, k)
-            mbi = a.tile_rows(i)
-            for j in range(k, q.nt):
-
-                def rowapply(i=i, j=j, k=k):
-                    c = kernels.apply_q_kernel(
-                        a.tile(i, k), fac.aux[(i, k)], q.tile(i, j),
-                        conj_trans=False)
-                    q.tile(i, j)[...] = c
-
-                rt.submit(TaskKind.UNMQR, reads=(a.ref(i, k), tik),
-                          writes=(q.ref(i, j),), rank=q.owner(i, j),
-                          flops=F.tile_unmqr(mbi, q.tile_cols(j), kb),
-                          tile_dim=q.nb, fn=rowapply,
-                          bytes_out=q.tile_nbytes(i, j),
-                          label=f"q.ts.unmqr({i},{j})")
-
-
-def qr_explicit(rt: Runtime, a: DistMatrix, *, panel: str = "tree",
+def qr_explicit(rt: Runtime, a: DistMatrix, *,
                 identity_from: Optional[int] = None
                 ) -> Tuple[QRFactors, DistMatrix]:
     """Factor A (in place) and return (factors, explicit economy Q).
 
     ``identity_from``: see :func:`geqrf`.
     """
-    fac = geqrf(rt, a, panel=panel, identity_from=identity_from)
+    fac = geqrf(rt, a, identity_from=identity_from)
     q = unmqr_identity(rt, fac)
     return fac, q

@@ -133,6 +133,30 @@ class TestElementwise:
         ref = np.vstack([A, np.eye(8)])
         assert np.allclose(w.to_array(), ref)
 
+    def test_set_identity_rejects_misaligned_block(self):
+        """Uniform row tiling 8,8,8,8,8,1 over columns 8,8,5: the block
+        at tile row 3 ends in a 1 x 5 tile that cannot hold its
+        diagonal — this used to write a 17 x 21 'identity' silently."""
+        rt = make_runtime()
+        w = DistMatrix(rt, 41, 21, 8)
+        with pytest.raises(ValueError, match="tile-aligned"):
+            set_identity(rt, w, row_offset=3)
+        with pytest.raises(ValueError, match="does not fit"):
+            set_identity(rt, w, row_offset=4)
+
+    def test_set_identity_accepts_tall_last_diagonal_tile(self):
+        """The Q workspace shape: row heights 8,...,8,1 over column
+        widths 8,8,8,8,8,2 — tile (5,5) is 8 x 2 and holds I_2 on top."""
+        rt = make_runtime()
+        q = DistMatrix.from_array(rt, np.full((81, 42), 7.0), 8)
+        set_identity(rt, q, zero_below=True)
+        assert np.array_equal(q.to_array(), np.eye(81, 42))
+        z = DistMatrix.from_array(rt, np.full((81, 42), 7.0), 8)
+        set_identity(rt, z, alpha=2.0)          # rows under the block kept
+        ref = np.full((81, 42), 7.0)
+        ref[:48] = 2.0 * np.eye(48, 42)
+        assert np.array_equal(z.to_array(), ref)
+
     def test_copy_ragged_tilings(self, rng):
         rt = make_runtime()
         A = rng.standard_normal((10, 7))

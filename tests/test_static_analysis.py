@@ -33,7 +33,6 @@ from repro.analysis import (
 )
 from repro.analysis.lint import (
     BACKEND_UNKNOWN,
-    BYTES_OUT_MISSING,
     FOOTPRINT_MISSING,
     FORK_UNSAFE_ARG,
     PAYLOAD_FOOTPRINT,
@@ -418,7 +417,7 @@ def op(rt, a):
         def body(i=i):
             a.tile(i, 0)[...] = 0
         rt.submit(TaskKind.SET, reads=(), writes=(a.ref(i, 0),),
-                  rank=0, fn=body, bytes_out=8)
+                  rank=0, fn=body)
 """
 
 
@@ -440,11 +439,11 @@ def op(rt, a):
     def body():
         a.tile(0, 0)[...] = a.tile(0, 1)
     rt.submit(TaskKind.COPY, reads=(a.ref(0, 1),), writes=(a.ref(0, 0),),
-              rank=0, fn=body, bytes_out=8)
+              rank=0, fn=body)
     def body2():
         a.tile(1, 1)[...] = 0
     rt.submit(TaskKind.SET, reads=(), writes=(a.ref(0, 0),),
-              rank=0, fn=body2, bytes_out=8)
+              rank=0, fn=body2)
 """
         (f,) = lint_source(src)
         assert f.rule == PAYLOAD_FOOTPRINT
@@ -456,7 +455,7 @@ def op(rt, a):
     def body():
         a.set_tile(2, 2, None)
     rt.submit(TaskKind.SET, reads=(), writes=(a.ref(0, 0),),
-              rank=0, fn=body, bytes_out=8)
+              rank=0, fn=body)
 """
         (f,) = lint_source(src)
         assert f.rule == PAYLOAD_FOOTPRINT
@@ -472,12 +471,12 @@ def op(rt, a):
             def body(i=i):
                 a.tile(i, i)[...] = 0
             rt.submit(TaskKind.SET, reads=(), writes=(a.ref(i, i),),
-                      rank=0, fn=body, bytes_out=8)
+                      rank=0, fn=body)
         else:
             def body(i=i):
                 a.tile(i, 0)[...] = 0
             rt.submit(TaskKind.SET, reads=(), writes=(a.ref(i, 0),),
-                      rank=0, fn=body, bytes_out=8)
+                      rank=0, fn=body)
 """
         assert lint_source(src) == []
 
@@ -491,7 +490,7 @@ def op(rt, a, trans):
         a.tile(0, 0)[...] += 1
         a.tile(1, 1)[...] += 1
     rt.submit(TaskKind.COPY, reads=(src,), writes=(dst, xref),
-              rank=0, fn=body, bytes_out=8)
+              rank=0, fn=body)
 """
         # xref may be either tile: both alternatives are declared, and
         # the union-resolution accepts accesses to either.
@@ -503,23 +502,7 @@ def op(rt, a):
     refs = tuple(a.ref(i, 0) for i in range(a.mt))
     def body():
         a.tile(5, 5)[...] = 0
-    rt.submit(TaskKind.SET, reads=(), writes=refs, rank=0, fn=body,
-              bytes_out=8)
-"""
-        assert lint_source(src) == []
-
-    def test_rep003_bytes_out_missing(self):
-        src = """
-def op(rt, a):
-    rt.submit(TaskKind.SET, reads=(), writes=(a.ref(0, 0),), rank=0)
-"""
-        (f,) = lint_source(src)
-        assert f.rule == BYTES_OUT_MISSING
-
-    def test_rep003_empty_writes_ok(self):
-        src = """
-def op(rt, a):
-    rt.submit(TaskKind.SET, reads=(a.ref(0, 0),), writes=(), rank=0)
+    rt.submit(TaskKind.SET, reads=(), writes=refs, rank=0, fn=body)
 """
         assert lint_source(src) == []
 
@@ -546,10 +529,41 @@ def op(rt, a):
         (f,) = lint_source(src)
         assert f.rule == LINT_SYNC_IN_PAYLOAD
 
+    def test_rep004_private_scalar_helper(self):
+        src = """
+def op(rt, fac):
+    rn = _r_norm1(rt, fac)
+    def body():
+        x = rn.value
+    rt.submit(TaskKind.REDUCE, reads=(rn.ref,), writes=(), rank=0,
+              fn=body)
+"""
+        (f,) = lint_source(src)
+        assert f.rule == LINT_SYNC_IN_PAYLOAD
+
+    def test_rep004_knows_every_scalar_function(self):
+        """REP004's name list is the set of functions under
+        ``repro.tiled`` annotated ``-> ScalarResult`` — no stale name,
+        none missing."""
+        import ast
+        import pathlib
+
+        import repro.tiled
+        from repro.analysis.lint import _SCALAR_FUNCS
+
+        annotated = set()
+        for path in pathlib.Path(repro.tiled.__file__).parent.glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.FunctionDef) \
+                        and isinstance(node.returns, ast.Name) \
+                        and node.returns.id == "ScalarResult":
+                    annotated.add(node.name)
+        assert annotated == set(_SCALAR_FUNCS)
+
     def test_suppression_on_offending_line(self):
         src = """
 def op(rt, a):
-    rt.submit(TaskKind.SET, reads=(), writes=(a.ref(0, 0),), rank=0)  # repro-lint: ignore[REP003]
+    rt.submit(TaskKind.SET, rank=0, fn=lambda: None)  # repro-lint: ignore[REP001]
 """
         assert lint_source(src) == []
 
@@ -563,10 +577,10 @@ def op(rt, a):
     def test_suppression_wrong_rule_still_fires(self):
         src = """
 def op(rt, a):
-    rt.submit(TaskKind.SET, reads=(), writes=(a.ref(0, 0),), rank=0)  # repro-lint: ignore[REP001]
+    rt.submit(TaskKind.SET, rank=0, fn=lambda: None)  # repro-lint: ignore[REP002]
 """
         (f,) = lint_source(src)
-        assert f.rule == BYTES_OUT_MISSING
+        assert f.rule == FOOTPRINT_MISSING
 
     def test_executor_submit_not_matched(self):
         # Thread-pool submit calls don't take a TaskKind first arg and
@@ -725,12 +739,11 @@ class TestLintCli:
         bad = tmp_path / "bad.py"
         bad.write_text(
             "def op(rt, a):\n"
-            "    rt.submit(TaskKind.SET, reads=(), writes=(a.ref(0, 0),),\n"
-            "              rank=0)\n")
+            "    rt.submit(TaskKind.SET, rank=0, fn=lambda: None)\n")
         rc = main(["lint", "--static", str(bad)])
         out = capsys.readouterr().out
         assert rc == 1
-        assert "REP003" in out
+        assert "REP001" in out
 
     def test_static_clean_exit(self, tmp_path, capsys):
         from repro.cli import main

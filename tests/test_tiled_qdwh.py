@@ -121,6 +121,19 @@ class TestSymbolicMode:
         assert len(rt.graph) > 1000
         assert rt.graph.validate_topological()
 
+    def test_every_task_ref_has_a_registered_size(self):
+        """The scheduler prices a transfer from ``graph.tile_bytes``
+        alone; a ref missing there (or sized 0) moves for free."""
+        rt = make_runtime(numeric=False)            # 2 x 2 grid
+        da = DistMatrix(rt, 81, 42, 8)              # m > n, ragged
+        res = tiled_qdwh(rt, da, cond_est=1e16)
+        assert res.it_qr > 0 and res.it_chol > 0    # both iteration kinds
+        sizes = rt.graph.tile_bytes
+        unpriced = [(t.label, ref) for t in rt.graph.tasks
+                    for ref in t.reads + t.writes
+                    if sizes.get(ref, 0) <= 0]
+        assert unpriced == []
+
     def test_symbolic_and_numeric_graphs_align(self):
         """The same condition estimate must produce the same task-graph
         shape in both modes (the core promise of the perf model)."""

@@ -1,4 +1,6 @@
-"""Tiled QR factorization tests (tree and flat panels)."""
+"""Tiled QR factorization tests."""
+
+import math
 
 import numpy as np
 import pytest
@@ -12,10 +14,16 @@ from repro.tiled import geqrf, qr_explicit, unmqr_identity
 from .conftest import make_runtime
 
 
-def check_qr(A, nb, panel, grid=(2, 2)):
+def _TREE_ID(value):
+    """Case ids name the reduction under test (``float32-tree``), so
+    the suite's recorded test names stay stable."""
+    return f"{getattr(value, '__name__', value)}-tree"
+
+
+def check_qr(A, nb, grid=(2, 2)):
     rt = make_runtime(*grid)
     dW = DistMatrix.from_array(rt, A.copy(), nb)
-    fac, dQ = qr_explicit(rt, dW, panel=panel)
+    fac, dQ = qr_explicit(rt, dW)
     Q = dQ.to_array()
     n = A.shape[1]
     R = np.triu(dW.to_array()[:n, :n])
@@ -25,28 +33,26 @@ def check_qr(A, nb, panel, grid=(2, 2)):
 
 
 class TestQRCorrectness:
-    @given(st.integers(4, 40), st.integers(2, 20), st.integers(2, 11),
-           st.sampled_from(["tree", "flat"]))
-    def test_reconstruction_and_orthogonality(self, m, n, nb, panel):
+    @given(st.integers(4, 40), st.integers(2, 20), st.integers(2, 11))
+    def test_reconstruction_and_orthogonality(self, m, n, nb):
         if m < n:
             m, n = n, m
         rng = np.random.default_rng(m * 41 + n * 3 + nb)
         A = rng.standard_normal((m, n))
-        recon, orth, _ = check_qr(A, nb, panel)
+        recon, orth, _ = check_qr(A, nb)
         assert recon < 1e-12 * max(m, n)
         assert orth < 1e-13 * max(m, n)
 
-    @pytest.mark.parametrize("panel", ["tree", "flat"])
     @pytest.mark.parametrize("dtype", [np.float32, np.complex64,
-                                       np.complex128])
-    def test_dtypes(self, panel, dtype, rng):
+                                       np.complex128], ids=_TREE_ID)
+    def test_dtypes(self, dtype, rng):
         A = rng.standard_normal((24, 16)).astype(dtype)
         if np.issubdtype(dtype, np.complexfloating):
             A = A + 1j * rng.standard_normal((24, 16)).astype(A.real.dtype)
             A = A.astype(dtype)
         single = dtype in (np.float32, np.complex64)
         tol = 1e-4 if single else 1e-12
-        recon, orth, _ = check_qr(A, 8, panel)
+        recon, orth, _ = check_qr(A, 8)
         assert recon < tol
         assert orth < tol
 
@@ -54,14 +60,14 @@ class TestQRCorrectness:
         """R from the tiled QR matches |R| from LAPACK (signs are a
         convention; magnitudes must agree)."""
         A = rng.standard_normal((20, 12))
-        _, _, R = check_qr(A, 4, "tree")
+        _, _, R = check_qr(A, 4)
         r_ref = np.linalg.qr(A, mode="r")
         assert np.allclose(np.abs(np.diag(R)), np.abs(np.diag(r_ref)),
                            atol=1e-10)
 
     def test_single_tile(self, rng):
         A = rng.standard_normal((6, 4))
-        recon, orth, _ = check_qr(A, 8, "tree", grid=(1, 1))
+        recon, orth, _ = check_qr(A, 8, grid=(1, 1))
         assert recon < 1e-13 and orth < 1e-13
 
     def test_stacked_identity_structure(self, rng):
@@ -81,40 +87,29 @@ class TestQRCorrectness:
         with pytest.raises(ValueError):
             geqrf(rt, d)
 
-    def test_rejects_unknown_panel(self, rng):
-        rt = make_runtime()
-        d = DistMatrix.from_array(rt, rng.standard_normal((8, 4)), 2)
-        with pytest.raises(ValueError):
-            geqrf(rt, d, panel="butterfly")
-
 
 class TestQRGraphShape:
     def test_tree_panel_has_log_depth_combines(self):
         """8 block rows combine in 3 rounds (pairs 4+2+1 = 7 TTQRTs)."""
         rt = make_runtime(1, 1, numeric=False)
         d = DistMatrix(rt, 64, 8, 8)
-        geqrf(rt, d, panel="tree")
+        geqrf(rt, d)
         counts = rt.graph.counts_by_kind()
         assert counts["geqrt"] == 8
         assert counts["tpqrt"] == 7  # tree combines
 
-    def test_flat_panel_chain(self):
-        rt = make_runtime(1, 1, numeric=False)
-        d = DistMatrix(rt, 64, 8, 8)
-        geqrf(rt, d, panel="flat")
-        counts = rt.graph.counts_by_kind()
-        assert counts["geqrt"] == 1
-        assert counts["tpqrt"] == 7
-
     def test_tree_critical_path_shorter(self):
-        """The communication-avoiding panel's whole point."""
-        def crit(panel):
+        """The communication-avoiding panel's whole point: with unit
+        task durations one panel of r block rows costs its geqrt plus
+        log2(r) combine rounds, not r - 1 chained couples."""
+        def crit(rows):
             rt = make_runtime(1, 1, numeric=False)
-            d = DistMatrix(rt, 32 * 16, 32, 32)
-            geqrf(rt, d, panel=panel)
+            d = DistMatrix(rt, 32 * rows, 32, 32)
+            geqrf(rt, d)
             return rt.graph.critical_path_seconds(lambda t: 1.0)
 
-        assert crit("tree") < crit("flat")
+        assert crit(16) <= 1 + math.log2(16)
+        assert crit(32) == crit(16) + 1   # rows double: one more round
 
     def test_phases_advance_per_panel(self):
         rt = make_runtime(1, 1, numeric=False)
@@ -163,10 +158,10 @@ STACKED_SHAPES = [(24, 24, 8), (64, 16, 8), (27, 21, 8), (13, 10, 16)]
 
 class TestIdentityAwareQR:
     @pytest.mark.parametrize("shape", STACKED_SHAPES)
-    @pytest.mark.parametrize("panel", ["tree", "flat"])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64,
-                                       np.complex64, np.complex128])
-    def test_structured_matches_unstructured(self, dtype, panel, shape):
+                                       np.complex64, np.complex128],
+                             ids=_TREE_ID)
+    def test_structured_matches_unstructured(self, dtype, shape):
         m, n, nb = shape
         A = _random(m, n, dtype, seed=m * 7 + n)
         out = {}
@@ -174,8 +169,7 @@ class TestIdentityAwareQR:
             rt = make_runtime(2, 2)
             w, top_mt = _stacked(rt, A, nb)
             _, dq = qr_explicit(
-                rt, w, panel=panel,
-                identity_from=top_mt if structured else None)
+                rt, w, identity_from=top_mt if structured else None)
             q = dq.to_array()
             out[structured] = (q[:m] @ q[m:].conj().T,
                                np.abs(np.triu(w.to_array()[:n])),
@@ -189,14 +183,14 @@ class TestIdentityAwareQR:
         assert np.abs(r1 - r0).max() < tol * max(1.0, r0.max())
 
     @staticmethod
-    def _record(panel, m=40, n=24, nb=8):
+    def _record(m=40, n=24, nb=8):
         rt = make_runtime(1, 1, numeric=False)
         w, p = _stacked(rt, np.empty((m, n)), nb)
-        fac, q = qr_explicit(rt, w, panel=panel, identity_from=p)
+        fac, q = qr_explicit(rt, w, identity_from=p)
         fact, form = {}, {}
         for t in rt.graph.tasks:
             refs = t.reads + t.writes
-            if t.label.startswith("qeye"):
+            if t.label.startswith("eye"):
                 continue
             bucket = form if any(r[0] == q.mat_id for r in refs) else fact
             bucket.setdefault(t.phase, []).append(refs)
@@ -206,9 +200,8 @@ class TestIdentityAwareQR:
                   "form": [form[ph] for ph in sorted(form, reverse=True)]}
         return fac, w, q, panels
 
-    @pytest.mark.parametrize("panel", ["tree", "flat"])
-    def test_recorded_graph_touches_active_rows_only(self, panel):
-        fac, w, q, panels = self._record(panel)
+    def test_recorded_graph_touches_active_rows_only(self):
+        fac, w, q, panels = self._record()
         p = fac.identity_from
         assert len(panels["fact"]) == len(panels["form"]) == fac.kt == w.nt
         for stage, mats in (("fact", (w.mat_id,)),
@@ -247,7 +240,7 @@ class TestIdentityAwareQR:
         fac = geqrf(rt, d)
         n0 = len(rt.graph.tasks)
         q = unmqr_identity(rt, fac)
-        # Phases after the qeye one: one per panel, k = kt-1 down to 0.
+        # Phases after the [I; 0] fill: one per panel, k = kt-1 down to 0.
         first = rt.graph.tasks[n0].phase + 1
         applied = [t for t in rt.graph.tasks[n0:] if t.label.startswith("q.")]
         assert applied
@@ -275,15 +268,14 @@ class TestIdentityAwareQR:
         with pytest.raises(ValueError, match="identity_from"):
             geqrf(rt2, wide_top, identity_from=1)
 
-    @pytest.mark.parametrize("panel", ["tree", "flat"])
-    @pytest.mark.parametrize("workers", [None, 4])
-    def test_tilesan_and_race_check_clean(self, panel, workers):
+    @pytest.mark.parametrize("workers", [None, 4], ids=_TREE_ID)
+    def test_tilesan_and_race_check_clean(self, workers):
         kw = {} if workers is None else {"deferred": True,
                                          "workers": workers}
         rt = Runtime(ProcessGrid(1, 1), sanitize="raise", **kw)
         A = _random(27, 21, np.float64, seed=3)
         w, p = _stacked(rt, A, 8)
-        _, dq = qr_explicit(rt, w, panel=panel, identity_from=p)
+        _, dq = qr_explicit(rt, w, identity_from=p)
         q = dq.to_array()   # syncs; SanitizerError on a bad footprint
         san = rt.sanitizer
         assert san.findings == []
