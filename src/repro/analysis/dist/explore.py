@@ -100,8 +100,9 @@ def builtin_scenarios() -> List[Scenario]:
     independent sets (queue balancing), locality-skewed chains (steal
     path), mixed driver/worker lanes, crashy variants (revocation
     and replay), the threads backend's shapes (one lane as deep as its
-    pool; the same with the driver as one more lane), and a phased
-    graph behind the lookahead gate.
+    pool; the same with the driver as one more lane), a phased graph
+    behind the lookahead gate, and the two shapes of a window below the
+    granularity floor (no lane registered; no worker forked).
     """
     out: List[Scenario] = []
 
@@ -172,6 +173,20 @@ def builtin_scenarios() -> List[Scenario]:
     # the window alone).
     out.append(Scenario("driver-lane", phased, _all_ok(phased), workers=1,
                         max_crashes=1, lookahead=0, driver_helps=True))
+
+    # The window every small-tile run produces on threads since the
+    # granularity floor (``WindowExecutor._pays``): nothing is worth a
+    # hand-off, so no lane is registered at all and the helping driver
+    # runs the whole window alone, still behind the lookahead gate.
+    out.append(Scenario("no-lane", phased, _all_ok(phased), workers=0,
+                        lookahead=0, driver_helps=True))
+
+    # Its processes shape: nothing is worker-eligible, no worker is
+    # forked, every task is a driver-lane task — and a crash that comes
+    # due mid-window finds no victim, so its budget must stay unspent.
+    out.append(Scenario("no-worker", dia, dict.fromkeys(range(len(dia)),
+                                                        False),
+                        workers=0, max_crashes=1))
 
     return out
 
@@ -551,6 +566,11 @@ class _World:
             if n > 1 and self.sc.max_crashes == 0:
                 raise _Violation("double-dispatch",
                                  f"tid {tid} dispatched {n}x, no crashes")
+        if self.sc.workers == 0 and self.crashes_left != self.sc.max_crashes:
+            raise _Violation(
+                "crash-without-victim",
+                "an injected crash was consumed in a window that never "
+                "had a worker to kill")
         if not stranded:
             self.store.check_final()
 

@@ -232,6 +232,9 @@ def _polar_tiled(args: argparse.Namespace, a: np.ndarray) -> int:
                 f"utilization {stats.utilization:.2f}")
         if stats.peak_rss_bytes:
             line += f" | peak rss {stats.peak_rss_bytes / 2**20:.0f} MiB"
+        line += f" | {stats.shipped} shipped to lanes"
+        if backend == "processes":
+            line += f" | {stats.forks} forks"
         line += f" | in-flight after close {leaked}"
         print(line)
         if stats.comm_messages:
@@ -479,8 +482,11 @@ def _faults_live(args: argparse.Namespace) -> int:
     _, res0, rep0, *_ = _tiled_run(a, args.live_nb)
 
     tol = max(backward_error_bound(a.dtype, args.cond), 10.0 * rep0.backward)
+    # The smoke is about the transport: a run that shipped nothing to
+    # a lane exercised no retry, replay or wire path and must not pass.
+    shipped = stats.shipped if stats is not None else 0
     ok = (res.converged and leaked == 0 and leaked_shm == 0
-          and rep.backward <= tol)
+          and rep.backward <= tol and shipped > 0)
     print(f"live fault smoke: backend={backend} n={args.live_n} "
           f"nb={args.live_nb} cond={args.cond:g} "
           f"workers={args.workers} seed={args.fault_seed}"
@@ -492,7 +498,8 @@ def _faults_live(args: argparse.Namespace) -> int:
           f"iterations={res0.iterations} backward={rep0.backward:.3e}")
     print(f"  gate: backward <= {tol:.3e}, leaked attempts = {leaked}"
           + (f", leaked shm segments = {leaked_shm}" if processes
-             else ""))
+             else "")
+          + f", attempts shipped to a lane = {shipped} (must be > 0)")
     for msg in res.health_log:
         print(f"  health: {msg}")
     if stats is not None:
@@ -700,14 +707,19 @@ def _lint_dist(args: argparse.Namespace) -> int:
     for checker, f in found:
         print(f"  {checker}: {f.message()}")
     s = recorder.summary()
-    print(f"distsan[processes]: {s.get('dispatch', 0)} dispatch(es), "
+    shipped = s.get("dispatch", 0)
+    print(f"distsan[processes]: {shipped} dispatch(es) to a lane, "
           f"{s.get('driver', 0)} driver task(s), {s.get('pin', 0)} shm "
           f"segment(s), {s.get('frames', 0)} frame(s) | "
           f"{len(hb)} hb + {len(refs)} refcount + {len(proto)} protocol "
           f"finding(s)")
+    if not shipped:
+        # Nothing crossed the wire: the checkers had nothing to check.
+        print("distsan[processes]: FAIL - nothing was dispatched to a "
+              "lane, the recorded run is vacuous")
     if getattr(args, "chrome_trace", None):
         _distsan_trace(found, args.chrome_trace)
-    return 1 if found else 0
+    return 1 if found or not shipped else 0
 
 
 def cmd_lint(args: argparse.Namespace) -> int:

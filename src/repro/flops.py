@@ -83,8 +83,11 @@ def getrf(m: int, n: int) -> float:
 # ---------------------------------------------------------------------------
 
 def tile_geqrt(mb: int, nb: int) -> float:
-    """QR of one mb x nb tile plus T factor: geqrf + T build (~nb^2 mb)."""
-    return geqrf(mb, nb) + float(nb) * nb * mb
+    """QR of one mb x nb tile plus T factor: k = min(mb, nb) reflectors
+    (a ragged last tile row is wider than tall), ``2 k^2 (max - k/3)``
+    for the factorization and ~``k^2 mb`` for the T build."""
+    k = min(mb, nb)
+    return geqrf(max(mb, nb), k) + float(k) * k * mb
 
 
 def tile_tpqrt(mb: int, nb: int) -> float:

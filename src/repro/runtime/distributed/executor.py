@@ -15,14 +15,17 @@ module is the transport between them and the workers:
   are forked at the start of each execution window and inherit the
   graph, the payload table and every shared-memory tile mapping
   copy-on-write.  One scheduler lane per worker, each at most
-  :data:`PIPELINE_DEPTH` dispatches deep.  A window whose
-  worker-eligible tasks are all memory-bound sweeps
-  (:data:`~repro.runtime.task.ELEMENTWISE_KINDS`) forks nothing and
-  runs on the driver lane.
+  :data:`PIPELINE_DEPTH` dispatches deep.  A window none of whose
+  tasks is worth a hand-off
+  (:meth:`~repro.runtime.window.WindowExecutor._pays`) forks nothing,
+  pins nothing and runs on the driver lane.
 * **Shared-memory tiles.**  Before forking, the parent pins every tile
   in the window's declared footprints into a :class:`SharedTileStore`
   segment; worker writes land directly in the parent's mapping
   (zero-copy), so there is no gather step and no result payload.
+  Pinning is idempotent and migrates a tile the driver replaced, so a
+  window that forks after driver-only ones still gets every tile it
+  touches.
 * **Dispatch** (``_send``).  A message carries a tid, an attempt
   number and (rarely) a few side-store entries — a few hundred bytes
   per task.  The retry ledger snapshots the task's write tiles first,
@@ -41,7 +44,7 @@ module is the transport between them and the workers:
   survivors.  The shared-memory registry lives only in the parent, so
   no worker death can leak or tear down a segment.
 * **Periodic work** (``_tick``).  Injected crashes (pending until a
-  worker is alive to take them), the liveness poll, phi-accrual
+  worker holds an attempt to lose), the liveness poll, phi-accrual
   heartbeat suspicion, task-timeout kills, and the respawn of a worker
   when every lane is dead.
 """
@@ -60,7 +63,7 @@ from typing import (Any, Callable, Dict, List, NamedTuple, Optional, Set,
                     Tuple, Union)
 
 from ..attempt import Attempt, run_attempt
-from ..task import ELEMENTWISE_KINDS, Task, TileRef
+from ..task import Task, TileRef
 from ..window import Death, Report, WindowExecutor, WorkerCrashError
 from .chaos import assign_peer, clear_net_plan, install_net_plan
 from .comm import (Comm, CommError, CommTimeoutError, Listener, listen)
@@ -133,13 +136,14 @@ class ProcessExecutor(WindowExecutor):
         #: ``rt.dist_recorder`` before the first sync.  Strictly
         #: opt-in: with no recorder every hook site is a None check.
         self.recorder = getattr(rt, "dist_recorder", None)
+        self.fault_plan = rt.fault_plan
         if self.recorder is not None:
             self.store.observer = self.recorder.store_observer()
         #: Injected crashes (live): fired once each, by time since the
         #: executor epoch, against ``rank % nworkers``.  Read from the
         #: runtime's plan directly — a crash-only plan has no live
         #: in-payload faults, so its injector reports inactive.
-        plan = rt.fault_plan
+        plan = self.fault_plan
         if plan is not None:
             self._seed = int(plan.seed)
         self._crashes = sorted(plan.crashes, key=lambda c: c.time) \
@@ -372,6 +376,7 @@ class ProcessExecutor(WindowExecutor):
             target=worker_main, args=(wid, lane, address, self, close_fds),
             daemon=True, name=f"repro-dist-w{wid}")
         proc.start()
+        self.stats.forks += 1
         return proc
 
     def _spawn_worker(self) -> _Worker:
@@ -545,13 +550,14 @@ class ProcessExecutor(WindowExecutor):
 
     def _open(self, start: int, end: int) -> DynamicScheduler:
         tasks = self.graph.tasks
-        worker_ok = {t.tid: self._worker_ok(t) for t in tasks[start:end]}
-        if all(tasks[tid].kind in ELEMENTWISE_KINDS
-               for tid, ok in worker_ok.items() if ok):
-            # A memory-bound sweep (copy/add/norm...): a fork costs more
-            # than the whole window, so it runs on the driver lane.
-            worker_ok = dict.fromkeys(worker_ok, False)
-        self._materialize(start, end)
+        # A window that does not pay for a hand-off marks nothing
+        # worker-eligible: no fork, no frame, nothing pinned.
+        ships = self._pays(start, end)
+        worker_ok = {t.tid: ships and self._worker_ok(t)
+                     for t in tasks[start:end]}
+        eligible = sum(worker_ok.values())
+        if eligible:
+            self._materialize(start, end)
         if self._net_plan is not None and not self._chaos_installed:
             # Arm before forking: workers inherit the plan (and the
             # epoch anchoring its stall/partition windows) through
@@ -563,7 +569,6 @@ class ProcessExecutor(WindowExecutor):
         sched = DynamicScheduler(tasks, start, end, worker_ok,
                                  pipeline_depth=PIPELINE_DEPTH,
                                  lookahead=self.lookahead)
-        eligible = sum(worker_ok.values())
         if eligible:
             self._spawn_pool(min(self.workers, eligible))
             for wid in self._pool:
@@ -705,13 +710,17 @@ class ProcessExecutor(WindowExecutor):
         elapsed = now - self._epoch
         while (self._crash_idx < len(self._crashes)
                and elapsed >= self._crashes[self._crash_idx].time):
-            alive = [w for w in self._pool.values()
-                     if w.proc.is_alive() and w.kill_reason is None]
-            if not alive:
-                break  # stays pending until a window forks a worker
+            busy = [w for w in self._pool.values()
+                    if w.sent and w.proc.is_alive()
+                    and w.kill_reason is None]
+            if not busy:
+                # Stays pending until a worker holds an attempt: killing
+                # an idle one (or none, in a window that forked nothing)
+                # would consume the crash without anything to replay.
+                break
             c = self._crashes[self._crash_idx]
             self._crash_idx += 1
-            self._kill(alive[c.rank % len(alive)],
+            self._kill(busy[c.rank % len(busy)],
                        f"injected crash (rank {c.rank})")
         # Liveness poll: a worker that exited without the driver
         # killing it must not leave its reliable link waiting out

@@ -15,6 +15,9 @@ lane and the driver is the W-th lane — each turn of the dispatch loop
 it keeps the lowest ready tid for itself, feeds the pool, then runs its
 task inline (slot ``drv``) through the same worker body.  ``workers=1``
 therefore starts no thread at all, and a chain never leaves the driver.
+Neither does a window none of whose tasks is worth a hand-off
+(:meth:`~repro.runtime.window.WindowExecutor._pays`): it registers no
+lane, creates no pool and runs on the driver like a ``workers=1`` one.
 NumPy/BLAS kernels release the GIL, so independent tiles genuinely
 overlap on multicore hosts.
 
@@ -124,7 +127,10 @@ class ParallelExecutor(WindowExecutor):
     workers:
         Execution lanes (default: one per core): the driver plus
         ``workers - 1`` pool threads, or ``workers`` pool threads behind
-        a dispatch-only driver when the executor is watched.
+        a dispatch-only driver when the executor is watched.  Only a
+        window holding a task of at least
+        :data:`~repro.runtime.window.LANE_MIN_FLOPS` (or one that
+        declares no cost) uses them.
     lookahead:
         Optional phase-window bound on the ready set (``None`` =
         unbounded dataflow order, like SLATE's default).
@@ -170,10 +176,9 @@ class ParallelExecutor(WindowExecutor):
                          sink=sink, validate=validate, sanitizer=sanitizer,
                          recovery=recovery, injector=injector, tiles=tiles)
         #: Watched: attempts may stall, time out or be speculatively
-        #: duplicated, so the transport tracks per-attempt state and
-        #: the loop polls.
-        self._watch = (injector is not None
-                       or self.recovery_policy.task_timeout is not None)
+        #: duplicated, so the transport tracks per-attempt state, the
+        #: loop polls and every window gets lanes.
+        self._watch = self.exercises_transport
         self._pool: Optional[ThreadPoolExecutor] = None
         self._lock = threading.Lock()
         #: Worker reports, with the attempt number they answer.
@@ -212,10 +217,14 @@ class ParallelExecutor(WindowExecutor):
     def _open(self, start: int, end: int) -> DynamicScheduler:
         """Every task worker-eligible, one lane over the whole pool (a
         shared-memory pool needs no placement or stealing), and the
-        driver as one more lane unless it is watched."""
+        driver as one more lane unless it is watched.  A window that
+        does not pay for a hand-off registers no lane and creates no
+        pool: the driver lane runs all of it."""
         self._prepare(start, end)
         helps = not self._watch
         threads = self.workers - 1 if helps else self.workers
+        if not self._pays(start, end):
+            threads = 0
         if threads and self._pool is None:
             size = threads
             if self._watch:

@@ -16,6 +16,14 @@ once, here, in three parts:
   and stealing belong to one
   :class:`~repro.runtime.distributed.scheduling.DynamicScheduler`, the
   class DistSan's explorer and mutant gate model-check.
+* **Placement** — one question, asked once per window and answered
+  from what the recorded tasks declare: does this window hold a task
+  worth a hand-off (:meth:`~WindowExecutor._pays`, against
+  :data:`LANE_MIN_FLOPS`)?  A window that answers no gets no lanes at
+  all — no thread, no fork, nothing pinned into shared memory — and
+  runs on the driver lane through the transport's own attempt body,
+  the way SLATE keeps latency-bound work on the host; a window that
+  answers yes is placed by its transport.
 * **Transport** — a subclass that moves attempts to whatever workers
   exist through at most five hooks: ``_open(start, end)`` builds the
   window's scheduler and registers lanes, ``_send(lane, tid, attempt)``
@@ -45,8 +53,23 @@ from .task import Task
 if TYPE_CHECKING:  # distributed/__init__ imports this module's subclasses
     from .distributed.scheduling import DynamicScheduler
 
-__all__ = ["Death", "ExecutionStats", "Report", "WindowExecutor",
-           "WorkerCrashError", "default_workers"]
+__all__ = ["Death", "ExecutionStats", "LANE_MIN_FLOPS", "Report",
+           "WindowExecutor", "WorkerCrashError", "default_workers"]
+
+#: The granularity floor: the smallest declared cost (``Task.flops``)
+#: that pays for a hand-off to a lane.  Measured, not tuned: a hand-off
+#: costs 100-175 us on this repo's sizing host (perfbench
+#: ``distributed.noop_us_per_task`` 103-175; on threads
+#: ``parallel.noop_us_per_task`` 51-70 plus
+#: ``parallel.contention_us_per_task`` 43-71) and a tile GEMM runs at
+#: ``kernels.gemm_gflops`` ~ 19, so moving a task costs what 2-3 Mflop
+#: of running it costs.  Anything in 1.1e6-3e6 places every tile size
+#: the same way — the largest task at nb <= 64 is a 4 nb^3 = 1.05 Mflop
+#: ``unmqr``, at nb >= 96 a 3.5 Mflop one — see the floor sweep in
+#: EXPERIMENTS.md.  Elementwise kinds declare element counts (<= nb^2),
+#: so a copy/add/norm sweep never reaches it.  A module constant on
+#: purpose: not a parameter, an environment variable or a CLI flag.
+LANE_MIN_FLOPS = 2e6
 
 
 class WorkerCrashError(RuntimeError):
@@ -114,6 +137,13 @@ class ExecutionStats:
     #: wire.
     comm_retrans_messages: int = 0
     comm_retrans_bytes: int = 0
+    #: Attempts handed to a lane other than the driver (a pool thread,
+    #: a forked worker).  Zero when no window paid for lanes — which is
+    #: what a gate whose subject is the transport must refuse to pass on.
+    shipped: int = 0
+    #: Worker processes forked (processes backend; a window below the
+    #: granularity floor forks none).
+    forks: int = 0
     #: Live recovery accounting (retries, timeouts, speculation,
     #: injected faults); all-zero on fault-free runs.
     recovery: Any = field(default_factory=_new_recovery_stats)
@@ -192,6 +222,10 @@ class WindowExecutor:
         self.recovery_policy = NO_RECOVERY if recovery is None else recovery
         self.injector = injector
         self.tiles = tiles
+        #: The owning runtime's fault plan and DistSan recorder, on a
+        #: transport that has a runtime to ask (processes).
+        self.fault_plan: Any = None
+        self.recorder: Any = None
         self.stats = ExecutionStats(workers=self.workers)
         #: What the dispatch loop and its retry ledger call "now"
         #: (backoff due times, ``_tick``); a test transport substitutes
@@ -235,6 +269,39 @@ class WindowExecutor:
 
     def _shut(self, failure: Optional[BaseException]) -> None:
         """End the window (also after ``_open`` or ``_drive`` raised)."""
+
+    # -- placement -----------------------------------------------------
+
+    @property
+    def exercises_transport(self) -> bool:
+        """True on an executor that exists to exercise its transport:
+        a *watched* one (fault injector or ``task_timeout`` — attempts
+        that may stall, time out, be duplicated or killed, which only
+        a lane's can), or one whose runtime carries a fault plan
+        (crashes and network chaos need a worker and a wire) or a
+        DistSan recorder.  Every window of it gets lanes, whatever its
+        tasks cost: ``repro faults --live``, ``repro lint --dist`` and
+        the chaos tests ship tiny tiles on purpose."""
+        return (self.injector is not None
+                or self.recovery_policy.task_timeout is not None
+                or self.fault_plan is not None
+                or self.recorder is not None)
+
+    def _pays(self, start: int, end: int) -> bool:
+        """The placement question: does window ``[start, end)`` hold a
+        task worth a hand-off?  A declared cost of 0 means "not
+        judged" (user tasks that declare none keep their lanes).
+
+        Per *window*, not per task, on purpose.  Keeping single tasks
+        of a forked window on the driver is unsound — a driver-side
+        ``geqrt`` rebinds its tile (``set_tile``) and leaves the
+        workers' shared mapping behind, NaN at 512^2 / nb=64 — and on
+        threads the all-driver window beat every mixed placement
+        measured (docs/parallel_backend.md)."""
+        if self.exercises_transport:
+            return True
+        return any(t.flops >= LANE_MIN_FLOPS or t.flops == 0
+                   for t in self.graph.tasks[start:end])
 
     # -- lifecycle -----------------------------------------------------
 
@@ -342,6 +409,7 @@ class WindowExecutor:
                     while (nxt := sched.next_for(wid)) is not None:
                         if self._send(wid, nxt, ledger.next_attempt(nxt)):
                             self._inflight += 1
+                            self.stats.shipped += 1
                 if mine is not None and self._send(
                         None, mine, ledger.next_attempt(mine)):
                     self._inflight += 1

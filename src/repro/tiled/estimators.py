@@ -101,8 +101,8 @@ def norm2est_tiled(rt: Runtime, a: DistMatrix, *,
             it += 1
         out = rt.new_scalar_ref()
         final: List[Optional[float]] = [e]
-        rt.submit(TaskKind.REDUCE, reads=(nx.ref,),
-                  writes=(out,), rank=0, label="norm2est.final")
+        rt.submit(TaskKind.REDUCE, reads=(nx.ref,), writes=(out,), rank=0,
+                  flops=1.0, label="norm2est.final")
         return ScalarResult(ref=out, _box=final, _rt=rt)
 
     # Symbolic: emit the fixed-sweep graph.
@@ -193,7 +193,8 @@ def _scatter_vec(rt: Runtime, v: np.ndarray, x: DistMatrix) -> None:
             x.tile(i, 0)[...] = np.asarray(seg, dtype=x.dtype)[:, None]
 
         rt.submit(TaskKind.COPY, reads=(), writes=(x.ref(i, 0),),
-                  rank=x.owner(i, 0), fn=body, label=f"scatter({i})")
+                  rank=x.owner(i, 0), flops=float(h), fn=body,
+                  label=f"scatter({i})")
 
 
 def _gather_vec(rt: Runtime, x: DistMatrix) -> np.ndarray:
@@ -209,7 +210,7 @@ def _gather_vec(rt: Runtime, x: DistMatrix) -> np.ndarray:
             outs[i] = x.tile(i, 0).ravel().copy()
 
         rt.submit(TaskKind.COPY, reads=(x.ref(i, 0),), writes=(ref,),
-                  rank=0, fn=body,
+                  rank=0, flops=float(x.tile_rows(i)), fn=body,
                   label=f"gather({i})")
     if rt.numeric:
         rt.sync()  # deferred backend: the gather bodies fill `outs`
@@ -248,6 +249,7 @@ def _r_norm1(rt: Runtime, fac: QRFactors) -> ScalarResult:
         box[0] = max((float(np.max(c)) for c in cols.values()), default=0.0)
 
     rt.submit(TaskKind.REDUCE, reads=tuple(refs), writes=(out,), rank=0,
+              flops=float(sum(a.tile_cols(j) for _, _, j in refs)),
               fn=reduce_body, label="rnorm1.reduce")
     return ScalarResult(ref=out, _box=box, _rt=rt)
 
@@ -275,7 +277,7 @@ def trcondest_tiled(rt: Runtime, fac: QRFactors, *,
         trsv_upper(rt, fac, x, conj_trans=False)
         out = rt.new_scalar_ref()
         rt.submit(TaskKind.REDUCE, reads=(x.ref(0, 0), rnorm.ref),
-                  writes=(out,), rank=0, label="trcondest.final")
+                  writes=(out,), rank=0, flops=1.0, label="trcondest.final")
         return ScalarResult(ref=out, _box=[None])
 
     if rnorm.value == 0.0:
@@ -305,6 +307,6 @@ def trcondest_tiled(rt: Runtime, fac: QRFactors, *,
 def _const_scalar(rt: Runtime, value: float, label: str) -> ScalarResult:
     out = rt.new_scalar_ref()
     box = [value]
-    rt.submit(TaskKind.REDUCE, reads=(), writes=(out,), rank=0,
+    rt.submit(TaskKind.REDUCE, reads=(), writes=(out,), rank=0, flops=1.0,
               label=label)
     return ScalarResult(ref=out, _box=box)

@@ -34,6 +34,14 @@ def runtime():
     return Runtime(ProcessGrid(2, 2))
 
 
+@pytest.fixture
+def lanes_for_tiny_tiles(monkeypatch):
+    """Every window gets lanes, however little its tasks cost — for
+    tests whose subject is the transport (lanes, forks, SIGKILL replay)
+    on tiles far below the granularity floor."""
+    monkeypatch.setattr("repro.runtime.window.LANE_MIN_FLOPS", 0.0)
+
+
 def make_runtime(p=2, q=2, numeric=True):
     from repro.dist import ProcessGrid
     from repro.runtime import Runtime

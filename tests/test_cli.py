@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -177,6 +178,25 @@ class TestLiveFaultsCommand:
         assert "PASS" in out
         assert "recovery" in out
         assert "leaked" not in out.lower() or "0" in out
+        # 16 x 16 tiles are far below the granularity floor; the fault
+        # plan is what makes the run ship them, and the gate says so.
+        shipped = re.search(r"attempts shipped to a lane = (\d+)", out)
+        assert shipped and int(shipped.group(1)) > 0
+
+    def test_live_smoke_fails_when_nothing_was_shipped(self, monkeypatch,
+                                                       capsys):
+        # Were a fault plan ever to stop forcing lanes, the smoke would
+        # run every task on the driver and exercise no retry or replay
+        # path: the gate must refuse that, not pass vacuously.
+        from repro.runtime.window import WindowExecutor
+
+        monkeypatch.setattr(WindowExecutor, "exercises_transport",
+                            property(lambda self: False))
+        assert main(["faults", "--live", "--live-n", "64",
+                     "--live-nb", "16", "--workers", "2",
+                     "--cond", "1e8", "--fault-seed", "11"]) == 1
+        out = capsys.readouterr().out
+        assert "attempts shipped to a lane = 0" in out and "FAIL" in out
 
     def test_live_explicit_plan(self, tmp_path, capsys):
         from repro.resilience import plan_from_spec
@@ -198,6 +218,28 @@ class TestLiveFaultsCommand:
         plan_from_spec(seed=7, crash=("1@2.0",)).to_json(plan)
         with pytest.raises(SystemExit):
             main(["faults", "--live", "--fault-plan", plan])
+
+
+class TestLintDistCommand:
+    ARGS = ["lint", "--dist", "--n", "48", "--nb", "16", "--workers", "2"]
+
+    def test_recorded_run_ships_tiny_tiles(self, capsys):
+        assert main(self.ARGS) == 0
+        out = capsys.readouterr().out
+        shipped = re.search(r"(\d+) dispatch\(es\) to a lane", out)
+        assert shipped and int(shipped.group(1)) > 0
+        assert "0 hb + 0 refcount + 0 protocol finding(s)" in out
+
+    def test_vacuous_recording_fails(self, monkeypatch, capsys):
+        # Nothing on the wire means the checkers checked nothing.
+        from repro.runtime.window import WindowExecutor
+
+        monkeypatch.setattr(WindowExecutor, "exercises_transport",
+                            property(lambda self: False))
+        assert main(self.ARGS) == 1
+        out = capsys.readouterr().out
+        assert " 0 dispatch(es) to a lane" in out
+        assert "vacuous" in out
 
 
 class TestPolarLiveFaults:
@@ -259,6 +301,7 @@ class TestPolarObservability:
         assert "chrome trace" not in out
         assert list(cwd.iterdir()) == []
 
+    @pytest.mark.usefixtures("lanes_for_tiny_tiles")
     def test_critical_path_flag(self, matrix_file, tmp_path, capsys):
         trace = str(tmp_path / "t.json")
         assert main(["polar", matrix_file, "--backend", "threads",

@@ -313,6 +313,7 @@ class TestProcessesBackend:
             shapes.append((stats.tasks_run, stats.windows))
         assert shapes[0] == shapes[1]
 
+    @pytest.mark.usefixtures("lanes_for_tiny_tiles")
     def test_multi_worker_matches_eager(self):
         a = generate_matrix(self.N, cond=1e8, seed=3)
         u0, h0, _ = _run_eager(a, self.NB)
@@ -334,6 +335,7 @@ class TestProcessesBackend:
 
 
 class TestCrashRecovery:
+    @pytest.mark.usefixtures("lanes_for_tiny_tiles")
     def test_sigkilled_worker_is_replayed_to_convergence(self, monkeypatch):
         from repro.resilience.live import RecoveryPolicy
         from repro.runtime import ProcessExecutor
@@ -413,6 +415,7 @@ class TestRuntimeLifecycle:
 
 
 class TestWorkerDeathByHand:
+    @pytest.mark.usefixtures("lanes_for_tiny_tiles")
     def test_external_sigkill_mid_run_recovers(self):
         # Not via the injector: kill a live worker process from the
         # test, exactly what the OOM killer would do.
@@ -461,27 +464,15 @@ class TestWorkerDeathByHand:
 
 
 class TestDriverLaneWindows:
-    """A window whose worker-eligible tasks are all memory-bound
-    (``ELEMENTWISE_KINDS``) runs on the driver lane: no fork, no frame."""
-
-    @pytest.fixture
-    def forks(self, monkeypatch):
-        from repro.runtime import ProcessExecutor
-        forked, fork_one = [], ProcessExecutor._fork_one
-
-        def counting(ex, wid, *args):
-            forked.append(wid)
-            return fork_one(ex, wid, *args)
-
-        monkeypatch.setattr(ProcessExecutor, "_fork_one", counting)
-        return forked
+    """A window none of whose tasks is worth a hand-off runs on the
+    driver lane: no fork, no frame, nothing pinned."""
 
     @staticmethod
     def _runtime(**kw):
         return Runtime(ProcessGrid(1, 1), deferred=True, workers=2,
                        backend="processes", **kw)
 
-    def test_copy_norm_reduce_window_starts_no_process(self, forks):
+    def test_copy_norm_reduce_window_starts_no_process(self):
         from repro.tiled import add, copy, norm_fro
         a = generate_matrix(64, cond=1e2, seed=2)
         with self._runtime() as rt:
@@ -492,12 +483,13 @@ class TestDriverLaneWindows:
             nrm = float(norm_fro(rt, e).value)   # syncs the window
             stats = rt.exec_stats
             assert stats.windows == 1 and stats.tasks_run > 3 * 16
-            assert forks == []
+            assert stats.forks == 0
             assert stats.comm_messages == 0 and stats.comm_bytes == 0
             assert rt._executor.inflight_attempts == 0
         assert nrm == pytest.approx(np.linalg.norm(a), rel=1e-13)
 
-    def test_gemm_potrf_window_still_forks(self, forks):
+    @pytest.mark.usefixtures("lanes_for_tiny_tiles")
+    def test_gemm_potrf_window_still_forks(self):
         from repro.tiled import gemm, potrf
         a = generate_matrix(64, cond=10.0, seed=4)
         with self._runtime() as rt:
@@ -508,42 +500,168 @@ class TestDriverLaneWindows:
             low = np.tril(z.to_array())
             stats = rt.exec_stats
             assert stats.windows == 1
-            assert len(forks) == 2
+            assert stats.forks == 2
             assert stats.comm_messages > 0
         ref = 64.0 * np.eye(64) + a.T @ a
         assert np.allclose(low @ low.T, ref, rtol=1e-12, atol=1e-12)
 
-    def test_qdwh_forks_only_for_kernel_windows(self, forks):
-        a = generate_matrix(96, cond=1e8, seed=3)
-        u0, h0, _ = _run_eager(a, 32)
-        u, h, res, stats, leaked, shm = _run_processes(a, 32, 2)
+    def test_qdwh_forks_only_for_kernel_windows(self):
+        # nb=128: every QR/Cholesky iteration window (and H = U^H A)
+        # holds an 8 Mflop task and forks; estimator sweeps, prev
+        # copies and conv norms are whole windows below the floor.
+        a = generate_matrix(256, cond=1e8, seed=3)
+        u0, h0, _ = _run_eager(a, 128)
+        u, h, res, stats, leaked, shm = _run_processes(a, 128, 2)
         assert np.array_equal(u, u0) and np.array_equal(h, h0)
         assert leaked == 0 and shm == []
-        # Estimator sweeps, prev copies and conv norms are whole
-        # windows of elementwise work; only the windows holding a
-        # QR/Cholesky iteration (or H = U^H A) fork.
-        assert 0 < len(forks) // 2 <= res.iterations + 3 < stats.windows
+        assert 0 < stats.forks // 2 <= res.iterations + 3 < stats.windows
+        assert stats.shipped > 0 and stats.comm_messages > 0
 
-    def test_due_crash_waits_for_a_worker(self, forks):
-        # The crash is due before the first tick.  Window 1 is an
-        # elementwise sweep (no worker to kill): the crash must stay
-        # pending, not be consumed, and hit the first forked window.
+    def test_due_crash_waits_for_a_worker(self):
+        # The crash is due before the first tick.  Window 1 holds only
+        # driver-lane tasks (norm partials land in driver-local
+        # boxes), so even this plan-carrying executor forks no worker
+        # to kill: the crash must stay pending, not be consumed, and
+        # hit the first forked window.
         from repro.resilience import plan_from_spec
-        from repro.tiled import copy, gemm
+        from repro.tiled import gemm, norm_fro
         a = generate_matrix(64, cond=10.0, seed=6)
         plan = plan_from_spec(seed=6, crash=("1@0.0",))
         with self._runtime(faults=plan) as rt:
             d = DistMatrix.from_array(rt, a, 16)
-            e = DistMatrix.from_array(rt, np.zeros_like(a), 16)
             c = DistMatrix.from_array(rt, np.zeros_like(a), 16)
-            copy(rt, d, e)
-            rt.sync()
+            nrm = float(norm_fro(rt, d).value)   # syncs window 1
             ex = rt._executor
-            assert forks == [] and ex._crash_idx == 0
+            assert rt.exec_stats.forks == 0 and ex._crash_idx == 0
             assert rt.exec_stats.recovery.crashes == 0
-            gemm(rt, 1.0, d, e, 0.0, c)
+            gemm(rt, 1.0, d, d, 0.0, c)
             got = c.to_array()
             assert ex._crash_idx == 1
             assert rt.exec_stats.recovery.crashes == 1
             assert ex.inflight_attempts == 0
+        assert nrm == pytest.approx(np.linalg.norm(a), rel=1e-13)
         assert np.allclose(got, a @ a, rtol=1e-12, atol=1e-12)
+
+
+#: square / tall-ragged / nb > n, all far below the granularity floor.
+SMALL_SHAPES = [(64, 64, 32), (81, 42, 32), (24, 24, 32)]
+
+
+class TestPlacement:
+    """One cost floor decides, once per window, whether the window gets
+    lanes at all (``WindowExecutor._pays``)."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64,
+                                       np.complex64, np.complex128])
+    @pytest.mark.parametrize("m, n, nb", SMALL_SHAPES,
+                             ids=["square", "tall-ragged", "nb>n"])
+    def test_small_tiles_never_leave_the_driver(self, monkeypatch,
+                                                dtype, m, n, nb):
+        from repro.obs.timeline import TimelineSink
+        from repro.runtime import ProcessExecutor
+
+        a = generate_matrix(m, n, cond=10.0, dtype=dtype, seed=31)
+        rt = Runtime(ProcessGrid(1, 1))
+        d = DistMatrix.from_array(rt, a.copy(), nb)
+        r0 = tiled_qdwh(rt, d)
+        u0, h0 = r0.u.to_array(), r0.h.to_array()
+        rt.close()
+
+        during, shut = [], ProcessExecutor._shut
+
+        def sampling_shut(ex, failure):
+            # Still inside the window: nothing was pinned for it.
+            during.append(scan_segments(ex.store.prefix))
+            return shut(ex, failure)
+
+        monkeypatch.setattr(ProcessExecutor, "_shut", sampling_shut)
+        sink = TimelineSink()
+        rt = Runtime(ProcessGrid(1, 1), sink=sink)
+        d = DistMatrix.from_array(rt, a.copy(), nb)
+        res = tiled_qdwh(rt, d, backend="processes", workers=4)
+        stats, ex = rt.exec_stats, rt._executor
+        assert stats.forks == 0 and stats.shipped == 0
+        assert stats.comm_messages == 0 and stats.comm_bytes == 0
+        assert len(during) == stats.windows > 1
+        assert all(seen == [] for seen in during)
+        assert ex.store.live_segments() == []
+        assert {e.slot for e in sink.tasks} == {"drv"}
+        assert stats.tasks_run == len(rt.graph) and ex.inflight_attempts == 0
+        assert np.array_equal(res.u.to_array(), u0)
+        assert np.array_equal(res.h.to_array(), h0)
+        rt.close()
+
+    def test_later_window_that_pays_pins_exactly_its_own_tiles(self):
+        # Two windows of tiny fills answer no (nothing pinned, tiles
+        # stay plain heap arrays the driver writes); the GEMM window
+        # answers yes (2 * 104^3 = 2.25 Mflop a task) and pins the
+        # tiles it touches — b and c among them, written by the
+        # driver-only windows before — and nothing else.
+        from repro.tiled import add, copy, gemm
+
+        n, nb = 208, 104
+        a = generate_matrix(n, cond=10.0, seed=32)
+
+        def program(rt):
+            d = DistMatrix.from_array(rt, a.copy(), nb)
+            b = DistMatrix.from_array(rt, np.zeros_like(a), nb)
+            c = DistMatrix.from_array(rt, np.zeros_like(a), nb)
+            e = DistMatrix.from_array(rt, np.ones_like(a), nb)
+            copy(rt, d, b)
+            copy(rt, d, c)
+            rt.sync()
+            add(rt, 2.0, d, -1.0, e)                 # e = 2a - 1
+            add(rt, 0.5, e, 1.0, b)                  # b = a + e / 2
+            rt.sync()
+            yield d, b, c, e
+            gemm(rt, 1.0, d, b, -1.0, c)             # c = a b - a
+            yield c.to_array()
+
+        with Runtime(ProcessGrid(1, 1)) as rt0:
+            run = program(rt0)
+            next(run)
+            want = next(run)
+        with Runtime(ProcessGrid(1, 1), deferred=True, workers=2,
+                     backend="processes") as rt:
+            run = program(rt)
+            d, b, c, e = next(run)
+            ex = rt._executor
+            assert rt.exec_stats.windows == 2
+            assert rt.exec_stats.forks == 0
+            assert scan_segments(ex.store.prefix) == []
+            got = next(run)
+            assert rt.exec_stats.forks == 2
+            assert rt.exec_stats.shipped == 8
+            pinned = [m.ref(i, j) for m in (d, b, c)
+                      for i in range(2) for j in range(2)]
+            assert all(ex.store.segment_of(ref) is not None
+                       for ref in pinned)
+            assert len(ex.store.live_segments()) == len(pinned)
+            assert all(ex.store.segment_of(e.ref(i, j)) is None
+                       for i in range(2) for j in range(2))
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("subject", ["crash-plan", "recorder"])
+    def test_transport_under_test_ships_tiny_tiles(self, subject):
+        # An executor that exists to exercise the transport gives every
+        # window lanes, whatever its tasks cost.
+        from repro.resilience import plan_from_spec
+        from repro.runtime.distributed.events import DistTraceRecorder
+
+        a = generate_matrix(48, cond=1e2, seed=33)
+        plan = (plan_from_spec(seed=33, crash=("0@0.0",))
+                if subject == "crash-plan" else None)
+        rt = Runtime(ProcessGrid(1, 1), faults=plan)
+        if subject == "recorder":
+            rt.dist_recorder = DistTraceRecorder()
+        d = DistMatrix.from_array(rt, a.copy(), 16)
+        res = tiled_qdwh(rt, d, backend="processes", workers=2)
+        stats, ex = rt.exec_stats, rt._executor
+        assert ex.exercises_transport
+        assert res.converged and stats.forks > 0 and stats.shipped > 0
+        assert stats.comm_messages > 0
+        assert stats.recovery.crashes == (1 if plan is not None else 0)
+        prefix = ex.store.prefix
+        rt.close()
+        assert scan_segments(prefix) == []
+

@@ -99,7 +99,17 @@ class TestModelDetails:
     def test_scenarios_cover_required_shapes(self):
         names = {s.name for s in builtin_scenarios()}
         assert {"chain", "diamond", "wide", "stealable",
-                "mixed-driver", "crashy"} <= names
+                "mixed-driver", "crashy", "no-lane", "no-worker"} <= names
+        assert len(names) == 11
+        # The two shapes of a window below the granularity floor: no
+        # lane registered at all.
+        by_name = {s.name: s for s in builtin_scenarios()}
+        assert by_name["no-lane"].workers == 0
+        assert by_name["no-lane"].driver_helps
+        assert by_name["no-lane"].lookahead == 0
+        assert by_name["no-worker"].workers == 0
+        assert not any(by_name["no-worker"].worker_ok.values())
+        assert by_name["no-worker"].max_crashes == 1
         crashy = next(s for s in builtin_scenarios()
                       if s.name == "crashy")
         assert crashy.max_crashes > 0

@@ -75,3 +75,22 @@ class TestTileKernels:
         assert F.tile_tpmqrt(mb, nb, nb) > 0
         assert F.tile_ttqrt(nb) > 0
         assert F.tile_ttmqrt(nb, nb) > 0
+
+    @given(st.integers(1, 64), st.integers(1, 64))
+    def test_tile_geqrt_counts_min_dim_reflectors(self, mb, nb):
+        # A tile has k = min(mb, nb) reflectors whichever way it is
+        # ragged; for mb >= nb this is geqrf's 2 n^2 (m - n/3).
+        k, long = min(mb, nb), max(mb, nb)
+        assert F.tile_geqrt(mb, nb) == pytest.approx(
+            2.0 * k * k * (long - k / 3.0) + k * k * mb)
+        assert F.tile_geqrt(mb, nb) > 0
+        if mb >= nb:
+            assert F.tile_geqrt(mb, nb) == pytest.approx(
+                F.geqrf(mb, nb) + nb * nb * mb)
+
+    @pytest.mark.parametrize("mb, nb", [(20, 96), (2, 16), (1, 64)])
+    def test_tile_geqrt_wide_tile_is_not_negative(self, mb, nb):
+        # The ragged last tile row of 500 x 500 / nb=96 is 20 x 96; the
+        # m >= n formula priced its geqrt at -3.69e4 flops.
+        assert F.geqrf(mb, nb) < 0          # why geqrf alone is not enough
+        assert 0 < F.tile_geqrt(mb, nb) <= F.tile_geqrt(nb, nb)

@@ -474,6 +474,95 @@ class TestDriverLane:
         assert "drv" not in {e.slot for e in sink.tasks}
 
 
+class TestPlacement:
+    """A window none of whose tasks is worth a hand-off gets no lanes:
+    no thread, no pool, every task on the driver."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64,
+                                       np.complex64, np.complex128])
+    @pytest.mark.parametrize("m, n, nb",
+                             [(64, 64, 32), (81, 42, 32), (24, 24, 32)],
+                             ids=["square", "tall-ragged", "nb>n"])
+    def test_small_tiles_start_no_thread(self, dtype, m, n, nb):
+        a = generate_matrix(m, n, cond=10.0, dtype=dtype, seed=23)
+        ue, he = _run_qdwh(a, nb=nb)
+        before = threading.active_count()
+        sink = TimelineSink()
+        rt = make_runtime(1, 1)
+        rt.enable_deferred(workers=4, sink=sink)
+        da = DistMatrix.from_array(rt, a.copy(), nb)
+        res = tiled_qdwh(rt, da, backend="threads", workers=4)
+        assert threading.active_count() == before
+        assert rt.executor._pool is None and rt.exec_stats.shipped == 0
+        assert {e.slot for e in sink.tasks} == {"drv"}
+        assert rt.exec_stats.tasks_run == len(rt.graph)
+        assert np.array_equal(res.u.to_array(), ue)
+        assert np.array_equal(res.h.to_array(), he)
+        rt.close()
+
+    def test_big_tiles_keep_their_lanes(self):
+        # nb=128: every iteration window holds an 8 Mflop task, so the
+        # driver and one pool thread share it as before; the estimator
+        # sweeps between them stay on the driver.
+        a = generate_matrix(256, cond=1e4, seed=24)
+        ue, he = _run_qdwh(a, nb=128)
+        sink = TimelineSink()
+        rt = make_runtime(1, 1)
+        rt.enable_deferred(workers=2, sink=sink)
+        da = DistMatrix.from_array(rt, a.copy(), 128)
+        res = tiled_qdwh(rt, da, backend="threads", workers=2)
+        stats = rt.exec_stats
+        assert rt.executor._pool._max_workers == 1
+        assert {e.slot for e in sink.tasks} == {"drv", "thr0"}
+        assert 0 < stats.shipped < stats.tasks_run
+        tol = 100 * np.finfo(np.float64).eps * np.linalg.norm(a)
+        assert np.max(np.abs(res.u.to_array() - ue)) <= tol
+        assert np.max(np.abs(res.h.to_array() - he)) <= tol
+        rt.close()
+
+    def test_window_by_window(self):
+        # The question is asked per window and answered from declared
+        # costs: below the floor -> driver only; one task at the floor
+        # -> lanes for the whole window; no declared cost -> not judged.
+        from repro.runtime.window import LANE_MIN_FLOPS
+        g = _graph([((), (i,)) for i in range(12)])
+        for t in g.tasks[:4]:
+            t.flops = LANE_MIN_FLOPS / 2
+        for t in g.tasks[4:8]:
+            t.flops = 1.0
+        g.tasks[5].flops = LANE_MIN_FLOPS
+        sink = TimelineSink()
+        fns = {t: (lambda: time.sleep(0.002)) for t in range(12)}
+        with ParallelExecutor(g, fns, workers=2, sink=sink) as ex:
+            assert not ex.exercises_transport
+            ex.run(0, 4)
+            assert ex._pool is None and ex.stats.shipped == 0
+            ex.run(4, 8)
+            assert ex._pool is not None and ex.stats.shipped > 0
+            shipped = ex.stats.shipped
+            ex.run(8, 12)
+            assert ex.stats.shipped > shipped
+        slots = {e.tid: e.slot for e in sink.tasks}
+        assert {slots[t] for t in range(4)} == {"drv"}
+        assert "thr0" in {slots[t] for t in range(4, 8)}
+        assert "thr0" in {slots[t] for t in range(8, 12)}
+
+    def test_watched_executor_always_ships(self):
+        from repro.resilience import RecoveryPolicy
+        g = _graph([((), (i,)) for i in range(6)])
+        for t in g.tasks:
+            t.flops = 1.0
+        sink = TimelineSink()
+        with ParallelExecutor(g, {t: (lambda: None) for t in range(6)},
+                              workers=2, sink=sink,
+                              recovery=RecoveryPolicy(task_timeout=30.0)
+                              ) as ex:
+            assert ex.exercises_transport
+            ex.run()
+            assert ex.stats.shipped == 6
+        assert "drv" not in {e.slot for e in sink.tasks}
+
+
 def _run_qdwh(a, nb=16, backend="eager", workers=None):
     rt = make_runtime(1, 1)
     if backend == "threads":

@@ -134,6 +134,25 @@ class TestSymbolicMode:
                     if sizes.get(ref, 0) <= 0]
         assert unpriced == []
 
+    @pytest.mark.parametrize("m, n, nb", [(50, 50, 16), (81, 42, 8),
+                                          (24, 24, 32)],
+                             ids=["square", "tall-ragged", "nb>n"])
+    def test_every_task_declares_a_cost(self, m, n, nb):
+        """The simulator prices a task from ``flops`` and the real
+        backends place a window by it: no recorded task may declare a
+        negative cost (a ragged last tile row used to, through the
+        m >= n QR formula) or none at all (0 means "not judged" and
+        would give its whole window lanes)."""
+        a = ill_conditioned(m, n=n, seed=8)
+        res, rt = run_tiled(a, nb=nb, grid=(1, 1))
+        assert res.converged and res.it_qr > 0
+        assert [t for t in rt.graph.tasks if t.flops < 0] == []
+        assert [t.label for t in rt.graph.tasks if t.flops == 0] == []
+        # The symbolic recording of the same shape: same rule.
+        rt_s = make_runtime(1, 1, numeric=False)
+        tiled_qdwh(rt_s, DistMatrix(rt_s, m, n, nb), cond_est=1e16)
+        assert [t.label for t in rt_s.graph.tasks if t.flops <= 0] == []
+
     def test_symbolic_and_numeric_graphs_align(self):
         """The same condition estimate must produce the same task-graph
         shape in both modes (the core promise of the perf model)."""
