@@ -13,8 +13,10 @@ attribute, so executor/thread-pool ``submit`` calls are not matched):
 =======  =================================================================
 REP001   ``submit(..., fn=...)`` must declare a footprint: at least one
          of ``reads=`` / ``writes=``.
-REP002   Payload closures must not call ``.tile(`` / ``.set_tile(`` on
-         tiles absent from the declared footprint.  Matching is
+REP002   Payload closures must not call ``.tile(`` on tiles absent
+         from the declared footprint, and must not call ``.set_tile(``
+         at all (driver-level; a payload writes through the array
+         ``.tile(`` returned).  Matching is
          best-effort: receivers must be plain names, coordinates are
          compared structurally, names are resolved through simple
          assignments (including tuple unpacking and conditional
@@ -103,11 +105,11 @@ _FORK_UNSAFE_FACTORIES = frozenset({
 _RELEASE_ATTRS = frozenset({"decref", "release", "close",
                             "_decref_name", "_release_many"})
 
-#: Methods returning pseudo-tile refs (scalars, side buffers).  Entries
-#: built from these carry data the payload reads through captured
-#: Python objects, not through ``.tile()``, so they are ignorable for
-#: REP002 matching (neither a match target nor a reason to go opaque).
-_PSEUDO_REF_ATTRS = frozenset({"new_scalar_ref", "t_ref", "tt_ref"})
+#: Methods returning pseudo-tile refs (scalars).  Entries built from
+#: these carry data the payload reads through captured Python objects,
+#: not through ``.tile()``, so they are ignorable for REP002 matching
+#: (neither a match target nor a reason to go opaque).
+_PSEUDO_REF_ATTRS = frozenset({"new_scalar_ref"})
 
 #: Functions returning ScalarResult: a ``.value`` read of their result
 #: inside a payload is REP004.
@@ -407,12 +409,11 @@ class _Linter:
             recv = func.value.id
             entry = (recv, _dump(n.args[0]), _dump(n.args[1]))
             if func.attr == "set_tile":
-                if entry in write_entries or writes_opaque:
-                    continue
                 self._flag(PAYLOAD_FOOTPRINT,
                            f"payload calls {recv}.set_tile({_src(n.args[0])}, "
-                           f"{_src(n.args[1])}, ...) but that tile is not in "
-                           "the declared writes=", n, (submit.lineno,))
+                           f"{_src(n.args[1])}, ...): set_tile is driver-level; "
+                           "write through the declared tile's .tile(...) "
+                           "array", n, (submit.lineno,))
             else:
                 if entry in read_entries or entry in write_entries:
                     continue

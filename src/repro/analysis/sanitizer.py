@@ -16,7 +16,9 @@ the declaration:
 * **undeclared-read** — payload read a tile absent from ``reads`` and
   ``writes`` (reading a declared *write* tile is fine: declared writes
   are in/out, payloads update tiles in place);
-* **undeclared-write** — payload wrote a tile absent from ``writes``;
+* **undeclared-write** — payload wrote a tile absent from ``writes``
+  (seen only through ``set_tile``, which then refuses the call: it is
+  driver-level);
 * **phantom-declaration** — a declared *observable* tile the payload
   never touched: not a race, but over-synchronization that serializes
   the DAG for nothing (reported on frame exit, never fatal mid-run
@@ -28,10 +30,10 @@ the declaration:
   value read is stale/partial).
 
 "Observable" means the ref is registered in the graph's tile registry
-with a real owner rank (``DistMatrix`` tiles).  Pseudo-tiles — scalar
-refs, QR ``T``-factor side buffers, norm partials — carry payload data
-the sanitizer cannot see, so they are exempt from the phantom check
-and their accesses are not recorded.
+with a real owner rank (``DistMatrix`` tiles, QR's T and V factor
+tiles included).  Pseudo-tiles — scalar refs, norm partials, LU pivots
+— carry payload data the sanitizer cannot see, so they are exempt from
+the phantom check and their accesses are not recorded.
 
 Modes (``Runtime(sanitize=...)`` or the ``REPRO_SANITIZE`` env var):
 ``"raise"`` aborts on the first finding (:class:`SanitizerError`),
@@ -221,8 +223,8 @@ class TileSanitizer:
 
     def _observable(self, ref: TileRef) -> bool:
         # DistMatrix tiles are registered with their owner rank; pseudo
-        # tiles (scalars, QR T factors, norm partials) are not, so they
-        # are exempt from the phantom check.
+        # tiles (scalars, norm partials) are not, so they are exempt
+        # from the phantom check.
         return ref in self.graph.tile_owner
 
     def on_access(self, ref: TileRef, write: bool) -> None:

@@ -56,7 +56,7 @@ from ..tiled.cholesky import posv
 from ..tiled.estimators import norm2est_tiled, trcondest_tiled
 from ..tiled.norms import norm_fro, norm_one
 from ..tiled.qr import geqrf, qr_explicit
-from .params import QdwhParams, dynamical_weights, parameter_schedule
+from .params import dynamical_weights
 
 
 @dataclass
@@ -436,7 +436,9 @@ def _tiled_qdwh_impl(rt: Runtime, a: DistMatrix, *,
 
     # --- Checkpoint resume (numeric only, mirrors the dense driver). ---
     resume_state = ckpt_fp = None
-    if checkpoint is not None and rt.numeric:
+    if not rt.numeric:
+        checkpoint = None
+    if checkpoint is not None:
         from ..resilience.checkpoint import input_fingerprint
         ckpt_fp = input_fingerprint(a.to_array())
         state = checkpoint.load()
@@ -493,31 +495,10 @@ def _tiled_qdwh_impl(rt: Runtime, a: DistMatrix, *,
         scale(rt, 1.0 / alpha, a)
 
         # --- Condition estimate -> l0 (lines 14-19). ---
-        if cond_est is not None:
-            if rt.numeric and not (np.isfinite(cond_est)
-                                   and cond_est >= 1.0):
-                # Health guard: a nonsense user/caller estimate must
-                # not poison the weight recurrence; tiny is always a
-                # valid (if slow) lower bound on sigma_min.
-                _health(rt, health_log,
-                        f"unusable cond_est={cond_est!r}; using the "
-                        f"conservative default lower bound")
-                dense_cond = None
-                l0 = float(np.finfo(np.float64).tiny)
-            else:
-                l0 = 1.0 / (cond_est * math.sqrt(n))
-            if not rt.numeric:
-                # Emit the estimation stage's tasks anyway so the
-                # simulated cost includes the paper's stage 1
-                # (QR + trcondest).
-                w1 = DistMatrix(rt, m, n, a.nb, dt, layout=a.layout,
-                                name="W1c", row_heights=a.row_heights,
-                                col_widths=a.col_widths)
-                copy(rt, a, w1)
-                fac = geqrf(rt, w1)
-                trcondest_tiled(rt, fac, cycles=condest_cycles)
-                norm_one(rt, a)
-        else:
+        # The paper's stage 1 (QR + trcondest) runs when there is no
+        # estimate to plan with, and in symbolic mode regardless so the
+        # simulated cost includes it.
+        if cond_est is None or not rt.numeric:
             w1 = DistMatrix(rt, m, n, a.nb, dt, layout=a.layout, name="W1c",
                             row_heights=a.row_heights,
                             col_widths=a.col_widths)
@@ -525,6 +506,7 @@ def _tiled_qdwh_impl(rt: Runtime, a: DistMatrix, *,
             fac = geqrf(rt, w1)
             rcond = trcondest_tiled(rt, fac, cycles=condest_cycles)
             anorm = norm_one(rt, a)
+        if cond_est is None:
             l0 = anorm.value * rcond.value / math.sqrt(n)
             if not np.isfinite(l0) or l0 <= 0.0:
                 _health(rt, health_log,
@@ -533,6 +515,17 @@ def _tiled_qdwh_impl(rt: Runtime, a: DistMatrix, *,
                         f"lower bound")
                 l0 = float(np.finfo(np.float64).tiny)
             l0 = min(l0, 1.0)
+        elif not (np.isfinite(cond_est) and cond_est >= 1.0):
+            # Health guard: a nonsense user/caller estimate must not
+            # poison the weight recurrence; tiny is always a valid (if
+            # slow) lower bound on sigma_min.
+            _health(rt, health_log,
+                    f"unusable cond_est={cond_est!r}; using the "
+                    f"conservative default lower bound")
+            dense_cond = None
+            l0 = float(np.finfo(np.float64).tiny)
+        else:
+            l0 = 1.0 / (cond_est * math.sqrt(n))
 
     conv_history: List[float] = []
     weight_history: List[Tuple[float, float, float]] = []
@@ -541,99 +534,102 @@ def _tiled_qdwh_impl(rt: Runtime, a: DistMatrix, *,
     if iter_log is not None:
         iter_log.m, iter_log.n = m, n
 
-    if rt.numeric:
-        if resume_state is not None:
-            li = float(resume_state["li"])
-            conv = float(resume_state["conv"])
-            it = int(resume_state["it"])
-            it_qr = int(resume_state["it_qr"])
-            it_chol = int(resume_state["it_chol"])
-            conv_history = [float(c) for c in resume_state["conv_history"]]
-            weight_history = [tuple(float(x) for x in w)
-                              for w in resume_state["weight_history"]]
+    if resume_state is not None:
+        li = float(resume_state["li"])
+        conv = float(resume_state["conv"])
+        it = int(resume_state["it"])
+        it_qr = int(resume_state["it_qr"])
+        it_chol = int(resume_state["it_chol"])
+        conv_history = [float(c) for c in resume_state["conv_history"]]
+        weight_history = [tuple(float(x) for x in w)
+                          for w in resume_state["weight_history"]]
+    else:
+        li = l0
+        # Symbolic runs have no matrix difference to test: the weight
+        # criterion alone drives the loop (the schedule is data-free).
+        conv = 100.0 if rt.numeric else 0.0
+    #: QDWH iterates stay in the unit-ball image of the rational
+    #: map (||A_k||_2 <~ 1.3), so ||A_k - A_{k-1}||_F can never
+    #: legitimately exceed ~2.6 sqrt(n); beyond this bound the
+    #: iterate has been corrupted.
+    conv_guard = 4.0 * math.sqrt(n) + 4.0
+
+    def _degrade(reason: str) -> TiledQdwhResult:
+        """Last-resort path: redo the factorization densely on the
+        pristine input backup and scatter the factors back."""
+        _health(rt, health_log, reason)
+        from .qdwh_dense import qdwh as dense_qdwh
+        res = dense_qdwh(acpy.to_array(), cond_est=dense_cond,
+                         max_iter=QDWH_HARD_ITERATION_CAP)
+        _scatter_dense(a, res.u)
+        hh = DistMatrix(rt, n, n, a.nb, dt, layout=a.layout, name="H",
+                        row_heights=a.col_widths,
+                        col_widths=a.col_widths)
+        _scatter_dense(hh, res.h)
+        if checkpoint is not None and res.converged:
+            checkpoint.clear()
+        return TiledQdwhResult(
+            u=a, h=hh, iterations=it + res.iterations,
+            it_qr=it_qr + res.it_qr, it_chol=it_chol + res.it_chol,
+            conv_history=conv_history + [float(c) for c
+                                         in res.conv_history],
+            alpha=float(res.alpha), l0=float(res.l0),
+            converged=res.converged, degraded=True,
+            health_log=health_log)
+
+    prev = DistMatrix(rt, m, n, a.nb, dt, layout=a.layout, name="prev",
+                      row_heights=a.row_heights, col_widths=a.col_widths)
+    while conv >= inner_tol or abs(li - 1.0) >= weight_tol:
+        if it >= max_iter:
+            if rt.numeric and max_iter >= QDWH_HARD_ITERATION_CAP:
+                # Health guard: out of budget at the hard cap.
+                # Raising would discard the run; hand the pristine
+                # input to the dense driver instead.
+                return _degrade(
+                    f"no convergence after {it} iterations "
+                    f"(conv={conv:.3e}, |li-1|={abs(li - 1.0):.3e}); "
+                    f"degrading to the dense QDWH path")
+            # A deliberately small budget (interrupt/checkpoint
+            # workflows, a truncated plan) keeps the partial result.
+            converged = False
+            break
+        l_enter = li
+        wa, wb, wc, li = dynamical_weights(li)
+        variant = "qr" if wc > QDWH_CHOLESKY_SWITCH else "chol"
+        copy(rt, a, prev)
+        if variant == "qr":
+            _qr_iteration(rt, a, wa, wb, wc)
+            it_qr += 1
         else:
-            li = l0
-            conv = 100.0
-        #: QDWH iterates stay in the unit-ball image of the rational
-        #: map (||A_k||_2 <~ 1.3), so ||A_k - A_{k-1}||_F can never
-        #: legitimately exceed ~2.6 sqrt(n); beyond this bound the
-        #: iterate has been corrupted.
-        conv_guard = 4.0 * math.sqrt(n) + 4.0
-
-        def _degrade(reason: str) -> TiledQdwhResult:
-            """Last-resort path: redo the factorization densely on the
-            pristine input backup and scatter the factors back."""
-            _health(rt, health_log, reason)
-            from .qdwh_dense import qdwh as dense_qdwh
-            res = dense_qdwh(acpy.to_array(), cond_est=dense_cond,
-                             max_iter=QDWH_HARD_ITERATION_CAP)
-            _scatter_dense(a, res.u)
-            hh = DistMatrix(rt, n, n, a.nb, dt, layout=a.layout, name="H",
-                            row_heights=a.col_widths,
-                            col_widths=a.col_widths)
-            _scatter_dense(hh, res.h)
-            if checkpoint is not None and res.converged:
-                checkpoint.clear()
-            return TiledQdwhResult(
-                u=a, h=hh, iterations=it + res.iterations,
-                it_qr=it_qr + res.it_qr, it_chol=it_chol + res.it_chol,
-                conv_history=conv_history + [float(c) for c
-                                             in res.conv_history],
-                alpha=float(res.alpha), l0=float(res.l0),
-                converged=res.converged, degraded=True,
-                health_log=health_log)
-
-        prev = DistMatrix(rt, m, n, a.nb, dt, layout=a.layout, name="prev",
-                          row_heights=a.row_heights, col_widths=a.col_widths)
-        while conv >= inner_tol or abs(li - 1.0) >= weight_tol:
-            if it >= max_iter:
-                if max_iter >= QDWH_HARD_ITERATION_CAP:
-                    # Health guard: out of budget at the hard cap.
-                    # Raising would discard the run; hand the pristine
-                    # input to the dense driver instead.
-                    return _degrade(
-                        f"no convergence after {it} iterations "
-                        f"(conv={conv:.3e}, |li-1|={abs(li - 1.0):.3e}); "
-                        f"degrading to the dense QDWH path")
-                # A deliberately small budget (interrupt/checkpoint
-                # workflows) keeps the partial result.
-                converged = False
-                break
-            l_enter = li
-            wa, wb, wc, li = dynamical_weights(li)
-            variant = "qr" if wc > QDWH_CHOLESKY_SWITCH else "chol"
-            copy(rt, a, prev)
-            if variant == "qr":
+            try:
+                # Commit prev = A_{k-1} first: a breakdown must be
+                # recoverable from prev, so it cannot share an
+                # execution window with the posv that may raise.
+                rt.sync()
+                _chol_iteration(rt, a, wa, wb, wc)
+                rt.sync()  # deferred: surface the breakdown here
+                it_chol += 1
+            except np.linalg.LinAlgError as exc:
+                # Health guard: Z = I + c A^H A not SPD (corrupted
+                # or ill-conditioned iterate).  A is written only
+                # by the final add, which depends on the complete
+                # posv solve, so the iterate is still A_{k-1};
+                # drop the dead window and redo the step with the
+                # unconditionally stable QR variant.
+                _health(rt, health_log,
+                        f"Cholesky breakdown at iteration {it + 1} "
+                        f"({exc}); redoing the step with the QR "
+                        f"iteration")
+                rt.abandon_pending()
+                copy(rt, prev, a)  # defensive restore + re-chains epochs
                 _qr_iteration(rt, a, wa, wb, wc)
                 it_qr += 1
-            else:
-                try:
-                    # Commit prev = A_{k-1} first: a breakdown must be
-                    # recoverable from prev, so it cannot share an
-                    # execution window with the posv that may raise.
-                    rt.sync()
-                    _chol_iteration(rt, a, wa, wb, wc)
-                    rt.sync()  # deferred: surface the breakdown here
-                    it_chol += 1
-                except np.linalg.LinAlgError as exc:
-                    # Health guard: Z = I + c A^H A not SPD (corrupted
-                    # or ill-conditioned iterate).  A is written only
-                    # by the final add, which depends on the complete
-                    # posv solve, so the iterate is still A_{k-1};
-                    # drop the dead window and redo the step with the
-                    # unconditionally stable QR variant.
-                    _health(rt, health_log,
-                            f"Cholesky breakdown at iteration {it + 1} "
-                            f"({exc}); redoing the step with the QR "
-                            f"iteration")
-                    rt.abandon_pending()
-                    copy(rt, prev, a)  # defensive restore + re-chains epochs
-                    _qr_iteration(rt, a, wa, wb, wc)
-                    it_qr += 1
-                    variant = "qr"
-            rt.advance_phase()
-            add(rt, 1.0, a, -1.0, prev)  # prev = A_k - A_{k-1}
-            conv = float(norm_fro(rt, prev).value)
+                variant = "qr"
+        rt.advance_phase()
+        add(rt, 1.0, a, -1.0, prev)  # prev = A_k - A_{k-1}
+        diff = norm_fro(rt, prev)
+        if rt.numeric:
+            conv = float(diff.value)
             if not np.isfinite(conv) or conv > conv_guard:
                 # Health guard: NaN/Inf or an exploding iterate —
                 # corruption slipped past the executor's defenses.
@@ -642,39 +638,19 @@ def _tiled_qdwh_impl(rt: Runtime, a: DistMatrix, *,
                     f"(||A_k - A_k-1||_F = {conv!r}); degrading to the "
                     f"dense QDWH path")
             conv_history.append(conv)
-            weight_history.append((wa, wb, wc))
-            it += 1
-            if iter_log is not None:
-                iter_log.record(variant=variant,
-                                a=wa, b=wb, c=wc, L=l_enter, L_next=li,
-                                conv=conv)
-            if checkpoint is not None and checkpoint.due(it):
-                rt.sync()  # checkpoint only committed tile state
-                checkpoint.save(ak=a.to_array(), li=li, conv=conv, it=it,
-                                it_qr=it_qr, it_chol=it_chol, alpha=alpha,
-                                l0=l0, conv_history=conv_history,
-                                weight_history=weight_history,
-                                fingerprint=ckpt_fp)
-    else:
-        schedule: List[QdwhParams] = parameter_schedule(l0, dtype=dt,
-                                                        max_iter=max_iter)
-        prev = DistMatrix(rt, m, n, a.nb, dt, layout=a.layout, name="prev",
-                          row_heights=a.row_heights, col_widths=a.col_widths)
-        for p in schedule:
-            copy(rt, a, prev)
-            if p.use_qr:
-                _qr_iteration(rt, a, p.a, p.b, p.c)
-                it_qr += 1
-            else:
-                _chol_iteration(rt, a, p.a, p.b, p.c)
-                it_chol += 1
-            rt.advance_phase()
-            add(rt, 1.0, a, -1.0, prev)
-            norm_fro(rt, prev)
-            it += 1
-            if iter_log is not None:
-                iter_log.record(variant="qr" if p.use_qr else "chol",
-                                a=p.a, b=p.b, c=p.c, L=p.L, L_next=p.L_next)
+        weight_history.append((wa, wb, wc))
+        it += 1
+        if iter_log is not None:
+            iter_log.record(variant=variant,
+                            a=wa, b=wb, c=wc, L=l_enter, L_next=li,
+                            conv=conv if rt.numeric else math.nan)
+        if checkpoint is not None and checkpoint.due(it):
+            rt.sync()  # checkpoint only committed tile state
+            checkpoint.save(ak=a.to_array(), li=li, conv=conv, it=it,
+                            it_qr=it_qr, it_chol=it_chol, alpha=alpha,
+                            l0=l0, conv_history=conv_history,
+                            weight_history=weight_history,
+                            fingerprint=ckpt_fp)
 
     # --- H = U^H A, symmetrized (line 52). ---
     rt.advance_phase()
@@ -684,7 +660,7 @@ def _tiled_qdwh_impl(rt: Runtime, a: DistMatrix, *,
     _symmetrize(rt, h)
 
     rt.sync()  # deferred backend: execute the tail window (H formation)
-    if checkpoint is not None and rt.numeric and converged:
+    if checkpoint is not None and converged:
         checkpoint.clear()
     return TiledQdwhResult(u=a, h=h, iterations=it, it_qr=it_qr,
                            it_chol=it_chol, conv_history=conv_history,

@@ -165,27 +165,35 @@ class DistMatrix:
         return t
 
     def set_tile(self, i: int, j: int, data: np.ndarray) -> None:
-        """Replace tile (i, j); shape and dtype must match exactly."""
+        """Copy ``data`` into tile (i, j); shape must match exactly.
+
+        Driver-level only.  A tile is one buffer for life — forked
+        workers and pinned shared-memory segments alias it — so this
+        writes through into the existing array, and a task payload,
+        which updates ``tile()`` in place under its declared footprint,
+        may not call it.
+        """
         expected = (self.tile_rows(i), self.tile_cols(j))
         if data.shape != expected:
             raise ValueError(
                 f"tile ({i},{j}) expects shape {expected}, got {data.shape}")
-        if self.rt.deferred and not self.rt._in_execution:
-            self.rt.sync()  # don't clobber a tile pending tasks still write
-        san = self.rt._sanitizer
-        if san is not None:
-            san.on_access((self.mat_id, i, j), write=True)
-        # Always copy: a contiguous slice of a caller's array would
-        # otherwise be stored as a view, and in-place tile updates
-        # would silently mutate the caller's data.
+        rt = self.rt
+        if rt._in_execution:
+            san = rt._sanitizer
+            if san is not None:  # attribute the write to its task first
+                san.on_access((self.mat_id, i, j), write=True)
+            raise RuntimeError(
+                f"set_tile({i},{j}) of matrix {self.mat_id} inside a task "
+                "payload; write through tile(i, j)[...] instead")
+        rt.sync()  # don't clobber a tile pending tasks still write
         cur = self._tiles.get((i, j))
-        if cur is not None and getattr(self.rt, "_worker_mode", False):
-            # In a worker process the existing array is a shared-memory
-            # mapping; replacing it would make the write child-local.
+        if cur is None:
+            # Copy: a slice of the caller's array stored as a view would
+            # let in-place tile updates mutate the caller's data.
+            self._tiles[(i, j)] = np.array(data, dtype=self.dtype,
+                                           copy=True, order="C")
+        else:
             cur[...] = data
-            return
-        self._tiles[(i, j)] = np.array(data, dtype=self.dtype, copy=True,
-                                       order="C")
 
     # ------------------------------------------------------------------
     # Whole-matrix conversion (test/driver convenience, not a tiled op)

@@ -21,7 +21,7 @@ See ``docs/distributed_runtime.md`` for the architecture.
 from .comm import (AddressInUseError, Comm, CommClosedError, CommError,
                    CommTimeoutError, Listener, connect, listen,
                    register_transport)
-from .executor import ProcessExecutor, SideStore, WorkerCrashError
+from .executor import ProcessExecutor, WorkerCrashError
 from .scheduling import DynamicScheduler, WorkerState
 from .shm import SharedTileStore, scan_segments
 
@@ -35,7 +35,6 @@ __all__ = [
     "Listener",
     "ProcessExecutor",
     "SharedTileStore",
-    "SideStore",
     "WorkerCrashError",
     "WorkerState",
     "connect",

@@ -23,14 +23,15 @@ module is the transport between them and the workers:
   in the window's declared footprints into a :class:`SharedTileStore`
   segment; worker writes land directly in the parent's mapping
   (zero-copy), so there is no gather step and no result payload.
-  Pinning is idempotent and migrates a tile the driver replaced, so a
-  window that forks after driver-only ones still gets every tile it
-  touches.
-* **Dispatch** (``_send``).  A message carries a tid, an attempt
-  number and (rarely) a few side-store entries — a few hundred bytes
-  per task.  The retry ledger snapshots the task's write tiles first,
-  so a SIGKILL at any instant leaves the driver able to restore and
-  replay.
+  Tiles are the only state tasks share — QR's T and V factors are
+  tiles like any other (:class:`~repro.tiled.qr.QRFactors`).  A tile
+  is pinned once, by the first forking window that touches it, and
+  keeps that buffer for life.
+* **Dispatch** (``_send``).  A message carries a tid and an attempt
+  number; a reply adds timings — a few hundred bytes per task, never
+  matrix data.  The retry ledger snapshots the task's write tiles
+  first, so a SIGKILL at any instant leaves the driver able to
+  restore and replay.
 * **Driver lane.**  Tasks whose footprint touches driver-local state
   (scalar reduction boxes, gather buffers) run inline in the parent
   through the same :func:`~repro.runtime.attempt.run_attempt` — the
@@ -59,11 +60,10 @@ import signal
 import threading
 import time
 from time import perf_counter
-from typing import (Any, Callable, Dict, List, NamedTuple, Optional, Set,
-                    Tuple, Union)
+from typing import Any, Dict, List, Optional, Set, Tuple, Union
 
 from ..attempt import Attempt, run_attempt
-from ..task import Task, TileRef
+from ..task import Task
 from ..window import Death, Report, WindowExecutor, WorkerCrashError
 from .chaos import assign_peer, clear_net_plan, install_net_plan
 from .comm import (Comm, CommError, CommTimeoutError, Listener, listen)
@@ -72,29 +72,22 @@ from .events import (EV_CLOSE, EV_COMPLETE, EV_DEATH, EV_DISPATCH,
 from .reliable import ReliableComm
 from .scheduling import DynamicScheduler
 from .shm import SharedTileStore
-from .worker import SideEntry, worker_main
+from .worker import worker_main
 from ...comm.counters import CommCounters
 from ...resilience.net import PhiAccrualDetector
 
-__all__ = ["ProcessExecutor", "SideStore", "WorkerCrashError"]
+__all__ = ["ProcessExecutor", "WorkerCrashError"]
 
 #: Dispatches one worker may hold unanswered: the task it runs plus one
 #: queued behind it, so a reply's round trip overlaps the next payload.
 PIPELINE_DEPTH = 2
 
 
-class SideStore(NamedTuple):
-    """Driver-held dict state addressed through pseudo-tile refs."""
-
-    mapping: dict
-    key_of: Callable[[TileRef], object]
-
-
 class _Worker:
     """Parent-side handle of one forked worker process."""
 
     __slots__ = ("wid", "lane", "proc", "comm", "pid", "clock_offset",
-                 "reader", "shipped", "sent", "kill_reason")
+                 "reader", "sent", "kill_reason")
 
     def __init__(self, wid: int, proc: multiprocessing.process.BaseProcess,
                  comm: Comm, pid: int,
@@ -109,8 +102,6 @@ class _Worker:
         self.pid = pid
         self.clock_offset = clock_offset
         self.reader: Optional[threading.Thread] = None
-        #: Side-entry refs already shipped to this worker (dedup).
-        self.shipped: Set[TileRef] = set()
         #: tid -> (attempt, send time) of dispatches awaiting a reply.
         self.sent: Dict[int, Tuple[int, float]] = {}
         #: Set when the parent killed it on purpose (timeout/injected).
@@ -174,10 +165,6 @@ class ProcessExecutor(WindowExecutor):
         self._hb: Dict[int, PhiAccrualDetector] = {}
         self._hb_since: Dict[int, float] = {}
         self._suspected: Set[int] = set()
-        #: Global side-entry registry: ref -> produced value.  Lives in
-        #: the parent, so it survives any worker death (replay re-ships
-        #: whatever a successor needs).
-        self._entries: Dict[TileRef, object] = {}
         self._listener: Optional[Listener] = None
         self._pool: Dict[int, _Worker] = {}
         self._next_wid = 0
@@ -219,24 +206,18 @@ class ProcessExecutor(WindowExecutor):
     # ------------------------------------------------------------------
 
     def _worker_ok(self, t: Task) -> bool:
-        """True when every ref the task touches is process-shared:
-        a registered DistMatrix tile (shared memory) or a registered
-        side store (shipped by value).  Anything else — scalar boxes,
-        gather buffers — pins the task to the driver."""
-        if self.fns.get(t.tid) is None:
-            return False
-        for ref in tuple(t.reads) + tuple(t.writes):
-            if ref[0] in self.rt._side_stores:
-                continue
-            if self.rt._matrices.get(ref[0]) is not None:
-                continue
-            return False
-        return True
+        """True when every ref the task touches is process-shared: a
+        registered DistMatrix tile (shared memory).  Anything else —
+        scalar boxes, gather buffers — pins the task to the driver."""
+        mats = self.rt._matrices
+        return (self.fns.get(t.tid) is not None
+                and all(mats.get(ref[0]) is not None
+                        for ref in t.reads + t.writes))
 
     def _materialize(self, start: int, end: int) -> None:
         """Pin every matrix tile in the window's declared footprints
-        into shared memory (idempotent; migrates driver-replaced
-        tiles)."""
+        into shared memory (idempotent: a tile already pinned keeps
+        its segment)."""
         tasks = self.graph.tasks
         for tid in range(start, end):
             t = tasks[tid]
@@ -593,8 +574,7 @@ class ProcessExecutor(WindowExecutor):
             return False
         self._ledger.arm(t)
         try:
-            w.comm.send({"op": "task", "tid": tid, "attempt": attempt,
-                         "side": self._ship_side(w, t)})
+            w.comm.send({"op": "task", "tid": tid, "attempt": attempt})
         except CommError:
             # Death will surface as EOF; the scheduler keeps the tid
             # in the dead worker's inflight set until then.
@@ -604,17 +584,6 @@ class ProcessExecutor(WindowExecutor):
             self.recorder.record(EV_DISPATCH, tid=tid, wid=lane,
                                  attempt=attempt)
         return True
-
-    def _ship_side(self, w: _Worker, t: Task) -> List[SideEntry]:
-        out: List[SideEntry] = []
-        for ref in tuple(t.reads) + tuple(t.writes):
-            store = self.rt._side_stores.get(ref[0])
-            if store is None or ref in w.shipped:
-                continue
-            if ref in self._entries:
-                out.append((ref[0], store.key_of(ref), self._entries[ref]))
-                w.shipped.add(ref)
-        return out
 
     def _recv(self, timeout: Optional[float]
               ) -> List[Union[Report, Death]]:
@@ -636,7 +605,7 @@ class ProcessExecutor(WindowExecutor):
         if kind == "drv":
             tid, attempt, res = payload
             return self._accepted(tid, None, attempt, res, "drv",
-                                  -self._epoch, [])
+                                  -self._epoch)
         w = self._pool.get(wid)
         if kind == "eof":
             return self._buried(wid, w)
@@ -652,31 +621,16 @@ class ProcessExecutor(WindowExecutor):
                     payload["cpu"], payload.get("events") or [],
                     payload["exc"] if op == "fail" else None,
                     bool(payload.get("retryable"))),
-            f"w{w.lane}", w.clock_offset - self._epoch,
-            payload.get("side") or [])
+            f"w{w.lane}", w.clock_offset - self._epoch)
 
     def _accepted(self, tid: int, wid: Optional[int], attempt: int,
-                  res: Attempt, slot: str, shift: float,
-                  side: List[SideEntry]) -> Report:
-        """A worker's reply or the driver lane's own (``wid=None``):
-        record it and, on success, publish its side-store writes."""
+                  res: Attempt, slot: str, shift: float) -> Report:
+        """A worker's reply or the driver lane's own (``wid=None``)."""
         if self.recorder is not None:
             ok = EV_DRIVER if wid is None else EV_COMPLETE
             self.recorder.record(
                 EV_FAIL if res.exc is not None else ok, tid=tid,
                 wid=-1 if wid is None else wid, attempt=attempt)
-        if res.exc is None:
-            stores = self.rt._side_stores
-            for mat_id, key, value in side:
-                store = stores.get(mat_id)
-                if store is not None and key not in store.mapping:
-                    store.mapping[key] = value
-            for ref in self.graph.tasks[tid].writes:
-                if ref[0] in stores and ref not in self._entries:
-                    store = stores[ref[0]]
-                    key = store.key_of(ref)
-                    if key in store.mapping:
-                        self._entries[ref] = store.mapping[key]
         return Report(tid, wid, res, slot, shift)
 
     def _buried(self, wid: int, w: Optional[_Worker]) -> Death:

@@ -81,8 +81,7 @@ class SharedTileStore:
         self._lock = threading.Lock()
         self._seq = 0
         self._segments: Dict[str, _Segment] = {}
-        #: (mat_id, i, j) -> segment name, so re-pinning a tile that the
-        #: driver replaced (``set_tile``) reuses the existing segment.
+        #: (mat_id, i, j) -> segment name: a pinned tile keeps its segment.
         self._of_ref: Dict[Tuple[int, int, int], str] = {}
         self._mat_refs: Dict[int, List[str]] = {}
         #: mat_id -> weakref to the matrix, so close() can evacuate
@@ -114,44 +113,33 @@ class SharedTileStore:
                  shape: Tuple[int, ...], dtype: np.dtype) -> np.ndarray:
         """Ensure tile ``(i, j)`` of ``mat`` is backed by shared memory.
 
-        Idempotent: if the tile already lives in its segment this is a
-        no-op; if the driver replaced the backing array (``set_tile``
-        copies into a fresh heap array) the data is migrated back into
-        the same segment; unmaterialised (``None`` = lazily-zero) tiles
-        are materialised as zeros.  Returns the shm-backed array now
-        installed in ``mat._tiles``.
+        Idempotent: a tile that has its segment keeps it (nothing
+        rebinds a tile once pinned — ``DistMatrix.set_tile`` writes
+        through).  The first pin moves the heap array's contents into a
+        new segment; an unmaterialised (``None`` = lazily-zero) tile is
+        materialised as zeros.  Returns the shm-backed array installed
+        in ``mat._tiles``.
         """
         key = (i, j)
         ref = (mat.mat_id, i, j)
+        seg = self._segments.get(self._of_ref.get(ref))
+        if seg is not None:
+            return seg.array
+        first = not self._mat_refs.get(mat.mat_id)
+        name, arr = self._new_segment(shape, dtype)
+        self._of_ref[ref] = name
+        names = self._mat_refs.setdefault(mat.mat_id, [])
+        names.append(name)
+        self._mats[mat.mat_id] = weakref.ref(mat)
+        if self.observer is not None:
+            self.observer("pin", name, 1, ref)
+        if first:
+            # One finalizer per matrix releases every segment the
+            # matrix ever owned (the list keeps growing after
+            # registration — it is captured by reference).
+            weakref.finalize(mat, self._release_many, names)
         cur = mat._tiles.get(key)
-        name = self._of_ref.get(ref)
-        seg = self._segments.get(name) if name is not None else None
-        if seg is not None and cur is seg.array:
-            return cur
-        if seg is None:
-            first = not self._mat_refs.get(mat.mat_id)
-            name, arr = self._new_segment(shape, dtype)
-            self._of_ref[ref] = name
-            names = self._mat_refs.setdefault(mat.mat_id, [])
-            names.append(name)
-            self._mats[mat.mat_id] = weakref.ref(mat)
-            if self.observer is not None:
-                self.observer("pin", name, 1, ref)
-            if first:
-                # One finalizer per matrix releases every segment the
-                # matrix ever owned (the list keeps growing after
-                # registration — it is captured by reference).
-                weakref.finalize(mat, self._release_many, names)
-        else:
-            arr = seg.array
-            if arr.shape != shape or arr.dtype != np.dtype(dtype):
-                # Tile geometry changed (never happens for DistMatrix,
-                # but keep the store self-consistent): re-allocate.
-                self._decref_name(name)
-                return self.pin_tile(mat, i, j, shape, dtype)
-        if cur is None:
-            arr.fill(0)
-        elif cur is not arr:
+        if cur is not None:
             arr[...] = cur
         mat._tiles[key] = arr
         return arr

@@ -6,17 +6,17 @@ payloads, ``QRFactors``, scalar boxes) and are not picklable, so
 instead of shipping code we ship *nothing*: the fork inherits the task
 graph, the payload table, and every shared-memory tile mapping
 copy-on-write, and the parent then streams tiny ``task`` messages
-(tid + attempt + any side entries) over the comm layer.  Matrix tiles
-are shared memory, so payload writes land directly in the parent's
-(and every sibling's) view — zero-copy by construction.
+(tid + attempt) over the comm layer.  Every tile a task touches is
+shared memory, so payload writes land directly in the parent's (and
+every sibling's) view — zero-copy by construction.
 
 What executes here is :func:`repro.runtime.attempt.run_attempt`, the
 same attempt body the threaded executor's workers and the driver lane
 run: injected stalls sleep, injected transients raise, payloads run
 inside a sanitizer frame when the task asks for one, injected
 corruption and non-finite scrubbing act on the local (shared) tiles.
-This module only adds what a process boundary needs — side entries in
-and out, and a reply that pickles.  Snapshots are *not* taken here —
+This module only adds what a process boundary needs — a reply that
+pickles.  Snapshots are *not* taken here —
 the parent's :class:`~repro.runtime.attempt.RetryLedger` snapshots
 write tiles before dispatching so a SIGKILL at any instant leaves it
 able to restore and replay (lineage recovery, PR 5).
@@ -34,17 +34,14 @@ import os
 import pickle
 import threading
 from time import perf_counter
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 from ..attempt import run_attempt
 from .chaos import active_net_plan, set_local_wid
 from .comm import Comm, CommClosedError, CommError, connect
 from .reliable import ReliableComm
 
-__all__ = ["worker_main", "SideEntry"]
-
-#: ``(mat_id, key, value)`` — one side-store entry in flight.
-SideEntry = Tuple[int, object, object]
+__all__ = ["worker_main"]
 
 
 def _portable_exc(exc: BaseException) -> BaseException:
@@ -57,42 +54,18 @@ def _portable_exc(exc: BaseException) -> BaseException:
         return RuntimeError(f"{type(exc).__name__}: {exc}")
 
 
-def _install_side_entries(rt: Any, entries: List[SideEntry]) -> None:
-    for mat_id, key, value in entries or ():
-        store = rt._side_stores.get(mat_id)
-        if store is not None:
-            store.mapping[key] = value
-
-
-def _collect_side_writes(rt: Any, task: Any) -> List[SideEntry]:
-    out: List[SideEntry] = []
-    for ref in task.writes:
-        store = rt._side_stores.get(ref[0])
-        if store is None:
-            continue
-        key = store.key_of(ref)
-        if key in store.mapping:
-            out.append((ref[0], key, store.mapping[key]))
-    return out
-
-
-def _run_one(ex: Any, tid: int, attempt: int,
-             side: List[SideEntry]) -> Dict[str, Any]:
+def _run_one(ex: Any, tid: int, attempt: int) -> Dict[str, Any]:
     """Execute one task; returns the reply message (``done``/``fail``).
     The retryable verdict is evaluated here so it survives exceptions
     that do not pickle faithfully."""
-    rt = ex.rt
-    t = rt.graph.tasks[tid]
-    _install_side_entries(rt, side)
+    t = ex.rt.graph.tasks[tid]
     res = run_attempt(t, ex.fns.get(tid), attempt, injector=ex.injector,
                       tiles=ex.tiles, sanitizer=ex.sanitizer,
                       scrub=ex.recovery_policy.scrub_writes)
     reply: Dict[str, Any] = {"op": "done", "tid": tid, "attempt": attempt,
                              "t0": res.t0, "t1": res.t1, "cpu": res.cpu,
                              "events": res.events}
-    if res.exc is None:
-        reply["side"] = _collect_side_writes(rt, t)
-    else:
+    if res.exc is not None:
         reply.update(op="fail", retryable=res.retryable,
                      exc=_portable_exc(res.exc))
     return reply
@@ -159,8 +132,7 @@ def worker_main(wid: int, lane: int, address: str, ex: Any,
                 break
             if op != "task":
                 continue
-            comm.send(_run_one(ex, msg["tid"], msg["attempt"],
-                               msg.get("side") or []))
+            comm.send(_run_one(ex, msg["tid"], msg["attempt"]))
     except (CommClosedError, KeyboardInterrupt):
         code = 0  # parent went away / interrupted: silent exit
     except BaseException:

@@ -90,6 +90,8 @@ class Runtime:
         self._pending_fns: dict = {}
         self._exec_cursor = 0
         self._executor = None
+        #: True while task payloads may be running: inside ``sync()``,
+        #: around an eager payload, and for a forked worker's whole life.
         self._in_execution = False
         #: Live fault tolerance for the real backends: an optional
         #: :class:`repro.resilience.faults.FaultPlan` (its live faults
@@ -104,12 +106,6 @@ class Runtime:
         #: accessor (snapshot/restore/corrupt on recovery).
         self._matrices: "weakref.WeakValueDictionary" = \
             weakref.WeakValueDictionary()
-        #: mat_id -> side store: driver-held dict state written inside
-        #: payloads under declared pseudo-tile refs (e.g. QR T factors
-        #: in ``QRFactors.aux``).  The processes backend ships these
-        #: entries between parent and workers by ref; the threads and
-        #: eager backends ignore them (shared address space).
-        self._side_stores: dict = {}
         #: Optional DistSan event recorder
         #: (:class:`repro.runtime.distributed.events.DistTraceRecorder`).
         #: Set it before the first ``sync()`` of a processes-backend run
@@ -220,11 +216,15 @@ class Runtime:
                 self._pending_fns[task.tid] = fn
             else:
                 san = self._sanitizer
-                if san is not None and task.sanitize:
-                    with san.task_scope(task):
+                self._in_execution = True
+                try:
+                    if san is not None and task.sanitize:
+                        with san.task_scope(task):
+                            fn()
+                    else:
                         fn()
-                else:
-                    fn()
+                finally:
+                    self._in_execution = False
                 count_kernel(kind)
         return task
 
@@ -252,20 +252,6 @@ class Runtime:
     def register_matrix(self, mat) -> None:
         """Track a DistMatrix for executor-side tile access (weakly)."""
         self._matrices[mat.mat_id] = mat
-
-    def register_side_store(self, mat_id: int, mapping, key_of) -> None:
-        """Declare driver-held dict state behind a pseudo-matrix id.
-
-        ``mapping`` is the dict that payloads read/write under tile
-        refs ``(mat_id, i, j)``; ``key_of(ref)`` maps a ref to the
-        dict key it denotes.  The processes backend uses this to ship
-        produced entries from workers back to the scheduler and out to
-        whichever worker later needs them; entries are write-once (the
-        graph's WAW edges already serialise conflicting writers).
-        """
-        from .distributed.executor import SideStore
-        self._side_stores[mat_id] = SideStore(mapping=mapping,
-                                              key_of=key_of)
 
     def enable_deferred(self, *, workers: Optional[int] = None,
                         sink=None, lookahead: Optional[int] = None,

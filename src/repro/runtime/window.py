@@ -292,12 +292,11 @@ class WindowExecutor:
         task worth a hand-off?  A declared cost of 0 means "not
         judged" (user tasks that declare none keep their lanes).
 
-        Per *window*, not per task, on purpose.  Keeping single tasks
-        of a forked window on the driver is unsound — a driver-side
-        ``geqrt`` rebinds its tile (``set_tile``) and leaves the
-        workers' shared mapping behind, NaN at 512^2 / nb=64 — and on
-        threads the all-driver window beat every mixed placement
-        measured (docs/parallel_backend.md)."""
+        Per *window*, not per task: on threads the all-driver window
+        beat every mixed placement measured (docs/parallel_backend.md).
+        Nothing rebinds a tile any more, so a driver-lane task in a
+        forked window is sound; per-task placement is a perf change
+        that has to be measured, not a correctness one."""
         if self.exercises_transport:
             return True
         return any(t.flops >= LANE_MIN_FLOPS or t.flops == 0

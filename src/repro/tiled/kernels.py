@@ -8,7 +8,9 @@ Householder) representation:
 
 with V unit-lower-trapezoidal and T upper-triangular, exactly LAPACK's
 ``geqrt`` storage: the factored tile holds R in its upper triangle and
-the V columns below the diagonal; T is kept in a side buffer.
+the V columns below the diagonal; T is kept in a tile of its own
+(:class:`repro.tiled.qr.QRFactors`).  Kernels return fresh arrays; the
+task payloads in :mod:`repro.tiled.qr` write them through into tiles.
 """
 
 from __future__ import annotations
@@ -84,7 +86,7 @@ def tpqrt_kernel(r_upper: np.ndarray, a_bot: np.ndarray
       diagonal are untouched).
     * ``V_top`` — k x k unit-lower reflector block.  PLASMA's
       structured TS kernel has V_top = I; factoring the dense stack
-      yields a general unit-lower block, stored in the side buffer.
+      yields a general unit-lower block, stored in the combine tile.
     * ``V_bot`` — mb x k reflector block.
     * ``T`` — k x k upper-triangular block-reflector factor for the
       stacked V = [V_top; V_bot].

@@ -11,8 +11,9 @@ internal geqrf.  At panel step k,
   applies each combine across the two rows (:func:`_apply_pairs`).
 
 The factored matrix keeps R in its upper tiles and the row reflectors
-below; T factors and the combines' V blocks live in a side buffer with
-their own dependency refs (see :class:`QRFactors`).  The two sweeps are
+below; T factors and the combines' V blocks are tiles of two more
+matrices (see :class:`QRFactors`, SLATE's ``TriangularFactors``).  The
+two sweeps are
 the only reflector applications: the factorization runs them with
 ``conj_trans=True`` over the trailing columns ``j > k`` of A, Q
 formation with ``conj_trans=False`` over columns ``j >= k`` of the
@@ -34,15 +35,15 @@ paper's Section 4 (:func:`repro.flops.qdwh_qr_iteration`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
 
 from .. import flops as F
 from ..dist.matrix import DistMatrix
 from ..runtime.executor import Runtime
-from ..runtime.task import TaskKind, TileRef
+from ..runtime.task import TaskKind
 from . import kernels
 from .blas3 import set_identity
 
@@ -52,35 +53,32 @@ class QRFactors:
     """A tiled QR factorization in compact form.
 
     ``a`` holds R in its upper tiles and, below, the geqrt reflectors
-    of every factored block row.  ``aux`` is the side buffer, reached
-    by tasks through two pseudo-matrix ids:
+    of every factored block row.  The block-reflector factors are tiles
+    too — distributed, pinned, snapshotted and sanitized like any other
+    — in two matrices on ``a``'s tile grid and layout:
 
-    * ``aux[(i, k)]`` (ref ``t_ref(i, k)``) — the geqrt T of block row
-      i in panel k;
-    * ``aux[("tt", i2, k)]`` (ref ``tt_ref(i2, k)``) — the triangle
-      combine ``(V_top, V_bot, T, rows_eff)`` of panel k whose bottom
-      operand was row i2.
+    * ``t`` (SLATE's ``Tlocal``): tile ``(i, k)`` holds, in its leading
+      ``ke x ke`` block (``ke = min(rows of i, kb)``), the geqrt T of
+      block row i in panel k;
+    * ``tt`` (``Treduce``): tile ``(i2, k)`` holds the triangle combine
+      of panel k whose bottom operand was row i2, as the row slices
+      ``[V_top (kb); T (kb); V_bot (rows_eff)]`` (:func:`_couple`);
+      ``rows_eff``, the R rows the bottom operand contributes, is
+      fixed by the tree and captured by the tasks.
 
     ``identity_from`` is the caller's precondition that tile rows
     ``>= identity_from`` held I_n on entry (``None``: no structure).
-    Rows outside :meth:`active_rows` carry no reflectors and no aux
-    entry for that panel, and neither does the pristine tile
+    Rows outside :meth:`active_rows` carry no reflectors and no factor
+    tile for that panel, and neither does the pristine tile
     ``(identity_from + k, k)``: it is I when panel k first meets it, so
     it is its own R with V = 0.
     """
 
     a: DistMatrix                 # R upper + row reflectors lower
     kt: int                       # number of panel steps
-    aux_mat: int                  # pseudo-matrix id for geqrt T refs
-    tt_mat: int                   # pseudo-matrix id for combine refs
-    aux: Dict[object, object] = field(default_factory=dict)
+    t: DistMatrix                 # geqrt T factors
+    tt: DistMatrix                # combine [V_top; T; V_bot] stacks
     identity_from: Optional[int] = None
-
-    def t_ref(self, i: int, k: int) -> TileRef:
-        return (self.aux_mat, i, k)
-
-    def tt_ref(self, i2: int, k: int) -> TileRef:
-        return (self.tt_mat, i2, k)
 
     def active_rows(self, k: int) -> List[int]:
         """Block rows that are not structurally zero in column k when
@@ -161,22 +159,30 @@ def _panel_rounds(fac: QRFactors, k: int
             for pairs in rounds]
 
 
+def _couple(tile: np.ndarray, kb: int, rows_eff: int
+            ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(V_top, V_bot, T)`` views of one combine tile of
+    :attr:`QRFactors.tt`."""
+    return tile[:kb], tile[2 * kb:2 * kb + rows_eff], tile[kb:2 * kb]
+
+
 def _apply_rows(rt: Runtime, fac: QRFactors, k: int, i: int,
                 c: DistMatrix, cols: Iterable[int], conj_trans: bool
                 ) -> None:
     """Row sweep: block row i's own panel-k reflectors (its geqrt)
     applied to tiles ``(i, j)``, ``j in cols``, of ``c``."""
-    a = fac.a
-    tik = fac.t_ref(i, k)
+    a, tf = fac.a, fac.t
+    ke = min(a.tile_rows(i), a.tile_cols(k))
     pre = "" if conj_trans else "q."
     for j in cols:
 
         def body(j=j):
             t = c.tile(i, j)
-            t[...] = kernels.apply_q_kernel(a.tile(i, k), fac.aux[(i, k)],
+            t[...] = kernels.apply_q_kernel(a.tile(i, k),
+                                            tf.tile(i, k)[:ke, :ke],
                                             t, conj_trans=conj_trans)
 
-        rt.submit(TaskKind.UNMQR, reads=(a.ref(i, k), tik),
+        rt.submit(TaskKind.UNMQR, reads=(a.ref(i, k), tf.ref(i, k)),
                   writes=(c.ref(i, j),), rank=c.owner(i, j),
                   flops=F.tile_unmqr(a.tile_rows(i), c.tile_cols(j),
                                      a.tile_cols(k)),
@@ -184,24 +190,24 @@ def _apply_rows(rt: Runtime, fac: QRFactors, k: int, i: int,
 
 
 def _apply_pairs(rt: Runtime, fac: QRFactors, k: int, i1: int, i2: int,
-                 c: DistMatrix, cols: Iterable[int], conj_trans: bool
-                 ) -> None:
+                 rows_eff: int, c: DistMatrix, cols: Iterable[int],
+                 conj_trans: bool) -> None:
     """Pair sweep: the panel-k combine of rows (i1, i2) applied to
     tiles ``(i1, j)`` and ``(i2, j)``, ``j in cols``, of ``c``."""
     kb = fac.a.tile_cols(k)
-    ttref = fac.tt_ref(i2, k)
+    tt = fac.tt
     pre = "" if conj_trans else "q."
     for j in cols:
 
         def body(j=j):
-            v_top, v_bot, t, rows_eff = fac.aux[("tt", i2, k)]
+            v_top, v_bot, t = _couple(tt.tile(i2, k), kb, rows_eff)
             ct = c.tile(i1, j)
             cb = c.tile(i2, j)
             ct[:kb], cb[:rows_eff] = kernels.tpmqrt_kernel(
                 v_top, v_bot, t, ct[:kb], cb[:rows_eff],
                 conj_trans=conj_trans)
 
-        rt.submit(TaskKind.TPMQRT, reads=(ttref,),
+        rt.submit(TaskKind.TPMQRT, reads=(tt.ref(i2, k),),
                   writes=(c.ref(i1, j), c.ref(i2, j)), rank=c.owner(i1, j),
                   flops=F.tile_ttmqrt(kb, c.tile_cols(j)), tile_dim=c.nb,
                   fn=body, label=f"{pre}ttmqrt({i1},{i2},{j})")
@@ -226,16 +232,20 @@ def geqrf(rt: Runtime, a: DistMatrix, *,
             f"under at least {a.nt} tile row(s): row heights "
             f"{a.row_heights[p:]} vs column widths {a.col_widths}")
     rt.begin_op()
-    fac = QRFactors(a=a, kt=min(a.mt, a.nt), aux_mat=rt.new_matrix_id(),
-                    tt_mat=rt.new_matrix_id(), identity_from=p)
-    aux = fac.aux
-    # Processes backend: aux entries (T factors, V blocks) are driver
-    # dict state written inside payloads; declaring the store lets the
-    # scheduler ship them between workers by their pseudo-tile refs.
-    # Both pseudo-matrix ids resolve into the same aux dict.
-    rt.register_side_store(fac.aux_mat, aux, lambda ref: (ref[1], ref[2]))
-    rt.register_side_store(fac.tt_mat, aux,
-                           lambda ref: ("tt", ref[1], ref[2]))
+    # Factor storage on a's grid: a T tile holds up to wmax x wmax, a
+    # combine tile V_top and T (wmax rows each) over V_bot.  Tiles are
+    # allocated on first touch, so only active rows ever hold data.
+    wmax = max(a.col_widths, default=1)   # n = 0: no panel, no tile
+    caps = [min(h, wmax) for h in a.row_heights]
+
+    def factor_matrix(name: str, heights: List[int]) -> DistMatrix:
+        return DistMatrix(rt, sum(heights), a.n, a.nb, a.dtype,
+                          layout=a.layout, name=name, row_heights=heights,
+                          col_widths=a.col_widths)
+
+    tf = factor_matrix("T", caps)
+    tt = factor_matrix("TT", [2 * wmax + cap for cap in caps])
+    fac = QRFactors(a=a, kt=min(a.mt, a.nt), t=tf, tt=tt, identity_from=p)
     itemsize = a.dtype.itemsize
     for k in range(fac.kt):
         rt.advance_phase()
@@ -249,16 +259,18 @@ def geqrf(rt: Runtime, a: DistMatrix, *,
         for i in fac.active_rows(k):
             if i == fac.pristine_row(k):
                 continue
-            tik = fac.t_ref(i, k)
-            rt.register_tiles([tik], kb * kb * itemsize)
+            # The model prices what a structured kernel would move: T
+            # alone here, T and V_bot (V_top = I) for a combine.
+            rt.register_tiles([tf.ref(i, k)], kb * kb * itemsize)
 
-            def rowfac(i=i, k=k):
-                tile, t = kernels.geqrt_kernel(a.tile(i, k))
-                a.set_tile(i, k, tile)
-                aux[(i, k)] = t
+            def rowfac(i=i, k=k, ke=min(a.tile_rows(i), kb)):
+                tile = a.tile(i, k)
+                tile[...], tf.tile(i, k)[:ke, :ke] = (
+                    kernels.geqrt_kernel(tile))
 
             rt.submit(TaskKind.GEQRT, reads=(a.ref(i, k),),
-                      writes=(a.ref(i, k), tik), rank=a.owner(i, k),
+                      writes=(a.ref(i, k), tf.ref(i, k)),
+                      rank=a.owner(i, k),
                       flops=F.tile_geqrt(a.tile_rows(i), kb),
                       tile_dim=a.nb, fn=rowfac,
                       label=f"ts.geqrt({i},{k})")
@@ -267,25 +279,24 @@ def geqrf(rt: Runtime, a: DistMatrix, *,
         # 2. Binary combine rounds (log2 depth).
         for pairs in _panel_rounds(fac, k):
             for i1, i2, rows_eff in pairs:
-                ttref = fac.tt_ref(i2, k)
-                rt.register_tiles([ttref],
+                rt.register_tiles([tt.ref(i2, k)],
                                   (kb * kb + rows_eff * kb) * itemsize)
 
                 def combine(i1=i1, i2=i2, k=k, kb=kb, rows_eff=rows_eff):
                     top = a.tile(i1, k)
                     bot_r = np.triu(a.tile(i2, k)[:rows_eff])
-                    r_new, v_top, v_bot, t = kernels.tpqrt_kernel(
-                        top[:kb, :kb], bot_r)
+                    v_top, v_bot, t = _couple(tt.tile(i2, k), kb, rows_eff)
+                    r_new, v_top[...], v_bot[...], t[...] = (
+                        kernels.tpqrt_kernel(top[:kb, :kb], bot_r))
                     top[:kb, :kb] = np.tril(top[:kb, :kb], -1) + r_new
-                    aux[("tt", i2, k)] = (v_top, v_bot, t, rows_eff)
 
                 rt.submit(TaskKind.TPQRT,
                           reads=(a.ref(i1, k), a.ref(i2, k)),
-                          writes=(a.ref(i1, k), ttref),
+                          writes=(a.ref(i1, k), tt.ref(i2, k)),
                           rank=a.owner(i1, k),
                           flops=F.tile_ttqrt(kb), tile_dim=a.nb,
                           fn=combine, label=f"ttqrt({i1},{i2},{k})")
-                _apply_pairs(rt, fac, k, i1, i2, a, trailing,
+                _apply_pairs(rt, fac, k, i1, i2, rows_eff, a, trailing,
                              conj_trans=True)
     return fac
 
@@ -308,8 +319,8 @@ def unmqr_identity(rt: Runtime, fac: QRFactors) -> DistMatrix:
         rt.advance_phase()
         cols = range(k, q.nt)
         for pairs in reversed(_panel_rounds(fac, k)):
-            for i1, i2, _cap in pairs:
-                _apply_pairs(rt, fac, k, i1, i2, q, cols,
+            for i1, i2, rows_eff in pairs:
+                _apply_pairs(rt, fac, k, i1, i2, rows_eff, q, cols,
                              conj_trans=False)
         for i in fac.active_rows(k):
             if i != fac.pristine_row(k):  # never factored: its row Q is I

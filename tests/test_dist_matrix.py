@@ -89,6 +89,39 @@ class TestRoundTrip:
             d.set_tile(0, 0, np.zeros((3, 4)))
 
 
+class TestSetTileIsDriverLevel:
+    def test_writes_through_the_existing_buffer(self):
+        rt = make_runtime()
+        d = DistMatrix(rt, 8, 8, 4)
+        buf = d.tile(1, 1)
+        src = np.arange(16.0).reshape(4, 4)
+        d.set_tile(1, 1, src)
+        assert d.tile(1, 1) is buf and np.array_equal(buf, src)
+        src[...] = -1.0                      # the caller's array is its own
+        assert d.tile(1, 1)[0, 1] == 1.0
+
+    @pytest.mark.parametrize("backend", ["eager", "threads", "processes"])
+    def test_refused_inside_a_payload(self, backend):
+        from repro.runtime.task import TaskKind
+
+        kw = {} if backend == "eager" else dict(deferred=True, workers=2,
+                                                backend=backend)
+        with Runtime(ProcessGrid(1, 1), **kw) as rt:
+            d = DistMatrix.from_array(rt, np.ones((8, 8)), 4)
+
+            def rebind():
+                d.set_tile(0, 0, np.zeros((4, 4)))
+
+            # No declared cost: the window keeps its lanes, so on
+            # processes the payload runs in a forked worker.
+            with pytest.raises(RuntimeError, match="set_tile.*payload"):
+                rt.submit(TaskKind.SET, writes=(d.ref(0, 0),), rank=0,
+                          fn=rebind)
+                rt.sync()
+            rt.abandon_pending()
+            assert np.array_equal(d.to_array(), np.ones((8, 8)))
+
+
 class TestSymbolicMode:
     def test_no_data_access(self):
         rt = make_runtime(numeric=False)

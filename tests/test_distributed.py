@@ -5,7 +5,7 @@ Three layers, tested at three granularities:
 * :class:`DynamicScheduler` — pure bookkeeping, unit-tested with
   hand-built task lists (dependency counting, locality placement,
   steal-on-idle, worker removal for crash recovery).
-* :class:`SharedTileStore` — shm segment lifecycle: pin/migrate,
+* :class:`SharedTileStore` — shm segment lifecycle: pin once,
   refcounts, evacuation of live results at close, and the
   ``/dev/shm`` scan that grounds the leak gates.
 * :class:`ProcessExecutor` end to end via ``tiled_qdwh
@@ -205,16 +205,15 @@ class TestSharedTileStore:
         store.close()
         rt.close()
 
-    def test_driver_replaced_tile_migrates_back(self):
+    def test_set_tile_writes_through_a_pinned_segment(self):
         rt = Runtime(ProcessGrid(1, 1))
         _, d = self._mat(rt)
         store = SharedTileStore()
         arr = store.pin_tile(d, 0, 0, (4, 4), np.float64)
-        fresh = np.full((4, 4), 7.0)
-        d._tiles[(0, 0)] = fresh            # heap array, not the segment
-        again = store.pin_tile(d, 0, 0, (4, 4), np.float64)
-        assert again is arr                 # same segment reused
-        assert np.array_equal(arr, fresh)
+        d.set_tile(0, 0, np.full((4, 4), 7.0))
+        assert d._tiles[(0, 0)] is arr      # one buffer for life
+        assert np.array_equal(arr, np.full((4, 4), 7.0))
+        assert store.pin_tile(d, 0, 0, (4, 4), np.float64) is arr
         assert len(store.live_segments()) == 1
         store.close()
         rt.close()
@@ -334,31 +333,37 @@ class TestProcessesBackend:
         assert rep.orthogonality < 1e-12
 
 
+def _sigkill_after(monkeypatch, after):
+    """One SIGKILL of a live worker once ``after`` tasks are accounted
+    for, from the driver's own tick — mid-run on any host, at any load
+    (a wall-clock crash time can fall before the first fork or after
+    the last window).  Returns the list the kill is recorded in."""
+    from repro.runtime import ProcessExecutor
+
+    tick, fired = ProcessExecutor._tick, []
+
+    def crashing_tick(ex, now):
+        alive = [w for w in ex._pool.values()
+                 if w.proc.is_alive() and w.kill_reason is None]
+        if not fired and ex.stats.tasks_run >= after and alive:
+            fired.append(ex.stats.tasks_run)
+            ex._kill(alive[1 % len(alive)],
+                     f"injected crash after {after} tasks")
+        return tick(ex, now)
+
+    monkeypatch.setattr(ProcessExecutor, "_tick", crashing_tick)
+    return fired
+
+
 class TestCrashRecovery:
     @pytest.mark.usefixtures("lanes_for_tiny_tiles")
     def test_sigkilled_worker_is_replayed_to_convergence(self, monkeypatch):
         from repro.resilience.live import RecoveryPolicy
-        from repro.runtime import ProcessExecutor
 
-        # The SIGKILL lands once 300 tasks are accounted for, from the
-        # driver's own tick — mid-run on any host, at any load (a
-        # wall-clock crash time can fall before the first fork or
-        # after the last window).
         n, nb, workers, after = 128, 32, 3, 300
         a = generate_matrix(n, cond=1e8, seed=5)
         u0, h0, _ = _run_eager(a, nb)
-        tick, fired = ProcessExecutor._tick, []
-
-        def crashing_tick(ex, now):
-            alive = [w for w in ex._pool.values()
-                     if w.proc.is_alive() and w.kill_reason is None]
-            if not fired and ex.stats.tasks_run >= after and alive:
-                fired.append(ex.stats.tasks_run)
-                ex._kill(alive[1 % len(alive)],
-                         f"injected crash after {after} tasks")
-            return tick(ex, now)
-
-        monkeypatch.setattr(ProcessExecutor, "_tick", crashing_tick)
+        fired = _sigkill_after(monkeypatch, after)
         pol = RecoveryPolicy(max_retries=3)
         u, h, res, stats, leaked, shm = _run_processes(
             a, nb, workers, recovery=pol)
@@ -375,17 +380,21 @@ class TestCrashRecovery:
         assert leaked == 0
         assert shm == []
 
-    def test_crash_only_plan_forces_recovery_on(self):
+    def test_crash_only_plan_forces_recovery_on(self, monkeypatch):
         # A plan with only crashes has no live in-payload faults, so
         # LiveFaultInjector.active is False — the executor must still
-        # honour it (read the plan directly) instead of dropping it.
+        # honour it (read the plan directly) instead of dropping it:
+        # no recovery= is passed, so the death below is survivable
+        # only because the plan switched the default policy on.  The
+        # plan's own crash is never due; the kill comes from the tick.
         from repro.resilience import plan_from_spec
 
         a = generate_matrix(96, cond=1e4, seed=9)
-        plan = plan_from_spec(seed=9, crash=("0@0.02",))
+        plan = plan_from_spec(seed=9, crash=("0@86400",))
+        fired = _sigkill_after(monkeypatch, 200)
         u, h, res, stats, leaked, shm = _run_processes(
             a, 32, 2, faults=plan)
-        assert stats.recovery.crashes == 1
+        assert fired and stats.recovery.crashes == 1
         assert res.converged and leaked == 0 and shm == []
 
 
@@ -665,3 +674,85 @@ class TestPlacement:
         rt.close()
         assert scan_segments(prefix) == []
 
+
+
+class TestOneDataPlane:
+    """Tiles are the only state tasks share: QR's T and V factors reach
+    workers through the shared-memory store like every other tile, the
+    wire carries control frames only, and nothing rebinds a tile."""
+
+    def test_wire_carries_control_only(self):
+        # 384^2 / nb=192: the 7 factorization windows fork (14 forks),
+        # 268 attempts ship.  Before the factors were tiles their
+        # arrays were pickled through this socket, 43 KB a message.
+        a = generate_matrix(384, cond=1e4, seed=1)
+        u0, h0, _ = _run_eager(a, 192)
+        u, h, res, stats, leaked, shm = _run_processes(a, 192, 2)
+        assert np.array_equal(u, u0) and np.array_equal(h, h0)
+        assert (stats.shipped, stats.forks) == (268, 14)
+        # One frame out and one back per attempt; hello and shutdown
+        # per fork.
+        assert stats.comm_messages == 2 * (stats.shipped + stats.forks)
+        assert stats.comm_bytes / stats.comm_messages < 2048
+        assert leaked == 0 and shm == []
+
+    @pytest.mark.usefixtures("lanes_for_tiny_tiles")
+    def test_driver_lane_geqrt_in_a_forked_window(self, monkeypatch):
+        # Every GEQRT runs on the driver lane of windows whose other
+        # tasks run in forked workers: the factored tile and its T
+        # must land in the mappings the workers hold.  (When the
+        # payload rebound its tile the workers kept reading the
+        # unfactored one.)
+        from repro.runtime import ProcessExecutor
+        from repro.tiled import qr_explicit
+
+        worker_ok = ProcessExecutor._worker_ok
+        monkeypatch.setattr(
+            ProcessExecutor, "_worker_ok",
+            lambda ex, t: t.kind is not TaskKind.GEQRT and worker_ok(ex, t))
+        a = generate_matrix(64, 32, cond=1e3, seed=21)
+        out = {}
+        for backend in ("eager", "processes"):
+            kw = {} if backend == "eager" else dict(
+                deferred=True, workers=2, backend="processes")
+            with Runtime(ProcessGrid(1, 1), **kw) as rt:
+                w = DistMatrix.from_array(rt, a.copy(), 16)
+                _, q = qr_explicit(rt, w)
+                out[backend] = (q.to_array(), w.to_array())
+                if backend == "processes":
+                    slots = rt.exec_stats
+                    assert slots.forks > 0 and 0 < slots.shipped
+                    assert slots.shipped < slots.tasks_run
+        assert np.array_equal(out["processes"][0], out["eager"][0])
+        assert np.array_equal(out["processes"][1], out["eager"][1])
+
+    def test_scatter_into_a_pinned_matrix_keeps_its_segments(self):
+        # The degrade / checkpoint-resume path: a driver-level scatter
+        # into a matrix an earlier window pinned writes through the
+        # segments, and the next forking window pins nothing new for it.
+        from repro.core.tiled_qdwh import _scatter_dense
+        from repro.tiled import gemm
+
+        n, nb = 208, 104
+        a = generate_matrix(n, cond=10.0, seed=34)
+        b = generate_matrix(n, cond=10.0, seed=35)
+        with Runtime(ProcessGrid(1, 1), deferred=True, workers=2,
+                     backend="processes") as rt:
+            d = DistMatrix.from_array(rt, a.copy(), nb)
+            c = DistMatrix.from_array(rt, np.zeros_like(a), nb)
+            gemm(rt, 1.0, d, d, 0.0, c)
+            rt.sync()
+            store = rt._executor.store
+            keys = [(i, j) for i in range(2) for j in range(2)]
+            names = [store.segment_of(d.ref(*k)) for k in keys]
+            arrays = [d._tiles[k] for k in keys]
+            assert None not in names and rt.exec_stats.forks == 2
+            _scatter_dense(d, b)
+            assert [store.segment_of(d.ref(*k)) for k in keys] == names
+            assert all(d._tiles[k] is arr for k, arr in zip(keys, arrays))
+            live = store.live_segments()
+            gemm(rt, 1.0, d, d, 0.0, c)
+            got = c.to_array()
+            assert rt.exec_stats.forks == 4
+            assert store.live_segments() == live
+        assert np.allclose(got, b @ b, rtol=1e-12, atol=1e-12)

@@ -283,3 +283,136 @@ class TestIdentityAwareQR:
         assert rt.graph.check_races(footprints=san.footprints()) == []
         assert np.abs(q.conj().T @ q - np.eye(21)).max() < 1e-13
         rt.close()
+
+
+# ---------------------------------------------------------------------------
+# The block-reflector factors are tiles (QRFactors.t / QRFactors.tt)
+# ---------------------------------------------------------------------------
+
+#: (m, n, nb): square, m >> n, ragged rows and columns, nb > n.
+FACTOR_SHAPES = [(24, 24, 8), (64, 16, 8), (81, 42, 8), (13, 10, 16)]
+BACKENDS = {"eager": {},
+            "threads": dict(deferred=True, workers=4),
+            "processes": dict(deferred=True, workers=2,
+                              backend="processes")}
+
+
+def _factor(rt, A, nb, stacked):
+    """``qr_explicit`` of A, or of QDWH's [sqrt(c) A; I] with
+    ``identity_from``; returns (factors, factored matrix, Q)."""
+    if stacked:
+        w, p = _stacked(rt, A, nb)
+    else:
+        w, p = DistMatrix.from_array(rt, A.copy(), nb), None
+    fac, q = qr_explicit(rt, w, identity_from=p)
+    return fac, w, q
+
+
+@pytest.mark.usefixtures("lanes_for_tiny_tiles")
+class TestFactorsAreTiles:
+    @pytest.mark.parametrize("backend", list(BACKENDS))
+    @pytest.mark.parametrize("stacked", [False, True],
+                             ids=["plain", "identity_from"])
+    @pytest.mark.parametrize("shape", FACTOR_SHAPES)
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64,
+                                       np.complex64, np.complex128])
+    def test_sanitized_and_bit_identical_on_every_backend(
+            self, dtype, shape, stacked, backend):
+        m, n, nb = shape
+        A = _random(m, n, dtype, seed=m + 3 * n)
+        with Runtime(ProcessGrid(1, 1), sanitize=None) as rt0:
+            _, w0, q0 = _factor(rt0, A, nb, stacked)
+            want = (w0.to_array(), q0.to_array())
+        # sanitize="raise": an undeclared access aborts the run, in a
+        # forked worker as on a thread.
+        with Runtime(ProcessGrid(1, 1), sanitize="raise",
+                     **BACKENDS[backend]) as rt:
+            fac, w, q = _factor(rt, A, nb, stacked)
+            got = (w.to_array(), q.to_array())
+            san = rt.sanitizer
+            assert san.findings == []
+            if backend != "processes":   # workers keep their own count
+                assert san.tasks_checked == len(rt.graph.tasks)
+            assert rt.graph.check_races(footprints=san.footprints()) == []
+            # The factor refs are observable tiles now, not pseudo refs.
+            refs = {r for t in rt.graph.tasks for r in t.reads + t.writes}
+            assert fac.t.mat_id in {r[0] for r in refs}
+            assert all(san._observable(r) for r in refs)
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
+
+    def test_sweep_that_hides_its_combine_tile_is_caught(self):
+        """The seeded-bad footprint no checker could see while the
+        combine ref was a pseudo ref: a ttmqrt sweep that reads the
+        combine tile without declaring it."""
+        import inspect
+
+        from repro.analysis.lint import PAYLOAD_FOOTPRINT, lint_source
+        from repro.analysis.sanitizer import UNDECLARED_READ, SanitizerError
+        from repro.runtime.task import TaskKind
+        from repro.tiled import qr
+
+        rt = Runtime(ProcessGrid(1, 1), sanitize="raise")
+        A = _random(16, 8, np.float64, seed=5)
+        d = DistMatrix.from_array(rt, A, 8)
+        fac = geqrf(rt, d)                  # one combine: rows (0, 1)
+        tt, c = fac.tt, DistMatrix.from_array(rt, A, 8)
+
+        def body():
+            v_top, v_bot, t = qr._couple(tt.tile(1, 0), 8, 8)
+            c.tile(0, 0)[...] -= v_top @ (t @ c.tile(1, 0))
+
+        with pytest.raises(SanitizerError) as exc:
+            rt.submit(TaskKind.TPMQRT, reads=(),
+                      writes=(c.ref(0, 0), c.ref(1, 0)), rank=0, fn=body)
+        assert exc.value.finding.kind == UNDECLARED_READ
+        assert exc.value.finding.ref == tt.ref(1, 0)
+
+        src = inspect.getsource(qr)
+        assert lint_source(src) == []
+        bad = src.replace("reads=(tt.ref(i2, k),),", "reads=(),")
+        assert bad != src
+        (f,) = lint_source(bad)
+        assert f.rule == PAYLOAD_FOOTPRINT and "tt.tile" in f.message
+
+    def test_failed_combine_is_retried_from_its_snapshot(self):
+        """A TPQRT attempt dies after writing both its outputs; the
+        ledger restores the combine tile (and the R tile) before the
+        retry — the payload itself checks it starts from zeros."""
+        from repro.resilience.live import (InjectedTransientError,
+                                           RecoveryPolicy)
+        from repro.runtime.task import TaskKind
+
+        A = _random(32, 16, np.float64, seed=9)
+        with Runtime(ProcessGrid(1, 1)) as rt0:
+            _, w0, q0 = _factor(rt0, A, 8, False)
+            want = (w0.to_array(), q0.to_array())
+        # One worker: both attempts run in the same forked process, so
+        # the closure below counts them.
+        with Runtime(ProcessGrid(1, 1), deferred=True, workers=1,
+                     backend="processes",
+                     recovery=RecoveryPolicy(max_retries=2)) as rt:
+            fac, w, q = _factor(rt, A, 8, False)
+            task = next(t for t in rt.graph.tasks
+                        if t.kind is TaskKind.TPQRT)
+            (ttref,) = [r for r in task.writes if r[0] == fac.tt.mat_id]
+            payload, attempts = rt._pending_fns[task.tid], []
+
+            def flaky():
+                tile = fac.tt.tile(ttref[1], ttref[2])
+                attempts.append(1)
+                if len(attempts) == 1:
+                    payload()
+                    assert np.any(tile != 0)
+                    raise InjectedTransientError("seeded, after the writes")
+                if np.any(tile != 0):
+                    raise np.linalg.LinAlgError(
+                        "combine tile not restored")   # not retryable
+                payload()
+
+            rt._pending_fns[task.tid] = flaky
+            got = (w.to_array(), q.to_array())
+            rec = rt.exec_stats.recovery
+            assert (rec.transient_failures, rec.retried_tasks) == (1, 1)
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
