@@ -115,8 +115,8 @@ _PSEUDO_REF_ATTRS = frozenset({"new_scalar_ref"})
 #: inside a payload is REP004.
 _SCALAR_FUNCS = frozenset({
     "norm_one", "norm_inf", "norm_fro", "norm_max", "_tile_reduce",
-    "norm2est_tiled", "trcondest_tiled", "_r_norm1", "_const_scalar",
-    "gecondest_tiled", "_const",
+    "landed_scalar", "norm2est_tiled", "trcondest_tiled", "_r_norm1",
+    "gecondest_tiled",
 })
 
 _SUPPRESS_RE = re.compile(r"#\s*repro-lint:\s*ignore(?:\[([^\]]*)\])?")

@@ -30,10 +30,11 @@ the declaration:
   value read is stale/partial).
 
 "Observable" means the ref is registered in the graph's tile registry
-with a real owner rank (``DistMatrix`` tiles, QR's T and V factor
-tiles included).  Pseudo-tiles — scalar refs, norm partials, LU pivots
-— carry payload data the sanitizer cannot see, so they are exempt from
-the phantom check and their accesses are not recorded.
+with a real owner rank (``DistMatrix`` tiles: QR's T and V factors and
+the reduction partials included).  The only other kind of ref, a scalar
+ref (reduction results, gather buffers, LU pivots), names a
+driver-local box the sanitizer cannot see, so it is exempt from the
+phantom check and its accesses are not recorded.
 
 Modes (``Runtime(sanitize=...)`` or the ``REPRO_SANITIZE`` env var):
 ``"raise"`` aborts on the first finding (:class:`SanitizerError`),
@@ -222,9 +223,9 @@ class TileSanitizer:
     # ---------------------------------------------------------------- hooks
 
     def _observable(self, ref: TileRef) -> bool:
-        # DistMatrix tiles are registered with their owner rank; pseudo
-        # tiles (scalars, norm partials) are not, so they are exempt
-        # from the phantom check.
+        # DistMatrix tiles are registered with their owner rank;
+        # scalar refs are not, so they are exempt from the phantom
+        # check.
         return ref in self.graph.tile_owner
 
     def on_access(self, ref: TileRef, write: bool) -> None:

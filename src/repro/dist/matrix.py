@@ -61,7 +61,7 @@ class DistMatrix:
         self.dtype = check_dtype(dtype)
         self.layout = layout if layout is not None else rt.default_layout()
         self.name = name
-        self.mat_id = rt.new_matrix_id()
+        self.mat_id = rt._new_matrix_id()
         # Tilings default to uniform nb with a ragged trailing tile;
         # explicit partitions support stacked workspaces like the
         # [sqrt(c) A; I] matrix of Algorithm 1, whose identity block

@@ -156,7 +156,6 @@ def simulate_qdwh(machine: MachineModel, nodes: int, n: int, impl: str, *,
                   lookahead: Optional[int] = None,
                   m: Optional[int] = None,
                   dtype=np.float64,
-                  keep_trace: bool = False,
                   sink=None,
                   faults=None) -> PerfPoint:
     """Simulate one (machine, nodes, n, implementation) data point.
@@ -195,8 +194,7 @@ def simulate_qdwh(machine: MachineModel, nodes: int, n: int, impl: str, *,
     else:
         cfg = taskbased_config(machine, nodes, rpn, use_gpu=use_gpu,
                                lookahead=lookahead)
-    sched = simulate(graph, cfg, keep_trace=keep_trace, sink=sink,
-                     faults=faults)
+    sched = simulate(graph, cfg, sink=sink, faults=faults)
     from ..config import is_complex
     model_flops = F.qdwh_total(n, it_qr, it_chol, m=mm)
     if is_complex(dtype):

@@ -76,7 +76,7 @@ class Runtime:
         self._phase = 0
         self._op = 0
         #: pseudo-matrix id for scalar results (reductions).
-        self.scalar_mat = self.new_matrix_id()
+        self.scalar_mat = self._new_matrix_id()
         self._scalar_ids = itertools.count()
         #: Deferred-execution state (threaded or processes backend).
         self.deferred = bool(deferred)
@@ -129,8 +129,9 @@ class Runtime:
     # Identifiers and phases
     # ------------------------------------------------------------------
 
-    def new_matrix_id(self) -> int:
-        """Fresh matrix id for tile refs."""
+    def _new_matrix_id(self) -> int:
+        """Fresh matrix id: one per DistMatrix, plus ``scalar_mat`` —
+        the only two kinds of ref a footprint may hold."""
         return next(self._matrix_ids)
 
     def new_scalar_ref(self, nbytes: int = 8) -> TileRef:

@@ -96,10 +96,6 @@ class ScheduleResult:
     per_rank_busy: List[float]
     critical_path: float
     config: RunConfig
-    start_times: Optional[List[float]] = None
-    finish_times: Optional[List[float]] = None
-    kinds: Optional[List[str]] = None
-    ranks: Optional[List[int]] = None
     #: Execution slots each rank exposed (cores + GPUs, or the two
     #: aggregated gang slots); normalizes busy time to true utilization.
     slots_per_rank: int = 1
@@ -146,7 +142,6 @@ _CRASH_TID = -1
 
 
 def simulate(graph: TaskGraph, cfg: RunConfig, *,
-             keep_trace: bool = False,
              sink: Optional["TraceSink"] = None,
              faults: Optional[FaultPlan] = None) -> ScheduleResult:
     """Simulate the DAG on the machine; returns makespan and breakdowns.
@@ -205,7 +200,6 @@ def simulate(graph: TaskGraph, cfg: RunConfig, *,
     indeg = [len(t.deps) for t in tasks]
 
     finish = [0.0] * n_tasks
-    start = [0.0] * n_tasks if keep_trace else None
     done = [False] * n_tasks
     dispatched = [False] * n_tasks
     #: Executing/last-execution rank per task; diverges from t.rank
@@ -475,8 +469,6 @@ def simulate(graph: TaskGraph, cfg: RunConfig, *,
             end = beg + dur
             heapq.heappush(pool.free, (end, slot_idx))
             finish[tid] = end
-            if start is not None:
-                start[tid] = beg
             per_kind_busy[t.kind.value] = (
                 per_kind_busy.get(t.kind.value, 0.0) + dur)
             per_rank_busy[rank] += dur
@@ -557,8 +549,6 @@ def simulate(graph: TaskGraph, cfg: RunConfig, *,
         heapq.heappush(pool.free, (finish_t, slot_idx))
         finish[tid] = finish_t
         rank_of[tid] = winner
-        if start is not None:
-            start[tid] = win_beg
         span = finish_t - win_beg
         # A post-revocation re-execution (crash replay / re-run), plus
         # whatever the speculative duplicate burned, is recovery cost.
@@ -790,10 +780,6 @@ def simulate(graph: TaskGraph, cfg: RunConfig, *,
         per_rank_busy=per_rank_busy,
         critical_path=crit,
         config=cfg,
-        start_times=start,
-        finish_times=list(finish) if keep_trace else None,
-        kinds=[t.kind.value for t in tasks] if keep_trace else None,
-        ranks=list(rank_of) if keep_trace else None,
         slots_per_rank=slots_per_rank,
         stall_seconds=dict(stall_acc),
         recovery=fstate.stats if fstate is not None else None,

@@ -13,8 +13,9 @@ import enum
 from dataclasses import dataclass, field
 from typing import Tuple
 
-#: A tile reference: (matrix_id, i, j).  Scalars produced by reductions
-#: use matrix_id of the pseudo-matrix the op registered for them.
+#: A tile reference: (matrix_id, i, j).  Never built by hand: it is
+#: ``DistMatrix.ref(i, j)`` (the data is in the tile) or
+#: ``Runtime.new_scalar_ref()`` (a driver-local box).
 TileRef = Tuple[int, int, int]
 
 

@@ -18,14 +18,15 @@ from typing import List, Optional
 
 import numpy as np
 
-from ..config import NORM2EST_MAX_ITER, NORM2EST_TOL
-from ..core.estimators import SOLVE, one_norm_estimator
+from ..config import NORM2EST_MAX_ITER, NORM2EST_TOL, real_dtype
+from ..core.estimators import drive_estimator
 from ..dist.matrix import DistMatrix
 from ..runtime.executor import Runtime
 from ..runtime.task import TaskKind
 from .. import flops as F
 from .gemm_a import gemm_a, gemv_owner_c
-from .norms import ScalarResult, column_abs_sums, norm_fro
+from .norms import (ScalarResult, column_abs_sums, landed_scalar,
+                    max_line_sum, norm_fro, partial_combine, workspace)
 from .qr import QRFactors
 
 #: Fixed sweep count used when the runtime is symbolic (the measured
@@ -75,47 +76,34 @@ def norm2est_tiled(rt: Runtime, a: DistMatrix, *,
     column_abs_sums(rt, a, x)
     e_res = norm_fro(rt, x)
 
-    if rt.numeric:
-        e = e_res.value
-        if e == 0.0:
-            return e_res
-        norm_x = e
-        e0 = 0.0
-        it = 0
-        max_it = sweeps if sweeps is not None else NORM2EST_MAX_ITER
-        box = [0.0]
-        nx = e_res
-        while abs(e - e0) > tol * e and it < max_it:
-            e0 = e
-            rt.advance_phase()
-            box[0] = 1.0 / norm_x
-            _vec_scale(rt, box, x)
-            mv(rt, a, x, ax)                      # AX = A @ X
-            mv(rt, a, ax, x, conj_a=True)         # X  = A^H @ AX
-            nx = norm_fro(rt, x)
-            nax = norm_fro(rt, ax)
+    # One sweep loop: numeric runs test convergence on the landed
+    # norms; symbolic runs have no data and emit exactly ``sweeps``.
+    numeric = rt.numeric
+    e = e_res.value if numeric else 1.0
+    if e == 0.0:
+        return e_res
+    norm_x, e0, it = e, 0.0, 0
+    max_it = sweeps if sweeps is not None else NORM2EST_MAX_ITER
+    box = [0.0]
+    nx = e_res
+    while it < max_it and (not numeric or abs(e - e0) > tol * e):
+        e0 = e
+        rt.advance_phase()
+        box[0] = 1.0 / norm_x
+        _vec_scale(rt, box, x)
+        mv(rt, a, x, ax)                      # AX = A @ X
+        mv(rt, a, ax, x, conj_a=True)         # X  = A^H @ AX
+        nx = norm_fro(rt, x)
+        nax = norm_fro(rt, ax)
+        it += 1
+        if numeric:
             norm_x = nx.value
             if nax.value == 0.0:
                 break
             e = norm_x / nax.value
-            it += 1
-        out = rt.new_scalar_ref()
-        final: List[Optional[float]] = [e]
-        rt.submit(TaskKind.REDUCE, reads=(nx.ref,), writes=(out,), rank=0,
-                  flops=1.0, label="norm2est.final")
-        return ScalarResult(ref=out, _box=final, _rt=rt)
-
-    # Symbolic: emit the fixed-sweep graph.
-    box = [1.0]
-    last = e_res
-    for _ in range(sweeps):
-        rt.advance_phase()
-        _vec_scale(rt, box, x)
-        mv(rt, a, x, ax)
-        mv(rt, a, ax, x, conj_a=True)
-        last = norm_fro(rt, x)
-        norm_fro(rt, ax)
-    return last
+    if not numeric:
+        return nx
+    return landed_scalar(rt, e, "norm2est.final", reads=(nx.ref,))
 
 
 # ---------------------------------------------------------------------------
@@ -222,36 +210,15 @@ def _gather_vec(rt: Runtime, x: DistMatrix) -> np.ndarray:
 def _r_norm1(rt: Runtime, fac: QRFactors) -> ScalarResult:
     """||R||_1 over the R blocks of the factored matrix."""
     a = fac.a
-    parts = {}
-    mat = rt.new_matrix_id()
-    refs = []
-    for k in range(a.nt):
-        for j in range(k, a.nt):
-            ref = (mat, k, j)
-            rt.register_tiles([ref], a.tile_cols(j) * 8)
-            refs.append(ref)
-
-            def body(k=k, j=j):
-                parts[(k, j)] = np.sum(np.abs(_r_block(fac, k, j)), axis=0)
-
-            rt.submit(TaskKind.NORM, reads=(a.ref(k, j),), writes=(ref,),
-                      rank=a.owner(k, j),
-                      flops=2.0 * a.tile_cols(k) * a.tile_cols(j),
-                      tile_dim=a.nb, fn=body,
-                      label=f"rnorm1({k},{j})")
-    box: List[Optional[float]] = [None]
-    out = rt.new_scalar_ref()
-
-    def reduce_body():
-        cols = {}
-        for (_k, j), v in parts.items():
-            cols[j] = v if j not in cols else cols[j] + v
-        box[0] = max((float(np.max(c)) for c in cols.values()), default=0.0)
-
-    rt.submit(TaskKind.REDUCE, reads=tuple(refs), writes=(out,), rank=0,
-              flops=float(sum(a.tile_cols(j) for _, _, j in refs)),
-              fn=reduce_body, label="rnorm1.reduce")
-    return ScalarResult(ref=out, _box=box, _rt=rt)
+    keys = [(k, j) for k in range(a.nt) for j in range(k, a.nt)]
+    return partial_combine(
+        rt, a, workspace(rt, a, real_dtype(a.dtype), cols=True), keys,
+        partial=lambda k, j: np.sum(np.abs(_r_block(fac, k, j)), axis=0),
+        part_label="rnorm1",
+        part_flops=lambda k, j: 2.0 * a.tile_cols(k) * a.tile_cols(j),
+        combine=lambda parts: max_line_sum(parts, axis=1),
+        label="rnorm1.reduce",
+        flops=float(sum(a.tile_cols(j) for _, j in keys)))
 
 
 def trcondest_tiled(rt: Runtime, fac: QRFactors, *,
@@ -264,49 +231,34 @@ def trcondest_tiled(rt: Runtime, fac: QRFactors, *,
     fixed number of solve cycles.
     """
     a = fac.a
-    n = a.n
+    numeric = rt.numeric
     rnorm = _r_norm1(rt, fac)
     x = _vector(rt, a, of_cols=True)
 
-    if not rt.numeric:
-        cycles = (DEFAULT_SYMBOLIC_HAGER_CYCLES if cycles is None
-                  else cycles)
-        for _ in range(cycles):
-            trsv_upper(rt, fac, x, conj_trans=False)
-            trsv_upper(rt, fac, x, conj_trans=True)
-        trsv_upper(rt, fac, x, conj_trans=False)
-        out = rt.new_scalar_ref()
-        rt.submit(TaskKind.REDUCE, reads=(x.ref(0, 0), rnorm.ref),
-                  writes=(out,), rank=0, flops=1.0, label="trcondest.final")
-        return ScalarResult(ref=out, _box=[None])
-
-    if rnorm.value == 0.0:
-        return _const_scalar(rt, 0.0, "trcondest.zero")
-    diag_ok = True
-    for k in range(a.nt):
-        if np.any(np.diagonal(_r_block(fac, k, k)) == 0):
-            diag_ok = False
-            break
-    if not diag_ok:
-        return _const_scalar(rt, 0.0, "trcondest.singular")
-
-    gen = one_norm_estimator(n, dtype=a.dtype)
-    try:
-        kind, vec = next(gen)
-        while True:
+    def solve(vec, adjoint):
+        """One request of Hager's iteration: op(R)^-1 vec."""
+        if numeric:
             _scatter_vec(rt, vec, x)
-            trsv_upper(rt, fac, x, conj_trans=(kind != SOLVE))
-            result = _gather_vec(rt, x)
-            kind, vec = gen.send(result)
-    except StopIteration as stop:
-        inv_est = float(stop.value)
+        trsv_upper(rt, fac, x, conj_trans=adjoint)
+        return _gather_vec(rt, x) if numeric else None
+
+    if not numeric:
+        # No data to steer the iteration: the same solves for a fixed
+        # number of cycles, then the final safeguard solve.
+        if cycles is None:
+            cycles = DEFAULT_SYMBOLIC_HAGER_CYCLES
+        for _ in range(cycles):
+            solve(None, False)
+            solve(None, True)
+        solve(None, False)
+        return landed_scalar(rt, None, "trcondest.final",
+                             reads=(x.ref(0, 0), rnorm.ref))
+    if rnorm.value == 0.0:
+        return landed_scalar(rt, 0.0, "trcondest.zero")
+    if any(np.any(np.diagonal(_r_block(fac, k, k)) == 0)
+           for k in range(a.nt)):
+        return landed_scalar(rt, 0.0, "trcondest.singular")
+    inv_est = drive_estimator(a.n, lambda v: solve(v, False),
+                              lambda v: solve(v, True), dtype=a.dtype)
     rcond = 0.0 if inv_est == 0.0 else 1.0 / (rnorm.value * inv_est)
-    return _const_scalar(rt, rcond, "trcondest.final")
-
-
-def _const_scalar(rt: Runtime, value: float, label: str) -> ScalarResult:
-    out = rt.new_scalar_ref()
-    box = [value]
-    rt.submit(TaskKind.REDUCE, reads=(), writes=(out,), rank=0, flops=1.0,
-              label=label)
-    return ScalarResult(ref=out, _box=box)
+    return landed_scalar(rt, rcond, "trcondest.final")

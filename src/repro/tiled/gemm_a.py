@@ -14,14 +14,11 @@ of O(n)); the A3 ablation benchmark compares the two.
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
-
-import numpy as np
-
 from .. import flops as F
 from ..dist.matrix import DistMatrix
 from ..runtime.executor import Runtime
 from ..runtime.task import TaskKind
+from .norms import partial_combine, sum_tiles, workspace
 
 
 def _check_vec(a: DistMatrix, x: DistMatrix, y: DistMatrix,
@@ -45,41 +42,26 @@ def gemm_a(rt: Runtime, a: DistMatrix, x: DistMatrix, y: DistMatrix, *,
     """
     rt.begin_op()
     _check_vec(a, x, y, conj_a)
-    mat = rt.new_matrix_id()
-    parts: Dict[Tuple[int, int], np.ndarray] = {}
-    out_t = a.mt if not conj_a else a.nt
-    in_t = a.nt if not conj_a else a.mt
+    # The partial of A's tile (i, j) stays with that tile: a column
+    # A(i,j) x_j of rows(i), or the row (A(i,j)^H x_i)^T of cols(j).
+    ws = workspace(rt, a, a.dtype, rows=not conj_a, cols=conj_a)
+    out_t, in_t = (a.mt, a.nt) if not conj_a else (a.nt, a.mt)
+
+    def partial(i, j):
+        t = a.tile(i, j)
+        return (t @ x.tile(j, 0) if not conj_a
+                else (t.conj().T @ x.tile(i, 0)).T)
+
     for oi in range(out_t):
-        refs = []
         rows = a.tile_rows(oi) if not conj_a else a.tile_cols(oi)
-        for ki in range(in_t):
-            i, j = (oi, ki) if not conj_a else (ki, oi)
-            ref = (mat, oi, ki)
-            rt.register_tiles([ref], rows * a.dtype.itemsize)
-            refs.append(ref)
-            kb = a.tile_cols(j) if not conj_a else a.tile_rows(i)
-
-            def body(i=i, j=j, oi=oi, ki=ki):
-                t = a.tile(i, j)
-                xv = x.tile(ki, 0)
-                parts[(oi, ki)] = (t @ xv if not conj_a
-                                   else t.conj().T @ xv)
-
-            rt.submit(TaskKind.GEMV, reads=(a.ref(i, j), x.ref(ki, 0)),
-                      writes=(ref,), rank=a.owner(i, j),
-                      flops=F.gemm(rows, 1, kb), tile_dim=a.nb,
-                      fn=body, label=f"gemmA({i},{j})")
-
-        def reduce_body(oi=oi, n_in=in_t):
-            acc = parts[(oi, 0)].copy()
-            for ki in range(1, n_in):
-                acc += parts[(oi, ki)]
-            y.tile(oi, 0)[...] = acc
-
-        rt.submit(TaskKind.REDUCE, reads=tuple(refs),
-                  writes=(y.ref(oi, 0),), rank=y.owner(oi, 0),
-                  flops=float(in_t * rows), fn=reduce_body,
-                  label=f"gemmA.red({oi})")
+        partial_combine(
+            rt, a, ws,
+            [(oi, ki) if not conj_a else (ki, oi) for ki in range(in_t)],
+            kind=TaskKind.GEMV, partial=partial, part_label="gemmA",
+            part_reads=lambda i, j: (x.ref(j if not conj_a else i, 0),),
+            combine=lambda p: sum_tiles(p) if not conj_a else sum_tiles(p).T,
+            label=f"gemmA.red({oi})", out=(y, oi),
+            flops=float(in_t * rows))
 
 
 def gemv_owner_c(rt: Runtime, a: DistMatrix, x: DistMatrix,

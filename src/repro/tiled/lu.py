@@ -17,17 +17,17 @@ panel task reading and writing every tile of the column.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 import scipy.linalg as sla
 
 from .. import flops as F
-from ..core.estimators import SOLVE, one_norm_estimator
+from ..core.estimators import drive_estimator
 from ..dist.matrix import DistMatrix
 from ..runtime.executor import Runtime
-from ..runtime.task import TaskKind
-from .norms import ScalarResult, norm_one
+from ..runtime.task import TaskKind, TileRef
+from .norms import ScalarResult, landed_scalar, norm_one
 
 
 @dataclass
@@ -35,16 +35,14 @@ class LUFactors:
     """A tiled LU factorization P A = L U in compact tile storage.
 
     ``piv[k]`` holds the LAPACK-style local pivot indices of panel k
-    (relative to the panel's top row).
+    (relative to the panel's top row) — driver-local integers, so
+    ``piv_refs[k]`` is a scalar ref.
     """
 
     a: DistMatrix
     piv: Dict[int, np.ndarray] = field(default_factory=dict)
-    piv_mat: int = -1   # pseudo-matrix id for pivot-vector refs
+    piv_refs: List[TileRef] = field(default_factory=list)
     singular: bool = False
-
-    def piv_ref(self, k: int):
-        return (self.piv_mat, k, 0)
 
 
 def _gather_panel(a: DistMatrix, k: int) -> np.ndarray:
@@ -111,13 +109,13 @@ def getrf(rt: Runtime, a: DistMatrix) -> LUFactors:
                          f"{a.shape}")
     if a.row_heights != a.col_widths:
         raise ValueError("getrf needs square diagonal tiles")
-    fac = LUFactors(a=a, piv_mat=rt.new_matrix_id())
+    fac = LUFactors(a=a)
     nt = a.nt
     for k in range(nt):
         rt.advance_phase()
         kb = a.tile_cols(k)
-        pref = fac.piv_ref(k)
-        rt.register_tiles([pref], kb * 4)
+        pref = rt.new_scalar_ref(kb * 4)
+        fac.piv_refs.append(pref)
         col_refs = tuple(a.ref(i, k) for i in range(k, a.mt))
         rows = sum(a.tile_rows(i) for i in range(k, a.mt))
 
@@ -182,11 +180,6 @@ def getrf(rt: Runtime, a: DistMatrix) -> LUFactors:
 # Solves with the tiled LU factors (vector RHS — what gecondest needs)
 # ---------------------------------------------------------------------------
 
-def _dense_lu(fac: LUFactors) -> np.ndarray:
-    """Reassemble the compact LU tile storage into a dense matrix."""
-    return fac.a.to_array()
-
-
 def getrs_vec(rt: Runtime, fac: LUFactors, b: np.ndarray, *,
               conj_trans: bool = False) -> np.ndarray:
     """Solve op(A) x = b through the tiled LU factors.
@@ -224,7 +217,7 @@ def getrs_vec(rt: Runtime, fac: LUFactors, b: np.ndarray, *,
                         sub[[i, p]] = sub[[p, i]]
 
         rt.submit(TaskKind.COPY,
-                  reads=tuple(fac.piv_ref(k) for k in range(nt)),
+                  reads=tuple(fac.piv_refs),
                   writes=(xref,), rank=0,
                   fn=apply_pivots, label="getrs.pivots")
         for k in range(nt):
@@ -329,7 +322,7 @@ def getrs_vec(rt: Runtime, fac: LUFactors, b: np.ndarray, *,
                     sub[[i, p]] = sub[[p, i]]
 
     rt.submit(TaskKind.COPY,
-              reads=tuple(fac.piv_ref(k) for k in range(nt)),
+              reads=tuple(fac.piv_refs),
               writes=(xref,), rank=0,
               flops=float(n), fn=undo_pivots, label="getrs.pivots.T")
     rt.sync()  # deferred backend: the solve bodies fill `x`
@@ -354,23 +347,11 @@ def gecondest_tiled(rt: Runtime, a: DistMatrix, *,
         fac = getrf(rt, a)
     rt.sync()  # deferred backend: the panel bodies set `fac.singular`
     if anorm == 0.0 or fac.singular:
-        return _const(rt, 0.0)
-    n = a.n
-    gen = one_norm_estimator(n, dtype=a.dtype)
-    try:
-        kind, vec = next(gen)
-        while True:
-            out = getrs_vec(rt, fac, np.asarray(vec).ravel(),
-                            conj_trans=(kind != SOLVE))
-            kind, vec = gen.send(out)
-    except StopIteration as stop:
-        inv_est = float(stop.value)
+        return landed_scalar(rt, 0.0, "gecondest.final")
+    inv_est = drive_estimator(
+        a.n, lambda v: getrs_vec(rt, fac, v.ravel()),
+        lambda v: getrs_vec(rt, fac, v.ravel(), conj_trans=True),
+        dtype=a.dtype)
     rcond = 0.0 if inv_est == 0.0 else 1.0 / (anorm * inv_est)
-    return _const(rt, rcond)
+    return landed_scalar(rt, rcond, "gecondest.final")
 
-
-def _const(rt: Runtime, value: float) -> ScalarResult:
-    out = rt.new_scalar_ref()
-    rt.submit(TaskKind.REDUCE, reads=(), writes=(out,), rank=0,
-              label="gecondest.final")
-    return ScalarResult(ref=out, _box=[value])

@@ -528,19 +528,23 @@ class TestDriverLaneWindows:
 
     def test_due_crash_waits_for_a_worker(self):
         # The crash is due before the first tick.  Window 1 holds only
-        # driver-lane tasks (norm partials land in driver-local
-        # boxes), so even this plan-carrying executor forks no worker
-        # to kill: the crash must stay pending, not be consumed, and
-        # hit the first forked window.
+        # driver-lane tasks (a gather lands in driver-local boxes), so
+        # even this plan-carrying executor forks no worker to kill: the
+        # crash must stay pending, not be consumed, and hit the first
+        # forked window.  (A norm window no longer serves: its partials
+        # are tiles and ship.)
         from repro.resilience import plan_from_spec
-        from repro.tiled import gemm, norm_fro
+        from repro.tiled import gemm
+        from repro.tiled.estimators import _gather_vec
         a = generate_matrix(64, cond=10.0, seed=6)
         plan = plan_from_spec(seed=6, crash=("1@0.0",))
         with self._runtime(faults=plan) as rt:
             d = DistMatrix.from_array(rt, a, 16)
             c = DistMatrix.from_array(rt, np.zeros_like(a), 16)
-            nrm = float(norm_fro(rt, d).value)   # syncs window 1
+            v = DistMatrix.from_array(rt, a[:, :1].copy(), 16)
+            col = _gather_vec(rt, v)             # syncs window 1
             ex = rt._executor
+            assert rt.exec_stats.windows == 1 and rt.exec_stats.tasks_run == 4
             assert rt.exec_stats.forks == 0 and ex._crash_idx == 0
             assert rt.exec_stats.recovery.crashes == 0
             gemm(rt, 1.0, d, d, 0.0, c)
@@ -548,7 +552,7 @@ class TestDriverLaneWindows:
             assert ex._crash_idx == 1
             assert rt.exec_stats.recovery.crashes == 1
             assert ex.inflight_attempts == 0
-        assert nrm == pytest.approx(np.linalg.norm(a), rel=1e-13)
+        assert np.array_equal(col, a[:, 0])
         assert np.allclose(got, a @ a, rtol=1e-12, atol=1e-12)
 
 
@@ -683,18 +687,63 @@ class TestOneDataPlane:
 
     def test_wire_carries_control_only(self):
         # 384^2 / nb=192: the 7 factorization windows fork (14 forks),
-        # 268 attempts ship.  Before the factors were tiles their
-        # arrays were pickled through this socket, 43 KB a message.
+        # 279 attempts ship: the 268 of when reduction partials were
+        # hand-built refs, plus the partials that sit in forked windows
+        # — 3 rnorm1 (the upper triangle of a 2 x 2 R) beside the
+        # condest QR and 4 normf.part in each of the 2 QR-iteration
+        # windows (the Cholesky iterations sync first, so their
+        # convergence norms are driver-only windows of their own).
+        # Before the factors were tiles their arrays were pickled
+        # through this socket, 43 KB a message.
         a = generate_matrix(384, cond=1e4, seed=1)
         u0, h0, _ = _run_eager(a, 192)
         u, h, res, stats, leaked, shm = _run_processes(a, 192, 2)
         assert np.array_equal(u, u0) and np.array_equal(h, h0)
-        assert (stats.shipped, stats.forks) == (268, 14)
+        assert (stats.shipped, stats.forks) == (279, 14)
         # One frame out and one back per attempt; hello and shutdown
         # per fork.
         assert stats.comm_messages == 2 * (stats.shipped + stats.forks)
         assert stats.comm_bytes / stats.comm_messages < 2048
         assert leaked == 0 and shm == []
+
+    def test_only_a_scalar_ref_pins_a_task_to_the_driver(self, monkeypatch):
+        # Every ref is a DistMatrix tile or a scalar box, so in a
+        # forked window the driver lane runs exactly the tasks with no
+        # payload or with a scalar ref — observed on the timeline, not
+        # read back from the placement code.
+        from repro.obs.timeline import TimelineSink
+        from repro.runtime import ProcessExecutor
+
+        windows, run = [], ProcessExecutor.run
+
+        def spy(ex, start=0, end=None):
+            windows.append((start, end, set(ex.fns)))
+            return run(ex, start, end)
+
+        monkeypatch.setattr(ProcessExecutor, "run", spy)
+        a = generate_matrix(384, cond=1e4, seed=1)
+        sink = TimelineSink()
+        with Runtime(ProcessGrid(1, 1), sink=sink) as rt:
+            d = DistMatrix.from_array(rt, a.copy(), 192)
+            tiled_qdwh(rt, d, backend="processes", workers=2)
+            tasks, owner = rt.graph.tasks, rt.graph.tile_owner
+            scalar_mat = rt.scalar_mat
+        on_worker = {ev.tid for ev in sink.tasks if ev.slot != "drv"}
+        forked = 0
+        for start, end, payloads in windows:
+            tids = set(range(start, end))
+            if not tids & on_worker:
+                continue
+            forked += 1
+            pinned = set()
+            for tid in tids:
+                refs = tasks[tid].reads + tasks[tid].writes
+                assert all(r in owner or r[0] == scalar_mat for r in refs)
+                if tid not in payloads or any(r[0] == scalar_mat
+                                              for r in refs):
+                    pinned.add(tid)
+            assert tids - on_worker == pinned
+        assert forked == 7
 
     @pytest.mark.usefixtures("lanes_for_tiny_tiles")
     def test_driver_lane_geqrt_in_a_forked_window(self, monkeypatch):

@@ -18,6 +18,7 @@ from repro.tiled import (
     norm_one,
     trcondest_tiled,
 )
+from repro.runtime.task import TaskKind
 from repro.tiled.estimators import _vector, trsv_upper
 
 from .conftest import make_runtime
@@ -192,3 +193,145 @@ class TestTrsvAndTrcondest:
         before = len(rt.graph)
         trcondest_tiled(rt, fac, cycles=2)
         assert len(rt.graph) > before
+
+
+#: >= 3 tile rows / ragged / nb > n (a single tile).
+REDUCTION_SHAPES = [(96, 48, 16), (81, 42, 8), (24, 24, 32)]
+
+
+def _reductions(rt, A, nb):
+    """Record every partial -> combine reduction once; returns thunks
+    that read the results (after the window ran)."""
+    from repro.tiled.estimators import _r_norm1
+
+    d = DistMatrix.from_array(rt, A, nb)
+    xn = DistMatrix.from_array(rt, A[0, :, None].copy(), nb)
+    xm = DistMatrix.from_array(rt, A[:, 0, None].copy(), nb)
+    ym, yn, cs = (_vector(rt, d, of_cols=False), _vector(rt, d, of_cols=True),
+                  _vector(rt, d, of_cols=True))
+    w = DistMatrix.from_array(rt, A.copy(), nb)
+    fac = geqrf(rt, w)
+    rt.sync()  # the reductions below are recorded on their own
+    scalars = [f(rt, d) for f in (norm_one, norm_inf, norm_fro, norm_max)]
+    scalars.append(_r_norm1(rt, fac))
+    column_abs_sums(rt, d, cs)
+    gemm_a(rt, d, xn, ym)
+    gemm_a(rt, d, xm, yn, conj_a=True)
+    return lambda: ([s.value for s in scalars],
+                    [v.to_array() for v in (cs, ym, yn)])
+
+
+def _combine_hiding_a_partial(rt, ws, x):
+    """Seeded-bad combine: adds two partial tiles, declares one."""
+
+    def body():
+        x.tile(0, 0)[...] = (ws.tile(0, 0) + ws.tile(1, 0)).T
+
+    rt.submit(TaskKind.REDUCE, reads=(ws.ref(0, 0),),
+              writes=(x.ref(0, 0),), rank=0, fn=body)
+
+
+class TestPartialsAreTiles:
+    """Reduction partials are tiles of a workspace matrix, so the
+    footprint checkers cover them like any other tile."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.complex128])
+    def test_every_reduction_is_sanitizer_clean(self, dtype):
+        from repro.dist import ProcessGrid
+        from repro.matrices import generate_matrix
+        from repro.runtime import Runtime
+
+        A = generate_matrix(81, 42, cond=1e3, dtype=dtype, seed=5)
+        rt = Runtime(ProcessGrid(2, 2), sanitize="raise")
+        _reductions(rt, A, 8)()
+        san, g = rt.sanitizer, rt.graph
+        assert san.findings == [] and san.tasks_checked == len(g.tasks)
+        assert g.check_races(footprints=san.footprints()) == []
+        for t in g.tasks:   # a matrix tile or a scalar box, nothing else
+            for ref in t.reads + t.writes:
+                assert ref in g.tile_owner or ref[0] == rt.scalar_mat
+
+    def test_combine_that_hides_a_partial_is_caught(self):
+        """While partials sat in a captured dict behind hand-built refs
+        neither checker could see this."""
+        import inspect
+
+        from repro.analysis.lint import PAYLOAD_FOOTPRINT, lint_source
+        from repro.analysis.sanitizer import UNDECLARED_READ, SanitizerError
+        from repro.dist import ProcessGrid
+        from repro.runtime import Runtime
+        from repro.tiled import norms
+
+        rt = Runtime(ProcessGrid(1, 1), sanitize="raise")
+        d = DistMatrix.from_array(rt, np.ones((16, 8)), 8)
+        x = _vector(rt, d, of_cols=True)
+        ws = norms.workspace(rt, d, np.float64, cols=True)
+        with pytest.raises(SanitizerError) as exc:
+            _combine_hiding_a_partial(rt, ws, x)
+        assert exc.value.finding.kind == UNDECLARED_READ
+        assert exc.value.finding.ref == ws.ref(1, 0)
+
+        (f,) = lint_source(inspect.getsource(_combine_hiding_a_partial))
+        assert f.rule == PAYLOAD_FOOTPRINT and "ws.tile(1, 0)" in f.message
+        assert lint_source(inspect.getsource(norms)) == []
+
+
+class TestReductionOrder:
+    """Partials live in workspace tiles and every combine reads them in
+    fixed index order: the result does not depend on the order the
+    partial tasks finished in."""
+
+    @pytest.mark.parametrize("m, n, nb", REDUCTION_SHAPES,
+                             ids=["3x3", "ragged", "nb>n"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64,
+                                       np.complex64, np.complex128])
+    def test_partials_in_reverse_order_give_the_eager_bits(self, dtype,
+                                                           m, n, nb):
+        from repro.matrices import generate_matrix
+        from repro.runtime.task import TaskKind
+
+        A = generate_matrix(m, n, cond=1e3, dtype=dtype, seed=5)
+        want_s, want_v = _reductions(make_runtime(1, 1), A, nb)()
+
+        rt = make_runtime(1, 1)
+        rt.enable_deferred(workers=1)
+        read = _reductions(rt, A, nb)
+        pending = rt.graph.tasks[rt._exec_cursor:]
+        parts = [t for t in pending
+                 if t.kind in (TaskKind.NORM, TaskKind.GEMV)]
+        assert len(parts) == len(pending) - sum(
+            t.kind is TaskKind.REDUCE for t in pending) > 0
+        rt._in_execution = True   # replay by hand, partials last-first
+        try:
+            for t in parts[::-1]:
+                rt._pending_fns[t.tid]()
+            for t in pending:
+                if t.kind is TaskKind.REDUCE:
+                    rt._pending_fns[t.tid]()
+        finally:
+            rt._in_execution = False
+        rt.abandon_pending()
+        got_s, got_v = read()
+        rt.close()
+        assert got_s == want_s
+        for g, w in zip(got_v, want_v):
+            assert g.dtype == w.dtype and np.array_equal(g, w)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.complex64])
+    def test_single_precision_partials_keep_their_dtype(self, dtype):
+        """Norm partials are what the kernel returns (the real base
+        type), gemmA partials are A's type — the registered bytes are
+        the bytes a transfer moves."""
+        rt = make_runtime(2, 2, numeric=False)
+        d = DistMatrix(rt, 24, 16, 8, dtype)
+        x, y = _vector(rt, d, of_cols=True), _vector(rt, d, of_cols=False)
+        norm_one(rt, d)
+        gemm_a(rt, d, x, y)
+        g = rt.graph
+        by_label = {t.label: t for t in g.tasks}
+        (ref,) = by_label["norm1.part(0,0)"].writes
+        assert g.tile_bytes[ref] == 8 * 4          # 1 x 8 float32
+        assert g.tile_owner[ref] == d.owner(0, 0)
+        (ref,) = by_label["gemmA(2,1)"].writes
+        assert g.tile_bytes[ref] == 8 * np.dtype(dtype).itemsize
+        assert g.tile_owner[ref] == d.owner(2, 1)

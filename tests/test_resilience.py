@@ -258,8 +258,10 @@ class TestSchedulerFaults:
                    writes=((0, 2, 0),), rank=0, phase=1, flops=1e9,
                    tile_dim=512))
         cfg = taskbased_config(summit(), 1, 2, use_gpu=False, lookahead=0)
-        base = simulate(g, cfg, keep_trace=True)
-        f0, f1 = base.finish_times[0], base.finish_times[1]
+        base = TimelineSink()
+        simulate(g, cfg, sink=base)
+        end = {ev.tid: ev.end for ev in base.tasks}
+        f0, f1 = end[0], end[1]
         assert f0 < f1
         # Crash rank 1 after t0 finished but with plenty of t1 left, so
         # the replayed t0 completes while t2 is still parked.

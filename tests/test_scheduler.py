@@ -5,6 +5,7 @@ import pytest
 
 from repro.dist import DistMatrix, ProcessGrid
 from repro.machines import summit
+from repro.obs.timeline import TimelineSink
 from repro.runtime import Runtime, TaskKind, simulate
 from repro.runtime.scheduler import (
     RunConfig,
@@ -39,13 +40,17 @@ class TestScheduleValidity:
         assert r.makespan > 0
 
     def test_dependencies_respected(self):
-        """With keep_trace, every task starts after its deps finish."""
+        """On the recorded timeline every task starts after its deps
+        finish."""
         g = build_qr_graph()
         cfg = taskbased_config(summit(), 2, 2, use_gpu=False)
-        r = simulate(g, cfg, keep_trace=True)
+        sink = TimelineSink()
+        simulate(g, cfg, sink=sink)
+        span = {ev.tid: (ev.start, ev.end) for ev in sink.tasks}
+        assert len(span) == len(g)
         for t in g.tasks:
             for d in t.deps:
-                assert r.start_times[t.tid] >= r.finish_times[d] - 1e-12
+                assert span[t.tid][0] >= span[d][1] - 1e-12
 
     def test_makespan_at_least_critical_path(self):
         g = build_qr_graph()

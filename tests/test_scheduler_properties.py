@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.machines import summit
+from repro.obs.timeline import TimelineSink
 from repro.runtime import TaskGraph, TaskKind, simulate
 from repro.runtime.distributed.scheduling import DynamicScheduler
 from repro.runtime.scheduler import RunConfig, taskbased_config
@@ -61,11 +62,13 @@ class TestRandomDags:
     @settings(max_examples=40)
     def test_all_tasks_complete_and_deps_hold(self, gr):
         g, ranks = gr
-        r = simulate(g, cfg_for(ranks), keep_trace=True)
-        assert r.task_count == len(g)
+        sink = TimelineSink()
+        r = simulate(g, cfg_for(ranks), sink=sink)
+        assert r.task_count == len(g) == len(sink.tasks)
+        span = {ev.tid: (ev.start, ev.end) for ev in sink.tasks}
         for t in g.tasks:
             for d in t.deps:
-                assert r.start_times[t.tid] >= r.finish_times[d] - 1e-12
+                assert span[t.tid][0] >= span[d][1] - 1e-12
 
     @given(random_graphs())
     @settings(max_examples=25)
