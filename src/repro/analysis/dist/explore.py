@@ -100,7 +100,8 @@ def builtin_scenarios() -> List[Scenario]:
     independent sets (queue balancing), locality-skewed chains (steal
     path), mixed driver/worker lanes, crashy variants (revocation
     and replay), the threads backend's shapes (one lane as deep as its
-    pool; the same with the driver as one more lane), a phased graph
+    pool; the same with the driver as one more lane), the processes
+    backend's helping driver beside one lane per fork, a phased graph
     behind the lookahead gate, and the two shapes of a window below the
     granularity floor (no lane registered; no worker forked).
     """
@@ -173,6 +174,23 @@ def builtin_scenarios() -> List[Scenario]:
     # the window alone).
     out.append(Scenario("driver-lane", phased, _all_ok(phased), workers=1,
                         max_crashes=1, lookahead=0, driver_helps=True))
+
+    # Its processes shape (workers=3): the helping driver beside one
+    # lane *per fork*, each with its own queue.  Wide enough that both
+    # lanes still hold queued tasks when the driver picks (it takes the
+    # lowest head from whichever lane holds it), lanes steal from each
+    # other, a scalar reduction stays driver-only, a fork dies
+    # mid-window and is replaced, all behind the lookahead gate.
+    forked = tuple(_task(i) for i in range(6)) + (
+        _task(6, phase=1),
+        _task(7, deps=[0, 1], phase=1),              # driver-only
+        _task(8, deps=[6, 7], phase=2),
+    )
+    ok = _all_ok(forked)
+    ok[7] = False
+    out.append(Scenario("driver-lane-forked", forked, ok, workers=2,
+                        max_crashes=1, max_spawns=1, lookahead=1,
+                        driver_helps=True))
 
     # The window every small-tile run produces on threads since the
     # granularity floor (``WindowExecutor._pays``): nothing is worth a

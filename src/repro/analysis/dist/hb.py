@@ -32,7 +32,7 @@ the same transitive-ancestor bitset trick as
 query.
 
 :func:`audit_refcounts` separately replays the recorded shm lifecycle
-(pin/incref/decref/unlink) and cross-checks it against the OS-level
+(create/pin/incref/decref/unlink) and cross-checks it against the OS-level
 ``/dev/shm`` scan taken at close — bookkeeping and kernel must agree
 that nothing leaked and nothing was freed twice.
 """
@@ -42,10 +42,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from ...runtime.distributed.events import (EV_COMPLETE, EV_DECREF,
-                                           EV_DISPATCH, EV_DRIVER, EV_FAIL,
-                                           EV_INCREF, EV_PIN, EV_UNLINK,
-                                           DistEvent, DistTraceRecorder)
+from ...runtime.distributed.events import (EV_COMPLETE, EV_CREATE,
+                                           EV_DECREF, EV_DISPATCH, EV_DRIVER,
+                                           EV_FAIL, EV_INCREF, EV_PIN,
+                                           EV_UNLINK, DistEvent,
+                                           DistTraceRecorder)
 from ...runtime.task import Task, TileRef
 
 __all__ = ["HBFinding", "check_hb", "audit_refcounts"]
@@ -88,8 +89,7 @@ def _build_graph(rec: DistTraceRecorder,
                                                  Dict[TileRef, str]]:
     """Nodes in topological order + the shared-tile universe."""
     by_tid: Dict[int, Task] = {t.tid: t for t in tasks}
-    shared: Dict[TileRef, str] = {seg_ref: name for name, seg_ref
-                                  in rec.segment_refs.items()}
+    shared: Dict[TileRef, str] = dict(rec.tile_segment)
 
     def accesses(tid: int) -> Tuple[Tuple[TileRef, ...],
                                     Tuple[TileRef, ...]]:
@@ -148,8 +148,8 @@ def _build_graph(rec: DistTraceRecorder,
             reads, writes = accesses(ev.tid)
             add("driver", tid=ev.tid, reads=reads, writes=writes)
         elif ev.kind == EV_PIN:
-            # Segment creation (zero-fill / data migration) is a
-            # driver-side write to the tile.
+            # Installing the view (data migration from the heap tile)
+            # is a driver-side write to the tile.
             add("driver", tid=-1, writes=(tuple(ev.ref),))
     return nodes, shared
 
@@ -230,25 +230,34 @@ def check_hb(rec: DistTraceRecorder,
 def audit_refcounts(rec: DistTraceRecorder) -> List[HBFinding]:
     """Replay the recorded shm lifecycle and flag imbalance.
 
-    Checks, per segment: created exactly once, refcount never
-    negative, the recorded post-event counts are self-consistent,
-    unlinked exactly once, and nothing pinned was still missing an
-    unlink when the store closed.
+    Checks, per segment (one per matrix): created exactly once,
+    refcount never negative, the recorded post-event counts are
+    self-consistent, unlinked exactly once, and nothing created was
+    still missing an unlink when the store closed; per tile: pinned at
+    most once, into a segment that exists.
     """
     findings: List[HBFinding] = []
     expect: Dict[str, int] = {}
     unlinked: Set[str] = set()
+    pinned: Set[Tuple[int, ...]] = set()
 
     def flag(kind: str, seg: str, detail: str) -> None:
         findings.append(HBFinding(kind=kind, segment=seg, detail=detail))
 
     for ev in rec.events:
         seg = ev.segment
-        if ev.kind == EV_PIN:
+        if ev.kind == EV_CREATE:
             if seg in expect:
                 flag("refcount-repin", seg,
                      f"segment {seg} created twice")
             expect[seg] = 1
+        elif ev.kind == EV_PIN:
+            if seg not in expect or seg in unlinked:
+                flag("refcount-unknown", seg,
+                     f"tile {ev.ref} pinned into unknown segment {seg}")
+            if ev.ref in pinned:
+                flag("refcount-repin", seg, f"tile {ev.ref} pinned twice")
+            pinned.add(ev.ref)
         elif ev.kind == EV_INCREF:
             if seg not in expect:
                 flag("refcount-unknown", seg,
@@ -280,7 +289,7 @@ def audit_refcounts(rec: DistTraceRecorder) -> List[HBFinding]:
 
     for seg in sorted(set(expect) - unlinked):
         flag("refcount-leak", seg,
-             f"segment {seg} pinned but never unlinked")
+             f"segment {seg} created but never unlinked")
     for name in rec.leaked:
         flag("leak", name,
              f"segment {name} survived close() in /dev/shm")

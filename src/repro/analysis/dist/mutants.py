@@ -152,6 +152,24 @@ class DriverPeeksScheduler(DynamicScheduler):
         return min(heads, default=None)
 
 
+class DriverWrongLaneScheduler(DynamicScheduler):
+    """BUG: the helping driver finds the lowest head among the lanes'
+    queues but pops the *first* non-empty lane — with one lane per
+    fork (the processes placement) the driver runs a tid that stays
+    queued on its lane, and another lane's head vanishes."""
+
+    def next_driver(self) -> Optional[int]:
+        if self._driver_ready or not self.driver_helps:
+            return super().next_driver()
+        heads = [w.queue for w in self.alive_workers() if w.queue]
+        if not heads or (self._pool and all(self._pool[0] < q[0]
+                                            for q in heads)):
+            return super().next_driver()
+        tid = min(q[0] for q in heads)
+        heads[0].popleft()                  # not the lane that holds it
+        return tid
+
+
 # ---------------------------------------------------------------------------
 # Store mutants
 
@@ -206,6 +224,8 @@ MUTANTS: Tuple[Mutant, ...] = (
            ("gate-stuck", "tasks-lost-at-end")),
     Mutant("driver-peeks", DriverPeeksScheduler, ModelShmStore,
            ("done-task-scheduled", "double-dispatch")),
+    Mutant("driver-wrong-lane", DriverWrongLaneScheduler, ModelShmStore,
+           ("task-lost", "done-task-scheduled", "double-dispatch")),
     Mutant("leaky-release", DynamicScheduler, LeakyReleaseStore,
            ("refcount-imbalance",)),
     Mutant("double-free", DynamicScheduler, DoubleFreeStore,

@@ -709,8 +709,9 @@ def _lint_dist(args: argparse.Namespace) -> int:
     s = recorder.summary()
     shipped = s.get("dispatch", 0)
     print(f"distsan[processes]: {shipped} dispatch(es) to a lane, "
-          f"{s.get('driver', 0)} driver task(s), {s.get('pin', 0)} shm "
-          f"segment(s), {s.get('frames', 0)} frame(s) | "
+          f"{s.get('driver', 0)} driver task(s), {s.get('pin', 0)} tile(s) "
+          f"pinned in {s.get('create', 0)} shm segment(s), "
+          f"{s.get('frames', 0)} frame(s) | "
           f"{len(hb)} hb + {len(refs)} refcount + {len(proto)} protocol "
           f"finding(s)")
     if not shipped:
@@ -813,9 +814,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "on forked worker processes with shared-memory "
                         "tiles")
     p.add_argument("--workers", type=int, default=None,
-                   help="worker count for --backend threads/processes "
-                        "(default: one per core); on threads the driver "
-                        "is one of the lanes, so 1 starts no thread")
+                   help="execution lanes for --backend threads/processes "
+                        "(default: one per core); the driver is one of "
+                        "them, so 1 starts no thread and forks no process")
     p.add_argument("--nb", type=int, default=128,
                    help="tile size for the tiled backends (default 128)")
     p.add_argument("--generate", type=int, default=None, metavar="N",
@@ -836,8 +837,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-baseline", action="store_true",
                    help="skip the workers=1 baseline run (the parallel "
                         "backends normally report speedup and parallel "
-                        "efficiency against it; on threads that baseline "
-                        "is the driver running every task inline)")
+                        "efficiency against it; that baseline is the "
+                        "driver running every task inline)")
     p.add_argument("--critical-path", action="store_true",
                    help="threads/processes backends: print the executed "
                         "critical chain (per-kind contribution, wait "

@@ -354,9 +354,11 @@ def _tiled_qdwh_impl(rt: Runtime, a: DistMatrix, *,
         ``deferred=True`` already uses its configured deferred
         backend.
     workers:
-        Worker count for ``backend="threads"`` / ``"processes"``
-        (default: one per core).  ``workers=1`` is bit-identical to
-        eager execution on either backend.
+        Execution lanes for ``backend="threads"`` / ``"processes"``
+        (default: one per core), the driver included: ``workers=W`` is
+        the driver plus ``W - 1`` pool threads / forked processes, so
+        ``workers=1`` starts none.  Any count is bit-identical to eager
+        execution on either backend.
     cond_est:
         Known condition estimate.  Optional in numeric mode (the tiled
         QR + trcondest stage runs otherwise); **required** in symbolic

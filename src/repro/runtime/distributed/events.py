@@ -8,7 +8,7 @@ recorded with a global sequence number.  The recorder is the *input*
 to the DistSan checkers in :mod:`repro.analysis.dist`:
 
 * ``events`` — dispatch/completion/driver-run/crash/replay plus shm
-  pin/incref/decref/unlink, in driver-observation order.  The
+  create/pin/incref/decref/unlink, in driver-observation order.  The
   happens-before checker (:mod:`repro.analysis.dist.hb`) rebuilds the
   cross-process partial order from these.
 * ``frames`` — per-connection wire frames (direction, op, codec,
@@ -38,7 +38,8 @@ EV_FAIL = "fail"            # fail reply accepted from a worker
 EV_DRIVER = "driver"        # driver-lane task ran inline in the parent
 EV_DEATH = "death"          # worker EOF observed
 EV_REPLAY = "replay"        # revoked task requeued after a death
-EV_PIN = "pin"              # shm segment created for a tile
+EV_CREATE = "create"        # shm segment created for a matrix
+EV_PIN = "pin"              # a tile installed as a view into its segment
 EV_INCREF = "incref"        # segment refcount raised
 EV_DECREF = "decref"        # segment refcount dropped
 EV_UNLINK = "unlink"        # segment destroyed (refs reached zero)
@@ -89,8 +90,9 @@ class DistTraceRecorder:
     frames: Dict[str, List[FrameRecord]] = field(default_factory=dict)
     #: /dev/shm segments still present after close (should be empty).
     leaked: List[str] = field(default_factory=list)
-    #: shm segment name -> tile ref it backs.
-    segment_refs: Dict[str, Tuple[int, ...]] = field(default_factory=dict)
+    #: pinned tile ref -> name of the segment backing it (a segment
+    #: backs every pinned tile of one matrix).
+    tile_segment: Dict[Tuple[int, ...], str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         self._lock = threading.Lock()
@@ -110,7 +112,7 @@ class DistTraceRecorder:
                 ref=tuple(ref), segment=segment, refs=refs,
                 detail=detail))
             if kind == EV_PIN and segment:
-                self.segment_refs[segment] = tuple(ref)
+                self.tile_segment[tuple(ref)] = segment
 
     # -- wire frames -----------------------------------------------------
 

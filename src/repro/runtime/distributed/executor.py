@@ -15,28 +15,43 @@ module is the transport between them and the workers:
   are forked at the start of each execution window and inherit the
   graph, the payload table and every shared-memory tile mapping
   copy-on-write.  One scheduler lane per worker, each at most
-  :data:`PIPELINE_DEPTH` dispatches deep.  A window none of whose
+  :data:`PIPELINE_DEPTH` dispatches deep.  ``workers=W`` is W lanes
+  and the driver is one of them
+  (:meth:`~repro.runtime.window.WindowExecutor._lanes`, the rule the
+  threads transport shares): a window forks ``min(W, eligible) - 1``
+  processes, so ``workers=1`` forks none.  A window none of whose
   tasks is worth a hand-off
   (:meth:`~repro.runtime.window.WindowExecutor._pays`) forks nothing,
-  pins nothing and runs on the driver lane.
+  pins nothing and runs on the driver lane, like a one-lane one.
 * **Shared-memory tiles.**  Before forking, the parent pins every tile
-  in the window's declared footprints into a :class:`SharedTileStore`
-  segment; worker writes land directly in the parent's mapping
-  (zero-copy), so there is no gather step and no result payload.
-  Tiles are the only state tasks share — QR's T and V factors are
-  tiles like any other (:class:`~repro.tiled.qr.QRFactors`).  A tile
-  is pinned once, by the first forking window that touches it, and
-  keeps that buffer for life.
+  in the window's declared footprints into its matrix's
+  :class:`SharedTileStore` segment (one segment per matrix, created by
+  the first pin of any of its tiles); worker writes land directly in
+  the parent's mapping (zero-copy), so there is no gather step and no
+  result payload.  Tiles are the only state tasks share — QR's T and V
+  factors are tiles like any other
+  (:class:`~repro.tiled.qr.QRFactors`).  A tile is pinned once, by the
+  first forking window that touches it, and keeps that buffer for life.
 * **Dispatch** (``_send``).  A message carries a tid and an attempt
   number; a reply adds timings — a few hundred bytes per task, never
   matrix data.  The retry ledger snapshots the task's write tiles
   first, so a SIGKILL at any instant leaves the driver able to
   restore and replay.
-* **Driver lane.**  Tasks whose footprint touches driver-local state
-  (scalar reduction boxes, gather buffers) run inline in the parent
-  through the same :func:`~repro.runtime.attempt.run_attempt` — the
-  split SLATE uses to keep latency-bound scalar work off the
-  accelerator path.  Everything tile-to-tile goes to workers.
+* **Driver lane.**  The waiting thread works (OpenMP ``taskwait``,
+  what SLATE's host thread does): each turn of the dispatch loop the
+  driver keeps the lowest ready tid for itself, feeds the workers,
+  then runs its task inline in the parent through the same
+  :func:`~repro.runtime.attempt.run_attempt` (slot ``drv``) — every
+  tile of the window is a shared-memory view in the parent too, so a
+  driver write is a write the workers see.  Tasks whose footprint
+  touches driver-local state (scalar reduction boxes, gather buffers)
+  run *only* there — the split SLATE uses to keep latency-bound scalar
+  work off the accelerator path.  An executor that exercises its
+  transport (fault plan, ``task_timeout``, DistSan recorder:
+  :attr:`~repro.runtime.window.WindowExecutor.exercises_transport`)
+  keeps its driver out of worker-eligible payloads — it has crashes,
+  timeouts and heartbeats to watch, and a recorded run must cross the
+  wire — and forks ``min(W, eligible)`` workers instead.
 * **Replies and deaths** (``_recv``).  Per-worker reader threads
   stream replies into one event queue; the driver polls it at
   ``poll_interval``.  A worker death (SIGKILL, injected ``RankCrash``,
@@ -78,9 +93,22 @@ from ...resilience.net import PhiAccrualDetector
 
 __all__ = ["ProcessExecutor", "WorkerCrashError"]
 
-#: Dispatches one worker may hold unanswered: the task it runs plus one
-#: queued behind it, so a reply's round trip overlaps the next payload.
-PIPELINE_DEPTH = 2
+#: Dispatches one worker may hold unanswered: the task it runs plus
+#: what it works through while the driver cannot refill it.  Measured,
+#: not tuned: the driver is a lane, so it is deaf to replies for a whole
+#: payload (0.3-6 ms at nb >= 128), and at depth 2 — sized for a driver
+#: that only dispatched — a worker ran dry behind it (p90 gap between
+#: its tasks 1.2-1.7 ms in the sizing prototype).  ``processes_over_eager``, ten interleaved
+#: rounds a depth on this repo's 2-core sizing host, median (min-max):
+#: ``big_tiles`` 0.93 (0.79-1.13) at 2, 0.84 (0.67-1.05) at 4, 0.85
+#: (0.64-0.96) at 8; ``illcond_tall`` 1.31 (1.09-1.66), 1.23
+#: (1.05-1.52), 1.20 (0.91-1.52) — 4 beats 2 in both series and in the
+#: two six-round ones before them (EXPERIMENTS.md, PR 24), 8 buys
+#: nothing a run can resolve, and every queued attempt is one more to
+#: replay when its worker dies and one the driver cannot take at a
+#: window's tail.  A module constant on purpose: not a parameter, an
+#: environment variable or a CLI flag.
+PIPELINE_DEPTH = 4
 
 
 class _Worker:
@@ -216,8 +244,8 @@ class ProcessExecutor(WindowExecutor):
 
     def _materialize(self, start: int, end: int) -> None:
         """Pin every matrix tile in the window's declared footprints
-        into shared memory (idempotent: a tile already pinned keeps
-        its segment)."""
+        into its matrix's shared-memory segment (idempotent: a tile
+        already pinned keeps its view)."""
         tasks = self.graph.tasks
         for tid in range(start, end):
             t = tasks[tid]
@@ -531,14 +559,17 @@ class ProcessExecutor(WindowExecutor):
 
     def _open(self, start: int, end: int) -> DynamicScheduler:
         tasks = self.graph.tasks
-        # A window that does not pay for a hand-off marks nothing
-        # worker-eligible: no fork, no frame, nothing pinned.
-        ships = self._pays(start, end)
-        worker_ok = {t.tid: ships and self._worker_ok(t)
-                     for t in tasks[start:end]}
-        eligible = sum(worker_ok.values())
-        if eligible:
+        # A window that gets no forked lane — it does not pay for a
+        # hand-off, or the helping driver is the only lane (workers=1,
+        # one eligible task) — marks nothing worker-eligible: no fork,
+        # no frame, nothing pinned.
+        worker_ok = {t.tid: self._worker_ok(t) for t in tasks[start:end]
+                     } if self._pays(start, end) else {}
+        forks = self._lanes(sum(worker_ok.values()))
+        if forks:
             self._materialize(start, end)
+        else:
+            worker_ok = {}
         if self._net_plan is not None and not self._chaos_installed:
             # Arm before forking: workers inherit the plan (and the
             # epoch anchoring its stall/partition windows) through
@@ -549,9 +580,10 @@ class ProcessExecutor(WindowExecutor):
             self._chaos_installed = True
         sched = DynamicScheduler(tasks, start, end, worker_ok,
                                  pipeline_depth=PIPELINE_DEPTH,
-                                 lookahead=self.lookahead)
-        if eligible:
-            self._spawn_pool(min(self.workers, eligible))
+                                 lookahead=self.lookahead,
+                                 driver_helps=self.driver_helps)
+        if forks:
+            self._spawn_pool(forks)
             for wid in self._pool:
                 sched.add_worker(wid)
         return sched
@@ -560,8 +592,9 @@ class ProcessExecutor(WindowExecutor):
         t = self.graph.tasks[tid]
         assert self._ledger is not None
         if lane is None:
-            # The driver lane: tasks touching driver-local state run
-            # the same attempt body inline.
+            # The driver lane: tasks touching driver-local state, and
+            # the helping driver's own share of the rest, run the same
+            # attempt body inline.
             self._ledger.arm(t)
             res = run_attempt(
                 t, self.fns.get(tid), attempt, injector=self.injector,

@@ -6,8 +6,9 @@ The model is dask-style central scheduling: the driver
 hands *ready* tasks (dependency count reached zero) to lanes as
 completions stream back.  The processes backend registers one lane per
 forked worker; the threads backend registers a single lane over its
-whole pool (shared memory needs no placement or stealing) and makes the
-driver one more lane.  Five policies live here:
+whole pool (shared memory needs no placement or stealing); on both the
+driver is one more lane unless it has a transport to watch.  Five
+policies live here:
 
 * **Dependency counting** — each task carries the number of
   unfinished in-window predecessors; a completion decrements its

@@ -1,9 +1,16 @@
 """Zero-copy shared-memory tile storage for the processes backend.
 
 Tiles that worker processes read or write live in POSIX shared memory
-(:mod:`multiprocessing.shared_memory`), one segment per tile, so a
-forked worker maps the parent's tile *in place* — dispatching a task
-ships only a few hundred bytes of metadata, never matrix data.
+(:mod:`multiprocessing.shared_memory`), **one segment per matrix**, so
+a forked worker maps the parent's tiles *in place* — dispatching a
+task ships only a few hundred bytes of metadata, never matrix data.
+The first pin of any tile of a matrix creates the segment for the
+whole matrix (one ``shm_open`` + ``mmap``; tmpfs hands pages out lazily
+and zeroed, so tiles that are never pinned cost no memory); pinning a
+tile installs a view into it.  Every tile is C-contiguous at a fixed
+64-byte-aligned offset derived from the matrix's ``row_heights`` x
+``col_widths``, so a tile pinned by a later window lands in the same
+segment at the same place.
 
 Lifecycle rules (all enforced here):
 
@@ -42,6 +49,10 @@ __all__ = ["SharedTileStore", "scan_segments"]
 
 _SHM_DIR = "/dev/shm"
 
+#: Tile offsets inside a segment are multiples of this (a cache line;
+#: the mapping itself is page-aligned).
+_ALIGN = 64
+
 
 def scan_segments(prefix: str) -> List[str]:
     """Names of OS-level shared-memory segments carrying ``prefix``.
@@ -57,18 +68,43 @@ def scan_segments(prefix: str) -> List[str]:
         return []
 
 
-class _Segment:
-    __slots__ = ("shm", "array", "refs")
+def _layout(mat: Any) -> Tuple[List[List[int]], int]:
+    """Byte offset of every tile of ``mat`` in its segment (tile-row
+    major, each tile padded to ``_ALIGN``) and the segment's size."""
+    item = mat.dtype.itemsize
+    offsets: List[List[int]] = []
+    at = 0
+    for h in mat.row_heights:
+        row = []
+        for w in mat.col_widths:
+            row.append(at)
+            at += -(-h * w * item // _ALIGN) * _ALIGN
+        offsets.append(row)
+    return offsets, max(at, 1)
 
-    def __init__(self, shm: shared_memory.SharedMemory,
-                 array: np.ndarray, refs: int):
-        self.shm = shm
-        self.array = array
-        self.refs = refs
+
+class _Segment:
+    """One matrix's shared-memory segment."""
+
+    __slots__ = ("name", "shm", "offsets", "mat", "views", "refs")
+
+    def __init__(self, name: str, mat: Any):
+        self.name = name
+        self.offsets, nbytes = _layout(mat)
+        self.shm = shared_memory.SharedMemory(name=name, create=True,
+                                              size=nbytes)
+        #: Weak: close() evacuates the matrix's shm-backed tiles into
+        #: private copies before unlinking (results must outlive the
+        #: store; a stale view would be a use-after-unmap segfault,
+        #: not an exception).
+        self.mat = weakref.ref(mat)
+        #: (i, j) -> the view installed in the matrix: the pinned tiles.
+        self.views: Dict[Tuple[int, int], np.ndarray] = {}
+        self.refs = 1
 
 
 class SharedTileStore:
-    """Parent-side registry of shared-memory tile segments."""
+    """Parent-side registry of shared-memory matrix segments."""
 
     def __init__(self, prefix: Optional[str] = None):
         if prefix is None:
@@ -76,72 +112,66 @@ class SharedTileStore:
         self.prefix = prefix
         #: Optional lifecycle observer (DistSan refcount audit):
         #: ``observer(kind, segment_name, refs_after, ref)`` with kind
-        #: one of pin/incref/decref/unlink/evacuate/close.
+        #: one of create/pin/incref/decref/unlink/evacuate/close.
         self.observer = None
         self._lock = threading.Lock()
         self._seq = 0
         self._segments: Dict[str, _Segment] = {}
-        #: (mat_id, i, j) -> segment name: a pinned tile keeps its segment.
-        self._of_ref: Dict[Tuple[int, int, int], str] = {}
-        self._mat_refs: Dict[int, List[str]] = {}
-        #: mat_id -> weakref to the matrix, so close() can evacuate
-        #: shm-backed tiles into private copies before unlinking
-        #: (results must outlive the store; a stale view would be a
-        #: use-after-unmap segfault, not an exception).
-        self._mats: Dict[int, "weakref.ref"] = {}
+        #: mat_id -> its segment's name: a matrix keeps its segment.
+        self._of_mat: Dict[int, str] = {}
         self._closed = False
 
     # -- allocation ------------------------------------------------------
 
-    def _new_segment(self, shape: Tuple[int, ...],
-                     dtype: np.dtype) -> Tuple[str, np.ndarray]:
-        nbytes = max(1, int(np.prod(shape)) * np.dtype(dtype).itemsize)
+    def _new_segment(self, mat: Any) -> _Segment:
         with self._lock:
             if self._closed:
                 raise RuntimeError("SharedTileStore is closed")
             self._seq += 1
             name = f"{self.prefix}_{self._seq}"
-        shm = shared_memory.SharedMemory(name=name, create=True,
-                                         size=nbytes)
-        arr = np.ndarray(shape, dtype=dtype, buffer=shm.buf)
-        arr.fill(0)
+        seg = _Segment(name, mat)
         with self._lock:
-            self._segments[name] = _Segment(shm, arr, refs=1)
-        return name, arr
+            self._segments[name] = seg
+        self._of_mat[mat.mat_id] = name
+        # The matrix owns the initial reference.
+        weakref.finalize(mat, self._decref_name, name)
+        if self.observer is not None:
+            self.observer("create", name, 1, ())
+        return seg
 
     def pin_tile(self, mat: Any, i: int, j: int,
                  shape: Tuple[int, ...], dtype: np.dtype) -> np.ndarray:
         """Ensure tile ``(i, j)`` of ``mat`` is backed by shared memory.
 
-        Idempotent: a tile that has its segment keeps it (nothing
-        rebinds a tile once pinned — ``DistMatrix.set_tile`` writes
-        through).  The first pin moves the heap array's contents into a
-        new segment; an unmaterialised (``None`` = lazily-zero) tile is
-        materialised as zeros.  Returns the shm-backed array installed
-        in ``mat._tiles``.
+        Idempotent: a pinned tile keeps its view (nothing rebinds a
+        tile once pinned — ``DistMatrix.set_tile`` writes through).
+        The first pin of any tile creates the matrix's segment; pinning
+        a tile copies the heap array's contents to the tile's place in
+        it, and an unmaterialised (``None`` = lazily-zero) tile costs
+        nothing — fresh shared-memory pages read as zeros.  Returns the
+        shm-backed array installed in ``mat._tiles``.
         """
         key = (i, j)
-        ref = (mat.mat_id, i, j)
-        seg = self._segments.get(self._of_ref.get(ref))
-        if seg is not None:
-            return seg.array
-        first = not self._mat_refs.get(mat.mat_id)
-        name, arr = self._new_segment(shape, dtype)
-        self._of_ref[ref] = name
-        names = self._mat_refs.setdefault(mat.mat_id, [])
-        names.append(name)
-        self._mats[mat.mat_id] = weakref.ref(mat)
-        if self.observer is not None:
-            self.observer("pin", name, 1, ref)
-        if first:
-            # One finalizer per matrix releases every segment the
-            # matrix ever owned (the list keeps growing after
-            # registration — it is captured by reference).
-            weakref.finalize(mat, self._release_many, names)
+        seg = self._segments.get(self._of_mat.get(mat.mat_id, ""))
+        if seg is None:
+            seg = self._new_segment(mat)
+        arr = seg.views.get(key)
+        if arr is not None:
+            return arr
+        if (tuple(shape) != (mat.row_heights[i], mat.col_widths[j])
+                or np.dtype(dtype) != mat.dtype):
+            raise ValueError(
+                f"tile ({i},{j}) of matrix {mat.mat_id} is "
+                f"{(mat.row_heights[i], mat.col_widths[j])} {mat.dtype}, "
+                f"not {tuple(shape)} {np.dtype(dtype)}")
+        arr = np.ndarray(shape, dtype=dtype, buffer=seg.shm.buf,
+                         offset=seg.offsets[i][j])
         cur = mat._tiles.get(key)
         if cur is not None:
             arr[...] = cur
-        mat._tiles[key] = arr
+        mat._tiles[key] = seg.views[key] = arr
+        if self.observer is not None:
+            self.observer("pin", seg.name, seg.refs, (mat.mat_id, i, j))
         return arr
 
     # -- refcounting -----------------------------------------------------
@@ -176,13 +206,9 @@ class SharedTileStore:
         if self.observer is not None:
             self.observer("unlink", name, 0, ())
 
-    def _release_many(self, names: List[str]) -> None:
-        for name in names:
-            self._decref_name(name)
-
     @staticmethod
     def _destroy(seg: _Segment) -> None:
-        seg.array = None  # drop our view before closing the mapping
+        seg.views.clear()  # drop our views before closing the mapping
         # BufferError: someone still holds a numpy view (snapshot, user
         # code).  The mapping stays until those views die; unlink below
         # still removes the /dev/shm entry, so nothing leaks.
@@ -205,11 +231,9 @@ class SharedTileStore:
         with self._lock:
             segs = list(self._segments.values())
             self._segments.clear()
-            self._of_ref.clear()
-            self._mat_refs.clear()
-            self._mats.clear()
+            self._of_mat.clear()
         for seg in segs:
-            seg.array = None
+            seg.views.clear()
             # BufferError: an inherited numpy view is still alive in a
             # payload closure; the mapping dies with the process anyway.
             with contextlib.suppress(BufferError):
@@ -223,7 +247,12 @@ class SharedTileStore:
             return 0 if seg is None else seg.refs
 
     def segment_of(self, ref: Tuple[int, int, int]) -> Optional[str]:
-        return self._of_ref.get(ref)
+        """Name of the segment backing tile ``ref``; ``None`` while the
+        tile is not pinned (whether or not its matrix has a segment)."""
+        seg = self._segments.get(self._of_mat.get(ref[0], ""))
+        if seg is None or (ref[1], ref[2]) not in seg.views:
+            return None
+        return seg.name
 
     def live_segments(self) -> List[str]:
         with self._lock:
@@ -250,17 +279,14 @@ class SharedTileStore:
         use-after-free on the next read — a segfault, not an exception.
         """
         with self._lock:
-            refs = list(self._of_ref.items())
-            mats = dict(self._mats)
-            segs = dict(self._segments)
-        for (mat_id, i, j), name in refs:
-            mat = mats.get(mat_id)
-            mat = mat() if mat is not None else None
-            seg = segs.get(name)
-            if mat is None or seg is None:
+            segs = list(self._segments.values())
+        for seg in segs:
+            mat = seg.mat()
+            if mat is None:
                 continue
-            if mat._tiles.get((i, j)) is seg.array:
-                mat._tiles[(i, j)] = np.array(seg.array)
+            for key, view in seg.views.items():
+                if mat._tiles.get(key) is view:
+                    mat._tiles[key] = np.array(view)
 
     def close(self) -> None:
         """Unlink every live segment.  Idempotent.
@@ -276,15 +302,13 @@ class SharedTileStore:
         if self.observer is not None:
             self.observer("evacuate", "", -1, ())
         with self._lock:
-            named = list(self._segments.items())
+            segs = list(self._segments.values())
             self._segments.clear()
-            self._of_ref.clear()
-            self._mat_refs.clear()
-            self._mats.clear()
-        for name, seg in named:
+            self._of_mat.clear()
+        for seg in segs:
             self._destroy(seg)
             if self.observer is not None:
-                self.observer("unlink", name, 0, ())
+                self.observer("unlink", seg.name, 0, ())
         if self.observer is not None:
             self.observer("close", "", -1, ())
 

@@ -1,14 +1,18 @@
 """Worker-process side of the distributed runtime.
 
-Workers are **forked per execution window**.  Task payloads recorded
-by the deferred runtime are closures over driver objects (tile
-payloads, ``QRFactors``, scalar boxes) and are not picklable, so
-instead of shipping code we ship *nothing*: the fork inherits the task
-graph, the payload table, and every shared-memory tile mapping
-copy-on-write, and the parent then streams tiny ``task`` messages
-(tid + attempt) over the comm layer.  Every tile a task touches is
-shared memory, so payload writes land directly in the parent's (and
-every sibling's) view — zero-copy by construction.
+Workers are **forked per execution window** — ``workers - 1`` of them
+beside a driver that is itself a lane, ``workers`` beside one that only
+dispatches (:meth:`~repro.runtime.window.WindowExecutor._lanes`).  Task
+payloads recorded by the deferred runtime are closures over driver
+objects (tile payloads, ``QRFactors``, scalar boxes) and are not
+picklable, so instead of shipping code we ship *nothing*: the fork
+inherits the task graph, the payload table, and every shared-memory
+mapping (one segment per matrix) copy-on-write, and the parent then
+streams tiny ``task`` messages (tid + attempt) over the comm layer.
+Every tile a task touches is a view into shared memory, so payload
+writes land directly in the parent's (and every sibling's) view —
+zero-copy by construction — and so do the writes of the tasks the
+driver runs itself while the workers run theirs.
 
 What executes here is :func:`repro.runtime.attempt.run_attempt`, the
 same attempt body the threaded executor's workers and the driver lane

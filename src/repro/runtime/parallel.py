@@ -221,12 +221,11 @@ class ParallelExecutor(WindowExecutor):
         does not pay for a hand-off registers no lane and creates no
         pool: the driver lane runs all of it."""
         self._prepare(start, end)
-        helps = not self._watch
-        threads = self.workers - 1 if helps else self.workers
-        if not self._pays(start, end):
-            threads = 0
+        helps = self.driver_helps
+        threads = self._lanes(end - start if self._pays(start, end) else 0)
         if threads and self._pool is None:
-            size = threads
+            # Sized for the widest window, not the first one that pays.
+            size = self._lanes(self.workers)
             if self._watch:
                 # Headroom so speculative backups and retries are not
                 # queued behind stall-sleeping originals: primaries are

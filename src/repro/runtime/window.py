@@ -23,7 +23,10 @@ once, here, in three parts:
   all — no thread, no fork, nothing pinned into shared memory — and
   runs on the driver lane through the transport's own attempt body,
   the way SLATE keeps latency-bound work on the host; a window that
-  answers yes is placed by its transport.
+  answers yes gets :meth:`~WindowExecutor._lanes` lanes besides the
+  driver — ``workers=W`` is W lanes on every transport, the driver one
+  of them unless it exercises its transport — and is placed by its
+  transport.
 * **Transport** — a subclass that moves attempts to whatever workers
   exist through at most five hooks: ``_open(start, end)`` builds the
   window's scheduler and registers lanes, ``_send(lane, tid, attempt)``
@@ -301,6 +304,25 @@ class WindowExecutor:
             return True
         return any(t.flops >= LANE_MIN_FLOPS or t.flops == 0
                    for t in self.graph.tasks[start:end])
+
+    @property
+    def driver_helps(self) -> bool:
+        """True when the driver is itself an execution lane (OpenMP
+        ``taskwait``: the thread that waits works).  A driver that
+        exercises its transport only dispatches — it has to keep
+        scanning for stalls, timeouts, crashes and heartbeats, and the
+        recorded run of a DistSan recorder must cross the wire."""
+        return not self.exercises_transport
+
+    def _lanes(self, eligible: int) -> int:
+        """The lane arithmetic, once for both transports: how many
+        lanes *besides the driver* (pool threads, forked workers) a
+        window gets whose ``eligible`` tasks may leave the driver —
+        0 for a window that does not pay.  ``workers=W`` is W lanes:
+        where the driver helps it is one of them, so ``workers=1``
+        starts nothing; never more lanes than tasks to put on them."""
+        lanes = min(self.workers, eligible)
+        return max(0, lanes - 1) if self.driver_helps else lanes
 
     # -- lifecycle -----------------------------------------------------
 

@@ -188,20 +188,46 @@ class TestDynamicScheduler:
         assert s.next_for(0) == 1
 
 
+#: (m, n, nb, row_heights): uniform / ragged last tile / nb > n / the
+#: stacked [sqrt(c) A; I] workspace, whose identity block starts at an
+#: arbitrary row.
+STORE_SHAPES = [(8, 8, 4, None), (11, 7, 4, None), (5, 3, 8, None),
+                (13, 6, 4, (4, 3, 4, 2))]
+
+DTYPES = [np.float32, np.float64, np.complex64, np.complex128]
+
+
 class TestSharedTileStore:
+    """One segment per matrix; a pinned tile is a view into it."""
+
     def _mat(self, rt, n=8, nb=4):
         a = np.arange(n * n, dtype=np.float64).reshape(n, n)
         return a, DistMatrix.from_array(rt, a, nb)
+
+    @staticmethod
+    def _pin(store, d, i, j):
+        return store.pin_tile(d, i, j, (d.tile_rows(i), d.tile_cols(j)),
+                              d.dtype)
 
     def test_pin_is_idempotent_and_scannable(self):
         rt = Runtime(ProcessGrid(1, 1))
         _, d = self._mat(rt)
         store = SharedTileStore()
-        arr = store.pin_tile(d, 0, 0, (4, 4), np.float64)
+        assert store.segment_of(d.ref(0, 0)) is None
+        arr = self._pin(store, d, 0, 0)
         assert d._tiles[(0, 0)] is arr
-        assert store.pin_tile(d, 0, 0, (4, 4), np.float64) is arr
+        assert self._pin(store, d, 0, 0) is arr
         assert len(store.live_segments()) == 1
         assert scan_segments(store.prefix) == store.live_segments()
+        # The matrix has its segment; its other tiles are not pinned
+        # until someone pins them, and then land in the same segment.
+        assert store.segment_of(d.ref(1, 1)) is None
+        self._pin(store, d, 1, 1)
+        assert (store.segment_of(d.ref(1, 1))
+                == store.segment_of(d.ref(0, 0))
+                == store.live_segments()[0])
+        with pytest.raises(ValueError):
+            store.pin_tile(d, 0, 1, (4, 3), np.float64)
         store.close()
         rt.close()
 
@@ -209,11 +235,11 @@ class TestSharedTileStore:
         rt = Runtime(ProcessGrid(1, 1))
         _, d = self._mat(rt)
         store = SharedTileStore()
-        arr = store.pin_tile(d, 0, 0, (4, 4), np.float64)
+        arr = self._pin(store, d, 0, 0)
         d.set_tile(0, 0, np.full((4, 4), 7.0))
         assert d._tiles[(0, 0)] is arr      # one buffer for life
         assert np.array_equal(arr, np.full((4, 4), 7.0))
-        assert store.pin_tile(d, 0, 0, (4, 4), np.float64) is arr
+        assert self._pin(store, d, 0, 0) is arr
         assert len(store.live_segments()) == 1
         store.close()
         rt.close()
@@ -222,7 +248,8 @@ class TestSharedTileStore:
         rt = Runtime(ProcessGrid(1, 1))
         _, d = self._mat(rt)
         store = SharedTileStore()
-        store.pin_tile(d, 0, 0, (4, 4), np.float64)
+        self._pin(store, d, 0, 0)
+        self._pin(store, d, 1, 0)           # same segment, same count
         name = store.segment_of((d.mat_id, 0, 0))
         assert store.refcount(name) == 1
         store.incref(name)
@@ -237,15 +264,19 @@ class TestSharedTileStore:
     def test_close_unlinks_everything_and_is_idempotent(self):
         rt = Runtime(ProcessGrid(1, 1))
         _, d = self._mat(rt)
+        _, e = self._mat(rt)
         store = SharedTileStore()
         for i in range(2):
             for j in range(2):
-                store.pin_tile(d, i, j, (4, 4), np.float64)
-        assert len(scan_segments(store.prefix)) == 4
+                self._pin(store, d, i, j)
+        self._pin(store, e, 1, 0)
+        assert len(scan_segments(store.prefix)) == 2    # one a matrix
         store.close()
         assert scan_segments(store.prefix) == []
         assert store.closed
         store.close()                       # idempotent
+        with pytest.raises(RuntimeError):
+            self._pin(store, self._mat(rt)[1], 0, 0)
         rt.close()
 
     def test_close_evacuates_live_results(self):
@@ -255,13 +286,85 @@ class TestSharedTileStore:
         rt = Runtime(ProcessGrid(1, 1))
         a, d = self._mat(rt)
         store = SharedTileStore()
-        for i in range(2):
-            for j in range(2):
-                store.pin_tile(
-                    d, i, j, (d.tile_rows(i), d.tile_cols(j)),
-                    np.float64)
+        views = [self._pin(store, d, i, j)
+                 for i in range(2) for j in range(2)]
         store.close()
+        assert not any(d._tiles[k] is v
+                       for k, v in zip(sorted(d._tiles), views))
+        del views
         assert np.array_equal(d.to_array(), a)
+        rt.close()
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize(
+        "m, n, nb, rows", STORE_SHAPES,
+        ids=["uniform", "ragged", "nb>n", "stacked-rows"])
+    def test_one_segment_per_matrix(self, dtype, m, n, nb, rows):
+        rng = np.random.default_rng(5)
+        a = rng.standard_normal((m, n)).astype(dtype)
+        rt = Runtime(ProcessGrid(1, 1))
+        d = DistMatrix(rt, m, n, nb, dtype=dtype, row_heights=rows)
+        keys = [(i, j) for i in range(d.mt) for j in range(d.nt)]
+        lazy = keys[-1]                     # never written: lazily zero
+        for i, j in keys[:-1]:
+            r0, c0 = d.row_offsets[i], d.col_offsets[j]
+            d.set_tile(i, j, a[r0:r0 + d.tile_rows(i),
+                               c0:c0 + d.tile_cols(j)])
+        want = d.to_array()
+        with SharedTileStore() as store:
+            # Two "windows": the second pins what the first left out,
+            # into the same segment.
+            first, later = keys[::2], keys[1::2]
+            views = {k: self._pin(store, d, *k) for k in first}
+            assert all(store.segment_of(d.ref(*k)) is None for k in later)
+            views.update((k, self._pin(store, d, *k)) for k in later)
+            name, = store.live_segments()
+            assert scan_segments(store.prefix) == [name]
+            assert all(store.segment_of(d.ref(*k)) == name for k in keys)
+            assert all(self._pin(store, d, *k) is views[k] for k in keys)
+            assert all(d._tiles[k] is views[k] for k in keys)
+            # Disjoint, 64-byte-aligned, C-contiguous byte ranges.
+            spans = sorted(
+                (v.__array_interface__["data"][0], v.nbytes)
+                for v in views.values())
+            assert all(at % 64 == 0 for at, _ in spans)
+            assert all(at + size <= nxt for (at, size), (nxt, _)
+                       in zip(spans, spans[1:]))
+            assert all(v.flags.c_contiguous and v.dtype == d.dtype
+                       and v.shape == (d.tile_rows(i), d.tile_cols(j))
+                       for (i, j), v in views.items())
+            assert not views[lazy].any()    # fresh pages read as zeros
+            assert np.array_equal(d.to_array(), want)
+            # set_tile writes through the view, into this tile only.
+            d.set_tile(*lazy, np.full(views[lazy].shape, 3, dtype=dtype))
+            assert d._tiles[lazy] is views[lazy] and (views[lazy] == 3).all()
+            want[d.row_offsets[lazy[0]]:, d.col_offsets[lazy[1]]:] = 3
+            assert np.array_equal(d.to_array(), want)
+            del views
+        # close() evacuated: the matrix stays readable and private.
+        assert scan_segments(store.prefix) == []
+        assert np.array_equal(d.to_array(), want)
+        rt.close()
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_dropping_the_matrix_unlinks_its_segment(self, dtype):
+        import gc
+
+        rt = Runtime(ProcessGrid(1, 1))
+        with SharedTileStore() as store:
+            keep = DistMatrix(rt, 8, 8, 4, dtype=dtype)
+            gone = DistMatrix(rt, 9, 5, 4, dtype=dtype)
+            for d in (keep, gone):
+                for i in range(d.mt):
+                    for j in range(d.nt):
+                        self._pin(store, d, i, j)
+            kept = store.segment_of(keep.ref(0, 0))
+            assert len(scan_segments(store.prefix)) == 2
+            del gone, d
+            gc.collect()
+            assert scan_segments(store.prefix) == [kept]
+            assert store.live_segments() == [kept]
+        assert scan_segments(store.prefix) == []
         rt.close()
 
 
@@ -337,17 +440,20 @@ def _sigkill_after(monkeypatch, after):
     """One SIGKILL of a live worker once ``after`` tasks are accounted
     for, from the driver's own tick — mid-run on any host, at any load
     (a wall-clock crash time can fall before the first fork or after
-    the last window).  Returns the list the kill is recorded in."""
+    the last window).  The victim holds an attempt, so its death is
+    always a crash with something to replay (an idle one dying as its
+    window drains is a clean exit).  Returns the list the kill is
+    recorded in."""
     from repro.runtime import ProcessExecutor
 
     tick, fired = ProcessExecutor._tick, []
 
     def crashing_tick(ex, now):
-        alive = [w for w in ex._pool.values()
-                 if w.proc.is_alive() and w.kill_reason is None]
-        if not fired and ex.stats.tasks_run >= after and alive:
+        busy = [w for w in ex._pool.values()
+                if w.sent and w.proc.is_alive() and w.kill_reason is None]
+        if not fired and ex.stats.tasks_run >= after and busy:
             fired.append(ex.stats.tasks_run)
-            ex._kill(alive[1 % len(alive)],
+            ex._kill(busy[1 % len(busy)],
                      f"injected crash after {after} tasks")
         return tick(ex, now)
 
@@ -443,13 +549,26 @@ class TestWorkerDeathByHand:
             while time.time() < deadline and not killed["done"]:
                 ex = rt._executor
                 pool = getattr(ex, "_pool", None) if ex else None
-                if pool:
-                    for w in list(pool.values()):
-                        if w.proc.is_alive():
+                for w in list(pool.values()) if pool else ():
+                    if not (w.proc.is_alive() and w.sent):
+                        continue
+                    # Freeze it first: what it still holds once the
+                    # replies already on the wire are accepted, it
+                    # holds when it dies — a crash with something to
+                    # replay.  (An idle worker dying beside a helping
+                    # driver costs nothing and may go unnoticed until
+                    # its window has drained.)
+                    try:
+                        os.kill(w.pid, signal.SIGSTOP)
+                        time.sleep(0.02)
+                        if w.sent:
                             os.kill(w.pid, signal.SIGKILL)
                             killed["done"] = True
                             return
-                time.sleep(0.005)
+                        os.kill(w.pid, signal.SIGCONT)
+                    except ProcessLookupError:
+                        pass        # its window ended under us
+                time.sleep(0.001)
 
         import threading
         t = threading.Thread(target=killer)
@@ -509,8 +628,9 @@ class TestDriverLaneWindows:
             low = np.tril(z.to_array())
             stats = rt.exec_stats
             assert stats.windows == 1
-            assert stats.forks == 2
-            assert stats.comm_messages > 0
+            assert stats.forks == 1         # workers=2: driver + one fork
+            assert 0 < stats.shipped < stats.tasks_run
+            assert stats.comm_messages == 2 * (stats.shipped + stats.forks)
         ref = 64.0 * np.eye(64) + a.T @ a
         assert np.allclose(low @ low.T, ref, rtol=1e-12, atol=1e-12)
 
@@ -523,7 +643,8 @@ class TestDriverLaneWindows:
         u, h, res, stats, leaked, shm = _run_processes(a, 128, 2)
         assert np.array_equal(u, u0) and np.array_equal(h, h0)
         assert leaked == 0 and shm == []
-        assert 0 < stats.forks // 2 <= res.iterations + 3 < stats.windows
+        # workers=2 is the driver plus one fork per forking window.
+        assert 0 < stats.forks <= res.iterations + 3 < stats.windows
         assert stats.shipped > 0 and stats.comm_messages > 0
 
     def test_due_crash_waits_for_a_worker(self):
@@ -643,16 +764,85 @@ class TestPlacement:
             assert rt.exec_stats.forks == 0
             assert scan_segments(ex.store.prefix) == []
             got = next(run)
-            assert rt.exec_stats.forks == 2
-            assert rt.exec_stats.shipped == 8
+            # 8 GEMMs on two lanes: the driver runs its share, the one
+            # fork the rest.
+            assert rt.exec_stats.forks == 1
+            assert 0 < rt.exec_stats.shipped < 8
             pinned = [m.ref(i, j) for m in (d, b, c)
                       for i in range(2) for j in range(2)]
             assert all(ex.store.segment_of(ref) is not None
                        for ref in pinned)
-            assert len(ex.store.live_segments()) == len(pinned)
+            assert len(ex.store.live_segments()) == 3   # one a matrix
             assert all(ex.store.segment_of(e.ref(i, j)) is None
                        for i in range(2) for j in range(2))
         assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_workers_are_lanes_and_the_driver_is_one(self, monkeypatch,
+                                                     workers):
+        # workers=W is W lanes on processes as on threads: the driver
+        # plus W - 1 forks in each of the 7 windows that pay at
+        # 384^2 / nb=192.  workers=1 is the driver alone: no fork, no
+        # frame, nothing pinned, the eager bits.
+        from repro.obs.timeline import TimelineSink
+        from repro.runtime import ProcessExecutor
+
+        a = generate_matrix(384, cond=1e4, seed=1)
+        u0, h0, _ = _run_eager(a, 192)
+        during, shut = [], ProcessExecutor._shut
+
+        def sampling_shut(ex, failure):
+            during.append((len(ex._pool), scan_segments(ex.store.prefix)))
+            return shut(ex, failure)
+
+        monkeypatch.setattr(ProcessExecutor, "_shut", sampling_shut)
+        sink = TimelineSink()
+        with Runtime(ProcessGrid(1, 1), sink=sink) as rt:
+            d = DistMatrix.from_array(rt, a.copy(), 192)
+            res = tiled_qdwh(rt, d, backend="processes", workers=workers)
+            u, h = res.u.to_array(), res.h.to_array()
+            stats = rt.exec_stats
+            assert rt._executor.inflight_attempts == 0
+        assert np.array_equal(u, u0) and np.array_equal(h, h0)
+        assert sorted(n for n, _ in during if n) == [workers - 1] * (
+            7 if workers > 1 else 0)
+        assert stats.forks == 7 * (workers - 1)
+        assert stats.comm_messages == 2 * (stats.shipped + stats.forks)
+        slots = {e.slot for e in sink.tasks}
+        assert slots == {"drv"} | {f"w{k}" for k in range(workers - 1)}
+        if workers == 1:
+            assert stats.shipped == 0
+            assert all(seen == [] for _, seen in during)
+
+    @pytest.mark.usefixtures("lanes_for_tiny_tiles")
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("m, n, nb", SMALL_SHAPES,
+                             ids=["square", "tall-ragged", "nb>n"])
+    def test_any_lane_count_gives_the_eager_bits(self, dtype, m, n, nb):
+        # Lanes forced onto tiny tiles: every window forks, the driver
+        # works beside the forks, and U and H are the eager bits on
+        # every lane count of both real backends.
+        a = generate_matrix(m, n, cond=1e3, dtype=dtype, seed=36)
+        with Runtime(ProcessGrid(1, 1)) as rt:
+            r0 = tiled_qdwh(rt, DistMatrix.from_array(rt, a.copy(), nb))
+            u0, h0 = r0.u.to_array(), r0.h.to_array()
+        forks = {}
+        for backend, workers in (("threads", 1), ("threads", 2),
+                                 ("threads", 4), ("processes", 1),
+                                 ("processes", 2), ("processes", 3)):
+            with Runtime(ProcessGrid(1, 1)) as rt:
+                d = DistMatrix.from_array(rt, a.copy(), nb)
+                res = tiled_qdwh(rt, d, backend=backend, workers=workers)
+                assert np.array_equal(res.u.to_array(), u0), (backend, workers)
+                assert np.array_equal(res.h.to_array(), h0), (backend, workers)
+                assert rt._executor.inflight_attempts == 0
+                forks[backend, workers] = rt.exec_stats.forks
+                prefix = getattr(rt._executor, "store", None)
+            if prefix is not None:
+                assert scan_segments(prefix.prefix) == []
+        assert forks["processes", 1] == 0
+        if a.shape[1] > nb:                 # more than one tile: lanes
+            assert 0 < forks["processes", 2] < forks["processes", 3]
 
     @pytest.mark.parametrize("subject", ["crash-plan", "recorder"])
     def test_transport_under_test_ships_tiny_tiles(self, subject):
@@ -685,34 +875,42 @@ class TestOneDataPlane:
     workers through the shared-memory store like every other tile, the
     wire carries control frames only, and nothing rebinds a tile."""
 
-    def test_wire_carries_control_only(self):
-        # 384^2 / nb=192: the 7 factorization windows fork (14 forks),
-        # 279 attempts ship: the 268 of when reduction partials were
-        # hand-built refs, plus the partials that sit in forked windows
-        # — 3 rnorm1 (the upper triangle of a 2 x 2 R) beside the
-        # condest QR and 4 normf.part in each of the 2 QR-iteration
-        # windows (the Cholesky iterations sync first, so their
-        # convergence norms are driver-only windows of their own).
-        # Before the factors were tiles their arrays were pickled
-        # through this socket, 43 KB a message.
+    def test_wire_carries_control_only(self, monkeypatch):
+        # 384^2 / nb=192: the 7 factorization windows fork — one
+        # process each, workers=2 being the driver plus one fork — and
+        # 279 attempts in them are worker-eligible: the 268 of when
+        # reduction partials were hand-built refs, plus the partials
+        # that sit in forked windows — 3 rnorm1 (the upper triangle of
+        # a 2 x 2 R) beside the condest QR and 4 normf.part in each of
+        # the 2 QR-iteration windows (the Cholesky iterations sync
+        # first, so their convergence norms are driver-only windows of
+        # their own).  The helping driver keeps a share of the 279 for
+        # itself (which share is a race, so only its bounds are
+        # asserted); the wire carries one frame out and one back per
+        # shipped attempt, hello and shutdown per fork.  Before the
+        # factors were tiles their arrays were pickled through this
+        # socket, 43 KB a message.
         a = generate_matrix(384, cond=1e4, seed=1)
         u0, h0, _ = _run_eager(a, 192)
-        u, h, res, stats, leaked, shm = _run_processes(a, 192, 2)
+        forked, stats, u, h = self._placement(monkeypatch, a, workers=2)
         assert np.array_equal(u, u0) and np.array_equal(h, h0)
-        assert (stats.shipped, stats.forks) == (279, 14)
-        # One frame out and one back per attempt; hello and shutdown
-        # per fork.
+        eligible = sum(len(tids - driver_only)
+                       for tids, driver_only, _ in forked)
+        assert (eligible, stats.forks) == (279, 7)
+        assert 0 < stats.shipped < eligible
         assert stats.comm_messages == 2 * (stats.shipped + stats.forks)
         assert stats.comm_bytes / stats.comm_messages < 2048
-        assert leaked == 0 and shm == []
 
-    def test_only_a_scalar_ref_pins_a_task_to_the_driver(self, monkeypatch):
-        # Every ref is a DistMatrix tile or a scalar box, so in a
-        # forked window the driver lane runs exactly the tasks with no
-        # payload or with a scalar ref — observed on the timeline, not
-        # read back from the placement code.
+    @staticmethod
+    def _placement(monkeypatch, a, workers, recorder=False, **rt_kw):
+        """``a`` at nb=192 on processes(workers), read off the timeline:
+        per window that put a task on a worker, ``(tids, driver-only
+        tids, tids that ran on a worker)`` — driver-only = no payload
+        or a scalar ref — then the executor's stats, U and H.  Leaks
+        fail here."""
         from repro.obs.timeline import TimelineSink
         from repro.runtime import ProcessExecutor
+        from repro.runtime.distributed.events import DistTraceRecorder
 
         windows, run = [], ProcessExecutor.run
 
@@ -721,29 +919,72 @@ class TestOneDataPlane:
             return run(ex, start, end)
 
         monkeypatch.setattr(ProcessExecutor, "run", spy)
-        a = generate_matrix(384, cond=1e4, seed=1)
         sink = TimelineSink()
-        with Runtime(ProcessGrid(1, 1), sink=sink) as rt:
+        with Runtime(ProcessGrid(1, 1), sink=sink, **rt_kw) as rt:
+            if recorder:
+                rt.dist_recorder = DistTraceRecorder()
             d = DistMatrix.from_array(rt, a.copy(), 192)
-            tiled_qdwh(rt, d, backend="processes", workers=2)
+            res = tiled_qdwh(rt, d, backend="processes", workers=workers)
+            u, h = res.u.to_array(), res.h.to_array()
             tasks, owner = rt.graph.tasks, rt.graph.tile_owner
-            scalar_mat = rt.scalar_mat
+            scalar_mat, stats = rt.scalar_mat, rt.exec_stats
+            assert rt._executor.inflight_attempts == 0
+            prefix = rt._executor.store.prefix
+        assert scan_segments(prefix) == []
         on_worker = {ev.tid for ev in sink.tasks if ev.slot != "drv"}
-        forked = 0
+        forked = []
         for start, end, payloads in windows:
             tids = set(range(start, end))
             if not tids & on_worker:
                 continue
-            forked += 1
-            pinned = set()
+            driver_only = set()
             for tid in tids:
                 refs = tasks[tid].reads + tasks[tid].writes
                 assert all(r in owner or r[0] == scalar_mat for r in refs)
                 if tid not in payloads or any(r[0] == scalar_mat
                                               for r in refs):
-                    pinned.add(tid)
-            assert tids - on_worker == pinned
-        assert forked == 7
+                    driver_only.add(tid)
+            forked.append((tids, driver_only, tids & on_worker))
+        return forked, stats, u, h
+
+    def test_only_a_scalar_ref_pins_a_task_to_the_driver(self, monkeypatch):
+        # Every ref is a DistMatrix tile or a scalar box, so in a
+        # forked window the only tasks that *must* stay on the driver
+        # are those with no payload or with a scalar ref — observed on
+        # the timeline, not read back from the placement code.  The
+        # helping driver (workers=2: itself plus one fork a window)
+        # takes some of the others too, and leaves some.
+        a = generate_matrix(384, cond=1e4, seed=1)
+        forked, stats, _, _ = self._placement(monkeypatch, a, workers=2)
+        assert len(forked) == 7 == stats.forks
+        for tids, driver_only, on_worker in forked:
+            assert not driver_only & on_worker
+            assert on_worker < tids - driver_only
+        assert stats.shipped == sum(len(w) for _, _, w in forked)
+
+    @pytest.mark.parametrize("subject",
+                             ["fault-plan", "task-timeout", "recorder"])
+    def test_dispatch_only_driver_runs_no_eligible_task(self, monkeypatch,
+                                                        subject):
+        # An executor that exercises its transport keeps the driver out
+        # of payloads: every window ships, forks min(workers, eligible)
+        # processes, and runs every worker-eligible task on a worker.
+        from repro.resilience import RecoveryPolicy, plan_from_spec
+
+        kw = {"fault-plan": dict(faults=plan_from_spec(
+                  seed=1, crash=("0@86400",))),
+              "task-timeout": dict(recovery=RecoveryPolicy(
+                  task_timeout=60.0)),
+              "recorder": dict(recorder=True)}[subject]
+        a = generate_matrix(384, cond=1e4, seed=1)
+        forked, stats, _, _ = self._placement(monkeypatch, a, workers=2,
+                                              **kw)
+        assert len(forked) > 7              # tiny windows ship too
+        for tids, driver_only, on_worker in forked:
+            assert tids - on_worker == driver_only
+        assert stats.forks == sum(min(2, len(w)) for _, _, w in forked)
+        assert stats.shipped == sum(len(w) for _, _, w in forked)
+        assert stats.recovery.crashes == 0
 
     @pytest.mark.usefixtures("lanes_for_tiny_tiles")
     def test_driver_lane_geqrt_in_a_forked_window(self, monkeypatch):
@@ -795,13 +1036,13 @@ class TestOneDataPlane:
             keys = [(i, j) for i in range(2) for j in range(2)]
             names = [store.segment_of(d.ref(*k)) for k in keys]
             arrays = [d._tiles[k] for k in keys]
-            assert None not in names and rt.exec_stats.forks == 2
+            assert None not in names and rt.exec_stats.forks == 1
             _scatter_dense(d, b)
             assert [store.segment_of(d.ref(*k)) for k in keys] == names
             assert all(d._tiles[k] is arr for k, arr in zip(keys, arrays))
             live = store.live_segments()
             gemm(rt, 1.0, d, d, 0.0, c)
             got = c.to_array()
-            assert rt.exec_stats.forks == 4
+            assert rt.exec_stats.forks == 2
             assert store.live_segments() == live
         assert np.allclose(got, b @ b, rtol=1e-12, atol=1e-12)

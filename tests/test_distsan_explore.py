@@ -60,6 +60,18 @@ class TestMutantGate:
         assert gate.clean_findings == []
         assert gate.ok
 
+    def test_only_the_forked_driver_lane_kills_the_wrong_lane_pop(self):
+        # The helping driver popping the first lane instead of the one
+        # that holds its tid is invisible with one lane (threads) and
+        # with no helping driver: only the processes placement — one
+        # lane per fork — can see it.
+        wrong = next(m for m in MUTANTS if m.name == "driver-wrong-lane")
+        killers = [sc.name for sc in builtin_scenarios()
+                   if explore(sc, scheduler=wrong.scheduler,
+                              max_schedules=600,
+                              stop_on_finding=True).findings]
+        assert killers == ["driver-lane-forked"]
+
     def test_finding_carries_replayable_schedule(self):
         from repro.analysis.dist.mutants import LostWakeupScheduler
 
@@ -100,7 +112,14 @@ class TestModelDetails:
         names = {s.name for s in builtin_scenarios()}
         assert {"chain", "diamond", "wide", "stealable",
                 "mixed-driver", "crashy", "no-lane", "no-worker"} <= names
-        assert len(names) == 11
+        assert len(names) == 12
+        # The processes placement: a helping driver beside one lane per
+        # fork, a crash budget with a replacement, the gate on.
+        forked = next(s for s in builtin_scenarios()
+                      if s.name == "driver-lane-forked")
+        assert forked.driver_helps and forked.workers == 2
+        assert forked.max_crashes == 1 and forked.lookahead is not None
+        assert not all(forked.worker_ok.values())
         # The two shapes of a window below the granularity floor: no
         # lane registered at all.
         by_name = {s.name: s for s in builtin_scenarios()}

@@ -8,10 +8,10 @@ from repro.core.tiled_qdwh import tiled_qdwh
 from repro.dist import DistMatrix, ProcessGrid
 from repro.matrices import generate_matrix
 from repro.runtime import Runtime
-from repro.runtime.distributed.events import (EV_COMPLETE, EV_DECREF,
-                                              EV_DISPATCH, EV_DRIVER,
-                                              EV_INCREF, EV_PIN, EV_UNLINK,
-                                              DistTraceRecorder)
+from repro.runtime.distributed.events import (EV_COMPLETE, EV_CREATE,
+                                              EV_DECREF, EV_DISPATCH,
+                                              EV_DRIVER, EV_INCREF, EV_PIN,
+                                              EV_UNLINK, DistTraceRecorder)
 from repro.runtime.task import Task, TaskKind
 
 REF = (7, 0, 0)
@@ -23,7 +23,9 @@ def _task(tid, deps=(), reads=(), writes=()):
 
 
 def _recorder_with_pin():
+    # One segment per matrix, one pin per tile installed in it.
     rec = DistTraceRecorder()
+    rec.record(EV_CREATE, segment="seg1", refs=1)
     rec.record(EV_PIN, segment="seg1", refs=1, ref=REF)
     return rec
 
@@ -145,6 +147,28 @@ class TestRefcountAudit:
         assert "refcount-double-unlink" in kinds
         assert "refcount-unknown" in kinds
 
+    def test_many_tiles_share_one_segment(self):
+        # A second tile of the matrix pinned by a later window: same
+        # segment, no second create, one unlink.
+        rec = _recorder_with_pin()
+        rec.record(EV_PIN, segment="seg1", refs=1, ref=(7, 1, 0))
+        rec.record(EV_DECREF, segment="seg1", refs=0)
+        rec.record(EV_UNLINK, segment="seg1", refs=0)
+        assert audit_refcounts(rec) == []
+        assert rec.tile_segment == {REF: "seg1", (7, 1, 0): "seg1"}
+
+    def test_repin_recreate_and_pin_after_unlink(self):
+        rec = _recorder_with_pin()
+        rec.record(EV_PIN, segment="seg1", refs=1, ref=REF)   # tile twice
+        rec.record(EV_CREATE, segment="seg1", refs=1)         # segment twice
+        rec.record(EV_DECREF, segment="seg1", refs=0)
+        rec.record(EV_UNLINK, segment="seg1", refs=0)
+        rec.record(EV_PIN, segment="seg1", refs=0, ref=(7, 1, 1))
+        rec.record(EV_PIN, segment="ghost", refs=1, ref=(8, 0, 0))
+        kinds = [f.kind for f in audit_refcounts(rec)]
+        assert kinds == ["refcount-repin", "refcount-repin",
+                         "refcount-unknown", "refcount-unknown"]
+
 
 class TestRecordedRun:
     def test_processes_qdwh_run_is_clean(self):
@@ -168,6 +192,13 @@ class TestRecordedRun:
         assert check_hb(rec, tasks) == []
         assert audit_refcounts(rec) == []
         assert check_frames(rec) == []
+        # Segments follow matrices: far fewer creates than pinned
+        # tiles, every create unlinked, every pinned tile's segment one
+        # that was created.
+        s = rec.summary()
+        assert 0 < s["create"] == s["unlink"] < s["pin"]
+        assert (set(rec.tile_segment.values())
+                == {e.segment for e in rec.events_of(EV_CREATE)})
 
     def test_recorder_off_by_default(self):
         rt = Runtime(ProcessGrid(1, 1))
