@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Set, Tuple
 
-from .task import Task, TileRef
+from .task import Task, TaskKind, TileRef
 
 
 class GraphValidationError(ValueError):
@@ -29,6 +29,59 @@ class GraphValidationError(ValueError):
         more = f" (+{len(problems) - 5} more)" if len(problems) > 5 else ""
         super().__init__(f"{len(problems)} graph invariant violation(s): "
                          f"{preview}{more}")
+
+
+class ScheduleTables:
+    """What a recorded graph says about scheduling it, on any machine.
+
+    Built once per recorded graph by :meth:`TaskGraph.schedule_tables`
+    for :func:`repro.runtime.scheduler.simulate`, which only reads it:
+
+    * ``succ[tid]`` — the dependents of ``tid``, in program order;
+    * ``dep_bytes[tid][k]`` — the payload of the edge
+      ``tasks[tid].deps[k] -> tid``: bytes of the tiles ``tid`` reads
+      that this producer wrote (0 for a pure ordering edge);
+    * ``cold[tid]`` — ``(ref, owner, nbytes)`` of each cold read;
+    * ``read_bytes[tid]`` — bytes of every tile ``tid`` reads;
+    * ``price_keys`` — the distinct ``(kind, flops, tile_dim, coarse)``
+      a task's duration depends on, and ``price_of[tid]`` the index of
+      ``tid``'s key (what a machine model prices once per key).
+    """
+
+    __slots__ = ("succ", "dep_bytes", "cold", "read_bytes", "price_keys",
+                 "price_of")
+
+    def __init__(self, graph: "TaskGraph") -> None:
+        tasks = graph.tasks
+        size = graph.tile_bytes.get
+        owner = graph.tile_owner
+        succ: List[List[int]] = [[] for _ in tasks]
+        dep_bytes: List[Tuple[int, ...]] = []
+        keys: Dict[Tuple[TaskKind, float, int, float], int] = {}
+        price_of: List[int] = []
+        for t in tasks:
+            reads = t.reads
+            row = []
+            for d in t.deps:
+                succ[d].append(t.tid)
+                wr = tasks[d].writes
+                nbytes = 0
+                for ref in reads:
+                    if ref in wr:
+                        nbytes += size(ref, 0)
+                row.append(nbytes)
+            dep_bytes.append(tuple(row))
+            price_of.append(keys.setdefault(
+                (t.kind, t.flops, t.tile_dim, t.coarse), len(keys)))
+        self.succ = succ
+        self.dep_bytes = dep_bytes
+        self.cold = [tuple([(ref, owner[ref], size(ref, 0))
+                            for ref in t.cold_reads]) if t.cold_reads else ()
+                     for t in tasks]
+        self.read_bytes = [sum([size(ref, 0) for ref in t.reads])
+                           for t in tasks]
+        self.price_keys = list(keys)
+        self.price_of = price_of
 
 
 class TaskGraph:
@@ -47,6 +100,7 @@ class TaskGraph:
         self._checked = 0
         self._checked_writer: Dict[TileRef, int] = {}
         self._checked_readers: Dict[TileRef, Set[int]] = {}
+        self._tables: Optional[ScheduleTables] = None
 
     def __len__(self) -> int:
         return len(self.tasks)
@@ -77,6 +131,7 @@ class TaskGraph:
             self._last_writer[ref] = task.tid
             self._readers[ref] = set()
         self.tasks.append(task)
+        self._tables = None
         return task
 
     def register_tile(self, ref: TileRef, nbytes: int,
@@ -85,18 +140,18 @@ class TaskGraph:
         self.tile_bytes[ref] = nbytes
         if owner >= 0:
             self.tile_owner[ref] = owner
+        self._tables = None
 
     # ------------------------------------------------------------------
     # Derived structure
     # ------------------------------------------------------------------
 
-    def successors(self) -> List[List[int]]:
-        """Adjacency list task -> dependents (recomputed on demand)."""
-        succ: List[List[int]] = [[] for _ in self.tasks]
-        for t in self.tasks:
-            for d in t.deps:
-                succ[d].append(t.tid)
-        return succ
+    def schedule_tables(self) -> ScheduleTables:
+        """The graph's :class:`ScheduleTables`, built on first use and
+        rebuilt after the next :meth:`add` or :meth:`register_tile`."""
+        if self._tables is None:
+            self._tables = ScheduleTables(self)
+        return self._tables
 
     def validate_topological(self) -> bool:
         """Program order must already be a topological order."""
@@ -246,10 +301,15 @@ class TaskGraph:
         """Length of the critical path under ``duration(task) -> s``.
 
         A lower bound on any schedule's makespan (ignores comm).
+        Durations are non-negative: a task starts at 0 or when its
+        last dependency finishes.
         """
         finish = [0.0] * len(self.tasks)
         for t in self.tasks:
-            start = max((finish[d] for d in t.deps), default=0.0)
+            start = 0.0
+            for d in t.deps:
+                if finish[d] > start:
+                    start = finish[d]
             finish[t.tid] = start + duration(t)
         return max(finish, default=0.0)
 

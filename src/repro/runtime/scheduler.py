@@ -53,7 +53,7 @@ from ..obs.timeline import (
 from ..resilience.faults import FaultPlan, RecoveryStats
 from ..resilience.recovery import ResilienceState, lineage_replay_set
 from .graph import TaskGraph
-from .task import PANEL_KINDS, Task
+from .task import DEVICE_ELIGIBLE, PANEL_KINDS, TileRef
 
 if TYPE_CHECKING:  # machines imports runtime.task; avoid the cycle
     from ..machines.machine import MachineModel
@@ -128,13 +128,6 @@ class _Pool:
         heapq.heapify(self.free)
 
 
-def _duration(task: Task, cfg: RunConfig, on_gpu: bool,
-              host_cores: int = 1, gang: int = 1) -> float:
-    return cfg.machine.task_duration(task.kind, task.flops,
-                                     task.tile_dim, task.coarse, on_gpu,
-                                     host_cores=host_cores, gang=gang)
-
-
 #: Sentinel tid for rank-crash markers in the event queue.  Markers
 #: sort before same-instant task completions (tid -1 < any real tid),
 #: so a task finishing exactly at the crash instant counts as killed.
@@ -176,27 +169,46 @@ def simulate(graph: TaskGraph, cfg: RunConfig, *,
     fstate = (ResilienceState(faults, n_tasks, ranks, net)
               if faults is not None else None)
 
+    # Everything machine-independent (edges, their payloads, the
+    # distinct price keys) is derived once per recorded graph.
+    tab = graph.schedule_tables()
+    succ = tab.succ
+    dep_bytes = tab.dep_bytes
+    cold_reads = tab.cold
+    price_keys = tab.price_keys
+    price_of = tab.price_of
+
     # Device routing: GPU-eligible kernels go to the GPU pool when the
     # run uses GPUs; everything else runs on host cores.  Coarsened
     # panel tasks are mostly trailing-update work and route to the GPU
     # with a blended rate (see MachineModel.task_duration).
-    on_gpu = [cfg.use_gpu and res.gpus > 0
-              and (t.gpu_eligible
-                   or (t.coarse > 1.01 and t.kind in PANEL_KINDS))
-              for t in tasks]
+    gpu_ok = cfg.use_gpu and res.gpus > 0
+    key_gpu = [gpu_ok and (kind in DEVICE_ELIGIBLE
+                           or (coarse > 1.01 and kind in PANEL_KINDS))
+               for kind, _, _, coarse in price_keys]
 
     # Gang scheduling for coarsened graphs: a coarse task models many
     # real-nb kernels, which fine-grained execution would spread over
     # all of a rank's devices.  Each rank then exposes one aggregated
     # slot per device class whose rate scales with the device count.
-    ganged = any(t.coarse > 1.01 for t in tasks)
+    ganged = any(coarse > 1.01 for _, _, _, coarse in price_keys)
     cpu_gang = res.cores if ganged else 1
     gpu_gang = max(res.gpus, 1) if ganged else 1
     cpu_pools = [_Pool(1 if ganged else res.cores) for _ in range(ranks)]
     gpu_pools = ([_Pool(1 if ganged else res.gpus) for _ in range(ranks)]
                  if cfg.use_gpu and res.gpus else None)
 
-    succ = graph.successors()
+    # Each distinct price key is priced once, for this configuration;
+    # dispatch, the fault path and the critical path read the table.
+    key_dur = [cfg.machine.task_duration(
+                   kind, flops, tile_dim, coarse, g, host_cores=res.cores,
+                   gang=gpu_gang if g else cpu_gang)
+               for (kind, flops, tile_dim, coarse), g
+               in zip(price_keys, key_gpu)]
+    key_kind = [kind.value for kind, _, _, _ in price_keys]
+    on_gpu = [key_gpu[c] for c in price_of]
+    dur_of = [key_dur[c] for c in price_of]
+
     indeg = [len(t.deps) for t in tasks]
 
     finish = [0.0] * n_tasks
@@ -217,6 +229,7 @@ def simulate(graph: TaskGraph, cfg: RunConfig, *,
                                   Optional[int], float, float]] = {}
 
     # Window bookkeeping over the configured gate unit.
+    lookahead = cfg.lookahead
     if cfg.barrier_granularity == "op":
         gate = [t.op for t in tasks]
     elif cfg.barrier_granularity == "phase":
@@ -246,8 +259,9 @@ def simulate(graph: TaskGraph, cfg: RunConfig, *,
     # tileBcast / MPI tree bcast) rather than serializing the
     # producer's injection link O(consumers) times.
     copies: Dict[int, Dict[int, float]] = {}
-    # (producer_tid, dst_rank, dst_on_gpu) -> arrival on device class.
-    xfer_cache: Dict[Tuple[int, int, bool], float] = {}
+    # producer_tid -> (dst_rank, dst_on_gpu) -> arrival on device class;
+    # keyed by producer so a crash purges one producer's entries alone.
+    xfer_cache: Dict[int, Dict[Tuple[int, bool], float]] = {}
     # Same machinery for *initial* tiles (no producer task): they start
     # in host memory on their owning rank at t=0.
     cold_copies: Dict[Tuple[int, int, int], Dict[int, float]] = {}
@@ -256,11 +270,6 @@ def simulate(graph: TaskGraph, cfg: RunConfig, *,
     comm = CommCounters()
     per_kind_busy: Dict[str, float] = {}
     per_rank_busy = [0.0] * ranks
-
-    def window_ok(t: Task) -> bool:
-        if cfg.lookahead is None:
-            return True
-        return gate[t.tid] <= completed_prefix + cfg.lookahead
 
     def _best_holder(holders: Dict[int, float], dst: int
                      ) -> Tuple[int, float]:
@@ -283,31 +292,26 @@ def simulate(graph: TaskGraph, cfg: RunConfig, *,
                 "lineage replay missed a producer (recovery bug)")
         return best_src, best_beg
 
-    def transfer_in(dep: Task, t: Task, t_gpu: bool) -> float:
-        """Arrival time of dep's output at t's rank/device."""
-        d_gpu = on_gpu[dep.tid]
-        src, dst = rank_of[dep.tid], rank_of[t.tid]
-        if src == dst and d_gpu == t_gpu:
-            return finish[dep.tid]
-        nbytes = 0
-        wr = set(dep.writes)
-        for ref in t.reads:
-            if ref in wr:
-                nbytes += graph.tile_bytes.get(ref, 0)
-        if nbytes == 0:
-            # Pure ordering edge (WAR) — no data moves.
-            return finish[dep.tid]
-        key = (dep.tid, dst, t_gpu)
-        cached = xfer_cache.get(key)
-        if cached is not None:
-            return cached
-        holders = copies.setdefault(dep.tid, {src: finish[dep.tid]})
+    def transfer_in(dep: int, nbytes: int, dst: int, t_gpu: bool) -> float:
+        """Arrival time of the ``nbytes`` a consumer on rank ``dst``
+        (device class ``t_gpu``) reads of dep's output.  Only called
+        for an edge that moves data: ``nbytes > 0`` and another rank or
+        device than the producer's (dispatch prices the rest free)."""
+        d_gpu = on_gpu[dep]
+        src = rank_of[dep]
+        cache = xfer_cache.get(dep)
+        if cache is None:
+            cache = xfer_cache[dep] = {}
+        else:
+            cached = cache.get((dst, t_gpu))
+            if cached is not None:
+                return cached
+        holders = copies.setdefault(dep, {src: finish[dep]})
         if dst in holders:
             # A copy already lives on this rank (relayed earlier or the
             # producer itself); only cross-device staging may remain.
             arrival = holders[dst]
-            if (dst == src and d_gpu != t_gpu) or (dst != src and t_gpu
-                                                   and not net.nic_on_gpu):
+            if dst == src or (t_gpu and not net.nic_on_gpu):
                 path = TransferPath.H2D if t_gpu else TransferPath.D2H
                 dur = net.transfer_time(nbytes, path)
                 beg = max(arrival, stage_free[dst])
@@ -318,9 +322,7 @@ def simulate(graph: TaskGraph, cfg: RunConfig, *,
                         src=dst, dst=dst, nbytes=nbytes, leg=path.value,
                         start=beg, end=beg + dur))
                 arrival = beg + dur
-            elif dst == src:
-                arrival = holders[dst]
-            xfer_cache[key] = arrival
+            cache[(dst, t_gpu)] = arrival
             return arrival
         best_src, best_beg = _best_holder(holders, dst)
         same_node = (cfg.machine.node_of_rank(best_src, rpn)
@@ -347,12 +349,14 @@ def simulate(graph: TaskGraph, cfg: RunConfig, *,
                 comm.record(TransferPath.H2D, nbytes)
         arrival = best_beg + dur
         holders[dst] = arrival
-        xfer_cache[key] = arrival
+        cache[(dst, t_gpu)] = arrival
         return arrival
 
-    def cold_transfer(ref, t: Task, t_gpu: bool) -> float:
-        """Arrival of an initial tile at t's rank/device (owner-hosted)."""
-        src = graph.tile_owner[ref]
+    def cold_transfer(ref: TileRef, src: int, nbytes: int, dst: int,
+                      t_gpu: bool) -> float:
+        """Arrival of an initial tile (``nbytes``, hosted by rank
+        ``src``) at a consumer on rank ``dst``, device class ``t_gpu``.
+        Dispatch skips a host read on a live owner (free at t = 0)."""
         avail0 = 0.0
         if fstate is not None and src in fstate.dead:
             # The owner died: initial data is durable (regenerable /
@@ -360,14 +364,12 @@ def simulate(graph: TaskGraph, cfg: RunConfig, *,
             # replacement rank, available once the crash is detected.
             src = fstate.remap_rank(src)
             avail0 = fstate.recovery_floor
-        dst = rank_of[t.tid]
         if src == dst and not t_gpu:
             return avail0
         key = (ref, dst, t_gpu)
         cached = cold_cache.get(key)
         if cached is not None:
             return cached
-        nbytes = graph.tile_bytes.get(ref, 0)
         holders = cold_copies.setdefault(ref, {src: avail0})
         if fstate is not None and not holders:
             holders[src] = avail0  # every pre-crash copy was pruned
@@ -439,42 +441,49 @@ def simulate(graph: TaskGraph, cfg: RunConfig, *,
         base = barrier_floor if fstate is None else max(barrier_floor, floor)
         dep_ready = base   # producers done (no transfer cost)
         data_ready = base  # producers done AND data arrived
-        for d in t.deps:
-            if finish[d] > dep_ready:
-                dep_ready = finish[d]
-            arr = transfer_in(tasks[d], t, t_gpu)
+        for d, nbytes in zip(t.deps, dep_bytes[tid]):
+            arr = finish[d]
+            if arr > dep_ready:
+                dep_ready = arr
+            # Free unless data moves to another rank or device; a pure
+            # ordering edge (WAR, 0 bytes) moves none.
+            if nbytes and (rank_of[d] != rank or on_gpu[d] != t_gpu):
+                arr = transfer_in(d, nbytes, rank, t_gpu)
             if arr > data_ready:
                 data_ready = arr
-        for ref in t.cold_reads:
-            arr = cold_transfer(ref, t, t_gpu)
+        for ref, owner, nbytes in cold_reads[tid]:
+            if (owner == rank and not t_gpu
+                    and (fstate is None or owner not in fstate.dead)):
+                continue  # in the owner's host memory since t = 0
+            arr = cold_transfer(ref, owner, nbytes, rank, t_gpu)
             if arr > data_ready:
                 data_ready = arr
         slot_free, slot_idx = heapq.heappop(pool.free)
-        beg = max(data_ready, slot_free)
-        if beg > slot_free:
+        beg = slot_free
+        if data_ready > slot_free:
             # The slot sat idle: time past the producers' completion
             # was spent on the wire (link busy / transfer latency), the
             # rest waiting on the dependencies themselves.
+            beg = data_ready
             idle = beg - slot_free
             link = data_ready - dep_ready
             if link > idle:
                 link = idle
             stall_acc[STALL_LINK] += link
             stall_acc[STALL_DEPENDENCY] += idle - link
-        dur = _duration(t, cfg, t_gpu, res.cores,
-                        gpu_gang if t_gpu else cpu_gang)
+        dur = dur_of[tid]
+        kind = key_kind[price_of[tid]]
         dispatched[tid] = True
 
         if fstate is None:
             end = beg + dur
             heapq.heappush(pool.free, (end, slot_idx))
             finish[tid] = end
-            per_kind_busy[t.kind.value] = (
-                per_kind_busy.get(t.kind.value, 0.0) + dur)
+            per_kind_busy[kind] = per_kind_busy.get(kind, 0.0) + dur
             per_rank_busy[rank] += dur
             if sink is not None:
                 sink.on_task(TaskEvent(
-                    tid=tid, kind=t.kind.value, rank=rank,
+                    tid=tid, kind=kind, rank=rank,
                     slot=f"gpu{slot_idx}" if t_gpu else f"cpu{slot_idx}",
                     phase=t.phase, flops=t.flops, start=beg, end=end,
                     duration=dur, label=t.label))
@@ -486,7 +495,7 @@ def simulate(graph: TaskGraph, cfg: RunConfig, *,
         sf = fstate.straggler_factor(rank, beg)
         if sf != 1.0:
             dur = dur * sf
-        fails, extra = fstate.transient_schedule(tid, t.kind.value, dur)
+        fails, extra = fstate.transient_schedule(tid, kind, dur)
         end = beg + extra + dur
         if fails and sink is not None:
             sink.on_fault(FaultEvent(
@@ -503,8 +512,7 @@ def simulate(graph: TaskGraph, cfg: RunConfig, *,
             backup = _pick_backup(rank, t_gpu)
             detect = fstate.speculation_detect_time(beg, nominal)
             if backup is not None and detect < end:
-                nbytes_in = sum(graph.tile_bytes.get(ref, 0)
-                                for ref in t.reads)
+                nbytes_in = tab.read_bytes[tid]
                 refetch = (net.transfer_time(nbytes_in,
                                              TransferPath.INTER_NODE)
                            if nbytes_in else 0.0)
@@ -555,7 +563,7 @@ def simulate(graph: TaskGraph, cfg: RunConfig, *,
         reexec = dup_busy + (span if fstate.attempt[tid] > 0 else 0.0)
         rank_busy = max(finish_t - beg, 0.0) if winner == rank \
             else max(min(end, finish_t) - beg, 0.0)
-        pending_busy[tid] = (t.kind.value, span, rank, rank_busy,
+        pending_busy[tid] = (kind, span, rank, rank_busy,
                              backup_rank, dup_busy, reexec)
         if sink is not None:
             # Buffered, not emitted: a crash can revoke this execution
@@ -563,15 +571,14 @@ def simulate(graph: TaskGraph, cfg: RunConfig, *,
             # that actually ran to completion.  The event loop emits it
             # when the matching-epoch completion pops.
             pending_ev[tid] = TaskEvent(
-                tid=tid, kind=t.kind.value, rank=winner,
+                tid=tid, kind=kind, rank=winner,
                 slot=f"gpu{slot_idx}" if t_gpu else f"cpu{slot_idx}",
                 phase=t.phase, flops=t.flops, start=win_beg, end=finish_t,
                 duration=span, label=t.label)
         heapq.heappush(events, (finish_t, tid, fstate.attempt[tid]))
 
     def make_eligible(tid: int, now: float = 0.0, floor: float = 0.0) -> None:
-        t = tasks[tid]
-        if window_ok(t):
+        if lookahead is None or gate[tid] <= completed_prefix + lookahead:
             dispatch(tid, floor)
         elif tid not in park_time:
             # The membership guard matters only under crash recovery: a
@@ -589,8 +596,7 @@ def simulate(graph: TaskGraph, cfg: RunConfig, *,
         copies.pop(tid, None)
         pending_ev.pop(tid, None)
         pending_busy.pop(tid, None)
-        for key in [k for k in xfer_cache if k[0] == tid]:
-            del xfer_cache[key]
+        xfer_cache.pop(tid, None)
 
     def on_crash(dead_rank: int, now: float) -> None:
         nonlocal completed
@@ -698,8 +704,8 @@ def simulate(graph: TaskGraph, cfg: RunConfig, *,
                 if pev is not None:
                     sink.on_task(pev)
         completed += 1
-        makespan = max(makespan, now)
-        t = tasks[tid]
+        if now > makespan:
+            makespan = now
         phase_remaining[gate[tid]] -= 1
         # Advance the phase window; release parked tasks.
         while (completed_prefix <= max_phase
@@ -713,8 +719,8 @@ def simulate(graph: TaskGraph, cfg: RunConfig, *,
                         time=now, until=barrier_floor,
                         phase=completed_prefix))
             completed_prefix += 1
-            if cfg.lookahead is not None:
-                release_upto = completed_prefix + cfg.lookahead
+            if lookahead is not None:
+                release_upto = completed_prefix + lookahead
                 for ph in list(parked.keys()):
                     if ph <= release_upto:
                         for ptid in parked.pop(ph):
@@ -747,9 +753,7 @@ def simulate(graph: TaskGraph, cfg: RunConfig, *,
             f"schedule deadlock: {completed}/{n_tasks} tasks completed "
             f"(cyclic graph or window bug)")
 
-    crit = graph.critical_path_seconds(
-        lambda t: _duration(t, cfg, on_gpu[t.tid], res.cores,
-                            gpu_gang if on_gpu[t.tid] else cpu_gang))
+    crit = graph.critical_path_seconds(lambda t: dur_of[t.tid])
 
     slots_per_rank = ((1 if ganged else res.cores)
                       + ((1 if ganged else res.gpus) if gpu_pools else 0))

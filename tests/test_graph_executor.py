@@ -82,7 +82,7 @@ class TestDependencyInference:
         g.add(mk(0, writes=[T0]))
         g.add(mk(1, reads=[T0]))
         g.add(mk(2, reads=[T0]))
-        succ = g.successors()
+        succ = g.schedule_tables().succ
         assert sorted(succ[0]) == [1, 2]
 
     def test_critical_path(self):

@@ -5,13 +5,17 @@ import pytest
 
 from repro.dist import DistMatrix, ProcessGrid
 from repro.machines import summit
+from repro.machines.machine import MachineModel
 from repro.obs.timeline import TimelineSink
-from repro.runtime import Runtime, TaskKind, simulate
+from repro.perf.model import build_qdwh_graph
+from repro.resilience.faults import FaultPlan, StragglerSlot, TransientFaults
+from repro.runtime import Runtime, TaskGraph, TaskKind, simulate
 from repro.runtime.scheduler import (
     RunConfig,
     forkjoin_config,
     taskbased_config,
 )
+from repro.runtime.task import Task
 from repro.tiled import gemm, geqrf
 
 
@@ -152,9 +156,6 @@ class TestCommModeling:
     def test_broadcast_relay_bounds_link_serialization(self):
         """With q consumers of one tile, relays keep the producer's
         send link from serializing all q transfers."""
-        from repro.runtime import TaskGraph
-        from repro.runtime.task import Task
-
         g = TaskGraph()
         ref = (0, 0, 0)
         g.register_tile(ref, 10 ** 8)  # 100 MB tile
@@ -192,3 +193,120 @@ class TestBreakdowns:
         assert r.gflops > 0
         assert r.tflops(1e12) == pytest.approx(
             1e12 / r.makespan / 1e12)
+
+
+def schedule_of(r):
+    """Every number a ScheduleResult reports, for exact comparison."""
+    return (r.makespan, r.critical_path, r.per_kind_busy, r.per_rank_busy,
+            r.stall_seconds, r.comm.as_dict(),
+            r.recovery.as_dict() if r.recovery else None)
+
+
+def build_qdwh(n=160, nb=32, nb_rate=None):
+    g, _, _ = build_qdwh_graph(n, nb, ProcessGrid(2, 2), cond=1e4,
+                               nb_rate=nb_rate)
+    return g
+
+
+class TestWhatOneSimulationDerives:
+    """``simulate()`` prices each distinct task once per call and reads
+    edge payloads from tables derived once per recorded graph."""
+
+    @pytest.mark.parametrize("coarse", [False, True])
+    def test_each_price_key_is_priced_once(self, monkeypatch, coarse):
+        # coarse: 1600/nb=400 priced at nb=320 — the gang-scheduled,
+        # blended-rate path of the paper-figure sweeps.
+        g = build_qdwh(1600, 400, 320) if coarse else build_qdwh()
+        keys = {(t.kind, t.flops, t.tile_dim, t.coarse) for t in g.tasks}
+        assert len(keys) < len(g)
+        calls = []
+        in_critical_path = [False]
+        price = MachineModel.task_duration
+        critical_path = TaskGraph.critical_path_seconds
+
+        def counted_price(self, *args, **kw):
+            calls.append(in_critical_path[0])
+            return price(self, *args, **kw)
+
+        def watched_critical_path(self, duration):
+            in_critical_path[0] = True
+            try:
+                return critical_path(self, duration)
+            finally:
+                in_critical_path[0] = False
+
+        monkeypatch.setattr(MachineModel, "task_duration", counted_price)
+        monkeypatch.setattr(TaskGraph, "critical_path_seconds",
+                            watched_critical_path)
+        m = summit()
+        for cfg, faults in (
+                (taskbased_config(m, 2, 2, use_gpu=True), None),
+                (taskbased_config(m, 2, 2, use_gpu=False), None),
+                (forkjoin_config(m, 2, 2), None),
+                (taskbased_config(m, 2, 2, use_gpu=True),
+                 FaultPlan(seed=3, transient=TransientFaults(0.05),
+                           stragglers=(StragglerSlot(rank=1, factor=3.0),)))):
+            calls.clear()
+            simulate(g, cfg, faults=faults)
+            assert 0 < len(calls) <= len(keys)
+            assert not any(calls), "the critical path priced a task"
+
+    def test_edge_payloads(self):
+        g = TaskGraph()
+        x, y = (0, 0, 0), (0, 1, 0)
+        g.register_tile(x, 800)
+        g.register_tile(y, 24, owner=1)
+        g.add(Task(tid=0, kind=TaskKind.SET, reads=(), writes=(x,), rank=0,
+                   phase=0))
+        g.add(Task(tid=1, kind=TaskKind.ADD, reads=(x, y), writes=((1, 0, 0),),
+                   rank=1, phase=0))
+        g.add(Task(tid=2, kind=TaskKind.SET, reads=(), writes=(x,), rank=0,
+                   phase=0))
+        tab = g.schedule_tables()
+        assert g.schedule_tables() is tab  # derived once per graph
+        assert tab.succ == [[1, 2], [2], []]
+        assert g.tasks[1].deps == (0,) and tab.dep_bytes[1] == (800,)
+        # WAW on task 0 and WAR on task 1: ordering edges, no payload.
+        assert g.tasks[2].deps == (0, 1) and tab.dep_bytes[2] == (0, 0)
+        assert tab.cold == [(), ((y, 1, 24),), ()]
+        assert tab.read_bytes == [0, 824, 0]
+        assert len(tab.price_keys) == 2  # the two SETs share a price
+        g.register_tile(y, 48, owner=1)
+        assert g.schedule_tables() is not tab
+        assert g.schedule_tables().cold[1] == ((y, 1, 48),)
+
+    def test_tables_follow_add_and_register_tile(self):
+        """A graph simulated, grown by ``add()`` and re-sized by
+        ``register_tile()``, then simulated again, schedules exactly
+        like the same graph recorded fresh — no stale edge table."""
+        cfg = taskbased_config(summit(), 2, 2, use_gpu=True)
+
+        def input_tile(g):
+            return next(r for t in g.tasks for r in t.cold_reads)
+
+        def add_task(g):
+            # Reads an input tile off its owner's rank.
+            last, ref = g.tasks[-1], input_tile(g)
+            g.add(Task(tid=len(g), kind=TaskKind.GEMM,
+                       reads=(last.writes[0], ref), writes=last.writes,
+                       rank=(g.tile_owner[ref] + 1) % 4,
+                       phase=last.phase + 1, op=last.op + 1, flops=1e7,
+                       tile_dim=32))
+
+        def resize_tile(g):
+            ref = input_tile(g)
+            g.register_tile(ref, 16 * g.tile_bytes[ref], g.tile_owner[ref])
+
+        g = build_qdwh()
+        last = simulate(g, cfg)
+        done = []
+        for step in (add_task, resize_tile):
+            step(g)
+            done.append(step)
+            now = simulate(g, cfg)
+            fresh = build_qdwh()
+            for replay in done:
+                replay(fresh)
+            assert schedule_of(now) == schedule_of(simulate(fresh, cfg))
+            assert schedule_of(now) != schedule_of(last), step.__name__
+            last = now
