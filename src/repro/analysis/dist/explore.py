@@ -101,9 +101,10 @@ def builtin_scenarios() -> List[Scenario]:
     path), mixed driver/worker lanes, crashy variants (revocation
     and replay), the threads backend's shapes (one lane as deep as its
     pool; the same with the driver as one more lane), the processes
-    backend's helping driver beside one lane per fork, a phased graph
-    behind the lookahead gate, and the two shapes of a window below the
-    granularity floor (no lane registered; no worker forked).
+    backend's helping driver beside one lane per fork, and a phased
+    graph behind the lookahead gate.  A window that gets no lane
+    besides the driver builds no scheduler at all (it is swept in
+    program order, ``WindowExecutor._sweep``), so it has no shape here.
     """
     out: List[Scenario] = []
 
@@ -191,20 +192,6 @@ def builtin_scenarios() -> List[Scenario]:
     out.append(Scenario("driver-lane-forked", forked, ok, workers=2,
                         max_crashes=1, max_spawns=1, lookahead=1,
                         driver_helps=True))
-
-    # The window every small-tile run produces on threads since the
-    # granularity floor (``WindowExecutor._pays``): nothing is worth a
-    # hand-off, so no lane is registered at all and the helping driver
-    # runs the whole window alone, still behind the lookahead gate.
-    out.append(Scenario("no-lane", phased, _all_ok(phased), workers=0,
-                        lookahead=0, driver_helps=True))
-
-    # Its processes shape: nothing is worker-eligible, no worker is
-    # forked, every task is a driver-lane task — and a crash that comes
-    # due mid-window finds no victim, so its budget must stay unspent.
-    out.append(Scenario("no-worker", dia, dict.fromkeys(range(len(dia)),
-                                                        False),
-                        workers=0, max_crashes=1))
 
     return out
 
@@ -584,11 +571,6 @@ class _World:
             if n > 1 and self.sc.max_crashes == 0:
                 raise _Violation("double-dispatch",
                                  f"tid {tid} dispatched {n}x, no crashes")
-        if self.sc.workers == 0 and self.crashes_left != self.sc.max_crashes:
-            raise _Violation(
-                "crash-without-victim",
-                "an injected crash was consumed in a window that never "
-                "had a worker to kill")
         if not stranded:
             self.store.check_final()
 

@@ -4,11 +4,12 @@
 processes, sidestepping the GIL that bounds the threaded backend on
 dispatch-heavy, small-tile graphs.  It is the
 :class:`~repro.runtime.window.WindowExecutor` driver over a pool of
-forked workers: the driver owns ``run``, the one dispatch loop, retry
-budgets, accounting, death revocation and replay, and the stall rule;
-the window's :class:`~.scheduling.DynamicScheduler` owns readiness,
-the lookahead gate, locality-aware placement and steal-on-idle; this
-module is the transport between them and the workers:
+forked workers: the driver owns ``run``, the sweep, the one dispatch
+loop, retry budgets, accounting, death revocation and replay, and the
+stall rule; a forking window's :class:`~.scheduling.DynamicScheduler`
+owns readiness, the lookahead gate, locality-aware placement and
+steal-on-idle; this module is the transport between them and the
+workers:
 
 * **Fork per window** (``_open``/``_shut``).  Payload closures capture
   driver objects and cannot be pickled, so nothing is shipped: workers
@@ -19,10 +20,16 @@ module is the transport between them and the workers:
   and the driver is one of them
   (:meth:`~repro.runtime.window.WindowExecutor._lanes`, the rule the
   threads transport shares): a window forks ``min(W, eligible) - 1``
-  processes, so ``workers=1`` forks none.  A window none of whose
-  tasks is worth a hand-off
-  (:meth:`~repro.runtime.window.WindowExecutor._pays`) forks nothing,
-  pins nothing and runs on the driver lane, like a one-lane one.
+  processes, where ``eligible`` counts the tasks :meth:`_worker_ok`
+  admits (``_eligible``, once a task per window).
+* **Sweeps.**  A window that gets no fork — ``workers=1``, a window
+  none of whose tasks is worth a hand-off
+  (:meth:`~repro.runtime.window.WindowExecutor._pays`), or one whose
+  every task is driver-only — is swept on the driver in program order
+  (:meth:`~repro.runtime.window.WindowExecutor._sweep`): no scheduler,
+  no event queue, none of ``_open``/``_send``/``_recv``/``_tick``/
+  ``_shut`` — so nothing is forked, pinned or sent, and an injected
+  crash that comes due meanwhile waits for the next forking window.
 * **Shared-memory tiles.**  Before forking, the parent pins every tile
   in the window's declared footprints into its matrix's
   :class:`SharedTileStore` segment (one segment per matrix, created by
@@ -37,13 +44,14 @@ module is the transport between them and the workers:
   matrix data.  The retry ledger snapshots the task's write tiles
   first, so a SIGKILL at any instant leaves the driver able to
   restore and replay.
-* **Driver lane.**  The waiting thread works (OpenMP ``taskwait``,
-  what SLATE's host thread does): each turn of the dispatch loop the
-  driver keeps the lowest ready tid for itself, feeds the workers,
-  then runs its task inline in the parent through the same
-  :func:`~repro.runtime.attempt.run_attempt` (slot ``drv``) — every
-  tile of the window is a shared-memory view in the parent too, so a
-  driver write is a write the workers see.  Tasks whose footprint
+* **Driver lane** (``_inline``).  The waiting thread works (OpenMP
+  ``taskwait``, what SLATE's host thread does): each turn of the
+  dispatch loop the driver keeps the lowest ready tid for itself, feeds
+  the workers, then runs its task in the parent through the same
+  :func:`~repro.runtime.attempt.run_attempt` (slot ``drv``) and
+  accounts it at once — every tile of the window is a shared-memory
+  view in the parent too, so a driver write is a write the workers
+  see.  Tasks whose footprint
   touches driver-local state (scalar reduction boxes, gather buffers)
   run *only* there — the split SLATE uses to keep latency-bound scalar
   work off the accelerator path.  An executor that exercises its
@@ -53,7 +61,8 @@ module is the transport between them and the workers:
   timeouts and heartbeats to watch, and a recorded run must cross the
   wire — and forks ``min(W, eligible)`` workers instead.
 * **Replies and deaths** (``_recv``).  Per-worker reader threads
-  stream replies into one event queue; the driver polls it at
+  stream replies into one event queue (the driver's own attempts never
+  enter it); the driver polls it at
   ``poll_interval``.  A worker death (SIGKILL, injected ``RankCrash``,
   a task-timeout or heartbeat kill) is detected as comm EOF and
   reported to the driver, which requeues the victim's tasks onto
@@ -197,9 +206,10 @@ class ProcessExecutor(WindowExecutor):
         self._pool: Dict[int, _Worker] = {}
         self._next_wid = 0
         #: ``("msg", wid, reply)`` and ``("eof", wid, None)`` from the
-        #: reader threads, ``("drv", -1, (tid, attempt, outcome))`` from
-        #: the driver lane.
+        #: reader threads.
         self._events: "queue.Queue[Tuple[str, int, Any]]" = queue.Queue()
+        #: The running window's ``tid -> worker-eligible`` marks.
+        self._ok: Dict[int, bool] = {}
         self._closed = False
 
     # ------------------------------------------------------------------
@@ -557,19 +567,33 @@ class ProcessExecutor(WindowExecutor):
     # Transport hooks
     # ------------------------------------------------------------------
 
-    def _open(self, start: int, end: int) -> DynamicScheduler:
-        tasks = self.graph.tasks
-        # A window that gets no forked lane — it does not pay for a
-        # hand-off, or the helping driver is the only lane (workers=1,
-        # one eligible task) — marks nothing worker-eligible: no fork,
-        # no frame, nothing pinned.
-        worker_ok = {t.tid: self._worker_ok(t) for t in tasks[start:end]
-                     } if self._pays(start, end) else {}
-        forks = self._lanes(sum(worker_ok.values()))
-        if forks:
-            self._materialize(start, end)
-        else:
-            worker_ok = {}
+    def _eligible(self, start: int, end: int) -> int:
+        """Of a window that pays, the tasks a worker may run
+        (:meth:`_worker_ok`, asked once a task), kept for :meth:`_open`."""
+        pays = super()._eligible(start, end)
+        self._ok = {t.tid: self._worker_ok(t)
+                    for t in self.graph.tasks[start:end]} if pays else {}
+        return sum(self._ok.values())
+
+    def _inline(self, t: Task, attempt: int) -> Attempt:
+        """The driver lane: tasks touching driver-local state, and the
+        helping driver's own share of the rest, run the workers'
+        attempt body in the parent — every pinned tile is a shared view
+        here too, so a driver write is a write the workers see."""
+        assert self._ledger is not None
+        self._ledger.arm(t)
+        res = run_attempt(
+            t, self.fns.get(t.tid), attempt, injector=self.injector,
+            tiles=self.tiles, sanitizer=self.sanitizer,
+            scrub=self.recovery_policy.scrub_writes)
+        if self.recorder is not None:
+            self.recorder.record(
+                EV_FAIL if res.exc is not None else EV_DRIVER, tid=t.tid,
+                wid=-1, attempt=attempt)
+        return res
+
+    def _open(self, start: int, end: int, forks: int) -> DynamicScheduler:
+        self._materialize(start, end)
         if self._net_plan is not None and not self._chaos_installed:
             # Arm before forking: workers inherit the plan (and the
             # epoch anchoring its stall/partition windows) through
@@ -578,34 +602,21 @@ class ProcessExecutor(WindowExecutor):
             install_net_plan(self._net_plan, epoch=self._epoch,
                              on_fault=self._chaos_fault)
             self._chaos_installed = True
-        sched = DynamicScheduler(tasks, start, end, worker_ok,
+        sched = DynamicScheduler(self.graph.tasks, start, end, self._ok,
                                  pipeline_depth=PIPELINE_DEPTH,
                                  lookahead=self.lookahead,
                                  driver_helps=self.driver_helps)
-        if forks:
-            self._spawn_pool(forks)
-            for wid in self._pool:
-                sched.add_worker(wid)
+        self._spawn_pool(forks)
+        for wid in self._pool:
+            sched.add_worker(wid)
         return sched
 
-    def _send(self, lane: Optional[int], tid: int, attempt: int) -> bool:
-        t = self.graph.tasks[tid]
-        assert self._ledger is not None
-        if lane is None:
-            # The driver lane: tasks touching driver-local state, and
-            # the helping driver's own share of the rest, run the same
-            # attempt body inline.
-            self._ledger.arm(t)
-            res = run_attempt(
-                t, self.fns.get(tid), attempt, injector=self.injector,
-                tiles=self.tiles, sanitizer=self.sanitizer,
-                scrub=self.recovery_policy.scrub_writes)
-            self._events.put(("drv", -1, (tid, attempt, res)))
-            return True
+    def _send(self, lane: int, tid: int, attempt: int) -> bool:
         w = self._pool.get(lane)
         if w is None or w.comm.closed:
             return False
-        self._ledger.arm(t)
+        assert self._ledger is not None
+        self._ledger.arm(self.graph.tasks[tid])
         try:
             w.comm.send({"op": "task", "tid": tid, "attempt": attempt})
         except CommError:
@@ -633,12 +644,8 @@ class ProcessExecutor(WindowExecutor):
 
     def _accept(self, kind: str, wid: int,
                 payload: Any) -> Union[Report, Death, None]:
-        """Turn one queued event into what the driver accounts."""
+        """Turn one reader-thread event into what the driver accounts."""
         assert self._epoch is not None
-        if kind == "drv":
-            tid, attempt, res = payload
-            return self._accepted(tid, None, attempt, res, "drv",
-                                  -self._epoch)
         w = self._pool.get(wid)
         if kind == "eof":
             return self._buried(wid, w)
@@ -648,23 +655,16 @@ class ProcessExecutor(WindowExecutor):
             return None
         if w is None or w.sent.pop(tid, None) is None:
             return None  # stale reply (revoked or duplicated)
-        return self._accepted(
-            tid, wid, int(payload.get("attempt", 0)),
-            Attempt(payload["t0"], payload["t1"],
-                    payload["cpu"], payload.get("events") or [],
-                    payload["exc"] if op == "fail" else None,
-                    bool(payload.get("retryable"))),
-            f"w{w.lane}", w.clock_offset - self._epoch)
-
-    def _accepted(self, tid: int, wid: Optional[int], attempt: int,
-                  res: Attempt, slot: str, shift: float) -> Report:
-        """A worker's reply or the driver lane's own (``wid=None``)."""
+        attempt = int(payload.get("attempt", 0))
         if self.recorder is not None:
-            ok = EV_DRIVER if wid is None else EV_COMPLETE
-            self.recorder.record(
-                EV_FAIL if res.exc is not None else ok, tid=tid,
-                wid=-1 if wid is None else wid, attempt=attempt)
-        return Report(tid, wid, res, slot, shift)
+            self.recorder.record(EV_FAIL if op == "fail" else EV_COMPLETE,
+                                 tid=tid, wid=wid, attempt=attempt)
+        return Report(tid, wid, Attempt(
+            payload["t0"], payload["t1"], payload["cpu"],
+            payload.get("events") or [],
+            payload["exc"] if op == "fail" else None,
+            bool(payload.get("retryable"))),
+            f"w{w.lane}", w.clock_offset - self._epoch)
 
     def _buried(self, wid: int, w: Optional[_Worker]) -> Death:
         """EOF from ``wid``: release its process and link, forget its

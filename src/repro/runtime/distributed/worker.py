@@ -2,7 +2,9 @@
 
 Workers are **forked per execution window** — ``workers - 1`` of them
 beside a driver that is itself a lane, ``workers`` beside one that only
-dispatches (:meth:`~repro.runtime.window.WindowExecutor._lanes`).  Task
+dispatches (:meth:`~repro.runtime.window.WindowExecutor._lanes`); a
+window that gets none is swept on the driver and never reaches this
+module.  Task
 payloads recorded by the deferred runtime are closures over driver
 objects (tile payloads, ``QRFactors``, scalar boxes) and are not
 picklable, so instead of shipping code we ship *nothing*: the fork
@@ -15,10 +17,11 @@ zero-copy by construction — and so do the writes of the tasks the
 driver runs itself while the workers run theirs.
 
 What executes here is :func:`repro.runtime.attempt.run_attempt`, the
-same attempt body the threaded executor's workers and the driver lane
-run: injected stalls sleep, injected transients raise, payloads run
-inside a sanitizer frame when the task asks for one, injected
-corruption and non-finite scrubbing act on the local (shared) tiles.
+same attempt body the threaded executor's workers and the driver's
+``_inline`` run: injected stalls sleep, injected transients raise,
+payloads run inside a sanitizer frame when the task asks for one,
+injected corruption and non-finite scrubbing act on the local
+(shared) tiles.
 This module only adds what a process boundary needs — a reply that
 pickles.  Snapshots are *not* taken here —
 the parent's :class:`~repro.runtime.attempt.RetryLedger` snapshots

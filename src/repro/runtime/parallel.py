@@ -4,8 +4,8 @@ Everything else in :mod:`repro.runtime` *simulates* concurrency; this
 module actually runs it.  A :class:`ParallelExecutor` is the
 :class:`~repro.runtime.window.WindowExecutor` driver over a
 ``concurrent.futures.ThreadPoolExecutor``.  The driver owns the
-dispatch loop, retries, accounting and the drain guarantee; the
-window's :class:`~repro.runtime.distributed.scheduling.DynamicScheduler`
+dispatch loop, the sweep, retries, accounting and the drain guarantee;
+a window's :class:`~repro.runtime.distributed.scheduling.DynamicScheduler`
 owns readiness and the lookahead gate — exactly the dataflow execution
 SLATE gets from OpenMP ``task depend``.  Every task is worker-eligible
 (threads share tile memory, so there is nothing to place, steal or keep
@@ -13,11 +13,13 @@ on a driver lane) and, as in OpenMP, the thread that waits works: with
 ``workers=W`` the pool holds ``W - 1`` threads behind one scheduler
 lane and the driver is the W-th lane — each turn of the dispatch loop
 it keeps the lowest ready tid for itself, feeds the pool, then runs its
-task inline (slot ``drv``) through the same worker body.  ``workers=1``
-therefore starts no thread at all, and a chain never leaves the driver.
-Neither does a window none of whose tasks is worth a hand-off
-(:meth:`~repro.runtime.window.WindowExecutor._pays`): it registers no
-lane, creates no pool and runs on the driver like a ``workers=1`` one.
+task (slot ``drv``) through ``_inline``, the pool threads' attempt
+body.  A window with no lane besides the driver — every window at
+``workers=1``, and any window none of whose tasks is worth a hand-off
+(:meth:`~repro.runtime.window.WindowExecutor._pays`) — is a sweep
+(:meth:`~repro.runtime.window.WindowExecutor._sweep`): program order
+through ``_inline``, with no pool, no thread, no scheduler and no
+report queue; the epoch checks still run per task.
 NumPy/BLAS kernels release the GIL, so independent tiles genuinely
 overlap on multicore hosts.
 
@@ -73,7 +75,7 @@ from concurrent.futures import ThreadPoolExecutor
 from time import perf_counter
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
-from .attempt import run_attempt
+from .attempt import Attempt, run_attempt
 from .distributed.scheduling import DynamicScheduler
 from .graph import TaskGraph
 from .task import Task, TileRef
@@ -130,7 +132,7 @@ class ParallelExecutor(WindowExecutor):
         a dispatch-only driver when the executor is watched.  Only a
         window holding a task of at least
         :data:`~repro.runtime.window.LANE_MIN_FLOPS` (or one that
-        declares no cost) uses them.
+        declares no cost) uses them; any other is swept on the driver.
     lookahead:
         Optional phase-window bound on the ready set (``None`` =
         unbounded dataflow order, like SLATE's default).
@@ -214,16 +216,19 @@ class ParallelExecutor(WindowExecutor):
     # Transport hooks
     # ------------------------------------------------------------------
 
-    def _open(self, start: int, end: int) -> DynamicScheduler:
-        """Every task worker-eligible, one lane over the whole pool (a
-        shared-memory pool needs no placement or stealing), and the
-        driver as one more lane unless it is watched.  A window that
-        does not pay for a hand-off registers no lane and creates no
-        pool: the driver lane runs all of it."""
+    def _eligible(self, start: int, end: int) -> int:
+        """Every task is worker-eligible (a window that pays gets lanes
+        for all of it); the epoch expectations are extended to the
+        window, swept or not."""
         self._prepare(start, end)
+        return super()._eligible(start, end)
+
+    def _open(self, start: int, end: int, lanes: int) -> DynamicScheduler:
+        """One scheduler lane over the whole pool (a shared-memory pool
+        needs no placement or stealing), as deep as ``lanes`` threads,
+        and the driver as one more lane unless it is watched."""
         helps = self.driver_helps
-        threads = self._lanes(end - start if self._pays(start, end) else 0)
-        if threads and self._pool is None:
+        if self._pool is None:
             # Sized for the widest window, not the first one that pays.
             size = self._lanes(self.workers)
             if self._watch:
@@ -238,16 +243,12 @@ class ParallelExecutor(WindowExecutor):
         sched = DynamicScheduler(
             self.graph.tasks, start, end,
             dict.fromkeys(range(start, end), True),
-            pipeline_depth=threads * LANE_DEPTH if helps else threads,
+            pipeline_depth=lanes * LANE_DEPTH if helps else lanes,
             lookahead=self.lookahead, driver_helps=helps)
-        if threads:
-            sched.add_worker(0)
+        sched.add_worker(0)
         return sched
 
-    def _send(self, lane: Optional[int], tid: int, attempt: int) -> bool:
-        if lane is None:  # the driver is a lane: same body, inline
-            self._work(tid, attempt, None, None)
-            return True
+    def _send(self, lane: int, tid: int, attempt: int) -> bool:
         st = None
         if self._watch:
             st = self._states.get(tid)
@@ -259,9 +260,9 @@ class ParallelExecutor(WindowExecutor):
         return True
 
     def _recv(self, timeout: Optional[float]) -> List[Report]:
-        """Unwatched, ``timeout`` is ``None`` unless a retry is pending:
-        the loop blocks until a lane reports (at once when the driver
-        just ran an attempt itself)."""
+        """Unwatched, ``timeout`` is ``None`` unless a retry is pending
+        (0 right after the driver ran an attempt itself): the loop
+        blocks until a lane reports."""
         try:
             items = [self._resq.get(True, timeout)]
         except queue.Empty:
@@ -386,8 +387,9 @@ class ParallelExecutor(WindowExecutor):
         ident = threading.get_ident()
         slot = self._slot_of_thread.get(ident)
         if slot is None:
-            slot = f"thr{len(self._slot_of_thread)}"
-            self._slot_of_thread[ident] = slot
+            with self._lock:
+                slot = self._slot_of_thread[ident] = \
+                    f"thr{len(self._slot_of_thread)}"
         return slot
 
     def _check_in(self, t: Task) -> None:
@@ -446,13 +448,19 @@ class ParallelExecutor(WindowExecutor):
             self._expected.pop(t.tid, None)
 
     def _work(self, tid: int, attempt: int, st: Optional[_TaskState],
-              lane: Optional[int]) -> None:
-        """The worker body (pool thread, or the driver when ``lane`` is
-        ``None``): one attempt of one task, then one report to the
-        dispatch loop — done, failed or lost, the attempt's in-flight
-        marks are gone before it reports."""
-        t = self.graph.tasks[tid]
-        fn = self.fns.get(tid)
+              lane: int) -> None:
+        """A pool thread: one attempt of one task, then one report to
+        the dispatch loop."""
+        res = self._inline(self.graph.tasks[tid], attempt, st)
+        self._resq.put((Report(tid, lane, res, self._slot(), -self._epoch),
+                        attempt))
+
+    def _inline(self, t: Task, attempt: int,
+                st: Optional[_TaskState] = None) -> Attempt:
+        """The attempt body of every lane — the driver's (``st=None``)
+        and a pool thread's: done, failed or lost, the attempt's
+        in-flight marks are gone when it returns."""
+        fn = self.fns.get(t.tid)
         marked = False
 
         def begin() -> bool:
@@ -482,7 +490,6 @@ class ParallelExecutor(WindowExecutor):
                           sleep=sleep, begin=begin)
         wake = ()
         with self._lock:
-            slot = "drv" if lane is None else self._slot()
             done = res.exc is None and not res.lost
             if marked:
                 self._release(t, completed=done)
@@ -497,4 +504,4 @@ class ParallelExecutor(WindowExecutor):
         # window drains promptly (they lose the claim and report lost).
         for ev in wake:
             ev.set()
-        self._resq.put((Report(tid, lane, res, slot, -self._epoch), attempt))
+        return res

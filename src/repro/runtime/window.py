@@ -3,34 +3,48 @@
 ``Runtime.sync`` hands an executor windows ``[start, end)`` of an
 append-only :class:`~repro.runtime.graph.TaskGraph`.  What happens to
 a window does not depend on where its tasks run, so it is written
-once, here, in three parts:
+once, here, in five parts:
 
 * **Driver** — :class:`WindowExecutor`: :meth:`~WindowExecutor.run`
-  (validate, clock, stats), the one :meth:`~WindowExecutor._drive`
-  loop, the accounting of every reported attempt (``ledger.note`` →
+  (validate, placement, clock, stats), the accounting of every attempt
+  (:meth:`~WindowExecutor._account`: ``ledger.note`` →
   ``ledger.failed`` | ``settle`` → ``stats.record_task`` → successor
-  release), worker-death revocation and replay, the stall rule,
-  ``abandon_window`` and the drain guarantee (``inflight_attempts`` is
-  zero after every window).
-* **Scheduler** — every window's readiness, lookahead gate, placement
-  and stealing belong to one
-  :class:`~repro.runtime.distributed.scheduling.DynamicScheduler`, the
-  class DistSan's explorer and mutant gate model-check.
+  release), the stall rule, ``abandon_window`` and the drain guarantee
+  (``inflight_attempts`` is zero after every window).  Every task the
+  driver runs itself — in a sweep, or its own pick in a window with
+  lanes — goes through the transport's one ``_inline`` body.
 * **Placement** — one question, asked once per window and answered
   from what the recorded tasks declare: does this window hold a task
   worth a hand-off (:meth:`~WindowExecutor._pays`, against
-  :data:`LANE_MIN_FLOPS`)?  A window that answers no gets no lanes at
-  all — no thread, no fork, nothing pinned into shared memory — and
-  runs on the driver lane through the transport's own attempt body,
-  the way SLATE keeps latency-bound work on the host; a window that
-  answers yes gets :meth:`~WindowExecutor._lanes` lanes besides the
-  driver — ``workers=W`` is W lanes on every transport, the driver one
-  of them unless it exercises its transport — and is placed by its
+  :data:`LANE_MIN_FLOPS`), and if so how many lanes besides the driver
+  do its eligible tasks get (:meth:`~WindowExecutor._lanes` of
+  :meth:`~WindowExecutor._eligible`) — ``workers=W`` is W lanes on
+  every transport, the driver one of them unless it exercises its
   transport.
+* **Sweep** — a window that gets no lane besides the driver
+  (:meth:`~WindowExecutor._sweep`) runs in program order, the way
+  SLATE keeps latency-bound work on the host thread and OpenMP runs
+  an undeferred task at once: tid ``k + 1`` after tid ``k``, each
+  through ``_inline``, a retry waiting out its backoff in place.  No
+  scheduler, no report queue, no transport hook besides ``_inline`` —
+  no thread, no fork, nothing pinned into shared memory.  With the
+  driver as the only lane and every edge pointing backwards, the
+  lowest ready tid after ``k`` is always ``k + 1``, so a scheduler
+  could only have answered the same way.
+* **Scheduler** — a window with lanes is run by the
+  :meth:`~WindowExecutor._drive` loop; its readiness, lookahead gate,
+  placement and stealing belong to one
+  :class:`~repro.runtime.distributed.scheduling.DynamicScheduler`, the
+  class DistSan's explorer and mutant gate model-check; worker deaths
+  are revoked and replayed there.
 * **Transport** — a subclass that moves attempts to whatever workers
-  exist through at most five hooks: ``_open(start, end)`` builds the
-  window's scheduler and registers lanes, ``_send(lane, tid, attempt)``
-  launches one attempt (``lane=None`` is the driver lane),
+  exist through its hooks: ``_eligible(start, end)`` counts the
+  window's tasks that may leave the driver (every window; the
+  transport's per-window bookkeeping goes here),
+  ``_inline(t, attempt)`` runs one attempt on the driver,
+  and, for a window with lanes only, ``_open(start, end, lanes)``
+  builds the window's scheduler and brings up its lanes,
+  ``_send(lane, tid, attempt)`` launches one attempt on a lane,
   ``_recv(timeout)`` blocks for :class:`Report`/:class:`Death` items,
   ``_tick(now)`` does periodic work (monitors, heartbeats, injected
   crashes) and says how long the loop may block, ``_shut(failure)``
@@ -44,6 +58,7 @@ from __future__ import annotations
 
 import os
 import sys
+import time
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterable, NamedTuple,
@@ -185,7 +200,7 @@ class Report(NamedTuple):
     """One attempt reported back by a transport."""
 
     tid: int
-    #: Scheduler lane that ran it; ``None`` for the driver lane.
+    #: Scheduler lane that ran it; ``None`` for the driver.
     lane: Optional[int]
     res: Attempt
     #: Timeline slot label (``thrN``, ``wN``, ``drv``).
@@ -231,9 +246,11 @@ class WindowExecutor:
         self.recorder: Any = None
         self.stats = ExecutionStats(workers=self.workers)
         #: What the dispatch loop and its retry ledger call "now"
-        #: (backoff due times, ``_tick``); a test transport substitutes
-        #: a scripted clock.
+        #: (backoff due times, ``_tick``), and what a sweep waits out a
+        #: retry's backoff with; a test transport substitutes a scripted
+        #: pair.
         self.clock: Callable[[], float] = perf_counter
+        self.sleep: Callable[[float], Any] = time.sleep
         #: Seed of every backoff draw (the fault plan's, when there is one).
         self._seed = int(injector.plan.seed) if injector is not None else 0
         self._epoch: Optional[float] = None
@@ -248,12 +265,27 @@ class WindowExecutor:
 
     # -- transport hooks -----------------------------------------------
 
-    def _open(self, start: int, end: int) -> DynamicScheduler:
-        """Build the window's scheduler, register its lanes, bring up
-        whatever runs them."""
+    def _eligible(self, start: int, end: int) -> int:
+        """How many tasks of window ``[start, end)`` may leave the
+        driver: all of them when the window pays (:meth:`_pays`), none
+        when it does not.  Called once at the start of every window,
+        swept or not, before anything runs: a transport that keeps
+        per-window bookkeeping, or places tasks one by one, refines the
+        count here."""
+        return end - start if self._pays(start, end) else 0
+
+    def _inline(self, t: Task, attempt: int) -> Attempt:
+        """Run attempt ``attempt`` of ``t`` on the driver, through the
+        transport's own attempt body (never a lost attempt)."""
         raise NotImplementedError
 
-    def _send(self, lane: Optional[int], tid: int, attempt: int) -> bool:
+    def _open(self, start: int, end: int, lanes: int) -> DynamicScheduler:
+        """Build the scheduler of a window that gets ``lanes`` lanes
+        besides the driver, register them, bring up whatever runs
+        them."""
+        raise NotImplementedError
+
+    def _send(self, lane: int, tid: int, attempt: int) -> bool:
         """Launch attempt ``attempt`` of ``tid`` on ``lane``; ``False``
         when the lane turned out to be gone (its death will follow)."""
         raise NotImplementedError
@@ -318,9 +350,10 @@ class WindowExecutor:
         """The lane arithmetic, once for both transports: how many
         lanes *besides the driver* (pool threads, forked workers) a
         window gets whose ``eligible`` tasks may leave the driver —
-        0 for a window that does not pay.  ``workers=W`` is W lanes:
-        where the driver helps it is one of them, so ``workers=1``
-        starts nothing; never more lanes than tasks to put on them."""
+        0 (a sweep) for a window that does not pay.  ``workers=W`` is
+        W lanes: where the driver helps it is one of them, so
+        ``workers=1`` starts nothing; never more lanes than tasks to
+        put on them."""
         lanes = min(self.workers, eligible)
         return max(0, lanes - 1) if self.driver_helps else lanes
 
@@ -383,14 +416,23 @@ class WindowExecutor:
         t_wall0 = perf_counter()
         if self._epoch is None:
             self._epoch = t_wall0
+        lanes = self._lanes(self._eligible(start, end))
+        ledger = self._ledger = RetryLedger(
+            self.recovery_policy, self.tiles, self._seed,
+            self.stats.recovery, self._fault_event, self.clock)
+        self._unfinished = ()
         failure: Optional[BaseException] = None
-        try:
-            sched = self._sched = self._open(start, end)
-            failure = self._drive(sched)
-        finally:
-            self._shut(failure)
-        self._unfinished = () if failure is None else [
-            tid for tid in range(start, end) if tid not in sched.done]
+        if lanes:
+            try:
+                sched = self._sched = self._open(start, end, lanes)
+                failure = self._drive(sched, ledger)
+            finally:
+                self._shut(failure)
+            if failure is not None:
+                self._unfinished = [tid for tid in range(start, end)
+                                    if tid not in sched.done]
+        else:
+            failure = self._sweep(start, end, ledger)
         wall = perf_counter() - t_wall0
         self.stats.wall_seconds += wall
         self.stats.windows += 1
@@ -400,21 +442,94 @@ class WindowExecutor:
             raise failure
         return wall
 
-    def _drive(self, sched: DynamicScheduler) -> Optional[BaseException]:
-        """Hand out what the scheduler releases, block for reports,
-        account them.  Returns the first final failure — a payload's, a
-        fatal worker death, or a stall — once every launched attempt
-        has reported back or been revoked."""
+    @staticmethod
+    def _stalled(pending: int) -> RuntimeError:
+        """The stall rule's error: nothing out, nothing due, nothing
+        ready, ``pending`` tasks left."""
+        return RuntimeError(
+            f"executor stalled with {pending} task(s) unfinished and none "
+            "ready — dependency bookkeeping bug or a graph the validator "
+            "should have rejected")
+
+    def _sweep(self, start: int, end: int,
+               ledger: RetryLedger) -> Optional[BaseException]:
+        """Run a window that got no lane besides the driver: its tids
+        in program order, each through ``_inline`` and accounted by
+        :meth:`_account`.  A retryable failure waits out its seeded
+        backoff on :attr:`clock` and re-runs before the next tid; a
+        final one stops the sweep, leaving the rest of the window to
+        :meth:`abandon_window`.  Returns that failure.  Program order
+        is sound only when every edge points backwards: unvalidated, a
+        forward edge is refused before anything runs."""
         tasks = self.graph.tasks
-        rec = self.stats.recovery
-        ledger = self._ledger = RetryLedger(
-            self.recovery_policy, self.tiles, self._seed, rec,
-            self._fault_event, self.clock)
+        if not self.validate and any(t.deps and t.deps[-1] >= t.tid
+                                     for t in tasks[start:end]):
+            self._unfinished = range(start, end)
+            return self._stalled(end - start)
+        for tid in range(start, end):
+            while True:
+                report = self._driver_run(tid, ledger)
+                err = self._account(None, ledger, report, False)
+                if err is not None:
+                    self._unfinished = range(tid, end)
+                    return err
+                if report.res.exc is None:
+                    break
+                while not ledger.pop_due(self.clock()):
+                    self.sleep(ledger.wait(None) or 0.0)
+        return None
+
+    def _driver_run(self, tid: int, ledger: RetryLedger) -> Report:
+        """The next attempt of ``tid``, run on the driver."""
+        res = self._inline(self.graph.tasks[tid], ledger.next_attempt(tid))
+        return Report(tid, None, res, "drv", -(self._epoch or 0.0))
+
+    def _account(self, sched: Optional[DynamicScheduler],
+                 ledger: RetryLedger, report: Report,
+                 failing: bool) -> Optional[BaseException]:
+        """Account one attempt, wherever it ran: its injected faults,
+        then a lost attempt's slept time, a failure (retried, or final:
+        returned) or a success (successors released when there is a
+        scheduler, snapshot dropped, task recorded).  ``failing``: the
+        window already failed, so nothing is retried."""
+        tid, lane, res, slot, shift = report
+        t = self.graph.tasks[tid]
+        if res.events:
+            ledger.note(t, res.events)
+        if res.lost:
+            # A losing speculative attempt: it never claimed the
+            # payload and made no writes; its slept time is pure
+            # recovery overhead.
+            self.stats.recovery.reexecution_seconds += max(
+                0.0, res.t1 - res.t0)
+        elif res.exc is not None:
+            if lane is not None:
+                assert sched is not None
+                sched.workers[lane].inflight.discard(tid)
+            if not ledger.failed(t, res.exc, res.retryable and not failing,
+                                 res.t1 - res.t0):
+                return res.exc
+        else:
+            if sched is not None:
+                sched.on_done(tid, lane)
+            ledger.settle(tid)
+            self.stats.record_task(
+                t, res.t0 + shift, res.t1 + shift, res.cpu, slot, self.sink,
+                self.fns.pop(tid, None) is not None)
+        return None
+
+    def _drive(self, sched: DynamicScheduler,
+               ledger: RetryLedger) -> Optional[BaseException]:
+        """Hand out what the scheduler releases, run the driver's own
+        pick, block for reports, account them.  Returns the first final
+        failure — a payload's, a fatal worker death, or a stall — once
+        every launched attempt has reported back or been revoked."""
         lanes = sched.workers
         failure: Optional[BaseException] = None
         cap: Optional[float] = None
 
         while True:
+            ran = False
             if failure is None:
                 now = self.clock()
                 if ledger.due:
@@ -431,10 +546,13 @@ class WindowExecutor:
                         if self._send(wid, nxt, ledger.next_attempt(nxt)):
                             self._inflight += 1
                             self.stats.shipped += 1
-                if mine is not None and self._send(
-                        None, mine, ledger.next_attempt(mine)):
-                    self._inflight += 1
+                if mine is not None:
+                    ran = True
+                    failure = self._account(
+                        sched, ledger, self._driver_run(mine, ledger), False)
             if self._inflight == 0:
+                if ran:
+                    continue        # nothing out: pick again
                 if failure is not None or sched.pending == 0:
                     break
                 if not ledger.due and not any(
@@ -442,42 +560,20 @@ class WindowExecutor:
                         for w in sched.alive_workers()):
                     # Nothing out, nothing due, nothing handed out and
                     # no lane the transport is still waiting on.
-                    failure = RuntimeError(
-                        f"executor stalled with {sched.pending} task(s) "
-                        "unfinished and none ready — dependency "
-                        "bookkeeping bug or a graph the validator "
-                        "should have rejected")
+                    failure = self._stalled(sched.pending)
                     break
-            for item in self._recv(ledger.wait(cap) if failure is None
-                                   else cap):
+            # After a payload of its own the driver only collects what
+            # the lanes reported meanwhile; it blocks only when it had
+            # nothing to run.
+            for item in self._recv(0.0 if ran else ledger.wait(cap)
+                                   if failure is None else cap):
                 if isinstance(item, Death):
                     err = self._revoke(sched, item)
                     failure = failure or err
                     continue
-                tid, lane, res, slot, shift = item
                 self._inflight -= 1
-                t = tasks[tid]
-                if res.events:
-                    ledger.note(t, res.events)
-                if res.lost:
-                    # A losing speculative attempt: it never claimed
-                    # the payload and made no writes; its slept time is
-                    # pure recovery overhead.
-                    rec.reexecution_seconds += max(0.0, res.t1 - res.t0)
-                elif res.exc is not None:
-                    if lane is not None:
-                        lanes[lane].inflight.discard(tid)
-                    if not ledger.failed(t, res.exc,
-                                         res.retryable and failure is None,
-                                         res.t1 - res.t0):
-                        failure = failure or res.exc
-                else:
-                    sched.on_done(tid, lane)
-                    ledger.settle(tid)
-                    self.stats.record_task(
-                        t, res.t0 + shift, res.t1 + shift, res.cpu, slot,
-                        self.sink,
-                        self.fns.pop(tid, None) is not None)
+                err = self._account(sched, ledger, item, failure is not None)
+                failure = failure or err
         return failure
 
     def _revoke(self, sched: DynamicScheduler,

@@ -42,6 +42,22 @@ def lanes_for_tiny_tiles(monkeypatch):
     monkeypatch.setattr("repro.runtime.window.LANE_MIN_FLOPS", 0.0)
 
 
+@pytest.fixture
+def scheduler_builds(monkeypatch):
+    """The ``(start, end)`` of every ``DynamicScheduler`` built while
+    the test runs — empty when every window was a sweep."""
+    from repro.runtime.distributed.scheduling import DynamicScheduler
+
+    built, init = [], DynamicScheduler.__init__
+
+    def recording_init(self, tasks, start, end, *args, **kw):
+        built.append((start, end))
+        init(self, tasks, start, end, *args, **kw)
+
+    monkeypatch.setattr(DynamicScheduler, "__init__", recording_init)
+    return built
+
+
 def make_runtime(p=2, q=2, numeric=True):
     from repro.dist import ProcessGrid
     from repro.runtime import Runtime

@@ -677,6 +677,95 @@ class TestDriverLaneWindows:
         assert np.allclose(got, a @ a, rtol=1e-12, atol=1e-12)
 
 
+class TestSweepWindows:
+    """A window whose every task is driver-local is a sweep even on an
+    executor that exercises its transport (fault plan, DistSan
+    recorder): no scheduler, no fork, no tick — and so nothing a crash
+    could kill and nothing on the wire."""
+
+    @staticmethod
+    def _sweeps(monkeypatch):
+        """Record the ``(start, end)`` of every swept window."""
+        from repro.runtime.window import WindowExecutor
+
+        swept, sweep = [], WindowExecutor._sweep
+
+        def recording_sweep(ex, start, end, ledger):
+            swept.append((start, end))
+            return sweep(ex, start, end, ledger)
+
+        monkeypatch.setattr(WindowExecutor, "_sweep", recording_sweep)
+        return swept
+
+    def test_crash_due_in_a_sweep_fires_in_the_next_forking_window(
+            self, monkeypatch, scheduler_builds):
+        # The crash is due at once, but the first window (a gather into
+        # driver-local boxes) is a sweep: it spends no crash budget.
+        # The QDWH run after it forks, the crash fires there, and the
+        # replay converges to the eager bits.
+        from repro.resilience import plan_from_spec
+        from repro.tiled.estimators import _gather_vec
+        a = generate_matrix(64, cond=1e4, seed=7)
+        u0, h0, _ = _run_eager(a, 16)
+        swept = self._sweeps(monkeypatch)
+        plan = plan_from_spec(seed=7, crash=("0@0.0",))
+        with Runtime(ProcessGrid(1, 1), deferred=True, workers=2,
+                     backend="processes", faults=plan) as rt:
+            d = DistMatrix.from_array(rt, a.copy(), 16)
+            v = DistMatrix.from_array(rt, a[:, :1].copy(), 16)
+            col = _gather_vec(rt, v)            # syncs window 1: a sweep
+            ex, rec = rt._executor, rt.exec_stats.recovery
+            assert swept == [(0, 4)] and scheduler_builds == []
+            assert ex._crash_idx == 0 and rec.crashes == 0
+            assert rt.exec_stats.forks == 0
+            res = tiled_qdwh(rt, d, backend="processes", workers=2)
+            u, h = res.u.to_array(), res.h.to_array()
+            assert ex._crash_idx == 1 and rec.crashes == 1
+            assert scheduler_builds and ex.inflight_attempts == 0
+            prefix = ex.store.prefix
+        assert res.converged
+        assert np.array_equal(col, a[:, 0])
+        assert np.array_equal(u, u0) and np.array_equal(h, h0)
+        assert scan_segments(prefix) == []
+
+    def test_recorded_sweeps_are_driver_events_and_hb_clean(self,
+                                                             monkeypatch):
+        # A recorded run whose windows alternate sweep / fork / sweep:
+        # one EV_DRIVER per swept task, and the happens-before checker
+        # orders the driver's gather after the workers' GEMM writes.
+        from repro.analysis.dist import check_hb
+        from repro.runtime.distributed.events import (EV_DISPATCH,
+                                                      EV_DRIVER,
+                                                      DistTraceRecorder)
+        from repro.tiled import gemm
+        from repro.tiled.estimators import _gather_vec
+        a = generate_matrix(64, cond=10.0, seed=8)
+        x = a[:, :1].copy()
+        swept = self._sweeps(monkeypatch)
+        with Runtime(ProcessGrid(1, 1), deferred=True, workers=2,
+                     backend="processes") as rt:
+            rt.dist_recorder = recorder = DistTraceRecorder()
+            d = DistMatrix.from_array(rt, a, 16)
+            v = DistMatrix.from_array(rt, x, 16)
+            y = DistMatrix.from_array(rt, np.zeros_like(x), 16)
+            first = _gather_vec(rt, v)          # sweep
+            gemm(rt, 1.0, d, v, 0.0, y)
+            rt.sync()                           # forks
+            got = _gather_vec(rt, y)            # sweep over pinned tiles
+            tasks, stats = rt.graph.tasks, rt.exec_stats
+            assert stats.windows == 3 and stats.forks > 0
+        n = len(tasks)
+        assert swept == [(0, 4), (n - 4, n)]
+        swept_tids = [tid for s, e in swept for tid in range(s, e)]
+        driver = [ev.tid for ev in recorder.events_of(EV_DRIVER)]
+        assert sorted(t for t in driver if t in swept_tids) == swept_tids
+        assert not {ev.tid for ev in recorder.events_of(EV_DISPATCH)} \
+            & set(swept_tids)
+        assert check_hb(recorder, tasks) == []
+        assert np.array_equal(first, x[:, 0])
+        assert np.allclose(got, (a @ x)[:, 0], rtol=1e-12, atol=1e-12)
+
+
 #: square / tall-ragged / nb > n, all far below the granularity floor.
 SMALL_SHAPES = [(64, 64, 32), (81, 42, 32), (24, 24, 32)]
 
@@ -690,6 +779,7 @@ class TestPlacement:
     @pytest.mark.parametrize("m, n, nb", SMALL_SHAPES,
                              ids=["square", "tall-ragged", "nb>n"])
     def test_small_tiles_never_leave_the_driver(self, monkeypatch,
+                                                scheduler_builds,
                                                 dtype, m, n, nb):
         from repro.obs.timeline import TimelineSink
         from repro.runtime import ProcessExecutor
@@ -701,14 +791,15 @@ class TestPlacement:
         u0, h0 = r0.u.to_array(), r0.h.to_array()
         rt.close()
 
-        during, shut = [], ProcessExecutor._shut
+        after, run = [], ProcessExecutor.run
 
-        def sampling_shut(ex, failure):
-            # Still inside the window: nothing was pinned for it.
-            during.append(scan_segments(ex.store.prefix))
-            return shut(ex, failure)
+        def sampling_run(ex, start=0, end=None):
+            # After every sync: nothing was ever pinned.
+            wall = run(ex, start, end)
+            after.append(scan_segments(ex.store.prefix))
+            return wall
 
-        monkeypatch.setattr(ProcessExecutor, "_shut", sampling_shut)
+        monkeypatch.setattr(ProcessExecutor, "run", sampling_run)
         sink = TimelineSink()
         rt = Runtime(ProcessGrid(1, 1), sink=sink)
         d = DistMatrix.from_array(rt, a.copy(), nb)
@@ -716,8 +807,10 @@ class TestPlacement:
         stats, ex = rt.exec_stats, rt._executor
         assert stats.forks == 0 and stats.shipped == 0
         assert stats.comm_messages == 0 and stats.comm_bytes == 0
-        assert len(during) == stats.windows > 1
-        assert all(seen == [] for seen in during)
+        assert len(after) == stats.windows > 1
+        assert all(seen == [] for seen in after)
+        # Every window was a sweep: no scheduler was ever built.
+        assert scheduler_builds == []
         assert ex.store.live_segments() == []
         assert {e.slot for e in sink.tasks} == {"drv"}
         assert stats.tasks_run == len(rt.graph) and ex.inflight_attempts == 0

@@ -111,8 +111,9 @@ class TestModelDetails:
     def test_scenarios_cover_required_shapes(self):
         names = {s.name for s in builtin_scenarios()}
         assert {"chain", "diamond", "wide", "stealable",
-                "mixed-driver", "crashy", "no-lane", "no-worker"} <= names
-        assert len(names) == 12
+                "mixed-driver", "crashy", "driver-lane",
+                "driver-lane-forked"} <= names
+        assert len(names) == 10
         # The processes placement: a helping driver beside one lane per
         # fork, a crash budget with a replacement, the gate on.
         forked = next(s for s in builtin_scenarios()
@@ -120,15 +121,9 @@ class TestModelDetails:
         assert forked.driver_helps and forked.workers == 2
         assert forked.max_crashes == 1 and forked.lookahead is not None
         assert not all(forked.worker_ok.values())
-        # The two shapes of a window below the granularity floor: no
-        # lane registered at all.
-        by_name = {s.name: s for s in builtin_scenarios()}
-        assert by_name["no-lane"].workers == 0
-        assert by_name["no-lane"].driver_helps
-        assert by_name["no-lane"].lookahead == 0
-        assert by_name["no-worker"].workers == 0
-        assert not any(by_name["no-worker"].worker_ok.values())
-        assert by_name["no-worker"].max_crashes == 1
+        # A window with no lane besides the driver is swept, not
+        # scheduled: every scenario registers at least one lane.
+        assert all(s.workers >= 1 for s in builtin_scenarios())
         crashy = next(s for s in builtin_scenarios()
                       if s.name == "crashy")
         assert crashy.max_crashes > 0

@@ -483,7 +483,8 @@ class TestPlacement:
     @pytest.mark.parametrize("m, n, nb",
                              [(64, 64, 32), (81, 42, 32), (24, 24, 32)],
                              ids=["square", "tall-ragged", "nb>n"])
-    def test_small_tiles_start_no_thread(self, dtype, m, n, nb):
+    def test_small_tiles_start_no_thread(self, scheduler_builds,
+                                         dtype, m, n, nb):
         a = generate_matrix(m, n, cond=10.0, dtype=dtype, seed=23)
         ue, he = _run_qdwh(a, nb=nb)
         before = threading.active_count()
@@ -494,6 +495,8 @@ class TestPlacement:
         res = tiled_qdwh(rt, da, backend="threads", workers=4)
         assert threading.active_count() == before
         assert rt.executor._pool is None and rt.exec_stats.shipped == 0
+        # Every window was a sweep: no scheduler was ever built.
+        assert scheduler_builds == [] and rt.exec_stats.windows > 1
         assert {e.slot for e in sink.tasks} == {"drv"}
         assert rt.exec_stats.tasks_run == len(rt.graph)
         assert np.array_equal(res.u.to_array(), ue)

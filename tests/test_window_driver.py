@@ -10,8 +10,10 @@ seeded backoff order (on a scripted clock: the transport's time only
 moves when the loop waits), drain before a failure propagates, death →
 requeue of exactly the victim's attempts, ``abandon_window`` refusing
 while attempts are in flight, and ``inflight_attempts == 0`` after
-every window.  The stall rule is checked on the fake and on both real
-transports.
+every window.  With one lane the fake's windows are sweeps, which
+run in program order without ``_open``, retry in place and leave what
+a final failure did not reach to ``abandon_window``.  The stall rule
+is checked on the fake and on both real transports.
 """
 
 import time
@@ -30,12 +32,24 @@ from repro.runtime.task import Task
 from repro.runtime.window import Death, Report, WindowExecutor
 
 
+def _outcome(verdict):
+    """The attempt a script verdict (None or an exception) stands for."""
+    return Attempt(0.0, 1e-6, 0.0, [], verdict,
+                   verdict is not None and retryable(verdict))
+
+
 class ScriptedTransport(WindowExecutor):
     """Attempts queue in send order; each ``_recv`` resolves the oldest
     through ``script(tid, attempt)`` -> None (success), an exception
     (the attempt fails with it) or ``"die"`` (its lane's worker dies,
     taking everything sent to that lane with it).  Resolving takes no
-    time; waiting with nothing out advances ``now`` by the wait."""
+    time; waiting with nothing out, or a sweep sleeping out a backoff,
+    advances ``now`` by the wait.
+
+    ``lanes=W`` is the executor's ``workers``: with ``W >= 2`` a window
+    is driven and ``_open`` registers W lanes beside a driver that
+    does not help; with ``W = 1`` every window is a sweep on the driver
+    (lane ``None`` in the log)."""
 
     def __init__(self, graph, script, *, lanes=2, depth=2, recovery=None,
                  validate=True):
@@ -45,11 +59,21 @@ class ScriptedTransport(WindowExecutor):
                          recovery=recovery, injector=None, tiles=None)
         self.script, self.depth = script, depth
         self.outbox = deque()
-        self.log = []           # every (lane, tid, attempt) ever sent
+        self.log = []           # every (lane, tid, attempt) ever run
+        self.opened = 0         # _open calls
         self.now = 0.0
         self.clock = lambda: self.now
 
-    def _open(self, start, end):
+        def sleep(seconds):
+            self.now += seconds
+        self.sleep = sleep
+
+    def _inline(self, t, attempt):
+        self.log.append((None, t.tid, attempt))
+        return _outcome(self.script(t.tid, attempt))
+
+    def _open(self, start, end, lanes):
+        self.opened += 1
         sched = DynamicScheduler(self.graph.tasks, start, end,
                                  dict.fromkeys(range(start, end), True),
                                  pipeline_depth=self.depth)
@@ -73,9 +97,7 @@ class ScriptedTransport(WindowExecutor):
             for a in lost:
                 self.outbox.remove(a)
             return [Death(lane, "scripted", 1 + len(lost))]
-        return [Report(tid, lane, Attempt(
-            0.0, 1e-6, 0.0, [], verdict,
-            verdict is not None and retryable(verdict)), f"f{lane}", 0.0)]
+        return [Report(tid, lane, _outcome(verdict), f"f{lane}", 0.0)]
 
 
 def _independent(n):
@@ -199,6 +221,78 @@ class TestDeath:
             ex.run()
         assert len(ex.log) == 4 and not ex.outbox
         assert ex.inflight_attempts == 0
+
+
+def _chain(n):
+    """n tasks, each writing its own tile and reading its predecessor's."""
+    g = TaskGraph()
+    for tid in range(n):
+        g.register_tile((0, tid, 0), 64, owner=0)
+        g.add(Task(tid=tid, kind=TaskKind.GEMM,
+                   reads=((0, tid - 1, 0),) if tid else (),
+                   writes=((0, tid, 0),), rank=0, phase=0))
+    return g
+
+
+class TestSweep:
+    """A window with no lane besides the driver is a program-order
+    sweep: no scheduler, no report queue, no transport hook besides
+    ``_inline``."""
+
+    def test_program_order_and_no_open(self, scheduler_builds):
+        # Independent tasks: a scheduler would be free to pick any
+        # order; the sweep runs range(start, end), window after window.
+        ex = ScriptedTransport(_independent(9), lambda tid, a: None, lanes=1)
+        for start in (0, 4):
+            ex.run(start, start + 4)
+        ex.run(8)
+        assert ex.log == [(None, tid, 0) for tid in range(9)]
+        assert ex.opened == 0 and scheduler_builds == []
+        assert ex.stats.shipped == 0
+        assert ex.stats.tasks_run == 9 and ex.stats.windows == 3
+        assert ex.inflight_attempts == 0 and not ex.outbox
+        assert ex.fns == {}
+
+    def test_retry_reruns_in_place_after_its_backoff(self):
+        pol = RecoveryPolicy(max_retries=2, backoff=0.05, jitter=0.5)
+
+        def script(tid, attempt):
+            return RuntimeError("flaky") if (tid, attempt) == (2, 0) else None
+
+        ex = ScriptedTransport(_chain(5), script, lanes=1, recovery=pol)
+        ex.run()
+        assert ex.log == ([(None, tid, 0) for tid in range(3)]
+                          + [(None, 2, 1)]
+                          + [(None, tid, 0) for tid in range(3, 5)])
+        assert ex.now == pol.backoff_seconds(0, 2, 1)
+        assert ex.stats.recovery.retried_tasks == 1
+        assert ex.stats.tasks_run == 5 and ex.opened == 0
+
+    def test_final_failure_leaves_the_rest_to_abandon(self):
+        def script(tid, attempt):
+            return ZeroDivisionError("final") if tid == 5 else None
+
+        ex = ScriptedTransport(_independent(8), script, lanes=1)
+        ex.run(0, 2)
+        with pytest.raises(ZeroDivisionError):
+            ex.run(2, 8)
+        assert [t for _, t, _ in ex.log] == list(range(6))
+        assert list(ex._unfinished) == [5, 6, 7]
+        assert sorted(ex.fns) == [5, 6, 7]
+        assert ex.stats.tasks_run == 5 and ex.inflight_attempts == 0
+        ex.abandon_window()
+        assert ex.fns == {}
+        assert list(ex._unfinished) == []
+
+    def test_forward_edge_is_refused_before_anything_runs(self):
+        g = _independent(3)
+        g.tasks[1].deps = (2,)
+        ex = ScriptedTransport(g, lambda tid, a: None, lanes=1,
+                               validate=False)
+        with pytest.raises(RuntimeError, match="stalled with 3 task"):
+            ex.run()
+        assert ex.log == [] and ex.opened == 0
+        assert list(ex._unfinished) == [0, 1, 2]
 
 
 class TestStallRule:
