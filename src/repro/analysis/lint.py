@@ -33,9 +33,10 @@ REP005   A function that calls ``.incref(`` on a shared-memory store
          an acquire with no release in scope leaks ``/dev/shm``
          segments on every early exit.
 REP006   No blocking ``.recv(`` on a comm-like receiver inside a
-         ``with <lock>`` block: the distributed executor's reader
-         threads and completion path share those locks, so a recv
-         under a lock can deadlock the event loop.
+         ``with <lock>`` block: a comm's lock is shared with whatever
+         else sends on it (a worker's heartbeat thread), and the
+         driver's one thread reads every comm, so a recv under a lock
+         stalls them all.
 REP007   ``Process(...)`` spawns must not capture fork-unsafe state in
          ``args=``/``kwargs=``: locks, sockets, comms, listeners or
          threads captured at fork time are dead weight (or deadlocks)
@@ -472,10 +473,11 @@ class _Linter:
                     self._flag(RECV_UNDER_LOCK,
                                f"blocking {_src(child.func.value)}"
                                ".recv(...) while holding "
-                               f"{_src_with(under)}: reader threads "
-                               "and the completion path share comm "
-                               "locks, so this can deadlock the event "
-                               "loop", child, (under.lineno,))
+                               f"{_src_with(under)}: the lock is "
+                               "shared with every other sender on the "
+                               "comm, and one thread reads them all, "
+                               "so this stalls the event loop", child,
+                               (under.lineno,))
                 visit(child, inner)
 
         visit(tree, None)

@@ -20,7 +20,7 @@ and the resilience tests can share them:
   exponential backoff (reconnect pacing for
   :class:`~repro.runtime.distributed.reliable.ReliableComm`);
 * :class:`PhiAccrualDetector` — a phi-accrual failure detector over
-  heartbeat arrival times (Hayashibara et al.), feeding the
+  heartbeat times (Hayashibara et al.), feeding the
   scheduler's suspicion state and the executor's early-kill path.
 """
 
@@ -428,7 +428,7 @@ class BackoffSchedule:
 # ----------------------------------------------------------------------
 
 class PhiAccrualDetector:
-    """Phi-accrual failure detector over heartbeat arrival times.
+    """Phi-accrual failure detector over heartbeat times.
 
     ``phi(now) = -log10 P(next heartbeat still pending at now)`` under
     a normal model of inter-arrival times; a phi of 8 means the
@@ -439,8 +439,9 @@ class PhiAccrualDetector:
     heartbeats cannot make the detector hair-triggered: with the
     default floor, ``phi_dead = 8`` needs roughly six missed intervals
     of silence, which a loaded CI machine will not produce for a live
-    worker.  Thread-safe: ``beat`` is called from reader threads,
-    ``phi`` from the drive loop.
+    worker.  Thread-safe; the processes driver calls ``beat`` from its
+    event loop, with the time the worker sent the beat, and ``phi``
+    from its tick.
     """
 
     def __init__(self, expected_interval: float, window: int = 64,
@@ -453,11 +454,12 @@ class PhiAccrualDetector:
                         else expected_interval)
         self._intervals: List[float] = [expected_interval]
         self._last: Optional[float] = None
-        self._born = perf_counter()
+        #: When the detector was made: a suspicion grace starts here.
+        self.born = perf_counter()
         self._lock = threading.Lock()
 
     def beat(self, now: Optional[float] = None) -> None:
-        """Record a heartbeat arrival (driver-clock seconds)."""
+        """Record a heartbeat at ``now`` (driver-clock seconds)."""
         t = perf_counter() if now is None else now
         with self._lock:
             if self._last is not None and t > self._last:

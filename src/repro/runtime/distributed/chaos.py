@@ -294,12 +294,15 @@ class ChaosComm(Comm):
             self.inner._send_frame(frame)
 
     def _recv_frame(self, timeout: Optional[float]) -> Tuple[int, bytes]:
+        # Counted once a frame arrived (an EOF is none); the frame that
+        # reaches the count is lost with the connection.
+        frame = self.inner._recv_frame(timeout)
         if self._cut_fires():
             self._emit(KIND_CUT, f"cut after {self._nframes} frames")
             self.inner._close_transport()
             raise CommClosedError(
                 f"chaos: connection to {self.peer_address} cut")
-        return self.inner._recv_frame(timeout)
+        return frame
 
     def _close_transport(self) -> None:
         self.inner._close_transport()
@@ -313,16 +316,15 @@ class ChaosListener(Listener):
         self.inner = inner
         self.address = _rewrite(inner.address)
 
-    @property
-    def _closed(self) -> bool:
-        return bool(getattr(self.inner, "_closed", False))
-
     def accept(self, timeout: Optional[float] = None) -> Comm:
         return ChaosComm(self.inner.accept(timeout=timeout),
                          counters=self._counters, path=self._path)
 
     def close(self) -> None:
         self.inner.close()
+
+    def fileno(self) -> int:
+        return self.inner.fileno()
 
     # set by _chaos_listen
     _counters: Optional[CommCounters] = None

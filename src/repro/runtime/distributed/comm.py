@@ -51,6 +51,7 @@ import queue
 import socket
 import struct
 import threading
+import time
 import zlib
 from typing import Callable, Dict, Optional, Tuple
 
@@ -189,16 +190,21 @@ def verify_crc(codec: int, payload: bytes) -> Tuple[int, bytes]:
 
 
 def decode_frame(codec: int, payload: bytes) -> object:
-    """Inverse of :func:`encode_frame` (header already consumed; any
-    CRC trailer already stripped via :func:`verify_crc`)."""
-    if codec == CODEC_PICKLE:
-        return pickle.loads(payload)
-    if codec == CODEC_MSGPACK:
-        if msgpack is None:
-            raise CommError(
-                "received a msgpack frame but msgpack is not installed")
+    """Inverse of :func:`encode_frame` (header consumed, any CRC
+    trailer stripped by :func:`verify_crc`); a payload its codec cannot
+    read raises :class:`CommError`, whatever the codec raised."""
+    if codec == CODEC_MSGPACK and msgpack is None:
+        raise CommError(
+            "received a msgpack frame but msgpack is not installed")
+    if codec not in (CODEC_PICKLE, CODEC_MSGPACK):
+        raise CommError(f"unknown frame codec {codec}")
+    try:
+        if codec == CODEC_PICKLE:
+            return pickle.loads(payload)
         return msgpack.unpackb(payload, raw=False)  # pragma: no cover
-    raise CommError(f"unknown frame codec {codec}")
+    except Exception as e:
+        raise CommError(f"undecodable frame ({len(payload)} bytes, codec "
+                        f"{codec}): {type(e).__name__}: {e}") from e
 
 
 # ---------------------------------------------------------------------------
@@ -263,10 +269,10 @@ class Comm:
                                   f"{self.peer_address}")
         frame = encode_frame(msg, crc=self.crc_frames)
         if self.observer is not None:
-            # Record *before* the wire write: the peer's reply is
-            # recorded by a reader thread, and observing after the
-            # write would let a fast reply appear first in the frame
-            # log, inverting the send→recv happens-before edge.
+            # Record *before* the wire write, so a send whose write
+            # fails is still in the frame log.  Its reply cannot come
+            # first: the driver reads every comm it observes on the
+            # thread that is sending here.
             length, codec = _HEADER.unpack(frame[:_HEADER.size])
             self.observer("send", msg, len(frame), codec, length)
         self._send_frame(frame)
@@ -294,6 +300,12 @@ class Comm:
         if self.observer is not None:
             self.observer("recv", msg, nbytes, wire_codec, declared)
         return msg
+
+    def pump(self, timeout: Optional[float] = None) -> object:
+        """Read one frame (whole, unless ``timeout``) and return its
+        message, or ``None`` when a layered protocol consumed it — what
+        an event loop calls once the descriptor is readable."""
+        return self.recv(timeout)
 
     def close(self) -> None:
         """Idempotent close; the peer's next recv sees EOF."""
@@ -328,6 +340,10 @@ class Listener:
 
     def close(self) -> None:
         raise NotImplementedError
+
+    def fileno(self) -> int:
+        """Descriptor readable while a connection waits, or ``-1``."""
+        return -1
 
     def __enter__(self) -> "Listener":
         return self
@@ -522,8 +538,8 @@ class TCPComm(Comm):
             peer = "tcp://?"
         super().__init__(local, peer, counters, path)
         self._sock = sock
+        #: A worker's heartbeat thread writes beside its main loop.
         self._send_lock = threading.Lock()
-        self._recv_lock = threading.Lock()
 
     def _send_frame(self, frame: bytes) -> None:
         try:
@@ -539,7 +555,6 @@ class TCPComm(Comm):
         got = 0
         while got < n:
             if deadline is not None:
-                import time
                 left = deadline - time.monotonic()
                 if left <= 0:
                     raise socket.timeout()
@@ -556,13 +571,11 @@ class TCPComm(Comm):
         return b"".join(chunks)
 
     def _recv_frame(self, timeout: Optional[float]) -> Tuple[int, bytes]:
-        import time
         deadline = None if timeout is None else time.monotonic() + timeout
         try:
-            with self._recv_lock:
-                header = self._read_exactly(_HEADER.size, deadline)
-                length, codec = _HEADER.unpack(header)
-                payload = self._read_exactly(length, deadline)
+            header = self._read_exactly(_HEADER.size, deadline)
+            length, codec = _HEADER.unpack(header)
+            payload = self._read_exactly(length, deadline)
         except socket.timeout:
             raise CommTimeoutError(
                 f"recv from {self.peer_address} timed out after "
@@ -629,6 +642,9 @@ class TCPListener(Listener):
             raise CommClosedError(f"listener {self.address} closed "
                                   f"during accept")
         return TCPComm(conn, self._counters, self._path)
+
+    def fileno(self) -> int:
+        return self._sock.fileno()
 
     def close(self) -> None:
         if self._closed:

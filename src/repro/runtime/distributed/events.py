@@ -17,9 +17,10 @@ to the DistSan checkers in :mod:`repro.analysis.dist`:
 * ``leaked`` — the OS-level ``/dev/shm`` scan taken at executor close,
   ground truth for the refcount audit.
 
-Recording is strictly opt-in and thread-safe (reader threads append
-concurrently); with no recorder attached every hook site is a ``None``
-check and the runtime is unchanged.
+Recording is strictly opt-in and thread-safe (the driver's event loop
+records on one thread, but a segment's finalizer fires on whichever
+thread collects its matrix); with no recorder attached every hook site
+is a ``None`` check and the runtime is unchanged.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ EV_DISPATCH = "dispatch"    # task message sent to a worker
 EV_COMPLETE = "complete"    # done reply accepted from a worker
 EV_FAIL = "fail"            # fail reply accepted from a worker
 EV_DRIVER = "driver"        # driver-lane task ran inline in the parent
-EV_DEATH = "death"          # worker EOF observed
+EV_DEATH = "death"          # worker lost (EOF, or its link given up)
 EV_REPLAY = "replay"        # revoked task requeued after a death
 EV_CREATE = "create"        # shm segment created for a matrix
 EV_PIN = "pin"              # a tile installed as a view into its segment

@@ -27,7 +27,7 @@ workers:
   (:meth:`~repro.runtime.window.WindowExecutor._pays`), or one whose
   every task is driver-only — is swept on the driver in program order
   (:meth:`~repro.runtime.window.WindowExecutor._sweep`): no scheduler,
-  no event queue, none of ``_open``/``_send``/``_recv``/``_tick``/
+  no event loop, none of ``_open``/``_send``/``_recv``/``_tick``/
   ``_shut`` — so nothing is forked, pinned or sent, and an injected
   crash that comes due meanwhile waits for the next forking window.
 * **Shared-memory tiles.**  Before forking, the parent pins every tile
@@ -60,18 +60,22 @@ workers:
   keeps its driver out of worker-eligible payloads — it has crashes,
   timeouts and heartbeats to watch, and a recorded run must cross the
   wire — and forks ``min(W, eligible)`` workers instead.
-* **Replies and deaths** (``_recv``).  Per-worker reader threads
-  stream replies into one event queue (the driver's own attempts never
-  enter it); the driver polls it at
-  ``poll_interval``.  A worker death (SIGKILL, injected ``RankCrash``,
-  a task-timeout or heartbeat kill) is detected as comm EOF and
-  reported to the driver, which requeues the victim's tasks onto
-  survivors.  The shared-memory registry lives only in the parent, so
-  no worker death can leak or tear down a segment.
+* **Replies and deaths** (``_recv``).  One thread drives the transport,
+  the way dask's scheduler is one event loop: a :mod:`selectors` loop
+  over the listener and every worker socket reads hellos, ``resync``
+  splices, replies and heartbeats (stamped when the worker sent them,
+  so a driver deaf inside its own payload never makes a live worker
+  look silent), each frame once its socket is readable, and whole.  A
+  death — SIGKILL, injected ``RankCrash``, a task-timeout or heartbeat
+  kill — is an EOF, or a reliable link dead or down past
+  ``net_deadline``; the driver requeues what it held.  Spawns and
+  ``_shutdown_pool`` turn the same loop, so a worker mid-resync is
+  always answered.  The shared-memory registry lives only in the
+  parent, so no worker death can leak or tear down a segment.
 * **Periodic work** (``_tick``).  Injected crashes (pending until a
-  worker holds an attempt to lose), the liveness poll, phi-accrual
-  heartbeat suspicion, task-timeout kills, and the respawn of a worker
-  when every lane is dead.
+  worker holds an attempt to lose), phi-accrual heartbeat suspicion,
+  task-timeout kills, and the respawn of a worker when every lane is
+  dead.
 """
 
 from __future__ import annotations
@@ -79,18 +83,17 @@ from __future__ import annotations
 import contextlib
 import multiprocessing
 import os
-import queue
+import selectors
 import signal
-import threading
 import time
 from time import perf_counter
-from typing import Any, Dict, List, Optional, Set, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from ..attempt import Attempt, run_attempt
 from ..task import Task
 from ..window import Death, Report, WindowExecutor, WorkerCrashError
 from .chaos import assign_peer, clear_net_plan, install_net_plan
-from .comm import (Comm, CommError, CommTimeoutError, Listener, listen)
+from .comm import Comm, CommError, CommTimeoutError, Listener, listen
 from .events import (EV_CLOSE, EV_COMPLETE, EV_DEATH, EV_DISPATCH,
                      EV_DRIVER, EV_FAIL, EV_REPLAY, EV_SPAWN)
 from .reliable import ReliableComm
@@ -124,7 +127,7 @@ class _Worker:
     """Parent-side handle of one forked worker process."""
 
     __slots__ = ("wid", "lane", "proc", "comm", "pid", "clock_offset",
-                 "reader", "sent", "kill_reason")
+                 "sent", "kill_reason")
 
     def __init__(self, wid: int, proc: multiprocessing.process.BaseProcess,
                  comm: Comm, pid: int,
@@ -138,7 +141,6 @@ class _Worker:
         self.comm = comm
         self.pid = pid
         self.clock_offset = clock_offset
-        self.reader: Optional[threading.Thread] = None
         #: tid -> (attempt, send time) of dispatches awaiting a reply.
         self.sent: Dict[int, Tuple[int, float]] = {}
         #: Set when the parent killed it on purpose (timeout/injected).
@@ -191,23 +193,23 @@ class ProcessExecutor(WindowExecutor):
         self._reliable = (self._net_plan is not None
                           or pol.heartbeat_interval is not None)
         self._chaos_installed = False
-        #: (comm, hello, recorder-key, recv-time) of handshakes the
-        #: acceptor thread has fielded but no spawn has claimed yet.
-        self._hello_q: "queue.Queue[Tuple[Comm, Dict[str, Any], str, float]]" \
-            = queue.Queue()
-        self._acceptor: Optional[threading.Thread] = None
+        #: The driver's event loop over the listener (data ``None``),
+        #: new connections (``(comm, key)``) and workers (``_Worker``).
+        self._sel = selectors.DefaultSelector()
+        #: When a turn of the loop last found no socket readable: every
+        #: frame sent before then has been read, heartbeats included.
+        self._heard = 0.0
+        #: wid -> (process, lane) of workers forked but not yet adopted.
+        self._forked: Dict[int, Tuple[multiprocessing.process.BaseProcess,
+                                      int]] = {}
         self._accept_seq = 0
-        #: Per-worker phi-accrual failure detectors (reliable mode) and
-        #: when each worker was adopted (suspicion grace anchor).
+        #: Per-worker phi-accrual failure detectors (reliable mode),
+        #: each made as its worker is adopted.
         self._hb: Dict[int, PhiAccrualDetector] = {}
-        self._hb_since: Dict[int, float] = {}
         self._suspected: Set[int] = set()
         self._listener: Optional[Listener] = None
         self._pool: Dict[int, _Worker] = {}
         self._next_wid = 0
-        #: ``("msg", wid, reply)`` and ``("eof", wid, None)`` from the
-        #: reader threads.
-        self._events: "queue.Queue[Tuple[str, int, Any]]" = queue.Queue()
         #: The running window's ``tid -> worker-eligible`` marks.
         self._ok: Dict[int, bool] = {}
         self._closed = False
@@ -223,12 +225,13 @@ class ProcessExecutor(WindowExecutor):
             return
         self._closed = True
         self._shutdown_pool(force=True)
+        for key in list(self._sel.get_map().values()):
+            if isinstance(key.data, tuple):  # its first frame never came
+                key.data[0].close()
+        self._sel.close()
         if self._listener is not None:
             self._listener.close()
             self._listener = None
-        if self._acceptor is not None:
-            self._acceptor.join(timeout=5.0)
-            self._acceptor = None
         if self._chaos_installed:
             clear_net_plan()
             self._chaos_installed = False
@@ -273,64 +276,94 @@ class ProcessExecutor(WindowExecutor):
     # ------------------------------------------------------------------
 
     def _ensure_listener(self) -> Listener:
-        lst = self._listener
-        if lst is not None and not getattr(lst, "_closed", False):
-            return lst
-        scheme = ("chaos+tcp" if self._net_plan is not None else "tcp")
-        # In reliable mode the per-frame byte accounting moves up to
-        # the ReliableComm wrapper (which counts each application
-        # message exactly once); raw comms must not double-count.
-        self._listener = lst = listen(
-            f"{scheme}://127.0.0.1:0",
-            counters=None if self._reliable else self.comm_counters)
-        self._acceptor = threading.Thread(
-            target=self._acceptor_loop, args=(lst,), daemon=True,
-            name="repro-dist-accept")
-        self._acceptor.start()
-        return lst
+        if self._listener is None:
+            scheme = ("chaos+tcp" if self._net_plan is not None else "tcp")
+            # In reliable mode the per-frame byte accounting moves up
+            # to the ReliableComm wrapper (which counts each application
+            # message exactly once); raw comms must not double-count.
+            self._listener = listen(
+                f"{scheme}://127.0.0.1:0",
+                counters=None if self._reliable else self.comm_counters)
+            self._watch(self._listener.fileno(), None)
+        return self._listener
 
-    def _acceptor_loop(self, lst: Listener) -> None:
-        """Owns ``accept`` for the listener's whole life: fields worker
-        hellos (handed to the spawn paths through ``_hello_q``) and
-        reconnect ``resync`` handshakes (spliced into the existing
-        :class:`ReliableComm` via :meth:`ReliableComm.attach`)."""
-        while True:
-            try:
-                comm = lst.accept(timeout=None)
-            except CommError:
-                return  # listener closed
-            if self._reliable:
-                comm.crc_frames = True
-            key = ""
-            if self.recorder is not None:
-                key = f"pending{self._accept_seq}"
-                self._accept_seq += 1
-                comm.observer = self.recorder.frame_observer(key)
-            try:
-                msg = comm.recv(timeout=10.0)
-            except CommError:
-                comm.close()
-                continue
-            t_recv = perf_counter()
-            if not isinstance(msg, dict):
-                comm.close()
-                continue
-            op = msg.get("op")
-            if op == "hello":
-                self._hello_q.put((comm, msg, key, t_recv))
-            elif op == "resync":
-                # The resync/resync-ack handshake is recorded on the
-                # pending connection (the protocol checker knows its
-                # shape); after the splice the connection reports
-                # under the worker's key (attach marks a "reopen").
-                self._handle_resync(comm, msg)
+    def _watch(self, fd: int, data: Any) -> None:
+        self._sel.register(fd, selectors.EVENT_READ, data)
+
+    def _unwatch(self, w: _Worker) -> None:
+        """Take ``w``'s socket out of the loop, before whatever closes
+        or replaces it."""
+        for key in list(self._sel.get_map().values()):
+            if key.data is w:
+                self._sel.unregister(key.fd)
+
+    def _track(self, w: _Worker) -> None:
+        """After a send or read: a comm that closed its own socket (a
+        reliable link it broke, a chaos cut) leaves the loop."""
+        if w.comm.fileno() < 0:
+            self._unwatch(w)
+
+    def _poll(self, wait: Optional[float],
+              out: Optional[List[Union[Report, Death]]]) -> bool:
+        """One turn of the loop: wait up to ``wait``, then serve every
+        readable socket (reports into ``out``; ``None`` outside a
+        window's drive, where replies are stale).  True if any was."""
+        ready = self._sel.select(wait)
+        if not ready:
+            self._heard = perf_counter()
+        keys = self._sel.get_map()
+        for key, _ in ready:
+            if keys.get(key.fd) is not key:
+                continue  # unwatched by an earlier socket of this turn
+            if key.data is None:
+                self._admit()
+            elif isinstance(key.data, _Worker):
+                self._serve(key.data, out)
             else:
-                comm.close()
+                self._first_frame(key.fd, *key.data)
+        return bool(ready)
 
-    def _handle_resync(self, comm: Comm, msg: Dict[str, Any]) -> None:
-        w = self._pool.get(int(msg.get("wid", -1)))
+    def _admit(self) -> None:
+        assert self._listener is not None
+        try:
+            comm = self._listener.accept()
+        except CommError:
+            return
+        if self._reliable:
+            comm.crc_frames = True
+        key = ""
+        if self.recorder is not None:
+            key = f"pending{self._accept_seq}"
+            self._accept_seq += 1
+            comm.observer = self.recorder.frame_observer(key)
+        self._watch(comm.fileno(), (comm, key))
+
+    def _first_frame(self, fd: int, comm: Comm, key: str) -> None:
+        """A ``hello`` adopts the forked worker it names; a ``resync``
+        splices into that worker's link; anything else is closed."""
+        self._sel.unregister(fd)
+        try:
+            msg = comm.recv(timeout=None)
+        except CommError:
+            msg = None
+        if not isinstance(msg, dict):
+            comm.close()
+        elif msg.get("op") == "hello" and msg.get("wid") in self._forked:
+            proc, lane = self._forked.pop(msg["wid"])
+            self._adopt(proc, comm, msg, key, perf_counter(), lane)
+        elif msg.get("op") == "resync":
+            self._resync(comm, msg)
+        else:
+            comm.close()
+
+    def _resync(self, comm: Comm, msg: Dict[str, Any]) -> None:
+        """Answer a worker's ``resync`` and splice the connection into
+        its :class:`ReliableComm` (the handshake is recorded under the
+        pending key, the rest under the worker's: attach marks a
+        "reopen")."""
+        w = self._pool.get(msg.get("wid", -1))
         rc = w.comm if w is not None else None
-        if not isinstance(rc, ReliableComm):
+        if w is None or not isinstance(rc, ReliableComm) or rc.lost:
             comm.close()
             return
         try:
@@ -338,25 +371,52 @@ class ProcessExecutor(WindowExecutor):
         except CommError:
             comm.close()
             return
-        # Handshake recorded; from here the connection reports under
-        # the worker's key via the ReliableComm observer.
         comm.observer = None
-        rc.attach(comm, int(msg.get("rx", 0)))
+        self._unwatch(w)
+        if rc.attach(comm, int(msg.get("rx", 0))) and rc.fileno() >= 0:
+            self._watch(rc.fileno(), w)
 
-    def _next_hello(self, deadline: float) -> Tuple[Comm, Dict[str, Any],
-                                                    str, float]:
+    def _serve(self, w: _Worker,
+               out: Optional[List[Union[Report, Death]]]) -> None:
+        """Read one frame of ``w``'s: a heartbeat beats its detector at
+        the time the worker sent it, a reply is reported, EOF on a plain
+        link is a death; a broken reliable link leaves the loop until a
+        resync re-attaches it or :meth:`_reap` gives up on it."""
         try:
-            return self._hello_q.get(
-                timeout=max(0.001, deadline - time.monotonic()))
-        except queue.Empty:
-            raise CommTimeoutError(
-                "timed out waiting for a worker hello") from None
+            msg = w.comm.pump()
+        except CommError:
+            if out is not None and not isinstance(w.comm, ReliableComm):
+                out.append(self._buried(w))
+            else:
+                self._unwatch(w)
+            return
+        self._track(w)
+        if not isinstance(msg, dict):
+            return
+        if msg.get("op") == "hb":
+            det = self._hb.get(w.wid)
+            if det is not None:
+                det.beat(float(msg["clock"]) + w.clock_offset)
+        elif out is not None:
+            report = self._report(w, msg)
+            if report is not None:
+                out.append(report)
+
+    def _reap(self, out: List[Union[Report, Death]]) -> None:
+        """The deaths no EOF announces, on a reliable link: marked dead
+        (:meth:`_kill`), its process gone, or down past
+        ``net_deadline`` without a resync."""
+        for w in list(self._pool.values()):
+            rc = w.comm
+            if (isinstance(rc, ReliableComm) and not rc.closed
+                    and (rc.lost or not w.proc.is_alive())):
+                out.append(self._buried(w))
 
     def _adopt(self, proc: multiprocessing.process.BaseProcess,
                comm: Comm, hello: Dict[str, Any], key: str,
                t_recv: float, lane: int) -> _Worker:
         """Register a freshly-handshaken worker: reliable wrapping,
-        failure detector, chaos peer tagging, reader thread."""
+        failure detector, chaos peer tagging, a place in the loop."""
         wid = int(hello["wid"])
         if self.recorder is not None:
             comm.observer = self.recorder.frame_observer(f"w{wid}")
@@ -382,83 +442,35 @@ class ProcessExecutor(WindowExecutor):
             det = PhiAccrualDetector(pol.heartbeat_interval)
             det.beat(t_recv)  # the hello counts as the first sign of life
             self._hb[wid] = det
-            self._hb_since[wid] = t_recv
-        w.reader = threading.Thread(
-            target=self._reader, args=(w,), daemon=True,
-            name=f"repro-dist-r{wid}")
-        w.reader.start()
+        self._watch(comm.fileno(), w)
         return w
 
-    def _fork_one(self, wid: int, lane: int, address: str,
-                  close_fds: List[int]) -> multiprocessing.process.BaseProcess:
-        proc = multiprocessing.get_context("fork").Process(
-            target=worker_main, args=(wid, lane, address, self, close_fds),
-            daemon=True, name=f"repro-dist-w{wid}")
-        proc.start()
-        self.stats.forks += 1
-        return proc
-
-    def _spawn_worker(self) -> _Worker:
+    def _spawn(self, lanes: Sequence[int]) -> range:
+        """Fork a worker into each of ``lanes`` — all before any is
+        adopted, each closing the live comm fds it inherits (a leaked
+        one masks its owner's death-EOF) — then turn the loop until each
+        said hello.  Nothing reports meanwhile: ``_open`` forks into an
+        empty pool, a respawn comes once every lane is buried."""
         lst = self._ensure_listener()
-        wid = self._next_wid
-        self._next_wid += 1
-        # fds of live worker comms: a child forked now would inherit
-        # them — the worker closes them before connecting.
         close_fds = [w.comm.fileno() for w in self._pool.values()
                      if not w.comm.closed]
-        # Reuse the lowest free lane — stable slots are what chaos
-        # plans and trace rows target, so they must be decided before
-        # the fork (the worker salts its injections with its lane).
-        used = {w.lane for w in self._pool.values()
-                if w.proc.is_alive() and w.kill_reason is None}
-        lane = next(i for i in range(len(self._pool) + 1)
-                    if i not in used)
-        proc = self._fork_one(wid, lane, lst.address, close_fds)
-        comm, hello, key, t_recv = self._next_hello(
-            time.monotonic() + 15.0)
-        if hello.get("wid") != wid:
-            comm.close()
-            raise CommError(f"bad hello from worker {wid}: {hello!r}")
-        return self._adopt(proc, comm, hello, key, t_recv, lane)
-
-    def _spawn_pool(self, n: int) -> None:
-        lst = self._ensure_listener()
-        # Fork all children before adopting any connection: an adopted
-        # comm fd must never leak into a later fork (an inheriting
-        # sibling would mask the owner's death-EOF).
-        wids: List[int] = []
-        by_wid: Dict[int, multiprocessing.process.BaseProcess] = {}
-        for lane in range(n):
-            wid = self._next_wid
-            self._next_wid += 1
-            by_wid[wid] = self._fork_one(wid, lane, lst.address, [])
-            wids.append(wid)
+        wids = range(self._next_wid, self._next_wid + len(lanes))
+        self._next_wid += len(lanes)
+        for wid, lane in zip(wids, lanes):
+            proc = multiprocessing.get_context("fork").Process(
+                target=worker_main,
+                args=(wid, lane, lst.address, self, close_fds),
+                daemon=True, name=f"repro-dist-w{wid}")
+            proc.start()
+            self._forked[wid] = (proc, lane)
+            self.stats.forks += 1
         deadline = time.monotonic() + 15.0
-        for _ in range(n):
-            comm, hello, key, t_recv = self._next_hello(deadline)
-            wid = int(hello.get("wid", -1))
-            if wid not in by_wid:
-                comm.close()
-                raise CommError(f"bad worker hello: {hello!r}")
-            self._adopt(by_wid[wid], comm, hello, key, t_recv,
-                        lane=wids.index(wid))
-
-    def _reader(self, w: _Worker) -> None:
-        """Per-worker reader thread: streams replies into the event
-        queue; heartbeats feed the failure detector; EOF (any cause)
-        becomes a death event."""
-        while True:
-            try:
-                msg = w.comm.recv(timeout=None)
-            except CommError:
-                self._events.put(("eof", w.wid, None))
-                return
-            if isinstance(msg, dict) and msg.get("op") == "hb":
-                det = self._hb.get(w.wid)
-                if det is not None:
-                    det.beat(perf_counter())
-                continue
-            self._events.put(("msg", w.wid, msg))
+        while not all(wid in self._pool for wid in wids):
+            left = deadline - time.monotonic()
+            if left <= 0:
+                raise CommTimeoutError("timed out waiting for a worker hello")
+            self._poll(left, None)
+        return wids
 
     def _net_event(self, kind: str, detail: str) -> None:
         """Driver-side ReliableComm observability → recovery stats."""
@@ -491,7 +503,10 @@ class ProcessExecutor(WindowExecutor):
         Above ``phi_suspect`` the scheduler stops placing new work on
         the worker (it keeps what it holds); above ``phi_dead`` the
         driver kills it outright, so a hung worker's tasks are replayed
-        onto survivors well before ``task_timeout`` would fire."""
+        onto survivors well before ``task_timeout`` would fire.  Phi is
+        read when the loop last heard everything (``_heard``), not at
+        ``now``: a helping driver hears nothing while it runs a payload
+        of its own, and its deafness is not the worker's silence."""
         from ...obs.timeline import FAULT_HEARTBEAT_SUSPECT
         pol = self.recovery_policy
         fault_event = self._fault_event
@@ -500,10 +515,9 @@ class ProcessExecutor(WindowExecutor):
             if w.kill_reason is not None:
                 continue
             det = self._hb.get(wid)
-            if det is None or now - self._hb_since.get(wid, now) \
-                    < pol.heartbeat_grace:
+            if det is None or now - det.born < pol.heartbeat_grace:
                 continue
-            phi = det.phi(now)
+            phi = det.phi(self._heard)
             if phi >= pol.phi_dead:
                 if wid not in self._suspected:
                     self._suspected.add(wid)
@@ -527,41 +541,37 @@ class ProcessExecutor(WindowExecutor):
                 self._suspected.discard(wid)
                 sched.mark_suspect(wid, False)
 
-    @staticmethod
-    def _mark_dead(w: _Worker) -> None:
-        """Short-circuit the reliable layer's reconnect wait when the
-        driver knows the worker is gone (deliberate kill or observed
-        process exit)."""
-        if isinstance(w.comm, ReliableComm):
-            w.comm.mark_dead()
-
     def _shutdown_pool(self, force: bool = False) -> None:
-        for w in list(self._pool.values()):
+        for w in self._pool.values():
             if not w.comm.closed:
                 with contextlib.suppress(CommError):
                     w.comm.send({"op": "shutdown"})
+                self._track(w)
+        # The loop keeps turning while the workers exit: a heartbeat's
+        # ack re-sends a shutdown the wire dropped, and a worker that is
+        # mid-resync is answered (its attach re-sends it) instead of
+        # dialling until net_deadline.
         deadline = time.monotonic() + (0.1 if force else 5.0)
-        for w in list(self._pool.values()):
-            w.proc.join(timeout=max(0.0, deadline - time.monotonic()))
+        for w in self._pool.values():
+            while w.proc.is_alive() and (
+                    left := deadline - time.monotonic()) > 0:
+                w.proc.join(min(left, self.recovery_policy.poll_interval))
+                self._poll(0.0, None)
             if w.proc.is_alive():
                 w.proc.kill()
                 w.proc.join(timeout=5.0)
+            self._unwatch(w)
             w.comm.close()
-            if w.reader is not None:
-                w.reader.join(timeout=5.0)
             if isinstance(w.comm, ReliableComm):
                 self.stats.comm_retrans_messages += w.comm.retrans_messages
                 self.stats.comm_retrans_bytes += w.comm.retrans_bytes
+        for proc, _ in self._forked.values():  # forked, never adopted
+            proc.kill()
+            proc.join(timeout=5.0)
+        self._forked.clear()
         self._pool.clear()
         self._hb.clear()
-        self._hb_since.clear()
         self._suspected.clear()
-        # Drain stale events from dead readers.
-        while True:
-            try:
-                self._events.get_nowait()
-            except queue.Empty:
-                break
 
     # ------------------------------------------------------------------
     # Transport hooks
@@ -606,8 +616,7 @@ class ProcessExecutor(WindowExecutor):
                                  pipeline_depth=PIPELINE_DEPTH,
                                  lookahead=self.lookahead,
                                  driver_helps=self.driver_helps)
-        self._spawn_pool(forks)
-        for wid in self._pool:
+        for wid in self._spawn(range(forks)):
             sched.add_worker(wid)
         return sched
 
@@ -623,6 +632,7 @@ class ProcessExecutor(WindowExecutor):
             # Death will surface as EOF; the scheduler keeps the tid
             # in the dead worker's inflight set until then.
             return False
+        self._track(w)
         w.sent[tid] = (attempt, perf_counter())
         if self.recorder is not None:
             self.recorder.record(EV_DISPATCH, tid=tid, wid=lane,
@@ -631,53 +641,49 @@ class ProcessExecutor(WindowExecutor):
 
     def _recv(self, timeout: Optional[float]
               ) -> List[Union[Report, Death]]:
+        """Turn the loop until something reports or ``timeout`` runs
+        out, then collect whatever else is already readable."""
         out: List[Union[Report, Death]] = []
-        try:
-            event = self._events.get(True, timeout)
-            while True:
-                item = self._accept(*event)
-                if item is not None:
-                    out.append(item)
-                event = self._events.get_nowait()
-        except queue.Empty:
-            return out
+        end = None if timeout is None else time.monotonic() + timeout
+        while True:
+            self._reap(out)
+            wait = 0.0 if out else (
+                None if end is None else max(0.0, end - time.monotonic()))
+            while self._poll(wait, out):
+                wait = 0.0
+            if out or (end is not None and time.monotonic() >= end):
+                return out
 
-    def _accept(self, kind: str, wid: int,
-                payload: Any) -> Union[Report, Death, None]:
-        """Turn one reader-thread event into what the driver accounts."""
+    def _report(self, w: _Worker, msg: Dict[str, Any]) -> Optional[Report]:
+        """Turn a worker's reply into what the driver accounts."""
         assert self._epoch is not None
-        w = self._pool.get(wid)
-        if kind == "eof":
-            return self._buried(wid, w)
-        op = payload.get("op")
-        tid = payload.get("tid")
+        op = msg.get("op")
+        tid = msg.get("tid")
         if op not in ("done", "fail") or tid is None:
             return None
-        if w is None or w.sent.pop(tid, None) is None:
+        if w.sent.pop(tid, None) is None:
             return None  # stale reply (revoked or duplicated)
-        attempt = int(payload.get("attempt", 0))
+        attempt = int(msg.get("attempt", 0))
         if self.recorder is not None:
             self.recorder.record(EV_FAIL if op == "fail" else EV_COMPLETE,
-                                 tid=tid, wid=wid, attempt=attempt)
-        return Report(tid, wid, Attempt(
-            payload["t0"], payload["t1"], payload["cpu"],
-            payload.get("events") or [],
-            payload["exc"] if op == "fail" else None,
-            bool(payload.get("retryable"))),
+                                 tid=tid, wid=w.wid, attempt=attempt)
+        return Report(tid, w.wid, Attempt(
+            msg["t0"], msg["t1"], msg["cpu"], msg.get("events") or [],
+            msg["exc"] if op == "fail" else None,
+            bool(msg.get("retryable"))),
             f"w{w.lane}", w.clock_offset - self._epoch)
 
-    def _buried(self, wid: int, w: Optional[_Worker]) -> Death:
-        """EOF from ``wid``: release its process and link, forget its
-        failure detector, and tell the driver what never reports."""
-        reason: Optional[str] = None
-        sent = 0
-        if w is not None:
-            reason, sent = w.kill_reason, len(w.sent)
-            w.sent.clear()
-            w.comm.close()
-            w.proc.join(timeout=5.0)
+    def _buried(self, w: _Worker) -> Death:
+        """``w`` is gone: take it out of the loop, release its process
+        and link, forget its failure detector, and tell the driver what
+        never reports."""
+        wid = w.wid
+        reason, sent = w.kill_reason, len(w.sent)
+        w.sent.clear()
+        self._unwatch(w)
+        w.comm.close()
+        w.proc.join(timeout=5.0)
         self._hb.pop(wid, None)
-        self._hb_since.pop(wid, None)
         self._suspected.discard(wid)
         if self.recorder is not None:
             self.recorder.record(EV_DEATH, wid=wid, detail=reason or "eof")
@@ -709,12 +715,6 @@ class ProcessExecutor(WindowExecutor):
             self._crash_idx += 1
             self._kill(busy[c.rank % len(busy)],
                        f"injected crash (rank {c.rank})")
-        # Liveness poll: a worker that exited without the driver
-        # killing it must not leave its reliable link waiting out
-        # the reconnect deadline — no process, no reconnect.
-        for w in self._pool.values():
-            if w.kill_reason is None and not w.proc.is_alive():
-                self._mark_dead(w)
         if pol.heartbeat_interval is not None and self._hb:
             self._check_heartbeats(sched, now)
         if pol.task_timeout is not None:
@@ -732,7 +732,13 @@ class ProcessExecutor(WindowExecutor):
                                           rank=wid)
                         break
         if self._pool and sched.pending and not sched.alive_workers():
-            sched.add_worker(self._spawn_worker().wid)
+            # The lowest free lane: chaos plans and trace rows target
+            # stable slots, so they are decided before the fork.
+            used = {w.lane for w in self._pool.values()
+                    if w.proc.is_alive() and w.kill_reason is None}
+            lane = next(i for i in range(len(self._pool) + 1)
+                        if i not in used)
+            sched.add_worker(self._spawn([lane])[0])
         budget = pol.poll_interval
         if self._crash_idx < len(self._crashes):
             due = self._crashes[self._crash_idx].time - elapsed
@@ -743,7 +749,10 @@ class ProcessExecutor(WindowExecutor):
     def _kill(self, w: _Worker, reason: str) -> None:
         w.kill_reason = reason
         os.kill(w.pid, signal.SIGKILL)
-        self._mark_dead(w)
+        if isinstance(w.comm, ReliableComm):
+            # Lost now, not after net_deadline: _reap reports the death.
+            self._unwatch(w)
+            w.comm.mark_dead()
 
     def _shut(self, failure: Optional[BaseException]) -> None:
         self._shutdown_pool(force=failure is not None)

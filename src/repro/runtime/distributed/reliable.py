@@ -21,11 +21,13 @@ Connection loss is survivable: un-acked envelopes are buffered, and a
 bounded reconnect-and-resync handshake (plain ``resync`` /
 ``resync-ack`` frames carrying each side's ``rx``) re-establishes the
 stream and retransmits only what the peer missed.  The worker dials
-(:class:`BackoffSchedule`-paced, wall-clock-deadlined); the driver
-waits for the executor's acceptor to :meth:`attach` the new
-connection.  ``mark_dead`` short-circuits the wait when the driver
-*caused* the death (SIGKILL on timeout/suspicion/injected crash) so
-deliberate kills surface instantly instead of burning the deadline.
+back (:class:`BackoffSchedule`-paced, wall-clock-deadlined) from
+inside its next ``recv``.  The driver side never waits: the executor's
+event loop :meth:`~ReliableComm.pump`\\ s one frame whenever the socket
+is readable, :meth:`attach`\\ es the worker's new connection when its
+``resync`` arrives, and asks :attr:`~ReliableComm.lost` when to give
+up — the peer marked dead (``mark_dead``: the driver killed it), or
+the link down past ``deadline``.
 
 Accounting is **application-level**: ``sent_*``/``received_*`` and
 the :class:`CommCounters` feed count each logical message exactly
@@ -40,7 +42,7 @@ import contextlib
 import threading
 import time
 from time import perf_counter
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Optional
 
 from ...comm.counters import CommCounters
 from ...comm.network import TransferPath
@@ -84,8 +86,8 @@ class ReliableComm(Comm):
         self._tx = 0                     # last sequence number sent
         self._rx = 0                     # last in-order seq delivered
         self._unacked: Dict[int, object] = {}
+        #: A worker's heartbeat thread sends beside its main loop.
         self._lock = threading.RLock()
-        self._cond = threading.Condition(self._lock)
         self._broken = False
         self._break_time = 0.0
         self._dead = False
@@ -129,7 +131,6 @@ class ReliableComm(Comm):
             self._break_time = time.monotonic()
             with contextlib.suppress(Exception):
                 inner._close_transport()
-            self._cond.notify_all()
 
     def _send_control_locked(self, env: Dict[str, object]) -> None:
         """Fire-and-forget control frame (never buffered: controls are
@@ -201,125 +202,117 @@ class ReliableComm(Comm):
             self._send_control_locked({"h": perf_counter(),
                                        "a": self._rx})
 
+    @property
+    def lost(self) -> bool:
+        """Driver side: closed, the peer marked dead, or the link down
+        past ``deadline`` without a resync."""
+        with self._lock:
+            if (self._broken and not self._dead and
+                    time.monotonic() - self._break_time > self.deadline):
+                self._dead = True
+            return self._dead or self._closed
+
     def recv(self, timeout: Optional[float] = DEFAULT_TIMEOUT) -> object:
         """Next in-order message (heartbeats included, as ``{"op":
-        "hb", ...}`` dicts).  Handles nack/ack/duplicate/corrupt
-        frames and broken links internally."""
+        "hb", "clock": ...}`` dicts): :meth:`pump` until one arrives."""
         deadline = None if timeout is None \
             else time.monotonic() + timeout
         while True:
-            reconnect = False
+            left = None if deadline is None else deadline - time.monotonic()
+            if left is not None and left <= 0:
+                raise CommTimeoutError(
+                    f"recv from {self.peer_address} timed out")
+            msg = self.pump(left)
+            if msg is not None:
+                return msg
+
+    def pump(self, timeout: Optional[float] = None) -> object:
+        """Read and handle one frame: the message it delivers, or
+        ``None`` (a control, duplicate, out-of-order, corrupt or
+        undecodable frame, or a read that broke the link).  On a broken
+        link a worker reconnects first; a driver raises at once:
+        :class:`CommTimeoutError` while a resync may come,
+        :class:`CommClosedError` once the link is :attr:`lost`."""
+        with self._lock:
+            if self.lost:
+                raise CommClosedError(f"link to {self.peer_address} lost")
+            if self._broken and self.role == "driver":
+                raise CommTimeoutError(
+                    f"link to {self.peer_address} is down, waiting for "
+                    f"its resync")
+            reconnect = self._broken
+            inner = self.inner
+        if reconnect:
+            self._reconnect()
+            return None
+        try:
+            codec, payload = inner._recv_frame(timeout)
+        except CommTimeoutError:
+            raise
+        except CommError:
             with self._lock:
-                # Under the lock: a close() landing between an
-                # unlocked check and the wait below would have its
-                # notify_all() lost, and the wait would sleep out the
-                # whole reconnect deadline.
-                if self._closed:
-                    raise CommClosedError(f"recv on closed comm to "
-                                          f"{self.peer_address}")
-                if self._dead:
-                    raise CommClosedError(
-                        f"peer {self.peer_address} is dead")
-                if self._broken:
-                    if self.role == "worker":
-                        reconnect = True
-                    else:
-                        budget = (self._break_time + self.deadline
-                                  - time.monotonic())
-                        if budget <= 0:
-                            self._dead = True
-                            raise CommClosedError(
-                                f"peer {self.peer_address} never "
-                                f"reconnected within {self.deadline}s")
-                        if deadline is not None:
-                            budget = min(budget,
-                                         deadline - time.monotonic())
-                            if budget <= 0:
-                                raise CommTimeoutError(
-                                    f"recv from {self.peer_address} "
-                                    f"timed out (link down)")
-                        self._cond.wait(budget)
-                        continue
-                inner = self.inner
-            if reconnect:
-                self._reconnect()
-                continue
-            slice_t: Optional[float] = None
-            if deadline is not None:
-                slice_t = deadline - time.monotonic()
-                if slice_t <= 0:
-                    raise CommTimeoutError(
-                        f"recv from {self.peer_address} timed out")
-            try:
-                codec, payload = inner._recv_frame(slice_t)
-            except CommTimeoutError:
-                if deadline is not None \
-                        and time.monotonic() >= deadline:
-                    raise
-                continue
-            except CommError:
-                with self._lock:
-                    self._on_break_locked(inner)
-                continue
-            nbytes = _HEADER.size + len(payload)
-            try:
-                bare_codec, body = verify_crc(codec, payload)
-                env = decode_frame(bare_codec, body)
-            except FrameCorruptError as e:
-                self.corrupt_frames += 1
-                self._emit("corrupt", str(e))
-                with self._lock:
+                self._on_break_locked(inner)
+            return None
+        nbytes = _HEADER.size + len(payload)
+        try:
+            bare_codec, body = verify_crc(codec, payload)
+            env = decode_frame(bare_codec, body)
+        except FrameCorruptError as e:
+            self.corrupt_frames += 1
+            self._emit("corrupt", str(e))
+            with self._lock:
+                self._send_control_locked({"n": self._rx + 1,
+                                           "a": self._rx})
+            return None
+        except CommError:
+            return None  # undecodable stray frame
+        if not isinstance(env, dict):
+            return None
+        ack = env.get("a")
+        with self._lock:
+            if ack is not None:
+                self._drop_acked_locked(int(ack))
+            if "n" in env:
+                self._retransmit_locked(int(env["n"]))
+                return None
+            if "h" in env:
+                # Heartbeat: ack it (the worker prunes + resends off
+                # our rx) and deliver it upward with its send-time
+                # clock, which the driver's failure detector stamps.
+                self._send_control_locked({"a": self._rx})
+                self._maybe_retransmit_locked()
+                msg: object = {"op": "hb", "clock": env["h"]}
+            elif "s" in env:
+                seq = int(env["s"])
+                if seq <= self._rx:
+                    self.dup_frames += 1
+                    return None
+                if seq > self._rx + 1:
                     self._send_control_locked({"n": self._rx + 1,
                                                "a": self._rx})
-                continue
-            except CommError:
-                continue  # undecodable stray frame
-            if not isinstance(env, dict):
-                continue
-            ack = env.get("a")
-            with self._lock:
-                if ack is not None:
-                    self._drop_acked_locked(int(ack))
-                if "n" in env:
-                    self._retransmit_locked(int(env["n"]))
-                    continue
-                if "h" in env:
-                    # Heartbeat: ack it (the worker prunes + resends
-                    # off our rx) and deliver it upward so the driver
-                    # can feed its failure detector.
-                    self._send_control_locked({"a": self._rx})
-                    self._maybe_retransmit_locked()
-                    msg: object = {"op": "hb", "clock": env["h"]}
-                elif "s" in env:
-                    seq = int(env["s"])
-                    if seq <= self._rx:
-                        self.dup_frames += 1
-                        continue
-                    if seq > self._rx + 1:
-                        self._send_control_locked({"n": self._rx + 1,
-                                                   "a": self._rx})
-                        continue
-                    self._rx = seq
-                    msg = env["m"]
-                else:
-                    # Ack-only: the peer is alive but may be missing
-                    # frames it has not nacked yet (its nack may have
-                    # been dropped) — sweep, rate-limited.
-                    self._maybe_retransmit_locked()
-                    continue
-            self.received_messages += 1
-            self.received_bytes += nbytes
-            if self.counters is not None:
-                self.counters.record(self.path, nbytes)
-            if self.observer is not None:
-                self.observer("recv", msg, nbytes, codec, len(payload))
-            return msg
+                    return None
+                self._rx = seq
+                msg = env["m"]
+            else:
+                # Ack-only: the peer is alive but may be missing frames
+                # it has not nacked yet (its nack may have been
+                # dropped) — sweep, rate-limited.
+                self._maybe_retransmit_locked()
+                return None
+        self.received_messages += 1
+        self.received_bytes += nbytes
+        if self.counters is not None:
+            self.counters.record(self.path, nbytes)
+        if self.observer is not None:
+            self.observer("recv", msg, nbytes, codec, len(payload))
+        return msg
 
     # -- reconnection --------------------------------------------------
     def attach(self, inner: Comm, peer_rx: int) -> bool:
-        """Driver side: splice in a freshly-accepted resync connection
-        (the acceptor already answered the plain ``resync`` with our
-        ``resync-ack``)."""
+        """Splice in a connection whose ``resync`` / ``resync-ack``
+        handshake is done (the driver accepted it, or the worker dialled
+        it) and retransmit what the peer missed; ``False``, with
+        ``inner`` closed, when this link is already closed or dead."""
         with self._lock:
             if self._closed or self._dead:
                 with contextlib.suppress(Exception):
@@ -334,7 +327,6 @@ class ReliableComm(Comm):
             self.reconnects += 1
             self._drop_acked_locked(peer_rx)
             self._retransmit_locked(peer_rx + 1)
-            self._cond.notify_all()
         if self.observer is not None:
             self.observer("reopen", None, 0, -1, -1)
         self._emit("reconnect", f"worker {self.wid} resynced at "
@@ -346,15 +338,10 @@ class ReliableComm(Comm):
         delays = self.backoff.delays(self.seed, key=self.wid)
         attempt = 0
         while True:
-            with self._lock:
-                if self._closed or self._dead:
-                    raise CommClosedError("closed during reconnect")
-                start = self._break_time
-            if time.monotonic() - start > self.deadline:
-                with self._lock:
-                    self._dead = True
+            if self.lost:
                 raise CommClosedError(
-                    f"reconnect budget ({self.deadline}s) exhausted")
+                    f"closed, or reconnect budget ({self.deadline}s) "
+                    f"exhausted")
             inner: Optional[Comm] = None
             try:
                 inner = connect(self.reconnect_address,
@@ -380,28 +367,22 @@ class ReliableComm(Comm):
                 raise CommClosedError(
                     f"reconnect to {self.reconnect_address} failed "
                     f"after {attempt + 1} attempts") from None
-            with self._lock:
-                self.inner = inner
-                self._broken = False
-                self.reconnects += 1
-                peer_rx = int(ack.get("rx", 0))  # type: ignore[union-attr]
-                self._drop_acked_locked(peer_rx)
-                self._retransmit_locked(peer_rx + 1)
-            if self.observer is not None:
-                self.observer("reopen", None, 0, -1, -1)
+            peer_rx = int(ack.get("rx", 0))  # type: ignore[union-attr]
+            if not self.attach(inner, peer_rx):
+                raise CommClosedError("closed during reconnect")
             return
 
     # -- teardown ------------------------------------------------------
     def mark_dead(self) -> None:
         """Declare the peer dead *now* (the driver killed it on
-        purpose): recv stops waiting for a reconnect immediately."""
+        purpose): the link is :attr:`lost` without waiting out
+        ``deadline`` for a resync."""
         with self._lock:
             if self._dead:
                 return
             self._dead = True
             with contextlib.suppress(Exception):
                 self.inner._close_transport()
-            self._cond.notify_all()
 
     def close(self) -> None:
         if self._closed:
@@ -412,16 +393,5 @@ class ReliableComm(Comm):
             self._closed = True
             with contextlib.suppress(Exception):
                 self.inner._close_transport()
-            self._cond.notify_all()
         if self.observer is not None:
             self.observer("close", None, 0, -1, -1)
-
-    def _close_transport(self) -> None:  # pragma: no cover - close()
-        self.inner._close_transport()    # is fully overridden above
-
-    def _send_frame(self, frame: bytes) -> None:  # pragma: no cover
-        raise NotImplementedError("ReliableComm frames its own sends")
-
-    def _recv_frame(self, timeout: Optional[float]  # pragma: no cover
-                    ) -> Tuple[int, bytes]:
-        raise NotImplementedError("ReliableComm frames its own recvs")

@@ -119,8 +119,8 @@ def worker_main(wid: int, lane: int, address: str, ex: Any,
         comm = connect(address, timeout=10.0)
         if ex._reliable:
             comm.crc_frames = True
-        # The hello travels on the raw transport: the driver's acceptor
-        # routes on it before any reliable wrapping exists.
+        # The hello travels on the raw transport: the driver's event
+        # loop routes on it before any reliable wrapping exists.
         comm.send({"op": "hello", "wid": wid, "pid": os.getpid(),
                    "clock": perf_counter()})
         if ex._reliable:

@@ -8,8 +8,9 @@ Four layers:
 * :class:`ReliableComm` in isolation, driving one side by hand with
   raw CRC frames: exactly-once in-order delivery under duplicates,
   gaps, and corrupt frames; the reconnect-and-resync handshake from
-  both roles; application-level accounting that counts each message
-  once with wire retransmission cost reported separately.
+  both roles; a driver side that never waits on a link that is down;
+  application-level accounting that counts each message once with
+  wire retransmission cost reported separately.
 * :class:`ChaosComm` injection: seeded decisions are deterministic
   frame-for-frame across runs, connection cuts fire on the driver
   side after the planned frame count, partitions drop scheduled
@@ -17,7 +18,9 @@ Four layers:
 * The processes backend end to end under a net plan: connection cuts
   are resynced, the default chaos plan converges bit-identically, a
   one-way link stall is caught by phi-accrual heartbeat suspicion
-  (not the task timeout), and an unrecoverable backend loss degrades
+  (not the task timeout) while a driver deaf inside its own payload
+  suspects nobody, a lost shutdown frame or link ends its window
+  promptly, and an unrecoverable backend loss degrades
   processes → threads → eager instead of raising.
 """
 
@@ -225,8 +228,8 @@ class TestReliableComm:
             app_bytes = drv.sent_bytes
             client.close()                      # link breaks
             drv.send(m2)                        # buffered, not lost
-            # The worker dials back; the acceptor hands us the new
-            # connection, which we splice in at the peer's rx=1.
+            # The worker dials back; the executor's loop accepts the
+            # new connection, which we splice in at the peer's rx=1.
             out = {}
             t = threading.Thread(
                 target=lambda: out.update(server=lst.accept(timeout=5.0)))
@@ -250,36 +253,32 @@ class TestReliableComm:
             lst.close()
 
     def test_close_racing_recv_on_broken_link_is_not_lost(self):
-        # Regression: recv() tested ``_closed`` outside the lock, then
-        # (driver side, link down) slept in ``_cond.wait`` for the
-        # reconnect budget.  A close() landing in between had its
-        # notify_all() lost and the reader thread slept out the whole
-        # deadline while the pool shutdown blocked joining it.  The
-        # hook lock makes close() land exactly in that window.
+        # The driver side never waits on a link that is down: there is
+        # nothing to wait on (no condition variable, so no notify to
+        # lose), and the executor's event loop decides when the link is
+        # lost.  While a resync may still come, recv says "down" at
+        # once; a close, or the deadline running out, says "closed".
         server, client, lst = _pair()
-        drv = ReliableComm(server, role="driver", wid=0, deadline=5.0)
+        drv = ReliableComm(server, role="driver", wid=0, deadline=0.3)
         try:
+            assert not hasattr(drv, "_cond")
             with drv._lock:
                 drv._on_break_locked(drv.inner)     # link breaks
-            real = drv._lock
-
-            class CloseOnFirstAcquire:
-                fired = False
-
-                def __enter__(self):
-                    if not self.fired:
-                        self.fired = True
-                        drv.close()
-                    return real.__enter__()
-
-                def __exit__(self, *exc):
-                    return real.__exit__(*exc)
-
-            drv._lock = CloseOnFirstAcquire()
+            for timeout in (None, 30.0):
+                t0 = time.monotonic()
+                with pytest.raises(CommTimeoutError, match="down"):
+                    drv.recv(timeout=timeout)
+                assert time.monotonic() - t0 < 0.1
+            assert not drv.lost
+            time.sleep(0.35)                        # past the deadline
+            assert drv.lost
             t0 = time.monotonic()
-            with pytest.raises(CommClosedError):
+            with pytest.raises(CommClosedError, match="lost"):
                 drv.recv(timeout=None)
-            assert time.monotonic() - t0 < 0.5      # << deadline
+            drv.close()
+            with pytest.raises(CommClosedError, match="lost"):
+                drv.recv(timeout=None)
+            assert time.monotonic() - t0 < 0.1
         finally:
             drv.close()
             client.close()
@@ -299,7 +298,7 @@ class TestReliableComm:
             server._close_transport()           # driver side of the link dies
 
             def _driver_side():
-                # What the executor's acceptor does on resync: answer
+                # What the executor's event loop does on resync: answer
                 # with our rx, then resume the stream.
                 conn = lst.accept(timeout=5.0)
                 rs = conn.recv(timeout=5.0)
@@ -329,15 +328,22 @@ class TestReliableComm:
             lst.close()
 
     def test_mark_dead_short_circuits_the_reconnect_wait(self):
+        # The driver killed the worker on purpose: the link is lost
+        # now, not after the 30 s resync deadline, and a recv on it
+        # raises at once rather than waiting for a reconnect.
         server, client, lst = _pair()
         drv = ReliableComm(server, role="driver", wid=0, deadline=30.0)
         try:
             client.close()
-            drv.mark_dead()                     # driver killed it on purpose
+            assert not drv.lost
+            drv.mark_dead()
+            assert drv.lost and drv.fileno() == -1
             t0 = time.perf_counter()
-            with pytest.raises(CommClosedError):
+            with pytest.raises(CommClosedError, match="lost"):
                 drv.recv(timeout=30.0)
-            assert time.perf_counter() - t0 < 1.0
+            with pytest.raises(CommClosedError, match="lost"):
+                drv.pump()
+            assert time.perf_counter() - t0 < 0.1
         finally:
             drv.close()
             lst.close()
@@ -537,6 +543,77 @@ class TestExecutorChaos:
         assert np.array_equal(u, u0)
         assert np.array_equal(h, h0)
         assert leaked == 0 and shm == []
+
+    def test_a_deaf_driver_suspects_no_live_worker(self):
+        # One thread reads every worker socket, and a helping driver is
+        # deaf for the length of its own payload: here a 0.5 s
+        # driver-only task (it writes a scalar box) that waits on the
+        # worker's task and so runs with nothing in flight, while the
+        # worker beats every 10 ms.  Fifty beats wait in the socket;
+        # stamped when they were sent, and judged only up to when the
+        # driver last listened, they keep phi far below phi_suspect.
+        from repro.runtime.task import TaskKind
+        pol = RecoveryPolicy(heartbeat_interval=0.01, heartbeat_grace=0.05,
+                             phi_suspect=3.0, phi_dead=1e6)
+        with Runtime(ProcessGrid(1, 1), deferred=True, workers=2,
+                     backend="processes", recovery=pol) as rt:
+            a = DistMatrix(rt, 64, 64, 32, np.float64, name="a")
+            box = rt.new_scalar_ref()
+            for j in range(2):
+                rt.submit(TaskKind.GEMM, writes=(a.ref(0, j),), rank=0,
+                          fn=lambda: None, label="noop")
+            rt.submit(TaskKind.GEMM, reads=(a.ref(0, 0), a.ref(0, 1)),
+                      writes=(box,), rank=0, fn=lambda: time.sleep(0.5),
+                      label="deaf")
+            rt.sync()
+            stats = rt.exec_stats
+            assert rt._executor.inflight_attempts == 0
+        assert stats.forks == 1 and stats.shipped == 1
+        assert stats.recovery.heartbeat_suspects == 0
+
+    @pytest.mark.parametrize("fault", ["dropped", "cut-after-it"])
+    def test_a_lost_shutdown_ends_the_window_promptly(self, monkeypatch,
+                                                      fault):
+        # The wire eats each worker's first shutdown frame, or cuts the
+        # link right after writing it.  Dropped: the worker's next
+        # heartbeat is acked and the ack's sweep re-sends it.  Cut: the
+        # worker exits on the shutdown it got, and the socket the cut
+        # closed must have left the loop, or the shutdown wait would
+        # watch a dead key until its 5 s deadline and then kill.
+        from repro.runtime import ProcessExecutor
+        from repro.runtime.task import TaskKind
+        put, hit = ReliableComm._put_locked, []
+
+        def lossy_put(rc, frame):
+            if b"shutdown" not in frame or rc in hit:
+                return put(rc, frame)
+            hit.append(rc)
+            if fault == "dropped":
+                return True
+            ok = put(rc, frame)
+            rc._on_break_locked(rc.inner)
+            return ok
+
+        shut, walls = ProcessExecutor._shutdown_pool, []
+
+        def timed_shutdown(ex, force=False):
+            t0 = time.perf_counter()
+            shut(ex, force)
+            walls.append(time.perf_counter() - t0)
+
+        monkeypatch.setattr(ReliableComm, "_put_locked", lossy_put)
+        monkeypatch.setattr(ProcessExecutor, "_shutdown_pool",
+                            timed_shutdown)
+        with Runtime(ProcessGrid(1, 1), deferred=True, workers=3,
+                     backend="processes", recovery=RecoveryPolicy()) as rt:
+            a = DistMatrix(rt, 32, 96, 32, np.float64, name="a")
+            for j in range(3):
+                rt.submit(TaskKind.GEMM, writes=(a.ref(0, j),), rank=0,
+                          fn=lambda: None, label="noop")
+            rt.sync()
+            assert rt.exec_stats.forks == 2
+        assert len(hit) == 2
+        assert max(walls) < 1.0
 
 
 # ----------------------------------------------------------------------

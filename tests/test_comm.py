@@ -4,19 +4,27 @@ Both transports behind the one ``Comm``/``Listener`` interface:
 round-trips, counters that match wire bytes exactly, refused double
 binds, and — the property the executor's crash recovery leans on — a
 dropped connection surfacing as a *retryable* error well under the
-5 s timeout budget instead of a hang.
+5 s timeout budget instead of a hang.  The frame decoder is fuzzed:
+whatever bytes arrive, the comm layer raises nothing but
+:class:`CommError` (the executor's event loop survives on that rule).
 """
 
+import struct
 import threading
 import time
+import zlib
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from repro.comm.counters import CommCounters
 from repro.comm.network import TransferPath
 from repro.runtime.distributed.comm import (
+    CODEC_MSGPACK,
     CODEC_PICKLE,
     DEFAULT_TIMEOUT,
+    FLAG_CRC,
     AddressInUseError,
     CommClosedError,
     CommError,
@@ -26,6 +34,7 @@ from repro.runtime.distributed.comm import (
     encode_frame,
     listen,
     register_transport,
+    verify_crc,
 )
 
 TRANSPORT_ADDRESSES = [
@@ -167,6 +176,55 @@ class TestFraming:
     def test_unknown_codec_rejected(self):
         with pytest.raises(CommError):
             decode_frame(250, b"junk")
+
+
+#: A codec byte: mostly the real tags, with and without the CRC flag.
+_CODECS = st.one_of(
+    st.sampled_from([CODEC_PICKLE, CODEC_MSGPACK,
+                     CODEC_PICKLE | FLAG_CRC, CODEC_MSGPACK | FLAG_CRC]),
+    st.integers(0, 255))
+
+
+class TestDecoderFuzz:
+    """Every error the frame decoder raises is a :class:`CommError`."""
+
+    @given(codec=_CODECS, payload=st.binary(max_size=96),
+           sealed=st.booleans())
+    @example(codec=CODEC_PICKLE, payload=b"garbage", sealed=False)
+    @example(codec=CODEC_PICKLE, payload=b"", sealed=False)
+    @example(codec=CODEC_PICKLE, payload=b"garbage", sealed=True)
+    def test_any_codec_and_payload(self, codec, payload, sealed):
+        # ``sealed``: a valid CRC trailer, so the payload reaches the
+        # codec however it is flagged.
+        if sealed:
+            payload += struct.pack(">I", zlib.crc32(payload) & 0xFFFFFFFF)
+            codec |= FLAG_CRC
+        try:
+            decode_frame(*verify_crc(codec, payload))
+        except CommError:
+            pass
+
+    @given(data=st.binary(max_size=160))
+    @example(data=struct.pack(">QB", 7, CODEC_PICKLE) + b"garbage")
+    @example(data=struct.pack(">QB", 0, CODEC_PICKLE))
+    @example(data=struct.pack(">QB", 1 << 40, CODEC_PICKLE) + b"\x80")
+    def test_any_bytes_on_a_tcp_comm(self, data):
+        # Whatever a peer writes and then hangs up on: whole frames
+        # decode or raise CommError, a torn one is a CommClosedError.
+        server, client, lst = _pair("tcp://127.0.0.1:0")
+        try:
+            client._sock.sendall(data)
+            client.close()
+            for _ in range(len(data) + 1):
+                try:
+                    server.recv(timeout=5.0)
+                except CommError:
+                    break
+            else:
+                pytest.fail("recv never reached the hang-up")
+        finally:
+            server.close()
+            lst.close()
 
 
 class TestSchemeRegistry:

@@ -591,6 +591,42 @@ class TestWorkerDeathByHand:
         assert scan_segments(prefix) == []
 
 
+class TestOneThread:
+    """The driver of a processes executor runs no thread besides the
+    caller's: one event loop reads the listener and every worker."""
+
+    @pytest.mark.parametrize("guarded", [False, True],
+                             ids=["plain", "reliable"])
+    def test_the_driver_runs_no_thread_of_its_own(self, monkeypatch,
+                                                  guarded):
+        # 384^2 / nb=192 forks in 7 windows.  RecoveryPolicy() turns on
+        # heartbeats and the reliable layer, the link that used to block
+        # a reader thread per worker on a condition variable.
+        import threading
+
+        from repro.resilience import RecoveryPolicy
+        from repro.runtime import ProcessExecutor
+
+        a = generate_matrix(384, cond=1e4, seed=1)
+        u0, h0, _ = _run_eager(a, 192)
+        seen, recv = [], ProcessExecutor._recv
+
+        def sampling_recv(ex, timeout):
+            seen.append(set(threading.enumerate()))
+            return recv(ex, timeout)
+
+        monkeypatch.setattr(ProcessExecutor, "_recv", sampling_recv)
+        before = set(threading.enumerate())
+        u, h, res, stats, leaked, shm = _run_processes(
+            a, 192, 2, recovery=RecoveryPolicy() if guarded else None)
+        assert stats.forks == 7 and stats.shipped > 0 and seen
+        assert not [t.name for s in seen for t in s
+                    if t.name.startswith("repro-dist-")]
+        assert all(s == before for s in seen)
+        assert np.array_equal(u, u0) and np.array_equal(h, h0)
+        assert leaked == 0 and shm == []
+
+
 class TestDriverLaneWindows:
     """A window none of whose tasks is worth a hand-off runs on the
     driver lane: no fork, no frame, nothing pinned."""
