@@ -21,7 +21,14 @@ workers:
   (:meth:`~repro.runtime.window.WindowExecutor._lanes`, the rule the
   threads transport shares): a window forks ``min(W, eligible) - 1``
   processes, where ``eligible`` counts the tasks :meth:`_worker_ok`
-  admits (``_eligible``, once a task per window).
+  admits (``_eligible``, once a task per window).  Neither end of a
+  window waits on more than it must: a worker dials the IP-literal
+  listener address with no name resolution, ``_open`` waits only for
+  the hellos, and ``_shut`` *retires* the workers — it sends each its
+  shutdown and returns, joining nothing; the event loop reaps a
+  retiring worker once its exit sentinel fires, in whatever later turn
+  that is, and :meth:`close` reaps the rest (5 s, then SIGKILL).  Only
+  a failed window waits for its workers, 0.1 s before a kill.
 * **Sweeps.**  A window that gets no fork — ``workers=1``, a window
   none of whose tasks is worth a hand-off
   (:meth:`~repro.runtime.window.WindowExecutor._pays`), or one whose
@@ -68,10 +75,13 @@ workers:
   look silent), each frame once its socket is readable, and whole.  A
   death — SIGKILL, injected ``RankCrash``, a task-timeout or heartbeat
   kill — is an EOF, or a reliable link dead or down past
-  ``net_deadline``; the driver requeues what it held.  Spawns and
-  ``_shutdown_pool`` turn the same loop, so a worker mid-resync is
-  always answered.  The shared-memory registry lives only in the
-  parent, so no worker death can leak or tear down a segment.
+  ``net_deadline``; the driver requeues what it held.  A *retiring*
+  worker never dies into a window: its EOF is no death and its
+  detector is gone, but its link stays in the loop, so every later
+  turn — the next spawn's wait, the next drive, :meth:`close` — acks
+  its heartbeats, answers its ``resync`` and re-sends a shutdown the
+  wire dropped.  The shared-memory registry lives only in the parent,
+  so no worker death can leak or tear down a segment.
 * **Periodic work** (``_tick``).  Injected crashes (pending until a
   worker holds an attempt to lose), phi-accrual heartbeat suspicion,
   task-timeout kills, and the respawn of a worker when every lane is
@@ -194,7 +204,8 @@ class ProcessExecutor(WindowExecutor):
                           or pol.heartbeat_interval is not None)
         self._chaos_installed = False
         #: The driver's event loop over the listener (data ``None``),
-        #: new connections (``(comm, key)``) and workers (``_Worker``).
+        #: new connections (``(comm, key)``), worker links (``_Worker``)
+        #: and the exit sentinels of retiring workers (their wid).
         self._sel = selectors.DefaultSelector()
         #: When a turn of the loop last found no socket readable: every
         #: frame sent before then has been read, heartbeats included.
@@ -209,6 +220,9 @@ class ProcessExecutor(WindowExecutor):
         self._suspected: Set[int] = set()
         self._listener: Optional[Listener] = None
         self._pool: Dict[int, _Worker] = {}
+        #: Workers sent their shutdown and not yet reaped: their links
+        #: stay in the loop until their processes exit (:meth:`_retire`).
+        self._retiring: Dict[int, _Worker] = {}
         self._next_wid = 0
         #: The running window's ``tid -> worker-eligible`` marks.
         self._ok: Dict[int, bool] = {}
@@ -224,7 +238,8 @@ class ProcessExecutor(WindowExecutor):
         if self._closed:
             return
         self._closed = True
-        self._shutdown_pool(force=True)
+        # Every window's _shut emptied the pool: what is left retires.
+        self._drain(list(self._retiring), 5.0)
         for key in list(self._sel.get_map().values()):
             if isinstance(key.data, tuple):  # its first frame never came
                 key.data[0].close()
@@ -319,6 +334,8 @@ class ProcessExecutor(WindowExecutor):
                 self._admit()
             elif isinstance(key.data, _Worker):
                 self._serve(key.data, out)
+            elif isinstance(key.data, int):
+                self._release(self._retiring[key.data])
             else:
                 self._first_frame(key.fd, *key.data)
         return bool(ready)
@@ -361,7 +378,8 @@ class ProcessExecutor(WindowExecutor):
         its :class:`ReliableComm` (the handshake is recorded under the
         pending key, the rest under the worker's: attach marks a
         "reopen")."""
-        w = self._pool.get(msg.get("wid", -1))
+        wid = msg.get("wid", -1)
+        w = self._pool.get(wid) or self._retiring.get(wid)
         rc = w.comm if w is not None else None
         if w is None or not isinstance(rc, ReliableComm) or rc.lost:
             comm.close()
@@ -380,12 +398,14 @@ class ProcessExecutor(WindowExecutor):
                out: Optional[List[Union[Report, Death]]]) -> None:
         """Read one frame of ``w``'s: a heartbeat beats its detector at
         the time the worker sent it, a reply is reported, EOF on a plain
-        link is a death; a broken reliable link leaves the loop until a
+        link is a death — unless ``w`` is retiring, whose exit its
+        sentinel reports; a broken reliable link leaves the loop until a
         resync re-attaches it or :meth:`_reap` gives up on it."""
         try:
             msg = w.comm.pump()
         except CommError:
-            if out is not None and not isinstance(w.comm, ReliableComm):
+            if (out is not None and w.wid in self._pool
+                    and not isinstance(w.comm, ReliableComm)):
                 out.append(self._buried(w))
             else:
                 self._unwatch(w)
@@ -452,8 +472,9 @@ class ProcessExecutor(WindowExecutor):
         said hello.  Nothing reports meanwhile: ``_open`` forks into an
         empty pool, a respawn comes once every lane is buried."""
         lst = self._ensure_listener()
-        close_fds = [w.comm.fileno() for w in self._pool.values()
-                     if not w.comm.closed]
+        close_fds = [fd for w in (*self._pool.values(),
+                                  *self._retiring.values())
+                     if (fd := w.comm.fileno()) >= 0]
         wids = range(self._next_wid, self._next_wid + len(lanes))
         self._next_wid += len(lanes)
         for wid, lane in zip(wids, lanes):
@@ -541,37 +562,54 @@ class ProcessExecutor(WindowExecutor):
                 self._suspected.discard(wid)
                 sched.mark_suspect(wid, False)
 
-    def _shutdown_pool(self, force: bool = False) -> None:
+    def _retire(self) -> None:
+        """Send every pool worker its shutdown and stop waiting on it:
+        it leaves the pool (no phi, no crash, no timeout, no respawn
+        sees it again) for the retiring set, whose links stay in the
+        loop — every later turn acks their heartbeats, answers their
+        ``resync`` and so re-sends a shutdown the wire dropped — and
+        whose exit sentinels :meth:`_release` them once they are gone."""
         for w in self._pool.values():
             if not w.comm.closed:
                 with contextlib.suppress(CommError):
                     w.comm.send({"op": "shutdown"})
                 self._track(w)
-        # The loop keeps turning while the workers exit: a heartbeat's
-        # ack re-sends a shutdown the wire dropped, and a worker that is
-        # mid-resync is answered (its attach re-sends it) instead of
-        # dialling until net_deadline.
-        deadline = time.monotonic() + (0.1 if force else 5.0)
-        for w in self._pool.values():
-            while w.proc.is_alive() and (
-                    left := deadline - time.monotonic()) > 0:
-                w.proc.join(min(left, self.recovery_policy.poll_interval))
-                self._poll(0.0, None)
-            if w.proc.is_alive():
-                w.proc.kill()
-                w.proc.join(timeout=5.0)
-            self._unwatch(w)
-            w.comm.close()
-            if isinstance(w.comm, ReliableComm):
-                self.stats.comm_retrans_messages += w.comm.retrans_messages
-                self.stats.comm_retrans_bytes += w.comm.retrans_bytes
-        for proc, _ in self._forked.values():  # forked, never adopted
-            proc.kill()
-            proc.join(timeout=5.0)
-        self._forked.clear()
+            self._retiring[w.wid] = w
+            self._watch(w.proc.sentinel, w.wid)
         self._pool.clear()
         self._hb.clear()
         self._suspected.clear()
+
+    def _release(self, w: _Worker) -> None:
+        """A retiring worker has exited: out of the loop, its link
+        closed, its process reaped (at once: it is gone)."""
+        del self._retiring[w.wid]
+        self._sel.unregister(w.proc.sentinel)
+        self._unwatch(w)
+        w.comm.close()
+        w.proc.join(timeout=5.0)
+        if isinstance(w.comm, ReliableComm):
+            self.stats.comm_retrans_messages += w.comm.retrans_messages
+            self.stats.comm_retrans_bytes += w.comm.retrans_bytes
+
+    def _drain(self, wids: Sequence[int], timeout: float) -> None:
+        """Turn the loop until each retiring worker of ``wids`` has
+        exited, for at most ``timeout`` seconds, then SIGKILL and
+        release the rest (a reaped pid is never signalled); kill what
+        was forked but never said hello."""
+        deadline = time.monotonic() + timeout
+        while any(wid in self._retiring for wid in wids) and (
+                left := deadline - time.monotonic()) > 0:
+            self._poll(left, None)
+        for wid in wids:
+            w = self._retiring.get(wid)
+            if w is not None:
+                w.proc.kill()
+                self._release(w)
+        for proc, _ in self._forked.values():
+            proc.kill()
+            proc.join(timeout=5.0)
+        self._forked.clear()
 
     # ------------------------------------------------------------------
     # Transport hooks
@@ -755,6 +793,11 @@ class ProcessExecutor(WindowExecutor):
             w.comm.mark_dead()
 
     def _shut(self, failure: Optional[BaseException]) -> None:
-        self._shutdown_pool(force=failure is not None)
+        """Retire the window's workers; only a failed window (or one
+        whose spawn failed) waits for them, 0.1 s before a kill."""
+        wids = list(self._pool)
+        self._retire()
+        if failure is not None or self._forked:
+            self._drain(wids, 0.1)
         self.stats.comm_messages = self.comm_counters.total_messages
         self.stats.comm_bytes = self.comm_counters.total_bytes

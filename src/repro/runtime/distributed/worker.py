@@ -28,10 +28,16 @@ the parent's :class:`~repro.runtime.attempt.RetryLedger` snapshots
 write tiles before dispatching so a SIGKILL at any instant leaves it
 able to restore and replay (lineage recovery, PR 5).
 
-The worker never touches the shared-memory registry, never spawns
-threads, and exits through ``os._exit`` so a teardown cannot corrupt
-parent-owned resources (atexit handlers, shm unlinking and the
-multiprocessing resource tracker all belong to the parent).
+The worker dials the driver's IP-literal address without a name
+lookup (the first ``getaddrinfo`` of a fresh fork costs milliseconds),
+says hello, and serves tasks until ``shutdown``.  Nobody waits for it
+to go: the driver *retires* it at the end of the window and reaps it
+once it has exited, whenever its event loop next turns.  The worker
+never touches the shared-memory registry, spawns no thread but a
+reliable link's heartbeat, and exits through ``os._exit`` so a
+teardown cannot corrupt parent-owned resources (atexit handlers, shm
+unlinking and the multiprocessing resource tracker all belong to the
+parent).
 """
 
 from __future__ import annotations

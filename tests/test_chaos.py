@@ -575,11 +575,13 @@ class TestExecutorChaos:
     def test_a_lost_shutdown_ends_the_window_promptly(self, monkeypatch,
                                                       fault):
         # The wire eats each worker's first shutdown frame, or cuts the
-        # link right after writing it.  Dropped: the worker's next
-        # heartbeat is acked and the ack's sweep re-sends it.  Cut: the
-        # worker exits on the shutdown it got, and the socket the cut
-        # closed must have left the loop, or the shutdown wait would
-        # watch a dead key until its 5 s deadline and then kill.
+        # link right after writing it.  The window retires its workers
+        # and returns at once either way; each must still exit by
+        # itself before rt.close() returns.  Dropped: the retiring link
+        # stays in the loop, so the worker's next heartbeat is acked and
+        # the ack's sweep re-sends the shutdown.  Cut: the worker exits
+        # on the shutdown it got, and the socket the cut closed must
+        # have left the loop.
         from repro.runtime import ProcessExecutor
         from repro.runtime.task import TaskKind
         put, hit = ReliableComm._put_locked, []
@@ -594,16 +596,16 @@ class TestExecutorChaos:
             rc._on_break_locked(rc.inner)
             return ok
 
-        shut, walls = ProcessExecutor._shutdown_pool, []
+        shut, walls, procs = ProcessExecutor._shut, [], []
 
-        def timed_shutdown(ex, force=False):
+        def timed_shut(ex, failure):
+            procs.extend(w.proc for w in ex._pool.values())
             t0 = time.perf_counter()
-            shut(ex, force)
+            shut(ex, failure)
             walls.append(time.perf_counter() - t0)
 
         monkeypatch.setattr(ReliableComm, "_put_locked", lossy_put)
-        monkeypatch.setattr(ProcessExecutor, "_shutdown_pool",
-                            timed_shutdown)
+        monkeypatch.setattr(ProcessExecutor, "_shut", timed_shut)
         with Runtime(ProcessGrid(1, 1), deferred=True, workers=3,
                      backend="processes", recovery=RecoveryPolicy()) as rt:
             a = DistMatrix(rt, 32, 96, 32, np.float64, name="a")
@@ -612,8 +614,12 @@ class TestExecutorChaos:
                           fn=lambda: None, label="noop")
             rt.sync()
             assert rt.exec_stats.forks == 2
-        assert len(hit) == 2
-        assert max(walls) < 1.0
+            t_close = time.perf_counter()
+        t_close = time.perf_counter() - t_close
+        assert len(hit) == 2 and len(procs) == 2
+        assert max(walls) < 0.1
+        assert t_close < 1.0
+        assert [p.exitcode for p in procs] == [0, 0]
 
 
 # ----------------------------------------------------------------------

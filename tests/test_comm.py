@@ -9,9 +9,12 @@ whatever bytes arrive, the comm layer raises nothing but
 :class:`CommError` (the executor's event loop survives on that rule).
 """
 
+import gc
+import socket
 import struct
 import threading
 import time
+import warnings
 import zlib
 
 import pytest
@@ -282,3 +285,57 @@ class TestTcpSpecifics:
         finally:
             server.close()
             lst.close()
+
+    def test_a_comm_closed_by_eof_leaks_no_socket(self):
+        # EOF marks the comm closed; close() must still release its
+        # socket, which then reports fileno() == -1.
+        server, client, lst = _pair("tcp://127.0.0.1:0")
+        client.close()
+        lst.close()
+        with pytest.raises(CommClosedError):
+            server.recv(timeout=5.0)
+        assert server.closed and server.fileno() >= 0
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always", ResourceWarning)
+            server.close()
+            fd = server.fileno()
+            del server, client, lst
+            gc.collect()
+        assert not [str(w.message) for w in seen
+                    if issubclass(w.category, ResourceWarning)]
+        assert fd == -1
+
+    def test_an_ip_literal_dials_without_a_resolver(self, monkeypatch):
+        # A freshly forked worker's first getaddrinfo costs
+        # milliseconds: an IP-literal address must not call it.  A
+        # hostname still resolves.
+        real, asked = socket.getaddrinfo, []
+
+        def no_resolver(*args, **kw):
+            raise OSError("name resolution is not allowed here")
+
+        def resolver(host, *args, **kw):
+            asked.append(host)
+            return real(host, *args, **kw)
+
+        lst = listen("tcp://127.0.0.1:0")
+        port = lst.address.rsplit(":", 1)[1]
+        try:
+            for host, patch in (("127.0.0.1", no_resolver),
+                                ("localhost", resolver)):
+                monkeypatch.setattr(socket, "getaddrinfo", patch)
+                client = connect(f"tcp://{host}:{port}", timeout=5.0)
+                monkeypatch.undo()
+                server = lst.accept(timeout=5.0)
+                try:
+                    client.send({"op": "hello", "host": host})
+                    assert server.recv(timeout=5.0) == {"op": "hello",
+                                                        "host": host}
+                    server.send({"op": "shutdown"})
+                    assert client.recv(timeout=5.0) == {"op": "shutdown"}
+                finally:
+                    client.close()
+                    server.close()
+        finally:
+            lst.close()
+        assert asked == ["localhost"]

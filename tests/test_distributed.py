@@ -627,6 +627,60 @@ class TestOneThread:
         assert leaked == 0 and shm == []
 
 
+class TestRetiringWorkers:
+    """A window that did not fail retires its workers instead of
+    joining them: ``_shut`` sends each its shutdown and returns, the
+    event loop reaps each once its process is gone, and ``rt.close()``
+    reaps whatever is left."""
+
+    @pytest.mark.parametrize("guarded", [False, True],
+                             ids=["plain", "reliable"])
+    def test_the_window_does_not_join(self, monkeypatch, guarded):
+        import multiprocessing
+        from multiprocessing.process import BaseProcess
+
+        from repro.resilience import RecoveryPolicy
+        from repro.runtime import ProcessExecutor
+
+        a = generate_matrix(384, cond=1e4, seed=1)
+        u0, h0, _ = _run_eager(a, 192)
+        shutting, joined, pids = [], [], []
+        join, shut, adopt = (BaseProcess.join, ProcessExecutor._shut,
+                             ProcessExecutor._adopt)
+
+        def spying_join(proc, timeout=None):
+            if shutting and shutting[-1] is None:
+                joined.append(proc.pid)
+            return join(proc, timeout)
+
+        def spying_shut(ex, failure):
+            shutting.append(failure)
+            try:
+                return shut(ex, failure)
+            finally:
+                shutting.pop()
+
+        def spying_adopt(ex, *args):
+            w = adopt(ex, *args)
+            pids.append(w.pid)
+            return w
+
+        monkeypatch.setattr(BaseProcess, "join", spying_join)
+        monkeypatch.setattr(ProcessExecutor, "_shut", spying_shut)
+        monkeypatch.setattr(ProcessExecutor, "_adopt", spying_adopt)
+        u, h, res, stats, leaked, shm = _run_processes(
+            a, 192, 2, recovery=RecoveryPolicy() if guarded else None)
+        assert stats.forks == 7 and len(pids) == 7 and stats.shipped > 0
+        assert joined == []
+        for pid in pids:        # reaped: no zombie left to wait for
+            with pytest.raises(ChildProcessError):
+                os.waitpid(pid, os.WNOHANG)
+        assert multiprocessing.active_children() == []
+        assert stats.recovery.crashes == 0
+        assert np.array_equal(u, u0) and np.array_equal(h, h0)
+        assert leaked == 0 and shm == []
+
+
 class TestDriverLaneWindows:
     """A window none of whose tasks is worth a hand-off runs on the
     driver lane: no fork, no frame, nothing pinned."""
