@@ -50,13 +50,24 @@ def _dump_metrics(path: str) -> None:
     print(f"metrics snapshot written to {path}")
 
 
+def _load_fault_plan(path: str):
+    """``--fault-plan PATH``; an unreadable or malformed plan exits
+    non-zero with one ``error:`` line."""
+    from .resilience import FaultPlan
+
+    try:
+        return FaultPlan.from_json(path)
+    except (OSError, ValueError) as exc:
+        raise SystemExit(f"error: --fault-plan {path}: {exc}") from None
+
+
 def _fault_plan_from_args(args: argparse.Namespace, ranks: int,
                           horizon: float):
     """FaultPlan from the CLI flags (file > compact specs > MTTF)."""
     from .resilience import FaultPlan, plan_from_spec
 
     if getattr(args, "fault_plan", None):
-        return FaultPlan.from_json(args.fault_plan)
+        return _load_fault_plan(args.fault_plan)
     if getattr(args, "mttf", None):
         return FaultPlan.poisson_crashes(
             args.mttf, horizon, ranks, seed=args.fault_seed)
@@ -185,9 +196,7 @@ def _polar_tiled(args: argparse.Namespace, a: np.ndarray) -> int:
 
     fault_plan = None
     if args.fault_plan:
-        from .resilience import FaultPlan
-
-        fault_plan = FaultPlan.from_json(args.fault_plan)
+        fault_plan = _load_fault_plan(args.fault_plan)
     recovery = _live_recovery_from_args(args, fault_plan)
     if (fault_plan is not None or recovery is not None) and not parallel:
         raise SystemExit("--fault-plan/--retries/--task-timeout require "

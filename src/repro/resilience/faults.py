@@ -43,7 +43,8 @@ import random
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .net import NetFaultPlan
+from .net import (_NET_PLAN, _WINDOW, NetFaultPlan, _count, _entry, _flag,
+                  _items, _maybe, _real, _text)
 
 _INF = float("inf")
 
@@ -358,53 +359,11 @@ class FaultPlan:
         return out
 
     @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "FaultPlan":
-        known = {"seed", "crashes", "transient", "links", "stragglers",
-                 "stalls", "corruptions", "net",
-                 "speculation", "speculation_factor", "crash_detect_delay"}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"unknown fault-plan keys: {sorted(unknown)}")
-
-        def window(d):
-            return {"start": d.get("start", 0.0),
-                    "end": _INF if d.get("end") is None else d["end"]}
-
-        return cls(
-            seed=int(data.get("seed", 0)),
-            crashes=tuple(RankCrash(rank=int(c["rank"]),
-                                    time=float(c["time"]))
-                          for c in data.get("crashes", ())),
-            transient=(TransientFaults(**data["transient"])
-                       if data.get("transient") else None),
-            links=tuple(LinkDegradation(
-                src=f.get("src"), dst=f.get("dst"),
-                alpha_factor=f.get("alpha_factor", 1.0),
-                beta_factor=f.get("beta_factor", 1.0), **window(f))
-                for f in data.get("links", ())),
-            stragglers=tuple(StragglerSlot(
-                rank=int(s["rank"]), factor=float(s["factor"]),
-                **window(s))
-                for s in data.get("stragglers", ())),
-            stalls=tuple(WorkerStall(
-                probability=float(s["probability"]),
-                seconds=float(s.get("seconds", 0.25)),
-                kinds=(None if s.get("kinds") is None
-                       else tuple(s["kinds"])))
-                for s in data.get("stalls", ())),
-            corruptions=tuple(TileCorruption(
-                probability=float(c["probability"]),
-                value=str(c.get("value", "nan")),
-                max_events=int(c.get("max_events", 1)),
-                kinds=(None if c.get("kinds") is None
-                       else tuple(c["kinds"])))
-                for c in data.get("corruptions", ())),
-            net=(NetFaultPlan.from_dict(data["net"])
-                 if data.get("net") else None),
-            speculation=bool(data.get("speculation", True)),
-            speculation_factor=float(data.get("speculation_factor", 2.0)),
-            crash_detect_delay=float(data.get("crash_detect_delay", 0.0)),
-        )
+    def from_dict(cls, data: object) -> "FaultPlan":
+        """The plan :meth:`as_dict` wrote; any malformed input — a
+        missing or unknown key, a value of the wrong type, a bad
+        container — is a ``ValueError`` naming the entry."""
+        return _FAULT_PLAN(data, "fault-plan")
 
     def to_json(self, path: str) -> str:
         with open(path, "w") as fh:
@@ -415,6 +374,29 @@ class FaultPlan:
     def from_json(cls, path: str) -> "FaultPlan":
         with open(path) as fh:
             return cls.from_dict(json.load(fh))
+
+
+_FAULT_PLAN = _entry(FaultPlan, {
+    "seed": _count,
+    "crashes": _items(_entry(RankCrash, {"rank": _count, "time": _real})),
+    "transient": _maybe(_entry(TransientFaults, {
+        "probability": _real, "max_attempts": _count, "backoff": _real})),
+    "links": _items(_entry(LinkDegradation, {
+        "src": _maybe(_count), "dst": _maybe(_count),
+        "alpha_factor": _real, "beta_factor": _real, **_WINDOW})),
+    "stragglers": _items(_entry(StragglerSlot, {
+        "rank": _count, "factor": _real, **_WINDOW})),
+    "stalls": _items(_entry(WorkerStall, {
+        "probability": _real, "seconds": _real,
+        "kinds": _maybe(_items(_text))})),
+    "corruptions": _items(_entry(TileCorruption, {
+        "probability": _real, "value": _text, "max_events": _count,
+        "kinds": _maybe(_items(_text))})),
+    "net": _maybe(_NET_PLAN),
+    "speculation": _flag,
+    "speculation_factor": _real,
+    "crash_detect_delay": _real,
+})
 
 
 @dataclass

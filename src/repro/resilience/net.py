@@ -30,9 +30,9 @@ import json
 import math
 import random
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from time import perf_counter
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 __all__ = [
     "FrameDrop", "FrameDuplicate", "FrameDelay", "FrameCorrupt",
@@ -291,48 +291,11 @@ class NetFaultPlan:
         return out
 
     @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "NetFaultPlan":
-        known = {"seed", "drops", "duplicates", "delays", "corrupts",
-                 "stalls", "partitions", "cuts"}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"unknown net-plan keys: {sorted(unknown)}")
-
-        def window(d: Dict[str, object]) -> Dict[str, float]:
-            return {"start": float(d.get("start", 0.0) or 0.0),
-                    "end": (_INF if d.get("end") is None
-                            else float(d["end"]))}
-
-        return cls(
-            seed=int(data.get("seed", 0)),
-            drops=tuple(FrameDrop(
-                probability=float(d["probability"]),
-                max_events=(None if d.get("max_events") is None
-                            else int(d["max_events"])))
-                for d in data.get("drops", ())),
-            duplicates=tuple(FrameDuplicate(
-                probability=float(d["probability"]))
-                for d in data.get("duplicates", ())),
-            delays=tuple(FrameDelay(
-                probability=float(d["probability"]),
-                seconds=float(d.get("seconds", 0.005)),
-                min_seconds=float(d.get("min_seconds", 0.0)))
-                for d in data.get("delays", ())),
-            corrupts=tuple(FrameCorrupt(
-                probability=float(c["probability"]),
-                max_events=int(c.get("max_events", 1)))
-                for c in data.get("corrupts", ())),
-            stalls=tuple(LinkStall(
-                wid=int(s["wid"]),
-                direction=str(s.get("direction", "w2d")), **window(s))
-                for s in data.get("stalls", ())),
-            partitions=tuple(NetPartition(
-                wids=tuple(p["wids"]), **window(p))
-                for p in data.get("partitions", ())),
-            cuts=tuple(ConnectionCut(
-                wid=int(c["wid"]), after_frames=int(c["after_frames"]))
-                for c in data.get("cuts", ())),
-        )
+    def from_dict(cls, data: object) -> "NetFaultPlan":
+        """The plan :meth:`as_dict` wrote; any malformed input — a
+        missing or unknown key, a value of the wrong type, a bad
+        container — is a ``ValueError`` naming the entry."""
+        return _NET_PLAN(data, "net-plan")
 
     def to_json(self, path: str) -> str:
         with open(path, "w") as fh:
@@ -343,6 +306,94 @@ class NetFaultPlan:
     def from_json(cls, path: str) -> "NetFaultPlan":
         with open(path) as fh:
             return cls.from_dict(json.load(fh))
+
+
+# ----------------------------------------------------------------------
+# Loading (``FaultPlan.from_dict`` builds its own fields from these)
+# ----------------------------------------------------------------------
+
+#: ``conv(value, where)`` — a JSON value checked and converted, or a
+#: ``ValueError`` naming ``where``.
+_Field = Callable[[object, str], Any]
+
+
+def _typed(what: str, cast: Callable[[Any], Any], *types: type) -> _Field:
+    """A scalar of one of ``types`` (a bool is never a number)."""
+    def conv(v: object, where: str) -> Any:
+        if not isinstance(v, types) or (isinstance(v, bool)
+                                        and bool not in types):
+            raise ValueError(f"{where} must be {what}, got {v!r}")
+        return cast(v)
+    return conv
+
+
+_real = _typed("a number", float, int, float)
+_count = _typed("an integer", int, int)
+_flag = _typed("true or false", bool, bool)
+_text = _typed("a string", str, str)
+
+
+def _maybe(conv: _Field) -> _Field:
+    """``conv``, or ``None`` for a JSON null."""
+    return lambda v, where: None if v is None else conv(v, where)
+
+
+def _end(v: object, where: str) -> float:
+    """A window end; null is open-ended."""
+    return _INF if v is None else _real(v, where)
+
+
+def _items(conv: _Field) -> _Field:
+    """A list of ``conv`` values, as a tuple."""
+    def conv_list(v: object, where: str) -> Tuple[Any, ...]:
+        if not isinstance(v, (list, tuple)):
+            raise ValueError(f"{where} must be a list, got {v!r}")
+        return tuple(conv(x, f"{where}[{i}]") for i, x in enumerate(v))
+    return conv_list
+
+
+def _entry(cls: Any, schema: Dict[str, _Field]) -> _Field:
+    """A JSON object of the keys in ``schema``, built into the
+    dataclass ``cls``: a field without a default is required, and what
+    ``cls`` itself rejects is reported for the entry too."""
+    required = [f.name for f in fields(cls)
+                if f.default is MISSING and f.default_factory is MISSING]
+
+    def build(v: object, where: str) -> Any:
+        if not isinstance(v, dict):
+            raise ValueError(f"{where} must be an object, got {v!r}")
+        unknown = sorted(set(v) - set(schema))
+        if unknown:
+            raise ValueError(f"unknown {where} keys: {unknown}")
+        missing = [k for k in required if k not in v]
+        if missing:
+            raise ValueError(f"{where} is missing {missing}")
+        kw = {k: schema[k](x, f"{where}.{k}") for k, x in v.items()}
+        try:
+            return cls(**kw)
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
+    return build
+
+
+_WINDOW = {"start": _real, "end": _end}
+_NET_PLAN = _entry(NetFaultPlan, {
+    "seed": _count,
+    "drops": _items(_entry(FrameDrop, {"probability": _real,
+                                       "max_events": _maybe(_count)})),
+    "duplicates": _items(_entry(FrameDuplicate, {"probability": _real})),
+    "delays": _items(_entry(FrameDelay, {"probability": _real,
+                                         "seconds": _real,
+                                         "min_seconds": _real})),
+    "corrupts": _items(_entry(FrameCorrupt, {"probability": _real,
+                                             "max_events": _count})),
+    "stalls": _items(_entry(LinkStall, {"wid": _count, "direction": _text,
+                                        **_WINDOW})),
+    "partitions": _items(_entry(NetPartition,
+                                {"wids": _items(_count), **_WINDOW})),
+    "cuts": _items(_entry(ConnectionCut, {"wid": _count,
+                                          "after_frames": _count})),
+})
 
 
 def default_chaos_plan(seed: int = 0,

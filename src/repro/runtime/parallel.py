@@ -19,7 +19,7 @@ body.  A window with no lane besides the driver — every window at
 (:meth:`~repro.runtime.window.WindowExecutor._pays`) — is a sweep
 (:meth:`~repro.runtime.window.WindowExecutor._sweep`): program order
 through ``_inline``, with no pool, no thread, no scheduler and no
-report queue; the epoch checks still run per task.
+report queue, and its epochs are checked once, before it runs.
 NumPy/BLAS kernels release the GIL, so independent tiles genuinely
 overlap on multicore hosts.
 
@@ -32,7 +32,10 @@ overlap on multicore hosts.
   says (the tile's *epoch*), and that no concurrent reader/writer is
   in flight.  Any scheduling bug that would corrupt data surfaces as
   an :class:`OrderingViolationError` at execution time instead of as a
-  silently wrong result.
+  silently wrong result.  That is per task in a window with lanes, the
+  driver's own picks included; a sweep compares program order with
+  program order, so its window is checked once, before it runs: every
+  tile of its footprint at its program-order epoch.
 * **Measured timeline** — with a ``sink``
   (:class:`repro.obs.timeline.TraceSink`) attached, every execution
   emits a :class:`~repro.obs.timeline.TaskEvent` carrying *real*
@@ -218,15 +221,19 @@ class ParallelExecutor(WindowExecutor):
 
     def _eligible(self, start: int, end: int) -> int:
         """Every task is worker-eligible (a window that pays gets lanes
-        for all of it); the epoch expectations are extended to the
-        window, swept or not."""
-        self._prepare(start, end)
-        return super()._eligible(start, end)
+        for all of it).  A window that gets no lane is checked here,
+        once, before it runs (:meth:`_sweep_epochs`); a window with
+        lanes gets its per-task expectations in :meth:`_open`."""
+        eligible = super()._eligible(start, end)
+        if not self._lanes(eligible):
+            self._sweep_epochs(start, end)
+        return eligible
 
     def _open(self, start: int, end: int, lanes: int) -> DynamicScheduler:
         """One scheduler lane over the whole pool (a shared-memory pool
         needs no placement or stealing), as deep as ``lanes`` threads,
         and the driver as one more lane unless it is watched."""
+        self._prepare(start, end)
         helps = self.driver_helps
         if self._pool is None:
             # Sized for the widest window, not the first one that pays.
@@ -292,12 +299,34 @@ class ParallelExecutor(WindowExecutor):
     # Epoch expectations
     # ------------------------------------------------------------------
 
+    def _fold(self, start: int) -> None:
+        """Count every task before ``start`` that ran outside the
+        checked path as run, in program order, in both epoch tables:
+        one abandoned with a failed window (it still carries an
+        expectation), then the eager prefix before deferral (it never
+        got one).  A sweep folds its own window in
+        :meth:`_sweep_epochs`."""
+        tasks = self.graph.tasks
+        for tid in sorted(t for t in self._expected if t < start):
+            del self._expected[tid]
+            for ref in tasks[tid].writes:
+                self._completed_writer[ref] = tid
+        for tid in range(self._prep_cursor, start):
+            for ref in tasks[tid].writes:
+                self._completed_writer[ref] = tid
+                self._prep_last_writer[ref] = tid
+        self._prep_cursor = max(self._prep_cursor, start)
+        # Every attempt of a drained window checked out or released on
+        # its way out.
+        assert not self._writer_active and not self._readers_active, \
+            "a drained window left in-flight tile marks behind"
+
     def _prepare(self, start: int, end: int) -> None:
-        """Extend the program-order epoch expectations up to ``end``,
-        then fold every task before ``start`` that still carries one —
-        it ran outside this executor (eager prefix before deferral) or
-        was abandoned with a failed window — into the epoch tables as
-        if it had run, in program order."""
+        """A window with lanes: fold what ran before ``start``, then
+        give every task up to ``end`` its program-order expectation —
+        ``(ref, last_writer)`` over its reads and writes — for
+        :meth:`_check_in` to assert when an attempt begins."""
+        self._fold(start)
         tasks = self.graph.tasks
         for tid in range(self._prep_cursor, end):
             t = tasks[tid]
@@ -312,14 +341,34 @@ class ParallelExecutor(WindowExecutor):
             for ref in t.writes:
                 self._prep_last_writer[ref] = tid
         self._prep_cursor = max(self._prep_cursor, end)
-        for tid in sorted(t for t in self._expected if t < start):
-            del self._expected[tid]
-            for ref in tasks[tid].writes:
-                self._completed_writer[ref] = tid
-        # Every attempt of a drained window checked out or released on
-        # its way out.
-        assert not self._writer_active and not self._readers_active, \
-            "a drained window left in-flight tile marks behind"
+
+    def _sweep_epochs(self, start: int, end: int) -> None:
+        """A window with no lane, checked once instead of per task: in
+        program order on one thread, each of its tasks finds a tile
+        exactly as the one before left it, so the only epochs to check
+        are those the window starts from.  Fold what ran before
+        ``start``, assert every tile of the window's footprint is at
+        its program-order epoch — before any payload runs — then
+        advance both tables over the window's writes.  Its tasks carry
+        no expectation, so ``_inline`` runs them unchecked."""
+        self._fold(start)
+        done, order = self._completed_writer, self._prep_last_writer
+        footprint = set()
+        last: Dict[TileRef, int] = {}
+        for t in self.graph.tasks[start:end]:
+            footprint.update(t.reads)
+            footprint.update(t.writes)
+            for ref in t.writes:
+                last[ref] = t.tid
+        for ref in footprint:
+            if done.get(ref) != order.get(ref):
+                raise OrderingViolationError(
+                    f"window [{start}, {end}) starts from tile {ref} at the "
+                    f"wrong epoch: last completed writer is {done.get(ref)}, "
+                    f"program order requires {order.get(ref)}")
+        done.update(last)
+        order.update(last)
+        self._prep_cursor = max(self._prep_cursor, end)
 
     # -- watched executors: timeouts, stragglers, speculation ----------
 
@@ -459,8 +508,17 @@ class ParallelExecutor(WindowExecutor):
                 st: Optional[_TaskState] = None) -> Attempt:
         """The attempt body of every lane — the driver's (``st=None``)
         and a pool thread's: done, failed or lost, the attempt's
-        in-flight marks are gone when it returns."""
+        in-flight marks are gone when it returns.  A swept task (no
+        expectation: its window was checked once, by
+        :meth:`_sweep_epochs`) runs the processes driver's body — arm
+        the ledger, run the attempt — with no lock and no marks."""
         fn = self.fns.get(t.tid)
+        if st is None and t.tid not in self._expected:
+            if fn is not None:
+                self._ledger.arm(t)
+            return run_attempt(t, fn, attempt, injector=self.injector,
+                               tiles=self.tiles, sanitizer=self.sanitizer,
+                               scrub=self.recovery_policy.scrub_writes)
         marked = False
 
         def begin() -> bool:

@@ -257,6 +257,19 @@ class TestPolarLiveFaults:
         assert "recovery" in out
         assert "transient_failures" in out
 
+    @pytest.mark.parametrize("text", [
+        '{"crashes": [{}]}', '{"crashes": "ab"}',
+        '{"transient": {"bogus": 1}}', "[1, 2"])
+    def test_malformed_plan_is_one_error_line(self, matrix_file, tmp_path,
+                                              text):
+        plan = tmp_path / "bad.json"
+        plan.write_text(text)
+        with pytest.raises(SystemExit) as exc:
+            main(["polar", matrix_file, "--backend", "threads",
+                  "--fault-plan", str(plan)])
+        msg = str(exc.value.code)
+        assert msg.startswith("error: --fault-plan ") and "\n" not in msg
+
     def test_dense_backend_rejects_live_flags(self, matrix_file):
         with pytest.raises(SystemExit):
             main(["polar", matrix_file, "--retries", "3"])

@@ -566,6 +566,90 @@ class TestPlacement:
         assert "drv" not in {e.slot for e in sink.tasks}
 
 
+class TestSweepEpochs:
+    """A sweep is checked once per window: every tile of its footprint
+    at its program-order epoch before anything runs, then both epoch
+    tables advanced over its writes.  A window with lanes keeps the
+    per-task check-in."""
+
+    @staticmethod
+    def _counting(monkeypatch):
+        calls = {"check_in": 0, "release": 0}
+        for name in calls:
+            real = getattr(ParallelExecutor, "_" + name)
+
+            def counted(self, *a, _real=real, _name=name, **kw):
+                calls[_name] += 1
+                return _real(self, *a, **kw)
+            monkeypatch.setattr(ParallelExecutor, "_" + name, counted)
+        return calls
+
+    def test_sweep_checks_no_task_in(self, monkeypatch):
+        from repro.runtime.window import LANE_MIN_FLOPS
+        calls = self._counting(monkeypatch)
+        g = _graph([((i % 3,), (i % 3,)) for i in range(12)])
+        for t in g.tasks[:6]:
+            t.flops = LANE_MIN_FLOPS / 2    # a sweep; the rest pay
+        ran = []
+        fns = {t: (lambda t=t: ran.append(t)) for t in range(12)}
+        with ParallelExecutor(g, fns, workers=2) as ex:
+            ex.run(0, 6)
+            assert ex._pool is None
+            assert calls == {"check_in": 0, "release": 0}
+            assert ex._expected == {}
+            assert ex._completed_writer == ex._prep_last_writer == {
+                (0, 0, 0): 3, (0, 1, 0): 4, (0, 2, 0): 5}
+            ex.run(6, 12)
+            assert ex._pool is not None
+            assert calls == {"check_in": 6, "release": 6}
+            assert ex._expected == {}
+        assert sorted(ran) == list(range(12))
+
+    @staticmethod
+    def _sweep_then_lanes():
+        """Window [0, 2) is a sweep writing tiles 0 and 1; in window
+        [2, 5) (lanes) task 3 rewrites tile 0 once the slow task 2 is
+        done, and task 4 reads tile 0 after it."""
+        from repro.runtime.window import LANE_MIN_FLOPS
+        g = _graph([((), (0,)), ((), (1,)), ((), (2,)), ((2,), (0,)),
+                    ((0,), (3,))])
+        for t in g.tasks[:2]:
+            t.flops = LANE_MIN_FLOPS / 2
+        fns = {t: (lambda: None) for t in range(5)}
+        fns[2] = lambda: time.sleep(0.1)
+        return g, fns
+
+    def test_lane_window_after_a_sweep_still_checks_each_task(self):
+        g, fns = self._sweep_then_lanes()
+        with ParallelExecutor(g, fns, workers=2) as ex:
+            ex.run(0, 2)
+            ex.run(2, 5)
+            assert ex.stats.tasks_run == 5 and ex._pool is not None
+        # Task 4's RAW edge to task 3 stripped: it is ready at once and
+        # reads tile 0 at the sweep's epoch, not task 3's.
+        g, fns = self._sweep_then_lanes()
+        g.tasks[4].deps = ()
+        with ParallelExecutor(g, fns, workers=2, validate=False) as ex:
+            ex.run(0, 2)
+            with pytest.raises(OrderingViolationError,
+                               match="task 4 .* wrong epoch"):
+                ex.run(2, 5)
+
+    def test_a_corrupted_epoch_stops_the_sweep_before_any_payload(self):
+        g = _graph([((), (0,)), ((), (1,)), ((0,), (2,)), ((1,), (1,))])
+        ran = []
+        fns = {t: (lambda t=t: ran.append(t)) for t in range(4)}
+        with ParallelExecutor(g, fns, workers=1) as ex:
+            ex.run(0, 2)
+            ex._completed_writer[(0, 1, 0)] = 0
+            with pytest.raises(OrderingViolationError,
+                               match=r"tile \(0, 1, 0\) at the wrong epoch"):
+                ex.run(2, 4)
+            assert ran == [0, 1]
+            # Nothing advanced past the refused window.
+            assert ex._prep_last_writer == {(0, 0, 0): 0, (0, 1, 0): 1}
+
+
 def _run_qdwh(a, nb=16, backend="eager", workers=None):
     rt = make_runtime(1, 1)
     if backend == "threads":

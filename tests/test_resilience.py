@@ -113,6 +113,125 @@ class TestFaultPlan:
             plan_from_spec(crash=["nope"])
 
 
+def _full_plan():
+    """A FaultPlan with every section, the net plan's included."""
+    from dataclasses import replace
+
+    from repro.resilience import TileCorruption, WorkerStall
+    from repro.resilience.net import LinkStall, default_chaos_plan
+    net = replace(default_chaos_plan(seed=7), stalls=(
+        LinkStall(wid=1, direction="d2w", start=0.1, end=0.2),))
+    return FaultPlan(
+        seed=5, crashes=(RankCrash(1, 2.0),),
+        transient=TransientFaults(probability=0.1, max_attempts=3),
+        links=(LinkDegradation(src=0, dst=1, beta_factor=2.0, end=4.0),
+               LinkDegradation(alpha_factor=1.5)),
+        stragglers=(StragglerSlot(rank=2, factor=3.0, start=0.5),),
+        stalls=(WorkerStall(probability=0.1, seconds=0.5,
+                            kinds=("gemm",)),),
+        corruptions=(TileCorruption(probability=0.05, value="inf",
+                                    max_events=2),),
+        net=net, crash_detect_delay=0.25)
+
+
+#: Keys each section's entries cannot do without.
+_FAULT_REQUIRED = {"crashes": ("rank", "time"), "transient": ("probability",),
+                   "stragglers": ("rank", "factor"),
+                   "stalls": ("probability",),
+                   "corruptions": ("probability",)}
+_NET_REQUIRED = {"drops": ("probability",), "duplicates": ("probability",),
+                 "delays": ("probability",), "corrupts": ("probability",),
+                 "stalls": ("wid",), "partitions": ("wids",),
+                 "cuts": ("wid", "after_frames")}
+
+
+def _objects(d, required):
+    """Every JSON object of a plan dict, each with its required keys."""
+    out = [(d, ())]
+    for key, v in d.items():
+        if key == "net":
+            out += _objects(v, _NET_REQUIRED)
+        elif isinstance(v, dict):
+            out.append((v, required.get(key, ())))
+        elif isinstance(v, list) and key in required:
+            out += [(e, required[key]) for e in v]
+    return out
+
+
+def _mutate(plan, required, rng):
+    """One seeded malformation of a plan dict: a dropped required key,
+    a value of the wrong type, an unknown sub-key, or a container that
+    is not a list (or an entry that is not an object)."""
+    d = json.loads(json.dumps(plan))
+    objs = _objects(d, required)
+    kind = rng.choice(["drop", "type", "unknown", "container"])
+    if kind == "drop":
+        obj, req = rng.choice([(o, r) for o, r in objs if r])
+        del obj[rng.choice(req)]
+    elif kind == "type":
+        obj = rng.choice([o for o, _ in objs if o])
+        key = rng.choice(sorted(obj))
+        obj[key] = 5 if isinstance(obj[key], str) else "x"
+    elif kind == "unknown":
+        rng.choice(objs)[0]["bogus"] = 1
+    else:
+        obj, key = rng.choice([(o, k) for o, _ in objs
+                               for k, v in o.items() if isinstance(v, list)])
+        if obj[key] and not isinstance(obj[key][0], str) \
+                and rng.random() < 0.5:
+            obj[key][rng.randrange(len(obj[key]))] = "ab"
+        else:
+            obj[key] = rng.choice(["ab", {"k": 1}, 7])
+    return d
+
+
+class TestPlanLoaderFuzz:
+    """Every malformed ``--fault-plan`` input is a ValueError naming
+    the entry — never a KeyError/TypeError traceback."""
+
+    @pytest.mark.parametrize("bad", [
+        {"crashes": [{}]}, {"net": {"cuts": [{"wid": 0}]}},
+        {"transient": {"bogus": 1}}, {"net": {"partitions": [{"wids": 5}]}},
+        {"crashes": "ab"}, [], {"seed": True}, {"stalls": [
+            {"probability": 0.1, "kinds": "gemm"}]}])
+    def test_known_malformations(self, bad):
+        with pytest.raises(ValueError, match="fault-plan"):
+            FaultPlan.from_dict(bad)
+
+    def test_the_error_names_the_entry(self):
+        with pytest.raises(ValueError, match=r"crashes\[1\] is missing "
+                                             r"\['time'\]"):
+            FaultPlan.from_dict({"crashes": [{"rank": 0, "time": 1.0},
+                                             {"rank": 1}]})
+        with pytest.raises(ValueError, match=r"net-plan\.cuts\[0\]: "
+                                             r"after_frames must be >= 1"):
+            from repro.resilience.net import NetFaultPlan
+            NetFaultPlan.from_dict({"cuts": [{"wid": 0,
+                                              "after_frames": 0}]})
+
+    def test_valid_plans_round_trip(self):
+        from repro.resilience.net import NetFaultPlan, default_chaos_plan
+        plan = _full_plan()
+        assert FaultPlan.from_dict(json.loads(json.dumps(
+            plan.as_dict()))) == plan
+        net = default_chaos_plan(seed=3)
+        assert NetFaultPlan.from_dict(json.loads(json.dumps(
+            net.as_dict()))) == net
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_seeded_mutations_raise_value_error(self, seed):
+        import random
+
+        from repro.resilience.net import NetFaultPlan, default_chaos_plan
+        rng = random.Random(seed)
+        with pytest.raises(ValueError):
+            FaultPlan.from_dict(_mutate(_full_plan().as_dict(),
+                                        _FAULT_REQUIRED, rng))
+        with pytest.raises(ValueError):
+            NetFaultPlan.from_dict(_mutate(default_chaos_plan(seed).as_dict(),
+                                           _NET_REQUIRED, rng))
+
+
 class TestLineageReplay:
     def _chain(self, n):
         """t0 -> t1 -> ... -> t{n-1}, each writing its own tile."""
