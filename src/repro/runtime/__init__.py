@@ -30,7 +30,8 @@ critical-path composition, Gantt, Chrome trace) live in
 from .task import Task, TaskKind, DEVICE_ELIGIBLE
 from .graph import GraphValidationError, TaskGraph
 from .executor import Runtime
-from .parallel import ExecutionStats, OrderingViolationError, ParallelExecutor
+from .parallel import ExecutionStats, ParallelExecutor
+from .window import OrderingViolationError
 from .distributed import (ProcessExecutor, SharedTileStore,
                           WorkerCrashError)
 from .scheduler import ScheduleResult, simulate

@@ -72,7 +72,7 @@ def retryable(exc: BaseException) -> bool:
     Comm errors carry their own verdict; non-``Exception`` exits
     (``KeyboardInterrupt``) are never retried."""
     from .distributed.comm import CommError
-    from .parallel import OrderingViolationError
+    from .window import OrderingViolationError
     if isinstance(exc, (InjectedTransientError, TileCorruptionDetected)):
         return True
     if not isinstance(exc, Exception):

@@ -19,23 +19,15 @@ body.  A window with no lane besides the driver — every window at
 (:meth:`~repro.runtime.window.WindowExecutor._pays`) — is a sweep
 (:meth:`~repro.runtime.window.WindowExecutor._sweep`): program order
 through ``_inline``, with no pool, no thread, no scheduler and no
-report queue, and its epochs are checked once, before it runs.
-NumPy/BLAS kernels release the GIL, so independent tiles genuinely
-overlap on multicore hosts.
+report queue.  Tile ordering is checked by the driver, for every
+transport alike (the window module's *Ordering* part), so an attempt
+body here only arms the retry ledger and runs the attempt.  NumPy/BLAS
+kernels release the GIL, so independent tiles genuinely overlap on
+multicore hosts.
 
 * **Dependency order** — a task starts only after every recorded
   dependency finished, lowest tid first among tasks released together,
   so a single-worker run is bit-identical to eager execution.
-* **Epoch / last-writer assertions** — before a task touches its
-  tiles, the executor checks (under a lock) that every tile it reads
-  or overwrites was last written by exactly the task program order
-  says (the tile's *epoch*), and that no concurrent reader/writer is
-  in flight.  Any scheduling bug that would corrupt data surfaces as
-  an :class:`OrderingViolationError` at execution time instead of as a
-  silently wrong result.  That is per task in a window with lanes, the
-  driver's own picks included; a sweep compares program order with
-  program order, so its window is checked once, before it runs: every
-  tile of its footprint at its program-order epoch.
 * **Measured timeline** — with a ``sink``
   (:class:`repro.obs.timeline.TraceSink`) attached, every execution
   emits a :class:`~repro.obs.timeline.TaskEvent` carrying *real*
@@ -61,19 +53,14 @@ overlap on multicore hosts.
   lock before touching any tile (and then arms the retry ledger:
   snapshot the write tiles, or restore them if an earlier attempt
   ran); the loser wakes from its (interruptible) stall, sees the
-  claim, and reports itself lost without making any writes — tile
-  epochs only ever advance through the winner's check-out.
-* **Marks gone before the report** — every attempt (winner, loser,
-  failure) drops its in-flight tile marks before it reports, so the
-  driver's drain guarantee (``inflight_attempts == 0`` after every
-  window) also means no mark is left behind.
+  claim, and reports itself lost without making any writes.  That
+  claim is the only thing the executor lock guards.
 """
 
 from __future__ import annotations
 
 import queue
 import threading
-import time
 from concurrent.futures import ThreadPoolExecutor
 from time import perf_counter
 from typing import Callable, Dict, List, Optional, Set, Tuple
@@ -81,20 +68,15 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 from .attempt import Attempt, run_attempt
 from .distributed.scheduling import DynamicScheduler
 from .graph import TaskGraph
-from .task import Task, TileRef
+from .task import Task
 from .window import ExecutionStats, Report, WindowExecutor, default_workers
 
-__all__ = ["ParallelExecutor", "ExecutionStats", "OrderingViolationError",
-           "default_workers"]
+__all__ = ["ParallelExecutor", "ExecutionStats", "default_workers"]
 
 #: Attempts out per pool thread while the driver is a lane: one running
 #: and one queued behind it, so a thread that finishes while the driver
 #: is inside a payload already has its next task.
 LANE_DEPTH = 2
-
-
-class OrderingViolationError(RuntimeError):
-    """A task touched a tile out of the recorded dependency order."""
 
 
 class _TaskState:
@@ -185,22 +167,11 @@ class ParallelExecutor(WindowExecutor):
         #: loop polls and every window gets lanes.
         self._watch = self.exercises_transport
         self._pool: Optional[ThreadPoolExecutor] = None
+        #: Guards the payload claims of a watched executor's attempts.
         self._lock = threading.Lock()
         #: Worker reports, with the attempt number they answer.
         self._resq: "queue.SimpleQueue[Tuple[Report, int]]" = \
             queue.SimpleQueue()
-        #: Tile epoch table: ref -> tid of the last *completed* writer.
-        self._completed_writer: Dict[TileRef, int] = {}
-        #: In-flight access tracking for the race assertions.
-        self._writer_active: Dict[TileRef, int] = {}
-        self._readers_active: Dict[TileRef, int] = {}
-        #: Program-order expectation per not-yet-completed task:
-        #: ((ref, last_writer), ...) over its reads and writes, filled
-        #: by ``_prepare``.
-        self._expected: Dict[int, Tuple[Tuple[TileRef, Optional[int]], ...]] = {}
-        self._prep_last_writer: Dict[TileRef, int] = {}
-        self._prep_cursor = 0
-        self._slot_of_thread: Dict[int, str] = {}
         #: Watched executors only: per-task attempt state of the
         #: current window, completed-sample counts per kind (the
         #: straggler mean is ``stats.per_kind_seconds / count``), and
@@ -219,21 +190,10 @@ class ParallelExecutor(WindowExecutor):
     # Transport hooks
     # ------------------------------------------------------------------
 
-    def _eligible(self, start: int, end: int) -> int:
-        """Every task is worker-eligible (a window that pays gets lanes
-        for all of it).  A window that gets no lane is checked here,
-        once, before it runs (:meth:`_sweep_epochs`); a window with
-        lanes gets its per-task expectations in :meth:`_open`."""
-        eligible = super()._eligible(start, end)
-        if not self._lanes(eligible):
-            self._sweep_epochs(start, end)
-        return eligible
-
     def _open(self, start: int, end: int, lanes: int) -> DynamicScheduler:
         """One scheduler lane over the whole pool (a shared-memory pool
         needs no placement or stealing), as deep as ``lanes`` threads,
         and the driver as one more lane unless it is watched."""
-        self._prepare(start, end)
         helps = self.driver_helps
         if self._pool is None:
             # Sized for the widest window, not the first one that pays.
@@ -295,81 +255,6 @@ class ParallelExecutor(WindowExecutor):
             self._monitor(pol, self.stats.recovery, now)
         return pol.poll_interval
 
-    # ------------------------------------------------------------------
-    # Epoch expectations
-    # ------------------------------------------------------------------
-
-    def _fold(self, start: int) -> None:
-        """Count every task before ``start`` that ran outside the
-        checked path as run, in program order, in both epoch tables:
-        one abandoned with a failed window (it still carries an
-        expectation), then the eager prefix before deferral (it never
-        got one).  A sweep folds its own window in
-        :meth:`_sweep_epochs`."""
-        tasks = self.graph.tasks
-        for tid in sorted(t for t in self._expected if t < start):
-            del self._expected[tid]
-            for ref in tasks[tid].writes:
-                self._completed_writer[ref] = tid
-        for tid in range(self._prep_cursor, start):
-            for ref in tasks[tid].writes:
-                self._completed_writer[ref] = tid
-                self._prep_last_writer[ref] = tid
-        self._prep_cursor = max(self._prep_cursor, start)
-        # Every attempt of a drained window checked out or released on
-        # its way out.
-        assert not self._writer_active and not self._readers_active, \
-            "a drained window left in-flight tile marks behind"
-
-    def _prepare(self, start: int, end: int) -> None:
-        """A window with lanes: fold what ran before ``start``, then
-        give every task up to ``end`` its program-order expectation —
-        ``(ref, last_writer)`` over its reads and writes — for
-        :meth:`_check_in` to assert when an attempt begins."""
-        self._fold(start)
-        tasks = self.graph.tasks
-        for tid in range(self._prep_cursor, end):
-            t = tasks[tid]
-            exp = []
-            seen = set()
-            for ref in t.reads + t.writes:
-                if ref in seen:
-                    continue
-                seen.add(ref)
-                exp.append((ref, self._prep_last_writer.get(ref)))
-            self._expected[tid] = tuple(exp)
-            for ref in t.writes:
-                self._prep_last_writer[ref] = tid
-        self._prep_cursor = max(self._prep_cursor, end)
-
-    def _sweep_epochs(self, start: int, end: int) -> None:
-        """A window with no lane, checked once instead of per task: in
-        program order on one thread, each of its tasks finds a tile
-        exactly as the one before left it, so the only epochs to check
-        are those the window starts from.  Fold what ran before
-        ``start``, assert every tile of the window's footprint is at
-        its program-order epoch — before any payload runs — then
-        advance both tables over the window's writes.  Its tasks carry
-        no expectation, so ``_inline`` runs them unchecked."""
-        self._fold(start)
-        done, order = self._completed_writer, self._prep_last_writer
-        footprint = set()
-        last: Dict[TileRef, int] = {}
-        for t in self.graph.tasks[start:end]:
-            footprint.update(t.reads)
-            footprint.update(t.writes)
-            for ref in t.writes:
-                last[ref] = t.tid
-        for ref in footprint:
-            if done.get(ref) != order.get(ref):
-                raise OrderingViolationError(
-                    f"window [{start}, {end}) starts from tile {ref} at the "
-                    f"wrong epoch: last completed writer is {done.get(ref)}, "
-                    f"program order requires {order.get(ref)}")
-        done.update(last)
-        order.update(last)
-        self._prep_cursor = max(self._prep_cursor, end)
-
     # -- watched executors: timeouts, stragglers, speculation ----------
 
     def _monitor(self, pol, rec, now: float) -> None:
@@ -423,141 +308,71 @@ class ParallelExecutor(WindowExecutor):
         from ..obs.timeline import FAULT_SPECULATE
         rec.speculative_duplicates += 1
         self._fault_event(FAULT_SPECULATE, t.tid, detail, rank=t.rank)
-        # Backups bypass the scheduler: the task already holds its slot.
+        # Backups bypass the scheduler: the task already holds its slot
+        # (and its marks: the driver re-checks its epochs only).  A
+        # backup refused by the check never runs; it reports the
+        # violation as a final failure, so the window drains.
         st.backup = self._ledger.next_attempt(t.tid)
         self._inflight += 1
-        self._send(0, t.tid, st.backup)
+        err = self._hand_out(t.tid)
+        if err is None:
+            self._send(0, t.tid, st.backup)
+        else:
+            now = perf_counter()
+            self._resq.put((Report(t.tid, 0, Attempt(now, now, 0.0, [], err,
+                                                     False), "drv",
+                                   -self._epoch), st.backup))
 
     # ------------------------------------------------------------------
     # Worker side
     # ------------------------------------------------------------------
-
-    def _slot(self) -> str:
-        ident = threading.get_ident()
-        slot = self._slot_of_thread.get(ident)
-        if slot is None:
-            with self._lock:
-                slot = self._slot_of_thread[ident] = \
-                    f"thr{len(self._slot_of_thread)}"
-        return slot
-
-    def _check_in(self, t: Task) -> None:
-        """Epoch + concurrent-access assertions; atomic (all checks
-        pass before any marking).  Caller holds the lock.  A failed
-        attempt advances no epoch, so a retry passes the same checks."""
-        writes = set(t.writes)
-        for ref, expected in self._expected.get(t.tid, ()):
-            got = self._completed_writer.get(ref)
-            if got != expected:
-                raise OrderingViolationError(
-                    f"task {t.tid} ({t.label or t.kind.value}) touched tile "
-                    f"{ref} at the wrong epoch: last completed writer is "
-                    f"{got}, program order requires {expected}")
-        for ref in t.reads:
-            if ref in writes:
-                continue
-            w = self._writer_active.get(ref)
-            if w is not None:
-                raise OrderingViolationError(
-                    f"task {t.tid} reads tile {ref} while task {w} is "
-                    f"writing it (missing RAW/WAR edge)")
-        for ref in writes:
-            w = self._writer_active.get(ref)
-            if w is not None:
-                raise OrderingViolationError(
-                    f"tasks {w} and {t.tid} write tile {ref} concurrently")
-            if self._readers_active.get(ref, 0) > 0:
-                raise OrderingViolationError(
-                    f"task {t.tid} writes tile {ref} while "
-                    f"{self._readers_active[ref]} reader(s) are active")
-        for ref in t.reads:
-            if ref not in writes:
-                self._readers_active[ref] = (
-                    self._readers_active.get(ref, 0) + 1)
-        for ref in writes:
-            self._writer_active[ref] = t.tid
-
-    def _release(self, t: Task, completed: bool = False) -> None:
-        """Drop an attempt's in-flight marks; a ``completed`` attempt
-        also advances the tile epochs, a failed one does not (its
-        retry re-acquires the marks).  Caller holds the lock."""
-        writes = set(t.writes)
-        for ref in t.reads:
-            if ref not in writes:
-                left = self._readers_active.get(ref, 1) - 1
-                if left:
-                    self._readers_active[ref] = left
-                else:
-                    self._readers_active.pop(ref, None)
-        for ref in writes:
-            self._writer_active.pop(ref, None)
-            if completed:
-                self._completed_writer[ref] = t.tid
-        if completed:
-            self._expected.pop(t.tid, None)
 
     def _work(self, tid: int, attempt: int, st: Optional[_TaskState],
               lane: int) -> None:
         """A pool thread: one attempt of one task, then one report to
         the dispatch loop."""
         res = self._inline(self.graph.tasks[tid], attempt, st)
-        self._resq.put((Report(tid, lane, res, self._slot(), -self._epoch),
-                        attempt))
+        # Pool threads are named ``repro-exec_<n>``: slot ``thr<n>``.
+        slot = "thr" + threading.current_thread().name.rpartition("_")[2]
+        self._resq.put((Report(tid, lane, res, slot, -self._epoch), attempt))
 
     def _inline(self, t: Task, attempt: int,
                 st: Optional[_TaskState] = None) -> Attempt:
-        """The attempt body of every lane — the driver's (``st=None``)
-        and a pool thread's: done, failed or lost, the attempt's
-        in-flight marks are gone when it returns.  A swept task (no
-        expectation: its window was checked once, by
-        :meth:`_sweep_epochs`) runs the processes driver's body — arm
-        the ledger, run the attempt — with no lock and no marks."""
+        """The attempt body of every lane — the driver's and a pool
+        thread's: arm the retry ledger, run the attempt.  A watched
+        attempt (``st``) first sleeps out its injected stall (a winner
+        wakes it), then claims the payload — first claimer wins —
+        before it arms the ledger; a loser reports itself lost."""
         fn = self.fns.get(t.tid)
-        if st is None and t.tid not in self._expected:
+        if st is None:
             if fn is not None:
                 self._ledger.arm(t)
             return run_attempt(t, fn, attempt, injector=self.injector,
                                tiles=self.tiles, sanitizer=self.sanitizer,
                                scrub=self.recovery_policy.scrub_writes)
-        marked = False
 
         def begin() -> bool:
-            # After any injected stall: claim the payload (first
-            # claimer wins), assert ordering, then snapshot the write
-            # tiles — or restore them if an earlier attempt ran.
-            nonlocal marked
             with self._lock:
-                if st is not None:
-                    if st.finished or st.claimed is not None:
-                        return False
-                    st.claimed = attempt
-                self._check_in(t)
-            marked = True
+                if st.finished or st.claimed is not None:
+                    return False
+                st.claimed = attempt
             if fn is not None:
                 self._ledger.arm(t)
             return True
 
-        sleep = time.sleep
-        if st is not None:
-            st.started[attempt] = perf_counter()
-            # Interruptible stall: a winner wakes the sleepers.
-            sleep = st.cancel[attempt].wait
+        st.started[attempt] = perf_counter()
         res = run_attempt(t, fn, attempt, injector=self.injector,
                           tiles=self.tiles, sanitizer=self.sanitizer,
                           scrub=self.recovery_policy.scrub_writes,
-                          sleep=sleep, begin=begin)
+                          sleep=st.cancel[attempt].wait, begin=begin)
         wake = ()
         with self._lock:
-            done = res.exc is None and not res.lost
-            if marked:
-                self._release(t, completed=done)
-            if st is not None:
-                st.started.pop(attempt, None)
-                if done:
-                    st.finished = True
-                    wake = tuple(st.cancel.values())
-                elif st.claimed == attempt:
-                    st.claimed = None
+            st.started.pop(attempt, None)
+            if res.exc is None and not res.lost:
+                st.finished = True
+                wake = tuple(st.cancel.values())
+            elif st.claimed == attempt:
+                st.claimed = None
         # Wake any attempt still sleeping in an injected stall so the
         # window drains promptly (they lose the claim and report lost).
         for ev in wake:

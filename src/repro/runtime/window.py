@@ -3,7 +3,7 @@
 ``Runtime.sync`` hands an executor windows ``[start, end)`` of an
 append-only :class:`~repro.runtime.graph.TaskGraph`.  What happens to
 a window does not depend on where its tasks run, so it is written
-once, here, in five parts:
+once, here, in six parts:
 
 * **Driver** — :class:`WindowExecutor`: :meth:`~WindowExecutor.run`
   (validate, placement, clock, stats), the accounting of every attempt
@@ -31,6 +31,26 @@ once, here, in five parts:
   driver as the only lane and every edge pointing backwards, the
   lowest ready tid after ``k`` is always ``k + 1``, so a scheduler
   could only have answered the same way.
+* **Ordering** — the runtime half of SLATE's ``task depend``
+  guarantee, checked by the driver for every transport: a task may
+  start only when every tile it reads or writes was last written by
+  exactly the task program order says (the tile's *epoch*), and no
+  unordered task holding that tile is in flight; anything else is an
+  :class:`OrderingViolationError` before the payload runs, never a
+  silently wrong tile.  :meth:`~WindowExecutor._epochs` runs once per
+  window, in ``run``: it first counts as run whatever ran outside a
+  checked window (the eager prefix, tasks abandoned with a failed
+  window).  A sweep compares program order with program order, so it
+  is checked once, there — every tile of its footprint at its epoch
+  — and its tasks are never checked again.  In a window with lanes
+  every task gets its expected epochs there, and
+  :meth:`~WindowExecutor._hand_out` asserts them each time the task is
+  handed to a lane or picked by the driver.  The first hand-out also
+  takes the task's in-flight reader/writer *marks*; a retry, replay or
+  speculative backup only re-checks epochs.  The marks go, and the
+  epochs advance, when :meth:`~WindowExecutor._account` settles the
+  task.  A violation is the window's failure and drains like a stall,
+  and a failed window leaves no mark behind.
 * **Scheduler** — a window with lanes is run by the
   :meth:`~WindowExecutor._drive` loop; its readiness, lookahead gate,
   placement and stealing belong to one
@@ -62,17 +82,18 @@ import time
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterable, NamedTuple,
-                    Optional, Sequence, Union)
+                    Optional, Sequence, Set, Tuple, Union)
 
 from .attempt import NO_RECOVERY, Attempt, RetryLedger, count_kernel
 from .graph import TaskGraph
-from .task import Task
+from .task import Task, TileRef
 
 if TYPE_CHECKING:  # distributed/__init__ imports this module's subclasses
     from .distributed.scheduling import DynamicScheduler
 
-__all__ = ["Death", "ExecutionStats", "LANE_MIN_FLOPS", "Report",
-           "WindowExecutor", "WorkerCrashError", "default_workers"]
+__all__ = ["Death", "ExecutionStats", "LANE_MIN_FLOPS",
+           "OrderingViolationError", "Report", "WindowExecutor",
+           "WorkerCrashError", "default_workers"]
 
 #: The granularity floor: the smallest declared cost (``Task.flops``)
 #: that pays for a hand-off to a lane.  Measured, not tuned: a hand-off
@@ -92,6 +113,10 @@ LANE_MIN_FLOPS = 2e6
 
 class WorkerCrashError(RuntimeError):
     """A worker died and recovery was off (or exhausted)."""
+
+
+class OrderingViolationError(RuntimeError):
+    """A task touched a tile out of the recorded dependency order."""
 
 
 def default_workers() -> int:
@@ -260,6 +285,22 @@ class WindowExecutor:
         self._ledger: Optional[RetryLedger] = None
         #: Tasks a failed window left unexecuted (for ``abandon_window``).
         self._unfinished: Sequence[int] = ()
+        #: The ordering check's epoch tables: ``ref -> tid`` of a
+        #: tile's last completed writer, and of its last writer in
+        #: program order among the tasks before ``_cursor``.
+        self._done_writer: Dict[TileRef, int] = {}
+        self._order_writer: Dict[TileRef, int] = {}
+        self._cursor = 0
+        #: ``tid -> ((ref, last_writer), ...)`` over its reads and
+        #: writes, for every task of a window with lanes not settled yet.
+        self._expected: Dict[int, Tuple[Tuple[TileRef, Optional[int]],
+                                        ...]] = {}
+        #: In-flight marks, held by a task from its first hand-out until
+        #: it settles: the tasks holding them, the writer of each tile,
+        #: and how many tasks read it.
+        self._marked: Set[int] = set()
+        self._writing: Dict[TileRef, int] = {}
+        self._reading: Dict[TileRef, int] = {}
         if validate:
             graph.validate()
 
@@ -421,8 +462,10 @@ class WindowExecutor:
             self.recovery_policy, self.tiles, self._seed,
             self.stats.recovery, self._fault_event, self.clock)
         self._unfinished = ()
-        failure: Optional[BaseException] = None
-        if lanes:
+        failure: Optional[BaseException] = self._epochs(start, end, lanes)
+        if failure is not None:
+            self._unfinished = range(start, end)
+        elif lanes:
             try:
                 sched = self._sched = self._open(start, end, lanes)
                 failure = self._drive(sched, ledger)
@@ -431,6 +474,11 @@ class WindowExecutor:
             if failure is not None:
                 self._unfinished = [tid for tid in range(start, end)
                                     if tid not in sched.done]
+                # Drained: what its unsettled tasks hold is not in
+                # flight any more.
+                self._marked.clear()
+                self._writing.clear()
+                self._reading.clear()
         else:
             failure = self._sweep(start, end, ledger)
         wall = perf_counter() - t_wall0
@@ -451,6 +499,122 @@ class WindowExecutor:
             "ready — dependency bookkeeping bug or a graph the validator "
             "should have rejected")
 
+    def _epochs(self, start: int, end: int,
+                lanes: int) -> Optional[OrderingViolationError]:
+        """The ordering check's once-per-window part.  First count every
+        task before ``start`` that ran outside a checked window as run,
+        in program order: one abandoned with a failed window with lanes
+        (it still carries an expectation), then the eager prefix (it
+        never got one).  A sweep (``lanes == 0``) is then checked here,
+        whole: in program order on one thread each of its tasks finds a
+        tile exactly as the one before left it, so the only epochs to
+        check are those it starts from — every tile of its footprint,
+        before any payload — and both tables advance over its writes.
+        A window with lanes instead gives each of its tasks the epochs
+        :meth:`_hand_out` expects.  Returns the violation, if any."""
+        tasks = self.graph.tasks
+        done, order = self._done_writer, self._order_writer
+        assert not self._marked, "a window left in-flight tile marks behind"
+        for tid in sorted(t for t in self._expected if t < start):
+            del self._expected[tid]
+            for ref in tasks[tid].writes:
+                done[ref] = tid
+        for t in tasks[self._cursor:start]:
+            for ref in t.writes:
+                done[ref] = order[ref] = t.tid
+        self._cursor = max(self._cursor, start)
+        if lanes:
+            for t in tasks[self._cursor:end]:
+                self._expected[t.tid] = tuple(
+                    (ref, order.get(ref))
+                    for ref in dict.fromkeys(t.reads + t.writes))
+                for ref in t.writes:
+                    order[ref] = t.tid
+        else:
+            footprint: Set[TileRef] = set()
+            last: Dict[TileRef, int] = {}
+            for t in tasks[start:end]:
+                footprint.update(t.reads)
+                footprint.update(t.writes)
+                for ref in t.writes:
+                    last[ref] = t.tid
+            for ref in footprint:
+                if done.get(ref) != order.get(ref):
+                    return OrderingViolationError(
+                        f"window [{start}, {end}) starts from tile {ref} at "
+                        f"the wrong epoch: last completed writer is "
+                        f"{done.get(ref)}, program order requires "
+                        f"{order.get(ref)}")
+            done.update(last)
+            order.update(last)
+        self._cursor = max(self._cursor, end)
+        return None
+
+    def _hand_out(self, tid: int) -> Optional[OrderingViolationError]:
+        """The ordering check of one hand-out in a window with lanes —
+        to a lane, or to the driver itself: every tile ``tid`` touches
+        at its expected epoch; at its first hand-out also no unordered
+        task holding one of them in flight, and then its marks.  A
+        retry, a replay or a backup holds its marks already: a held
+        task's tiles cannot move, but its epochs are checked again."""
+        expected = self._expected.get(tid)
+        if expected is None:
+            # Settled already: a retry requeued before a speculative
+            # backup won.  Its attempt finds the payload claimed and
+            # reports itself lost; it must take no mark.
+            return None
+        t = self.graph.tasks[tid]
+        done = self._done_writer
+        for ref, want in expected:
+            got = done.get(ref)
+            if got != want:
+                return OrderingViolationError(
+                    f"task {tid} ({t.label or t.kind.value}) touched tile "
+                    f"{ref} at the wrong epoch: last completed writer is "
+                    f"{got}, program order requires {want}")
+        if tid in self._marked:
+            return None
+        writing, reading = self._writing, self._reading
+        reads = [ref for ref in t.reads if ref not in t.writes]
+        for ref in reads:
+            if ref in writing:
+                return OrderingViolationError(
+                    f"task {tid} reads tile {ref} while task {writing[ref]} "
+                    "is writing it (missing RAW/WAR edge)")
+        for ref in t.writes:
+            if ref in writing:
+                return OrderingViolationError(
+                    f"tasks {writing[ref]} and {tid} write tile {ref} "
+                    "concurrently")
+            if ref in reading:
+                return OrderingViolationError(
+                    f"task {tid} writes tile {ref} while {reading[ref]} "
+                    "reader(s) are active")
+        for ref in reads:
+            reading[ref] = reading.get(ref, 0) + 1
+        for ref in t.writes:
+            writing[ref] = tid
+        self._marked.add(tid)
+        return None
+
+    def _settle(self, t: Task) -> None:
+        """Task ``t`` of a window with lanes completed: its writes are
+        the tiles' new epochs, and its marks go."""
+        self._expected.pop(t.tid, None)
+        for ref in t.writes:
+            self._done_writer[ref] = t.tid
+        self._marked.remove(t.tid)      # marked at its first hand-out
+        reading = self._reading
+        for ref in t.reads:
+            if ref not in t.writes:
+                left = reading[ref] - 1
+                if left:
+                    reading[ref] = left
+                else:
+                    del reading[ref]
+        for ref in t.writes:
+            self._writing.pop(ref, None)
+
     def _sweep(self, start: int, end: int,
                ledger: RetryLedger) -> Optional[BaseException]:
         """Run a window that got no lane besides the driver: its tids
@@ -462,7 +626,7 @@ class WindowExecutor:
         is sound only when every edge points backwards: unvalidated, a
         forward edge is refused before anything runs."""
         tasks = self.graph.tasks
-        if not self.validate and any(t.deps and t.deps[-1] >= t.tid
+        if not self.validate and any(t.deps and max(t.deps) >= t.tid
                                      for t in tasks[start:end]):
             self._unfinished = range(start, end)
             return self._stalled(end - start)
@@ -512,6 +676,7 @@ class WindowExecutor:
         else:
             if sched is not None:
                 sched.on_done(tid, lane)
+                self._settle(t)
             ledger.settle(tid)
             self.stats.record_task(
                 t, res.t0 + shift, res.t1 + shift, res.cpu, slot, self.sink,
@@ -540,13 +705,21 @@ class WindowExecutor:
                 # where the driver is a lane it gets the lowest ready
                 # tid (a chain never leaves this thread), and the loop
                 # is deaf inside a payload, so the lanes are fed first.
+                # Each task is checked as it is handed out, the
+                # driver's own before any lane's.
                 mine = sched.next_driver()
+                if mine is not None:
+                    failure = self._hand_out(mine)
                 for wid in list(lanes):
-                    while (nxt := sched.next_for(wid)) is not None:
-                        if self._send(wid, nxt, ledger.next_attempt(nxt)):
+                    while failure is None and (
+                            nxt := sched.next_for(wid)) is not None:
+                        failure = self._hand_out(nxt)
+                        if failure is not None:
+                            lanes[wid].inflight.discard(nxt)
+                        elif self._send(wid, nxt, ledger.next_attempt(nxt)):
                             self._inflight += 1
                             self.stats.shipped += 1
-                if mine is not None:
+                if mine is not None and failure is None:
                     ran = True
                     failure = self._account(
                         sched, ledger, self._driver_run(mine, ledger), False)

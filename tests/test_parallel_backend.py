@@ -274,28 +274,10 @@ class TestParallelExecutor:
             assert min(ev[t].start for t in range(1, 4)) < ev[0].end, \
                 backend
 
-    def test_detects_missing_raw_edge_at_runtime(self):
-        # Reader whose RAW edge was stripped races its writer; the
-        # epoch assertion fires whichever thread wins.
-        g = _graph([((), (0,)), ((0,), (1,))])
-        g.tasks[1].deps = ()
-        fns = {0: lambda: time.sleep(0.1), 1: lambda: None}
-        with ParallelExecutor(g, fns, workers=2, validate=False) as ex, \
-                pytest.raises(OrderingViolationError):
-            ex.run()
-
-    def test_detects_concurrent_writers_at_runtime(self):
-        g = _graph([((), (0,)), ((), (0,))])
-        g.tasks[1].deps = ()
-        fns = {0: lambda: time.sleep(0.1), 1: lambda: None}
-        with ParallelExecutor(g, fns, workers=2, validate=False) as ex, \
-                pytest.raises(OrderingViolationError):
-            ex.run()
-
     def test_payload_exception_propagates(self):
         # Under recovery=None the first payload failure is final, and
-        # the failed attempt itself drops its in-flight reader/writer
-        # marks: abandon_window() asserts that instead of sweeping up.
+        # the failed window leaves no in-flight reader/writer mark
+        # behind.
         for exc_type in (ZeroDivisionError, np.linalg.LinAlgError):
             g = _graph([((), (0,)), ((0,), (1,))])
 
@@ -306,7 +288,8 @@ class TestParallelExecutor:
                 with pytest.raises(exc_type):
                     ex.run()
                 assert ex.inflight_attempts == 0
-                assert not ex._writer_active and not ex._readers_active
+                assert not ex._marked and not ex._writing \
+                    and not ex._reading
                 ex.abandon_window()
                 assert ex.stats.tasks_run == 1
 
@@ -400,7 +383,8 @@ class TestDriverLane:
             for start, end in ((0, 8), (8, 16), (16, 24)):
                 ex.run(start, end)
                 assert ex.inflight_attempts == 0
-                assert not ex._writer_active and not ex._readers_active
+                assert not ex._marked and not ex._writing \
+                    and not ex._reading
             assert ex._pool._max_workers == 1
             stats = ex.stats
         assert sorted(ran) == list(range(24))
@@ -422,9 +406,10 @@ class TestDriverLane:
 
     def test_driver_and_pool_share_the_epoch_tables_under_stress(self):
         # More lanes than cores and a 10 us switch interval: the driver
-        # and three pool threads check tiles in and out concurrently.
-        # Each counter tile is bumped by a 40-task chain; a lost update
-        # or a missed epoch would break the counts or raise.
+        # runs its picks and settles the pool threads' reports while
+        # three of them run payloads.  Each counter tile is bumped by a
+        # 40-task chain; a lost update or a missed epoch would break the
+        # counts or raise.
         tiles, rounds = 16, 40
         g = _graph([((t,), (t,)) for _ in range(rounds)
                     for t in range(tiles)])
@@ -444,7 +429,8 @@ class TestDriverLane:
             with ParallelExecutor(g, fns, workers=4) as ex:
                 ex.run()
                 assert ex.inflight_attempts == 0
-                assert not ex._writer_active and not ex._readers_active
+                assert not ex._marked and not ex._writing \
+                    and not ex._reading
         finally:
             sys.setswitchinterval(interval)
         assert count == [rounds] * tiles
@@ -567,87 +553,120 @@ class TestPlacement:
 
 
 class TestSweepEpochs:
-    """A sweep is checked once per window: every tile of its footprint
-    at its program-order epoch before anything runs, then both epoch
-    tables advanced over its writes.  A window with lanes keeps the
-    per-task check-in."""
+    """The driver checks a sweep once per window, on both real
+    backends: every tile of its footprint at its program-order epoch
+    before anything runs, then both epoch tables advanced over its
+    writes.  A window with lanes keeps the check at every hand-out."""
 
     @staticmethod
     def _counting(monkeypatch):
-        calls = {"check_in": 0, "release": 0}
-        for name in calls:
-            real = getattr(ParallelExecutor, "_" + name)
+        from repro.runtime.window import WindowExecutor
+        calls = []
+        real = WindowExecutor._hand_out
 
-            def counted(self, *a, _real=real, _name=name, **kw):
-                calls[_name] += 1
-                return _real(self, *a, **kw)
-            monkeypatch.setattr(ParallelExecutor, "_" + name, counted)
+        def counted(self, tid):
+            calls.append(tid)
+            return real(self, tid)
+        monkeypatch.setattr(WindowExecutor, "_hand_out", counted)
         return calls
 
-    def test_sweep_checks_no_task_in(self, monkeypatch):
-        from repro.runtime.window import LANE_MIN_FLOPS
-        calls = self._counting(monkeypatch)
-        g = _graph([((i % 3,), (i % 3,)) for i in range(12)])
-        for t in g.tasks[:6]:
-            t.flops = LANE_MIN_FLOPS / 2    # a sweep; the rest pay
-        ran = []
-        fns = {t: (lambda t=t: ran.append(t)) for t in range(12)}
-        with ParallelExecutor(g, fns, workers=2) as ex:
-            ex.run(0, 6)
-            assert ex._pool is None
-            assert calls == {"check_in": 0, "release": 0}
-            assert ex._expected == {}
-            assert ex._completed_writer == ex._prep_last_writer == {
-                (0, 0, 0): 3, (0, 1, 0): 4, (0, 2, 0): 5}
-            ex.run(6, 12)
-            assert ex._pool is not None
-            assert calls == {"check_in": 6, "release": 6}
-            assert ex._expected == {}
-        assert sorted(ran) == list(range(12))
-
     @staticmethod
-    def _sweep_then_lanes():
-        """Window [0, 2) is a sweep writing tiles 0 and 1; in window
-        [2, 5) (lanes) task 3 rewrites tile 0 once the slow task 2 is
-        done, and task 4 reads tile 0 after it."""
+    def _run(backend, specs, cheap, body, workers=2, validate=True,
+             strip=()):
+        """Record ``(reads, writes)`` specs over the tiles of one
+        matrix, the first ``cheap`` below the granularity floor (a
+        sweep), strip the deps of the ``strip`` tids, and call
+        ``body(ex, a, ran)`` with a ``backend`` executor over them.
+        ``ran`` lists the tids whose payloads ran on the driver."""
+        from repro.dist import ProcessGrid
+        from repro.runtime import ProcessExecutor, Runtime
         from repro.runtime.window import LANE_MIN_FLOPS
-        g = _graph([((), (0,)), ((), (1,)), ((), (2,)), ((2,), (0,)),
-                    ((0,), (3,))])
-        for t in g.tasks[:2]:
-            t.flops = LANE_MIN_FLOPS / 2
-        fns = {t: (lambda: None) for t in range(5)}
-        fns[2] = lambda: time.sleep(0.1)
-        return g, fns
 
-    def test_lane_window_after_a_sweep_still_checks_each_task(self):
-        g, fns = self._sweep_then_lanes()
-        with ParallelExecutor(g, fns, workers=2) as ex:
+        ran = []
+        with Runtime(ProcessGrid(1, 1), deferred=True, backend=backend,
+                     workers=workers, sanitize=None) as rt:
+            a = DistMatrix(rt, 64, 16, 16, np.float64)
+            for tid, (reads, writes) in enumerate(specs):
+                rt.submit(TaskKind.GEMM, reads=[a.ref(i, 0) for i in reads],
+                          writes=[a.ref(i, 0) for i in writes], rank=0,
+                          flops=LANE_MIN_FLOPS / 2 if tid < cheap else 0.0,
+                          fn=lambda tid=tid: ran.append(tid))
+            for tid in strip:
+                rt.graph.tasks[tid].deps = ()
+            if backend == "processes":
+                ex = ProcessExecutor(rt, workers=workers, validate=validate)
+            else:
+                ex = ParallelExecutor(rt.graph, rt._pending_fns,
+                                      workers=workers, validate=validate)
+            try:
+                body(ex, a, ran)
+            finally:
+                ex.close()
+
+    def test_sweep_checks_no_task_in(self, monkeypatch):
+        calls = self._counting(monkeypatch)
+
+        def body(ex, a, ran):
+            calls.clear()
+            ex.run(0, 6)
+            assert ex.stats.shipped == 0
+            assert calls == [] and ex._expected == {}
+            assert ex._done_writer == ex._order_writer == {
+                a.ref(0, 0): 3, a.ref(1, 0): 4, a.ref(2, 0): 5}
+            ex.run(6, 12)
+            assert ex.stats.shipped > 0
+            assert sorted(calls) == list(range(6, 12))
+            assert ex._expected == {} and not ex._marked
+            assert ex.stats.tasks_run == 12
+        for backend in ("threads", "processes"):
+            self._run(backend, [((i % 3,), (i % 3,)) for i in range(12)], 6,
+                      body)
+
+    # Window [0, 2) is a sweep writing tiles 0 and 1; in window [2, 5)
+    # (lanes) task 3 rewrites tile 0 after task 2, and task 4 reads
+    # tile 0 after task 3.
+    _SWEEP_THEN_LANES = [((), (0,)), ((), (1,)), ((), (2,)), ((2,), (0,)),
+                         ((0,), (3,))]
+
+    def test_lane_window_after_a_sweep_still_checks_each_task(
+            self, monkeypatch):
+        calls = self._counting(monkeypatch)
+
+        def body(ex, a, ran):
+            calls.clear()
             ex.run(0, 2)
             ex.run(2, 5)
-            assert ex.stats.tasks_run == 5 and ex._pool is not None
+            assert ex.stats.tasks_run == 5 and calls == [2, 3, 4]
+
         # Task 4's RAW edge to task 3 stripped: it is ready at once and
-        # reads tile 0 at the sweep's epoch, not task 3's.
-        g, fns = self._sweep_then_lanes()
-        g.tasks[4].deps = ()
-        with ParallelExecutor(g, fns, workers=2, validate=False) as ex:
+        # is handed out with tile 0 at the sweep's epoch, not task 3's.
+        def stripped(ex, a, ran):
             ex.run(0, 2)
             with pytest.raises(OrderingViolationError,
                                match="task 4 .* wrong epoch"):
                 ex.run(2, 5)
+            assert ex.inflight_attempts == 0 and not ex._marked
+            assert 4 not in ran
+
+        for backend in ("threads", "processes"):
+            self._run(backend, self._SWEEP_THEN_LANES, 2, body)
+            self._run(backend, self._SWEEP_THEN_LANES, 2, stripped,
+                      validate=False, strip=(4,))
 
     def test_a_corrupted_epoch_stops_the_sweep_before_any_payload(self):
-        g = _graph([((), (0,)), ((), (1,)), ((0,), (2,)), ((1,), (1,))])
-        ran = []
-        fns = {t: (lambda t=t: ran.append(t)) for t in range(4)}
-        with ParallelExecutor(g, fns, workers=1) as ex:
+        def body(ex, a, ran):
             ex.run(0, 2)
-            ex._completed_writer[(0, 1, 0)] = 0
+            ex._done_writer[a.ref(1, 0)] = 0
             with pytest.raises(OrderingViolationError,
-                               match=r"tile \(0, 1, 0\) at the wrong epoch"):
+                               match="at the wrong epoch"):
                 ex.run(2, 4)
             assert ran == [0, 1]
             # Nothing advanced past the refused window.
-            assert ex._prep_last_writer == {(0, 0, 0): 0, (0, 1, 0): 1}
+            assert ex._order_writer == {a.ref(0, 0): 0, a.ref(1, 0): 1}
+            assert list(ex._unfinished) == [2, 3]
+        for backend in ("threads", "processes"):
+            self._run(backend, [((), (0,)), ((), (1,)), ((0,), (2,)),
+                                ((1,), (1,))], 4, body, workers=1)
 
 
 def _run_qdwh(a, nb=16, backend="eager", workers=None):

@@ -13,7 +13,8 @@ while attempts are in flight, and ``inflight_attempts == 0`` after
 every window.  With one lane the fake's windows are sweeps, which
 run in program order without ``_open``, retry in place and leave what
 a final failure did not reach to ``abandon_window``.  The stall rule
-is checked on the fake and on both real transports.
+and the ordering check are checked on the fake and on both real
+transports.
 """
 
 import time
@@ -24,8 +25,9 @@ import pytest
 
 from repro.dist import DistMatrix, ProcessGrid
 from repro.resilience import RecoveryPolicy
-from repro.runtime import (ParallelExecutor, ProcessExecutor, Runtime,
-                           TaskGraph, TaskKind, WorkerCrashError)
+from repro.runtime import (OrderingViolationError, ParallelExecutor,
+                           ProcessExecutor, Runtime, TaskGraph, TaskKind,
+                           WorkerCrashError)
 from repro.runtime.attempt import Attempt, retryable
 from repro.runtime.distributed import DynamicScheduler
 from repro.runtime.task import Task
@@ -33,7 +35,10 @@ from repro.runtime.window import Death, Report, WindowExecutor
 
 
 def _outcome(verdict):
-    """The attempt a script verdict (None or an exception) stands for."""
+    """The attempt a script verdict (None, ``"lost"`` or an exception)
+    stands for."""
+    if verdict == "lost":
+        return Attempt(0.0, 1e-6, 0.0, [], None, False, True)
     return Attempt(0.0, 1e-6, 0.0, [], verdict,
                    verdict is not None and retryable(verdict))
 
@@ -41,8 +46,9 @@ def _outcome(verdict):
 class ScriptedTransport(WindowExecutor):
     """Attempts queue in send order; each ``_recv`` resolves the oldest
     through ``script(tid, attempt)`` -> None (success), an exception
-    (the attempt fails with it) or ``"die"`` (its lane's worker dies,
-    taking everything sent to that lane with it).  Resolving takes no
+    (the attempt fails with it), ``"lost"`` (another attempt claimed
+    the payload) or ``"die"`` (its lane's worker dies, taking
+    everything sent to that lane with it).  Resolving takes no
     time; waiting with nothing out, or a sweep sleeping out a backoff,
     advances ``now`` by the wait.
 
@@ -285,14 +291,17 @@ class TestSweep:
         assert list(ex._unfinished) == []
 
     def test_forward_edge_is_refused_before_anything_runs(self):
-        g = _independent(3)
-        g.tasks[1].deps = (2,)
-        ex = ScriptedTransport(g, lambda tid, a: None, lanes=1,
-                               validate=False)
-        with pytest.raises(RuntimeError, match="stalled with 3 task"):
-            ex.run()
-        assert ex.log == [] and ex.opened == 0
-        assert list(ex._unfinished) == [0, 1, 2]
+        # Every dep is tested, sorted or not: (2, 0) hides its forward
+        # edge from a look at the last one.
+        for deps in ((2,), (2, 0)):
+            g = _independent(3)
+            g.tasks[1].deps = deps
+            ex = ScriptedTransport(g, lambda tid, a: None, lanes=1,
+                                   validate=False)
+            with pytest.raises(RuntimeError, match="stalled with 3 task"):
+                ex.run()
+            assert ex.log == [] and ex.opened == 0, deps
+            assert list(ex._unfinished) == [0, 1, 2]
 
 
 class TestStallRule:
@@ -343,3 +352,114 @@ class TestStallRule:
                 ex.close()
         # One fork/handshake/shutdown round, not 200 polls.
         assert elapsed < 2.0
+
+
+class TestOrderingCheck:
+    """The driver checks every task it hands out, on every transport:
+    task 1 of each case lost the edge that orders it after task 0, so
+    both are ready at once.  Task 0 is handed out first, and task 1 is
+    refused at its hand-out — before its payload runs — with
+    :class:`OrderingViolationError`; the window drains and leaves no
+    in-flight mark behind."""
+
+    #: ``(reads, writes)`` of tasks 0 and 1 over tiles 0 and 1, and
+    #: what the check says about task 1.
+    CASES = {
+        "missing_raw": ([((), (0,)), ((0,), (1,))], "task 1 .* wrong epoch"),
+        "unordered_writers": ([((), (0,)), ((), (0,))],
+                              "task 1 .* wrong epoch"),
+        "missing_war": ([((0,), (1,)), ((), (0,))],
+                        "task 1 writes tile .* reader"),
+    }
+
+    @staticmethod
+    def _assert_refused(ex, case):
+        with pytest.raises(OrderingViolationError,
+                           match=TestOrderingCheck.CASES[case][1]):
+            ex.run(0, 2)
+        assert ex.inflight_attempts == 0
+        assert not ex._marked and not ex._writing and not ex._reading
+        assert 1 in ex._unfinished
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("transport", ["scripted", "threads",
+                                           "processes"])
+    def test_stripped_edge_is_refused_at_hand_out(
+            self, transport, case, lanes_for_tiny_tiles):
+        specs = self.CASES[case][0]
+        with Runtime(ProcessGrid(1, 1), deferred=True, backend="threads",
+                     workers=2, sanitize=None) as rt:
+            # Tiles 0-1 are the case's; task k also writes tile 2 + k,
+            # which its payload marks.
+            a = DistMatrix(rt, 64, 16, 16, np.float64)
+            for tid, (reads, writes) in enumerate(specs):
+                rt.submit(TaskKind.GEMM, reads=[a.ref(i, 0) for i in reads],
+                          writes=[a.ref(i, 0) for i in writes + (2 + tid,)],
+                          rank=0,
+                          fn=lambda tid=tid: a.tile(2 + tid, 0).fill(1.0))
+            assert rt.graph.tasks[1].deps == (0,)
+            rt.graph.tasks[1].deps = ()
+            if transport == "scripted":
+                ex = ScriptedTransport(rt.graph, lambda tid, a: None,
+                                       validate=False)
+                self._assert_refused(ex, case)
+                assert [t for _, t, _ in ex.log] == [0]
+                return
+            if transport == "processes":
+                ex = ProcessExecutor(rt, workers=2, validate=False)
+            else:
+                ex = ParallelExecutor(rt.graph, rt._pending_fns, workers=2,
+                                      validate=False)
+            try:
+                # As in Runtime.sync: a payload's tile access must not
+                # flush the runtime's own (validating) executor.
+                rt._in_execution = True
+                self._assert_refused(ex, case)
+                rt._in_execution = False
+                rt.abandon_pending()
+                assert a.tile(3, 0).max() == 0.0, "task 1's payload ran"
+            finally:
+                ex.close()
+
+    def test_retry_is_checked_again_but_marked_once(self):
+        # Task 1 reads tile 0 and writes tile 1; its first attempt
+        # fails.  The retry is handed out, and checked, a second time;
+        # the marks the task took at its first hand-out carry it — a
+        # second mark would count two readers of tile 0, or refuse the
+        # retry as a second writer of tile 1.
+        seen = []
+
+        def script(tid, attempt):
+            seen.append((tid, attempt, dict(ex._reading),
+                         dict(ex._writing)))
+            return RuntimeError("flaky") if (tid, attempt) == (1, 0) else None
+
+        ex = ScriptedTransport(_chain(2), script,
+                               recovery=RecoveryPolicy(max_retries=1))
+        handed = []
+        check = ex._hand_out
+        ex._hand_out = lambda tid: handed.append(tid) or check(tid)
+        ex.run()
+        assert handed == [0, 1, 1]
+        held = ({(0, 0, 0): 1}, {(0, 1, 0): 1})
+        assert seen[1:] == [(1, 0) + held, (1, 1) + held]
+        assert ex.stats.tasks_run == 2 and ex.stats.recovery.retried_tasks == 1
+        assert not ex._marked and not ex._writing and not ex._reading
+
+    def test_a_stale_retry_of_a_settled_task_takes_no_mark(self):
+        # On a watched executor a retry can be requeued just before a
+        # speculative backup of its task wins; it reaches a lane after
+        # the task settled, finds the payload claimed and reports
+        # itself lost.  Its hand-out must take no mark: a leaked writer
+        # mark on tile 0 would refuse task 1, which reads it.
+        def script(tid, attempt):
+            if (tid, attempt) == (0, 0):
+                ex._sched.requeue([0])      # the stale retry
+            return "lost" if (tid, attempt) == (0, 1) else None
+
+        ex = ScriptedTransport(_chain(2), script)
+        ex.run()
+        assert sorted((t, a) for _, t, a in ex.log) == [(0, 0), (0, 1),
+                                                        (1, 0)]
+        assert ex.stats.tasks_run == 2 and ex.inflight_attempts == 0
+        assert not ex._marked and not ex._writing and not ex._reading
