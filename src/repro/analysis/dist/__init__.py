@@ -4,14 +4,15 @@ PR 4's tooling (TileSan, ``check_races``, repro-lint) proves *task
 graphs* clean; this package proves the **distributed layer that
 executes them** clean.  Three checkers, one per failure surface:
 
-* :mod:`.explore` — a schedule-space model checker: drives the real
+* :mod:`.explore` — a schedule-space model checker: runs the real
+  window driver (:class:`~repro.runtime.window.WindowExecutor`) and
   :class:`~repro.runtime.distributed.scheduling.DynamicScheduler`
-  (plus a modeled worker pool and a modeled refcount store) through
-  bounded systematic interleavings of fetch / completion / crash /
-  respawn events, asserting scheduler invariants after every step.
-  :mod:`.mutants` ships known-bad scheduler/store variants; the
+  over a transport whose hooks are choice points, through bounded
+  systematic interleavings of completion / crash / death-report /
+  respawn events, asserting invariants at every hand-out and choice.
+  :mod:`.mutants` ships known-bad scheduler and driver variants; the
   mutant gate requires the explorer to kill all of them while passing
-  clean on the real scheduler.
+  clean on the real code.
 * :mod:`.hb` — a cross-process happens-before race checker over
   *executed* runs: rebuilds the partial order from a recorded
   :class:`~repro.runtime.distributed.events.DistTraceRecorder`
@@ -28,7 +29,7 @@ executes them** clean.  Three checkers, one per failure surface:
 the CI ``distsan`` job gates on all three.
 """
 
-from .explore import (ExplorationReport, ExploreFinding, ModelShmStore,
+from .explore import (ExplorationReport, ExplorerTransport, ExploreFinding,
                       Scenario, builtin_scenarios, explore)
 from .hb import HBFinding, audit_refcounts, check_hb
 from .mutants import MUTANTS, MutantResult, mutant_gate
@@ -37,9 +38,9 @@ from .protocol import ProtocolFinding, check_connection, check_frames
 __all__ = [
     "ExplorationReport",
     "ExploreFinding",
+    "ExplorerTransport",
     "HBFinding",
     "MUTANTS",
-    "ModelShmStore",
     "MutantResult",
     "ProtocolFinding",
     "Scenario",

@@ -1,4 +1,4 @@
-"""Schedule-space model checking for the window scheduler.
+"""Schedule-space model checking for the window driver.
 
 Both real backends multiplex completions, steals, crash recovery,
 the lookahead gate and driver-lane work over one event loop
@@ -6,45 +6,69 @@ the lookahead gate and driver-lane work over one event loop
 depends on *interleavings* the test suite only samples.  This module
 checks them systematically, CHESS-style:
 
-* The **real** :class:`~repro.runtime.distributed.scheduling.DynamicScheduler`
-  is the system under test — not a re-implementation.  Around it sits
-  a small modeled world: a worker pool that fetches and completes
-  tasks, a crash/respawn fault model, and a modeled refcount store
-  mirroring how the executor pins tiles per dispatch.
-* Execution is **deterministic**: at each step the world enumerates
-  the enabled actions in a fixed order and an explicit *decision
+* The **real** driver and scheduler are the system under test: every
+  explored schedule runs ``run → _epochs → _drive → _hand_out →
+  _account → _revoke`` over a
+  :class:`~repro.runtime.distributed.scheduling.DynamicScheduler`.
+  Only the transport is the explorer's own
+  (:class:`ExplorerTransport`): its hooks are the choice points.
+  ``_open`` builds the scenario's scheduler and registers its lanes;
+  ``_send`` and ``_inline`` record each hand-out; ``_recv`` lets one
+  in-flight attempt report, kills a lane (its ``_send``\\ s fail until
+  its :class:`~repro.runtime.window.Death` is reported, as a SIGKILL
+  looks on processes), reports such a death, or respawns a lane;
+  ``_tick`` respawns when every lane is dead, as the processes
+  transport does.
+* Scenarios declare task *footprints*; :meth:`TaskGraph.add` infers
+  their dependencies, so the driver's tile-ordering check guards every
+  explored hand-out.
+* Execution is **deterministic**: at each ``_recv`` the transport
+  enumerates its options in a fixed order and an explicit *decision
   vector* picks one.  Replaying the same vector replays the same run,
   so the whole exploration is reproducible with no timing dependence.
 * The explorer enumerates decision vectors with **iterative context
-  bounding**: index 0 is the "natural" action, any other index is a
+  bounding**: index 0 is the "natural" option, any other index is a
   preemption, and schedules are enumerated in order of increasing
   deviation count up to ``preemption_bound``.  Small bounds are known
   to find the vast majority of concurrency bugs while keeping the
   schedule count polynomial.
-* **Invariants** are asserted after every step: each task dispatched
-  at most once per attempt and never after completion, no ready task
-  starved while an eligible worker idles, driver-lane tasks never on
-  workers (and vice versa, unless the driver is itself a lane),
-  pipeline depth respected, nothing handed
-  out beyond the lookahead gate and nothing parked behind a gate that
-  admits it, ``pending`` in sync, crash revocation exactly-once,
-  modeled refcounts balanced.
+* **Invariants** are asserted at every hand-out (``_send``,
+  ``_inline``) and every turn of the dispatch loop (``_tick``): no
+  task handed out while in flight or after it completed,
+  driver-lane tasks never on lanes (and vice versa, unless the driver
+  is itself a lane), pipeline depth respected, nothing handed out
+  beyond the lookahead gate and nothing parked behind a gate that
+  admits it, dead lanes holding nothing, no ready task lost or held
+  twice, ``pending`` in sync; at the end, every task completed and no
+  attempt in flight.  An exception out of ``run`` — the driver's
+  :class:`~repro.runtime.window.OrderingViolationError`, its stall
+  rule, a crash it gave up on — is a finding too, except the stall of
+  a window whose lanes are all dead with no respawn left and no
+  helping driver: that is the fault model's doing.
 
 The checker itself is validated by :mod:`.mutants`: seeded scheduler
-bugs (lost wakeup, double dispatch, steal-from-dead, ...) that the
-explorer must kill, while reporting zero findings on the real code.
+and driver bugs (lost wakeup, double dispatch, early release, a
+revocation that drops in-flight work, ...) that the explorer must
+kill, while reporting zero findings on the real code.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import (Callable, Dict, List, Optional, Sequence, Set, Tuple, Type,
+                    Union)
 
-from ...runtime.distributed.scheduling import DynamicScheduler, WorkerState
+from ...resilience.live import RecoveryPolicy
+from ...runtime.attempt import Attempt
+from ...runtime.distributed.scheduling import DynamicScheduler
+from ...runtime.graph import TaskGraph
 from ...runtime.task import Task, TaskKind, TileRef
+from ...runtime.window import (Death, OrderingViolationError, Report,
+                               WindowExecutor)
 
-__all__ = ["Scenario", "ExploreFinding", "ExplorationReport",
-           "ModelShmStore", "builtin_scenarios", "explore"]
+__all__ = ["ExplorerTransport", "Scenario", "ExploreFinding",
+           "ExplorationReport", "builtin_scenarios", "explore"]
 
 
 # ---------------------------------------------------------------------------
@@ -55,13 +79,15 @@ __all__ = ["Scenario", "ExploreFinding", "ExplorationReport",
 class Scenario:
     """One bounded workload + fault budget to explore.
 
-    ``tasks`` is a plain task list (tids ``0..n-1``, in-window deps);
-    ``worker_ok`` marks worker-eligible tids, the rest are driver-lane.
+    ``tasks`` declare footprints only (tids ``0..n-1``): their
+    dependencies are inferred by :meth:`TaskGraph.add` into ``graph``.
+    ``worker_ok`` marks lane-eligible tids, the rest are driver-lane.
+    ``workers`` is the number of lanes besides the driver.
     ``max_crashes``/``max_spawns`` bound the fault model: a crash kills
-    an alive worker mid-run, a spawn adds a replacement.  ``lookahead``
-    is the scheduler's phase gate (``None`` = off).  ``driver_helps``
-    makes the driver an execution lane (the unwatched threads
-    transport): it may take worker-eligible tasks too.
+    a lane mid-window, a spawn adds a replacement.  ``lookahead`` is
+    the scheduler's phase gate (``None`` = off).  ``driver_helps``
+    makes the driver an execution lane: it may take lane-eligible
+    tasks too.
     """
 
     name: str
@@ -73,19 +99,28 @@ class Scenario:
     max_spawns: int = 0
     lookahead: Optional[int] = None
     driver_helps: bool = False
+    graph: TaskGraph = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.graph = TaskGraph()
+        for t in self.tasks:
+            self.graph.add(t)
 
     @property
     def ntasks(self) -> int:
         return len(self.tasks)
 
 
-def _task(tid: int, deps: Sequence[int] = (), reads: Sequence[TileRef] = (),
-          writes: Sequence[TileRef] = (), phase: int = 0) -> Task:
-    if not writes:
-        writes = ((90, tid, 0),)
+def _out(tid: int) -> TileRef:
+    """The tile task ``tid`` writes."""
+    return (90, tid, 0)
+
+
+def _task(tid: int, reads: Sequence[TileRef] = (), phase: int = 0) -> Task:
+    """Task ``tid`` reading ``reads`` and writing its own tile: reading
+    ``_out(d)`` makes it depend on task ``d``."""
     return Task(tid=tid, kind=TaskKind.GEMM, reads=tuple(reads),
-                writes=tuple(writes), rank=0, phase=phase,
-                deps=tuple(deps))
+                writes=(_out(tid),), rank=0, phase=phase)
 
 
 def _all_ok(tasks: Sequence[Task]) -> Dict[int, bool]:
@@ -95,8 +130,8 @@ def _all_ok(tasks: Sequence[Task]) -> Dict[int, bool]:
 def builtin_scenarios() -> List[Scenario]:
     """The workload zoo the CI gate explores.
 
-    Shapes are chosen to reach every scheduler code path: serial
-    chains (wakeup propagation), diamonds (fan-out/fan-in), wide
+    Shapes are chosen to reach every driver and scheduler code path:
+    serial chains (wakeup propagation), diamonds (fan-out/fan-in), wide
     independent sets (queue balancing), locality-skewed chains (steal
     path), mixed driver/worker lanes, crashy variants (revocation
     and replay), the threads backend's shapes (one lane as deep as its
@@ -108,61 +143,60 @@ def builtin_scenarios() -> List[Scenario]:
     """
     out: List[Scenario] = []
 
-    chain = tuple(_task(i, deps=[i - 1] if i else []) for i in range(6))
+    chain = tuple(_task(i, reads=[_out(i - 1)] if i else []) for i in range(6))
     out.append(Scenario("chain", chain, _all_ok(chain)))
 
     # Two fan-out/fan-in diamonds sharing a final join.
     dia = (
-        _task(0), _task(1, deps=[0]), _task(2, deps=[0]),
-        _task(3, deps=[1, 2]),
-        _task(4, deps=[3]), _task(5, deps=[3]),
-        _task(6, deps=[4, 5]),
+        _task(0), _task(1, [_out(0)]), _task(2, [_out(0)]),
+        _task(3, [_out(1), _out(2)]),
+        _task(4, [_out(3)]), _task(5, [_out(3)]),
+        _task(6, [_out(4), _out(5)]),
     )
     out.append(Scenario("diamond", dia, _all_ok(dia)))
 
     wide = tuple(_task(i) for i in range(6))
     out.append(Scenario("wide", wide, _all_ok(wide)))
 
-    # Two chains whose every task touches one hot tile: locality pins
-    # both chains to whichever worker ran first, forcing the other
-    # worker through the steal path.
+    # Two chains whose every task reads one hot tile: locality pins
+    # both chains to whichever lane ran first, forcing the other lane
+    # through the steal path.
     hot: TileRef = (91, 0, 0)
     steal = (
-        _task(0, reads=[hot]), _task(1, deps=[0], reads=[hot]),
-        _task(2, deps=[1], reads=[hot]),
-        _task(3, reads=[hot]), _task(4, deps=[3], reads=[hot]),
-        _task(5, deps=[4], reads=[hot]),
+        _task(0, [hot]), _task(1, [hot, _out(0)]), _task(2, [hot, _out(1)]),
+        _task(3, [hot]), _task(4, [hot, _out(3)]), _task(5, [hot, _out(4)]),
     )
     out.append(Scenario("stealable", steal, _all_ok(steal)))
 
     # Driver-lane reductions interleaved with worker tasks.
     mixed = (
         _task(0), _task(1),
-        _task(2, deps=[0, 1]),            # driver (reduce)
-        _task(3, deps=[2]), _task(4, deps=[2]),
-        _task(5, deps=[3, 4]),            # driver
+        _task(2, [_out(0), _out(1)]),             # driver (reduce)
+        _task(3, [_out(2)]), _task(4, [_out(2)]),
+        _task(5, [_out(3), _out(4)]),             # driver
     )
     ok = _all_ok(mixed)
     ok[2] = ok[5] = False
     out.append(Scenario("mixed-driver", mixed, ok))
 
     # Wide + a tail join, with a crash/respawn budget: exercises
-    # remove_worker revocation, requeue and post-respawn placement.
+    # revocation, requeue and post-respawn placement.
     crashy = tuple(_task(i) for i in range(8)) + (
-        _task(8, deps=list(range(8))),)
+        _task(8, [_out(i) for i in range(8)]),)
     out.append(Scenario("crashy", crashy, _all_ok(crashy),
                         max_crashes=2, max_spawns=2))
 
-    # The threads transport: a single lane, pipeline depth = pool size.
+    # The watched threads transport: a single lane, pipeline depth =
+    # pool size.
     out.append(Scenario("one-lane-deep", dia, _all_ok(dia),
                         workers=1, pipeline_depth=4))
 
     # Three panel steps with almost no dataflow between them: under
-    # lookahead=0 only the gate keeps a later phase off the workers,
+    # lookahead=0 only the gate keeps a later phase off the lanes,
     # and it must reopen every time the completed prefix advances.
     phased = (
         _task(0), _task(1),
-        _task(2, deps=[0], phase=1), _task(3, phase=1),
+        _task(2, [_out(0)], phase=1), _task(3, phase=1),
         _task(4, phase=2), _task(5, phase=2),        # 5: driver lane
     )
     ok = _all_ok(phased)
@@ -176,22 +210,29 @@ def builtin_scenarios() -> List[Scenario]:
     out.append(Scenario("driver-lane", phased, _all_ok(phased), workers=1,
                         max_crashes=1, lookahead=0, driver_helps=True))
 
-    # Its processes shape (workers=3): the helping driver beside one
-    # lane *per fork*, each with its own queue.  Wide enough that both
-    # lanes still hold queued tasks when the driver picks (it takes the
-    # lowest head from whichever lane holds it), lanes steal from each
-    # other, a scalar reduction stays driver-only, a fork dies
-    # mid-window and is replaced, all behind the lookahead gate.
+    # Its processes shape: the helping driver beside one lane *per
+    # fork*, each with its own queue.  Lanes steal from each other, a
+    # scalar reduction stays driver-only, a fork dies mid-window and
+    # is replaced, all behind the lookahead gate.
     forked = tuple(_task(i) for i in range(6)) + (
         _task(6, phase=1),
-        _task(7, deps=[0, 1], phase=1),              # driver-only
-        _task(8, deps=[6, 7], phase=2),
+        _task(7, [_out(0), _out(1)], phase=1),       # driver-only
+        _task(8, [_out(6), _out(7)], phase=2),
     )
     ok = _all_ok(forked)
     ok[7] = False
     out.append(Scenario("driver-lane-forked", forked, ok, workers=2,
                         max_crashes=1, max_spawns=1, lookahead=1,
                         driver_helps=True))
+
+    # The same placement one dispatch deep: independent tasks over two
+    # hot tiles, so locality keeps both lanes' queues full while each
+    # has one attempt out, and the helping driver's lowest head sits
+    # on either lane.
+    hot2: TileRef = (91, 1, 0)
+    split = tuple(_task(i, [hot if i % 2 else hot2]) for i in range(8))
+    out.append(Scenario("driver-lane-split", split, _all_ok(split),
+                        workers=2, pipeline_depth=1, driver_helps=True))
 
     return out
 
@@ -238,272 +279,186 @@ class _Violation(Exception):
 
 
 # ---------------------------------------------------------------------------
-# Modeled refcount store
-
-class ModelShmStore:
-    """Models the executor's per-dispatch tile pinning.
-
-    The real executor pins every tile a task touches for the lifetime
-    of the attempt (incref at dispatch, decref when the reply is
-    accepted or the attempt is revoked).  The model checks the two
-    properties that matter: a refcount never dips below the owner's
-    baseline reference mid-run, and every count returns to exactly the
-    baseline once the window drains.
-    """
-
-    def __init__(self) -> None:
-        self.refs: Dict[TileRef, int] = {}
-
-    def pin(self, ref: TileRef) -> None:
-        self.refs.setdefault(ref, 1)
-
-    def on_dispatch(self, refs: Sequence[TileRef]) -> None:
-        for r in refs:
-            self.refs[r] = self.refs.get(r, 1) + 1
-
-    def on_release(self, refs: Sequence[TileRef]) -> None:
-        """Reply accepted *or* attempt revoked — either way the
-        dispatch-time pins drop."""
-        for r in refs:
-            self.refs[r] = self.refs.get(r, 1) - 1
-
-    def check_step(self) -> None:
-        for r, n in self.refs.items():
-            if n < 1:
-                raise _Violation("refcount-negative",
-                                 f"tile {r} refcount {n} < 1")
-
-    def check_final(self) -> None:
-        bad = {r: n for r, n in self.refs.items() if n != 1}
-        if bad:
-            raise _Violation("refcount-imbalance",
-                             f"non-baseline counts at drain: {bad}")
-
-
-# ---------------------------------------------------------------------------
-# The modeled world
-
-Action = Tuple  # ("fetch", wid) | ("complete", wid, tid) | ("driver",)
-#               | ("crash", wid) | ("spawn",)
+# The explorer's transport
 
 SchedulerFactory = Callable[..., DynamicScheduler]
-StoreFactory = Callable[[], ModelShmStore]
+_DONE = Attempt(0.0, 0.0, 0.0, [], None, False)
 
 
-class _World:
+class ExplorerTransport(WindowExecutor):
     """One deterministic execution of a scenario under a decision
-    vector.  Owns the scheduler under test plus the model state used
-    to check it."""
+    vector: the real window driver over a transport whose ``_recv`` is
+    the choice point, checking invariants on every hand-out and on the
+    scheduler state at every turn of the dispatch loop."""
 
-    def __init__(self, scenario: Scenario,
-                 scheduler: SchedulerFactory,
-                 store: StoreFactory):
-        self.sc = scenario
-        self.sched = scheduler(list(scenario.tasks), 0, scenario.ntasks,
-                               dict(scenario.worker_ok),
-                               scenario.pipeline_depth, scenario.lookahead,
-                               scenario.driver_helps)
-        self.store = store()
-        self.refs_of: Dict[int, Tuple[TileRef, ...]] = {}
-        for t in scenario.tasks:
-            if scenario.worker_ok.get(t.tid, False):
-                refs = tuple(t.reads) + tuple(t.writes)
-                self.refs_of[t.tid] = refs
-                for r in refs:
-                    self.store.pin(r)
-            else:
-                self.refs_of[t.tid] = ()
-        for wid in range(scenario.workers):
-            self.sched.add_worker(wid)
-        self._next_wid = scenario.workers
-        #: tid -> wid of the live (dispatched, not yet resolved) attempt.
-        self.live: Dict[int, int] = {}
-        self.completed: Set[int] = set()
-        self.dispatches: Dict[int, int] = {}   # tid -> dispatch count
-        self.crashes_left = scenario.max_crashes
-        self.spawns_left = scenario.max_spawns
+    def __init__(self, scenario: Scenario, scheduler: SchedulerFactory,
+                 decisions: Sequence[int], max_steps: int) -> None:
+        sc = self.sc = scenario
+        super().__init__(sc.graph, {},
+                         workers=sc.workers + int(sc.driver_helps),
+                         lookahead=sc.lookahead, sink=None, validate=True,
+                         sanitizer=None, recovery=RecoveryPolicy(),
+                         injector=None, tiles=None)
+        self.scheduler = scheduler
+        self.decisions = decisions
+        self.max_steps = max_steps
+        #: Every choice as ``(chosen, options)``, and every action.
+        self.log: List[Tuple[int, int]] = []
         self.trace: List[str] = []
+        #: ``(lane, tid)`` of each attempt sent and not yet reported.
+        self.outbox: List[Tuple[int, int]] = []
+        #: Killed lanes whose death is unreported -> attempts lost.
+        self.killed: Dict[int, int] = {}
+        self.completed: Set[int] = set()
+        self.crashes_left = sc.max_crashes
+        self.spawns_left = sc.max_spawns
+        self._next_lane = 0
 
-    # -- enabled actions -------------------------------------------------
+    @property
+    def driver_helps(self) -> bool:
+        return self.sc.driver_helps
 
-    def _alive(self) -> List[WorkerState]:
-        return sorted(self.sched.alive_workers(), key=lambda w: w.wid)
+    @property
+    def stranded(self) -> bool:
+        """Every lane dead, no respawn left and no helping driver: a
+        stall is the fault model's doing, not the system's."""
+        sched = self._sched
+        return (sched is not None and not sched.alive_workers()
+                and self.spawns_left == 0 and not self.sc.driver_helps)
 
-    def enabled(self) -> List[Action]:
-        """Enabled actions in a fixed, progress-first order.
+    def _step(self, action: str) -> None:
+        self.trace.append(action)
+        if len(self.trace) > self.max_steps:
+            raise _Violation("no-termination",
+                             f"window still running after {self.max_steps} "
+                             "steps")
 
-        Index 0 is always a step the real executor would take
-        eagerly, in the dispatch loop's order (feed the lanes, run the
-        driver's task, account completions); crash/spawn faults sort
-        last so the default schedule (all-zero decisions) is the
-        fault-free happy path.
-        """
-        acts: List[Action] = []
-        sched = self.sched
-        alive = self._alive()
-        work = bool(sched._pool) or any(w.queue for w in alive)
-        for w in alive:
-            if len(w.inflight) < sched.pipeline and work:
-                acts.append(("fetch", w.wid))
-        if sched._driver_ready or (self.sc.driver_helps and work):
-            acts.append(("driver",))
-        for w in alive:
-            for tid in sorted(w.inflight):
-                acts.append(("complete", w.wid, tid))
-        if self.spawns_left > 0 and len(alive) < self.sc.workers:
-            acts.append(("spawn",))
-        if self.crashes_left > 0:
-            for w in alive:
-                acts.append(("crash", w.wid))
-        return acts
+    # -- hooks -----------------------------------------------------------
 
-    # -- transition ------------------------------------------------------
+    def _eligible(self, start: int, end: int) -> int:
+        return sum(self.sc.worker_ok.values())
 
-    def execute(self, act: Action) -> None:
-        self.trace.append("/".join(str(a) for a in act))
-        kind = act[0]
-        if kind == "fetch":
-            self._do_fetch(act[1])
-        elif kind == "complete":
-            self._do_complete(act[1], act[2])
-        elif kind == "driver":
-            self._do_driver()
-        elif kind == "crash":
-            self._do_crash(act[1])
-        elif kind == "spawn":
-            wid = self._next_wid
-            self._next_wid += 1
-            self.sched.add_worker(wid)
+    def _open(self, start: int, end: int, lanes: int) -> DynamicScheduler:
+        sc = self.sc
+        sched = self.scheduler(self.graph.tasks, start, end,
+                               dict(sc.worker_ok), sc.pipeline_depth,
+                               sc.lookahead, sc.driver_helps)
+        for lane in range(lanes):
+            sched.add_worker(lane)
+        self._next_lane = lanes
+        return sched
 
-    def _do_fetch(self, wid: int) -> None:
-        sched = self.sched
-        tid = sched.next_for(wid)
-        if tid is None:
-            # The action was only enabled because assignable work
-            # existed and this worker had pipeline headroom; the real
-            # scheduler then always hands out a task (own queue, the
-            # pool via assign_ready, or a steal).
+    def _inline(self, t: Task, attempt: int) -> Attempt:
+        self._step(f"drv/{t.tid}")
+        if self.sc.worker_ok[t.tid] and not self.sc.driver_helps:
+            raise _Violation("worker-task-on-driver",
+                             f"lane-eligible tid {t.tid} run by the driver")
+        self._check_hand_out(t.tid)
+        self.completed.add(t.tid)
+        return _DONE
+
+    def _send(self, lane: int, tid: int, attempt: int) -> bool:
+        dead = lane in self.killed
+        self._step(f"{'dead-send' if dead else 'send'}/{lane}/{tid}")
+        if not self.sc.worker_ok[tid]:
+            raise _Violation("driver-task-on-worker",
+                             f"driver-lane tid {tid} on lane {lane}")
+        self._check_hand_out(tid)
+        sched = self._sched
+        assert sched is not None
+        if len(sched.workers[lane].inflight) > sched.pipeline:
             raise _Violation(
-                "starvation",
-                f"worker {wid} idles with ready work in the system")
+                "pipeline-exceeded",
+                f"lane {lane} holds {len(sched.workers[lane].inflight)} "
+                f"in flight (depth {sched.pipeline})")
+        if dead:
+            return False
+        self.outbox.append((lane, tid))
+        return True
+
+    def _recv(self, timeout: Optional[float]
+              ) -> List[Union[Report, Death]]:
+        sched = self._sched
+        assert sched is not None
+        alive = [w.wid for w in sched.alive_workers()
+                 if w.wid not in self.killed]
+        options: List[Tuple[str, int]] = [
+            ("report", i) for i in range(len(self.outbox))]
+        if timeout == 0.0:
+            options.append(("idle", 0))     # nothing reported meanwhile
+        options += [("death", lane) for lane in self.killed]
+        if self.spawns_left and len(alive) < self.sc.workers:
+            options.append(("spawn", 0))
+        if self.crashes_left:
+            options += [("kill", lane) for lane in alive]
+        if not options:
+            raise _Violation("driver-blocked",
+                             "the driver blocks with nothing in flight")
+        k = len(self.log)
+        idx = min(self.decisions[k] if k < len(self.decisions) else 0,
+                  len(options) - 1)
+        self.log.append((idx, len(options)))
+        what, arg = options[idx]
+        self._step(f"{what}/{arg}")
+        if what == "report":
+            lane, tid = self.outbox.pop(arg)
+            self.completed.add(tid)
+            return [Report(tid, lane, _DONE, f"w{lane}", 0.0)]
+        if what == "death":
+            return [Death(arg, "killed", self.killed.pop(arg))]
+        if what == "spawn":
+            self._spawn(sched)
+        elif what == "kill":
+            self.crashes_left -= 1
+            self.killed[arg] = sum(1 for lane, _ in self.outbox if lane == arg)
+            self.outbox = [a for a in self.outbox if a[0] != arg]
+        return []
+
+    def _tick(self, now: float) -> Optional[float]:
+        # The driver ticks at the top of every turn of its loop while
+        # the window has not failed: every report so far is accounted.
+        sched = self._sched
+        assert sched is not None
+        self._check_state(sched)
+        if self.spawns_left and sched.pending and not sched.alive_workers():
+            self._spawn(sched)
+        return None
+
+    def _spawn(self, sched: DynamicScheduler) -> None:
+        self.spawns_left -= 1
+        sched.add_worker(self._next_lane)
+        self._next_lane += 1
+
+    # -- invariants ------------------------------------------------------
+
+    def _check_hand_out(self, tid: int) -> None:
         if tid in self.completed:
             raise _Violation("dispatch-after-done",
                              f"tid {tid} handed out after completion")
-        if tid in self.live:
-            raise _Violation(
-                "double-dispatch",
-                f"tid {tid} handed to worker {wid} while live on "
-                f"worker {self.live[tid]}")
-        if not self.sc.worker_ok.get(tid, False):
-            raise _Violation("driver-task-on-worker",
-                             f"driver-lane tid {tid} on worker {wid}")
-        self._check_gate(tid)
-        ws = sched.workers[wid]
-        if len(ws.inflight) > sched.pipeline:
-            raise _Violation(
-                "pipeline-exceeded",
-                f"worker {wid} holds {len(ws.inflight)} in-flight "
-                f"(depth {sched.pipeline})")
-        self.live[tid] = wid
-        self.dispatches[tid] = self.dispatches.get(tid, 0) + 1
-        self.store.on_dispatch(self.refs_of[tid])
-
-    def _do_complete(self, wid: int, tid: int) -> None:
-        if self.live.get(tid) != wid:
-            raise _Violation(
-                "inflight-untracked",
-                f"worker {wid} completes tid {tid} it was never "
-                f"handed (live={self.live.get(tid)})")
-        self._check_deps(tid)
-        if tid in self.completed:
-            raise _Violation("double-complete",
-                             f"tid {tid} completed twice")
-        del self.live[tid]
-        self.sched.on_done(tid, wid)
-        self.completed.add(tid)
-        self.store.on_release(self.refs_of[tid])
-
-    def _do_driver(self) -> None:
-        tid = self.sched.next_driver()
-        if tid is None:
-            raise _Violation("driver-starvation",
-                             "driver lane enabled but empty")
-        if self.sc.worker_ok.get(tid, False) and not self.sc.driver_helps:
-            raise _Violation("worker-task-on-driver",
-                             f"worker-eligible tid {tid} in driver lane")
-        if tid in self.completed or tid in self.live:
+        live = [lane for lane, t in self.outbox if t == tid]
+        if live:
             raise _Violation("double-dispatch",
-                             f"driver tid {tid} already resolved")
-        self._check_deps(tid)
-        self._check_gate(tid)
-        self.sched.on_done(tid, None)
-        self.completed.add(tid)
-
-    def _do_crash(self, wid: int) -> None:
-        self.crashes_left -= 1
-        queued, inflight = self.sched.remove_worker(wid)
-        if set(queued) & set(inflight):
-            raise _Violation("revoke-duplicate",
-                             f"crash of {wid} reports tids both queued "
-                             f"and in-flight: {set(queued) & set(inflight)}")
-        for tid in inflight:
-            if self.live.get(tid) != wid:
-                raise _Violation(
-                    "revoke-unknown",
-                    f"crash of {wid} revokes tid {tid} not live there")
-            del self.live[tid]
-            self.store.on_release(self.refs_of[tid])
-        for tid in queued + inflight:
-            if tid in self.completed:
-                raise _Violation("revoke-done",
-                                 f"crash of {wid} revokes completed {tid}")
-        ws = self.sched.workers[wid]
-        if ws.queue or ws.inflight:
-            raise _Violation(
-                "dead-worker-holds-tasks",
-                f"worker {wid} still holds queue={list(ws.queue)} "
-                f"inflight={sorted(ws.inflight)} after removal")
-        self.sched.requeue(queued + inflight)
-
-    def _check_deps(self, tid: int) -> None:
-        deps = self.sc.tasks[tid].deps
-        missing = [d for d in deps if d not in self.completed]
-        if missing:
-            raise _Violation(
-                "dependency-violated",
-                f"tid {tid} ran before deps {missing} completed")
-
-    def _gate_limit(self) -> Optional[int]:
-        """Latest phase the model's gate admits: ``lookahead`` past the
-        oldest phase with an incomplete task (``None`` = no gate)."""
-        if self.sc.lookahead is None:
-            return None
-        open_phases = [t.phase for t in self.sc.tasks
-                       if t.tid not in self.completed]
-        return min(open_phases) + self.sc.lookahead if open_phases else None
-
-    def _check_gate(self, tid: int) -> None:
+                             f"tid {tid} handed out while in flight on {live}")
         limit = self._gate_limit()
-        phase = self.sc.tasks[tid].phase
+        phase = self.graph.tasks[tid].phase
         if limit is not None and phase > limit:
             raise _Violation(
                 "lookahead-exceeded",
                 f"tid {tid} (phase {phase}) handed out while the gate "
                 f"admits phases <= {limit}")
 
-    # -- global invariants ----------------------------------------------
+    def _gate_limit(self) -> Optional[int]:
+        """Latest phase the gate admits: ``lookahead`` past the oldest
+        phase with an incomplete task (``None`` = no gate)."""
+        if self.sc.lookahead is None:
+            return None
+        open_phases = [t.phase for t in self.sc.tasks
+                       if t.tid not in self.completed]
+        return min(open_phases) + self.sc.lookahead if open_phases else None
 
-    def check_step(self) -> None:
-        sched = self.sched
-        locs: Dict[int, int] = {}
-
-        def seen(tid: int) -> None:
-            locs[tid] = locs.get(tid, 0) + 1
-
-        for tid in sched._pool:
-            seen(tid)
-        for tid in sched._driver_ready:
-            seen(tid)
+    def _check_state(self, sched: DynamicScheduler) -> None:
+        """The scheduler's state between two turns of the loop."""
+        held = list(sched._pool) + list(sched._driver_ready)
         limit = self._gate_limit()
         if limit is not None:
             for phase, parked in sched._parked.items():
@@ -512,18 +467,15 @@ class _World:
                         "gate-stuck",
                         f"tids {parked} (phase {phase}) parked while "
                         f"the gate admits phases <= {limit}")
-                for tid in parked:
-                    seen(tid)
+                held += parked
         for w in sched.workers.values():
             if not w.alive and (w.queue or w.inflight):
                 raise _Violation(
                     "dead-worker-holds-tasks",
-                    f"dead worker {w.wid} holds "
+                    f"dead lane {w.wid} holds "
                     f"{list(w.queue) + sorted(w.inflight)}")
-            for tid in w.queue:
-                seen(tid)
-            for tid in w.inflight:
-                seen(tid)
+            held += list(w.queue) + list(w.inflight)
+        locs = Counter(held)
         for tid, n in locs.items():
             if n > 1:
                 raise _Violation(
@@ -534,45 +486,25 @@ class _World:
                     "done-task-scheduled",
                     f"completed tid {tid} still queued/in-flight")
         for t in self.sc.tasks:
-            tid = t.tid
-            if tid in self.completed or tid in locs:
-                continue
-            if all(d in self.completed for d in t.deps):
+            if (t.tid not in self.completed and t.tid not in locs
+                    and all(d in self.completed for d in t.deps)):
                 raise _Violation(
                     "task-lost",
-                    f"ready tid {tid} is in no queue, pool or lane")
+                    f"ready tid {t.tid} is in no queue, pool or lane")
         expect = self.sc.ntasks - len(self.completed)
         if sched.pending != expect:
-            raise _Violation(
-                "pending-skew",
-                f"pending={sched.pending}, model says {expect}")
-        if (sched.pending == 0) != (len(self.completed) == self.sc.ntasks):
-            raise _Violation(
-                "pending-skew",
-                "pending==0 disagrees with all-done")
-        self.store.check_step()
+            raise _Violation("pending-skew",
+                             f"pending={sched.pending}, expected {expect}")
 
     def check_final(self) -> None:
-        # A scenario that crashed every worker and exhausted its spawn
-        # budget deadlocks by construction — that is the fault model's
-        # doing, not a scheduler bug.  (A driver that is itself a lane
-        # is never stranded.)
-        stranded = (not self._alive() and self.spawns_left == 0
-                    and any(self.sc.worker_ok.values())
-                    and not self.sc.driver_helps)
-        if len(self.completed) != self.sc.ntasks and not stranded:
-            missing = sorted(set(t.tid for t in self.sc.tasks)
-                             - self.completed)
+        missing = sorted(set(range(self.sc.ntasks)) - self.completed)
+        if missing:
             raise _Violation("tasks-lost-at-end",
-                             f"drained with {missing} incomplete")
-        for tid, n in self.dispatches.items():
-            # Every dispatch beyond the first must be covered by a
-            # crash revocation (the only replay source in the model).
-            if n > 1 and self.sc.max_crashes == 0:
-                raise _Violation("double-dispatch",
-                                 f"tid {tid} dispatched {n}x, no crashes")
-        if not stranded:
-            self.store.check_final()
+                             f"window ended with {missing} incomplete")
+        if self.inflight_attempts:
+            raise _Violation(
+                "inflight-leak",
+                f"{self.inflight_attempts} attempt(s) still in flight")
 
 
 # ---------------------------------------------------------------------------
@@ -580,49 +512,36 @@ class _World:
 
 
 def _run_schedule(scenario: Scenario, scheduler: SchedulerFactory,
-                  store: StoreFactory, decisions: Sequence[int],
+                  driver: Type[ExplorerTransport], decisions: Sequence[int],
                   max_steps: int) -> Tuple[List[Tuple[int, int]],
                                            List[ExploreFinding], int]:
     """Execute one schedule.  Returns (decision log as (chosen, n)
     pairs, findings, steps executed)."""
-    world = _World(scenario, scheduler, store)
-    log: List[Tuple[int, int]] = []
-    findings: List[ExploreFinding] = []
-
-    def finding(v: _Violation) -> ExploreFinding:
-        return ExploreFinding(
-            scenario=scenario.name, invariant=v.invariant,
-            detail=v.detail,
-            schedule=tuple(c for c, _ in log),
-            trace=tuple(world.trace))
-
-    steps = 0
+    ex = driver(scenario, scheduler, decisions, max_steps)
     try:
-        while True:
-            acts = world.enabled()
-            if not acts:
-                break
-            k = len(log)
-            idx = decisions[k] if k < len(decisions) else 0
-            if idx >= len(acts):
-                idx = len(acts) - 1
-            log.append((idx, len(acts)))
-            world.execute(acts[idx])
-            world.check_step()
-            steps += 1
-            if steps > max_steps:
-                raise _Violation(
-                    "no-termination",
-                    f"schedule still enabled after {max_steps} steps")
-        world.check_final()
+        try:
+            ex.run()
+        except _Violation:
+            raise
+        except OrderingViolationError as exc:
+            raise _Violation("ordering-violation", str(exc)) from exc
+        except Exception as exc:
+            if not ex.stranded:
+                raise _Violation("window-failed",
+                                 f"{type(exc).__name__}: {exc}") from exc
+        else:
+            ex.check_final()
     except _Violation as v:
-        findings.append(finding(v))
-    return log, findings, steps
+        return ex.log, [ExploreFinding(
+            scenario=scenario.name, invariant=v.invariant, detail=v.detail,
+            schedule=tuple(c for c, _ in ex.log),
+            trace=tuple(ex.trace))], len(ex.trace)
+    return ex.log, [], len(ex.trace)
 
 
 def explore(scenario: Scenario,
             scheduler: SchedulerFactory = DynamicScheduler,
-            store: StoreFactory = ModelShmStore,
+            driver: Type[ExplorerTransport] = ExplorerTransport,
             preemption_bound: int = 2,
             max_schedules: int = 400,
             stop_on_finding: bool = False) -> ExplorationReport:
@@ -630,20 +549,21 @@ def explore(scenario: Scenario,
 
     Enumerates decision vectors depth-first with at most
     ``preemption_bound`` deviations from the default (index-0)
-    action, capped at ``max_schedules`` total runs.  With
-    ``stop_on_finding`` the exploration ends at the first violation
-    (used by the mutant gate, where one kill suffices).
+    option, capped at ``max_schedules`` total runs.  ``scheduler`` and
+    ``driver`` are the system under test (the mutant gate swaps
+    either).  With ``stop_on_finding`` the exploration ends at the
+    first violation (used by the mutant gate, where one kill suffices).
     """
     report = ExplorationReport(scenario=scenario.name,
                                preemption_bound=preemption_bound)
-    # Generous step bound: every task is fetched + completed at most
-    # (1 + crashes) times, plus faults and slack.
+    # Generous step bound: every task is handed out and reported at
+    # most (1 + crashes) times, plus faults and slack.
     max_steps = 4 * scenario.ntasks * (1 + scenario.max_crashes) + 16
     decisions: List[int] = []
     exhausted = False
     while report.schedules < max_schedules:
         log, findings, steps = _run_schedule(
-            scenario, scheduler, store, decisions, max_steps)
+            scenario, scheduler, driver, decisions, max_steps)
         report.schedules += 1
         report.steps += steps
         report.findings.extend(findings)

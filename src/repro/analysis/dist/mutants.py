@@ -1,24 +1,26 @@
-"""Seeded scheduler/store bugs that validate the explorer.
+"""Seeded scheduler and driver bugs that validate the explorer.
 
 A model checker that reports "no findings" is only evidence if it
 *would* have found something.  Each class here is the real
 :class:`~repro.runtime.distributed.scheduling.DynamicScheduler` (or
-the modeled refcount store) with one realistic concurrency bug seeded
-— the kind of defect a refactor of the scheduler could plausibly
-introduce.  :func:`mutant_gate` runs the explorer against every mutant
-and against the unmutated scheduler; the gate passes only if **all**
-mutants are killed (at least one invariant violation found) and the
-clean run reports **zero** findings.  CI runs this gate, so the
-explorer's teeth are themselves regression-tested.
+the real window driver, through the explorer's transport) with one
+realistic concurrency bug seeded — the kind of defect a refactor of
+the scheduler or the dispatch loop could plausibly introduce.
+:func:`mutant_gate` runs the explorer against every mutant and
+against the unmutated system; the gate passes only if **all** mutants
+are killed (at least one finding) and the clean run reports **zero**
+findings.  CI runs this gate, so the explorer's teeth are themselves
+regression-tested.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Type
 
 from ...runtime.distributed.scheduling import DynamicScheduler
-from .explore import (ExploreFinding, ModelShmStore, Scenario,
+from ...runtime.window import Death
+from .explore import (ExplorerTransport, ExploreFinding, Scenario,
                       builtin_scenarios, explore)
 
 __all__ = ["MUTANTS", "MutantResult", "GateReport", "mutant_gate"]
@@ -170,25 +172,30 @@ class DriverWrongLaneScheduler(DynamicScheduler):
         return tid
 
 
+class EarlyReleaseScheduler(DynamicScheduler):
+    """BUG: a task becomes ready as soon as its *first* dependency
+    completes — the countdown releases on any predecessor, not on all."""
+
+    def on_done(self, tid: int, wid: Optional[int] = None) -> List[int]:
+        for s in self.succ.get(tid, ()):
+            self.indeg[s] = min(self.indeg[s], 1)
+        return super().on_done(tid, wid)
+
+
 # ---------------------------------------------------------------------------
-# Store mutants
+# Driver mutants
 
 
-class LeakyReleaseStore(ModelShmStore):
-    """BUG: releasing an attempt's pins skips the last tile — the
-    segment refcount never returns to baseline (a leak)."""
+class RevokeDropsInflight(ExplorerTransport):
+    """BUG: a dead lane's queued tasks are requeued, its in-flight ones
+    are forgotten — they never report and are never replayed."""
 
-    def on_release(self, refs: Sequence) -> None:
-        super().on_release(refs[:-1])
-
-
-class DoubleFreeStore(ModelShmStore):
-    """BUG: release runs twice per reply — refcount dips below the
-    owner's baseline (use-after-unlink in the real store)."""
-
-    def on_release(self, refs: Sequence) -> None:
-        super().on_release(refs)
-        super().on_release(refs)
+    def _revoke(self, sched: DynamicScheduler,
+                death: Death) -> Optional[BaseException]:
+        queued, _inflight = sched.remove_worker(death.lane)
+        self._inflight -= death.sent
+        sched.requeue(queued)
+        return None
 
 
 # ---------------------------------------------------------------------------
@@ -199,37 +206,32 @@ class DoubleFreeStore(ModelShmStore):
 class Mutant:
     name: str
     scheduler: Callable[..., DynamicScheduler]
-    store: Callable[[], ModelShmStore]
     #: Invariants whose violation plausibly kills this mutant (for the
     #: report; any violation counts as a kill).
     expect: Tuple[str, ...]
+    driver: Type[ExplorerTransport] = ExplorerTransport
 
 
 MUTANTS: Tuple[Mutant, ...] = (
-    Mutant("lost-wakeup", LostWakeupScheduler, ModelShmStore,
-           ("task-lost",)),
-    Mutant("steal-no-pop", StealNoPopScheduler, ModelShmStore,
+    Mutant("lost-wakeup", LostWakeupScheduler, ("task-lost", "gate-stuck")),
+    Mutant("steal-no-pop", StealNoPopScheduler,
            ("task-duplicated", "double-dispatch")),
-    Mutant("zombie-queue", ZombieQueueScheduler, ModelShmStore,
-           ("dead-worker-holds-tasks", "task-duplicated")),
-    Mutant("drop-inflight", DropInflightScheduler, ModelShmStore,
-           ("task-lost", "tasks-lost-at-end", "refcount-imbalance")),
-    Mutant("driver-lane-mixup", DriverLaneMixupScheduler, ModelShmStore,
-           ("driver-task-on-worker", "driver-starvation")),
-    Mutant("pending-skew", PendingSkewScheduler, ModelShmStore,
-           ("pending-skew",)),
-    Mutant("requeue-duplicate", RequeueDuplicateScheduler, ModelShmStore,
+    Mutant("zombie-queue", ZombieQueueScheduler,
+           ("dead-worker-holds-tasks",)),
+    Mutant("drop-inflight", DropInflightScheduler, ("task-lost",)),
+    Mutant("driver-lane-mixup", DriverLaneMixupScheduler,
+           ("driver-task-on-worker", "lookahead-exceeded")),
+    Mutant("pending-skew", PendingSkewScheduler, ("pending-skew",)),
+    Mutant("requeue-duplicate", RequeueDuplicateScheduler,
            ("task-duplicated",)),
-    Mutant("parked-forever", ParkedForeverScheduler, ModelShmStore,
-           ("gate-stuck", "tasks-lost-at-end")),
-    Mutant("driver-peeks", DriverPeeksScheduler, ModelShmStore,
-           ("done-task-scheduled", "double-dispatch")),
-    Mutant("driver-wrong-lane", DriverWrongLaneScheduler, ModelShmStore,
-           ("task-lost", "done-task-scheduled", "double-dispatch")),
-    Mutant("leaky-release", DynamicScheduler, LeakyReleaseStore,
-           ("refcount-imbalance",)),
-    Mutant("double-free", DynamicScheduler, DoubleFreeStore,
-           ("refcount-negative",)),
+    Mutant("parked-forever", ParkedForeverScheduler, ("gate-stuck",)),
+    Mutant("driver-peeks", DriverPeeksScheduler,
+           ("double-dispatch", "dispatch-after-done")),
+    Mutant("driver-wrong-lane", DriverWrongLaneScheduler,
+           ("double-dispatch", "task-lost")),
+    Mutant("early-release", EarlyReleaseScheduler, ("ordering-violation",)),
+    Mutant("revoke-drops-inflight", DynamicScheduler, ("task-lost",),
+           driver=RevokeDropsInflight),
 )
 
 
@@ -276,7 +278,7 @@ def mutant_gate(scenarios: Optional[Sequence[Scenario]] = None,
     for m in MUTANTS:
         result = MutantResult(name=m.name, killed=False, schedules=0)
         for sc in scenarios:
-            rep = explore(sc, scheduler=m.scheduler, store=m.store,
+            rep = explore(sc, scheduler=m.scheduler, driver=m.driver,
                           preemption_bound=preemption_bound,
                           max_schedules=max_schedules,
                           stop_on_finding=True)

@@ -13,7 +13,7 @@ Subcommands, mirroring how a downstream user would drive the library:
   simulator and gates on convergence + zero leaked attempts.
 * ``repro memory``              — feasibility limits from the footprint model.
 * ``repro lint``                — static rules, TileSan and DistSan checked runs.
-* ``repro explore``             — model-check the scheduler's schedule space.
+* ``repro explore``             — model-check the window driver's schedule space.
 * ``repro validate``            — run the acceptance matrix (paper claims).
 
 Run ``python -m repro.cli --help`` (or the ``repro`` console script).
@@ -747,7 +747,7 @@ def cmd_lint(args: argparse.Namespace) -> int:
 
 
 def cmd_explore(args: argparse.Namespace) -> int:
-    """Model-check the distributed scheduler's schedule space."""
+    """Model-check the window driver's schedule space."""
     from .analysis.dist import builtin_scenarios, explore, mutant_gate
 
     scenarios = builtin_scenarios()
@@ -755,7 +755,8 @@ def cmd_explore(args: argparse.Namespace) -> int:
         scenarios = [s for s in scenarios if s.name == args.scenario]
         if not scenarios:
             names = ", ".join(s.name for s in builtin_scenarios())
-            print(f"unknown scenario {args.scenario!r} (have: {names})")
+            print(f"error: unknown scenario {args.scenario!r} "
+                  f"(have: {names})", file=sys.stderr)
             return 2
     findings = []
     for sc in scenarios:
@@ -1036,9 +1037,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "explore",
-        help="model-check the distributed scheduler: systematic "
-             "bounded interleavings of completion/steal/crash events "
-             "with invariant checks, plus the seeded-mutant gate")
+        help="model-check the window driver and its scheduler: "
+             "systematic bounded interleavings of completion/crash/"
+             "respawn events with invariant checks, plus the seeded-"
+             "mutant gate")
     p.add_argument("--scenario", default=None,
                    help="explore one builtin scenario by name "
                         "(default: all)")
@@ -1049,7 +1051,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="schedule budget per scenario (default 400)")
     p.add_argument("--mutants", action="store_true",
                    help="also run the seeded-mutant gate: every known-"
-                        "bad scheduler/store variant must be killed")
+                        "bad scheduler/driver variant must be killed")
     p.add_argument("--chrome-trace", default=None, metavar="PATH",
                    help="write findings to a chrome trace as instant "
                         "events")

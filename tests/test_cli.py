@@ -242,6 +242,22 @@ class TestLintDistCommand:
         assert "vacuous" in out
 
 
+class TestExploreCommand:
+    def test_mutant_gate(self, capsys):
+        assert main(["explore", "--mutants"]) == 0
+        out = capsys.readouterr().out
+        assert ("mutant gate: 12 mutant(s), 0 survivor(s), "
+                "0 clean finding(s)") in out
+        assert "SURVIVED" not in out
+
+    def test_unknown_scenario_is_one_error_line(self, capsys):
+        assert main(["explore", "--scenario", "bogus"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: unknown scenario 'bogus'")
+        assert captured.err.count("\n") == 1
+
+
 class TestPolarLiveFaults:
     def test_threads_with_fault_plan(self, matrix_file, tmp_path,
                                      capsys):

@@ -1,11 +1,17 @@
-"""DistSan explorer: clean scheduler passes, every mutant dies."""
+"""DistSan explorer: the real driver and scheduler pass, every mutant
+dies."""
 
 import pytest
 
-from repro.analysis.dist.explore import (ModelShmStore, Scenario, _task,
-                                         builtin_scenarios, explore)
+from repro.analysis.dist.explore import (ExplorerTransport, Scenario, _out,
+                                         _task, builtin_scenarios, explore)
 from repro.analysis.dist.mutants import MUTANTS, mutant_gate
 from repro.runtime.distributed.scheduling import DynamicScheduler
+from repro.runtime.window import WindowExecutor
+
+
+def _scenario(name):
+    return next(s for s in builtin_scenarios() if s.name == name)
 
 
 class TestCleanScheduler:
@@ -35,10 +41,12 @@ class TestCleanScheduler:
         assert rep.findings == []
 
     def test_higher_bound_explores_more(self):
-        sc = builtin_scenarios()[1]
-        low = explore(sc, preemption_bound=1, max_schedules=10_000)
-        high = explore(sc, preemption_bound=2, max_schedules=10_000)
+        sc = _scenario("wide")
+        low = explore(sc, preemption_bound=2, max_schedules=10_000)
+        high = explore(sc, preemption_bound=3, max_schedules=10_000)
         assert high.schedules > low.schedules
+        assert not low.truncated and not high.truncated
+        assert low.findings == high.findings == []
 
 
 class TestMutantGate:
@@ -47,12 +55,13 @@ class TestMutantGate:
         killed_by = None
         for sc in builtin_scenarios():
             rep = explore(sc, scheduler=mutant.scheduler,
-                          store=mutant.store, max_schedules=600,
+                          driver=mutant.driver, max_schedules=600,
                           stop_on_finding=True)
             if rep.findings:
                 killed_by = rep.findings[0].invariant
                 break
         assert killed_by is not None, f"mutant {mutant.name} survived"
+        assert killed_by in mutant.expect
 
     def test_gate_passes_end_to_end(self):
         gate = mutant_gate(max_schedules=600)
@@ -64,13 +73,17 @@ class TestMutantGate:
         # The helping driver popping the first lane instead of the one
         # that holds its tid is invisible with one lane (threads) and
         # with no helping driver: only the processes placement — one
-        # lane per fork — can see it.
+        # lane per fork — can see it.  The real driver tops every lane
+        # up eagerly, so even that placement hides it unless both
+        # lanes still hold queued tasks when the driver picks: one
+        # dispatch deep, locality keeping each lane's queue full.
         wrong = next(m for m in MUTANTS if m.name == "driver-wrong-lane")
-        killers = [sc.name for sc in builtin_scenarios()
-                   if explore(sc, scheduler=wrong.scheduler,
-                              max_schedules=600,
-                              stop_on_finding=True).findings]
-        assert killers == ["driver-lane-forked"]
+        killers = {sc.name: rep for sc in builtin_scenarios()
+                   if (rep := explore(sc, scheduler=wrong.scheduler,
+                                      max_schedules=600,
+                                      stop_on_finding=True)).findings}
+        assert list(killers) == ["driver-lane-split"]
+        assert killers["driver-lane-split"].schedules == 1
 
     def test_finding_carries_replayable_schedule(self):
         from repro.analysis.dist.mutants import LostWakeupScheduler
@@ -85,51 +98,78 @@ class TestMutantGate:
 
 
 class TestModelDetails:
-    def test_driver_tasks_never_counted_as_shm(self):
-        tasks = (_task(0), _task(1, deps=[0]))
-        sc = Scenario("d", tasks, {0: True, 1: False})
-        rep = explore(sc)
-        assert rep.findings == []
+    def test_footprints_infer_the_edges(self):
+        # The comments of the builtin scenarios name their edges; the
+        # graph must infer exactly those from the footprints.
+        deps = {t.tid: t.deps for t in _scenario("diamond").tasks}
+        assert deps == {0: (), 1: (0,), 2: (0,), 3: (1, 2), 4: (3,),
+                        5: (3,), 6: (4, 5)}
+        forked = {t.tid: t.deps for t in _scenario("driver-lane-forked").tasks}
+        assert forked[7] == (0, 1) and forked[8] == (6, 7)
+        assert all(t.deps == () for t in _scenario("driver-lane-split").tasks)
 
     def test_crashing_every_worker_is_not_a_finding(self):
-        # Fault budget can strand the run (all workers dead, no
-        # respawn); that is the scenario's fault, not the scheduler's.
+        # Fault budget can strand the run (all lanes dead, no respawn):
+        # the driver's stall error is the scenario's fault, not the
+        # driver's or the scheduler's.
         tasks = tuple(_task(i) for i in range(3))
         sc = Scenario("strand", tasks, {t.tid: True for t in tasks},
                       workers=1, max_crashes=1, max_spawns=0)
         rep = explore(sc, max_schedules=200)
         assert rep.findings == []
 
-    def test_store_model_balances_on_clean_run(self):
-        store = ModelShmStore()
-        store.pin((1, 0, 0))
-        store.on_dispatch([(1, 0, 0)])
-        store.on_release([(1, 0, 0)])
-        store.check_step()
-        store.check_final()
+    def test_death_after_failed_sends_is_explored_and_replayed(self):
+        # Task 0 runs on the driver while lane 0 holds task 1; killing
+        # the lane (option 2: after "report 1" and "idle") before its
+        # death is reported makes the driver's next hand-out, task 2,
+        # a failed send.  The death then revokes both, and the
+        # respawned lane replays them.
+        tasks = (_task(0), _task(1)) + tuple(
+            _task(i, [_out(0)]) for i in (2, 3, 4))
+        ok = {t.tid: t.tid != 0 for t in tasks}
+        sc = Scenario("dead-send", tasks, ok, workers=1, max_crashes=1,
+                      max_spawns=1)
+        assert explore(sc, preemption_bound=1).findings == []
+        runs = []
+        for _ in range(2):
+            ex = ExplorerTransport(sc, DynamicScheduler, [2], 100)
+            ex.run()
+            ex.check_final()
+            runs.append(ex.trace)
+        assert runs[0] == runs[1]
+        trace = runs[0]
+        assert trace[:5] == ["send/0/1", "drv/0", "kill/0", "dead-send/0/2",
+                             "death/0"]
+        assert trace[5:7] == ["send/1/1", "send/1/2"]
+        assert ex.stats.recovery.replayed_tasks == 2
 
     def test_scenarios_cover_required_shapes(self):
         names = {s.name for s in builtin_scenarios()}
         assert {"chain", "diamond", "wide", "stealable",
                 "mixed-driver", "crashy", "driver-lane",
-                "driver-lane-forked"} <= names
-        assert len(names) == 10
+                "driver-lane-forked", "driver-lane-split"} <= names
+        assert len(names) == 11
         # The processes placement: a helping driver beside one lane per
         # fork, a crash budget with a replacement, the gate on.
-        forked = next(s for s in builtin_scenarios()
-                      if s.name == "driver-lane-forked")
+        forked = _scenario("driver-lane-forked")
         assert forked.driver_helps and forked.workers == 2
         assert forked.max_crashes == 1 and forked.lookahead is not None
         assert not all(forked.worker_ok.values())
+        split = _scenario("driver-lane-split")
+        assert split.driver_helps and split.workers == 2
+        assert split.pipeline_depth == 1
         # A window with no lane besides the driver is swept, not
         # scheduled: every scenario registers at least one lane.
         assert all(s.workers >= 1 for s in builtin_scenarios())
-        crashy = next(s for s in builtin_scenarios()
-                      if s.name == "crashy")
-        assert crashy.max_crashes > 0
+        assert _scenario("crashy").max_crashes > 0
 
     def test_real_scheduler_is_the_system_under_test(self):
-        # The explorer must drive the production class, not a model.
+        # The explorer must drive the production classes, not a model:
+        # the transport overrides hooks only, never the loop.
+        assert issubclass(ExplorerTransport, WindowExecutor)
+        for name in ("run", "_epochs", "_drive", "_hand_out", "_account",
+                     "_revoke", "_settle"):
+            assert name not in vars(ExplorerTransport)
         rep = explore(builtin_scenarios()[0],
                       scheduler=DynamicScheduler, max_schedules=5)
         assert rep.findings == []
