@@ -1,7 +1,7 @@
 """Schedule-space model checking for the window driver.
 
-Both real backends multiplex completions, steals, crash recovery,
-the lookahead gate and driver-lane work over one event loop
+Both real backends multiplex completions, crash recovery, the
+lookahead gate and driver-lane work over one event loop
 (:class:`~repro.runtime.window.WindowExecutor`); whether it is correct
 depends on *interleavings* the test suite only samples.  This module
 checks them systematically, CHESS-style:
@@ -132,8 +132,8 @@ def builtin_scenarios() -> List[Scenario]:
 
     Shapes are chosen to reach every driver and scheduler code path:
     serial chains (wakeup propagation), diamonds (fan-out/fan-in), wide
-    independent sets (queue balancing), locality-skewed chains (steal
-    path), mixed driver/worker lanes, crashy variants (revocation
+    independent sets (lanes filling to their pipeline depth from one
+    ready heap), mixed driver/worker lanes, crashy variants (revocation
     and replay), the threads backend's shapes (one lane as deep as its
     pool; the same with the driver as one more lane), the processes
     backend's helping driver beside one lane per fork, and a phased
@@ -158,16 +158,6 @@ def builtin_scenarios() -> List[Scenario]:
     wide = tuple(_task(i) for i in range(6))
     out.append(Scenario("wide", wide, _all_ok(wide)))
 
-    # Two chains whose every task reads one hot tile: locality pins
-    # both chains to whichever lane ran first, forcing the other lane
-    # through the steal path.
-    hot: TileRef = (91, 0, 0)
-    steal = (
-        _task(0, [hot]), _task(1, [hot, _out(0)]), _task(2, [hot, _out(1)]),
-        _task(3, [hot]), _task(4, [hot, _out(3)]), _task(5, [hot, _out(4)]),
-    )
-    out.append(Scenario("stealable", steal, _all_ok(steal)))
-
     # Driver-lane reductions interleaved with worker tasks.
     mixed = (
         _task(0), _task(1),
@@ -180,7 +170,7 @@ def builtin_scenarios() -> List[Scenario]:
     out.append(Scenario("mixed-driver", mixed, ok))
 
     # Wide + a tail join, with a crash/respawn budget: exercises
-    # revocation, requeue and post-respawn placement.
+    # revocation, requeue and post-respawn hand-out.
     crashy = tuple(_task(i) for i in range(8)) + (
         _task(8, [_out(i) for i in range(8)]),)
     out.append(Scenario("crashy", crashy, _all_ok(crashy),
@@ -211,9 +201,9 @@ def builtin_scenarios() -> List[Scenario]:
                         max_crashes=1, lookahead=0, driver_helps=True))
 
     # Its processes shape: the helping driver beside one lane *per
-    # fork*, each with its own queue.  Lanes steal from each other, a
-    # scalar reduction stays driver-only, a fork dies mid-window and
-    # is replaced, all behind the lookahead gate.
+    # fork*, all popping one ready heap.  A scalar reduction stays
+    # driver-only, a fork dies mid-window and is replaced, all behind
+    # the lookahead gate.
     forked = tuple(_task(i) for i in range(6)) + (
         _task(6, phase=1),
         _task(7, [_out(0), _out(1)], phase=1),       # driver-only
@@ -224,15 +214,6 @@ def builtin_scenarios() -> List[Scenario]:
     out.append(Scenario("driver-lane-forked", forked, ok, workers=2,
                         max_crashes=1, max_spawns=1, lookahead=1,
                         driver_helps=True))
-
-    # The same placement one dispatch deep: independent tasks over two
-    # hot tiles, so locality keeps both lanes' queues full while each
-    # has one attempt out, and the helping driver's lowest head sits
-    # on either lane.
-    hot2: TileRef = (91, 1, 0)
-    split = tuple(_task(i, [hot if i % 2 else hot2]) for i in range(8))
-    out.append(Scenario("driver-lane-split", split, _all_ok(split),
-                        workers=2, pipeline_depth=1, driver_helps=True))
 
     return out
 
@@ -458,7 +439,7 @@ class ExplorerTransport(WindowExecutor):
 
     def _check_state(self, sched: DynamicScheduler) -> None:
         """The scheduler's state between two turns of the loop."""
-        held = list(sched._pool) + list(sched._driver_ready)
+        held = list(sched._ready) + list(sched._driver_ready)
         limit = self._gate_limit()
         if limit is not None:
             for phase, parked in sched._parked.items():
@@ -469,12 +450,11 @@ class ExplorerTransport(WindowExecutor):
                         f"the gate admits phases <= {limit}")
                 held += parked
         for w in sched.workers.values():
-            if not w.alive and (w.queue or w.inflight):
+            if not w.alive and w.inflight:
                 raise _Violation(
                     "dead-worker-holds-tasks",
-                    f"dead lane {w.wid} holds "
-                    f"{list(w.queue) + sorted(w.inflight)}")
-            held += list(w.queue) + list(w.inflight)
+                    f"dead lane {w.wid} holds {sorted(w.inflight)}")
+            held += list(w.inflight)
         locs = Counter(held)
         for tid, n in locs.items():
             if n > 1:
@@ -484,13 +464,13 @@ class ExplorerTransport(WindowExecutor):
             if tid in self.completed:
                 raise _Violation(
                     "done-task-scheduled",
-                    f"completed tid {tid} still queued/in-flight")
+                    f"completed tid {tid} still ready/in-flight")
         for t in self.sc.tasks:
             if (t.tid not in self.completed and t.tid not in locs
                     and all(d in self.completed for d in t.deps)):
                 raise _Violation(
                     "task-lost",
-                    f"ready tid {t.tid} is in no queue, pool or lane")
+                    f"ready tid {t.tid} is in no heap or lane")
         expect = self.sc.ntasks - len(self.completed)
         if sched.pending != expect:
             raise _Violation("pending-skew",

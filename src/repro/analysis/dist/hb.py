@@ -32,7 +32,7 @@ the same transitive-ancestor bitset trick as
 query.
 
 :func:`audit_refcounts` separately replays the recorded shm lifecycle
-(create/pin/incref/decref/unlink) and cross-checks it against the OS-level
+(create/pin/unlink) and cross-checks it against the OS-level
 ``/dev/shm`` scan taken at close — bookkeeping and kernel must agree
 that nothing leaked and nothing was freed twice.
 """
@@ -43,9 +43,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ...runtime.distributed.events import (EV_COMPLETE, EV_CREATE,
-                                           EV_DECREF, EV_DISPATCH, EV_DRIVER,
-                                           EV_FAIL, EV_INCREF, EV_PIN,
-                                           EV_UNLINK, DistEvent,
+                                           EV_DISPATCH, EV_DRIVER, EV_FAIL,
+                                           EV_PIN, EV_UNLINK,
                                            DistTraceRecorder)
 from ...runtime.task import Task, TileRef
 
@@ -230,14 +229,13 @@ def check_hb(rec: DistTraceRecorder,
 def audit_refcounts(rec: DistTraceRecorder) -> List[HBFinding]:
     """Replay the recorded shm lifecycle and flag imbalance.
 
-    Checks, per segment (one per matrix): created exactly once,
-    refcount never negative, the recorded post-event counts are
-    self-consistent, unlinked exactly once, and nothing created was
-    still missing an unlink when the store closed; per tile: pinned at
-    most once, into a segment that exists.
+    Checks, per segment (one per matrix, living exactly as long as
+    it): created exactly once, unlinked exactly once, and nothing
+    created was still missing an unlink when the store closed; per
+    tile: pinned at most once, into a segment that exists.
     """
     findings: List[HBFinding] = []
-    expect: Dict[str, int] = {}
+    created: Set[str] = set()
     unlinked: Set[str] = set()
     pinned: Set[Tuple[int, ...]] = set()
 
@@ -247,47 +245,27 @@ def audit_refcounts(rec: DistTraceRecorder) -> List[HBFinding]:
     for ev in rec.events:
         seg = ev.segment
         if ev.kind == EV_CREATE:
-            if seg in expect:
+            if seg in created:
                 flag("refcount-repin", seg,
                      f"segment {seg} created twice")
-            expect[seg] = 1
+            created.add(seg)
         elif ev.kind == EV_PIN:
-            if seg not in expect or seg in unlinked:
+            if seg not in created or seg in unlinked:
                 flag("refcount-unknown", seg,
                      f"tile {ev.ref} pinned into unknown segment {seg}")
             if ev.ref in pinned:
                 flag("refcount-repin", seg, f"tile {ev.ref} pinned twice")
             pinned.add(ev.ref)
-        elif ev.kind == EV_INCREF:
-            if seg not in expect:
-                flag("refcount-unknown", seg,
-                     f"incref of unknown segment {seg}")
-                continue
-            expect[seg] += 1
-            if ev.refs != expect[seg]:
-                flag("refcount-skew", seg,
-                     f"segment {seg}: store says {ev.refs} refs, "
-                     f"replay says {expect[seg]}")
-        elif ev.kind == EV_DECREF:
-            if seg not in expect:
-                flag("refcount-unknown", seg,
-                     f"decref of unknown segment {seg}")
-                continue
-            expect[seg] -= 1
-            if expect[seg] < 0:
-                flag("refcount-negative", seg,
-                     f"segment {seg} refcount went negative")
-            elif ev.refs != expect[seg]:
-                flag("refcount-skew", seg,
-                     f"segment {seg}: store says {ev.refs} refs, "
-                     f"replay says {expect[seg]}")
         elif ev.kind == EV_UNLINK:
-            if seg in unlinked:
+            if seg not in created:
+                flag("refcount-unknown", seg,
+                     f"unlink of unknown segment {seg}")
+            elif seg in unlinked:
                 flag("refcount-double-unlink", seg,
                      f"segment {seg} unlinked twice")
             unlinked.add(seg)
 
-    for seg in sorted(set(expect) - unlinked):
+    for seg in sorted(created - unlinked):
         flag("refcount-leak", seg,
              f"segment {seg} created but never unlinked")
     for name in rec.leaked:

@@ -15,6 +15,7 @@ regression-tested.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Type
 
@@ -40,8 +41,6 @@ class LostWakeupScheduler(DynamicScheduler):
             ws = self.workers.get(wid)
             if ws is not None:
                 ws.inflight.discard(tid)
-                ws.tasks_done += 1
-                ws.resident.update(self._reads.get(tid, ()))
         newly = []
         for s in self.succ.get(tid, ()):
             self.indeg[s] -= 1
@@ -51,55 +50,39 @@ class LostWakeupScheduler(DynamicScheduler):
         return newly
 
 
-class StealNoPopScheduler(DynamicScheduler):
-    """BUG: stealing reads the victim's queue without popping — the
-    stolen task is dispatched twice."""
+class ZombieInflightScheduler(DynamicScheduler):
+    """BUG: removing a crashed worker reports its in-flight tasks but
+    forgets to clear them — revoked work is both requeued and still
+    held by the corpse."""
 
-    def next_for(self, wid: int) -> Optional[int]:
+    def remove_worker(self, wid: int) -> List[int]:
         ws = self.workers.get(wid)
         if ws is None or not ws.alive:
-            return None
-        if len(ws.inflight) >= self.pipeline:
-            return None
-        self.assign_ready()
-        if ws.queue:
-            tid = ws.queue.popleft()
-        else:
-            victim = max(
-                (w for w in self.alive_workers()
-                 if w.wid != wid and w.queue),
-                key=lambda w: len(w.queue), default=None)
-            if victim is None:
-                return None
-            tid = victim.queue[-1]          # peek, never pop
-            ws.steals += 1
-        ws.inflight.add(tid)
-        return tid
-
-
-class ZombieQueueScheduler(DynamicScheduler):
-    """BUG: removing a crashed worker reports its tasks but forgets to
-    clear its queue — revoked work is both requeued and still
-    stealable from the corpse."""
-
-    def remove_worker(self, wid: int) -> Tuple[List[int], List[int]]:
-        ws = self.workers.get(wid)
-        if ws is None or not ws.alive:
-            return [], []
+            return []
         ws.alive = False
-        queued = list(ws.queue)
-        inflight = sorted(ws.inflight)
-        ws.inflight.clear()                 # queue left populated
-        return queued, inflight
+        return sorted(ws.inflight)          # inflight left populated
 
 
 class DropInflightScheduler(DynamicScheduler):
-    """BUG: crash recovery replays only the dead worker's *queued*
-    tasks; in-flight attempts vanish without a completion."""
+    """BUG: crash recovery forgets the dead worker's in-flight tasks:
+    they vanish without a completion."""
 
-    def remove_worker(self, wid: int) -> Tuple[List[int], List[int]]:
-        queued, _inflight = super().remove_worker(wid)
-        return queued, []
+    def remove_worker(self, wid: int) -> List[int]:
+        super().remove_worker(wid)
+        return []
+
+
+class PipelineOverrunScheduler(DynamicScheduler):
+    """BUG: a lane is handed work whatever it already holds — the
+    pipeline depth is never consulted."""
+
+    def next_for(self, wid: int) -> Optional[int]:
+        ws = self.workers.get(wid)
+        if ws is None or not ws.alive or ws.suspected or not self._ready:
+            return None
+        tid = heapq.heappop(self._ready)
+        ws.inflight.add(tid)
+        return tid
 
 
 class DriverLaneMixupScheduler(DynamicScheduler):
@@ -107,8 +90,7 @@ class DriverLaneMixupScheduler(DynamicScheduler):
     tasks (scalar reductions touching driver state) land on workers."""
 
     def _make_ready(self, tid: int) -> None:
-        import heapq
-        heapq.heappush(self._pool, tid)
+        heapq.heappush(self._ready, tid)
 
 
 class PendingSkewScheduler(DynamicScheduler):
@@ -142,34 +124,14 @@ class ParkedForeverScheduler(DynamicScheduler):
 
 
 class DriverPeeksScheduler(DynamicScheduler):
-    """BUG: the helping driver reads its task off a lane's queue (or
-    the pool) without removing it — the driver runs a tid that the
-    lane is then handed as well."""
+    """BUG: the helping driver reads its task off the ready heap
+    without removing it — the driver runs a tid that a lane is then
+    handed as well."""
 
     def next_driver(self) -> Optional[int]:
         if self._driver_ready or not self.driver_helps:
             return super().next_driver()
-        heads = [w.queue[0] for w in self.alive_workers() if w.queue]
-        heads += self._pool[:1]             # peek, never pop
-        return min(heads, default=None)
-
-
-class DriverWrongLaneScheduler(DynamicScheduler):
-    """BUG: the helping driver finds the lowest head among the lanes'
-    queues but pops the *first* non-empty lane — with one lane per
-    fork (the processes placement) the driver runs a tid that stays
-    queued on its lane, and another lane's head vanishes."""
-
-    def next_driver(self) -> Optional[int]:
-        if self._driver_ready or not self.driver_helps:
-            return super().next_driver()
-        heads = [w.queue for w in self.alive_workers() if w.queue]
-        if not heads or (self._pool and all(self._pool[0] < q[0]
-                                            for q in heads)):
-            return super().next_driver()
-        tid = min(q[0] for q in heads)
-        heads[0].popleft()                  # not the lane that holds it
-        return tid
+        return self._ready[0] if self._ready else None   # peek, never pop
 
 
 class EarlyReleaseScheduler(DynamicScheduler):
@@ -187,14 +149,13 @@ class EarlyReleaseScheduler(DynamicScheduler):
 
 
 class RevokeDropsInflight(ExplorerTransport):
-    """BUG: a dead lane's queued tasks are requeued, its in-flight ones
-    are forgotten — they never report and are never replayed."""
+    """BUG: a dead lane is removed but its in-flight tasks are never
+    requeued — they never report and are never replayed."""
 
     def _revoke(self, sched: DynamicScheduler,
                 death: Death) -> Optional[BaseException]:
-        queued, _inflight = sched.remove_worker(death.lane)
+        sched.remove_worker(death.lane)
         self._inflight -= death.sent
-        sched.requeue(queued)
         return None
 
 
@@ -214,11 +175,11 @@ class Mutant:
 
 MUTANTS: Tuple[Mutant, ...] = (
     Mutant("lost-wakeup", LostWakeupScheduler, ("task-lost", "gate-stuck")),
-    Mutant("steal-no-pop", StealNoPopScheduler,
-           ("task-duplicated", "double-dispatch")),
-    Mutant("zombie-queue", ZombieQueueScheduler,
+    Mutant("zombie-inflight", ZombieInflightScheduler,
            ("dead-worker-holds-tasks",)),
     Mutant("drop-inflight", DropInflightScheduler, ("task-lost",)),
+    Mutant("pipeline-overrun", PipelineOverrunScheduler,
+           ("pipeline-exceeded",)),
     Mutant("driver-lane-mixup", DriverLaneMixupScheduler,
            ("driver-task-on-worker", "lookahead-exceeded")),
     Mutant("pending-skew", PendingSkewScheduler, ("pending-skew",)),
@@ -227,8 +188,6 @@ MUTANTS: Tuple[Mutant, ...] = (
     Mutant("parked-forever", ParkedForeverScheduler, ("gate-stuck",)),
     Mutant("driver-peeks", DriverPeeksScheduler,
            ("double-dispatch", "dispatch-after-done")),
-    Mutant("driver-wrong-lane", DriverWrongLaneScheduler,
-           ("double-dispatch", "task-lost")),
     Mutant("early-release", EarlyReleaseScheduler, ("ordering-violation",)),
     Mutant("revoke-drops-inflight", DynamicScheduler, ("task-lost",),
            driver=RevokeDropsInflight),

@@ -27,11 +27,6 @@ REP004   No ``.to_array()`` call and no ``.value`` read of a known
          scalar result inside a payload — both are sync points, and a
          re-entrant sync inside a payload is suppressed on deferred
          runtimes, yielding stale data.
-REP005   A function that calls ``.incref(`` on a shared-memory store
-         must also call ``.decref(`` (or hand the segment to a
-         ``close``/``release`` path) somewhere in the same function —
-         an acquire with no release in scope leaks ``/dev/shm``
-         segments on every early exit.
 REP006   No blocking ``.recv(`` on a comm-like receiver inside a
          ``with <lock>`` block: a comm's lock is shared with whatever
          else sends on it (a worker's heartbeat thread), and the
@@ -47,7 +42,7 @@ REP008   ``backend=`` string literals at call sites must name a known
          surfaces only at runtime as a fallback to the default path.
 =======  =================================================================
 
-REP005–REP008 target the distributed runtime
+REP006–REP008 target the distributed runtime
 (:mod:`repro.runtime.distributed`) but apply everywhere, so user code
 driving the processes backend is linted by the same pass.
 
@@ -68,14 +63,12 @@ from typing import (Dict, FrozenSet, Iterator, List, Optional, Sequence,
 FOOTPRINT_MISSING = "REP001"
 PAYLOAD_FOOTPRINT = "REP002"
 SYNC_IN_PAYLOAD = "REP004"
-SHM_UNRELEASED = "REP005"
 RECV_UNDER_LOCK = "REP006"
 FORK_UNSAFE_ARG = "REP007"
 BACKEND_UNKNOWN = "REP008"
 
 ALL_RULES = (FOOTPRINT_MISSING, PAYLOAD_FOOTPRINT, SYNC_IN_PAYLOAD,
-             SHM_UNRELEASED, RECV_UNDER_LOCK, FORK_UNSAFE_ARG,
-             BACKEND_UNKNOWN)
+             RECV_UNDER_LOCK, FORK_UNSAFE_ARG, BACKEND_UNKNOWN)
 
 #: Valid values for a ``backend=`` string literal (REP008).
 KNOWN_BACKENDS = frozenset({"dense", "eager", "threads", "processes"})
@@ -101,10 +94,6 @@ _FORK_UNSAFE_FACTORIES = frozenset({
     "BoundedSemaphore", "Barrier", "socket", "Queue", "Thread",
     "connect", "listen",
 })
-
-#: Release-path method names that satisfy REP005 within a scope.
-_RELEASE_ATTRS = frozenset({"decref", "release", "close",
-                            "_decref_name", "_release_many"})
 
 #: Methods returning pseudo-tile refs (scalars).  Entries built from
 #: these carry data the payload reads through captured Python objects,
@@ -335,7 +324,6 @@ class _Linter:
         for n in _scope_walk(scope.node):
             if isinstance(n, ast.Call) and _is_task_submit(n):
                 self._check_submit(n, scope)
-        self._check_shm_balance(scope)
         for n in _scope_walk(scope.node):
             if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
                 self._visit_scope(_Scope(n, scope))
@@ -434,26 +422,6 @@ class _Linter:
 
 
     # ----------------------------------------------- distributed rules
-
-    def _check_shm_balance(self, scope: _Scope) -> None:
-        """REP005: incref without any release path in the same scope."""
-        increfs: List[ast.Call] = []
-        released = False
-        for n in _scope_walk(scope.node):
-            if not (isinstance(n, ast.Call)
-                    and isinstance(n.func, ast.Attribute)):
-                continue
-            if n.func.attr == "incref":
-                increfs.append(n)
-            elif n.func.attr in _RELEASE_ATTRS:
-                released = True
-        if released:
-            return
-        for call in increfs:
-            self._flag(SHM_UNRELEASED,
-                       "shm segment incref'd with no decref/release/"
-                       "close in the same function: every early exit "
-                       "leaks the /dev/shm segment", call)
 
     def _check_recv_under_lock(self, tree: ast.Module) -> None:
         """REP006: blocking comm recv inside a ``with <lock>`` body."""

@@ -7,10 +7,11 @@ Three layers, each usable on its own:
   one ``Comm``/``Listener``/``connect`` interface, length-prefixed
   codec-tagged frames, byte counters).
 * :mod:`~repro.runtime.distributed.shm` — :class:`SharedTileStore`,
-  refcounted ``multiprocessing.shared_memory`` segments that back
-  ``DistMatrix`` tiles for zero-copy worker access.
+  ``multiprocessing.shared_memory`` segments, one per matrix and as
+  long-lived as it, that back ``DistMatrix`` tiles for zero-copy
+  worker access.
 * :mod:`~repro.runtime.distributed.scheduling` /
-  :mod:`~repro.runtime.distributed.executor` — the dask-style central
+  :mod:`~repro.runtime.distributed.executor` — the central
   scheduler (of both real backends) and :class:`ProcessExecutor`, the
   forked-worker transport of the shared window driver
   (``tiled_qdwh(backend="processes")``).

@@ -8,7 +8,7 @@ recorded with a global sequence number.  The recorder is the *input*
 to the DistSan checkers in :mod:`repro.analysis.dist`:
 
 * ``events`` — dispatch/completion/driver-run/crash/replay plus shm
-  create/pin/incref/decref/unlink, in driver-observation order.  The
+  create/pin/unlink, in driver-observation order.  The
   happens-before checker (:mod:`repro.analysis.dist.hb`) rebuilds the
   cross-process partial order from these.
 * ``frames`` — per-connection wire frames (direction, op, codec,
@@ -41,9 +41,7 @@ EV_DEATH = "death"          # worker lost (EOF, or its link given up)
 EV_REPLAY = "replay"        # revoked task requeued after a death
 EV_CREATE = "create"        # shm segment created for a matrix
 EV_PIN = "pin"              # a tile installed as a view into its segment
-EV_INCREF = "incref"        # segment refcount raised
-EV_DECREF = "decref"        # segment refcount dropped
-EV_UNLINK = "unlink"        # segment destroyed (refs reached zero)
+EV_UNLINK = "unlink"        # segment destroyed (matrix collected, or close)
 EV_EVACUATE = "evacuate"    # tiles copied out of shm at close
 EV_CLOSE = "close"          # store/executor closed
 
@@ -60,8 +58,6 @@ class DistEvent:
     #: Tile ref for pin events, () otherwise.
     ref: Tuple[int, ...] = ()
     segment: str = ""
-    #: Segment refcount *after* the event (incref/decref/unlink).
-    refs: int = -1
     detail: str = ""
 
 
@@ -103,15 +99,13 @@ class DistTraceRecorder:
 
     def record(self, kind: str, *, tid: int = -1, wid: int = -1,
                attempt: int = 0, ref: Tuple[int, ...] = (),
-               segment: str = "", refs: int = -1,
-               detail: str = "") -> None:
+               segment: str = "", detail: str = "") -> None:
         with self._lock:
             seq = self._seq
             self._seq += 1
             self.events.append(DistEvent(
                 seq=seq, kind=kind, tid=tid, wid=wid, attempt=attempt,
-                ref=tuple(ref), segment=segment, refs=refs,
-                detail=detail))
+                ref=tuple(ref), segment=segment, detail=detail))
             if kind == EV_PIN and segment:
                 self.tile_segment[tuple(ref)] = segment
 
@@ -159,9 +153,9 @@ class DistTraceRecorder:
     def store_observer(self) -> Callable[..., None]:
         """A ``SharedTileStore.observer`` callback."""
 
-        def observe(kind: str, segment: str, refs: int,
+        def observe(kind: str, segment: str,
                     ref: Tuple[int, ...] = ()) -> None:
-            self.record(kind, segment=segment, refs=refs, ref=ref)
+            self.record(kind, segment=segment, ref=ref)
 
         return observe
 

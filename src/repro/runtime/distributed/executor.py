@@ -7,9 +7,9 @@ dispatch-heavy, small-tile graphs.  It is the
 forked workers: the driver owns ``run``, the sweep, the one dispatch
 loop, retry budgets, accounting, death revocation and replay, and the
 stall rule; a forking window's :class:`~.scheduling.DynamicScheduler`
-owns readiness, the lookahead gate, locality-aware placement and
-steal-on-idle; this module is the transport between them and the
-workers:
+owns readiness, the lookahead gate and the one ready heap every lane
+pops the lowest tid from; this module is the transport between them
+and the workers:
 
 * **Fork per window** (``_open``/``_shut``).  Payload closures capture
   driver objects and cannot be pickled, so nothing is shipped: workers
@@ -728,7 +728,7 @@ class ProcessExecutor(WindowExecutor):
             assert self._sched is not None
             ws = self._sched.workers.get(wid)
             if ws is not None:
-                for tid in list(ws.queue) + sorted(ws.inflight):
+                for tid in sorted(ws.inflight):
                     self.recorder.record(EV_REPLAY, tid=tid, wid=wid)
         return Death(wid, reason, sent)
 

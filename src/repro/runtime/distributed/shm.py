@@ -19,10 +19,9 @@ Lifecycle rules (all enforced here):
   close, or unlink segments — a SIGKILLed worker therefore cannot leak
   or tear down shared state.  The registry of live segments lives in
   the parent and survives any worker death.
-* Every segment is refcounted.  The owning ``DistMatrix`` holds the
-  initial reference (dropped via a ``weakref.finalize`` when the
-  matrix is collected); :meth:`incref`/:meth:`decref` let snapshots or
-  long-lived views pin a segment past that.
+* A segment lives exactly as long as its matrix: a
+  ``weakref.finalize`` on the owning ``DistMatrix`` unlinks it when
+  the matrix is collected.
 * ``close()`` force-unlinks everything still live.  It is idempotent
   and is wired into ``Runtime.close()`` / the executor, so interpreter
   shutdown never warns about leaked ``/dev/shm`` entries.
@@ -86,7 +85,7 @@ def _layout(mat: Any) -> Tuple[List[List[int]], int]:
 class _Segment:
     """One matrix's shared-memory segment."""
 
-    __slots__ = ("name", "shm", "offsets", "mat", "views", "refs")
+    __slots__ = ("name", "shm", "offsets", "mat", "views")
 
     def __init__(self, name: str, mat: Any):
         self.name = name
@@ -100,7 +99,6 @@ class _Segment:
         self.mat = weakref.ref(mat)
         #: (i, j) -> the view installed in the matrix: the pinned tiles.
         self.views: Dict[Tuple[int, int], np.ndarray] = {}
-        self.refs = 1
 
 
 class SharedTileStore:
@@ -111,8 +109,8 @@ class SharedTileStore:
             prefix = f"repro{os.getpid()}x{secrets.token_hex(3)}"
         self.prefix = prefix
         #: Optional lifecycle observer (DistSan refcount audit):
-        #: ``observer(kind, segment_name, refs_after, ref)`` with kind
-        #: one of create/pin/incref/decref/unlink/evacuate/close.
+        #: ``observer(kind, segment_name, ref)`` with kind one of
+        #: create/pin/unlink/evacuate/close.
         self.observer = None
         self._lock = threading.Lock()
         self._seq = 0
@@ -133,10 +131,9 @@ class SharedTileStore:
         with self._lock:
             self._segments[name] = seg
         self._of_mat[mat.mat_id] = name
-        # The matrix owns the initial reference.
-        weakref.finalize(mat, self._decref_name, name)
+        weakref.finalize(mat, self._unlink, name)
         if self.observer is not None:
-            self.observer("create", name, 1, ())
+            self.observer("create", name, ())
         return seg
 
     def pin_tile(self, mat: Any, i: int, j: int,
@@ -171,40 +168,21 @@ class SharedTileStore:
             arr[...] = cur
         mat._tiles[key] = seg.views[key] = arr
         if self.observer is not None:
-            self.observer("pin", seg.name, seg.refs, (mat.mat_id, i, j))
+            self.observer("pin", seg.name, (mat.mat_id, i, j))
         return arr
 
-    # -- refcounting -----------------------------------------------------
+    # -- lifetime --------------------------------------------------------
 
-    def incref(self, name: str) -> None:
+    def _unlink(self, name: str) -> None:
+        """The matrix of segment ``name`` was collected: unlink it
+        (nothing to do once ``close`` took it)."""
         with self._lock:
-            seg = self._segments.get(name)
-            if seg is None:
-                raise KeyError(f"unknown shm segment {name!r}")
-            seg.refs += 1
-            refs = seg.refs
-        if self.observer is not None:
-            self.observer("incref", name, refs, ())
-
-    def decref(self, name: str) -> None:
-        self._decref_name(name)
-
-    def _decref_name(self, name: str) -> None:
-        with self._lock:
-            seg = self._segments.get(name)
-            if seg is None:
-                return
-            seg.refs -= 1
-            refs = seg.refs
-            if refs <= 0:
-                del self._segments[name]
-        if self.observer is not None:
-            self.observer("decref", name, max(refs, 0), ())
-        if refs > 0:
+            seg = self._segments.pop(name, None)
+        if seg is None:
             return
         self._destroy(seg)
         if self.observer is not None:
-            self.observer("unlink", name, 0, ())
+            self.observer("unlink", name, ())
 
     @staticmethod
     def _destroy(seg: _Segment) -> None:
@@ -221,12 +199,12 @@ class SharedTileStore:
         """Worker-side: drop every mapping this *fork* inherited.
 
         Called on the worker's ``os._exit`` path.  The parent owns the
-        segments — refcounts, unlinking and the observer all stay with
-        it — but each child holds its own mmap of every segment, and a
-        child that exits without closing them leaves the kernel-side
-        reference alive until process teardown gets around to it.
-        Releases views and mappings only: never unlinks, never touches
-        refcounts, never notifies the observer.
+        segments — unlinking and the observer stay with it — but each
+        child holds its own mmap of every segment, and a child that
+        exits without closing them leaves the kernel-side reference
+        alive until process teardown gets around to it.
+        Releases views and mappings only: never unlinks, never
+        notifies the observer.
         """
         with self._lock:
             segs = list(self._segments.values())
@@ -240,11 +218,6 @@ class SharedTileStore:
                 seg.shm.close()
 
     # -- queries ---------------------------------------------------------
-
-    def refcount(self, name: str) -> int:
-        with self._lock:
-            seg = self._segments.get(name)
-            return 0 if seg is None else seg.refs
 
     def segment_of(self, ref: Tuple[int, int, int]) -> Optional[str]:
         """Name of the segment backing tile ``ref``; ``None`` while the
@@ -300,7 +273,7 @@ class SharedTileStore:
             self._closed = True
         self._evacuate()
         if self.observer is not None:
-            self.observer("evacuate", "", -1, ())
+            self.observer("evacuate", "", ())
         with self._lock:
             segs = list(self._segments.values())
             self._segments.clear()
@@ -308,9 +281,9 @@ class SharedTileStore:
         for seg in segs:
             self._destroy(seg)
             if self.observer is not None:
-                self.observer("unlink", seg.name, 0, ())
+                self.observer("unlink", seg.name, ())
         if self.observer is not None:
-            self.observer("close", "", -1, ())
+            self.observer("close", "", ())
 
     def __enter__(self) -> "SharedTileStore":
         return self

@@ -156,8 +156,8 @@ def worker_main(wid: int, lane: int, address: str, ex: Any,
             with contextlib.suppress(Exception):
                 comm.close()
         # Release this fork's inherited shared-memory mappings (views
-        # and mmaps only — segments, refcounts and unlinking stay with
-        # the parent) so a worker exit never pins a dead mapping.
+        # and mmaps only — segments and unlinking stay with the
+        # parent) so a worker exit never pins a dead mapping.
         with contextlib.suppress(Exception):
             ex.store.release_inherited()
         # Skip interpreter teardown entirely: the fork inherited

@@ -8,8 +8,8 @@ dispatch loop, the sweep, retries, accounting and the drain guarantee;
 a window's :class:`~repro.runtime.distributed.scheduling.DynamicScheduler`
 owns readiness and the lookahead gate — exactly the dataflow execution
 SLATE gets from OpenMP ``task depend``.  Every task is worker-eligible
-(threads share tile memory, so there is nothing to place, steal or keep
-on a driver lane) and, as in OpenMP, the thread that waits works: with
+(threads share tile memory, so there is nothing to keep on a driver
+lane) and, as in OpenMP, the thread that waits works: with
 ``workers=W`` the pool holds ``W - 1`` threads behind one scheduler
 lane and the driver is the W-th lane — each turn of the dispatch loop
 it keeps the lowest ready tid for itself, feeds the pool, then runs its
@@ -191,9 +191,9 @@ class ParallelExecutor(WindowExecutor):
     # ------------------------------------------------------------------
 
     def _open(self, start: int, end: int, lanes: int) -> DynamicScheduler:
-        """One scheduler lane over the whole pool (a shared-memory pool
-        needs no placement or stealing), as deep as ``lanes`` threads,
-        and the driver as one more lane unless it is watched."""
+        """One scheduler lane over the whole pool, as deep as ``lanes``
+        threads, and the driver as one more lane unless it is
+        watched."""
         helps = self.driver_helps
         if self._pool is None:
             # Sized for the widest window, not the first one that pays.

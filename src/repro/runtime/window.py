@@ -52,8 +52,9 @@ once, here, in six parts:
   task.  A violation is the window's failure and drains like a stall,
   and a failed window leaves no mark behind.
 * **Scheduler** — a window with lanes is run by the
-  :meth:`~WindowExecutor._drive` loop; its readiness, lookahead gate,
-  placement and stealing belong to one
+  :meth:`~WindowExecutor._drive` loop; its readiness, lookahead gate
+  and one ready heap, from which every lane and the helping driver
+  take the lowest tid, belong to one
   :class:`~repro.runtime.distributed.scheduling.DynamicScheduler`, the
   class DistSan's explorer and mutant gate model-check; worker deaths
   are revoked and replayed there.
@@ -755,10 +756,9 @@ class WindowExecutor:
         why the window cannot continue."""
         from ..obs.timeline import FAULT_CRASH, FAULT_REPLAY
         lane, reason = death.lane, death.reason
-        queued, inflight = sched.remove_worker(lane)
+        inflight = sched.remove_worker(lane)
         self._inflight -= death.sent
-        if not queued and not inflight and reason is None \
-                and sched.pending == 0:
+        if not inflight and reason is None and sched.pending == 0:
             return None  # clean exit race at window end
         rec = self.stats.recovery
         rec.crashes += 1
@@ -767,7 +767,7 @@ class WindowExecutor:
         why = reason or "unexpectedly"
         self._fault_event(
             FAULT_CRASH, -1, f"worker {lane} died ({why}); "
-            f"{len(inflight)} in-flight, {len(queued)} queued", rank=lane)
+            f"{len(inflight)} in-flight", rank=lane)
         if self.recovery_policy is NO_RECOVERY:
             return WorkerCrashError(
                 f"worker process {lane} died ({why}) with {len(inflight)} "
@@ -784,5 +784,5 @@ class WindowExecutor:
             self._fault_event(FAULT_REPLAY, tid,
                               f"replaying task {tid} lost to worker {lane}",
                               rank=lane)
-        sched.requeue(queued + inflight)
+        sched.requeue(inflight)
         return None

@@ -69,22 +69,6 @@ class TestMutantGate:
         assert gate.clean_findings == []
         assert gate.ok
 
-    def test_only_the_forked_driver_lane_kills_the_wrong_lane_pop(self):
-        # The helping driver popping the first lane instead of the one
-        # that holds its tid is invisible with one lane (threads) and
-        # with no helping driver: only the processes placement — one
-        # lane per fork — can see it.  The real driver tops every lane
-        # up eagerly, so even that placement hides it unless both
-        # lanes still hold queued tasks when the driver picks: one
-        # dispatch deep, locality keeping each lane's queue full.
-        wrong = next(m for m in MUTANTS if m.name == "driver-wrong-lane")
-        killers = {sc.name: rep for sc in builtin_scenarios()
-                   if (rep := explore(sc, scheduler=wrong.scheduler,
-                                      max_schedules=600,
-                                      stop_on_finding=True)).findings}
-        assert list(killers) == ["driver-lane-split"]
-        assert killers["driver-lane-split"].schedules == 1
-
     def test_finding_carries_replayable_schedule(self):
         from repro.analysis.dist.mutants import LostWakeupScheduler
 
@@ -106,7 +90,7 @@ class TestModelDetails:
                         5: (3,), 6: (4, 5)}
         forked = {t.tid: t.deps for t in _scenario("driver-lane-forked").tasks}
         assert forked[7] == (0, 1) and forked[8] == (6, 7)
-        assert all(t.deps == () for t in _scenario("driver-lane-split").tasks)
+        assert all(t.deps == () for t in _scenario("wide").tasks)
 
     def test_crashing_every_worker_is_not_a_finding(self):
         # Fault budget can strand the run (all lanes dead, no respawn):
@@ -145,19 +129,15 @@ class TestModelDetails:
 
     def test_scenarios_cover_required_shapes(self):
         names = {s.name for s in builtin_scenarios()}
-        assert {"chain", "diamond", "wide", "stealable",
-                "mixed-driver", "crashy", "driver-lane",
-                "driver-lane-forked", "driver-lane-split"} <= names
-        assert len(names) == 11
+        assert {"chain", "diamond", "wide", "mixed-driver", "crashy",
+                "driver-lane", "driver-lane-forked"} <= names
+        assert len(names) == 9
         # The processes placement: a helping driver beside one lane per
         # fork, a crash budget with a replacement, the gate on.
         forked = _scenario("driver-lane-forked")
         assert forked.driver_helps and forked.workers == 2
         assert forked.max_crashes == 1 and forked.lookahead is not None
         assert not all(forked.worker_ok.values())
-        split = _scenario("driver-lane-split")
-        assert split.driver_helps and split.workers == 2
-        assert split.pipeline_depth == 1
         # A window with no lane besides the driver is swept, not
         # scheduled: every scenario registers at least one lane.
         assert all(s.workers >= 1 for s in builtin_scenarios())

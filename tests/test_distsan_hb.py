@@ -9,8 +9,7 @@ from repro.dist import DistMatrix, ProcessGrid
 from repro.matrices import generate_matrix
 from repro.runtime import Runtime
 from repro.runtime.distributed.events import (EV_COMPLETE, EV_CREATE,
-                                              EV_DECREF, EV_DISPATCH,
-                                              EV_DRIVER, EV_INCREF, EV_PIN,
+                                              EV_DISPATCH, EV_DRIVER, EV_PIN,
                                               EV_UNLINK, DistTraceRecorder)
 from repro.runtime.task import Task, TaskKind
 
@@ -25,8 +24,8 @@ def _task(tid, deps=(), reads=(), writes=()):
 def _recorder_with_pin():
     # One segment per matrix, one pin per tile installed in it.
     rec = DistTraceRecorder()
-    rec.record(EV_CREATE, segment="seg1", refs=1)
-    rec.record(EV_PIN, segment="seg1", refs=1, ref=REF)
+    rec.record(EV_CREATE, segment="seg1")
+    rec.record(EV_PIN, segment="seg1", ref=REF)
     return rec
 
 
@@ -120,11 +119,9 @@ class TestSyntheticTraces:
 
 class TestRefcountAudit:
     def test_balanced_lifecycle_is_clean(self):
+        # Created with its matrix, unlinked once when the matrix goes.
         rec = _recorder_with_pin()
-        rec.record(EV_INCREF, segment="seg1", refs=2)
-        rec.record(EV_DECREF, segment="seg1", refs=1)
-        rec.record(EV_DECREF, segment="seg1", refs=0)
-        rec.record(EV_UNLINK, segment="seg1", refs=0)
+        rec.record(EV_UNLINK, segment="seg1")
         assert audit_refcounts(rec) == []
 
     def test_never_unlinked_is_a_leak(self):
@@ -132,17 +129,11 @@ class TestRefcountAudit:
         findings = audit_refcounts(rec)
         assert [f.kind for f in findings] == ["refcount-leak"]
 
-    def test_store_replay_disagreement_is_flagged(self):
-        rec = _recorder_with_pin()
-        rec.record(EV_INCREF, segment="seg1", refs=3)   # replay says 2
-        findings = audit_refcounts(rec)
-        assert [f.kind for f in findings if f.kind == "refcount-skew"]
-
     def test_double_unlink_and_unknown_segment(self):
         rec = _recorder_with_pin()
-        rec.record(EV_UNLINK, segment="seg1", refs=0)
-        rec.record(EV_UNLINK, segment="seg1", refs=0)
-        rec.record(EV_DECREF, segment="ghost", refs=0)
+        rec.record(EV_UNLINK, segment="seg1")
+        rec.record(EV_UNLINK, segment="seg1")
+        rec.record(EV_UNLINK, segment="ghost")
         kinds = {f.kind for f in audit_refcounts(rec)}
         assert "refcount-double-unlink" in kinds
         assert "refcount-unknown" in kinds
@@ -151,20 +142,18 @@ class TestRefcountAudit:
         # A second tile of the matrix pinned by a later window: same
         # segment, no second create, one unlink.
         rec = _recorder_with_pin()
-        rec.record(EV_PIN, segment="seg1", refs=1, ref=(7, 1, 0))
-        rec.record(EV_DECREF, segment="seg1", refs=0)
-        rec.record(EV_UNLINK, segment="seg1", refs=0)
+        rec.record(EV_PIN, segment="seg1", ref=(7, 1, 0))
+        rec.record(EV_UNLINK, segment="seg1")
         assert audit_refcounts(rec) == []
         assert rec.tile_segment == {REF: "seg1", (7, 1, 0): "seg1"}
 
     def test_repin_recreate_and_pin_after_unlink(self):
         rec = _recorder_with_pin()
-        rec.record(EV_PIN, segment="seg1", refs=1, ref=REF)   # tile twice
-        rec.record(EV_CREATE, segment="seg1", refs=1)         # segment twice
-        rec.record(EV_DECREF, segment="seg1", refs=0)
-        rec.record(EV_UNLINK, segment="seg1", refs=0)
-        rec.record(EV_PIN, segment="seg1", refs=0, ref=(7, 1, 1))
-        rec.record(EV_PIN, segment="ghost", refs=1, ref=(8, 0, 0))
+        rec.record(EV_PIN, segment="seg1", ref=REF)   # tile twice
+        rec.record(EV_CREATE, segment="seg1")         # segment twice
+        rec.record(EV_UNLINK, segment="seg1")
+        rec.record(EV_PIN, segment="seg1", ref=(7, 1, 1))
+        rec.record(EV_PIN, segment="ghost", ref=(8, 0, 0))
         kinds = [f.kind for f in audit_refcounts(rec)]
         assert kinds == ["refcount-repin", "refcount-repin",
                          "refcount-unknown", "refcount-unknown"]

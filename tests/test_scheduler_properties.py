@@ -153,7 +153,7 @@ def dyn_workloads(draw):
 
 
 class TestDynamicSchedulerProperties:
-    """Random completion/crash/steal sequences against the real
+    """Random completion/crash sequences against the real
     DynamicScheduler (the DistSan explorer's system under test)."""
 
     def _fresh(self, wl):
@@ -218,14 +218,14 @@ class TestDynamicSchedulerProperties:
                     sched.on_done(tid, None)
             else:                                   # crash + respawn
                 crashes -= 1
-                queued, lost = sched.remove_worker(arg)
+                lost = sched.remove_worker(arg)
                 for tid in lost:
                     assert inflight.pop(tid) == arg
-                sched.requeue(queued + lost)
+                sched.requeue(lost)
                 sched.add_worker(next_wid)
                 next_wid += 1
-            held = [t for w in sched.alive_workers()
-                    for t in list(w.queue) + list(w.inflight)]
+            held = [t for w in sched.alive_workers() for t in w.inflight]
+            held += sched._ready + sched._driver_ready
             assert len(held) == len(set(held)), "tid held twice"
             assert sched.pending == len(tasks) - len(sched.done)
         self._drain(sched, worker_ok, inflight)
@@ -239,12 +239,11 @@ class TestDynamicSchedulerProperties:
             sched.next_for(data.draw(st.integers(0, n_workers - 1)))
         victim = data.draw(st.integers(0, n_workers - 1))
         ws = sched.workers[victim]
-        expect_q, expect_i = list(ws.queue), sorted(ws.inflight)
-        queued, inflight = sched.remove_worker(victim)
-        assert (queued, inflight) == (expect_q, expect_i)
-        assert not ws.alive and not ws.queue and not ws.inflight
+        expect = sorted(ws.inflight)
+        assert sched.remove_worker(victim) == expect
+        assert not ws.alive and not ws.inflight
         # Removing a dead worker again must be a harmless no-op.
-        assert sched.remove_worker(victim) == ([], [])
+        assert sched.remove_worker(victim) == []
 
     @given(dyn_workloads())
     @settings(max_examples=50, deadline=None)
@@ -260,29 +259,61 @@ class TestDynamicSchedulerProperties:
             # Saturated (or out of assignable work): stays None.
             assert sched.next_for(w) is None
 
-    @given(dyn_workloads())
+    @given(dyn_workloads(), st.booleans(), st.data())
     @settings(max_examples=50, deadline=None)
-    def test_single_fetcher_steals_everything(self, wl):
-        # Worker 0 does all the fetching: stealing must migrate every
-        # worker-lane task to it eventually — none stranded on idle
-        # victims' queues.
-        tasks, worker_ok, n_workers, sched = self._fresh(wl)
-        inflight = {}
-        while sched.pending:
-            moved = False
-            tid = sched.next_driver()
-            if tid is not None:
-                sched.on_done(tid, None)
-                moved = True
-            tid = sched.next_for(0)
-            if tid is not None:
-                inflight[tid] = 0
-                moved = True
-            elif inflight:
-                done = min(inflight)
-                sched.on_done(done, inflight.pop(done))
-                moved = True
-            assert moved, "stall: stealable work stranded"
-        assert sched.done == {t.tid for t in tasks}
-        for w in sched.workers.values():
-            assert not w.queue and not w.inflight
+    def test_every_hand_out_is_lowest_ready(self, wl, helps, data):
+        # One ready heap: whoever asks — any lane, or the helping
+        # driver — gets the lowest worker-eligible tid ready at that
+        # moment, and the driver's own tasks leave lowest first too.
+        tasks, worker_ok, n_workers, pipeline = wl
+        sched = DynamicScheduler(tasks, 0, len(tasks), worker_ok,
+                                 pipeline, driver_helps=helps)
+        for w in range(n_workers):
+            sched.add_worker(w)
+        inflight = {}            # tid -> wid, mirror of dispatches
+        crashes = data.draw(st.integers(0, 2))
+        next_wid = n_workers
+
+        def lowest(lane_task):
+            return min((t.tid for t in tasks
+                        if worker_ok[t.tid] == lane_task
+                        and t.tid not in sched.done
+                        and t.tid not in inflight
+                        and all(d in sched.done for d in t.deps)),
+                       default=None)
+
+        for _ in range(12 * len(tasks) + 24):
+            if not sched.pending:
+                break
+            alive = sched.alive_workers()
+            actions = [("driver", None)]
+            actions += [("fetch", w.wid) for w in alive]
+            actions += [("complete", t) for t in sorted(inflight)]
+            if crashes and alive:
+                actions += [("crash", w.wid) for w in alive]
+            kind, arg = data.draw(st.sampled_from(actions))
+            if kind == "driver":
+                want = lowest(False)
+                if want is None and helps:
+                    want = lowest(True)
+                tid = sched.next_driver()
+                assert tid == want
+                if tid is not None:
+                    sched.on_done(tid, None)
+            elif kind == "fetch":
+                full = len(sched.workers[arg].inflight) >= sched.pipeline
+                want = None if full else lowest(True)
+                tid = sched.next_for(arg)
+                assert tid == want
+                if tid is not None:
+                    inflight[tid] = arg
+            elif kind == "complete":
+                sched.on_done(arg, inflight.pop(arg))
+            else:                                   # crash + respawn
+                crashes -= 1
+                lost = sched.remove_worker(arg)
+                for tid in lost:
+                    assert inflight.pop(tid) == arg
+                sched.requeue(lost)
+                sched.add_worker(next_wid)
+                next_wid += 1

@@ -37,7 +37,6 @@ from repro.analysis.lint import (
     FORK_UNSAFE_ARG,
     PAYLOAD_FOOTPRINT,
     RECV_UNDER_LOCK,
-    SHM_UNRELEASED,
     SYNC_IN_PAYLOAD as LINT_SYNC_IN_PAYLOAD,
 )
 from repro.analysis.sanitizer import (
@@ -602,35 +601,7 @@ def drain(pool, work):
 
 
 class TestDistributedLintRules:
-    """REP005-REP008: rules targeting the distributed runtime."""
-
-    def test_rep005_incref_without_release(self):
-        src = """
-def pin(store, name):
-    store.incref(name)
-    return name
-"""
-        (f,) = lint_source(src)
-        assert f.rule == SHM_UNRELEASED
-
-    def test_rep005_balanced_scope_is_clean(self):
-        src = """
-def pin(store, name):
-    store.incref(name)
-    try:
-        use(name)
-    finally:
-        store.decref(name)
-"""
-        assert lint_source(src) == []
-
-    def test_rep005_close_counts_as_release(self):
-        src = """
-def pin(store, name):
-    store.incref(name)
-    store.close()
-"""
-        assert lint_source(src) == []
+    """REP006-REP008: rules targeting the distributed runtime."""
 
     def test_rep006_recv_under_lock(self):
         src = """
@@ -722,8 +693,8 @@ def run(rt, da):
 
     def test_new_rules_respect_suppression(self):
         src = """
-def pin(store, name):
-    store.incref(name)  # repro-lint: ignore[REP005]
+def run(rt, da):
+    return tiled_qdwh(rt, da, backend="proceses")  # repro-lint: ignore[REP008]
 """
         assert lint_source(src) == []
 
