@@ -14,7 +14,8 @@ checks them systematically, CHESS-style:
   (:class:`ExplorerTransport`): its hooks are the choice points.
   ``_open`` builds the scenario's scheduler and registers its lanes;
   ``_send`` and ``_inline`` record each hand-out; ``_recv`` lets one
-  in-flight attempt report, kills a lane (its ``_send``\\ s fail until
+  in-flight attempt report (failing, retryably, when the scenario
+  names its ``(tid, attempt)``), kills a lane (its ``_send``\\ s fail until
   its :class:`~repro.runtime.window.Death` is reported, as a SIGKILL
   looks on processes), reports such a death, or respawns a lane;
   ``_tick`` respawns when every lane is dead, as the processes
@@ -39,7 +40,8 @@ checks them systematically, CHESS-style:
   is itself a lane), pipeline depth respected, nothing handed out
   beyond the lookahead gate and nothing parked behind a gate that
   admits it, dead lanes holding nothing, no ready task lost or held
-  twice, ``pending`` in sync; at the end, every task completed and no
+  twice (a retry waiting out its backoff is held by the retry
+  ledger), ``pending`` in sync; at the end, every task completed and no
   attempt in flight.  An exception out of ``run`` — the driver's
   :class:`~repro.runtime.window.OrderingViolationError`, its stall
   rule, a crash it gave up on — is a finding too, except the stall of
@@ -48,7 +50,8 @@ checks them systematically, CHESS-style:
 
 The checker itself is validated by :mod:`.mutants`: seeded scheduler
 and driver bugs (lost wakeup, double dispatch, early release, a
-revocation that drops in-flight work, ...) that the explorer must
+revocation that drops in-flight work, a failed attempt that keeps
+its lane's slot, ...) that the explorer must
 kill, while reporting zero findings on the real code.
 """
 
@@ -56,10 +59,10 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import (Callable, Dict, List, Optional, Sequence, Set, Tuple, Type,
-                    Union)
+from typing import (Callable, Dict, FrozenSet, List, Optional, Sequence, Set,
+                    Tuple, Type, Union)
 
-from ...resilience.live import RecoveryPolicy
+from ...resilience.live import InjectedTransientError, RecoveryPolicy
 from ...runtime.attempt import Attempt
 from ...runtime.distributed.scheduling import DynamicScheduler
 from ...runtime.graph import TaskGraph
@@ -87,7 +90,9 @@ class Scenario:
     a lane mid-window, a spawn adds a replacement.  ``lookahead`` is
     the scheduler's phase gate (``None`` = off).  ``driver_helps``
     makes the driver an execution lane: it may take lane-eligible
-    tasks too.
+    tasks too.  ``failures`` names the ``(tid, attempt)`` pairs whose
+    attempt fails retryably; the driver retries them at once (the
+    explorer's policy has no backoff).
     """
 
     name: str
@@ -99,6 +104,7 @@ class Scenario:
     max_spawns: int = 0
     lookahead: Optional[int] = None
     driver_helps: bool = False
+    failures: FrozenSet[Tuple[int, int]] = frozenset()
     graph: TaskGraph = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -136,10 +142,11 @@ def builtin_scenarios() -> List[Scenario]:
     ready heap), mixed driver/worker lanes, crashy variants (revocation
     and replay), the threads backend's shapes (one lane as deep as its
     pool; the same with the driver as one more lane), the processes
-    backend's helping driver beside one lane per fork, and a phased
-    graph behind the lookahead gate.  A window that gets no lane
-    besides the driver builds no scheduler at all (it is swept in
-    program order, ``WindowExecutor._sweep``), so it has no shape here.
+    backend's helping driver beside one lane per fork, a phased graph
+    behind the lookahead gate, and a watched window's retries.  A
+    window that gets no lane besides the driver builds no scheduler at
+    all (it is swept in program order, ``WindowExecutor._sweep``), so
+    it has no shape here.
     """
     out: List[Scenario] = []
 
@@ -215,6 +222,14 @@ def builtin_scenarios() -> List[Scenario]:
                         max_crashes=1, max_spawns=1, lookahead=1,
                         driver_helps=True))
 
+    # A watched window: two lanes and a driver that only dispatches.
+    # What it does beyond the plain path is the driver's retry path: a
+    # failed attempt gives its lane's slot back and its task is handed
+    # out again — twice for task 1 — while the diamonds drain.
+    out.append(Scenario("flaky", dia, _all_ok(dia),
+                        failures=frozenset({(0, 0), (1, 0), (1, 1),
+                                            (4, 0)})))
+
     return out
 
 
@@ -270,7 +285,9 @@ class ExplorerTransport(WindowExecutor):
     """One deterministic execution of a scenario under a decision
     vector: the real window driver over a transport whose ``_recv`` is
     the choice point, checking invariants on every hand-out and on the
-    scheduler state at every turn of the dispatch loop."""
+    scheduler state at every turn of the dispatch loop.  Its policy has
+    no backoff: a retry is due at once, and the loop needs no clock
+    to hand it out again."""
 
     def __init__(self, scenario: Scenario, scheduler: SchedulerFactory,
                  decisions: Sequence[int], max_steps: int) -> None:
@@ -278,7 +295,8 @@ class ExplorerTransport(WindowExecutor):
         super().__init__(sc.graph, {},
                          workers=sc.workers + int(sc.driver_helps),
                          lookahead=sc.lookahead, sink=None, validate=True,
-                         sanitizer=None, recovery=RecoveryPolicy(),
+                         sanitizer=None,
+                         recovery=RecoveryPolicy(backoff=0.0),
                          injector=None, tiles=None)
         self.scheduler = scheduler
         self.decisions = decisions
@@ -286,8 +304,9 @@ class ExplorerTransport(WindowExecutor):
         #: Every choice as ``(chosen, options)``, and every action.
         self.log: List[Tuple[int, int]] = []
         self.trace: List[str] = []
-        #: ``(lane, tid)`` of each attempt sent and not yet reported.
-        self.outbox: List[Tuple[int, int]] = []
+        #: ``(lane, tid, attempt)`` of each attempt sent and not yet
+        #: reported.
+        self.outbox: List[Tuple[int, int, int]] = []
         #: Killed lanes whose death is unreported -> attempts lost.
         self.killed: Dict[int, int] = {}
         self.completed: Set[int] = set()
@@ -335,7 +354,14 @@ class ExplorerTransport(WindowExecutor):
             raise _Violation("worker-task-on-driver",
                              f"lane-eligible tid {t.tid} run by the driver")
         self._check_hand_out(t.tid)
-        self.completed.add(t.tid)
+        return self._outcome(t.tid, attempt)
+
+    def _outcome(self, tid: int, attempt: int) -> Attempt:
+        """What attempt ``attempt`` of ``tid`` comes back with."""
+        if (tid, attempt) in self.sc.failures:
+            return Attempt(0.0, 0.0, 0.0, [], InjectedTransientError(
+                f"scripted failure of task {tid} attempt {attempt}"), True)
+        self.completed.add(tid)
         return _DONE
 
     def _send(self, lane: int, tid: int, attempt: int) -> bool:
@@ -354,7 +380,7 @@ class ExplorerTransport(WindowExecutor):
                 f"in flight (depth {sched.pipeline})")
         if dead:
             return False
-        self.outbox.append((lane, tid))
+        self.outbox.append((lane, tid, attempt))
         return True
 
     def _recv(self, timeout: Optional[float]
@@ -382,16 +408,16 @@ class ExplorerTransport(WindowExecutor):
         what, arg = options[idx]
         self._step(f"{what}/{arg}")
         if what == "report":
-            lane, tid = self.outbox.pop(arg)
-            self.completed.add(tid)
-            return [Report(tid, lane, _DONE, f"w{lane}", 0.0)]
+            lane, tid, attempt = self.outbox.pop(arg)
+            return [Report(tid, lane, self._outcome(tid, attempt),
+                           f"w{lane}", 0.0)]
         if what == "death":
             return [Death(arg, "killed", self.killed.pop(arg))]
         if what == "spawn":
             self._spawn(sched)
         elif what == "kill":
             self.crashes_left -= 1
-            self.killed[arg] = sum(1 for lane, _ in self.outbox if lane == arg)
+            self.killed[arg] = sum(1 for a in self.outbox if a[0] == arg)
             self.outbox = [a for a in self.outbox if a[0] != arg]
         return []
 
@@ -416,7 +442,7 @@ class ExplorerTransport(WindowExecutor):
         if tid in self.completed:
             raise _Violation("dispatch-after-done",
                              f"tid {tid} handed out after completion")
-        live = [lane for lane, t in self.outbox if t == tid]
+        live = [lane for lane, t, _ in self.outbox if t == tid]
         if live:
             raise _Violation("double-dispatch",
                              f"tid {tid} handed out while in flight on {live}")
@@ -439,7 +465,9 @@ class ExplorerTransport(WindowExecutor):
 
     def _check_state(self, sched: DynamicScheduler) -> None:
         """The scheduler's state between two turns of the loop."""
-        held = list(sched._ready) + list(sched._driver_ready)
+        assert self._ledger is not None
+        held = (list(sched._ready) + list(sched._driver_ready)
+                + [tid for _, tid in self._ledger.due])
         limit = self._gate_limit()
         if limit is not None:
             for phase, parked in sched._parked.items():
@@ -537,8 +565,10 @@ def explore(scenario: Scenario,
     report = ExplorationReport(scenario=scenario.name,
                                preemption_bound=preemption_bound)
     # Generous step bound: every task is handed out and reported at
-    # most (1 + crashes) times, plus faults and slack.
-    max_steps = 4 * scenario.ntasks * (1 + scenario.max_crashes) + 16
+    # most (1 + crashes) times, once more per scripted failure, plus
+    # faults and slack.
+    max_steps = 4 * (scenario.ntasks * (1 + scenario.max_crashes)
+                     + len(scenario.failures)) + 16
     decisions: List[int] = []
     exhausted = False
     while report.schedules < max_schedules:

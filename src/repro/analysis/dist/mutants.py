@@ -19,8 +19,9 @@ import heapq
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Type
 
+from ...runtime.attempt import RetryLedger
 from ...runtime.distributed.scheduling import DynamicScheduler
-from ...runtime.window import Death
+from ...runtime.window import Death, Report
 from .explore import (ExplorerTransport, ExploreFinding, Scenario,
                       builtin_scenarios, explore)
 
@@ -159,6 +160,22 @@ class RevokeDropsInflight(ExplorerTransport):
         return None
 
 
+class RetryKeepsSlot(ExplorerTransport):
+    """BUG: a failed attempt is never discarded from its lane — the
+    lane keeps the slot while the task's retry is due, so the task is
+    held twice and the lane runs one short for the rest of the
+    window."""
+
+    def _account(self, sched: Optional[DynamicScheduler],
+                 ledger: RetryLedger, report: Report,
+                 failing: bool) -> Optional[BaseException]:
+        err = super()._account(sched, ledger, report, failing)
+        if (report.res.exc is not None and report.lane is not None
+                and sched is not None):
+            sched.workers[report.lane].inflight.add(report.tid)
+        return err
+
+
 # ---------------------------------------------------------------------------
 # The gate
 
@@ -191,6 +208,8 @@ MUTANTS: Tuple[Mutant, ...] = (
     Mutant("early-release", EarlyReleaseScheduler, ("ordering-violation",)),
     Mutant("revoke-drops-inflight", DynamicScheduler, ("task-lost",),
            driver=RevokeDropsInflight),
+    Mutant("retry-keeps-slot", DynamicScheduler, ("task-duplicated",),
+           driver=RetryKeepsSlot),
 )
 
 

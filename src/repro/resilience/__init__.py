@@ -14,9 +14,9 @@ errors, degraded links, and stragglers.  This package supplies
   cost model for the simulator;
 * :mod:`.live` — live execution: the same :class:`FaultPlan`
   transients plus worker stalls and tile corruption fired inside real
-  ``ParallelExecutor`` threads, and the :class:`RecoveryPolicy`
-  (retries, timeouts, straggler speculation, write scrubbing) the
-  executor survives them with.
+  worker threads or forked workers, and the :class:`RecoveryPolicy`
+  (retries, timeouts, write scrubbing) the executor survives them
+  with.
 
 See ``docs/resilience.md`` for the full model.
 """

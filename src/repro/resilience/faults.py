@@ -21,9 +21,9 @@ Two further fault classes target the *live* threaded backend
 are ignored by the simulator:
 
 * :class:`WorkerStall` — an injected pre-payload sleep inside a real
-  worker thread (models a descheduled core / page-fault storm); the
-  executor's straggler monitor detects it and launches a speculative
-  backup attempt;
+  worker (models a descheduled core / page-fault storm); it delays the
+  attempt, and a ``task_timeout`` shorter than the stall counts it as
+  timed out (on processes: kills the worker and replays its tasks);
 * :class:`TileCorruption` — a NaN/Inf overwrite of one of a task's
   output tiles after the payload ran (models a silent data corruption
   that *is* caught, e.g. by checksums); the executor restores the
@@ -139,10 +139,9 @@ class WorkerStall:
 
     Each attempt of each matching task stalls with probability
     ``probability`` for ``seconds`` of wall-clock time before its
-    payload runs.  The sleep is interruptible: when the executor's
-    straggler monitor launches a backup attempt and the backup claims
-    the payload first, the stalled original wakes immediately and
-    reports itself lost.  ``kinds`` (lowercase :class:`TaskKind`
+    payload runs.  The sleep is a plain ``time.sleep``: the attempt is
+    the task's only live one, and it runs its payload once the stall
+    is over.  ``kinds`` (lowercase :class:`TaskKind`
     names, e.g. ``("gemm",)``) restricts which tasks may stall;
     ``None`` matches every kind.
     """

@@ -8,13 +8,14 @@ survives it*.  This module is the vocabulary between the two:
 * :class:`LiveFaultInjector` evaluates a :class:`FaultPlan` inside
   actual workers (threads or forked processes) — seeded transient payload
   exceptions (:class:`InjectedTransientError`), pre-payload worker
-  stalls (interruptible sleeps), and post-payload NaN/Inf tile
-  corruption.  All draws go through ``FaultPlan.task_rng`` so the same
-  plan perturbs the same (task, attempt) pairs regardless of dispatch
+  stalls (plain sleeps), and post-payload NaN/Inf tile corruption.
+  All draws go through ``FaultPlan.task_rng`` so the same plan
+  perturbs the same (task, attempt) pairs regardless of dispatch
   order.
 * :class:`RecoveryPolicy` bundles the executor's recovery knobs:
-  retry count, backoff/jitter, wall-clock task timeout, straggler
-  detection and speculation thresholds, and write-tile scrubbing.
+  retry count, backoff/jitter, wall-clock task timeout, write-tile
+  scrubbing, and the processes backend's heartbeat and reconnect
+  limits.
 * :class:`TileAccessor` gives the executor raw access to tile storage
   (``DistMatrix._tiles``) for pre-task snapshots, restore-on-retry,
   corruption injection, and non-finite scrubbing.  It deliberately
@@ -79,8 +80,10 @@ class RecoveryPolicy:
 
     A ``None`` policy (the default) is the zero-budget policy
     (:data:`repro.runtime.attempt.NO_RECOVERY`) through the same
-    dispatch loop: no retries, no speculation, no timeouts, no
-    heartbeats, and the first failure is final.  A default
+    dispatch loop: no retries, no timeouts, no heartbeats, and the
+    first failure is final.  Whatever the policy, a task has at most
+    one live attempt: a retry starts only after the attempt before it
+    reported.  A default
     ``RecoveryPolicy()`` on a fault-free run costs its write-tile
     snapshots (and, on the processes backend, the reliable link).
     """
@@ -97,24 +100,12 @@ class RecoveryPolicy:
     backoff: float = 2.0e-3
     jitter: float = 0.5
     #: Wall-clock seconds after which a running attempt is declared
-    #: timed out.  Python threads cannot be killed, so a timeout marks
-    #: the attempt (FaultEvent + RecoveryStats) and — if the payload
-    #: has not been claimed yet (it is still inside an injected stall)
-    #: — launches a backup attempt.  ``None`` disables timeouts.
+    #: timed out.  On processes the driver kills the worker and
+    #: replays its tasks (charged to the crash budget).  Python threads
+    #: cannot be killed, so on threads a timeout is only counted
+    #: (FaultEvent + RecoveryStats) and the attempt runs on.  ``None``
+    #: disables timeouts.
     task_timeout: Optional[float] = None
-    #: Straggler detection: an attempt running longer than
-    #: ``straggler_factor`` x the rolling mean duration of its task
-    #: kind (and at least ``min_straggler_seconds``) is a straggler;
-    #: with ``speculation`` on, an unclaimed straggler gets a
-    #: speculative backup attempt (first claimer wins the payload, the
-    #: loser wakes from its stall and reports itself lost without
-    #: touching any tile).
-    speculation: bool = True
-    straggler_factor: float = 4.0
-    min_straggler_seconds: float = 0.05
-    #: Rolling-mean warmup: no straggler calls before this many
-    #: completed samples of the task's kind.
-    min_samples: int = 5
     #: Monitor poll period for the dispatch loop (seconds).
     poll_interval: float = 0.02
     #: Scan write tiles for NaN/Inf after every payload and treat hits
@@ -151,15 +142,6 @@ class RecoveryPolicy:
         if self.task_timeout is not None and self.task_timeout <= 0.0:
             raise ValueError(
                 f"task_timeout must be > 0 or None, got {self.task_timeout}")
-        if self.straggler_factor < 1.0:
-            raise ValueError(
-                f"straggler_factor must be >= 1, got "
-                f"{self.straggler_factor}")
-        if self.min_straggler_seconds < 0.0:
-            raise ValueError("min_straggler_seconds must be >= 0")
-        if self.min_samples < 1:
-            raise ValueError(
-                f"min_samples must be >= 1, got {self.min_samples}")
         if self.poll_interval <= 0.0:
             raise ValueError(
                 f"poll_interval must be > 0, got {self.poll_interval}")

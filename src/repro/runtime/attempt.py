@@ -12,10 +12,11 @@ budgets, backoff heap, write-tile snapshots and recovery accounting in
 a per-window :class:`RetryLedger`; :func:`resolve_recovery` is the one
 place a fault plan without a policy gets the default
 :class:`RecoveryPolicy`; :func:`count_kernel` is the one
-``kernel.invocations.*`` publisher.  What stays with the transports
-is what only they have: payload claims and speculative backups between
-threads sharing tile memory; worker death, replay and heartbeats
-between processes.
+``kernel.invocations.*`` publisher.  Every task has at most one live
+attempt on every transport, as under OpenMP: a retry is launched only
+after the attempt before it reported.  What stays with the transports
+is what only they have: a pool and a timeout count on threads; worker
+death, replay and heartbeats on processes.
 """
 
 from __future__ import annotations
@@ -41,9 +42,9 @@ __all__ = ["Attempt", "NO_RECOVERY", "RetryLedger", "count_kernel",
 AttemptEvent = Tuple[str, str]
 
 #: What ``recovery=None`` means to an executor: no retries, no
-#: speculation, no timeouts, no heartbeats — the first failure is final.
-NO_RECOVERY = RecoveryPolicy(max_retries=0, speculation=False,
-                             poll_interval=0.05, heartbeat_interval=None)
+#: timeouts, no heartbeats — the first failure is final.
+NO_RECOVERY = RecoveryPolicy(max_retries=0, poll_interval=0.05,
+                             heartbeat_interval=None)
 
 _KERNEL_COUNTERS: Dict[TaskKind, Any] = {}
 
@@ -117,26 +118,18 @@ class Attempt(NamedTuple):
     #: Thread CPU seconds of the payload.
     cpu: float
     events: List[AttemptEvent]
-    #: ``None`` on success (and on a lost attempt).
+    #: ``None`` on success.
     exc: Optional[BaseException]
     retryable: bool
-    #: ``begin`` declined: another attempt owns the payload, nothing
-    #: was touched.
-    lost: bool = False
 
 
 def run_attempt(t: Task, fn: Optional[Callable[[], None]], attempt: int, *,
                 injector: Any = None, tiles: Any = None,
-                sanitizer: Any = None, scrub: bool = False,
-                sleep: Callable[[float], Any] = time.sleep,
-                begin: Optional[Callable[[], bool]] = None) -> Attempt:
+                sanitizer: Any = None, scrub: bool = False) -> Attempt:
     """Run attempt number ``attempt`` of task ``t`` with payload ``fn``.
 
-    ``sleep`` serves the injected pre-payload stall (the thread backend
-    passes an interruptible wait).  ``begin`` runs after the stall and
-    before anything touches a tile; returning ``False`` abandons the
-    attempt as lost.  Every exception, ``begin``'s included, is caught
-    and classified."""
+    An injected pre-payload stall is a plain ``time.sleep``.  Every
+    exception is caught and classified."""
     tid = t.tid
     events: List[AttemptEvent] = []
     t_in = perf_counter()
@@ -147,10 +140,7 @@ def run_attempt(t: Task, fn: Optional[Callable[[], None]], attempt: int, *,
             if stall > 0.0:
                 events.append(("stall", f"injected stall {stall * 1e3:.0f}ms "
                                         f"(attempt {attempt})"))
-                sleep(stall)
-        if begin is not None and not begin():
-            return Attempt(t_in, perf_counter(), 0.0, events, None, False,
-                           True)
+                time.sleep(stall)
         if (injector is not None and fn is not None
                 and injector.transient_fires(tid, attempt)):
             raise InjectedTransientError(
@@ -232,8 +222,8 @@ class RetryLedger:
         """Payloads mutate tiles in place: snapshot ``t``'s write
         tiles before its first run, restore them before any re-run
         (retry or replay).  Called by whoever holds the exclusive
-        right to run the payload next — the thread attempt that just
-        claimed it, or the processes driver right before dispatch (a
+        right to run the payload next — the thread attempt about to
+        run it, or the processes driver right before dispatch (a
         SIGKILL must never outrun the snapshot)."""
         if self.tiles is None:
             return

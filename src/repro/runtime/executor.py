@@ -98,7 +98,7 @@ class Runtime:
         #: — transients, worker stalls, tile corruption — fire inside
         #: real workers) and an optional
         #: :class:`repro.resilience.live.RecoveryPolicy` (retries,
-        #: timeouts, straggler speculation).  A plan alone gets the
+        #: timeouts, write scrubbing).  A plan alone gets the
         #: default policy (:func:`~repro.runtime.attempt.resolve_recovery`).
         self.fault_plan = faults
         self.recovery_policy = recovery

@@ -33,28 +33,19 @@ multicore hosts.
   emits a :class:`~repro.obs.timeline.TaskEvent` carrying *real*
   ``perf_counter`` start/finish timestamps, flagged ``measured=True``,
   on slots ``drv`` and ``thr0..``.
-* **Watched drivers only dispatch** — per-task attempt state, cancel
-  events, pool headroom and polling exist only on a *watched* executor
-  (one with a fault injector or a ``task_timeout``), the only kind
-  whose attempts can stall, time out or be duplicated.  Its driver
-  must keep scanning, so it runs no payload: all ``W`` lanes are pool
-  threads.  Any other driver works, and blocks only when nothing is
-  ready for it.
-* **Timeouts & stragglers** (watched) — ``_tick`` scans running
-  attempts every ``poll_interval``; one exceeding the wall-clock
-  ``task_timeout``, or running ``straggler_factor`` x the rolling mean
-  duration of its kind, is flagged (FaultEvent + RecoveryStats) and,
-  if its payload has not started yet (it is still inside an injected
-  stall), a speculative backup attempt launches — straight to the
-  pool, bypassing the scheduler, since the task already holds its slot.
-* **Speculation, first-claimer-wins** (watched) — threads share tile
-  memory, so two attempts of one task must never run the payload
-  concurrently.  Each attempt *claims* the payload under the executor
-  lock before touching any tile (and then arms the retry ledger:
-  snapshot the write tiles, or restore them if an earlier attempt
-  ran); the loser wakes from its (interruptible) stall, sees the
-  claim, and reports itself lost without making any writes.  That
-  claim is the only thing the executor lock guards.
+* **Watched drivers only dispatch** — a *watched* executor (one with
+  a fault injector or a ``task_timeout``) exercises its transport: its
+  driver runs no payload, all ``W`` lanes are pool threads, and every
+  window gets them.  Any other driver works, and blocks only when
+  nothing is ready for it.
+* **One live attempt per task** — as under OpenMP, a task has at most
+  one attempt running at a time; the next one (a retry) is handed out
+  only after the last one reported.  With a ``task_timeout``,
+  ``_send`` records each attempt's hand-out time and ``_tick`` counts
+  an attempt that runs past it, once (``RecoveryStats.timeouts`` and a
+  ``FAULT_TIMEOUT`` event).  A thread cannot be killed, so that is all
+  it does: the attempt runs on and reports like any other.  (The
+  processes transport kills the worker and replays its tasks.)
 """
 
 from __future__ import annotations
@@ -62,8 +53,7 @@ from __future__ import annotations
 import queue
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from time import perf_counter
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .attempt import Attempt, run_attempt
 from .distributed.scheduling import DynamicScheduler
@@ -77,23 +67,6 @@ __all__ = ["ParallelExecutor", "ExecutionStats", "default_workers"]
 #: and one queued behind it, so a thread that finishes while the driver
 #: is inside a payload already has its next task.
 LANE_DEPTH = 2
-
-
-class _TaskState:
-    """Attempt bookkeeping of one task on a *watched* executor — the
-    only kind where a task can have more than one live attempt."""
-
-    __slots__ = ("claimed", "finished", "backup", "cancel", "started",
-                 "flagged")
-
-    def __init__(self) -> None:
-        self.claimed: Optional[int] = None
-        self.finished = False
-        self.backup: Optional[int] = None   # attempt number of the backup
-        self.cancel: Dict[int, threading.Event] = {}
-        #: attempt -> entry time, while the attempt is running.
-        self.started: Dict[int, float] = {}
-        self.flagged: Set[Tuple[str, int]] = set()
 
 
 class ParallelExecutor(WindowExecutor):
@@ -124,7 +97,7 @@ class ParallelExecutor(WindowExecutor):
     sink:
         Optional :class:`repro.obs.timeline.TraceSink` receiving
         measured :class:`TaskEvent`s (and, under recovery,
-        :class:`FaultEvent`s for retries/timeouts/speculation).
+        :class:`FaultEvent`s for retries and timeouts).
     validate:
         Run :meth:`TaskGraph.validate` over each window before
         executing it (cycle/forward-edge/concurrent-writer checks).
@@ -135,7 +108,7 @@ class ParallelExecutor(WindowExecutor):
         exactly as in eager mode.
     recovery:
         Optional :class:`repro.resilience.live.RecoveryPolicy`
-        (retries, timeouts, straggler speculation).  ``None`` is the
+        (retries, backoff, timeouts, scrubbing).  ``None`` is the
         zero-budget policy: the first payload failure is final.
     injector:
         Optional :class:`repro.resilience.live.LiveFaultInjector`
@@ -162,23 +135,13 @@ class ParallelExecutor(WindowExecutor):
         super().__init__(graph, fns, workers=workers, lookahead=lookahead,
                          sink=sink, validate=validate, sanitizer=sanitizer,
                          recovery=recovery, injector=injector, tiles=tiles)
-        #: Watched: attempts may stall, time out or be speculatively
-        #: duplicated, so the transport tracks per-attempt state, the
-        #: loop polls and every window gets lanes.
-        self._watch = self.exercises_transport
         self._pool: Optional[ThreadPoolExecutor] = None
-        #: Guards the payload claims of a watched executor's attempts.
-        self._lock = threading.Lock()
-        #: Worker reports, with the attempt number they answer.
-        self._resq: "queue.SimpleQueue[Tuple[Report, int]]" = \
-            queue.SimpleQueue()
-        #: Watched executors only: per-task attempt state of the
-        #: current window, completed-sample counts per kind (the
-        #: straggler mean is ``stats.per_kind_seconds / count``), and
-        #: when the monitor scans next.
-        self._states: Dict[int, _TaskState] = {}
-        self._kind_n: Dict[str, int] = {}
-        self._next_scan = 0.0
+        #: Worker reports.
+        self._resq: "queue.SimpleQueue[Report]" = queue.SimpleQueue()
+        #: With a ``task_timeout``: ``tid -> (attempt, hand-out time)``
+        #: of each attempt on a pool thread that has not reported or
+        #: been counted as timed out yet.
+        self._sent: Dict[int, Tuple[int, float]] = {}
 
     def close(self) -> None:
         """Shut the worker pool down (idempotent)."""
@@ -197,16 +160,9 @@ class ParallelExecutor(WindowExecutor):
         helps = self.driver_helps
         if self._pool is None:
             # Sized for the widest window, not the first one that pays.
-            size = self._lanes(self.workers)
-            if self._watch:
-                # Headroom so speculative backups and retries are not
-                # queued behind stall-sleeping originals: primaries are
-                # still gated at `workers` by the scheduler, the extra
-                # threads only soak recovery attempts.
-                size += max(2, self.workers)
             self._pool = ThreadPoolExecutor(
-                max_workers=size, thread_name_prefix="repro-exec")
-        self._states.clear()
+                max_workers=self._lanes(self.workers),
+                thread_name_prefix="repro-exec")
         sched = DynamicScheduler(
             self.graph.tasks, start, end,
             dict.fromkeys(range(start, end), True),
@@ -216,14 +172,9 @@ class ParallelExecutor(WindowExecutor):
         return sched
 
     def _send(self, lane: int, tid: int, attempt: int) -> bool:
-        st = None
-        if self._watch:
-            st = self._states.get(tid)
-            if st is None:
-                st = self._states[tid] = _TaskState()
-            with self._lock:  # st.cancel is iterated by finishing winners
-                st.cancel[attempt] = threading.Event()
-        self._pool.submit(self._work, tid, attempt, st, lane)
+        if self.recovery_policy.task_timeout is not None:
+            self._sent[tid] = (attempt, self.clock())
+        self._pool.submit(self._work, tid, attempt, lane)
         return True
 
     def _recv(self, timeout: Optional[float]) -> List[Report]:
@@ -236,145 +187,48 @@ class ParallelExecutor(WindowExecutor):
             return []
         for _ in range(self._resq.qsize()):
             items.append(self._resq.get_nowait())
-        if self._watch:
-            rec = self.stats.recovery
-            for (tid, _, res, _, _), attempt in items:
-                if res.exc is None and not res.lost:
-                    if self._states[tid].backup == attempt:
-                        rec.speculation_wins += 1
-                    kind = self.graph.tasks[tid].kind.value
-                    self._kind_n[kind] = self._kind_n.get(kind, 0) + 1
-        return [report for report, _ in items]
+        if self._sent:
+            for report in items:
+                self._sent.pop(report.tid, None)
+        return items
 
     def _tick(self, now: float) -> Optional[float]:
-        if not self._watch:
+        """With a ``task_timeout``: count each attempt that runs past
+        it, once (a thread cannot be killed, so it runs on and reports
+        as usual), and poll at ``poll_interval``."""
+        limit = self.recovery_policy.task_timeout
+        if limit is None:
             return None
-        pol = self.recovery_policy
-        if now >= self._next_scan:
-            self._next_scan = now + pol.poll_interval
-            self._monitor(pol, self.stats.recovery, now)
-        return pol.poll_interval
-
-    # -- watched executors: timeouts, stragglers, speculation ----------
-
-    def _monitor(self, pol, rec, now: float) -> None:
-        """Timeout + straggler scan over running attempts; launches
-        speculative backups for unclaimed attempts (dispatch thread)."""
-        from ..obs.timeline import FAULT_SPECULATE, FAULT_TIMEOUT
-        for tid, st in list(self._states.items()):
-            if st.finished or not st.started:
-                continue
-            t = self.graph.tasks[tid]
-            kind = t.kind.value
-            threshold = None
-            n = self._kind_n.get(kind, 0)
-            if pol.speculation and n >= pol.min_samples:
-                threshold = max(
-                    pol.straggler_factor
-                    * self.stats.per_kind_seconds[kind] / n,
-                    pol.min_straggler_seconds)
-            for a, started in list(st.started.items()):
-                age = now - started
-                if (pol.task_timeout is not None
-                        and age > pol.task_timeout
-                        and ("timeout", a) not in st.flagged):
-                    st.flagged.add(("timeout", a))
-                    rec.timeouts += 1
-                    self._fault_event(
-                        FAULT_TIMEOUT, tid,
-                        f"attempt {a} over {pol.task_timeout:.3f}s "
-                        f"(age {age:.3f}s)", rank=t.rank)
-                    self._maybe_backup(st, rec, t,
-                                       f"timeout backup for attempt {a}")
-                if (threshold is not None and age > threshold
-                        and ("straggler", a) not in st.flagged):
-                    st.flagged.add(("straggler", a))
-                    self._fault_event(
-                        FAULT_SPECULATE, tid,
-                        f"straggler: attempt {a} at {age:.3f}s vs "
-                        f"{threshold:.3f}s threshold", rank=t.rank)
-                    self._maybe_backup(st, rec, t,
-                                       f"straggler backup for attempt {a}")
-
-    def _maybe_backup(self, st: _TaskState, rec, t: Task,
-                      detail: str) -> None:
-        # Only one backup per task, and only while no attempt has
-        # claimed the payload: a claimed payload is already mutating
-        # tiles and cannot be duplicated safely.  The racy read of
-        # ``claimed`` is benign — a backup that loses the claim just
-        # reports itself lost.
-        if st.backup is not None or st.claimed is not None or st.finished:
-            return
-        from ..obs.timeline import FAULT_SPECULATE
-        rec.speculative_duplicates += 1
-        self._fault_event(FAULT_SPECULATE, t.tid, detail, rank=t.rank)
-        # Backups bypass the scheduler: the task already holds its slot
-        # (and its marks: the driver re-checks its epochs only).  A
-        # backup refused by the check never runs; it reports the
-        # violation as a final failure, so the window drains.
-        st.backup = self._ledger.next_attempt(t.tid)
-        self._inflight += 1
-        err = self._hand_out(t.tid)
-        if err is None:
-            self._send(0, t.tid, st.backup)
-        else:
-            now = perf_counter()
-            self._resq.put((Report(t.tid, 0, Attempt(now, now, 0.0, [], err,
-                                                     False), "drv",
-                                   -self._epoch), st.backup))
+        from ..obs.timeline import FAULT_TIMEOUT
+        for tid, (attempt, sent) in list(self._sent.items()):
+            age = now - sent
+            if age > limit:
+                del self._sent[tid]
+                self.stats.recovery.timeouts += 1
+                self._fault_event(
+                    FAULT_TIMEOUT, tid,
+                    f"attempt {attempt} over {limit:.3f}s (age {age:.3f}s)",
+                    rank=self.graph.tasks[tid].rank)
+        return self.recovery_policy.poll_interval
 
     # ------------------------------------------------------------------
     # Worker side
     # ------------------------------------------------------------------
 
-    def _work(self, tid: int, attempt: int, st: Optional[_TaskState],
-              lane: int) -> None:
+    def _work(self, tid: int, attempt: int, lane: int) -> None:
         """A pool thread: one attempt of one task, then one report to
         the dispatch loop."""
-        res = self._inline(self.graph.tasks[tid], attempt, st)
+        res = self._inline(self.graph.tasks[tid], attempt)
         # Pool threads are named ``repro-exec_<n>``: slot ``thr<n>``.
         slot = "thr" + threading.current_thread().name.rpartition("_")[2]
-        self._resq.put((Report(tid, lane, res, slot, -self._epoch), attempt))
+        self._resq.put(Report(tid, lane, res, slot, -self._epoch))
 
-    def _inline(self, t: Task, attempt: int,
-                st: Optional[_TaskState] = None) -> Attempt:
+    def _inline(self, t: Task, attempt: int) -> Attempt:
         """The attempt body of every lane — the driver's and a pool
-        thread's: arm the retry ledger, run the attempt.  A watched
-        attempt (``st``) first sleeps out its injected stall (a winner
-        wakes it), then claims the payload — first claimer wins —
-        before it arms the ledger; a loser reports itself lost."""
+        thread's: arm the retry ledger, run the attempt."""
         fn = self.fns.get(t.tid)
-        if st is None:
-            if fn is not None:
-                self._ledger.arm(t)
-            return run_attempt(t, fn, attempt, injector=self.injector,
-                               tiles=self.tiles, sanitizer=self.sanitizer,
-                               scrub=self.recovery_policy.scrub_writes)
-
-        def begin() -> bool:
-            with self._lock:
-                if st.finished or st.claimed is not None:
-                    return False
-                st.claimed = attempt
-            if fn is not None:
-                self._ledger.arm(t)
-            return True
-
-        st.started[attempt] = perf_counter()
-        res = run_attempt(t, fn, attempt, injector=self.injector,
-                          tiles=self.tiles, sanitizer=self.sanitizer,
-                          scrub=self.recovery_policy.scrub_writes,
-                          sleep=st.cancel[attempt].wait, begin=begin)
-        wake = ()
-        with self._lock:
-            st.started.pop(attempt, None)
-            if res.exc is None and not res.lost:
-                st.finished = True
-                wake = tuple(st.cancel.values())
-            elif st.claimed == attempt:
-                st.claimed = None
-        # Wake any attempt still sleeping in an injected stall so the
-        # window drains promptly (they lose the claim and report lost).
-        for ev in wake:
-            ev.set()
-        return res
+        if fn is not None:
+            self._ledger.arm(t)
+        return run_attempt(t, fn, attempt, injector=self.injector,
+                           tiles=self.tiles, sanitizer=self.sanitizer,
+                           scrub=self.recovery_policy.scrub_writes)

@@ -46,8 +46,8 @@ once, here, in six parts:
   every task gets its expected epochs there, and
   :meth:`~WindowExecutor._hand_out` asserts them each time the task is
   handed to a lane or picked by the driver.  The first hand-out also
-  takes the task's in-flight reader/writer *marks*; a retry, replay or
-  speculative backup only re-checks epochs.  The marks go, and the
+  takes the task's in-flight reader/writer *marks*; a retry or a
+  replay only re-checks epochs.  The marks go, and the
   epochs advance, when :meth:`~WindowExecutor._account` settles the
   task.  A violation is the window's failure and drains like a stall,
   and a failed window leaves no mark behind.
@@ -155,8 +155,8 @@ class ExecutionStats:
     wall_seconds: float = 0.0
     #: Summed per-task execution seconds (over all workers);
     #: ``busy_seconds / (wall_seconds * workers)`` is the measured
-    #: parallel utilization.  Only winning successful attempts count;
-    #: failed/lost attempt time goes to ``recovery.reexecution_seconds``.
+    #: parallel utilization.  Only successful attempts count; failed
+    #: attempt time goes to ``recovery.reexecution_seconds``.
     busy_seconds: float = 0.0
     per_kind_seconds: Dict[str, float] = field(default_factory=dict)
     #: Summed per-task *CPU* seconds (``time.thread_time`` around each
@@ -188,7 +188,7 @@ class ExecutionStats:
     #: Worker processes forked (processes backend; a window below the
     #: granularity floor forks none).
     forks: int = 0
-    #: Live recovery accounting (retries, timeouts, speculation,
+    #: Live recovery accounting (retries, timeouts, crashes, replays,
     #: injected faults); all-zero on fault-free runs.
     recovery: Any = field(default_factory=_new_recovery_stats)
 
@@ -199,7 +199,7 @@ class ExecutionStats:
 
     def record_task(self, t: Task, t0: float, t1: float, cpu: float,
                     slot: str, sink: Any, counted: bool) -> None:
-        """Account one winning successful attempt (dispatch thread):
+        """Account one successful attempt (dispatch thread):
         busy and CPU seconds, the kernel-invocation metric when a
         payload ran, and the measured :class:`TaskEvent`."""
         dur = t1 - t0
@@ -318,7 +318,7 @@ class WindowExecutor:
 
     def _inline(self, t: Task, attempt: int) -> Attempt:
         """Run attempt ``attempt`` of ``t`` on the driver, through the
-        transport's own attempt body (never a lost attempt)."""
+        transport's own attempt body."""
         raise NotImplementedError
 
     def _open(self, start: int, end: int, lanes: int) -> DynamicScheduler:
@@ -353,8 +353,8 @@ class WindowExecutor:
     def exercises_transport(self) -> bool:
         """True on an executor that exists to exercise its transport:
         a *watched* one (fault injector or ``task_timeout`` — attempts
-        that may stall, time out, be duplicated or killed, which only
-        a lane's can), or one whose runtime carries a fault plan
+        that may stall, time out or be killed, which only a lane's
+        can), or one whose runtime carries a fault plan
         (crashes and network chaos need a worker and a wire) or a
         DistSan recorder.  Every window of it gets lanes, whatever its
         tasks cost: ``repro faults --live``, ``repro lint --dist`` and
@@ -556,14 +556,10 @@ class WindowExecutor:
         to a lane, or to the driver itself: every tile ``tid`` touches
         at its expected epoch; at its first hand-out also no unordered
         task holding one of them in flight, and then its marks.  A
-        retry, a replay or a backup holds its marks already: a held
-        task's tiles cannot move, but its epochs are checked again."""
-        expected = self._expected.get(tid)
-        if expected is None:
-            # Settled already: a retry requeued before a speculative
-            # backup won.  Its attempt finds the payload claimed and
-            # reports itself lost; it must take no mark.
-            return None
+        retry or a replay holds its marks already: a held task's tiles
+        cannot move, but its epochs are checked again.  Only a task
+        that has not settled is ever handed out."""
+        expected = self._expected[tid]
         t = self.graph.tasks[tid]
         done = self._done_writer
         for ref, want in expected:
@@ -653,21 +649,15 @@ class WindowExecutor:
                  ledger: RetryLedger, report: Report,
                  failing: bool) -> Optional[BaseException]:
         """Account one attempt, wherever it ran: its injected faults,
-        then a lost attempt's slept time, a failure (retried, or final:
-        returned) or a success (successors released when there is a
-        scheduler, snapshot dropped, task recorded).  ``failing``: the
-        window already failed, so nothing is retried."""
+        then a failure (retried, or final: returned) or a success
+        (successors released when there is a scheduler, snapshot
+        dropped, task recorded).  ``failing``: the window already
+        failed, so nothing is retried."""
         tid, lane, res, slot, shift = report
         t = self.graph.tasks[tid]
         if res.events:
             ledger.note(t, res.events)
-        if res.lost:
-            # A losing speculative attempt: it never claimed the
-            # payload and made no writes; its slept time is pure
-            # recovery overhead.
-            self.stats.recovery.reexecution_seconds += max(
-                0.0, res.t1 - res.t0)
-        elif res.exc is not None:
+        if res.exc is not None:
             if lane is not None:
                 assert sched is not None
                 sched.workers[lane].inflight.discard(tid)
@@ -699,8 +689,7 @@ class WindowExecutor:
             if failure is None:
                 now = self.clock()
                 if ledger.due:
-                    sched.requeue(tid for tid in ledger.pop_due(now)
-                                  if tid not in sched.done)
+                    sched.requeue(ledger.pop_due(now))
                 cap = self._tick(now)
                 # The driver's task is picked first and run last:
                 # where the driver is a lane it gets the lowest ready

@@ -130,8 +130,8 @@ class TestModelDetails:
     def test_scenarios_cover_required_shapes(self):
         names = {s.name for s in builtin_scenarios()}
         assert {"chain", "diamond", "wide", "mixed-driver", "crashy",
-                "driver-lane", "driver-lane-forked"} <= names
-        assert len(names) == 9
+                "driver-lane", "driver-lane-forked", "flaky"} <= names
+        assert len(names) == 10
         # The processes placement: a helping driver beside one lane per
         # fork, a crash budget with a replacement, the gate on.
         forked = _scenario("driver-lane-forked")
@@ -142,6 +142,21 @@ class TestModelDetails:
         # scheduled: every scenario registers at least one lane.
         assert all(s.workers >= 1 for s in builtin_scenarios())
         assert _scenario("crashy").max_crashes > 0
+
+    def test_flaky_retries_every_named_attempt(self):
+        # Every named (tid, attempt) fails and is handed out again, on
+        # every explored schedule; after the window no lane holds a tid.
+        sc = _scenario("flaky")
+        assert not sc.driver_helps and sc.workers == 2
+        assert explore(sc).findings == []
+        ex = ExplorerTransport(sc, DynamicScheduler, [], 200)
+        ex.run()
+        ex.check_final()
+        sends = [a for a in ex.trace if a.startswith("send/")]
+        assert len(sends) == sc.ntasks + len(sc.failures)
+        assert ex.stats.recovery.retried_tasks == len(sc.failures)
+        assert ex.stats.recovery.transient_failures == len(sc.failures)
+        assert not any(w.inflight for w in ex._sched.workers.values())
 
     def test_real_scheduler_is_the_system_under_test(self):
         # The explorer must drive the production classes, not a model:

@@ -10,7 +10,8 @@ seeded backoff order (on a scripted clock: the transport's time only
 moves when the loop waits), drain before a failure propagates, death →
 requeue of exactly the victim's attempts, ``abandon_window`` refusing
 while attempts are in flight, and ``inflight_attempts == 0`` after
-every window.  With one lane the fake's windows are sweeps, which
+every window, with no tid left on a lane after one that did not
+fail.  With one lane the fake's windows are sweeps, which
 run in program order without ``_open``, retry in place and leave what
 a final failure did not reach to ``abandon_window``.  The stall rule
 and the ordering check are checked on the fake and on both real
@@ -35,10 +36,8 @@ from repro.runtime.window import Death, Report, WindowExecutor
 
 
 def _outcome(verdict):
-    """The attempt a script verdict (None, ``"lost"`` or an exception)
-    stands for."""
-    if verdict == "lost":
-        return Attempt(0.0, 1e-6, 0.0, [], None, False, True)
+    """The attempt a script verdict (None or an exception) stands
+    for."""
     return Attempt(0.0, 1e-6, 0.0, [], verdict,
                    verdict is not None and retryable(verdict))
 
@@ -46,11 +45,11 @@ def _outcome(verdict):
 class ScriptedTransport(WindowExecutor):
     """Attempts queue in send order; each ``_recv`` resolves the oldest
     through ``script(tid, attempt)`` -> None (success), an exception
-    (the attempt fails with it), ``"lost"`` (another attempt claimed
-    the payload) or ``"die"`` (its lane's worker dies, taking
-    everything sent to that lane with it).  Resolving takes no
+    (the attempt fails with it) or ``"die"`` (its lane's worker dies,
+    taking everything sent to that lane with it).  Resolving takes no
     time; waiting with nothing out, or a sweep sleeping out a backoff,
-    advances ``now`` by the wait.
+    advances ``now`` by the wait.  After every driven window that did
+    not fail, no lane holds a tid.
 
     ``lanes=W`` is the executor's ``workers``: with ``W >= 2`` a window
     is driven and ``_open`` registers W lanes beside a driver that
@@ -73,6 +72,15 @@ class ScriptedTransport(WindowExecutor):
         def sleep(seconds):
             self.now += seconds
         self.sleep = sleep
+
+    def run(self, start=0, end=None):
+        self._sched = None
+        wall = super().run(start, end)
+        if self._sched is not None:
+            held = {lane: sorted(w.inflight)
+                    for lane, w in self._sched.workers.items() if w.inflight}
+            assert not held, f"lanes still hold tids after the window: {held}"
+        return wall
 
     def _inline(self, t, attempt):
         self.log.append((None, t.tid, attempt))
@@ -444,22 +452,4 @@ class TestOrderingCheck:
         held = ({(0, 0, 0): 1}, {(0, 1, 0): 1})
         assert seen[1:] == [(1, 0) + held, (1, 1) + held]
         assert ex.stats.tasks_run == 2 and ex.stats.recovery.retried_tasks == 1
-        assert not ex._marked and not ex._writing and not ex._reading
-
-    def test_a_stale_retry_of_a_settled_task_takes_no_mark(self):
-        # On a watched executor a retry can be requeued just before a
-        # speculative backup of its task wins; it reaches a lane after
-        # the task settled, finds the payload claimed and reports
-        # itself lost.  Its hand-out must take no mark: a leaked writer
-        # mark on tile 0 would refuse task 1, which reads it.
-        def script(tid, attempt):
-            if (tid, attempt) == (0, 0):
-                ex._sched.requeue([0])      # the stale retry
-            return "lost" if (tid, attempt) == (0, 1) else None
-
-        ex = ScriptedTransport(_chain(2), script)
-        ex.run()
-        assert sorted((t, a) for _, t, a in ex.log) == [(0, 0), (0, 1),
-                                                        (1, 0)]
-        assert ex.stats.tasks_run == 2 and ex.inflight_attempts == 0
         assert not ex._marked and not ex._writing and not ex._reading
