@@ -1,7 +1,7 @@
 """Schedule-space model checking for the window driver.
 
-Both real backends multiplex completions, crash recovery, the
-lookahead gate and driver-lane work over one event loop
+Both real backends multiplex completions, crash recovery, retries and
+driver-lane work over one event loop
 (:class:`~repro.runtime.window.WindowExecutor`); whether it is correct
 depends on *interleavings* the test suite only samples.  This module
 checks them systematically, CHESS-style:
@@ -37,9 +37,8 @@ checks them systematically, CHESS-style:
   ``_inline``) and every turn of the dispatch loop (``_tick``): no
   task handed out while in flight or after it completed,
   driver-lane tasks never on lanes (and vice versa, unless the driver
-  is itself a lane), pipeline depth respected, nothing handed out
-  beyond the lookahead gate and nothing parked behind a gate that
-  admits it, dead lanes holding nothing, no ready task lost or held
+  is itself a lane), pipeline depth respected, dead lanes holding
+  nothing, no ready task lost or held
   twice (a retry waiting out its backoff is held by the retry
   ledger), ``pending`` in sync; at the end, every task completed and no
   attempt in flight.  An exception out of ``run`` — the driver's
@@ -87,8 +86,7 @@ class Scenario:
     ``worker_ok`` marks lane-eligible tids, the rest are driver-lane.
     ``workers`` is the number of lanes besides the driver.
     ``max_crashes``/``max_spawns`` bound the fault model: a crash kills
-    a lane mid-window, a spawn adds a replacement.  ``lookahead`` is
-    the scheduler's phase gate (``None`` = off).  ``driver_helps``
+    a lane mid-window, a spawn adds a replacement.  ``driver_helps``
     makes the driver an execution lane: it may take lane-eligible
     tasks too.  ``failures`` names the ``(tid, attempt)`` pairs whose
     attempt fails retryably; the driver retries them at once (the
@@ -102,7 +100,6 @@ class Scenario:
     pipeline_depth: int = 2
     max_crashes: int = 0
     max_spawns: int = 0
-    lookahead: Optional[int] = None
     driver_helps: bool = False
     failures: FrozenSet[Tuple[int, int]] = frozenset()
     graph: TaskGraph = field(init=False, repr=False)
@@ -122,11 +119,11 @@ def _out(tid: int) -> TileRef:
     return (90, tid, 0)
 
 
-def _task(tid: int, reads: Sequence[TileRef] = (), phase: int = 0) -> Task:
+def _task(tid: int, reads: Sequence[TileRef] = ()) -> Task:
     """Task ``tid`` reading ``reads`` and writing its own tile: reading
     ``_out(d)`` makes it depend on task ``d``."""
     return Task(tid=tid, kind=TaskKind.GEMM, reads=tuple(reads),
-                writes=(_out(tid),), rank=0, phase=phase)
+                writes=(_out(tid),), rank=0, phase=0)
 
 
 def _all_ok(tasks: Sequence[Task]) -> Dict[int, bool]:
@@ -142,8 +139,8 @@ def builtin_scenarios() -> List[Scenario]:
     ready heap), mixed driver/worker lanes, crashy variants (revocation
     and replay), the threads backend's shapes (one lane as deep as its
     pool; the same with the driver as one more lane), the processes
-    backend's helping driver beside one lane per fork, a phased graph
-    behind the lookahead gate, and a watched window's retries.  A
+    backend's helping driver beside one lane per fork, and a watched
+    window's retries.  A
     window that gets no lane besides the driver builds no scheduler at
     all (it is swept in program order, ``WindowExecutor._sweep``), so
     it has no shape here.
@@ -188,39 +185,26 @@ def builtin_scenarios() -> List[Scenario]:
     out.append(Scenario("one-lane-deep", dia, _all_ok(dia),
                         workers=1, pipeline_depth=4))
 
-    # Three panel steps with almost no dataflow between them: under
-    # lookahead=0 only the gate keeps a later phase off the lanes,
-    # and it must reopen every time the completed prefix advances.
-    phased = (
-        _task(0), _task(1),
-        _task(2, [_out(0)], phase=1), _task(3, phase=1),
-        _task(4, phase=2), _task(5, phase=2),        # 5: driver lane
-    )
-    ok = _all_ok(phased)
-    ok[5] = False
-    out.append(Scenario("phased-lookahead", phased, ok, lookahead=0))
-
     # The unwatched threads transport: one pool lane and a driver that
-    # takes worker-eligible tasks itself — behind the lookahead gate,
-    # and with the lane dying mid-window (the driver must then finish
-    # the window alone).
-    out.append(Scenario("driver-lane", phased, _all_ok(phased), workers=1,
-                        max_crashes=1, lookahead=0, driver_helps=True))
+    # takes worker-eligible tasks itself, with the lane dying
+    # mid-window (the driver must then finish the window alone).
+    loose = (_task(0), _task(1), _task(2, [_out(0)]), _task(3), _task(4),
+             _task(5))
+    out.append(Scenario("driver-lane", loose, _all_ok(loose), workers=1,
+                        max_crashes=1, driver_helps=True))
 
     # Its processes shape: the helping driver beside one lane *per
     # fork*, all popping one ready heap.  A scalar reduction stays
-    # driver-only, a fork dies mid-window and is replaced, all behind
-    # the lookahead gate.
+    # driver-only, and a fork dies mid-window and is replaced.
     forked = tuple(_task(i) for i in range(6)) + (
-        _task(6, phase=1),
-        _task(7, [_out(0), _out(1)], phase=1),       # driver-only
-        _task(8, [_out(6), _out(7)], phase=2),
+        _task(6),
+        _task(7, [_out(0), _out(1)]),                # driver-only
+        _task(8, [_out(6), _out(7)]),
     )
     ok = _all_ok(forked)
     ok[7] = False
     out.append(Scenario("driver-lane-forked", forked, ok, workers=2,
-                        max_crashes=1, max_spawns=1, lookahead=1,
-                        driver_helps=True))
+                        max_crashes=1, max_spawns=1, driver_helps=True))
 
     # A watched window: two lanes and a driver that only dispatches.
     # What it does beyond the plain path is the driver's retry path: a
@@ -294,7 +278,7 @@ class ExplorerTransport(WindowExecutor):
         sc = self.sc = scenario
         super().__init__(sc.graph, {},
                          workers=sc.workers + int(sc.driver_helps),
-                         lookahead=sc.lookahead, sink=None, validate=True,
+                         sink=None, validate=True,
                          sanitizer=None,
                          recovery=RecoveryPolicy(backoff=0.0),
                          injector=None, tiles=None)
@@ -342,7 +326,7 @@ class ExplorerTransport(WindowExecutor):
         sc = self.sc
         sched = self.scheduler(self.graph.tasks, start, end,
                                dict(sc.worker_ok), sc.pipeline_depth,
-                               sc.lookahead, sc.driver_helps)
+                               sc.driver_helps)
         for lane in range(lanes):
             sched.add_worker(lane)
         self._next_lane = lanes
@@ -446,37 +430,12 @@ class ExplorerTransport(WindowExecutor):
         if live:
             raise _Violation("double-dispatch",
                              f"tid {tid} handed out while in flight on {live}")
-        limit = self._gate_limit()
-        phase = self.graph.tasks[tid].phase
-        if limit is not None and phase > limit:
-            raise _Violation(
-                "lookahead-exceeded",
-                f"tid {tid} (phase {phase}) handed out while the gate "
-                f"admits phases <= {limit}")
-
-    def _gate_limit(self) -> Optional[int]:
-        """Latest phase the gate admits: ``lookahead`` past the oldest
-        phase with an incomplete task (``None`` = no gate)."""
-        if self.sc.lookahead is None:
-            return None
-        open_phases = [t.phase for t in self.sc.tasks
-                       if t.tid not in self.completed]
-        return min(open_phases) + self.sc.lookahead if open_phases else None
 
     def _check_state(self, sched: DynamicScheduler) -> None:
         """The scheduler's state between two turns of the loop."""
         assert self._ledger is not None
         held = (list(sched._ready) + list(sched._driver_ready)
                 + [tid for _, tid in self._ledger.due])
-        limit = self._gate_limit()
-        if limit is not None:
-            for phase, parked in sched._parked.items():
-                if parked and phase <= limit:
-                    raise _Violation(
-                        "gate-stuck",
-                        f"tids {parked} (phase {phase}) parked while "
-                        f"the gate admits phases <= {limit}")
-                held += parked
         for w in sched.workers.values():
             if not w.alive and w.inflight:
                 raise _Violation(

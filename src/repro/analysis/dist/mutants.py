@@ -112,18 +112,6 @@ class RequeueDuplicateScheduler(DynamicScheduler):
         super().requeue(tids)
 
 
-class ParkedForeverScheduler(DynamicScheduler):
-    """BUG: the completed prefix advances but nothing re-examines the
-    tasks parked behind the lookahead gate — later phases never run."""
-
-    def _advance(self, tid: int) -> None:
-        p = self._phase[tid]
-        self._phase_left[p] -= 1
-        while (self._prefix < len(self._phases)
-               and not self._phase_left[self._phases[self._prefix]]):
-            self._prefix += 1
-
-
 class DriverPeeksScheduler(DynamicScheduler):
     """BUG: the helping driver reads its task off the ready heap
     without removing it — the driver runs a tid that a lane is then
@@ -191,18 +179,17 @@ class Mutant:
 
 
 MUTANTS: Tuple[Mutant, ...] = (
-    Mutant("lost-wakeup", LostWakeupScheduler, ("task-lost", "gate-stuck")),
+    Mutant("lost-wakeup", LostWakeupScheduler, ("task-lost",)),
     Mutant("zombie-inflight", ZombieInflightScheduler,
            ("dead-worker-holds-tasks",)),
     Mutant("drop-inflight", DropInflightScheduler, ("task-lost",)),
     Mutant("pipeline-overrun", PipelineOverrunScheduler,
            ("pipeline-exceeded",)),
     Mutant("driver-lane-mixup", DriverLaneMixupScheduler,
-           ("driver-task-on-worker", "lookahead-exceeded")),
+           ("driver-task-on-worker",)),
     Mutant("pending-skew", PendingSkewScheduler, ("pending-skew",)),
     Mutant("requeue-duplicate", RequeueDuplicateScheduler,
            ("task-duplicated",)),
-    Mutant("parked-forever", ParkedForeverScheduler, ("gate-stuck",)),
     Mutant("driver-peeks", DriverPeeksScheduler,
            ("double-dispatch", "dispatch-after-done")),
     Mutant("early-release", EarlyReleaseScheduler, ("ordering-violation",)),

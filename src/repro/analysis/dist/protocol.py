@@ -43,13 +43,12 @@ from dataclasses import dataclass
 from typing import Dict, List, Mapping, Sequence, Set, Tuple, Union
 
 from ...runtime.attempt import retryable
-from ...runtime.distributed.comm import (_HEADER, CODEC_MSGPACK,
-                                         CODEC_PICKLE, FLAG_CRC)
+from ...runtime.distributed.comm import _HEADER, CODEC_PICKLE, FLAG_CRC
 from ...runtime.distributed.events import DistTraceRecorder, FrameRecord
 
 __all__ = ["ProtocolFinding", "check_connection", "check_frames"]
 
-_KNOWN_CODECS = (CODEC_PICKLE, CODEC_MSGPACK)
+_KNOWN_CODECS = (CODEC_PICKLE,)
 _INBOUND_OPS = frozenset({"hello", "done", "fail", "hb"})
 _OUTBOUND_OPS = frozenset({"task", "shutdown"})
 

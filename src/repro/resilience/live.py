@@ -13,9 +13,8 @@ survives it*.  This module is the vocabulary between the two:
   perturbs the same (task, attempt) pairs regardless of dispatch
   order.
 * :class:`RecoveryPolicy` bundles the executor's recovery knobs:
-  retry count, backoff/jitter, wall-clock task timeout, write-tile
-  scrubbing, and the processes backend's heartbeat and reconnect
-  limits.
+  retry count, backoff, wall-clock task timeout, write-tile scrubbing,
+  and the processes backend's heartbeat limits.
 * :class:`TileAccessor` gives the executor raw access to tile storage
   (``DistMatrix._tiles``) for pre-task snapshots, restore-on-retry,
   corruption injection, and non-finite scrubbing.  It deliberately
@@ -55,6 +54,10 @@ __all__ = [
 
 #: ``(mat_id, i, j)`` — mirrors :data:`repro.runtime.task.TileRef`.
 TileRef = Tuple[int, int, int]
+
+#: Retry backoff delays are scaled by a seeded draw in
+#: ``[1 - JITTER, 1 + JITTER]``.
+JITTER = 0.5
 
 
 class InjectedTransientError(RuntimeError):
@@ -96,9 +99,8 @@ class RecoveryPolicy:
     #: and sanitizer findings) are never retried.
     max_retries: int = 2
     #: Sleep before retry k is ``backoff * 2**(k-1)``, scaled by a
-    #: seeded jitter in ``[1-jitter, 1+jitter]``.
+    #: seeded draw in ``[1 - JITTER, 1 + JITTER]``.
     backoff: float = 2.0e-3
-    jitter: float = 0.5
     #: Wall-clock seconds after which a running attempt is declared
     #: timed out.  On processes the driver kills the worker and
     #: replays its tasks (charged to the crash budget).  Python threads
@@ -126,10 +128,6 @@ class RecoveryPolicy:
     #: ``task_timeout`` has to fire.
     phi_suspect: float = 4.0
     phi_dead: float = 8.0
-    #: Wall-clock budget for one reconnect-and-resync handshake after
-    #: a dropped connection (ReliableComm); exhausting it surfaces a
-    #: worker death instead of a silent hang.
-    net_deadline: float = 2.0
 
     def __post_init__(self) -> None:
         if self.max_retries < 0:
@@ -137,8 +135,6 @@ class RecoveryPolicy:
                 f"max_retries must be >= 0, got {self.max_retries}")
         if self.backoff < 0.0:
             raise ValueError(f"backoff must be >= 0, got {self.backoff}")
-        if not 0.0 <= self.jitter <= 1.0:
-            raise ValueError(f"jitter must be in [0, 1], got {self.jitter}")
         if self.task_timeout is not None and self.task_timeout <= 0.0:
             raise ValueError(
                 f"task_timeout must be > 0 or None, got {self.task_timeout}")
@@ -156,9 +152,6 @@ class RecoveryPolicy:
             raise ValueError(
                 f"need 0 < phi_suspect <= phi_dead, got "
                 f"{self.phi_suspect} / {self.phi_dead}")
-        if self.net_deadline <= 0.0:
-            raise ValueError(
-                f"net_deadline must be > 0, got {self.net_deadline}")
 
     def backoff_seconds(self, plan_seed: int, tid: int,
                         attempt: int) -> float:
@@ -166,10 +159,8 @@ class RecoveryPolicy:
         if self.backoff <= 0.0 or attempt < 1:
             return 0.0
         base = self.backoff * (2.0 ** (attempt - 1))
-        if self.jitter <= 0.0:
-            return base
         rng = FaultPlan(seed=plan_seed).task_rng(tid, 90_300 + attempt)
-        return base * (1.0 + self.jitter * (2.0 * rng.random() - 1.0))
+        return base * (1.0 + JITTER * (2.0 * rng.random() - 1.0))
 
 
 class TileAccessor:

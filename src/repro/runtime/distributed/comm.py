@@ -13,8 +13,8 @@ Messages are arbitrary picklable Python objects.  On the wire each
 message is one *frame*::
 
     8 bytes   payload length, big-endian unsigned
-    1 byte    codec tag (``CODEC_PICKLE`` or ``CODEC_MSGPACK``,
-              optionally OR'd with ``FLAG_CRC``)
+    1 byte    codec tag (``CODEC_PICKLE``, optionally OR'd with
+              ``FLAG_CRC``)
     n bytes   payload
 
 With ``FLAG_CRC`` set (``encode_frame(msg, crc=True)`` or a comm's
@@ -25,11 +25,8 @@ raises :class:`FrameCorruptError` (retryable) without desynchronising
 the stream: the frame was read in full, only its bytes are bad, so
 the reliable layer can simply ask for it again.
 
-msgpack is used opportunistically when (a) the package is importable
-and (b) the message is plain data (dict/list/str/int/float/bytes/None);
-otherwise frames fall back to pickle.  The container image this repo
-targets does not ship msgpack — the tag byte keeps the wire format
-stable so environments that *do* have it interoperate.
+Pickle is the one codec: both ends of every wire are the same forked
+program.  Any other codec tag is a :class:`CommError`.
 
 Every comm counts frames and bytes in both directions; when built with
 a :class:`~repro.comm.counters.CommCounters` the same numbers feed the
@@ -55,11 +52,6 @@ import time
 import zlib
 from typing import Callable, Dict, Optional, Tuple
 
-try:  # pragma: no cover - exercised only where msgpack is installed
-    import msgpack  # type: ignore
-except Exception:  # pragma: no cover
-    msgpack = None
-
 from ...comm.counters import CommCounters
 from ...comm.network import TransferPath
 
@@ -78,7 +70,6 @@ __all__ = [
     "decode_frame",
     "verify_crc",
     "CODEC_PICKLE",
-    "CODEC_MSGPACK",
     "FLAG_CRC",
     "DEFAULT_TIMEOUT",
 ]
@@ -91,7 +82,6 @@ DEFAULT_TIMEOUT = 5.0
 _HEADER = struct.Struct(">QB")  # (payload_len, codec)
 
 CODEC_PICKLE = 0
-CODEC_MSGPACK = 1
 
 #: High bit of the codec byte: the payload carries a 4-byte CRC32
 #: trailer (counted in the declared length).
@@ -139,29 +129,14 @@ class FrameCorruptError(CommError):
 # Framing
 # ---------------------------------------------------------------------------
 
-def _msgpack_safe(msg: object) -> bool:
-    if isinstance(msg, (str, bytes, int, float, bool)) or msg is None:
-        return True
-    if isinstance(msg, (list, tuple)):
-        return all(_msgpack_safe(v) for v in msg)
-    if isinstance(msg, dict):
-        return all(isinstance(k, str) and _msgpack_safe(v)
-                   for k, v in msg.items())
-    return False
-
-
 def encode_frame(msg: object, crc: bool = False) -> bytes:
     """Serialise ``msg`` into one length-prefixed frame.
 
     With ``crc`` a CRC32 trailer is appended to the payload (and the
     declared length covers it), and ``FLAG_CRC`` is set on the codec
     byte."""
-    if msgpack is not None and _msgpack_safe(msg):  # pragma: no cover
-        payload = msgpack.packb(msg, use_bin_type=True)
-        codec = CODEC_MSGPACK
-    else:
-        payload = pickle.dumps(msg, protocol=pickle.HIGHEST_PROTOCOL)
-        codec = CODEC_PICKLE
+    payload = pickle.dumps(msg, protocol=pickle.HIGHEST_PROTOCOL)
+    codec = CODEC_PICKLE
     if crc:
         payload += struct.pack(">I", zlib.crc32(payload) & 0xFFFFFFFF)
         codec |= FLAG_CRC
@@ -193,15 +168,10 @@ def decode_frame(codec: int, payload: bytes) -> object:
     """Inverse of :func:`encode_frame` (header consumed, any CRC
     trailer stripped by :func:`verify_crc`); a payload its codec cannot
     read raises :class:`CommError`, whatever the codec raised."""
-    if codec == CODEC_MSGPACK and msgpack is None:
-        raise CommError(
-            "received a msgpack frame but msgpack is not installed")
-    if codec not in (CODEC_PICKLE, CODEC_MSGPACK):
+    if codec != CODEC_PICKLE:
         raise CommError(f"unknown frame codec {codec}")
     try:
-        if codec == CODEC_PICKLE:
-            return pickle.loads(payload)
-        return msgpack.unpackb(payload, raw=False)  # pragma: no cover
+        return pickle.loads(payload)
     except Exception as e:
         raise CommError(f"undecodable frame ({len(payload)} bytes, codec "
                         f"{codec}): {type(e).__name__}: {e}") from e

@@ -7,9 +7,8 @@ dispatch-heavy, small-tile graphs.  It is the
 forked workers: the driver owns ``run``, the sweep, the one dispatch
 loop, retry budgets, accounting, death revocation and replay, and the
 stall rule; a forking window's :class:`~.scheduling.DynamicScheduler`
-owns readiness, the lookahead gate and the one ready heap every lane
-pops the lowest tid from; this module is the transport between them
-and the workers:
+owns readiness and the one ready heap every lane pops the lowest tid
+from; this module is the transport between them and the workers:
 
 * **Fork per window** (``_open``/``_shut``).  Payload closures capture
   driver objects and cannot be pickled, so nothing is shipped: workers
@@ -74,8 +73,8 @@ and the workers:
   so a driver deaf inside its own payload never makes a live worker
   look silent), each frame once its socket is readable, and whole.  A
   death — SIGKILL, injected ``RankCrash``, a task-timeout or heartbeat
-  kill — is an EOF, or a reliable link dead or down past
-  ``net_deadline``; the driver requeues what it held.  A *retiring*
+  kill — is an EOF, or a reliable link dead or down past its
+  reconnect deadline; the driver requeues what it held.  A *retiring*
   worker never dies into a window: its EOF is no death and its
   detector is gone, but its link stays in the loop, so every later
   turn — the next spawn's wait, the next drive, :meth:`close` — acks
@@ -165,8 +164,7 @@ class ProcessExecutor(WindowExecutor):
                  recovery: Any = None, injector: Any = None,
                  tiles: Any = None) -> None:
         super().__init__(rt.graph, rt._pending_fns, workers=workers,
-                         lookahead=rt._exec_lookahead, sink=sink,
-                         validate=validate, sanitizer=rt.sanitizer,
+                         sink=sink, validate=validate, sanitizer=rt.sanitizer,
                          recovery=recovery, injector=injector, tiles=tiles)
         self.rt = rt
         pol = self.recovery_policy
@@ -424,8 +422,8 @@ class ProcessExecutor(WindowExecutor):
 
     def _reap(self, out: List[Union[Report, Death]]) -> None:
         """The deaths no EOF announces, on a reliable link: marked dead
-        (:meth:`_kill`), its process gone, or down past
-        ``net_deadline`` without a resync."""
+        (:meth:`_kill`), its process gone, or down past its reconnect
+        deadline without a resync."""
         for w in list(self._pool.values()):
             rc = w.comm
             if (isinstance(rc, ReliableComm) and not rc.closed
@@ -446,9 +444,7 @@ class ProcessExecutor(WindowExecutor):
             observer = comm.observer
             comm.observer = None
             rc = ReliableComm(
-                comm, role="driver", wid=wid,
-                deadline=self.recovery_policy.net_deadline,
-                seed=self._seed,
+                comm, role="driver", wid=wid, seed=self._seed,
                 counters=self.comm_counters, on_net=self._net_event)
             rc.observer = observer
             comm = rc
@@ -652,7 +648,6 @@ class ProcessExecutor(WindowExecutor):
             self._chaos_installed = True
         sched = DynamicScheduler(self.graph.tasks, start, end, self._ok,
                                  pipeline_depth=PIPELINE_DEPTH,
-                                 lookahead=self.lookahead,
                                  driver_helps=self.driver_helps)
         for wid in self._spawn(range(forks)):
             sched.add_worker(wid)
@@ -788,7 +783,8 @@ class ProcessExecutor(WindowExecutor):
         w.kill_reason = reason
         os.kill(w.pid, signal.SIGKILL)
         if isinstance(w.comm, ReliableComm):
-            # Lost now, not after net_deadline: _reap reports the death.
+            # Lost now, not after the reconnect deadline: _reap reports
+            # the death.
             self._unwatch(w)
             w.comm.mark_dead()
 

@@ -9,16 +9,12 @@ over its whole pool; on both the driver is one more lane unless it has
 a transport to watch.  As under OpenMP ``task depend``, a ready task is
 not placed: the worker-eligible ready set is one min-heap of tids, and
 every lane, the helping driver included, takes the lowest tid on it
-when it has room.  Three policies live here:
+when it has room, so the heap key (the tid, i.e. program order) is
+the one place the hand-out order is decided.  Two policies live here:
 
 * **Dependency counting** — each task carries the number of
   unfinished in-window predecessors; a completion decrements its
   successors and readiness is O(out-degree), never a graph rescan.
-* **Lookahead gate** — with ``lookahead=k`` a dependency-free task
-  enters the ready set only while its program phase (panel step) is at
-  most ``k`` past the oldest phase with unfinished tasks (SLATE's
-  bounded lookahead panels); later phases park and are released as the
-  completed prefix advances.  ``None`` keeps no phase state at all.
 * **The driver helps** — with ``driver_helps`` the thread that
   dispatches is itself an execution lane (OpenMP ``taskwait``
   semantics: the waiting thread works).  :meth:`next_driver` then also
@@ -69,21 +65,17 @@ class DynamicScheduler:
     ``worker_ok`` marks tasks eligible for lanes; the rest ("driver
     tasks": scalar reductions and other tasks touching driver-local
     state) surface through :meth:`next_driver` and run inline in the
-    parent.  ``lookahead`` bounds how many phases past the completed
-    prefix may be ready (``None`` = dataflow order).  ``driver_helps``
-    makes the driver a lane: :meth:`next_driver` also hands out
-    worker-eligible tasks.
+    parent.  ``driver_helps`` makes the driver a lane:
+    :meth:`next_driver` also hands out worker-eligible tasks.
     """
 
     def __init__(self, tasks: Sequence[Task], start: int, end: int,
                  worker_ok: Dict[int, bool],
                  pipeline_depth: int = 2,
-                 lookahead: Optional[int] = None,
                  driver_helps: bool = False):
         self.start = start
         self.end = end
         self.pipeline = max(1, pipeline_depth)
-        self.lookahead = lookahead
         self.driver_helps = driver_helps
         self.workers: Dict[int, WorkerState] = {}
         self._worker_ok = worker_ok
@@ -94,17 +86,6 @@ class DynamicScheduler:
         self.done: Set[int] = set()
         self._driver_ready: List[int] = []  # ready driver tasks (heap)
         self._ready: List[int] = []         # ready lane tasks (heap)
-        if lookahead is not None:
-            #: Phase gate: tid -> phase, unfinished tasks per phase, the
-            #: window's phases in order, the index of the oldest open
-            #: one, and dependency-free tasks parked beyond the gate.
-            self._phase = {t.tid: t.phase for t in tasks[start:end]}
-            self._phase_left: Dict[int, int] = {}
-            for p in self._phase.values():
-                self._phase_left[p] = self._phase_left.get(p, 0) + 1
-            self._phases = sorted(self._phase_left)
-            self._prefix = 0
-            self._parked: Dict[int, List[int]] = {}
         for t in tasks[start:end]:
             deps = [d for d in t.deps if start <= d < end]
             self.indeg[t.tid] = len(deps)
@@ -145,37 +126,10 @@ class DynamicScheduler:
     # -- readiness -------------------------------------------------------
 
     def _make_ready(self, tid: int) -> None:
-        if self.lookahead is not None:
-            p = self._phase[tid]
-            if p > self._gate(p):
-                self._parked.setdefault(p, []).append(tid)
-                return
         if self._worker_ok.get(tid, False):
             heapq.heappush(self._ready, tid)
         else:
             heapq.heappush(self._driver_ready, tid)
-
-    def _gate(self, p: int) -> int:
-        """Latest phase currently admitted (``p`` itself once every
-        phase of the window has drained)."""
-        if self._prefix < len(self._phases):
-            return self._phases[self._prefix] + self.lookahead
-        return p
-
-    def _advance(self, tid: int) -> None:
-        """``tid`` finished: when that drains its phase, move the
-        completed prefix forward and release what the gate now admits."""
-        p = self._phase[tid]
-        self._phase_left[p] -= 1
-        if self._phase_left[p]:
-            return
-        while (self._prefix < len(self._phases)
-               and not self._phase_left[self._phases[self._prefix]]):
-            self._prefix += 1
-        limit = self._gate(p)
-        for q in [q for q in self._parked if q <= limit]:
-            for parked in self._parked.pop(q):
-                self._make_ready(parked)
 
     def requeue(self, tids: Iterable[int]) -> None:
         """Put previously handed-out (e.g. revoked) tasks back in the
@@ -208,7 +162,7 @@ class DynamicScheduler:
 
     def on_done(self, tid: int, wid: Optional[int] = None) -> List[int]:
         """Record completion; returns the tids whose last dependency
-        this was (ready now, or parked behind the lookahead gate)."""
+        this was (ready now)."""
         self.done.add(tid)
         if wid is not None:
             ws = self.workers.get(wid)
@@ -220,8 +174,6 @@ class DynamicScheduler:
             if self.indeg[s] == 0:
                 self._make_ready(s)
                 newly.append(s)
-        if self.lookahead is not None:
-            self._advance(tid)
         return newly
 
     @property

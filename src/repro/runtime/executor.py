@@ -19,7 +19,9 @@ A :class:`Runtime` binds a process grid and an execution mode:
 
 Phases: ops bump :meth:`advance_phase` at every panel step.  The
 fork-join (ScaLAPACK) scheduler model inserts a barrier between
-phases; the task-based model uses them only for the lookahead window.
+phases; the task-based model uses them only for its modelled lookahead
+window (``RunConfig.lookahead``).  The real backends order their ready
+set by tid alone.
 """
 
 from __future__ import annotations
@@ -42,13 +44,11 @@ class Runtime:
     """Execution context for tiled algorithms."""
 
     def __init__(self, grid: ProcessGrid, *, numeric: bool = True,
-                 collect_graph: bool = True,
                  tile_dim_hint: Optional[int] = None,
                  deferred: bool = False,
                  backend: str = "threads",
                  workers: Optional[int] = None,
                  sink=None,
-                 lookahead: Optional[int] = None,
                  sanitize=_SANITIZE_FROM_ENV,
                  faults=None,
                  recovery=None) -> None:
@@ -58,7 +58,6 @@ class Runtime:
                 "graphs have no payloads to run)")
         self.grid = grid
         self.numeric = numeric
-        self.collect_graph = collect_graph or not numeric or deferred
         #: When set, overrides every task's tile_dim for the machine
         #: efficiency lookup.  The perf model simulates paper-scale
         #: matrices with coarsened tiles (to bound task counts) while
@@ -86,7 +85,6 @@ class Runtime:
         self.backend = backend
         self._workers = workers
         self._exec_sink = sink
-        self._exec_lookahead = lookahead
         self._pending_fns: dict = {}
         self._exec_cursor = 0
         self._executor = None
@@ -137,8 +135,8 @@ class Runtime:
     def new_scalar_ref(self, nbytes: int = 8) -> TileRef:
         """A fresh pseudo-tile carrying a scalar reduction result.
 
-        Registered unconditionally: the sanitizer and race checker need
-        tile metadata even when no task graph is collected.
+        Registered in the graph's tile registry, like every
+        DistMatrix tile: the sanitizer and race checker need its size.
         """
         ref = (self.scalar_mat, next(self._scalar_ids), 0)
         self.graph.register_tile(ref, nbytes)
@@ -210,8 +208,7 @@ class Runtime:
             label=label,
             sanitize=sanitize,
         )
-        if self.collect_graph:
-            self.graph.add(task)
+        self.graph.add(task)
         if self.numeric and fn is not None:
             if self.deferred:
                 self._pending_fns[task.tid] = fn
@@ -255,15 +252,15 @@ class Runtime:
         self._matrices[mat.mat_id] = mat
 
     def enable_deferred(self, *, workers: Optional[int] = None,
-                        sink=None, lookahead: Optional[int] = None,
-                        faults=None, recovery=None,
                         backend: Optional[str] = None) -> None:
         """Switch this runtime to deferred execution.
 
         Tasks submitted so far (eagerly executed) stay as they are;
         from here on payload closures are recorded and replayed by
-        :meth:`sync` on the threaded backend.  Idempotent; a changed
-        ``workers`` count flushes pending work and re-pools.
+        :meth:`sync` on the configured backend.  Idempotent; a changed
+        ``backend`` or ``workers`` count flushes pending work and
+        re-pools.  Sinks, fault plans and recovery policies are the
+        constructor's.
         """
         if not self.numeric:
             raise ValueError("deferred execution requires numeric mode")
@@ -282,19 +279,6 @@ class Runtime:
             self._executor = None
         if workers is not None:
             self._workers = workers
-        if sink is not None:
-            self._exec_sink = sink
-        if lookahead is not None:
-            self._exec_lookahead = lookahead
-        if faults is not None or recovery is not None:
-            if self._executor is not None:
-                self.sync()
-                self._executor.close()
-                self._executor = None
-            if faults is not None:
-                self.fault_plan = faults
-            if recovery is not None:
-                self.recovery_policy = recovery
         if not self.deferred:
             self.deferred = True
             # Everything before this point already ran eagerly.
@@ -334,7 +318,7 @@ class Runtime:
                 from .parallel import ParallelExecutor
                 self._executor = ParallelExecutor(
                     self.graph, self._pending_fns, workers=self._workers,
-                    lookahead=self._exec_lookahead, sink=self._exec_sink,
+                    sink=self._exec_sink,
                     sanitizer=self._sanitizer,
                     recovery=recovery, injector=injector, tiles=tiles)
         return self._executor
@@ -409,10 +393,9 @@ class Runtime:
                        owner: int = -1) -> None:
         """Bulk tile-size registration (called by DistMatrix).
 
-        Unconditional — even with ``collect_graph=False`` the registry
-        is kept (a cheap dict): owner resolution for ``rank=None``
-        submits, the sanitizer's observable-tile test, and the race
-        checker all need it in pure-eager runs.
+        Unconditional (a cheap dict): owner resolution for
+        ``rank=None`` submits, the sanitizer's observable-tile test, and
+        the race checker all need it in pure-eager runs.
         """
         for ref in refs:
             self.graph.register_tile(ref, nbytes_each, owner)

@@ -6,8 +6,8 @@ module actually runs it.  A :class:`ParallelExecutor` is the
 ``concurrent.futures.ThreadPoolExecutor``.  The driver owns the
 dispatch loop, the sweep, retries, accounting and the drain guarantee;
 a window's :class:`~repro.runtime.distributed.scheduling.DynamicScheduler`
-owns readiness and the lookahead gate — exactly the dataflow execution
-SLATE gets from OpenMP ``task depend``.  Every task is worker-eligible
+owns readiness — exactly the dataflow execution SLATE gets from OpenMP
+``task depend``.  Every task is worker-eligible
 (threads share tile memory, so there is nothing to keep on a driver
 lane) and, as in OpenMP, the thread that waits works: with
 ``workers=W`` the pool holds ``W - 1`` threads behind one scheduler
@@ -91,9 +91,6 @@ class ParallelExecutor(WindowExecutor):
         window holding a task of at least
         :data:`~repro.runtime.window.LANE_MIN_FLOPS` (or one that
         declares no cost) uses them; any other is swept on the driver.
-    lookahead:
-        Optional phase-window bound on the ready set (``None`` =
-        unbounded dataflow order, like SLATE's default).
     sink:
         Optional :class:`repro.obs.timeline.TraceSink` receiving
         measured :class:`TaskEvent`s (and, under recovery,
@@ -125,15 +122,14 @@ class ParallelExecutor(WindowExecutor):
     def __init__(self, graph: TaskGraph,
                  fns: Optional[Dict[int, Callable[[], None]]] = None, *,
                  workers: Optional[int] = None,
-                 lookahead: Optional[int] = None,
                  sink=None,
                  validate: bool = True,
                  sanitizer=None,
                  recovery=None,
                  injector=None,
                  tiles=None) -> None:
-        super().__init__(graph, fns, workers=workers, lookahead=lookahead,
-                         sink=sink, validate=validate, sanitizer=sanitizer,
+        super().__init__(graph, fns, workers=workers, sink=sink,
+                         validate=validate, sanitizer=sanitizer,
                          recovery=recovery, injector=injector, tiles=tiles)
         self._pool: Optional[ThreadPoolExecutor] = None
         #: Worker reports.
@@ -167,7 +163,7 @@ class ParallelExecutor(WindowExecutor):
             self.graph.tasks, start, end,
             dict.fromkeys(range(start, end), True),
             pipeline_depth=lanes * LANE_DEPTH if helps else lanes,
-            lookahead=self.lookahead, driver_helps=helps)
+            driver_helps=helps)
         sched.add_worker(0)
         return sched
 

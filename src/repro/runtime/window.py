@@ -52,8 +52,8 @@ once, here, in six parts:
   task.  A violation is the window's failure and drains like a stall,
   and a failed window leaves no mark behind.
 * **Scheduler** — a window with lanes is run by the
-  :meth:`~WindowExecutor._drive` loop; its readiness, lookahead gate
-  and one ready heap, from which every lane and the helping driver
+  :meth:`~WindowExecutor._drive` loop; its readiness and one ready
+  heap, from which every lane and the helping driver
   take the lowest tid, belong to one
   :class:`~repro.runtime.distributed.scheduling.DynamicScheduler`, the
   class DistSan's explorer and mutant gate model-check; worker deaths
@@ -251,13 +251,12 @@ class WindowExecutor:
 
     def __init__(self, graph: TaskGraph,
                  fns: Optional[Dict[int, Callable[[], None]]], *,
-                 workers: Optional[int], lookahead: Optional[int], sink: Any,
+                 workers: Optional[int], sink: Any,
                  validate: bool, sanitizer: Any, recovery: Any,
                  injector: Any, tiles: Any) -> None:
         self.graph = graph
         self.fns: Dict[int, Callable[[], None]] = {} if fns is None else fns
         self.workers = max(1, int(workers) if workers else default_workers())
-        self.lookahead = lookahead
         self.sink = sink
         self.validate = validate
         self.sanitizer = sanitizer

@@ -58,8 +58,8 @@ def scheduler_builds(monkeypatch):
     return built
 
 
-def make_runtime(p=2, q=2, numeric=True):
+def make_runtime(p=2, q=2, numeric=True, **kw):
     from repro.dist import ProcessGrid
     from repro.runtime import Runtime
 
-    return Runtime(ProcessGrid(p, q), numeric=numeric)
+    return Runtime(ProcessGrid(p, q), numeric=numeric, **kw)

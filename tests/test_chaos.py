@@ -529,8 +529,7 @@ class TestExecutorChaos:
                                        start=0.02, end=0.6),)))
         pol = RecoveryPolicy(max_retries=3, heartbeat_interval=0.01,
                              heartbeat_grace=0.05, phi_suspect=3.0,
-                             phi_dead=1e6, net_deadline=2.0,
-                             task_timeout=60.0)
+                             phi_dead=1e6, task_timeout=60.0)
         t0 = time.perf_counter()
         u, h, res, stats, leaked, shm = _run_processes(
             a, 32, 2, faults=plan, recovery=pol)

@@ -246,7 +246,7 @@ class TestExploreCommand:
     def test_mutant_gate(self, capsys):
         assert main(["explore", "--mutants"]) == 0
         out = capsys.readouterr().out
-        assert ("mutant gate: 12 mutant(s), 0 survivor(s), "
+        assert ("mutant gate: 11 mutant(s), 0 survivor(s), "
                 "0 clean finding(s)") in out
         assert "SURVIVED" not in out
 

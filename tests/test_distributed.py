@@ -33,18 +33,17 @@ from repro.runtime.distributed import (
 from repro.runtime.task import Task, TaskKind
 
 
-def _task(tid, deps=(), reads=(), writes=(), phase=0):
+def _task(tid, deps=(), reads=(), writes=()):
     return Task(tid=tid, kind=TaskKind.GEMM, reads=tuple(reads),
-                writes=tuple(writes), rank=0, phase=phase,
+                writes=tuple(writes), rank=0, phase=0,
                 deps=tuple(deps))
 
 
-def _sched(tasks, worker_ok=None, pipeline_depth=2, lookahead=None):
+def _sched(tasks, worker_ok=None, pipeline_depth=2):
     ok = worker_ok if worker_ok is not None \
         else {t.tid: True for t in tasks}
     return DynamicScheduler(tasks, 0, len(tasks), ok,
-                            pipeline_depth=pipeline_depth,
-                            lookahead=lookahead)
+                            pipeline_depth=pipeline_depth)
 
 
 class TestDynamicScheduler:
@@ -79,60 +78,30 @@ class TestDynamicScheduler:
         s.on_done(0, 0)
         assert s.next_for(0) is not None
 
-    def test_lookahead_gate_parks_by_phase(self):
-        # Four dataflow-independent tasks in phases 0, 1, 1, 3 (phase
-        # numbers need not be contiguous; the gate counts from the
-        # oldest phase still open).
-        tasks = [_task(0), _task(1, phase=1), _task(2, phase=1),
-                 _task(3, phase=3)]
-        s = _sched(tasks, pipeline_depth=8, lookahead=0)
-        s.add_worker(0)
-        assert s.next_for(0) == 0
-        assert s.next_for(0) is None        # phases 1 and 3 parked
-        s.on_done(0, 0)                     # prefix -> phase 1
-        assert [s.next_for(0), s.next_for(0)] == [1, 2]
-        assert s.next_for(0) is None        # phase 3 still parked
-        s.on_done(1, 0)
-        assert s.next_for(0) is None        # phase 1 not drained yet
-        s.on_done(2, 0)                     # prefix -> phase 3
-        assert s.next_for(0) == 3
-        s.on_done(3, 0)
-        assert s.pending == 0
-
     def test_lookahead_window_width_and_driver_lane(self):
-        # lookahead=1 admits the phase after the prefix; a released
-        # successor beyond the gate parks too, and the gate applies to
-        # the driver lane like any other.
-        tasks = [_task(0), _task(1, phase=1), _task(2, deps=(1,), phase=2),
-                 _task(3, phase=2)]
+        # A driver-only task surfaces on the driver lane, never on a
+        # worker; a released successor joins the one ready heap.
+        tasks = [_task(0), _task(1), _task(2, deps=(1,)), _task(3)]
         s = _sched(tasks, worker_ok={0: True, 1: True, 2: True, 3: False},
-                   pipeline_depth=8, lookahead=1)
+                   pipeline_depth=8)
         s.add_worker(0)
         assert [s.next_for(0), s.next_for(0)] == [0, 1]
-        assert s.next_driver() is None      # phase 2 > 0 + 1
-        assert s.on_done(1, 0) == [2]       # dependency-free, but parked
-        assert s.next_for(0) is None
-        s.on_done(0, 0)                     # prefix -> phase 2
-        assert s.next_for(0) == 2
+        assert s.next_for(0) is None        # 3 is the driver's
         assert s.next_driver() == 3
+        assert s.next_driver() is None      # the driver does not help
+        assert s.on_done(1, 0) == [2]
+        assert s.next_for(0) == 2
 
-    def test_no_lookahead_keeps_no_phase_state(self):
-        tasks = [_task(0), _task(1, phase=5)]
+    def test_requeued_tasks_go_ahead_of_later_ready_tids(self):
+        tasks = [_task(0), _task(1), _task(2)]
         s = _sched(tasks, pipeline_depth=8)
-        s.add_worker(0)
-        assert [s.next_for(0), s.next_for(0)] == [0, 1]
-        assert not hasattr(s, "_parked")
-
-    def test_requeued_task_passes_the_gate_it_already_passed(self):
-        tasks = [_task(0), _task(1), _task(2, phase=1)]
-        s = _sched(tasks, pipeline_depth=8, lookahead=0)
         s.add_worker(0)
         assert [s.next_for(0), s.next_for(0)] == [0, 1]
         inflight = s.remove_worker(0)
         assert inflight == [0, 1]
         s.requeue(inflight)
         s.add_worker(1)
-        assert [s.next_for(1), s.next_for(1)] == [0, 1]
+        assert [s.next_for(1), s.next_for(1), s.next_for(1)] == [0, 1, 2]
         assert s.next_for(1) is None
 
     def test_remove_worker_returns_held_work_for_replay(self):

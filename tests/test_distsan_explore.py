@@ -131,12 +131,12 @@ class TestModelDetails:
         names = {s.name for s in builtin_scenarios()}
         assert {"chain", "diamond", "wide", "mixed-driver", "crashy",
                 "driver-lane", "driver-lane-forked", "flaky"} <= names
-        assert len(names) == 10
+        assert len(names) == 9
         # The processes placement: a helping driver beside one lane per
-        # fork, a crash budget with a replacement, the gate on.
+        # fork, a crash budget with a replacement.
         forked = _scenario("driver-lane-forked")
         assert forked.driver_helps and forked.workers == 2
-        assert forked.max_crashes == 1 and forked.lookahead is not None
+        assert forked.max_crashes == 1 and forked.max_spawns == 1
         assert not all(forked.worker_ok.values())
         # A window with no lane besides the driver is swept, not
         # scheduled: every scenario registers at least one lane.

@@ -1,8 +1,7 @@
 """DistSan wire-protocol state machine over recorded frames."""
 
 from repro.analysis.dist.protocol import check_connection, check_frames
-from repro.runtime.distributed.comm import (_HEADER, CODEC_MSGPACK,
-                                            CODEC_PICKLE)
+from repro.runtime.distributed.comm import _HEADER, CODEC_PICKLE
 from repro.runtime.distributed.events import DistTraceRecorder, FrameRecord
 
 H = _HEADER.size
@@ -34,12 +33,6 @@ class TestCleanSequences:
     def test_clean_exchange(self):
         assert check_connection("w0", _clean_exchange()) == []
 
-    def test_msgpack_codec_accepted(self):
-        frames = [_hello(),
-                  _frame("send", "task", tid=1, codec=CODEC_MSGPACK),
-                  _frame("recv", "done", tid=1, codec=CODEC_MSGPACK)]
-        assert check_connection("w0", frames) == []
-
     def test_retry_uses_fresh_attempt(self):
         frames = [_hello(),
                   _frame("send", "task", tid=3, attempt=0),
@@ -68,6 +61,13 @@ class TestViolations:
     def test_unknown_codec_tag(self):
         frames = [_hello(), _frame("send", "task", tid=1, codec=7)]
         assert "bad-codec" in self._rules(frames)
+
+    def test_codec_1_is_reported(self):
+        # Tag 1 was an optional msgpack codec; pickle is the only one.
+        frames = [_hello(),
+                  _frame("send", "task", tid=1, codec=1),
+                  _frame("recv", "done", tid=1, codec=1)]
+        assert self._rules(frames) == ["bad-codec", "bad-codec"]
 
     def test_length_prefix_mismatch(self):
         bad = FrameRecord(direction="send", op="task", tid=1,

@@ -138,8 +138,6 @@ class TestLivePlanSerialization:
         with pytest.raises(ValueError):
             RecoveryPolicy(task_timeout=0.0)
         with pytest.raises(ValueError):
-            RecoveryPolicy(jitter=1.5)
-        with pytest.raises(ValueError):
             RecoveryPolicy(poll_interval=0.0)
 
 

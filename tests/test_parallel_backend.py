@@ -1,7 +1,7 @@
 """Tests for the threaded execution backend.
 
 Covers :class:`repro.runtime.parallel.ParallelExecutor` (dependency
-order, lookahead gating, ordering-violation detection, measured
+order, phase overlap, ordering-violation detection, measured
 timeline events, stats), :meth:`repro.runtime.graph.TaskGraph.validate`
 (structural invariants), the determinism contract of the backend
 (workers=1 bit-identical to eager; workers=4 reproducible to O(eps)),
@@ -238,7 +238,7 @@ class TestParallelExecutor:
         assert order == list(range(8))
 
     @staticmethod
-    def _phased_events(backend, lookahead):
+    def _phased_events(backend):
         """Four dataflow-independent 30 ms tasks in consecutive phases,
         run by ``Runtime`` on ``backend`` with two workers (enough for
         a second lane to be fed on the processes backend, whose lanes
@@ -248,7 +248,7 @@ class TestParallelExecutor:
 
         sink = TimelineSink()
         with Runtime(ProcessGrid(1, 1), deferred=True, backend=backend,
-                     workers=2, lookahead=lookahead, sink=sink,
+                     workers=2, sink=sink,
                      sanitize=None) as rt:
             a = DistMatrix(rt, 64, 16, 16, np.float64)
             for i in range(4):
@@ -258,17 +258,9 @@ class TestParallelExecutor:
             rt.sync()
         return {e.tid: e for e in sink.tasks}
 
-    def test_lookahead_gates_phases(self):
-        # With lookahead=0 every phase must wait out the one before —
-        # on every backend (worker clocks are aligned to ~a round trip).
-        for backend in ("threads", "processes"):
-            ev = self._phased_events(backend, 0)
-            for tid in range(1, 4):
-                assert ev[tid].start >= ev[tid - 1].end - 5e-3, backend
-
     def test_no_lookahead_overlaps_phases(self):
         for backend in ("threads", "processes"):
-            ev = self._phased_events(backend, None)
+            ev = self._phased_events(backend)
             # A later phase starts before phase 0 finishes (true
             # concurrency across phases).
             assert min(ev[t].start for t in range(1, 4)) < ev[0].end, \
@@ -475,8 +467,8 @@ class TestPlacement:
         ue, he = _run_qdwh(a, nb=nb)
         before = threading.active_count()
         sink = TimelineSink()
-        rt = make_runtime(1, 1)
-        rt.enable_deferred(workers=4, sink=sink)
+        rt = make_runtime(1, 1, sink=sink)
+        rt.enable_deferred(workers=4)
         da = DistMatrix.from_array(rt, a.copy(), nb)
         res = tiled_qdwh(rt, da, backend="threads", workers=4)
         assert threading.active_count() == before
@@ -496,8 +488,8 @@ class TestPlacement:
         a = generate_matrix(256, cond=1e4, seed=24)
         ue, he = _run_qdwh(a, nb=128)
         sink = TimelineSink()
-        rt = make_runtime(1, 1)
-        rt.enable_deferred(workers=2, sink=sink)
+        rt = make_runtime(1, 1, sink=sink)
+        rt.enable_deferred(workers=2)
         da = DistMatrix.from_array(rt, a.copy(), 128)
         res = tiled_qdwh(rt, da, backend="threads", workers=2)
         stats = rt.exec_stats
@@ -691,8 +683,8 @@ class TestDeterminism:
         ue, he = _run_qdwh(a)
         shapes = []
         for recovery in (None, RecoveryPolicy()):
-            rt = make_runtime(1, 1)
-            rt.enable_deferred(workers=1, recovery=recovery)
+            rt = make_runtime(1, 1, recovery=recovery)
+            rt.enable_deferred(workers=1)
             da = DistMatrix.from_array(rt, a.copy(), 16)
             res = tiled_qdwh(rt, da, backend="threads", workers=1)
             assert np.array_equal(ue, res.u.to_array())

@@ -766,12 +766,12 @@ class TestRankResolution:
 
 class TestUnconditionalRegistration:
     def test_scalar_ref_registered_without_graph(self):
-        rt = Runtime(ProcessGrid(1, 1), collect_graph=False)
+        rt = Runtime(ProcessGrid(1, 1))
         ref = rt.new_scalar_ref(16)
         assert rt.graph.tile_bytes[ref] == 16
 
     def test_register_tiles_without_graph(self):
-        rt = Runtime(ProcessGrid(1, 1), collect_graph=False)
+        rt = Runtime(ProcessGrid(1, 1))
         rt.register_tiles([(9, 0, 0)], 64, owner=0)
         assert rt.graph.tile_bytes[(9, 0, 0)] == 64
         assert rt.graph.tile_owner[(9, 0, 0)] == 0

@@ -59,7 +59,7 @@ class ScriptedTransport(WindowExecutor):
     def __init__(self, graph, script, *, lanes=2, depth=2, recovery=None,
                  validate=True):
         super().__init__(graph, {t.tid: (lambda: None) for t in graph.tasks},
-                         workers=lanes, lookahead=None, sink=None,
+                         workers=lanes, sink=None,
                          validate=validate, sanitizer=None,
                          recovery=recovery, injector=None, tiles=None)
         self.script, self.depth = script, depth
@@ -134,7 +134,7 @@ class TestRetries:
         # the seeded backoff draws, not in tid order.  Task 3 fails for
         # ever and gets exactly max_retries retries before its error
         # is final.
-        pol = RecoveryPolicy(max_retries=2, backoff=0.05, jitter=0.5)
+        pol = RecoveryPolicy(max_retries=2, backoff=0.05)
         delay = {tid: pol.backoff_seconds(0, tid, 1) for tid in range(3)}
         order = sorted(delay, key=delay.get)
         assert order != [0, 1, 2] and len(set(delay.values())) == 3
@@ -268,7 +268,7 @@ class TestSweep:
         assert ex.fns == {}
 
     def test_retry_reruns_in_place_after_its_backoff(self):
-        pol = RecoveryPolicy(max_retries=2, backoff=0.05, jitter=0.5)
+        pol = RecoveryPolicy(max_retries=2, backoff=0.05)
 
         def script(tid, attempt):
             return RuntimeError("flaky") if (tid, attempt) == (2, 0) else None
