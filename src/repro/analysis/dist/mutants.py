@@ -154,12 +154,10 @@ class RetryKeepsSlot(ExplorerTransport):
     held twice and the lane runs one short for the rest of the
     window."""
 
-    def _account(self, sched: Optional[DynamicScheduler],
-                 ledger: RetryLedger, report: Report,
-                 failing: bool) -> Optional[BaseException]:
+    def _account(self, sched: DynamicScheduler, ledger: RetryLedger,
+                 report: Report, failing: bool) -> Optional[BaseException]:
         err = super()._account(sched, ledger, report, failing)
-        if (report.res.exc is not None and report.lane is not None
-                and sched is not None):
+        if report.res.exc is not None and report.lane is not None:
             sched.workers[report.lane].inflight.add(report.tid)
         return err
 

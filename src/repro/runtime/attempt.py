@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import heapq
 import time
-from time import perf_counter
+from time import perf_counter, thread_time
 from typing import (Any, Callable, Dict, Iterable, List, NamedTuple,
                     Optional, Tuple)
 
@@ -132,8 +132,10 @@ def run_attempt(t: Task, fn: Optional[Callable[[], None]], attempt: int, *,
     exception is caught and classified."""
     tid = t.tid
     events: List[AttemptEvent] = []
-    t_in = perf_counter()
-    t0 = cpu = 0.0
+    # Attempt entry until the injected faults are drawn, then payload
+    # start.
+    t0 = perf_counter()
+    cpu = 0.0
     try:
         if injector is not None:
             stall = injector.stall_seconds(tid, t.kind.value, attempt)
@@ -141,25 +143,23 @@ def run_attempt(t: Task, fn: Optional[Callable[[], None]], attempt: int, *,
                 events.append(("stall", f"injected stall {stall * 1e3:.0f}ms "
                                         f"(attempt {attempt})"))
                 time.sleep(stall)
-        if (injector is not None and fn is not None
-                and injector.transient_fires(tid, attempt)):
-            raise InjectedTransientError(
-                f"injected transient on task {tid} attempt {attempt}")
-        t0 = perf_counter()
+            if fn is not None and injector.transient_fires(tid, attempt):
+                raise InjectedTransientError(
+                    f"injected transient on task {tid} attempt {attempt}")
+            t0 = perf_counter()
         if fn is not None:
-            c0 = time.thread_time()
+            c0 = thread_time()
             if sanitizer is not None and t.sanitize:
                 with sanitizer.task_scope(t):
                     fn()
             else:
                 fn()
-            cpu = time.thread_time() - c0
+            cpu = thread_time() - c0
             if tiles is not None and (scrub or injector is not None):
                 _inject_and_scrub(t, attempt, injector, tiles, scrub, events)
         t1 = perf_counter()
     except BaseException as exc:
-        return Attempt(t0 or t_in, perf_counter(), cpu, events, exc,
-                       retryable(exc))
+        return Attempt(t0, perf_counter(), cpu, events, exc, retryable(exc))
     return Attempt(t0, t1, cpu, events, None, False)
 
 

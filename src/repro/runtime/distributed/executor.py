@@ -98,7 +98,7 @@ import time
 from time import perf_counter
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple, Union
 
-from ..attempt import Attempt, run_attempt
+from ..attempt import Attempt
 from ..task import Task
 from ..window import Death, Report, WindowExecutor, WorkerCrashError
 from .chaos import assign_peer, clear_net_plan, install_net_plan
@@ -621,15 +621,11 @@ class ProcessExecutor(WindowExecutor):
 
     def _inline(self, t: Task, attempt: int) -> Attempt:
         """The driver lane: tasks touching driver-local state, and the
-        helping driver's own share of the rest, run the workers'
+        helping driver's own share of the rest, run the window driver's
         attempt body in the parent — every pinned tile is a shared view
-        here too, so a driver write is a write the workers see."""
-        assert self._ledger is not None
-        self._ledger.arm(t)
-        res = run_attempt(
-            t, self.fns.get(t.tid), attempt, injector=self.injector,
-            tiles=self.tiles, sanitizer=self.sanitizer,
-            scrub=self.recovery_policy.scrub_writes)
+        here too, so a driver write is a write the workers see.  Only
+        the DistSan recorder's event is this transport's own."""
+        res = super()._inline(t, attempt)
         if self.recorder is not None:
             self.recorder.record(
                 EV_FAIL if res.exc is not None else EV_DRIVER, tid=t.tid,

@@ -19,11 +19,11 @@ body.  A window with no lane besides the driver — every window at
 (:meth:`~repro.runtime.window.WindowExecutor._pays`) — is a sweep
 (:meth:`~repro.runtime.window.WindowExecutor._sweep`): program order
 through ``_inline``, with no pool, no thread, no scheduler and no
-report queue.  Tile ordering is checked by the driver, for every
-transport alike (the window module's *Ordering* part), so an attempt
-body here only arms the retry ledger and runs the attempt.  NumPy/BLAS
-kernels release the GIL, so independent tiles genuinely overlap on
-multicore hosts.
+report queue.  Tile ordering is checked by the driver, and the attempt
+body (arm the retry ledger, run the attempt) is the window driver's,
+for every transport alike; a pool thread only adds its report.
+NumPy/BLAS kernels release the GIL, so independent tiles genuinely
+overlap on multicore hosts.
 
 * **Dependency order** — a task starts only after every recorded
   dependency finished, lowest tid first among tasks released together,
@@ -53,12 +53,12 @@ from __future__ import annotations
 import queue
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from time import perf_counter
 from typing import Callable, Dict, List, Optional, Tuple
 
-from .attempt import Attempt, run_attempt
+from .attempt import Attempt
 from .distributed.scheduling import DynamicScheduler
 from .graph import TaskGraph
-from .task import Task
 from .window import ExecutionStats, Report, WindowExecutor, default_workers
 
 __all__ = ["ParallelExecutor", "ExecutionStats", "default_workers"]
@@ -212,19 +212,22 @@ class ParallelExecutor(WindowExecutor):
     # ------------------------------------------------------------------
 
     def _work(self, tid: int, attempt: int, lane: int) -> None:
-        """A pool thread: one attempt of one task, then one report to
-        the dispatch loop."""
-        res = self._inline(self.graph.tasks[tid], attempt)
+        """A pool thread: one attempt of one task, then exactly one
+        report to the dispatch loop.  The pool keeps whatever a
+        submitted call raises in a future nobody reads, so anything
+        that escapes the attempt body is reported first, as a final
+        failure of the window — a lost report would leave the driver
+        blocked in ``_recv`` for ever."""
+        t_in = perf_counter()
+        try:
+            res = self._inline(self.graph.tasks[tid], attempt)
+        except BaseException as exc:
+            self._put(tid, lane,
+                      Attempt(t_in, perf_counter(), 0.0, [], exc, False))
+            raise
+        self._put(tid, lane, res)
+
+    def _put(self, tid: int, lane: int, res: Attempt) -> None:
         # Pool threads are named ``repro-exec_<n>``: slot ``thr<n>``.
         slot = "thr" + threading.current_thread().name.rpartition("_")[2]
         self._resq.put(Report(tid, lane, res, slot, -self._epoch))
-
-    def _inline(self, t: Task, attempt: int) -> Attempt:
-        """The attempt body of every lane — the driver's and a pool
-        thread's: arm the retry ledger, run the attempt."""
-        fn = self.fns.get(t.tid)
-        if fn is not None:
-            self._ledger.arm(t)
-        return run_attempt(t, fn, attempt, injector=self.injector,
-                           tiles=self.tiles, sanitizer=self.sanitizer,
-                           scrub=self.recovery_policy.scrub_writes)

@@ -729,7 +729,11 @@ def simulate(graph: TaskGraph, cfg: RunConfig, *,
                                 # re-armed and dispatched this task.
                                 park_time.pop(ptid, None)
                                 continue
-                            gated_since = park_time.pop(ptid, now)
+                            # A released task starts at its slot/data
+                            # time, which may precede the release, so a
+                            # later release can pop at an earlier `now`
+                            # than this task's park: it was held no time.
+                            gated_since = min(park_time.pop(ptid, now), now)
                             stall_acc[STALL_GATE] += now - gated_since
                             if sink is not None:
                                 sink.on_stall(StallEvent(

@@ -7,12 +7,14 @@ once, here, in six parts:
 
 * **Driver** — :class:`WindowExecutor`: :meth:`~WindowExecutor.run`
   (validate, placement, clock, stats), the accounting of every attempt
-  (:meth:`~WindowExecutor._account`: ``ledger.note`` →
-  ``ledger.failed`` | ``settle`` → ``stats.record_task`` → successor
-  release), the stall rule, ``abandon_window`` and the drain guarantee
-  (``inflight_attempts`` is zero after every window).  Every task the
-  driver runs itself — in a sweep, or its own pick in a window with
-  lanes — goes through the transport's one ``_inline`` body.
+  of a window with lanes (:meth:`~WindowExecutor._account`:
+  ``ledger.note`` → ``ledger.failed`` | ``settle`` →
+  ``stats.record_task`` → successor release), the stall rule,
+  ``abandon_window`` and the drain guarantee (``inflight_attempts`` is
+  zero after every window).  Every attempt, on any lane, runs one body
+  (:meth:`~WindowExecutor._inline`: arm the retry ledger when there is
+  a payload, then ``run_attempt``); what escapes it is a final failure
+  of the window, never a lost attempt.
 * **Placement** — one question, asked once per window and answered
   from what the recorded tasks declare: does this window hold a task
   worth a hand-off (:meth:`~WindowExecutor._pays`, against
@@ -30,7 +32,13 @@ once, here, in six parts:
   no thread, no fork, nothing pinned into shared memory.  With the
   driver as the only lane and every edge pointing backwards, the
   lowest ready tid after ``k`` is always ``k + 1``, so a scheduler
-  could only have answered the same way.
+  could only have answered the same way.  A swept task that succeeds
+  costs what an eager one does plus its snapshot release and kernel
+  count: no :class:`Report`, no ``_account``, no ``record_task``.  The
+  window is accounted once — ``tasks_run``, busy seconds
+  (``perf_counter``) and CPU seconds (``thread_time``) timed around
+  the whole sweep.  A failed attempt is accounted as it always was,
+  and an attached sink still gets one measured event a task.
 * **Ordering** — the runtime half of SLATE's ``task depend``
   guarantee, checked by the driver for every transport: a task may
   start only when every tile it reads or writes was last written by
@@ -62,7 +70,8 @@ once, here, in six parts:
   exist through its hooks: ``_eligible(start, end)`` counts the
   window's tasks that may leave the driver (every window; the
   transport's per-window bookkeeping goes here),
-  ``_inline(t, attempt)`` runs one attempt on the driver,
+  ``_inline(t, attempt)`` runs one attempt on the calling lane
+  (written here; a transport only adds what it alone records),
   and, for a window with lanes only, ``_open(start, end, lanes)``
   builds the window's scheduler and brings up its lanes,
   ``_send(lane, tid, attempt)`` launches one attempt on a lane,
@@ -81,11 +90,12 @@ import os
 import sys
 import time
 from dataclasses import dataclass, field
-from time import perf_counter
+from time import perf_counter, thread_time
 from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterable, NamedTuple,
                     Optional, Sequence, Set, Tuple, Union)
 
-from .attempt import NO_RECOVERY, Attempt, RetryLedger, count_kernel
+from .attempt import (NO_RECOVERY, Attempt, RetryLedger, count_kernel,
+                      run_attempt)
 from .graph import TaskGraph
 from .task import Task, TileRef
 
@@ -153,19 +163,20 @@ class ExecutionStats:
     #: Wall-clock seconds spent inside :meth:`WindowExecutor.run`
     #: (the measured makespan across all execution windows).
     wall_seconds: float = 0.0
-    #: Summed per-task execution seconds (over all workers);
-    #: ``busy_seconds / (wall_seconds * workers)`` is the measured
-    #: parallel utilization.  Only successful attempts count; failed
-    #: attempt time goes to ``recovery.reexecution_seconds``.
+    #: Seconds the lanes spent on tasks that succeeded (over all
+    #: workers); ``busy_seconds / (wall_seconds * workers)`` is the
+    #: measured parallel utilization.  Per attempt in a window with
+    #: lanes; per window in a sweep, timed around it, so a sweep's
+    #: share includes its own per-task bookkeeping.  Failed attempt
+    #: time goes to ``recovery.reexecution_seconds`` instead; a
+    #: backoff wait counts nowhere, like any idle lane.
     busy_seconds: float = 0.0
-    per_kind_seconds: Dict[str, float] = field(default_factory=dict)
-    #: Summed per-task *CPU* seconds (``time.thread_time`` around each
-    #: payload).  BLAS kernels release the GIL but still burn CPU, so
-    #: ``cpu_seconds`` close to ``busy_seconds`` means compute-bound
-    #: lanes; a large gap means blocking (lock waits, injected stalls,
-    #: page faults).
+    #: CPU seconds (``time.thread_time``) of the same, per attempt
+    #: around its payload or per sweep.  BLAS kernels release the GIL
+    #: but still burn CPU, so ``cpu_seconds`` close to ``busy_seconds``
+    #: means compute-bound lanes; a large gap means blocking (lock
+    #: waits, injected stalls, page faults).
     cpu_seconds: float = 0.0
-    per_kind_cpu_seconds: Dict[str, float] = field(default_factory=dict)
     #: High-water resident set of the whole process, sampled after
     #: every execution window (bytes; 0 when unavailable).
     peak_rss_bytes: int = 0
@@ -199,27 +210,27 @@ class ExecutionStats:
 
     def record_task(self, t: Task, t0: float, t1: float, cpu: float,
                     slot: str, sink: Any, counted: bool) -> None:
-        """Account one successful attempt (dispatch thread):
-        busy and CPU seconds, the kernel-invocation metric when a
-        payload ran, and the measured :class:`TaskEvent`."""
-        dur = t1 - t0
-        kind = t.kind.value
+        """Account one successful attempt of a window with lanes
+        (dispatch thread): busy and CPU seconds, the kernel-invocation
+        metric when a payload ran, and the measured :class:`TaskEvent`."""
         self.tasks_run += 1
-        self.busy_seconds += dur
-        self.per_kind_seconds[kind] = (
-            self.per_kind_seconds.get(kind, 0.0) + dur)
-        if cpu > 0.0:
-            self.cpu_seconds += cpu
-            self.per_kind_cpu_seconds[kind] = (
-                self.per_kind_cpu_seconds.get(kind, 0.0) + cpu)
+        self.busy_seconds += t1 - t0
+        self.cpu_seconds += cpu
         if counted:
             count_kernel(t.kind)
         if sink is not None:
-            from ..obs.timeline import TaskEvent
-            sink.on_task(TaskEvent(
-                tid=t.tid, kind=kind, rank=t.rank, slot=slot,
-                phase=t.phase, flops=t.flops, start=t0, end=t1,
-                duration=dur, label=t.label, measured=True, cpu=cpu))
+            _task_event(sink, t, t0, t1, cpu, slot)
+
+
+def _task_event(sink: Any, t: Task, t0: float, t1: float, cpu: float,
+                slot: str) -> None:
+    """Hand ``sink`` the measured :class:`TaskEvent` of one successful
+    attempt of ``t``, timed in seconds since the executor epoch."""
+    from ..obs.timeline import TaskEvent
+    sink.on_task(TaskEvent(
+        tid=t.tid, kind=t.kind.value, rank=t.rank, slot=slot,
+        phase=t.phase, flops=t.flops, start=t0, end=t1,
+        duration=t1 - t0, label=t.label, measured=True, cpu=cpu))
 
 
 class Report(NamedTuple):
@@ -316,9 +327,23 @@ class WindowExecutor:
         return end - start if self._pays(start, end) else 0
 
     def _inline(self, t: Task, attempt: int) -> Attempt:
-        """Run attempt ``attempt`` of ``t`` on the driver, through the
-        transport's own attempt body."""
-        raise NotImplementedError
+        """The attempt body of every lane — the driver's, a pool
+        thread's: arm the retry ledger when there is a payload, then
+        run attempt ``attempt`` of ``t``.  Arming (a snapshot or a
+        restore) is the one step outside :func:`run_attempt`; what it
+        raises is not the payload's fault, so it comes back as a final
+        failure of the attempt, never retried and never lost."""
+        fn = self.fns.get(t.tid)
+        if fn is not None:
+            assert self._ledger is not None
+            try:
+                self._ledger.arm(t)
+            except Exception as exc:
+                now = perf_counter()
+                return Attempt(now, now, 0.0, [], exc, False)
+        return run_attempt(t, fn, attempt, injector=self.injector,
+                           tiles=self.tiles, sanitizer=self.sanitizer,
+                           scrub=self.recovery_policy.scrub_writes)
 
     def _open(self, start: int, end: int, lanes: int) -> DynamicScheduler:
         """Build the scheduler of a window that gets ``lanes`` lanes
@@ -614,59 +639,99 @@ class WindowExecutor:
     def _sweep(self, start: int, end: int,
                ledger: RetryLedger) -> Optional[BaseException]:
         """Run a window that got no lane besides the driver: its tids
-        in program order, each through ``_inline`` and accounted by
-        :meth:`_account`.  A retryable failure waits out its seeded
-        backoff on :attr:`clock` and re-runs before the next tid; a
-        final one stops the sweep, leaving the rest of the window to
-        :meth:`abandon_window`.  Returns that failure.  Program order
-        is sound only when every edge points backwards: unvalidated, a
-        forward edge is refused before anything runs."""
+        in program order, each through ``_inline``.  A success releases
+        its snapshot and counts its kernel, nothing more; the window's
+        ``tasks_run``, busy and CPU seconds are accounted once, timed
+        around the sweep less what failed attempts and backoff waits
+        took, and only an attached sink gets a measured event a task.
+        A failure is accounted as :meth:`_account` does it: a retryable
+        one waits out its seeded backoff on :attr:`clock` and re-runs
+        before the next tid; a final one stops the sweep, leaving the
+        rest of the window to :meth:`abandon_window`.  Returns that
+        failure.  Program order is sound only when every edge points
+        backwards: unvalidated, a forward edge is refused before
+        anything runs."""
         tasks = self.graph.tasks
         if not self.validate and any(t.deps and max(t.deps) >= t.tid
                                      for t in tasks[start:end]):
             self._unfinished = range(start, end)
             return self._stalled(end - start)
+        fns, sink = self.fns, self.sink
+        inline, settle = self._inline, ledger.settle
+        shift = -(self._epoch or 0.0)
+        failure: Optional[BaseException] = None
+        lost = lost_cpu = 0.0
+        wall0, cpu0 = perf_counter(), thread_time()
         for tid in range(start, end):
-            while True:
-                report = self._driver_run(tid, ledger)
-                err = self._account(None, ledger, report, False)
-                if err is not None:
+            t = tasks[tid]
+            res = inline(t, 0)
+            if res.exc is not None or res.events:
+                res, wall, cpu = self._retry_in_place(t, res, ledger)
+                lost += wall
+                lost_cpu += cpu
+                if res.exc is not None:
+                    failure = res.exc
                     self._unfinished = range(tid, end)
-                    return err
-                if report.res.exc is None:
                     break
-                while not ledger.pop_due(self.clock()):
-                    self.sleep(ledger.wait(None) or 0.0)
-        return None
+            settle(tid)
+            if fns.pop(tid, None) is not None:
+                count_kernel(t.kind)
+            if sink is not None:
+                _task_event(sink, t, res.t0 + shift, res.t1 + shift,
+                            res.cpu, "drv")
+        stats = self.stats
+        stats.tasks_run += end - start - len(self._unfinished)
+        stats.busy_seconds += max(0.0, perf_counter() - wall0 - lost)
+        stats.cpu_seconds += max(0.0, thread_time() - cpu0 - lost_cpu)
+        return failure
 
-    def _driver_run(self, tid: int, ledger: RetryLedger) -> Report:
-        """The next attempt of ``tid``, run on the driver."""
-        res = self._inline(self.graph.tasks[tid], ledger.next_attempt(tid))
-        return Report(tid, None, res, "drv", -(self._epoch or 0.0))
+    def _retry_in_place(self, t: Task, res: Attempt, ledger: RetryLedger
+                        ) -> Tuple[Attempt, float, float]:
+        """A swept attempt that failed or reported injected faults,
+        accounted as :meth:`_account` does it: note its faults; while
+        it failed and may be retried, wait out the seeded backoff on
+        :attr:`clock` and run the next attempt.  Returns the last
+        attempt — a success, or the final failure — and the wall and
+        CPU seconds the failed attempts and the waits took."""
+        attempt, lost, lost_cpu = 0, 0.0, 0.0
+        while True:
+            if res.events:
+                ledger.note(t, res.events)
+            if res.exc is None:
+                break
+            lost += res.t1 - res.t0
+            lost_cpu += res.cpu
+            if not ledger.failed(t, res.exc, res.retryable,
+                                 res.t1 - res.t0):
+                break
+            wait0 = perf_counter()
+            while not ledger.pop_due(self.clock()):
+                self.sleep(ledger.wait(None) or 0.0)
+            lost += perf_counter() - wait0
+            attempt += 1
+            res = self._inline(t, attempt)
+        return res, lost, lost_cpu
 
-    def _account(self, sched: Optional[DynamicScheduler],
-                 ledger: RetryLedger, report: Report,
-                 failing: bool) -> Optional[BaseException]:
-        """Account one attempt, wherever it ran: its injected faults,
-        then a failure (retried, or final: returned) or a success
-        (successors released when there is a scheduler, snapshot
-        dropped, task recorded).  ``failing``: the window already
-        failed, so nothing is retried."""
+    def _account(self, sched: DynamicScheduler, ledger: RetryLedger,
+                 report: Report, failing: bool) -> Optional[BaseException]:
+        """Account one attempt of a window with lanes, wherever it ran:
+        its injected faults, then a failure (retried, or final:
+        returned) or a success (successors released, snapshot dropped,
+        task recorded).  ``failing``: the window already failed, so
+        nothing is retried."""
         tid, lane, res, slot, shift = report
         t = self.graph.tasks[tid]
         if res.events:
             ledger.note(t, res.events)
         if res.exc is not None:
             if lane is not None:
-                assert sched is not None
                 sched.workers[lane].inflight.discard(tid)
             if not ledger.failed(t, res.exc, res.retryable and not failing,
                                  res.t1 - res.t0):
                 return res.exc
         else:
-            if sched is not None:
-                sched.on_done(tid, lane)
-                self._settle(t)
+            sched.on_done(tid, lane)
+            self._settle(t)
             ledger.settle(tid)
             self.stats.record_task(
                 t, res.t0 + shift, res.t1 + shift, res.cpu, slot, self.sink,
@@ -710,8 +775,10 @@ class WindowExecutor:
                             self.stats.shipped += 1
                 if mine is not None and failure is None:
                     ran = True
-                    failure = self._account(
-                        sched, ledger, self._driver_run(mine, ledger), False)
+                    res = self._inline(self.graph.tasks[mine],
+                                       ledger.next_attempt(mine))
+                    failure = self._account(sched, ledger, Report(
+                        mine, None, res, "drv", -(self._epoch or 0.0)), False)
             if self._inflight == 0:
                 if ran:
                     continue        # nothing out: pick again

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import faulthandler
+import os
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -15,6 +18,36 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
 settings.load_profile("repro")
+
+#: Seconds one test may run before the watchdog dumps every thread's
+#: stack and ends the session with exit status 1: a hang becomes a
+#: failure with its stacks, not a stuck run.  The slowest test takes
+#: about 25 s on a quiet 2-core host.
+WATCHDOG_SECONDS = 180.0
+
+#: A copy of the terminal's stderr, taken in ``pytest_configure`` while
+#: output capture is suspended (a test's own fd 2 is captured, and a
+#: session that exits from the watchdog never shows captured output).
+_watchdog_fd: list = []
+
+
+def pytest_configure(config):
+    _watchdog_fd.append(os.dup(2))
+
+
+def pytest_unconfigure(config):
+    while _watchdog_fd:
+        os.close(_watchdog_fd.pop())
+
+
+@pytest.fixture(autouse=True)
+def watchdog():
+    """Arm ``faulthandler``'s watchdog around each test."""
+    faulthandler.dump_traceback_later(WATCHDOG_SECONDS, exit=True,
+                                      file=_watchdog_fd[0])
+    yield
+    faulthandler.cancel_dump_traceback_later()
+
 
 ALL_DTYPES = [np.float32, np.float64, np.complex64, np.complex128]
 DOUBLE_DTYPES = [np.float64, np.complex128]

@@ -515,6 +515,38 @@ class TestWorkerDeathByHand:
         assert scan_segments(prefix) == []
 
 
+class TestWorkerOutsideItsAttempt:
+    """What a forked worker raises outside its attempt (the reply it
+    builds, the attempt body itself) ends the worker with a non-zero
+    exit; the driver reads the EOF as a death.  Never silence: a
+    window cannot wait on a worker that neither replies nor dies."""
+
+    @pytest.mark.usefixtures("lanes_for_tiny_tiles")
+    def test_is_a_death_the_driver_sees(self, monkeypatch):
+        import repro.runtime.distributed.worker as worker
+        from repro.runtime import WorkerCrashError
+        from repro.tiled import gemm
+
+        def broken(*args, **kw):
+            raise RuntimeError("outside the attempt")
+
+        # Inherited through fork: the driver's own lane is unaffected.
+        monkeypatch.setattr(worker, "run_attempt", broken)
+        a = generate_matrix(64, cond=10.0, seed=5)
+        with Runtime(ProcessGrid(1, 1), deferred=True, backend="processes",
+                     workers=2) as rt:
+            d = DistMatrix.from_array(rt, a, 16)
+            c = DistMatrix.from_array(rt, np.zeros_like(a), 16)
+            gemm(rt, 1.0, d, d, 0.0, c)
+            t0 = time.perf_counter()
+            with pytest.raises(WorkerCrashError, match="died"):
+                rt.sync()
+            assert time.perf_counter() - t0 < 30.0
+            stats = rt.exec_stats
+            assert stats.forks >= 1 and stats.recovery.crashes == 1
+            assert rt.executor.inflight_attempts == 0
+
+
 class TestOneThread:
     """The driver of a processes executor runs no thread besides the
     caller's: one event loop reads the listener and every worker."""

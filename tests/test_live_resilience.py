@@ -205,12 +205,13 @@ class TestRetryableClassifier:
     def test_single_definition(self):
         import repro.analysis.dist.protocol as protocol
         import repro.runtime.attempt as attempt
-        import repro.runtime.distributed.executor as pexec
         import repro.runtime.distributed.worker as worker
-        import repro.runtime.parallel as parallel
+        import repro.runtime.window as window
 
         assert protocol.retryable is attempt.retryable
-        for mod in (parallel, pexec, worker):
+        # One attempt body on the driver and pool threads (the window
+        # driver's ``_inline``), and the forked worker's.
+        for mod in (window, worker):
             assert mod.run_attempt is attempt.run_attempt
         # ... whose verdict is the classifier's.
         from repro.runtime.task import Task, TaskKind

@@ -809,7 +809,7 @@ class TestRuntimeDeferred:
         assert stats is not None
         assert stats.tasks_run == len(rt.graph)
         assert stats.windows >= 1
-        assert stats.per_kind_seconds
+        assert stats.busy_seconds > 0 and stats.cpu_seconds > 0
         rt.close()
 
     def test_measured_timeline_through_runtime(self):
@@ -825,3 +825,81 @@ class TestRuntimeDeferred:
         assert len(sink.tasks) == len(rt.graph)
         assert all(e.measured for e in sink.tasks)
         rt.close()
+
+
+class TestEveryAttemptReports:
+    """Every attempt handed to a pool thread ends in exactly one report.
+    The pool keeps what a submitted call raises in a future nobody
+    reads, so a failure outside ``run_attempt`` — arming the retry
+    ledger's snapshot — must still reach the driver as a report, or it
+    blocks in ``_recv`` for ever."""
+
+    BOUND = 30.0
+
+    def test_snapshot_failing_on_a_pool_thread_fails_the_window(
+            self, monkeypatch):
+        from repro.dist import ProcessGrid
+        from repro.resilience import RecoveryPolicy
+        from repro.resilience.live import TileAccessor
+        from repro.runtime import Runtime
+        from repro.tiled import gemm
+
+        snapshot, fired = TileAccessor.snapshot, []
+
+        def snapshot_once_on_a_pool_thread(self, refs):
+            name = threading.current_thread().name
+            if not fired and name.startswith("repro-exec"):
+                fired.append(name)
+                raise MemoryError("no room for the snapshot")
+            return snapshot(self, refs)
+
+        monkeypatch.setattr(TileAccessor, "snapshot",
+                            snapshot_once_on_a_pool_thread)
+        a = generate_matrix(512, cond=10.0, seed=3)
+        rt = Runtime(ProcessGrid(1, 1), deferred=True, backend="threads",
+                     workers=2, recovery=RecoveryPolicy())
+        try:
+            da = DistMatrix.from_array(rt, a, 128)
+            dc = DistMatrix.from_array(rt, np.zeros_like(a), 128)
+            gemm(rt, 1.0, da, da, 0.0, dc)   # 4.2 Mflop tasks: lanes
+            raised, done = [], threading.Event()
+
+            def sync():
+                try:
+                    rt.sync()
+                except Exception as exc:
+                    raised.append(exc)
+                finally:
+                    done.set()
+
+            threading.Thread(target=sync, daemon=True).start()
+            assert done.wait(self.BOUND), "sync() hung"
+            assert fired
+            assert len(raised) == 1 and isinstance(raised[0], MemoryError)
+            stats = rt.exec_stats
+            assert stats.shipped > 0 and stats.recovery.retried_tasks == 0
+            assert rt.executor.inflight_attempts == 0
+        finally:
+            rt.close()
+
+    def test_anything_escaping_the_attempt_body_is_reported(
+            self, monkeypatch):
+        # Whatever a pool thread raises outside run_attempt becomes that
+        # attempt's final failure, not a report that never comes.
+        inline = ParallelExecutor._inline
+
+        def inline_failing_on_a_pool_thread(self, t, attempt):
+            if threading.current_thread().name.startswith("repro-exec"):
+                raise KeyError("attempt body")
+            return inline(self, t, attempt)
+
+        monkeypatch.setattr(ParallelExecutor, "_inline",
+                            inline_failing_on_a_pool_thread)
+        g = _graph([((), (i,)) for i in range(4)])   # flops 0: lanes
+        fns = {tid: (lambda: None) for tid in range(4)}
+        with ParallelExecutor(g, fns, workers=2) as ex:
+            t0 = time.perf_counter()
+            with pytest.raises(KeyError, match="attempt body"):
+                ex.run()
+            assert time.perf_counter() - t0 < self.BOUND
+            assert ex.stats.shipped > 0 and ex.inflight_attempts == 0

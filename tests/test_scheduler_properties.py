@@ -96,6 +96,15 @@ class TestRandomDags:
         assert barred >= plain * ANOMALY_MARGIN
 
     @given(random_graphs())
+    @settings(max_examples=60)
+    def test_gate_stalls_never_negative(self, gr):
+        g, ranks = gr
+        sink = TimelineSink()
+        r = simulate(g, cfg_for(ranks, lookahead=0), sink=sink)
+        assert all(sec >= 0.0 for sec in r.stall_seconds.values())
+        assert all(ev.end >= ev.start for ev in sink.stalls)
+
+    @given(random_graphs())
     @settings(max_examples=20)
     def test_deterministic(self, gr):
         g, ranks = gr

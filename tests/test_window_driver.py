@@ -18,17 +18,23 @@ and the ordering check are checked on the fake and on both real
 transports.
 """
 
+import functools
 import time
 from collections import deque
 
 import numpy as np
 import pytest
 
+from repro.core.tiled_qdwh import tiled_qdwh
 from repro.dist import DistMatrix, ProcessGrid
+from repro.matrices import generate_matrix
+from repro.obs import get_registry
+from repro.obs.timeline import TimelineSink
 from repro.resilience import RecoveryPolicy
 from repro.runtime import (OrderingViolationError, ParallelExecutor,
                            ProcessExecutor, Runtime, TaskGraph, TaskKind,
                            WorkerCrashError)
+from repro.runtime import window
 from repro.runtime.attempt import Attempt, retryable
 from repro.runtime.distributed import DynamicScheduler
 from repro.runtime.task import Task
@@ -125,6 +131,32 @@ def _independent(n):
 
 def _attempts(ex, tid):
     return [a for _, t, a in ex.log if t == tid]
+
+
+#: ``(m, n, nb, cond)`` of the perfbench workloads.
+PERFBENCH_SHAPES = {"small_tiles": (160, 160, 32, 1e4),
+                    "big_tiles": (768, 768, 192, 1e4),
+                    "illcond_tall": (768, 384, 128, 1e16)}
+
+
+@functools.lru_cache(maxsize=None)
+def _qdwh_counts(shape, backend):
+    """``(tasks recorded, kernel invocations by name, tasks_run)`` of
+    one ``tiled_qdwh`` call on a perfbench shape (``tasks_run`` is
+    ``None`` when there is no executor)."""
+    m, n, nb, cond = PERFBENCH_SHAPES[shape]
+    a = generate_matrix(m, n, cond=cond, seed=0)
+    before = get_registry().snapshot()["counters"]
+    with Runtime(ProcessGrid(1, 1), sanitize=None) as rt:
+        tiled_qdwh(rt, DistMatrix.from_array(rt, a, nb), backend=backend,
+                   workers=None if backend == "eager" else 2)
+        stats = rt.exec_stats
+        tasks = len(rt.graph.tasks)
+    after = get_registry().snapshot()["counters"]
+    kernels = {k: v - before.get(k, 0) for k, v in after.items()
+               if k.startswith("kernel.invocations.")
+               and v != before.get(k, 0)}
+    return tasks, kernels, None if stats is None else stats.tasks_run
 
 
 class TestRetries:
@@ -310,6 +342,66 @@ class TestSweep:
                 ex.run()
             assert ex.log == [] and ex.opened == 0, deps
             assert list(ex._unfinished) == [0, 1, 2]
+
+    @pytest.fixture
+    def per_task_paths(self, monkeypatch):
+        """How many :class:`Report`s the driver builds and how many
+        times it calls ``record_task``."""
+        calls = {"report": 0, "record_task": 0}
+        report, record = window.Report, window.ExecutionStats.record_task
+
+        def counting_report(*args):
+            calls["report"] += 1
+            return report(*args)
+
+        def counting_record(self, *args):
+            calls["record_task"] += 1
+            return record(self, *args)
+
+        monkeypatch.setattr(window, "Report", counting_report)
+        monkeypatch.setattr(window.ExecutionStats, "record_task",
+                            counting_record)
+        return calls
+
+    def test_a_success_is_accounted_once_per_window(self, per_task_paths):
+        # A swept success settles, drops its payload and counts its
+        # kernel; tasks_run, busy and CPU seconds are the window's.
+        gemms = get_registry().counter("kernel.invocations.gemm")
+        before, ran = gemms.value, []
+        fns = {tid: (lambda tid=tid: ran.append(tid)) for tid in range(6)}
+        with ParallelExecutor(_independent(6), fns, workers=1) as ex:
+            ex.run(0, 4)
+            ex.run(4)
+            stats = ex.stats
+        assert ran == list(range(6)) and fns == {}
+        assert per_task_paths == {"report": 0, "record_task": 0}
+        assert gemms.value - before == 6
+        assert stats.tasks_run == 6 and stats.windows == 2
+        assert 0.0 < stats.busy_seconds <= stats.wall_seconds
+        assert stats.cpu_seconds > 0.0
+
+    def test_a_sink_gets_one_measured_event_a_task(self, per_task_paths):
+        sink = TimelineSink()
+        fns = {tid: (lambda: None) for tid in range(5)}
+        with ParallelExecutor(_chain(5), fns, workers=1, sink=sink) as ex:
+            ex.run()
+            assert ex.stats.tasks_run == 5
+        assert [e.tid for e in sink.tasks] == list(range(5))
+        assert all(e.slot == "drv" and e.measured and 0.0 <= e.start <= e.end
+                   for e in sink.tasks)
+        assert per_task_paths == {"report": 0, "record_task": 0}
+
+    @pytest.mark.parametrize("shape, backend", [
+        ("small_tiles", "threads"), ("small_tiles", "processes"),
+        ("big_tiles", "threads"), ("illcond_tall", "threads")])
+    def test_perfbench_shapes_count_what_eager_counts(self, shape, backend):
+        # Sweeps (every window of small_tiles, the estimator windows of
+        # the others) and windows with lanes together run each task
+        # once and count each kernel once, as eager does.  (Processes
+        # sweeps with the same loop; its forking windows on the larger
+        # shapes cost seconds a call on an unpinned BLAS.)
+        tasks, kernels, _ = _qdwh_counts(shape, "eager")
+        assert _qdwh_counts(shape, backend) == (tasks, kernels, tasks)
 
 
 class TestStallRule:
