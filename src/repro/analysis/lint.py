@@ -106,7 +106,6 @@ _PSEUDO_REF_ATTRS = frozenset({"new_scalar_ref"})
 _SCALAR_FUNCS = frozenset({
     "norm_one", "norm_inf", "norm_fro", "norm_max", "_tile_reduce",
     "landed_scalar", "norm2est_tiled", "trcondest_tiled", "_r_norm1",
-    "gecondest_tiled",
 })
 
 _SUPPRESS_RE = re.compile(r"#\s*repro-lint:\s*ignore(?:\[([^\]]*)\])?")

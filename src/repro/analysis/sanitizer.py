@@ -32,7 +32,7 @@ the declaration:
 "Observable" means the ref is registered in the graph's tile registry
 with a real owner rank (``DistMatrix`` tiles: QR's T and V factors and
 the reduction partials included).  The only other kind of ref, a scalar
-ref (reduction results, gather buffers, LU pivots), names a
+ref (reduction results, gather buffers), names a
 driver-local box the sanitizer cannot see, so it is exempt from the
 phantom check and its accesses are not recorded.
 

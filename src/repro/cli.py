@@ -78,7 +78,6 @@ def _fault_plan_from_args(args: argparse.Namespace, ranks: int,
         max_attempts=getattr(args, "max_attempts", 4),
         straggler=getattr(args, "straggler", None) or (),
         link_factor=getattr(args, "link_factor", 1.0),
-        speculation=not getattr(args, "no_speculation", False),
         stall_p=getattr(args, "stall_p", 0.0),
         stall_seconds=getattr(args, "stall_seconds", 0.25),
         corrupt_p=getattr(args, "corrupt_p", 0.0))
@@ -96,8 +95,6 @@ def _print_recovery(schedule) -> None:
           f"{rec.lost_tiles} tiles lost")
     print(f"             {rec.transient_failures} transient failure(s) "
           f"over {rec.retried_tasks} task(s), "
-          f"{rec.speculative_duplicates} speculative duplicate(s) "
-          f"({rec.speculation_wins} won), "
           f"{rec.degraded_transfers} degraded transfer(s)")
     print(f"             {rec.reexecution_seconds:.3f} s re-executed, "
           f"{rec.recovery_bytes / 2**20:.1f} MiB recovery traffic")
@@ -876,8 +873,8 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="SECONDS",
                    help="threads/processes backends: wall-clock seconds "
                         "before a running attempt is flagged timed out "
-                        "and a backup may be launched (processes: the "
-                        "worker is killed and its tasks replayed)")
+                        "(threads: counted only; processes: the worker "
+                        "is killed and its tasks replayed)")
     p.add_argument("--checkpoint-every", type=int, default=1,
                    help="checkpoint every k-th iteration (default 1)")
     p.add_argument("--max-iter", type=int, default=None,
@@ -934,8 +931,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "(repeatable)")
     p.add_argument("--link-factor", type=float, default=1.0,
                    help="degrade every link's bandwidth by this factor")
-    p.add_argument("--no-speculation", action="store_true",
-                   help="disable speculative straggler duplication")
     p.add_argument("--stall-p", type=float, default=0.0,
                    help="live worker-stall probability per task "
                         "(--live and threads-backend plans)")

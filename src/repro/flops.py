@@ -73,11 +73,6 @@ def potrf(n: int) -> float:
     return n ** 3 / 3.0
 
 
-def getrf(m: int, n: int) -> float:
-    """LU of an m x n matrix: mn^2 - n^3/3 (m >= n)."""
-    return float(m) * n * n - n ** 3 / 3.0
-
-
 # ---------------------------------------------------------------------------
 # Tile kernels (the granularity at which the runtime schedules work)
 # ---------------------------------------------------------------------------

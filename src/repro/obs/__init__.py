@@ -45,7 +45,6 @@ from .timeline import (
     FAULT_CHECKPOINT,
     FAULT_CRASH,
     FAULT_REPLAY,
-    FAULT_SPECULATE,
     FAULT_TRANSIENT,
     STALL_DEPENDENCY,
     STALL_GATE,
@@ -85,7 +84,6 @@ __all__ = [
     "FAULT_CHECKPOINT",
     "FAULT_CRASH",
     "FAULT_REPLAY",
-    "FAULT_SPECULATE",
     "FAULT_TRANSIENT",
     "FaultEvent",
     "STALL_DEPENDENCY",

@@ -78,7 +78,6 @@ class BarrierEvent:
 FAULT_CRASH = "crash"
 FAULT_TRANSIENT = "transient"
 FAULT_REPLAY = "replay"
-FAULT_SPECULATE = "speculate"
 FAULT_CHECKPOINT = "checkpoint"
 #: Live-backend (ParallelExecutor) recovery events.
 FAULT_RETRY = "retry"
@@ -109,7 +108,7 @@ class FaultEvent:
     ``kind`` is one of the FAULT_* constants; ``tid`` is -1 for
     rank-level events (crashes).  ``detail`` carries the kind-specific
     payload: revoked/replayed counts for a crash, failed attempts for
-    a transient, winner for a speculation.
+    a transient.
     """
 
     kind: str

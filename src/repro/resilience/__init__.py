@@ -7,8 +7,8 @@ errors, degraded links, and stragglers.  This package supplies
 * :mod:`.faults` — deterministic, seed-driven fault plans
   (:class:`FaultPlan`) the scheduler injects into a simulated run;
 * :mod:`.recovery` — the scheduler-side recovery state: transient
-  retry with backoff, rank-crash lineage replay
-  (:func:`lineage_replay_set`), and straggler speculation;
+  retry with backoff and rank-crash lineage replay
+  (:func:`lineage_replay_set`);
 * :mod:`.checkpoint` — QDWH checkpoint/restart: a real ``.npz``
   round-trip for the dense and tiled numeric paths and the Young/Daly
   cost model for the simulator;

@@ -13,8 +13,8 @@ describes what goes wrong in one simulated run:
 * :class:`LinkDegradation` — α/β multipliers on a (src, dst) rank
   path over a time window (a flaky cable, a congested switch);
 * :class:`StragglerSlot` — a rate multiplier on one rank over a time
-  window (thermal throttling, a noisy neighbour); the scheduler's
-  straggler mitigation speculatively duplicates the affected tasks.
+  window (thermal throttling, a noisy neighbour); the affected tasks
+  only run slower, as a slow worker's do on the real runtime.
 
 Two further fault classes target the *live* threaded backend
 (:mod:`repro.runtime.parallel` via :mod:`repro.resilience.live`) and
@@ -43,8 +43,8 @@ import random
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .net import (_NET_PLAN, _WINDOW, NetFaultPlan, _count, _entry, _flag,
-                  _items, _maybe, _real, _text)
+from .net import (_NET_PLAN, _WINDOW, NetFaultPlan, _count, _entry, _items,
+                  _maybe, _real, _text)
 
 _INF = float("inf")
 
@@ -217,11 +217,6 @@ class FaultPlan:
     #: Live-backend faults (ignored by the schedule simulator).
     stalls: Tuple[WorkerStall, ...] = ()
     corruptions: Tuple[TileCorruption, ...] = ()
-    #: Straggler mitigation: duplicate a task on another rank once it
-    #: has run ``speculation_factor`` times its nominal duration
-    #: without finishing; first finisher wins, the loser is cancelled.
-    speculation: bool = True
-    speculation_factor: float = 2.0
     #: Delay between a crash and the survivors reacting to it
     #: (failure-detector latency; charged before any replay dispatch).
     crash_detect_delay: float = 0.0
@@ -236,10 +231,6 @@ class FaultPlan:
         object.__setattr__(self, "stragglers", tuple(self.stragglers))
         object.__setattr__(self, "stalls", tuple(self.stalls))
         object.__setattr__(self, "corruptions", tuple(self.corruptions))
-        if self.speculation_factor < 1.0:
-            raise ValueError(
-                f"speculation_factor must be >= 1, got "
-                f"{self.speculation_factor}")
         if self.crash_detect_delay < 0.0:
             raise ValueError("crash_detect_delay must be >= 0")
         seen = set()
@@ -316,8 +307,6 @@ class FaultPlan:
     def as_dict(self) -> Dict[str, object]:
         out: Dict[str, object] = {
             "seed": self.seed,
-            "speculation": self.speculation,
-            "speculation_factor": self.speculation_factor,
             "crash_detect_delay": self.crash_detect_delay,
         }
         if self.crashes:
@@ -392,8 +381,6 @@ _FAULT_PLAN = _entry(FaultPlan, {
         "probability": _real, "value": _text, "max_events": _count,
         "kinds": _maybe(_items(_text))})),
     "net": _maybe(_NET_PLAN),
-    "speculation": _flag,
-    "speculation_factor": _real,
     "crash_detect_delay": _real,
 })
 
@@ -409,13 +396,11 @@ class RecoveryStats:
     lost_tiles: int = 0
     transient_failures: int = 0
     retried_tasks: int = 0
-    speculative_duplicates: int = 0
-    speculation_wins: int = 0
     degraded_transfers: int = 0
     #: Re-execution seconds charged to recovery (replayed + failed
-    #: attempts + speculative duplicates).
+    #: attempts).
     reexecution_seconds: float = 0.0
-    #: Extra bytes moved for speculative input refetch.  (Replay
+    #: Extra bytes moved outside the regular transfer paths.  (Replay
     #: re-communication flows through the regular transfer paths and
     #: is counted in the run's CommCounters.)
     recovery_bytes: int = 0
@@ -442,8 +427,6 @@ class RecoveryStats:
             "lost_tiles": self.lost_tiles,
             "transient_failures": self.transient_failures,
             "retried_tasks": self.retried_tasks,
-            "speculative_duplicates": self.speculative_duplicates,
-            "speculation_wins": self.speculation_wins,
             "degraded_transfers": self.degraded_transfers,
             "reexecution_seconds": self.reexecution_seconds,
             "recovery_bytes": self.recovery_bytes,
@@ -467,8 +450,6 @@ class RecoveryStats:
                 ("tiles_lost", self.lost_tiles),
                 ("transient_failures", self.transient_failures),
                 ("tasks_retried", self.retried_tasks),
-                ("speculative_duplicates", self.speculative_duplicates),
-                ("speculation_wins", self.speculation_wins),
                 ("degraded_transfers", self.degraded_transfers),
                 ("reexecution_seconds", self.reexecution_seconds),
                 ("recovery_bytes", self.recovery_bytes),
@@ -491,7 +472,6 @@ def plan_from_spec(*, seed: int = 0,
                    max_attempts: int = 4,
                    straggler: Sequence[str] = (),
                    link_factor: float = 1.0,
-                   speculation: bool = True,
                    stall_p: float = 0.0,
                    stall_seconds: float = 0.25,
                    corrupt_p: float = 0.0) -> FaultPlan:
@@ -526,5 +506,4 @@ def plan_from_spec(*, seed: int = 0,
                    if corrupt_p > 0.0 else ())
     return FaultPlan(seed=seed, crashes=crashes, transient=transient,
                      links=links, stragglers=stragglers,
-                     stalls=stalls, corruptions=corruptions,
-                     speculation=speculation)
+                     stalls=stalls, corruptions=corruptions)

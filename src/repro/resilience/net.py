@@ -329,7 +329,6 @@ def _typed(what: str, cast: Callable[[Any], Any], *types: type) -> _Field:
 
 _real = _typed("a number", float, int, float)
 _count = _typed("an integer", int, int)
-_flag = _typed("true or false", bool, bool)
 _text = _typed("a string", str, str)
 
 

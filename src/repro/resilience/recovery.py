@@ -17,9 +17,8 @@ Recovery semantics (dask/Spark-style lineage replay):
   what the remaining program still needs — is recomputed via
   :func:`lineage_replay_set` and re-executed on surviving ranks,
   charging re-execution and re-communication to the makespan;
-* a **straggler**-inflated task triggers speculative duplicate
-  execution on the least-loaded surviving rank after
-  ``speculation_factor`` nominal durations, first finisher wins.
+* a **straggler**-inflated task only runs slower: it is neither
+  duplicated nor moved, as on the real runtime.
 
 The scheduler owns all timing state; this module owns fault policy
 (who dies when, which attempts fail, who is slow) and the pure graph
@@ -198,16 +197,3 @@ class ResilienceState:
             lat, bw = net.inter_latency, net.inter_bandwidth
         self.stats.degraded_transfers += 1
         return dur + (af - 1.0) * lat + (bf - 1.0) * nbytes / bw
-
-    # ------------------------------------------------------------------
-    # Speculation
-    # ------------------------------------------------------------------
-
-    def should_speculate(self, nominal: float, actual_span: float) -> bool:
-        """Duplicate once the task overruns the detection threshold."""
-        return (self.plan.speculation
-                and self.ranks - len(self.dead) > 1
-                and actual_span > self.plan.speculation_factor * nominal)
-
-    def speculation_detect_time(self, beg: float, nominal: float) -> float:
-        return beg + self.plan.speculation_factor * nominal

@@ -42,14 +42,12 @@ class ScheduleTables:
       ``tasks[tid].deps[k] -> tid``: bytes of the tiles ``tid`` reads
       that this producer wrote (0 for a pure ordering edge);
     * ``cold[tid]`` — ``(ref, owner, nbytes)`` of each cold read;
-    * ``read_bytes[tid]`` — bytes of every tile ``tid`` reads;
     * ``price_keys`` — the distinct ``(kind, flops, tile_dim, coarse)``
       a task's duration depends on, and ``price_of[tid]`` the index of
       ``tid``'s key (what a machine model prices once per key).
     """
 
-    __slots__ = ("succ", "dep_bytes", "cold", "read_bytes", "price_keys",
-                 "price_of")
+    __slots__ = ("succ", "dep_bytes", "cold", "price_keys", "price_of")
 
     def __init__(self, graph: "TaskGraph") -> None:
         tasks = graph.tasks
@@ -78,8 +76,6 @@ class ScheduleTables:
         self.cold = [tuple([(ref, owner[ref], size(ref, 0))
                             for ref in t.cold_reads]) if t.cold_reads else ()
                      for t in tasks]
-        self.read_bytes = [sum([size(ref, 0) for ref in t.reads])
-                           for t in tasks]
         self.price_keys = list(keys)
         self.price_of = price_of
 

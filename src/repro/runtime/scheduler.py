@@ -20,10 +20,10 @@ destination (SLATE's tileBcast).
 Resilience: an optional :class:`repro.resilience.faults.FaultPlan`
 injects rank crashes, transient kernel failures, link degradation, and
 straggler slots into the run.  Recovery is dask/Spark-style: transient
-failures retry with exponential backoff, a crash invalidates the
+failures retry with exponential backoff, and a crash invalidates the
 rank's resident tiles and the scheduler re-executes the minimal
-lineage-replay subgraph on surviving ranks, and straggler-inflated
-tasks are speculatively duplicated (first finisher wins).  Every
+lineage-replay subgraph on surviving ranks.  A straggler-inflated
+task only runs slower, as it does on the real runtime.  Every
 fault consult site is guarded by ``faults is not None``, so a
 fault-free run is bit-identical to the pre-resilience scheduler.
 """
@@ -39,7 +39,6 @@ from ..comm.network import TransferPath
 from ..obs.timeline import (
     FAULT_CRASH,
     FAULT_REPLAY,
-    FAULT_SPECULATE,
     FAULT_TRANSIENT,
     STALL_DEPENDENCY,
     STALL_GATE,
@@ -148,11 +147,11 @@ def simulate(graph: TaskGraph, cfg: RunConfig, *,
 
     ``faults`` (a :class:`repro.resilience.faults.FaultPlan`) injects
     rank crashes, transient kernel failures, link degradation, and
-    stragglers; the scheduler recovers via retry, lineage replay, and
-    speculation, charging all re-execution and re-communication to the
-    makespan.  ``ScheduleResult.recovery`` then reports what recovery
-    cost.  With ``faults=None`` the schedule is bit-identical to the
-    fault-unaware scheduler.
+    stragglers; the scheduler recovers via retry and lineage replay,
+    charging all re-execution and re-communication to the makespan.
+    ``ScheduleResult.recovery`` then reports what recovery cost.  With
+    ``faults=None`` the schedule is bit-identical to the fault-unaware
+    scheduler.
     """
     tasks = graph.tasks
     n_tasks = len(tasks)
@@ -221,12 +220,11 @@ def simulate(graph: TaskGraph, cfg: RunConfig, *,
     #: completion (so revoked executions never reach the trace).
     pending_ev: Dict[int, TaskEvent] = {}
     #: Fault path only: busy/re-execution accounting buffered the same
-    #: way — (kind, span, rank, rank_busy, backup_rank, backup_busy,
-    #: reexec_seconds) applied when the execution completes, dropped
-    #: when a crash revokes it (utilization must only count work that
-    #: ran to completion, like the trace).
-    pending_busy: Dict[int, Tuple[str, float, int, float,
-                                  Optional[int], float, float]] = {}
+    #: way — (kind, span, rank, reexec_seconds) applied when the
+    #: execution completes, dropped when a crash revokes it
+    #: (utilization must only count work that ran to completion, like
+    #: the trace).
+    pending_busy: Dict[int, Tuple[str, float, int, float]] = {}
 
     # Window bookkeeping over the configured gate unit.
     lookahead = cfg.lookahead
@@ -420,18 +418,6 @@ def simulate(graph: TaskGraph, cfg: RunConfig, *,
     stall_acc = {STALL_DEPENDENCY: 0.0, STALL_LINK: 0.0, STALL_GATE: 0.0}
     park_time: Dict[int, float] = {}
 
-    def _pick_backup(rank: int, want_gpu: bool) -> Optional[int]:
-        """Least-loaded surviving rank (earliest free slot) != rank."""
-        best, best_free = None, float("inf")
-        for r in fstate.survivors():  # type: ignore[union-attr]
-            if r == rank:
-                continue
-            pool = gpu_pools[r] if want_gpu else cpu_pools[r]  # type: ignore[index]
-            free_at = pool.free[0][0]
-            if free_at < best_free:
-                best, best_free = r, free_at
-        return best
-
     def dispatch(tid: int, floor: float = 0.0) -> None:
         """Assign a ready-and-eligible task to a slot; create its event."""
         t = tasks[tid]
@@ -491,7 +477,6 @@ def simulate(graph: TaskGraph, cfg: RunConfig, *,
             return
 
         # ---- fault-aware execution path ------------------------------
-        nominal = dur
         sf = fstate.straggler_factor(rank, beg)
         if sf != 1.0:
             dur = dur * sf
@@ -502,80 +487,24 @@ def simulate(graph: TaskGraph, cfg: RunConfig, *,
                 kind=FAULT_TRANSIENT, time=beg, rank=rank, tid=tid,
                 detail=f"{fails} failed attempt(s), retried with backoff"))
 
-        # Straggler mitigation: speculative duplicate, first finisher
-        # wins, the loser is cancelled at the winner's finish time.
-        finish_t = end
-        winner, win_beg = rank, beg
-        backup_rank: Optional[int] = None
-        dup_busy = 0.0
-        if fstate.should_speculate(nominal, end - beg):
-            backup = _pick_backup(rank, t_gpu)
-            detect = fstate.speculation_detect_time(beg, nominal)
-            if backup is not None and detect < end:
-                nbytes_in = tab.read_bytes[tid]
-                refetch = (net.transfer_time(nbytes_in,
-                                             TransferPath.INTER_NODE)
-                           if nbytes_in else 0.0)
-                bpool = (gpu_pools[backup] if t_gpu  # type: ignore[index]
-                         else cpu_pools[backup])
-                bfree, bidx = heapq.heappop(bpool.free)
-                dup_beg = max(detect + refetch, bfree)
-                if dup_beg >= end:
-                    # Useless duplicate: it could not start before the
-                    # original finishes.  Launch nothing and leave the
-                    # backup slot untouched — pushing `end` here would
-                    # move a busy slot's free time *backwards* and let
-                    # later tasks overlap time the slot was occupied.
-                    heapq.heappush(bpool.free, (bfree, bidx))
-                else:
-                    dup_dur = nominal * fstate.straggler_factor(backup,
-                                                                dup_beg)
-                    dup_end = dup_beg + dup_dur
-                    if dup_end < end:
-                        finish_t, winner, win_beg = dup_end, backup, dup_beg
-                        fstate.stats.speculation_wins += 1
-                    if nbytes_in:
-                        comm.record(TransferPath.INTER_NODE, nbytes_in)
-                        fstate.stats.recovery_bytes += nbytes_in
-                        if sink is not None:
-                            sink.on_transfer(TransferEvent(
-                                src=rank, dst=backup, nbytes=nbytes_in,
-                                leg=TransferPath.INTER_NODE.value,
-                                start=detect, end=detect + refetch))
-                    heapq.heappush(bpool.free, (max(finish_t, bfree), bidx))
-                    backup_rank = backup
-                    dup_busy = max(finish_t - dup_beg, 0.0)
-                    fstate.stats.speculative_duplicates += 1
-                    if sink is not None:
-                        sink.on_fault(FaultEvent(
-                            kind=FAULT_SPECULATE, time=detect, rank=backup,
-                            tid=tid,
-                            detail=(f"duplicate of r{rank} task; "
-                                    f"{'duplicate' if winner == backup else 'original'}"
-                                    f" won at {finish_t:.6g}s")))
-
-        heapq.heappush(pool.free, (finish_t, slot_idx))
-        finish[tid] = finish_t
-        rank_of[tid] = winner
-        span = finish_t - win_beg
-        # A post-revocation re-execution (crash replay / re-run), plus
-        # whatever the speculative duplicate burned, is recovery cost.
-        reexec = dup_busy + (span if fstate.attempt[tid] > 0 else 0.0)
-        rank_busy = max(finish_t - beg, 0.0) if winner == rank \
-            else max(min(end, finish_t) - beg, 0.0)
-        pending_busy[tid] = (kind, span, rank, rank_busy,
-                             backup_rank, dup_busy, reexec)
+        heapq.heappush(pool.free, (end, slot_idx))
+        finish[tid] = end
+        span = end - beg
+        # A post-revocation re-execution (crash replay / re-run) is
+        # recovery cost.
+        reexec = span if fstate.attempt[tid] > 0 else 0.0
+        pending_busy[tid] = (kind, span, rank, reexec)
         if sink is not None:
             # Buffered, not emitted: a crash can revoke this execution
             # before it completes, and the trace must only show work
             # that actually ran to completion.  The event loop emits it
             # when the matching-epoch completion pops.
             pending_ev[tid] = TaskEvent(
-                tid=tid, kind=kind, rank=winner,
+                tid=tid, kind=kind, rank=rank,
                 slot=f"gpu{slot_idx}" if t_gpu else f"cpu{slot_idx}",
-                phase=t.phase, flops=t.flops, start=win_beg, end=finish_t,
+                phase=t.phase, flops=t.flops, start=beg, end=end,
                 duration=span, label=t.label)
-        heapq.heappush(events, (finish_t, tid, fstate.attempt[tid]))
+        heapq.heappush(events, (end, tid, fstate.attempt[tid]))
 
     def make_eligible(tid: int, now: float = 0.0, floor: float = 0.0) -> None:
         if lookahead is None or gate[tid] <= completed_prefix + lookahead:
@@ -692,11 +621,9 @@ def simulate(graph: TaskGraph, cfg: RunConfig, *,
         if fstate is not None:
             pb = pending_busy.pop(tid, None)
             if pb is not None:
-                kindv, span, prank, rank_busy, brank, dup_busy, reexec = pb
+                kindv, span, prank, reexec = pb
                 per_kind_busy[kindv] = per_kind_busy.get(kindv, 0.0) + span
-                per_rank_busy[prank] += rank_busy
-                if brank is not None:
-                    per_rank_busy[brank] += dup_busy
+                per_rank_busy[prank] += span
                 if reexec:
                     fstate.stats.reexecution_seconds += reexec
             if sink is not None:

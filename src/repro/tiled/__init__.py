@@ -33,7 +33,6 @@ from .cholesky import posv, potrf, trsm_lower
 from .norms import norm_fro, norm_inf, norm_max, norm_one, column_abs_sums
 from .estimators import norm2est_tiled, trcondest_tiled
 from .gemm_a import gemm_a, gemv_owner_c
-from .lu import LUFactors, gecondest_tiled, getrf, getrs_vec
 
 __all__ = [
     "add", "copy", "gemm", "herk", "scale", "set_diag_add",
@@ -43,5 +42,4 @@ __all__ = [
     "norm_fro", "norm_inf", "norm_max", "norm_one", "column_abs_sums",
     "norm2est_tiled", "trcondest_tiled",
     "gemm_a", "gemv_owner_c",
-    "LUFactors", "getrf", "getrs_vec", "gecondest_tiled",
 ]

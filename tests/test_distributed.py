@@ -547,6 +547,46 @@ class TestWorkerOutsideItsAttempt:
             assert rt.executor.inflight_attempts == 0
 
 
+class TestArmingFailure:
+    """The processes driver arms the retry ledger in ``_send``, outside
+    any attempt.  A failure there surfaces from the call at once, as
+    the same fault does on threads
+    (``test_parallel_backend.py::TestEveryAttemptReports``), and
+    leaves no worker and no segment behind."""
+
+    def test_driver_arming_failure_raises_and_cleans_up(self, monkeypatch):
+        import multiprocessing
+        import sys
+
+        from repro.resilience import RecoveryPolicy
+        from repro.runtime.attempt import RetryLedger
+        from repro.tiled import gemm
+
+        arm, fired = RetryLedger.arm, []
+
+        def arm_failing_once_in_send(ledger, t):
+            if not fired and sys._getframe(1).f_code.co_name == "_send":
+                fired.append(t.tid)
+                raise MemoryError("no room for the snapshot")
+            return arm(ledger, t)
+
+        monkeypatch.setattr(RetryLedger, "arm", arm_failing_once_in_send)
+        a = generate_matrix(768, cond=10.0, seed=3)
+        rt = Runtime(ProcessGrid(1, 1), deferred=True, backend="processes",
+                     workers=2, recovery=RecoveryPolicy())
+        try:
+            d = DistMatrix.from_array(rt, a, 192)
+            c = DistMatrix.from_array(rt, np.zeros_like(a), 192)
+            gemm(rt, 1.0, d, d, 0.0, c)   # 14 Mflop tasks: a fork
+            with pytest.raises(MemoryError, match="no room"):
+                rt.sync()
+            assert fired and rt.exec_stats.forks >= 1
+        finally:
+            rt.close()
+        assert multiprocessing.active_children() == []
+        assert scan_segments(f"repro{os.getpid()}x") == []
+
+
 class TestOneThread:
     """The driver of a processes executor runs no thread besides the
     caller's: one event loop reads the listener and every worker."""

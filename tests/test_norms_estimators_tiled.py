@@ -186,6 +186,19 @@ class TestTrsvAndTrcondest:
         true = 1.0 / np.linalg.cond(A, 1)
         assert true / 30 <= rc.value <= true * 30
 
+    def test_qr_and_lu_routes_agree(self):
+        """Section 6.3 names two condition-estimation routes, QR +
+        trcondest (the one QDWH takes) and LU + gecondest (the dense
+        function stands for it); both must agree on the same matrix."""
+        from repro.core.estimators import gecondest
+        from repro.matrices import generate_matrix
+        A = generate_matrix(32, cond=1e7, seed=4)
+        rt = make_runtime(2, 2)
+        dA = DistMatrix.from_array(rt, A.copy(), 8)
+        qr_rc = trcondest_tiled(rt, geqrf(rt, dA)).value
+        lu_rc = gecondest(A)
+        assert qr_rc / 30 <= lu_rc <= qr_rc * 30
+
     def test_trcondest_symbolic_emits_solves(self):
         rt = make_runtime(numeric=False)
         dA = DistMatrix(rt, 32, 32, 8)

@@ -91,7 +91,6 @@ def fault_plans(draw):
     return FaultPlan(seed=draw(st.integers(0, 2 ** 16)),
                      crashes=crashes, transient=transient,
                      stragglers=stragglers, links=links,
-                     speculation=draw(st.booleans()),
                      crash_detect_delay=draw(st.floats(0.0, 0.01)))
 
 
@@ -139,8 +138,6 @@ def test_fault_plans_preserve_schedule_validity(plan):
         assert rec.replayed_tasks == 0 and rec.lost_tiles == 0
     if plan.transient is None:
         assert rec.transient_failures == 0
-    if not plan.speculation:
-        assert rec.speculative_duplicates == 0
 
     # 5. Same plan, same schedule — the injection is fully seeded.
     r2 = simulate(g, cfg, faults=plan)

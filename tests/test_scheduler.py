@@ -269,7 +269,6 @@ class TestWhatOneSimulationDerives:
         # WAW on task 0 and WAR on task 1: ordering edges, no payload.
         assert g.tasks[2].deps == (0, 1) and tab.dep_bytes[2] == (0, 0)
         assert tab.cold == [(), ((y, 1, 24),), ()]
-        assert tab.read_bytes == [0, 824, 0]
         assert len(tab.price_keys) == 2  # the two SETs share a price
         g.register_tile(y, 48, owner=1)
         assert g.schedule_tables() is not tab
