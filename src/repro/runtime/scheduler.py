@@ -30,7 +30,7 @@ fault-free run is bit-identical to the pre-resilience scheduler.
 
 from __future__ import annotations
 
-import heapq
+from heapq import heapify, heappop, heappush, heapreplace
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
@@ -124,8 +124,16 @@ class _Pool:
         # the core/GPU for timeline capture and breaks ties
         # deterministically without changing any completion time.
         self.free: List[Tuple[float, int]] = [(0.0, i) for i in range(slots)]
-        heapq.heapify(self.free)
+        heapify(self.free)
 
+
+#: Transfer paths by index: a run tallies messages and bytes in int
+#: lists indexed by these and folds them into its ``CommCounters`` once.
+_PATHS = tuple(TransferPath)
+_H2D = _PATHS.index(TransferPath.H2D)
+_D2H = _PATHS.index(TransferPath.D2H)
+_INTRA = _PATHS.index(TransferPath.INTRA_NODE)
+_INTER = _PATHS.index(TransferPath.INTER_NODE)
 
 #: Sentinel tid for rank-crash markers in the event queue.  Markers
 #: sort before same-instant task completions (tid -1 < any real tid),
@@ -265,9 +273,36 @@ def simulate(graph: TaskGraph, cfg: RunConfig, *,
     cold_copies: Dict[Tuple[int, int, int], Dict[int, float]] = {}
     cold_cache: Dict[Tuple[Tuple[int, int, int], int, bool], float] = {}
 
-    comm = CommCounters()
+    msgs = [0] * len(_PATHS)
+    moved = [0] * len(_PATHS)
     per_kind_busy: Dict[str, float] = {}
     per_rank_busy = [0.0] * ranks
+    node_of = [cfg.machine.node_of_rank(r, rpn) for r in range(ranks)]
+    # A graph has few tile sizes: each link price is computed once.
+    hop_memo: Dict[Tuple[int, int], float] = {}
+    wire_memo: Dict[Tuple[int, bool, bool, bool], float] = {}
+
+    def tally(path: int, nbytes: int) -> None:
+        msgs[path] += 1
+        moved[path] += nbytes
+
+    def hop(nbytes: int, path: int) -> float:
+        """``net.transfer_time`` of one CPU<->GPU staging hop."""
+        dur = hop_memo.get((nbytes, path))
+        if dur is None:
+            dur = hop_memo[(nbytes, path)] = net.transfer_time(
+                nbytes, _PATHS[path])
+        return dur
+
+    def wire(nbytes: int, same_node: bool, src_gpu: bool,
+             dst_gpu: bool) -> float:
+        """``net.remote_gpu_transfer_time`` of one rank-to-rank move."""
+        key = (nbytes, same_node, src_gpu, dst_gpu)
+        dur = wire_memo.get(key)
+        if dur is None:
+            dur = wire_memo[key] = net.remote_gpu_transfer_time(
+                nbytes, same_node, src_on_gpu=src_gpu, dst_on_gpu=dst_gpu)
+        return dur
 
     def _best_holder(holders: Dict[int, float], dst: int
                      ) -> Tuple[int, float]:
@@ -304,47 +339,46 @@ def simulate(graph: TaskGraph, cfg: RunConfig, *,
             cached = cache.get((dst, t_gpu))
             if cached is not None:
                 return cached
-        holders = copies.setdefault(dep, {src: finish[dep]})
+        holders = copies.get(dep)
+        if holders is None:
+            holders = copies[dep] = {src: finish[dep]}
         if dst in holders:
             # A copy already lives on this rank (relayed earlier or the
             # producer itself); only cross-device staging may remain.
             arrival = holders[dst]
             if dst == src or (t_gpu and not net.nic_on_gpu):
-                path = TransferPath.H2D if t_gpu else TransferPath.D2H
-                dur = net.transfer_time(nbytes, path)
+                path = _H2D if t_gpu else _D2H
+                dur = hop(nbytes, path)
                 beg = max(arrival, stage_free[dst])
                 stage_free[dst] = beg + dur
-                comm.record(path, nbytes)
+                tally(path, nbytes)
                 if sink is not None:
                     sink.on_transfer(TransferEvent(
-                        src=dst, dst=dst, nbytes=nbytes, leg=path.value,
-                        start=beg, end=beg + dur))
+                        src=dst, dst=dst, nbytes=nbytes,
+                        leg=_PATHS[path].value, start=beg, end=beg + dur))
                 arrival = beg + dur
             cache[(dst, t_gpu)] = arrival
             return arrival
         best_src, best_beg = _best_holder(holders, dst)
-        same_node = (cfg.machine.node_of_rank(best_src, rpn)
-                     == cfg.machine.node_of_rank(dst, rpn))
+        same_node = node_of[best_src] == node_of[dst]
         src_gpu = d_gpu if best_src == src else t_gpu
-        dur = net.remote_gpu_transfer_time(
-            nbytes, same_node, src_on_gpu=src_gpu, dst_on_gpu=t_gpu)
+        dur = wire(nbytes, same_node, src_gpu, t_gpu)
         if fstate is not None:
             dur = fstate.degrade_transfer(best_src, dst, best_beg,
                                           nbytes, same_node, dur)
         send_free[best_src] = best_beg + dur
         recv_free[dst] = best_beg + dur
-        path = (TransferPath.INTRA_NODE if same_node
-                else TransferPath.INTER_NODE)
-        comm.record(path, nbytes)
+        path = _INTRA if same_node else _INTER
+        tally(path, nbytes)
         if sink is not None:
             sink.on_transfer(TransferEvent(
-                src=best_src, dst=dst, nbytes=nbytes, leg=path.value,
+                src=best_src, dst=dst, nbytes=nbytes, leg=_PATHS[path].value,
                 start=best_beg, end=best_beg + dur))
         if not same_node and not net.nic_on_gpu:
             if src_gpu:
-                comm.record(TransferPath.D2H, nbytes)
+                tally(_D2H, nbytes)
             if t_gpu:
-                comm.record(TransferPath.H2D, nbytes)
+                tally(_H2D, nbytes)
         arrival = best_beg + dur
         holders[dst] = arrival
         cache[(dst, t_gpu)] = arrival
@@ -374,10 +408,10 @@ def simulate(graph: TaskGraph, cfg: RunConfig, *,
         if dst in holders:
             arrival = holders[dst]
             if t_gpu and (dst == src or not net.nic_on_gpu):
-                dur = net.transfer_time(nbytes, TransferPath.H2D)
+                dur = hop(nbytes, _H2D)
                 beg = max(arrival, stage_free[dst])
                 stage_free[dst] = beg + dur
-                comm.record(TransferPath.H2D, nbytes)
+                tally(_H2D, nbytes)
                 if sink is not None:
                     sink.on_transfer(TransferEvent(
                         src=dst, dst=dst, nbytes=nbytes,
@@ -387,24 +421,21 @@ def simulate(graph: TaskGraph, cfg: RunConfig, *,
             cold_cache[key] = arrival
             return arrival
         best_src, best_beg = _best_holder(holders, dst)
-        same_node = (cfg.machine.node_of_rank(best_src, rpn)
-                     == cfg.machine.node_of_rank(dst, rpn))
-        dur = net.remote_gpu_transfer_time(
-            nbytes, same_node, src_on_gpu=False, dst_on_gpu=t_gpu)
+        same_node = node_of[best_src] == node_of[dst]
+        dur = wire(nbytes, same_node, False, t_gpu)
         if fstate is not None:
             dur = fstate.degrade_transfer(best_src, dst, best_beg,
                                           nbytes, same_node, dur)
         send_free[best_src] = best_beg + dur
         recv_free[dst] = best_beg + dur
-        path = (TransferPath.INTRA_NODE if same_node
-                else TransferPath.INTER_NODE)
-        comm.record(path, nbytes)
+        path = _INTRA if same_node else _INTER
+        tally(path, nbytes)
         if sink is not None:
             sink.on_transfer(TransferEvent(
-                src=best_src, dst=dst, nbytes=nbytes, leg=path.value,
+                src=best_src, dst=dst, nbytes=nbytes, leg=_PATHS[path].value,
                 start=best_beg, end=best_beg + dur))
         if not same_node and t_gpu and not net.nic_on_gpu:
-            comm.record(TransferPath.H2D, nbytes)
+            tally(_H2D, nbytes)
         arrival = best_beg + dur
         holders[dst] = arrival
         cold_cache[key] = arrival
@@ -424,7 +455,7 @@ def simulate(graph: TaskGraph, cfg: RunConfig, *,
         t_gpu = on_gpu[tid]
         rank = rank_of[tid]
         pool = (gpu_pools[rank] if t_gpu else cpu_pools[rank])  # type: ignore[index]
-        base = barrier_floor if fstate is None else max(barrier_floor, floor)
+        base = floor if floor > barrier_floor else barrier_floor
         dep_ready = base   # producers done (no transfer cost)
         data_ready = base  # producers done AND data arrived
         for d, nbytes in zip(t.deps, dep_bytes[tid]):
@@ -444,7 +475,8 @@ def simulate(graph: TaskGraph, cfg: RunConfig, *,
             arr = cold_transfer(ref, owner, nbytes, rank, t_gpu)
             if arr > data_ready:
                 data_ready = arr
-        slot_free, slot_idx = heapq.heappop(pool.free)
+        free = pool.free
+        slot_free, slot_idx = free[0]   # replaced below: one heap op
         beg = slot_free
         if data_ready > slot_free:
             # The slot sat idle: time past the producers' completion
@@ -463,7 +495,7 @@ def simulate(graph: TaskGraph, cfg: RunConfig, *,
 
         if fstate is None:
             end = beg + dur
-            heapq.heappush(pool.free, (end, slot_idx))
+            heapreplace(free, (end, slot_idx))
             finish[tid] = end
             per_kind_busy[kind] = per_kind_busy.get(kind, 0.0) + dur
             per_rank_busy[rank] += dur
@@ -473,7 +505,7 @@ def simulate(graph: TaskGraph, cfg: RunConfig, *,
                     slot=f"gpu{slot_idx}" if t_gpu else f"cpu{slot_idx}",
                     phase=t.phase, flops=t.flops, start=beg, end=end,
                     duration=dur, label=t.label))
-            heapq.heappush(events, (end, tid, 0))
+            heappush(events, (end, tid, 0))
             return
 
         # ---- fault-aware execution path ------------------------------
@@ -487,7 +519,7 @@ def simulate(graph: TaskGraph, cfg: RunConfig, *,
                 kind=FAULT_TRANSIENT, time=beg, rank=rank, tid=tid,
                 detail=f"{fails} failed attempt(s), retried with backoff"))
 
-        heapq.heappush(pool.free, (end, slot_idx))
+        heapreplace(free, (end, slot_idx))
         finish[tid] = end
         span = end - beg
         # A post-revocation re-execution (crash replay / re-run) is
@@ -504,7 +536,7 @@ def simulate(graph: TaskGraph, cfg: RunConfig, *,
                 slot=f"gpu{slot_idx}" if t_gpu else f"cpu{slot_idx}",
                 phase=t.phase, flops=t.flops, start=beg, end=end,
                 duration=span, label=t.label)
-        heapq.heappush(events, (end, tid, fstate.attempt[tid]))
+        heappush(events, (end, tid, fstate.attempt[tid]))
 
     def make_eligible(tid: int, now: float = 0.0, floor: float = 0.0) -> None:
         if lookahead is None or gate[tid] <= completed_prefix + lookahead:
@@ -604,12 +636,12 @@ def simulate(graph: TaskGraph, cfg: RunConfig, *,
             make_eligible(t.tid)
     if fstate is not None:
         for i, c in enumerate(fstate.plan.crashes):
-            heapq.heappush(events, (c.time, _CRASH_TID, i))
+            heappush(events, (c.time, _CRASH_TID, i))
 
     makespan = 0.0
     completed = 0
     while events:
-        now, tid, epoch = heapq.heappop(events)
+        now, tid, epoch = heappop(events)
         if tid == _CRASH_TID:
             on_crash(fstate.plan.crashes[epoch].rank, now)  # type: ignore[union-attr]
             continue
@@ -656,11 +688,7 @@ def simulate(graph: TaskGraph, cfg: RunConfig, *,
                                 # re-armed and dispatched this task.
                                 park_time.pop(ptid, None)
                                 continue
-                            # A released task starts at its slot/data
-                            # time, which may precede the release, so a
-                            # later release can pop at an earlier `now`
-                            # than this task's park: it was held no time.
-                            gated_since = min(park_time.pop(ptid, now), now)
+                            gated_since = park_time.pop(ptid, now)
                             stall_acc[STALL_GATE] += now - gated_since
                             if sink is not None:
                                 sink.on_stall(StallEvent(
@@ -671,13 +699,18 @@ def simulate(graph: TaskGraph, cfg: RunConfig, *,
                                 # while parked; it re-arms when the
                                 # replayed producer completes.
                                 continue
-                            dispatch(ptid)
+                            # The gate holds simulated time: a released
+                            # task starts no earlier than its release.
+                            dispatch(ptid, now)
         for s in succ[tid]:
             if fstate is not None and (done[s] or dispatched[s]):
                 continue  # already ran against the pre-crash data
             indeg[s] -= 1
             if indeg[s] == 0:
-                make_eligible(s, now)
+                if lookahead is None:
+                    dispatch(s)   # no gate: dispatched once ready
+                else:
+                    make_eligible(s, now)
 
     if completed != n_tasks:
         raise RuntimeError(
@@ -698,6 +731,10 @@ def simulate(graph: TaskGraph, cfg: RunConfig, *,
     for cause, sec in stall_acc.items():
         reg.counter(f"scheduler.stall_seconds.{cause}").inc(sec)
     reg.gauge("scheduler.makespan_seconds").set(makespan)
+    comm = CommCounters()
+    for path, n_msgs, n_bytes in zip(_PATHS, msgs, moved):
+        comm.messages[path] += n_msgs
+        comm.bytes[path] += n_bytes
     comm.publish(reg)
     if fstate is not None:
         fstate.stats.publish(reg)

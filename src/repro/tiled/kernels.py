@@ -6,10 +6,14 @@ Householder) representation:
 
     Q = I - V T V^H
 
-with V unit-lower-trapezoidal and T upper-triangular, exactly LAPACK's
-``geqrt`` storage: the factored tile holds R in its upper triangle and
-the V columns below the diagonal; T is kept in a tile of its own
-(:class:`repro.tiled.qr.QRFactors`).  Kernels return fresh arrays; the
+with V unit-lower-trapezoidal and T upper-triangular.  The factor
+kernels are LAPACK's, chosen per dtype (``s``/``d``/``c``/``z``):
+``?geqrt`` factors one tile, leaving R in its upper triangle and the V
+columns below the diagonal, and ``?tpqrt`` couples two R triangles
+(the structured triangle-on-triangle kernel, whose V has an identity
+top block).  Each returns its T, which is kept in a tile of its own
+(:class:`repro.tiled.qr.QRFactors`).  The apply kernels are numpy
+products over that compact storage.  Kernels return fresh arrays; the
 task payloads in :mod:`repro.tiled.qr` write them through into tiles.
 """
 
@@ -21,43 +25,31 @@ import numpy as np
 import scipy.linalg as sla
 
 
-def build_t(v: np.ndarray, tau: np.ndarray) -> np.ndarray:
-    """Accumulate the T factor of a blocked reflector (LAPACK larft).
-
-    ``v`` is m x k unit-lower-trapezoidal (implicit unit diagonal is
-    expected to already be in place), ``tau`` the k reflector scalars.
-    Returns upper-triangular T with ``Q = I - V T V^H``.
-    """
-    m, k = v.shape
-    t = np.zeros((k, k), dtype=v.dtype)
-    for j in range(k):
-        t[j, j] = tau[j]
-        if j > 0 and tau[j] != 0:
-            # t[:j, j] = -tau[j] * T[:j, :j] @ (V[:, :j]^H v_j)
-            w = v[:, :j].conj().T @ v[:, j]
-            t[:j, j] = -tau[j] * (t[:j, :j] @ w)
-    return t
-
-
 def _unit_lower(v_raw: np.ndarray, k: int) -> np.ndarray:
-    """Extract V (unit diagonal, zero upper) from raw QR storage."""
+    """Extract V (unit diagonal, zero upper) from compact QR storage."""
     v = np.tril(v_raw, -1)
     v[np.diag_indices(min(v.shape[0], k))] = 1.0
     return v[:, :k]
 
 
+def _lapack(name: str, info: int) -> None:
+    if info:
+        raise ValueError(f"LAPACK ?{name}: illegal value in argument {-info}")
+
+
 def geqrt_kernel(tile: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """QR-factor one tile; returns (factored tile, T).
+    """QR-factor one tile with LAPACK ``?geqrt``; returns (factored
+    tile, T).
 
     The returned tile holds R in its upper triangle and the Householder
-    vectors below the diagonal (LAPACK compact form).
+    vectors below the diagonal (LAPACK compact form); T is the
+    ``min(m, n)``-square upper-triangular factor of one block.
     """
-    m, n = tile.shape
-    k = min(m, n)
-    (qr_raw, tau), _r = sla.qr(tile, mode="raw")
-    v = _unit_lower(qr_raw, k)
-    t = build_t(v, tau)
-    return np.ascontiguousarray(qr_raw), t
+    k = min(tile.shape)
+    geqrt, = sla.get_lapack_funcs(("geqrt",), (tile,))
+    qr, t, info = geqrt(k, tile)
+    _lapack("geqrt", info)
+    return qr, t
 
 
 def apply_q_kernel(v_tile: np.ndarray, t: np.ndarray, c: np.ndarray,
@@ -76,30 +68,30 @@ def apply_q_kernel(v_tile: np.ndarray, t: np.ndarray, c: np.ndarray,
 
 def tpqrt_kernel(r_upper: np.ndarray, a_bot: np.ndarray
                  ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Couple a k x k upper-triangular R block with an mb x k tile.
+    """Couple a k x k upper-triangular R with the l x k upper-trapezoidal
+    R of another row (triangle on triangle; l <= k in a QR tree).
 
-    Factors ``[triu(R); A_bot] = Q R_new``.  Returns
-    ``(R_new, V_top, V_bot, T)``:
+    Factors ``[triu(R); triu(A_bot)] = Q R_new`` with LAPACK ``?tpqrt``,
+    PLASMA's structured TT kernel, its ``l`` = the rows of A_bot's
+    triangle.  Only the upper triangles of both operands are read.
+    Returns ``(R_new, V_top, V_bot, T)``:
 
     * ``R_new`` — k x k, upper triangular (replaces the R part of the
       diagonal tile; the diagonal tile's geqrt reflectors below its
       diagonal are untouched).
-    * ``V_top`` — k x k unit-lower reflector block.  PLASMA's
-      structured TS kernel has V_top = I; factoring the dense stack
-      yields a general unit-lower block, stored in the combine tile.
-    * ``V_bot`` — mb x k reflector block.
+    * ``V_top`` — the k x k identity: the structured kernel's
+      reflectors have a unit top block.
+    * ``V_bot`` — l x k reflector block, upper trapezoidal with explicit
+      zeros below the diagonal.
     * ``T`` — k x k upper-triangular block-reflector factor for the
-      stacked V = [V_top; V_bot].
+      stacked V = [I; V_bot].
     """
     k = r_upper.shape[1]
-    stacked = np.vstack([np.triu(r_upper[:k, :k]), a_bot])
-    (qr_raw, tau), _r = sla.qr(stacked, mode="raw")
-    v = _unit_lower(qr_raw, k)
-    t = build_t(v, tau)
-    r_new = np.triu(qr_raw[:k, :k])
-    v_top = np.ascontiguousarray(v[:k])
-    v_bot = np.ascontiguousarray(v[k:])
-    return r_new, v_top, v_bot, t
+    tpqrt, = sla.get_lapack_funcs(("tpqrt",), (r_upper, a_bot))
+    r, v_bot, t, info = tpqrt(min(a_bot.shape), k, r_upper[:k, :k],
+                              np.triu(a_bot), overwrite_b=1)
+    _lapack("tpqrt", info)
+    return np.triu(r), np.eye(k, dtype=r.dtype), v_bot, t
 
 
 def tpmqrt_kernel(v_top: np.ndarray, v_bot: np.ndarray, t: np.ndarray,

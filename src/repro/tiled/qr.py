@@ -62,7 +62,8 @@ class QRFactors:
       block row i in panel k;
     * ``tt`` (``Treduce``): tile ``(i2, k)`` holds the triangle combine
       of panel k whose bottom operand was row i2, as the row slices
-      ``[V_top (kb); T (kb); V_bot (rows_eff)]`` (:func:`_couple`);
+      ``[V_top (kb); T (kb); V_bot (rows_eff)]`` (:func:`_couple`),
+      where the triangle-on-triangle kernel writes V_top = I;
       ``rows_eff``, the R rows the bottom operand contributes, is
       fixed by the tree and captured by the tasks.
 
@@ -162,7 +163,8 @@ def _panel_rounds(fac: QRFactors, k: int
 def _couple(tile: np.ndarray, kb: int, rows_eff: int
             ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(V_top, V_bot, T)`` views of one combine tile of
-    :attr:`QRFactors.tt`."""
+    :attr:`QRFactors.tt`; V_top holds I (``?tpqrt``'s unit top block),
+    V_bot the upper-trapezoidal reflectors of the bottom triangle."""
     return tile[:kb], tile[2 * kb:2 * kb + rows_eff], tile[kb:2 * kb]
 
 
@@ -284,10 +286,10 @@ def geqrf(rt: Runtime, a: DistMatrix, *,
 
                 def combine(i1=i1, i2=i2, k=k, kb=kb, rows_eff=rows_eff):
                     top = a.tile(i1, k)
-                    bot_r = np.triu(a.tile(i2, k)[:rows_eff])
                     v_top, v_bot, t = _couple(tt.tile(i2, k), kb, rows_eff)
                     r_new, v_top[...], v_bot[...], t[...] = (
-                        kernels.tpqrt_kernel(top[:kb, :kb], bot_r))
+                        kernels.tpqrt_kernel(top[:kb, :kb],
+                                             a.tile(i2, k)[:rows_eff]))
                     top[:kb, :kb] = np.tril(top[:kb, :kb], -1) + r_new
 
                 rt.submit(TaskKind.TPQRT,

@@ -866,7 +866,7 @@ class TestRetiringWorkers:
     reaps whatever is left."""
 
     @pytest.mark.parametrize("guarded", [False, True],
-                             ids=["plain", "reliable"])
+                             ids=["plain", "guarded"])
     def test_the_window_does_not_join(self, monkeypatch, guarded):
         import multiprocessing
         from multiprocessing.process import BaseProcess

@@ -15,29 +15,41 @@ def rand(rng, m, n, cplx=False):
     return a
 
 
-class TestBuildT:
-    @given(st.integers(1, 12), st.integers(1, 12), st.booleans())
-    def test_block_reflector_reproduces_q(self, m, k, cplx):
-        """Q = I - V T V^H must equal the product of the elementary
-        reflectors scipy's raw QR returns."""
+DTYPES = [np.float32, np.float64, np.complex64, np.complex128]
+
+
+def rand_dtype(rng, m, n, dtype):
+    return rand(rng, m, n, np.iscomplexobj(dtype(0))).astype(dtype)
+
+
+def tol(dtype, scale=1.0):
+    """A few dozen ulps of ``dtype`` at magnitude ``scale``."""
+    return 50 * np.finfo(dtype).eps * scale
+
+
+class TestGeqrt:
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @given(st.integers(1, 12), st.integers(1, 12))
+    def test_block_reflector_reproduces_q(self, dtype, m, k):
+        """?geqrt's Q = I - V T V^H must equal the product of the
+        elementary reflectors H_i = I - tau_i v_i v_i^H, tau = diag(T)."""
         if m < k:
             m, k = k, m
         rng = np.random.default_rng(m * 13 + k)
-        a = rand(rng, m, k, cplx)
-        import scipy.linalg as sla
-        (qr_raw, tau), _ = sla.qr(a, mode="raw")
-        v = np.tril(qr_raw, -1)
-        v[np.diag_indices(min(m, k))] = 1.0
-        v = v[:, :k]
-        t = kernels.build_t(v, tau)
-        q_blocked = np.eye(m) - v @ t @ v.conj().T
-        # Elementary product: H1 H2 ... Hk.
-        q_elem = np.eye(m, dtype=a.dtype)
+        a = rand_dtype(rng, m, k, dtype)
+        tile, t = kernels.geqrt_kernel(a)
+        assert tile.dtype == t.dtype == dtype and t.shape == (k, k)
+        v = np.tril(tile, -1)
+        v[np.diag_indices(k)] = 1
+        q_blocked = np.eye(m, dtype=dtype) - v @ t @ v.conj().T
+        q_elem = np.eye(m, dtype=dtype)
         for i in range(k):
-            h = np.eye(m, dtype=a.dtype) - tau[i] * np.outer(
-                v[:, i], v[:, i].conj())
-            q_elem = q_elem @ h
-        assert np.allclose(q_blocked, q_elem, atol=1e-12)
+            q_elem = q_elem @ (np.eye(m, dtype=dtype) - t[i, i] * np.outer(
+                v[:, i], v[:, i].conj()))
+        assert np.allclose(q_blocked, q_elem, atol=tol(dtype), rtol=0)
+        # ... and Q [R; 0] is A back.
+        assert np.allclose(q_elem[:, :k] @ np.triu(tile)[:k], a,
+                           atol=tol(dtype, np.abs(a).max() * m), rtol=0)
 
     def test_t_upper_triangular(self, rng):
         a = rand(rng, 10, 6)
@@ -74,7 +86,7 @@ class TestTpqrt:
     def test_couple_reconstructs(self, kdim, mb, cplx):
         rng = np.random.default_rng(kdim * 7 + mb)
         r_top = np.triu(rand(rng, kdim, kdim, cplx))
-        a_bot = rand(rng, mb, kdim, cplx)
+        a_bot = np.triu(rand(rng, mb, kdim, cplx))
         r_new, v_top, v_bot, t = kernels.tpqrt_kernel(r_top, a_bot)
         assert np.allclose(r_new, np.triu(r_new))
         # Q^H [R; A] = [R_new; 0]: apply to the stack and check.
@@ -83,6 +95,40 @@ class TestTpqrt:
                                          conj_trans=True)
         assert np.allclose(top, r_new, atol=1e-11)
         assert np.allclose(bot, 0, atol=1e-11)
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("k, rows", [(8, 8), (8, 3), (1, 1)])
+    def test_triangle_on_triangle(self, rng, dtype, k, rows):
+        """The structured kernel: V_top = I, V_bot upper trapezoidal
+        with explicit zeros, Q^H [R; B] = [R_new; 0] to dtype eps, on a
+        full and on a ragged (rows < k) bottom triangle."""
+        r_top = np.triu(rand_dtype(rng, k, k, dtype))
+        b = np.triu(rand_dtype(rng, rows, k, dtype))
+        r_new, v_top, v_bot, t = kernels.tpqrt_kernel(r_top, b)
+        assert {x.dtype for x in (r_new, v_top, v_bot, t)} == {
+            np.dtype(dtype)}
+        assert v_top.shape == t.shape == (k, k) and v_bot.shape == (rows, k)
+        assert np.array_equal(v_top, np.eye(k))
+        assert np.array_equal(np.tril(v_bot, -1), np.zeros_like(v_bot))
+        assert np.array_equal(t, np.triu(t))
+        scale = max(np.abs(r_top).max(), np.abs(b).max()) * k
+        top, bot = kernels.tpmqrt_kernel(v_top, v_bot, t, r_top.copy(),
+                                         b.copy(), conj_trans=True)
+        assert np.allclose(top, r_new, atol=tol(dtype, scale), rtol=0)
+        assert np.allclose(bot, 0, atol=tol(dtype, scale), rtol=0)
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_only_upper_triangles_are_read(self, rng, dtype):
+        """Garbage below either operand's diagonal (a tile's geqrt
+        reflectors) changes no output bit."""
+        r_top = np.triu(rand_dtype(rng, 6, 6, dtype))
+        b = np.triu(rand_dtype(rng, 4, 6, dtype))
+        clean = kernels.tpqrt_kernel(r_top, b)
+        dirty = kernels.tpqrt_kernel(
+            r_top + np.tril(rand_dtype(rng, 6, 6, dtype), -1),
+            b + np.tril(rand_dtype(rng, 4, 6, dtype), -1))
+        for c, d in zip(clean, dirty):
+            assert np.array_equal(c, d)
 
     def test_apply_is_unitary(self, rng):
         r_top = np.triu(rand(rng, 6, 6))

@@ -6,7 +6,7 @@ import pytest
 from repro.dist import DistMatrix, ProcessGrid
 from repro.machines import summit
 from repro.machines.machine import MachineModel
-from repro.obs.timeline import TimelineSink
+from repro.obs.timeline import STALL_GATE, TimelineSink
 from repro.perf.model import build_qdwh_graph
 from repro.resilience.faults import FaultPlan, StragglerSlot, TransientFaults
 from repro.runtime import Runtime, TaskGraph, TaskKind, simulate
@@ -105,6 +105,27 @@ class TestExecutionModels:
                             use_gpu=False, lookahead=depth)
             spans.append(simulate(g, cfg).makespan)
         assert spans[0] >= spans[1] >= spans[2] >= spans[3]
+
+    def test_gate_holds_simulated_time(self):
+        """A task the lookahead gate parks starts at its release, not at
+        its earlier slot and data time: here a free core and no inputs
+        would let phase 1 start at 0, beside the whole of phase 0."""
+        g = TaskGraph()
+        for tid in range(2):
+            g.register_tile((0, tid, 0), 8 * 64 * 64, owner=0)
+            g.add(Task(tid=tid, kind=TaskKind.GEMM, reads=(),
+                       writes=((0, tid, 0),), rank=0, phase=tid, op=tid,
+                       flops=1e9, tile_dim=64))
+        cfg = RunConfig(machine=summit(), nodes=1, ranks_per_node=2,
+                        use_gpu=False, lookahead=0)
+        sink = TimelineSink()
+        r = simulate(g, cfg, sink=sink)
+        first, second = sorted(sink.tasks, key=lambda ev: ev.tid)
+        assert first.start == 0.0 and first.slot != second.slot
+        assert second.start == first.end
+        assert r.makespan == first.end + second.duration
+        assert r.stall_seconds[STALL_GATE] == first.end
+        assert [(s.start, s.end) for s in sink.stalls] == [(0.0, first.end)]
 
     def test_phase_barriers_stricter_than_op_barriers(self):
         g = build_qr_graph(m=2048, n=1024)
